@@ -78,6 +78,26 @@ def _merge_sign(a: tuple[Label, ...], b: tuple[Label, ...]):
     return tuple(out), (-1 if inversions % 2 else 1)
 
 
+def _accumulate(store: dict, mono: tuple[Label, ...], c) -> None:
+    """Add ``c`` to the coefficient of ``mono``, dropping the term on cancellation."""
+    c += store.get(mono, 0)
+    if c:
+        store[mono] = c
+    else:
+        store.pop(mono, None)
+
+
+def _wedge_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts keyed by canonical monomials."""
+    out: dict[tuple[Label, ...], Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            merged = _merge_sign(ma, mb)
+            if merged is not None:
+                _accumulate(out, merged[0], merged[1] * ca * cb)
+    return out
+
+
 def _canonical(labels: Iterable[Label]):
     """Sort arbitrary labels into canonical order; returns (monomial, sign) or
     None when a label repeats."""
@@ -102,9 +122,9 @@ def _canonical(labels: Iterable[Label]):
 class MultiForm:
     """Exterior-algebra element with exact Fraction coefficients."""
 
-    __slots__ = ("_terms", "universe")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None, universe: str | None = None):
+    def __init__(self, terms=None):
         store: dict[tuple[Label, ...], Fraction] = {}
         for labels, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
@@ -114,24 +134,27 @@ class MultiForm:
             if canon is None:
                 continue
             mono, sign = canon
-            c = store.get(mono, Fraction(0)) + sign * coeff
-            if c:
-                store[mono] = c
-            elif mono in store:
-                del store[mono]
+            _accumulate(store, mono, sign * coeff)
         self._terms = store
-        self.universe = universe
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, universe=None) -> "MultiForm":
-        return cls({(): Fraction(c)}, universe)
+    def constant(cls, c) -> "MultiForm":
+        return cls({(): Fraction(c)})
 
     @classmethod
-    def generator(cls, kind: str, index: int, universe=None) -> "MultiForm":
+    def generator(cls, kind: str, index: int) -> "MultiForm":
         _check_label((kind, index))
-        return cls({((kind, index),): Fraction(1)}, universe)
+        return cls({((kind, index),): Fraction(1)})
+
+    @classmethod
+    def _of_canonical(cls, store: dict) -> "MultiForm":
+        """Wrap a store that is already canonical: monomials in canonical
+        order, coefficients nonzero Fractions.  Skips re-canonicalising."""
+        form = cls.__new__(cls)
+        form._terms = store
+        return form
 
     # -- queries -----------------------------------------------------------
 
@@ -152,9 +175,7 @@ class MultiForm:
         return not self._terms
 
     def degree_part(self, d: int) -> "MultiForm":
-        return MultiForm(
-            {m: c for m, c in self._terms.items() if len(m) == d}, self.universe
-        )
+        return MultiForm({m: c for m, c in self._terms.items() if len(m) == d})
 
     def max_degree(self) -> int:
         return max((len(m) for m in self._terms), default=0)
@@ -166,12 +187,12 @@ class MultiForm:
         terms = dict(self._terms)
         for m, c in other._terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiForm(terms, _join_universe(self, other))
+        return MultiForm(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiForm({m: -c for m, c in self._terms.items()}, self.universe)
+        return MultiForm({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -181,24 +202,8 @@ class MultiForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiForm(
-                {m: c * Fraction(other) for m, c in self._terms.items()}, self.universe
-            )
-        other = _coerce(other)
-        uni = _join_universe(self, other)
-        terms: dict[tuple[Label, ...], Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                merged = _merge_sign(ma, mb)
-                if merged is None:
-                    continue
-                mono, sign = merged
-                c = terms.get(mono, Fraction(0)) + sign * ca * cb
-                if c:
-                    terms[mono] = c
-                elif mono in terms:
-                    del terms[mono]
-        return MultiForm(terms, uni)
+            return MultiForm({m: c * Fraction(other) for m, c in self._terms.items()})
+        return MultiForm._of_canonical(_wedge_terms(self._terms, _coerce(other)._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,14 +242,14 @@ class MultiForm:
     # -- structural operations ----------------------------------------------
 
     def shift(self, z_offset: int = 0, x_offset: int = 0) -> "MultiForm":
-        """Translate label indices (disjointifying universes before a product)."""
+        """Translate label indices (disjointifying label sets before a product)."""
         terms = {}
         for mono, c in self._terms.items():
             new = tuple(
                 (k, i + (z_offset if k == "z" else x_offset)) for k, i in mono
             )
             terms[new] = c
-        return MultiForm(terms, self.universe)
+        return MultiForm(terms)
 
     def restrict_x(self, keep: Iterable[int]) -> "MultiForm":
         """Restriction to a parameter sub-torus: drop terms using other x-labels."""
@@ -254,40 +259,42 @@ class MultiForm:
                 m: c
                 for m, c in self._terms.items()
                 if all(k != "x" or i in keep for k, i in m)
-            },
-            self.universe,
+            }
         )
+
+    def split_z(self) -> dict[tuple[int, ...], dict[tuple[Label, ...], Fraction]]:
+        """Bucket the terms by z-part in one pass: {z-indices: {x-monomial:
+        coefficient}}.  The z-part of a canonical monomial is its prefix, so
+        splitting it off the x-part needs no sign."""
+        out: dict[tuple[int, ...], dict[tuple[Label, ...], Fraction]] = {}
+        for mono, c in self._terms.items():
+            zpart = tuple(i for k, i in mono if k == "z")
+            out.setdefault(zpart, {})[mono[len(zpart):]] = c
+        return out
 
     def contract_z(self, z_indices: Sequence[int]) -> "MultiForm":
         """Pair the base part against the class dual to the monomial
-        z_{i1}^...^z_{ip}: keep terms whose full z-part matches exactly and
-        strip it (the z-part is a canonical prefix, so no extra sign arises)."""
-        want = tuple(("z", i) for i in sorted(z_indices))
+        z_{i1}^...^z_{ip}: the x-parts of the terms whose full z-part is
+        exactly that monomial (split_z), in one pass over the terms."""
         if len(set(z_indices)) != len(tuple(z_indices)):
             raise ValueError("repeated index in contraction monomial")
-        out = {}
-        for mono, c in self._terms.items():
-            zpart = tuple(l for l in mono if l[0] == "z")
-            if zpart != want:
-                continue
-            out[mono[len(zpart):]] = c
-        return MultiForm(out, self.universe)
+        return MultiForm._of_canonical(self.split_z().get(tuple(sorted(z_indices)), {}))
 
     def subst_z(self, images: Sequence["MultiForm"]) -> "MultiForm":
         """Algebra substitution z_i -> images[i-1] (each of pure degree 1),
-        leaving x-labels fixed.  Used for cover pullbacks and transfers."""
-        result = MultiForm()
-        for mono, c in self._terms.items():
-            factor = MultiForm.constant(c)
-            for kind, idx in mono:
-                if kind == "z":
-                    if idx > len(images):
-                        raise ValueError(f"no image for z{idx}")
-                    factor = factor * images[idx - 1]
-                else:
-                    factor = factor * MultiForm.generator("x", idx)
-            result = result + factor
-        return result
+        leaving x-labels fixed.  Used for cover pullbacks and transfers.
+        The product of images is expanded once per z-part (split_z) and
+        wedged with that z-part's x-terms straight into one coefficient dict."""
+        out: dict[tuple[Label, ...], Fraction] = {}
+        for zpart, xterms in self.split_z().items():
+            expanded = {(): Fraction(1)}
+            for i in zpart:
+                if i > len(images):
+                    raise ValueError(f"no image for z{i}")
+                expanded = _wedge_terms(expanded, _coerce(images[i - 1])._terms)
+            for mono, c in _wedge_terms(expanded, xterms).items():
+                _accumulate(out, mono, c)
+        return MultiForm._of_canonical(out)
 
     # -- serialization -------------------------------------------------------
 
@@ -298,7 +305,7 @@ class MultiForm:
         ]
 
     @classmethod
-    def from_records(cls, records, universe=None) -> "MultiForm":
+    def from_records(cls, records) -> "MultiForm":
         terms = {}
         for labels, num, den in records:
             mono = []
@@ -306,7 +313,7 @@ class MultiForm:
                 kind, idx = s[0], int(s[1:])
                 mono.append((kind, idx))
             terms[tuple(mono)] = Fraction(num, den)
-        return cls(terms, universe)
+        return cls(terms)
 
 
 def _coerce(v) -> MultiForm:
@@ -315,15 +322,6 @@ def _coerce(v) -> MultiForm:
     if isinstance(v, (int, Fraction)):
         return MultiForm.constant(v)
     raise TypeError(f"cannot interpret {v!r} as a MultiForm")
-
-
-def _join_universe(a: MultiForm, b: MultiForm) -> str | None:
-    if a.universe is not None and b.universe is not None and a.universe != b.universe:
-        raise ValueError(
-            f"label collision across incompatible universes "
-            f"{a.universe!r} and {b.universe!r}"
-        )
-    return a.universe if a.universe is not None else b.universe
 
 
 def wedge(a: MultiForm, b: MultiForm) -> MultiForm:

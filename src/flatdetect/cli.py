@@ -189,6 +189,47 @@ def parse_expression(text: str):
 # ---------------------------------------------------------------------------
 
 
+# constructor -> (positional arity, required keywords, optional keywords)
+_SIGNATURES = {
+    "char_zn": (2, (), ("gens",)),
+    "trivial": (0, ("group",), ("dim",)),
+    "tensor": (2, (), ()),
+    "union": (2, (), ()),
+    "sum": (2, (), ()),
+    "extend": (1, ("group",), ()),
+    "induce": (1, (), ("cover", "subgroup", "cosets", "group")),
+    "pullback": (1, (), ("cover", "subgroup", "cosets", "group")),
+    "circle": (1, (), ()),
+    "sublattice": (1, (), ()),
+    "free": (1, (), ()),
+    "free_abelian": (1, (), ()),
+    "surface": (1, (), ()),
+    "free_product": (2, (), ()),
+    "direct_product": (2, (), ()),
+    "finite_index_super": (3, (), ("homology",)),
+}
+
+
+def _check_signature(call: Call) -> None:
+    """Raise ExprError when a known constructor gets the wrong number of
+    positional arguments, lacks a required keyword or gets an unknown one."""
+    if call.name not in _SIGNATURES:
+        return
+    arity, required, optional = _SIGNATURES[call.name]
+    if len(call.args) != arity:
+        raise ExprError(
+            f"{call.name} takes {arity} positional argument(s), got {len(call.args)}"
+        )
+    missing = [k for k in required if k not in call.kwargs]
+    if missing:
+        raise ExprError(f"{call.name} needs keyword argument(s) {', '.join(missing)}")
+    unknown = sorted(set(call.kwargs) - set(required) - set(optional))
+    if unknown:
+        raise ExprError(
+            f"{call.name} got unknown keyword argument(s) {', '.join(unknown)}"
+        )
+
+
 def _load_presentation(value, basedir: Path) -> GroupPresentation:
     if isinstance(value, GroupPresentation):
         return value
@@ -215,6 +256,8 @@ def _looks_like_klein(G: GroupPresentation) -> bool:
 
 def _build_cover(call, base_family, kwargs, basedir):
     kind = kwargs.get("cover") or kwargs.get("subgroup")
+    if isinstance(kind, Call):
+        _check_signature(kind)
     ambient = (
         _load_presentation(kwargs["group"], basedir) if "group" in kwargs else None
     )
@@ -242,6 +285,7 @@ def _build_cover(call, base_family, kwargs, basedir):
 def build_family(ast, basedir: Path) -> families.Family:
     if not isinstance(ast, Call):
         raise ExprError(f"expected a family expression, got {ast!r}")
+    _check_signature(ast)
     name, args, kwargs = ast.name, ast.args, ast.kwargs
     if name == "char_zn":
         gens = kwargs.get("gens")
@@ -281,6 +325,7 @@ def build_family(ast, basedir: Path) -> families.Family:
 def build_descriptor(ast) -> detect.GroupClassDescriptor:
     if not isinstance(ast, Call):
         raise ExprError(f"expected a group descriptor, got {ast!r}")
+    _check_signature(ast)
     name, args, kwargs = ast.name, ast.args, ast.kwargs
     if name == "free":
         return detect.Free(args[0])

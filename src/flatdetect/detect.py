@@ -326,6 +326,11 @@ def detection_matrix(
 
     Disjoint unions contribute the concatenation of their components'
     columns.  Every family must carry exact character data.
+
+    One pass per component form: each is split once by z-part
+    (``MultiForm.split_z``) and every cell is then two dict lookups, so the
+    cost is linear in the number of terms plus the number of cells.  Entries
+    equal ``slant_contract(form, cls).coefficient(x-monomial)``.
     """
     basis = rational_homology(d)
     classes = basis.all_classes()
@@ -336,6 +341,7 @@ def detection_matrix(
                 "use the numeric pairing path (numeric_detection_report)"
             )
     columns = []  # (family index, component index, x-monomial)
+    splits = {}  # (family index, component index) -> ch.split_z()
     for fi, f in enumerate(fams):
         if f.chern is None:
             raise DetectionError(
@@ -343,19 +349,20 @@ def detection_matrix(
                 "use the numeric pairing path (numeric_detection_report)"
             )
         for ci in range(f.space.n_components):
+            splits[fi, ci] = f.chern[ci].split_z()
             for mono in _x_monomials(f.space.component_x_dim(ci)):
                 columns.append((fi, ci, mono))
     col_labels = tuple(
         f"f{fi}.c{ci}." + ("1" if not mono else "^".join(f"x{i}" for i in mono))
         for fi, ci, mono in columns
     )
+    col_keys = [((fi, ci), tuple(("x", i) for i in mono)) for fi, ci, mono in columns]
+    zero = Fraction(0)
     matrix = []
     for cls in classes:
-        row = []
-        for fi, ci, mono in columns:
-            contracted = slant_contract(fams[fi].chern[ci], cls)
-            row.append(contracted.coefficient(tuple(("x", i) for i in mono)))
-        matrix.append(row)
+        zpart = tuple(sorted(cls.monomial))
+        parts = {comp: split.get(zpart, {}) for comp, split in splits.items()}
+        matrix.append([parts[comp].get(xkey, zero) for comp, xkey in col_keys])
     row_labels = tuple(c.label for c in classes)
     return _assemble_report(d, fams, row_labels, col_labels, matrix, "exact")
 

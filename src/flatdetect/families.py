@@ -462,25 +462,31 @@ def direct_sum(f: Family, g: Family) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
+    """Exact determinant and inverse of a square rational matrix, by
+    Gauss-Jordan elimination over Q; the inverse is None when singular."""
     n = len(m)
     aug = [
         [Fraction(m[i][j]) for j in range(n)]
         + [Fraction(1 if j == i else 0) for j in range(n)]
         for i in range(n)
     ]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return det, [row[n:] for row in aug]
 
 
 def _abelianize(w: Word, n: int) -> list[int]:
@@ -517,21 +523,18 @@ class SublatticeCover:
         for rel in ambient.relators:
             if any(_abelianize(rel, n)):
                 raise ValueError("ambient group is not free abelian")
-        det = round(float(np.linalg.det(mat)))
+        det, self._inverse = _det_and_inverse(mat.tolist())
         if det == 0:
             raise ValueError("sublattice basis is singular")
         self.ambient = ambient
         self.basis = mat
-        self.index = abs(det)
+        self.index = abs(int(det))
         self.sub = free_abelian(n, sub_names)
         self.cosets = tuple(free_reduce(c) for c in cosets)
         if len(self.cosets) != self.index:
             raise ValueError(
                 f"need {self.index} coset representatives, got {len(self.cosets)}"
             )
-        self._inverse = _invert_fraction_matrix(
-            [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(n)]
-        )
 
     @property
     def sub_generator_words(self) -> tuple[Word, ...]:
@@ -712,7 +715,7 @@ def induce_family(
         and f.base_dim is not None
     ):
         # transfer on the rational exterior algebra: index * (pullback)^{-1}
-        inv = _invert_fraction_matrix(cover.pullback_matrix)
+        _, inv = _det_and_inverse(cover.pullback_matrix)
         images = [
             sum((inv[j][i] * zgen(i + 1) for i in range(len(inv))), MultiForm())
             for j in range(len(inv))

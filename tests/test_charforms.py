@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,6 @@ from flatdetect.charforms import (
     chern_number,
     numerical_curvature,
     poincare_connection,
-    wedge,
     winding_number,
     xgen,
     zgen,
@@ -57,16 +58,6 @@ def test_canonical_ordering_sign():
     # x1^z1 stored as -z1^x1
     f = xgen(1) * zgen(1)
     assert f.coefficient((("z", 1), ("x", 1))) == -1
-
-
-def test_universe_collision_error():
-    a = MultiForm({((("z", 1)),): Fraction(1)}, universe="A")
-    b = MultiForm({((("z", 1)),): Fraction(1)}, universe="B")
-    with pytest.raises(ValueError, match="incompatible universes"):
-        wedge(a, b)
-    # same tag is fine
-    c = MultiForm({((("z", 2)),): Fraction(1)}, universe="A")
-    assert wedge(a, c).universe == "A"
 
 
 @st.composite
@@ -121,6 +112,32 @@ def test_subst_z_linear_substitution():
     # substitution is an algebra map
     h = (zgen(1) * zgen(2)).subst_z([zgen(2), zgen(1)])
     assert h == -(zgen(1) * zgen(2))
+
+
+def _subst_reference(form, images):
+    """Expand each term by distributivity: pick one term of images[i-1] for
+    each z_i (x_i stays itself), concatenate the picked labels in order and
+    let the constructor sort them (sign) or drop a repeat."""
+    total = MultiForm()
+    for mono, c in form.terms():
+        factors = [
+            images[i - 1].terms() if k == "z" else [(((k, i),), 1)] for k, i in mono
+        ]
+        for picks in itertools.product(*factors):
+            labels = sum((m for m, _ in picks), ())
+            total = total + MultiForm({labels: c * math.prod(v for _, v in picks)})
+    return total
+
+
+@settings(max_examples=150)
+@given(
+    forms(),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=3, max_size=3),
+)
+def test_subst_z_matches_product_expansion(f, rows):
+    # z_i -> sum_j rows[i-1][j-1] z_j: a random integer linear image of z1..z3
+    images = [sum((c * zgen(j + 1) for j, c in enumerate(row)), MultiForm()) for row in rows]
+    assert f.subst_z(images) == _subst_reference(f, images)
 
 
 # ---------------------------------------------------------------------------

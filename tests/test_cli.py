@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flatdetect
 from flatdetect.cli import (
     Call,
     ExprError,
@@ -242,3 +247,38 @@ def test_detect_run_deterministic_bytes(workdir):
     run(args + ["--out", str(a)])
     run(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("char_zn(2)", "char_zn takes 2 positional argument(s), got 1"),
+        ("char_zn(2, 16, gen=[a])", "char_zn got unknown keyword argument(s) gen"),
+        ("tensor(char_zn(1, 4), char_zn(1))", "char_zn takes 2 positional argument(s), got 1"),
+        ("trivial(dim=2)", "trivial needs keyword argument(s) group"),
+        ("induce(char_zn(1, 4), cover=circle())", "circle takes 1 positional argument(s), got 0"),
+    ],
+)
+def test_family_signature_errors_exit3(workdir, capsys, expr, message):
+    (workdir / "bad.fam").write_text(expr + "\n")
+    out = workdir / "bad.json"
+    code = run(["family", "build", "--expr", str(workdir / "bad.fam"), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_descriptor_signature_error_exit3(workdir, capsys):
+    code = run(["detect", "run", "--group", "free()", "--families", str(workdir / "z2.fam")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: free takes 1 positional argument(s), got 0\n"
+
+
+def test_python_dash_m_entry_point(workdir):
+    env = {**os.environ, "PYTHONPATH": str(Path(flatdetect.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatdetect", "parse", "--presentation", str(workdir / "z2.grp")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["generators"] == ["a", "b"]

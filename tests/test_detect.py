@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flatdetect.charforms import MultiForm, xgen, zgen
 from flatdetect.detect import (
@@ -29,6 +30,7 @@ from flatdetect.families import (
     FinitePointSet,
     KleinBottleCover,
     SublatticeCover,
+    TorusGrid,
     character_family_Zn,
     circle_cover,
     direct_sum,
@@ -36,6 +38,7 @@ from flatdetect.families import (
     extend_free_product,
     induce_family,
     pullback_family,
+    tensor_families,
     trivial_family,
 )
 from flatdetect.presentation import Word, free_abelian, free_group, surface_group
@@ -250,6 +253,134 @@ def _x_monos(n):
     for q in range(n + 1):
         out.extend(itertools.combinations(range(1, n + 1), q))
     return out
+
+
+def _reference_matrix(d, fams):
+    """Cell-by-cell pairing: slant_contract each component form against each
+    class, then read off each x-monomial's coefficient, in the column order
+    of detection_matrix.  Each cell is also checked against the form's own
+    coefficient of z-part ^ x-part: the z-part is a canonical prefix, so
+    contracting it strips it with no sign."""
+    rows = []
+    for cls in rational_homology(d).all_classes():
+        zlabels = [("z", i) for i in cls.monomial]
+        row = []
+        for f in fams:
+            for ci in range(f.space.n_components):
+                contracted = slant_contract(f.chern[ci], cls)
+                for mono in _x_monos(f.space.component_x_dim(ci)):
+                    xlabels = [("x", i) for i in mono]
+                    cell = contracted.coefficient(xlabels)
+                    assert cell == f.chern[ci].coefficient(zlabels + xlabels)
+                    row.append(cell)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def _sublattice_cover(draw, n):
+    """An upper-triangular sublattice of Z^n with diagonal entries d_i; the
+    box 0 <= v_i < d_i holds exactly one representative of each coset."""
+    diag = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    basis = [
+        [diag[i] if i == j else (draw(st.integers(-2, 2)) if i < j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    cosets = [
+        Word(tuple((i, 1) for i in range(n) for _ in range(v[i])))
+        for v in itertools.product(*(range(d) for d in diag))
+    ]
+    return SublatticeCover(free_abelian(n), basis, cosets)
+
+
+@st.composite
+def _random_form_family(draw, n):
+    """A family of Z^n over a torus whose character form has random terms."""
+    x_dim = draw(st.integers(1, 3))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(
+                st.sets(st.integers(1, n), max_size=n),
+                st.sets(st.integers(1, x_dim), max_size=x_dim),
+            ).map(lambda zx: tuple(("z", i) for i in sorted(zx[0]))
+                  + tuple(("x", i) for i in sorted(zx[1]))),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            max_size=8,
+        )
+    )
+    return Family(
+        group=free_abelian(n),
+        space=TorusGrid(x_dim, 2),
+        fiber_dims=(1,),
+        evaluate_fn=None,
+        structure="random",
+        chern=(MultiForm(terms),),
+        base_dim=n,
+    )
+
+
+@st.composite
+def _leaf_family(draw, n):
+    kind = draw(st.sampled_from(["char", "induce", "pullback", "random"]))
+    if kind == "char":
+        return character_family_Zn(n, 2)
+    if kind == "random":
+        return draw(_random_form_family(n))
+    cover = draw(_sublattice_cover(n))
+    if kind == "induce":
+        return induce_family(character_family_Zn(n, 2), cover)
+    return pullback_family(character_family_Zn(n, 2), cover)
+
+
+@st.composite
+def _union_or_leaf(draw, max_rank):
+    n = draw(st.integers(1, max_rank))
+    f = draw(_leaf_family(n))
+    if draw(st.booleans()):
+        return disjoint_union(f, draw(_leaf_family(n)))
+    return f
+
+
+@st.composite
+def _exact_families(draw):
+    """char_zn, sublattice induce/pullback and random-form families of ranks
+    1..3, their disjoint unions, and tensor products of those."""
+    if draw(st.booleans()):
+        return draw(_union_or_leaf(3))
+    return tensor_families(draw(_union_or_leaf(2)), draw(_union_or_leaf(2)))
+
+
+_SLOW_DATA = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_SLOW_DATA
+@given(st.lists(_exact_families(), min_size=1, max_size=2))
+def test_detection_matrix_equals_cellwise_slant_contraction(fams):
+    d = FreeAbelian(max(f.base_dim for f in fams))
+    assert detection_matrix(d, fams).matrix == _reference_matrix(d, fams)
+
+
+@st.composite
+def _product_descriptors(draw):
+    """Direct and free products, nested once: the right factor's monomials
+    are shifted past the left factor's z-labels."""
+    factor = st.builds(
+        lambda cls, k: cls(k), st.sampled_from([Free, FreeAbelian]), st.integers(0, 3)
+    )
+    combine = st.sampled_from([DirectProduct, FreeProduct])
+    left = draw(factor)
+    if draw(st.booleans()):
+        left = draw(combine)(left, draw(factor))
+    return draw(combine)(left, draw(factor))
+
+
+@_SLOW_DATA
+@given(_exact_families(), _product_descriptors())
+def test_detection_matrix_equals_cellwise_on_product_bases(f, d):
+    assert detection_matrix(d, [f]).matrix == _reference_matrix(d, [f])
 
 
 def test_detection_trivial_family_detects_only_point():

@@ -326,6 +326,15 @@ def test_sublattice_cover_torus():
     assert verify_family(ind)
 
 
+def test_sublattice_index_is_exact_for_large_unimodular_basis():
+    # det = (2^40+1)(2^40-1) - 2^80 = -1; a float determinant reads 0.0 here
+    big = 2**40
+    cov = SublatticeCover(free_abelian(2), [[big + 1, big], [big, big - 1]], [Word(())])
+    assert cov.index == 1
+    with pytest.raises(ValueError, match="singular"):
+        SublatticeCover(free_abelian(2), [[big, big], [big, big]], [Word(())])
+
+
 def test_sublattice_rejects_nonabelian_ambient():
     with pytest.raises(ValueError, match="not free abelian"):
         SublatticeCover(klein_bottle(), [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))])
