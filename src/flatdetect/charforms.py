@@ -306,14 +306,29 @@ class MultiForm:
 
     @classmethod
     def from_records(cls, records) -> "MultiForm":
+        """Inverse of ``to_records``; raises ValueError on a malformed record."""
+        if not isinstance(records, (list, tuple)):
+            raise ValueError(f"form records must be a list, got {records!r}")
         terms = {}
-        for labels, num, den in records:
-            mono = []
-            for s in labels:
-                kind, idx = s[0], int(s[1:])
-                mono.append((kind, idx))
-            terms[tuple(mono)] = Fraction(num, den)
+        for rec in records:
+            if not _is_record(rec):
+                raise ValueError(f"bad form record {rec!r}")
+            labels, num, den = rec
+            terms[tuple((s[0], int(s[1:])) for s in labels)] = Fraction(num, den)
         return cls(terms)
+
+
+def _is_record(rec) -> bool:
+    """[labels, numerator, denominator]: labels such as "z1", integers, and a
+    nonzero denominator.  The label kind and index are checked by _check_label."""
+    return (
+        isinstance(rec, (list, tuple))
+        and len(rec) == 3
+        and isinstance(rec[0], (list, tuple))
+        and all(isinstance(s, str) and s[1:].isdecimal() for s in rec[0])
+        and all(isinstance(v, int) for v in rec[1:])
+        and rec[2] != 0
+    )
 
 
 def _coerce(v) -> MultiForm:

@@ -5,8 +5,10 @@ Subcommands: ``parse``, ``rep solve``, ``family build``, ``forms chern``,
 produce byte-identical outputs; exact results are serialized as rational
 strings, floats appear only in numeric diagnostics.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 solver
-non-convergence, 5 obstruction or verification failure.
+Exit codes: 0 success, 2 usage error (including flag values out of range),
+3 input error (an unreadable file, or a malformed expression or payload,
+including values a constructor rejects), 4 solver non-convergence,
+5 obstruction or verification failure.
 
 Family/descriptor expressions are a small call language, e.g.::
 
@@ -21,7 +23,9 @@ with ``e`` denoting the empty word in coset lists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import re
 import sys
 from pathlib import Path
@@ -32,7 +36,6 @@ from . import charforms, detect, families, repvar
 from .presentation import (
     GroupPresentation,
     PresentationError,
-    Word,
     format_presentation,
     klein_bottle,
     parse_presentation,
@@ -189,167 +192,174 @@ def parse_expression(text: str):
 # ---------------------------------------------------------------------------
 
 
-# constructor -> (positional arity, required keywords, optional keywords)
-_SIGNATURES = {
-    "char_zn": (2, (), ("gens",)),
-    "trivial": (0, ("group",), ("dim",)),
-    "tensor": (2, (), ()),
-    "union": (2, (), ()),
-    "sum": (2, (), ()),
-    "extend": (1, ("group",), ()),
-    "induce": (1, (), ("cover", "subgroup", "cosets", "group")),
-    "pullback": (1, (), ("cover", "subgroup", "cosets", "group")),
-    "circle": (1, (), ()),
-    "sublattice": (1, (), ()),
-    "free": (1, (), ()),
-    "free_abelian": (1, (), ()),
-    "surface": (1, (), ()),
-    "free_product": (2, (), ()),
-    "direct_product": (2, (), ()),
-    "finite_index_super": (3, (), ("homology",)),
+# A constructor's kind is "family", "cover" or "descriptor"; arguments of
+# those kinds are nested calls, and other arguments must fit their _TYPES
+# entry.  A cover builds a function of the ambient group (or None) and the
+# coset names, which its caller's keywords supply.
+_KINDS = {  # kind -> (message for a non-call, message for an unknown name)
+    "family": ("expected a family expression, got {!r}", "unknown family constructor {!r}"),
+    "cover": ("unsupported cover description for induce",) * 2,
+    "descriptor": ("expected a group descriptor, got {!r}", "unknown group descriptor {!r}"),
+}
+
+# argument type -> (description, shape): a Python type, [shape] for a list
+# of that shape, or a tuple of alternative shapes
+_TYPES = {
+    "int": ("an integer", int),
+    "name": ("a name", str),
+    "file": ("a file name", str),
+    "words": ("a list of words", [str]),
+    "matrix": ("a list of integer rows", [[int]]),
+    "homology": ("a list of label lists", [(str, [str])]),
 }
 
 
-def _check_signature(call: Call) -> None:
-    """Raise ExprError when a known constructor gets the wrong number of
-    positional arguments, lacks a required keyword or gets an unknown one."""
-    if call.name not in _SIGNATURES:
-        return
-    arity, required, optional = _SIGNATURES[call.name]
-    if len(call.args) != arity:
-        raise ExprError(
-            f"{call.name} takes {arity} positional argument(s), got {len(call.args)}"
-        )
-    missing = [k for k in required if k not in call.kwargs]
-    if missing:
-        raise ExprError(f"{call.name} needs keyword argument(s) {', '.join(missing)}")
-    unknown = sorted(set(call.kwargs) - set(required) - set(optional))
-    if unknown:
-        raise ExprError(
-            f"{call.name} got unknown keyword argument(s) {', '.join(unknown)}"
-        )
-
-
-def _load_presentation(value, basedir: Path) -> GroupPresentation:
-    if isinstance(value, GroupPresentation):
-        return value
-    path = Path(value)
-    if not path.is_absolute():
-        path = basedir / path
-    return parse_presentation(path.read_text())
-
-
-def _as_words(items, G: GroupPresentation) -> list[Word]:
-    return [parse_word(s, G) for s in items]
-
-
-_KLEIN_RELATOR = ((0, 1), (1, 1), (0, 1), (1, -1))
+def _fits(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    return isinstance(value, shape)
 
 
 def _looks_like_klein(G: GroupPresentation) -> bool:
-    return (
-        len(G.generators) == 2
-        and len(G.relators) == 1
-        and G.relators[0].letters == _KLEIN_RELATOR
-    )
+    return len(G.generators) == 2 and G.relators == klein_bottle().relators
 
 
-def _build_cover(call, base_family, kwargs, basedir):
-    kind = kwargs.get("cover") or kwargs.get("subgroup")
-    if isinstance(kind, Call):
-        _check_signature(kind)
-    ambient = (
-        _load_presentation(kwargs["group"], basedir) if "group" in kwargs else None
-    )
-    if isinstance(kind, Call) and kind.name == "circle":
-        return families.circle_cover(kind.args[0], ambient)
-    if isinstance(kind, Call) and kind.name == "sublattice":
+def _klein_cover(ambient, cosets):
+    if ambient is not None and not _looks_like_klein(ambient):
+        raise ExprError("group file does not present the Klein-bottle group")
+    return families.KleinBottleCover()
+
+
+def _sublattice_cover(basis):
+    def cover(ambient, cosets):
         if ambient is None:
             raise ExprError("sublattice cover needs group=FILE")
-        cosets = _as_words(kwargs.get("cosets", []), ambient)
-        return families.SublatticeCover(ambient, kind.args[0], cosets)
-    if kind == "klein_even" or (kind is None and ambient and _looks_like_klein(ambient)):
-        cover = families.KleinBottleCover()
-        if ambient is not None:
-            if not _looks_like_klein(ambient):
-                raise ExprError("group file does not present the Klein-bottle group")
-            cover.ambient = ambient
-        return cover
-    if kind is None and ambient is not None and len(ambient.generators) == 1:
-        cosets = kwargs.get("cosets")
-        if cosets:
-            return families.circle_cover(len(cosets), ambient)
+        words = [parse_word(s, ambient) for s in cosets or []]
+        return families.SublatticeCover(ambient, basis, words)
+
+    return cover
+
+
+def _cover(cover, cosets, group):
+    """The cover given by ``cover=``, else the one inferred from ``group=``:
+    the Klein-bottle group, or one generator with ``cosets=``."""
+    if cover is not None:
+        return cover(group, cosets)
+    if group is not None and _looks_like_klein(group):
+        return families.KleinBottleCover()
+    if group is not None and len(group.generators) == 1 and cosets:
+        return families.circle_cover(len(cosets), group)
     raise ExprError("unsupported cover description for induce")
 
 
-def build_family(ast, basedir: Path) -> families.Family:
+def _induce(f, cover=None, cosets=None, group=None):
+    cover = _cover(cover, cosets, group)
+    G = group or cover.ambient
+    words = None if cosets is None else [parse_word(s, G) for s in cosets]
+    return families.induce_family(f, cover, words, group)
+
+
+def _finite_index_super(sub, index, label, homology=None):
+    if homology is not None:
+        homology = tuple(tuple(lv if isinstance(lv, list) else [lv]) for lv in homology)
+    return detect.FiniteIndexSuper(sub, index, label, homology)
+
+
+_COVER_KEYWORDS = {"cover": "cover", "cosets": "words", "group": "file"}
+
+# name -> (kind, positional types, keyword types, required keywords, builder).
+# The builders look up families.* when called, so that wrappers installed on
+# that module (a tracer's, say) see every family built.
+_CONSTRUCTORS = {
+    "char_zn": ("family", ("int", "int"), {"gens": "words"}, (),
+                lambda n, res, gens=None: families.character_family_Zn(n, res, gens)),
+    "trivial": ("family", (), {"group": "file", "dim": "int"}, ("group",),
+                lambda group, dim=1: families.trivial_family(group, dim)),
+    "tensor": ("family", ("family", "family"), {}, (),
+               lambda f, g: families.tensor_families(f, g)),
+    "union": ("family", ("family", "family"), {}, (),
+              lambda f, g: families.disjoint_union(f, g)),
+    "sum": ("family", ("family", "family"), {}, (), lambda f, g: families.direct_sum(f, g)),
+    "extend": ("family", ("family",), {"group": "file"}, ("group",),
+               lambda f, group: families.extend_free_product(f, group)),
+    "induce": ("family", ("family",), _COVER_KEYWORDS, (), _induce),
+    "pullback": ("family", ("family",), _COVER_KEYWORDS, (),
+                 lambda f, cover=None, cosets=None, group=None:
+                 families.pullback_family(f, _cover(cover, cosets, group))),
+    "circle": ("cover", ("int",), {}, (),
+               lambda k: lambda ambient, cosets: families.circle_cover(k, ambient)),
+    "sublattice": ("cover", ("matrix",), {}, (), _sublattice_cover),
+    "klein_even": ("cover", (), {}, (), lambda: _klein_cover),
+    "free": ("descriptor", ("int",), {}, (), detect.Free),
+    "free_abelian": ("descriptor", ("int",), {}, (), detect.FreeAbelian),
+    "surface": ("descriptor", ("int",), {}, (), detect.SurfaceClosed),
+    "free_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.FreeProduct),
+    "direct_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.DirectProduct),
+    "finite_index_super": ("descriptor", ("descriptor", "int", "name"),
+                           {"homology": "homology"}, (), _finite_index_super),
+}
+
+
+def _argument(value, typ: str, where: str, basedir: Path | None):
+    if typ in _KINDS:
+        return _build(value, typ, basedir)
+    what, shape = _TYPES[typ]
+    if not _fits(value, shape):
+        raise ExprError(f"{where} must be {what}, got {value!r}")
+    return parse_presentation((basedir / value).read_text()) if typ == "file" else value
+
+
+def _build(ast, kind: str, basedir: Path | None):
+    """Check a call of ``kind`` against _CONSTRUCTORS, build its arguments in
+    order and then the call; a builder's ValueError becomes an ExprError."""
+    if kind == "cover" and isinstance(ast, str):
+        ast = Call(ast, [], {})  # a bare cover name, as in cover=klein_even
+    not_a_call, unknown = _KINDS[kind]
     if not isinstance(ast, Call):
-        raise ExprError(f"expected a family expression, got {ast!r}")
-    _check_signature(ast)
-    name, args, kwargs = ast.name, ast.args, ast.kwargs
-    if name == "char_zn":
-        gens = kwargs.get("gens")
-        return families.character_family_Zn(args[0], args[1], gens)
-    if name == "trivial":
-        G = _load_presentation(kwargs["group"], basedir)
-        return families.trivial_family(G, kwargs.get("dim", 1))
-    if name == "tensor":
-        return families.tensor_families(
-            build_family(args[0], basedir), build_family(args[1], basedir)
+        raise ExprError(not_a_call.format(ast))
+    name = ast.name
+    entry = _CONSTRUCTORS.get(name)
+    if entry is None or entry[0] != kind:
+        raise ExprError(unknown.format(name))
+    _, arg_types, kw_types, required, builder = entry
+    if len(ast.args) != len(arg_types):
+        raise ExprError(
+            f"{name} takes {len(arg_types)} positional argument(s), got {len(ast.args)}"
         )
-    if name == "union":
-        return families.disjoint_union(
-            build_family(args[0], basedir), build_family(args[1], basedir)
-        )
-    if name == "sum":
-        return families.direct_sum(
-            build_family(args[0], basedir), build_family(args[1], basedir)
-        )
-    if name == "extend":
-        G = _load_presentation(kwargs["group"], basedir)
-        return families.extend_free_product(build_family(args[0], basedir), G)
-    if name == "induce":
-        inner = build_family(args[0], basedir)
-        cover = _build_cover(ast, inner, kwargs, basedir)
-        cosets = (
-            _as_words(kwargs["cosets"], cover.ambient) if "cosets" in kwargs else None
-        )
-        return families.induce_family(inner, cover, cosets)
-    if name == "pullback":
-        inner = build_family(args[0], basedir)
-        cover = _build_cover(ast, inner, kwargs, basedir)
-        return families.pullback_family(inner, cover)
-    raise ExprError(f"unknown family constructor {name!r}")
+    missing = [k for k in required if k not in ast.kwargs]
+    if missing:
+        raise ExprError(f"{name} needs keyword argument(s) {', '.join(missing)}")
+    extra = sorted(set(ast.kwargs) - set(kw_types))
+    if extra:
+        raise ExprError(f"{name} got unknown keyword argument(s) {', '.join(extra)}")
+    args = [
+        _argument(v, t, f"{name} argument {i}", basedir)
+        for i, (v, t) in enumerate(zip(ast.args, arg_types), 1)
+    ]
+    kwargs = {
+        k: _argument(ast.kwargs[k], t, f"{name} keyword {k}", basedir)
+        for k, t in kw_types.items()
+        if k in ast.kwargs
+    }
+    try:
+        return builder(*args, **kwargs)
+    except ValueError as exc:
+        raise ExprError(str(exc)) from exc
+
+
+def build_family(ast, basedir: Path) -> families.Family:
+    return _build(ast, "family", basedir)
 
 
 def build_descriptor(ast) -> detect.GroupClassDescriptor:
-    if not isinstance(ast, Call):
-        raise ExprError(f"expected a group descriptor, got {ast!r}")
-    _check_signature(ast)
-    name, args, kwargs = ast.name, ast.args, ast.kwargs
-    if name == "free":
-        return detect.Free(args[0])
-    if name == "free_abelian":
-        return detect.FreeAbelian(args[0])
-    if name == "surface":
-        return detect.SurfaceClosed(args[0])
-    if name == "free_product":
-        return detect.FreeProduct(build_descriptor(args[0]), build_descriptor(args[1]))
-    if name == "direct_product":
-        return detect.DirectProduct(
-            build_descriptor(args[0]), build_descriptor(args[1])
-        )
-    if name == "finite_index_super":
-        homology = kwargs.get("homology")
-        table = (
-            tuple(tuple(level if isinstance(level, list) else [level]) for level in homology)
-            if homology is not None
-            else None
-        )
-        return detect.FiniteIndexSuper(
-            build_descriptor(args[0]), args[1], str(args[2]), table
-        )
-    raise ExprError(f"unknown group descriptor {name!r}")
+    return _build(ast, "descriptor", None)
+
+
+def _load_family(path: str) -> families.Family:
+    path = Path(path)
+    return build_family(parse_expression(path.read_text()), path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +433,7 @@ def _cmd_rep_solve(ns) -> int:
 
 
 def _cmd_family_build(ns) -> int:
-    path = Path(ns.expr)
-    f = build_family(parse_expression(path.read_text()), path.parent)
+    f = _load_family(ns.expr)
     try:
         families.verify_family(f)
     except ValueError as exc:
@@ -435,8 +444,7 @@ def _cmd_family_build(ns) -> int:
 
 
 def _cmd_forms_chern(ns) -> int:
-    path = Path(ns.family)
-    f = build_family(parse_expression(path.read_text()), path.parent)
+    f = _load_family(ns.family)
     windings = families.numeric_c1_windings(f, ns.resolution)
     _emit(
         {
@@ -451,33 +459,44 @@ def _cmd_forms_chern(ns) -> int:
     return EXIT_OK
 
 
+_FORM_OPS = {"wedge": operator.mul, "sum": operator.add}
+
+
 def _cmd_forms_eval(ns) -> int:
     payload = json.loads(Path(ns.infile).read_text())
+    if not isinstance(payload, dict):
+        raise ExprError("forms payload must be a JSON object")
     op = payload.get("op", "wedge")
-    forms = [charforms.MultiForm.from_records(r) for r in payload["operands"]]
-    if not forms:
+    if not isinstance(op, str) or op not in _FORM_OPS:
+        raise ExprError(f"unknown op {op!r}: expected one of wedge, sum")
+    operands = payload.get("operands")
+    if not isinstance(operands, list):
+        raise ExprError("operands must be a list of form record lists")
+    if not operands:
         raise ExprError("no operands")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = acc * f if op == "wedge" else acc + f
+    try:
+        forms = [charforms.MultiForm.from_records(r) for r in operands]
+    except ValueError as exc:
+        raise ExprError(str(exc)) from exc
+    acc = functools.reduce(_FORM_OPS[op], forms)
     _emit({"kind": "multiform", "op": op, "records": acc.to_records()}, ns.out)
     return EXIT_OK
 
 
-def _cmd_detect_run(ns) -> int:
+def _detection(ns) -> detect.DetectionReport:
+    """The exact detection matrix when every family has character data,
+    else the numeric report of the single family."""
     descriptor = build_descriptor(parse_expression(ns.group))
-    fams = []
-    for fpath in ns.families:
-        path = Path(fpath)
-        fams.append(build_family(parse_expression(path.read_text()), path.parent))
+    fams = [_load_family(p) for p in ns.families or []]
     if all(f.chern is not None for f in fams):
-        report = detect.detection_matrix(descriptor, fams)
-    else:
-        if len(fams) != 1:
-            raise detect.DetectionError(
-                "the numeric pairing path takes a single family"
-            )
-        report = detect.numeric_detection_report(descriptor, fams[0])
+        return detect.detection_matrix(descriptor, fams)
+    if len(fams) != 1:
+        raise detect.DetectionError("the numeric pairing path takes a single family")
+    return detect.numeric_detection_report(descriptor, fams[0])
+
+
+def _cmd_detect_run(ns) -> int:
+    report = _detection(ns)
     _emit(report.to_json_dict(), ns.out)
     return EXIT_OK if report.verdict == "FD-certified" else EXIT_OBSTRUCTION
 
@@ -486,8 +505,10 @@ def _cmd_report(ns) -> int:
     out: dict = {"kind": "report"}
     status = EXIT_OK
     if ns.group:
-        code = _cmd_detect_like(ns, out)
-        status = max(status, code)
+        report = _detection(ns)
+        out["detection"] = report.to_json_dict()
+        out["verdict"] = report.verdict
+        status = EXIT_OK if report.verdict == "FD-certified" else EXIT_OBSTRUCTION
     if ns.bm:
         f, index = ns.bm
         g, bound, excluded = detect.bm_obstruction(f, index)
@@ -505,21 +526,26 @@ def _cmd_report(ns) -> int:
     return status
 
 
-def _cmd_detect_like(ns, out: dict) -> int:
-    descriptor = build_descriptor(parse_expression(ns.group))
-    fams = []
-    for fpath in ns.families or []:
-        path = Path(fpath)
-        fams.append(build_family(parse_expression(path.read_text()), path.parent))
-    report = detect.detection_matrix(descriptor, fams)
-    out["detection"] = report.to_json_dict()
-    out["verdict"] = report.verdict
-    return EXIT_OK if report.verdict == "FD-certified" else EXIT_OBSTRUCTION
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _checked(convert, ok, need: str):
+    """An argparse type that converts the flag text, then requires ok(value)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be >= 0")
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -535,10 +561,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     repsub = rep.add_subparsers(dest="subcommand", required=True)
     rs = repsub.add_parser("solve", help="solve for a representation point")
     rs.add_argument("--presentation", required=True)
-    rs.add_argument("--dim", type=int, required=True)
-    rs.add_argument("--tol", type=float, default=1e-8)
-    rs.add_argument("--seed", type=int, default=0)
-    rs.add_argument("--max-iter", type=int, default=2000)
+    rs.add_argument("--dim", type=_POSITIVE, required=True)
+    rs.add_argument(
+        "--tol", type=_checked(float, lambda v: v > 0, "must be > 0"), default=1e-8
+    )
+    rs.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    rs.add_argument("--max-iter", type=_NONNEGATIVE, default=2000)
     rs.add_argument("--out")
     rs.set_defaults(fn=_cmd_rep_solve)
 
@@ -553,7 +581,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     formssub = forms.add_subparsers(dest="subcommand", required=True)
     fc = formssub.add_parser("chern", help="numeric winding Chern data of a family")
     fc.add_argument("--family", required=True)
-    fc.add_argument("--resolution", type=int, default=64)
+    fc.add_argument("--resolution", type=_NONNEGATIVE, default=64)
     fc.add_argument("--out")
     fc.set_defaults(fn=_cmd_forms_chern)
     fe = formssub.add_parser("eval", help="combine serialized forms")
@@ -572,7 +600,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="combined detection / obstruction report")
     rp.add_argument("--group")
     rp.add_argument("--families", nargs="*")
-    rp.add_argument("--bm", nargs=2, type=int, metavar=("FREE_RANK", "INDEX"))
+    rp.add_argument(
+        "--bm", nargs=2, type=_checked(int, lambda v: v >= 2, "must be >= 2"),
+        metavar=("FREE_RANK", "INDEX"),
+    )
     rp.add_argument("--out")
     rp.set_defaults(fn=_cmd_report)
 

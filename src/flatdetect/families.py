@@ -517,13 +517,13 @@ class SublatticeCover:
         sub_names: Sequence[str] | None = None,
     ):
         n = len(ambient.generators)
-        mat = np.array(basis, dtype=int)
-        if mat.shape != (n, n):
+        mat = [[int(v) for v in row] for row in basis]
+        if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
         for rel in ambient.relators:
             if any(_abelianize(rel, n)):
                 raise ValueError("ambient group is not free abelian")
-        det, self._inverse = _det_and_inverse(mat.tolist())
+        det, self._inverse = _det_and_inverse(mat)
         if det == 0:
             raise ValueError("sublattice basis is singular")
         self.ambient = ambient
@@ -539,10 +539,10 @@ class SublatticeCover:
     @property
     def sub_generator_words(self) -> tuple[Word, ...]:
         out = []
-        for j in range(self.basis.shape[1]):
+        for j in range(len(self.basis)):
             w = Word(())
-            for i in range(self.basis.shape[0]):
-                w = w * _power_word(i, int(self.basis[i, j]))
+            for i, row in enumerate(self.basis):
+                w = w * _power_word(i, row[j])
             out.append(free_reduce(w))
         return tuple(out)
 
@@ -563,8 +563,7 @@ class SublatticeCover:
 
     @property
     def pullback_matrix(self) -> list[list[Fraction]]:
-        n = self.basis.shape[0]
-        return [[Fraction(int(self.basis[i, j])) for j in range(n)] for i in range(n)]
+        return [[Fraction(v) for v in row] for row in self.basis]
 
     def describe(self) -> str:
         return f"sublattice(index={self.index})"

@@ -11,6 +11,7 @@ retraction, so every iterate stays unitary to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +19,12 @@ from .presentation import GroupPresentation, Word, evaluate_word
 
 # Retractions keep iterates unitary to ~1e-15; anything above this is a bug.
 UNITARITY_TOL = 1e-9
+
+
+def unitarity_defect(mats: Sequence[np.ndarray]) -> float:
+    """Largest ||M^H M - I||_F over square matrices of one size."""
+    eye = np.eye(mats[0].shape[0])
+    return max(float(np.linalg.norm(m.conj().T @ m - eye)) for m in mats)
 
 
 @dataclass(frozen=True)
@@ -45,10 +52,7 @@ class RepPoint:
         return self.matrices[0].shape[0]
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.dimension)
-        return max(
-            float(np.linalg.norm(m.conj().T @ m - eye)) for m in self.matrices
-        )
+        return unitarity_defect(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def solve_representation(
 
     defect, egrads = _defect_and_gradients(mats, G.relators)
     history = [defect]
-    max_udef = _unitarity(mats, n)
+    max_udef = unitarity_defect(mats)
     best = ([m.copy() for m in mats], defect)
     perturbations = 0
     iters = 0
@@ -206,7 +210,7 @@ def solve_representation(
             defect, egrads = _defect_and_gradients(mats, G.relators)
             step = cfg.initial_step
         history.append(defect)
-        max_udef = max(max_udef, _unitarity(mats, n))
+        max_udef = max(max_udef, unitarity_defect(mats))
         if defect < best[1]:
             best = ([m.copy() for m in mats], defect)
 
@@ -221,8 +225,3 @@ def solve_representation(
         defect_history=tuple(history),
         max_unitarity_defect=max_udef,
     )
-
-
-def _unitarity(mats, n) -> float:
-    eye = np.eye(n)
-    return max(float(np.linalg.norm(m.conj().T @ m - eye)) for m in mats)

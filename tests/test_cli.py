@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flatdetect
 from flatdetect.cli import (
@@ -86,6 +87,16 @@ def test_build_family_induce_with_inferred_cover(workdir):
     f = build_family(ast, workdir)
     assert f.fiber_dims == (2,)
     assert f.group.generators == ("a", "b")
+
+
+def test_build_family_induce_named_klein_cover_keeps_group_names(workdir):
+    (workdir / "kxy.grp").write_text("gens: x y ; rels: x y x y^-1 ;\n")
+    ast = parse_expression(
+        "induce(char_zn(2, 32), cover=klein_even, cosets=[e, y], group=kxy.grp)"
+    )
+    f = build_family(ast, workdir)
+    assert f.fiber_dims == (2,)
+    assert f.group.generators == ("x", "y")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,18 @@ def test_report_inconclusive_exit0(workdir):
     assert json.loads(out.read_text())["obstruction"]["excluded"] is False
 
 
+def test_report_numeric_detection_matches_detect_run(workdir):
+    group = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"
+    fam = str(workdir / "klein.fam")
+    d, r = workdir / "d.json", workdir / "r.json"
+    assert run(["detect", "run", "--group", group, "--families", fam, "--out", str(d)]) == 0
+    assert run(["report", "--group", group, "--families", fam, "--out", str(r)]) == 0
+    rec = json.loads(r.read_text())
+    assert rec["detection"] == json.loads(d.read_text())
+    assert rec["detection"]["mode"] == "numeric"
+    assert rec["verdict"] == "FD-certified"
+
+
 def test_report_with_detection(workdir):
     out = workdir / "full.json"
     code = run(["report", "--group", "free_abelian(2)",
@@ -257,9 +280,32 @@ def test_detect_run_deterministic_bytes(workdir):
         ("tensor(char_zn(1, 4), char_zn(1))", "char_zn takes 2 positional argument(s), got 1"),
         ("trivial(dim=2)", "trivial needs keyword argument(s) group"),
         ("induce(char_zn(1, 4), cover=circle())", "circle takes 1 positional argument(s), got 0"),
+        ("char_zn(0, 16)", "rank must be >= 1"),
+        ("char_zn(a, 4)", "char_zn argument 1 must be an integer, got 'a'"),
+        ("char_zn(1, 4, gens=a)", "char_zn keyword gens must be a list of words, got 'a'"),
+        ("trivial(group=3)", "trivial keyword group must be a file name, got 3"),
+        (
+            "induce(char_zn(1, 4), cover=sublattice([[a]]), cosets=[e], group=z1.grp)",
+            "sublattice argument 1 must be a list of integer rows, got [['a']]",
+        ),
+        (
+            "induce(char_zn(1, 4), cover=sublattice([[9223372036854775808]]), cosets=[e], "
+            "group=z1.grp)",
+            "need 9223372036854775808 coset representatives, got 1",
+        ),
+        (
+            "induce(char_zn(1, 4), subgroup=circle(2))",
+            "induce got unknown keyword argument(s) subgroup",
+        ),
+        ("induce(char_zn(1, 4), cover=bogus)", "unsupported cover description for induce"),
+        (
+            "induce(char_zn(2, 4), cover=klein_even, group=z2.grp)",
+            "group file does not present the Klein-bottle group",
+        ),
     ],
 )
 def test_family_signature_errors_exit3(workdir, capsys, expr, message):
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
     (workdir / "bad.fam").write_text(expr + "\n")
     out = workdir / "bad.json"
     code = run(["family", "build", "--expr", str(workdir / "bad.fam"), "--out", str(out)])
@@ -272,6 +318,177 @@ def test_descriptor_signature_error_exit3(workdir, capsys):
     code = run(["detect", "run", "--group", "free()", "--families", str(workdir / "z2.fam")])
     assert code == 3
     assert capsys.readouterr().err == "error: free takes 1 positional argument(s), got 0\n"
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ("free(-1)", "rank must be >= 0"),
+        ("char_zn(1, 4)", "unknown group descriptor 'char_zn'"),
+        (
+            "finite_index_super(free_abelian(2), 2, klein, homology=3)",
+            "finite_index_super keyword homology must be a list of label lists, got 3",
+        ),
+    ],
+)
+def test_descriptor_value_and_type_errors_exit3(workdir, capsys, group, message):
+    code = run(["detect", "run", "--group", group, "--families", str(workdir / "z2.fam")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"op": "bogus", "operands": [[[["x1"], 1, 1]]]},
+        {"op": "wedge", "operands": [[[["q1"], 1, 1]]]},
+        {"op": "wedge", "operands": [[[["x1"], 1, 0]]]},
+        {"op": "wedge", "operands": [[[["x1"], "1", 1]]]},
+        {"op": "wedge", "operands": [5]},
+        {"op": "wedge", "operands": 5},
+        {"op": "wedge", "operands": []},
+        [{"op": "wedge"}],
+    ],
+)
+def test_forms_eval_malformed_payload_exit3(workdir, capsys, payload):
+    inp = workdir / "bad_forms.json"
+    inp.write_text(json.dumps(payload))
+    out = workdir / "bad_res.json"
+    assert run(["forms", "eval", "--in", str(inp), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rep", "solve", "--presentation", "z2.grp", "--dim", "0"],
+        ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--tol", "-1"],
+        ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--tol", "nan"],
+        ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--seed", "-1"],
+        ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--max-iter", "-1"],
+        ["forms", "chern", "--family", "z2.fam", "--resolution", "-4"],
+        ["report", "--bm", "1", "2"],
+        ["report", "--bm", "2", "1"],
+    ],
+)
+def test_out_of_range_flags_exit2(workdir, capsys, argv):
+    assert run([str(workdir / a) if a.endswith((".grp", ".fam")) else a for a in argv]) == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+# A grammar fuzz over the expression language.  Inputs come from two
+# grammars with the same shape.  The strict one follows the documented
+# signatures, so its inputs reach the builders (and fail there or succeed).
+# The loose one may put junk in any slot (an unknown or wrong-kind
+# constructor, a value of another type), drop a required keyword, and add an
+# extra argument or an unknown keyword.  Nesting is bounded and integers stay
+# small: tensor products add ranks, and circle and sublattice covers spell
+# powers letter by letter.
+_WORDS = st.sampled_from(["[]", "[e]", "[e, a]", "[e, b]", "[a, b]", "[e, a, a a]", "[c]"])
+_FILE = st.sampled_from(["z1.grp", "z2.grp", "klein.grp", "f2.grp", "missing.grp"])
+_MATRIX = st.sampled_from(["[[2]]", "[[3]]", "[[2, 0], [0, 1]]", "[[1, 1], [0, 2]]", "[[0]]"])
+_HOMOLOGY = st.sampled_from(["[[pt], [b]]", "[pt, [b]]", "[[pt], [a b]]", "[[pt]]"])
+_JUNK = st.sampled_from(
+    ["a", "e", "klein", "z2.grp", "[a]", "[[a]]", "[[1]]", "3", "-1",
+     "bogus(1)", "free(2)", "char_zn(1, 4)", "circle(2)", "klein_even"]
+)
+
+
+def _grammar(ints, slot, extra, strict: bool):
+    """(family, descriptor) expression strategies; ``slot`` wraps every
+    argument strategy and ``extra`` draws arguments to append."""
+
+    def call(name, args, required=None, optional=None):
+        required, optional = dict(required or {}), dict(optional or {})
+        if not strict:  # a required keyword may go missing
+            optional.update(required)
+            required = {}
+        return st.builds(
+            lambda a, kw, more: "{}({})".format(
+                name, ", ".join(a + more + [f"{k}={v}" for k, v in kw.items()])
+            ),
+            st.tuples(*map(slot, args)).map(list),
+            st.fixed_dictionaries(
+                {k: slot(v) for k, v in required.items()},
+                optional={k: slot(v) for k, v in optional.items()},
+            ),
+            extra,
+        )
+
+    def unary(inner):
+        cover = st.one_of(
+            call("circle", [ints]), call("sublattice", [_MATRIX]), st.just("klein_even")
+        )
+        covered = {"cover": cover, "cosets": _WORDS, "group": _FILE}
+        return st.one_of(
+            call("extend", [inner], {"group": _FILE}),
+            call("induce", [inner], optional=covered),
+            call("pullback", [inner], optional=covered),
+        )
+
+    def binary(names, inner):
+        return st.one_of(*(call(n, [inner, inner]) for n in names))
+
+    leaf = st.one_of(
+        call("char_zn", [ints, ints], optional={"gens": _WORDS}),
+        call("trivial", [], {"group": _FILE}, {"dim": ints}),
+    )
+    part = st.one_of(leaf, unary(leaf))
+    family = st.one_of(
+        part,
+        binary(("tensor", "union", "sum"), part),
+        unary(binary(("tensor", "union", "sum"), leaf)),
+    )
+    dleaf = st.one_of(*(call(n, [ints]) for n in ("free", "free_abelian", "surface")))
+    dpart = st.one_of(dleaf, binary(("free_product", "direct_product"), dleaf))
+    descriptor = st.one_of(
+        dpart,
+        call(
+            "finite_index_super",
+            [dpart, ints, st.sampled_from(["klein", "k2"])],
+            optional={"homology": _HOMOLOGY},
+        ),
+    )
+    return family, descriptor
+
+
+_STRICT = _grammar(st.sampled_from("12345"), lambda s: s, st.just([]), True)
+_LOOSE = _grammar(
+    st.integers(-3, 5).map(str),
+    lambda s: st.one_of(s, _JUNK),
+    st.sampled_from([[], ["7"], ["bogus=1"], ["subgroup=circle(2)"]]),
+    False,
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    group=st.one_of(_STRICT[1], _LOOSE[1]),
+    family=st.one_of(_STRICT[0], _LOOSE[0]),
+)
+def test_expression_fuzz_total_and_report_matches_detect_run(workdir, capsys, group, family):
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
+    (workdir / "fuzz.fam").write_text(family + "\n")
+    d, r = workdir / "fuzz_d.json", workdir / "fuzz_r.json"
+    d.unlink(missing_ok=True)
+    r.unlink(missing_ok=True)
+    fam = str(workdir / "fuzz.fam")
+    capsys.readouterr()
+    code_d = run(["detect", "run", "--group", group, "--families", fam, "--out", str(d)])
+    err_d = capsys.readouterr().err
+    code_r = run(["report", "--group", group, "--families", fam, "--out", str(r)])
+    err_r = capsys.readouterr().err
+    assert code_d in (0, 2, 3, 4, 5)
+    assert (code_r, err_r) == (code_d, err_d)
+    assert err_d.count("\n") <= 1 and "Traceback" not in err_d
+    assert d.exists() == r.exists()
+    if d.exists():
+        assert json.loads(r.read_text())["detection"] == json.loads(d.read_text())
 
 
 def test_python_dash_m_entry_point(workdir):
