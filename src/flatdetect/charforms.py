@@ -174,9 +174,6 @@ class MultiForm:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree_part(self, d: int) -> "MultiForm":
-        return MultiForm({m: c for m, c in self._terms.items() if len(m) == d})
-
     def max_degree(self) -> int:
         return max((len(m) for m in self._terms), default=0)
 

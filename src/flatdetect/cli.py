@@ -261,9 +261,8 @@ def _induce(f, cover=None, cosets=None, group=None):
     return families.induce_family(f, cover, words, group)
 
 
-def _finite_index_super(sub, index, label, homology=None):
-    if homology is not None:
-        homology = tuple(tuple(lv if isinstance(lv, list) else [lv]) for lv in homology)
+def _finite_index_super(sub, index, label, homology):
+    homology = tuple(tuple(lv if isinstance(lv, list) else [lv]) for lv in homology)
     return detect.FiniteIndexSuper(sub, index, label, homology)
 
 
@@ -298,7 +297,7 @@ _CONSTRUCTORS = {
     "free_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.FreeProduct),
     "direct_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.DirectProduct),
     "finite_index_super": ("descriptor", ("descriptor", "int", "name"),
-                           {"homology": "homology"}, (), _finite_index_super),
+                           {"homology": "homology"}, ("homology",), _finite_index_super),
 }
 
 
@@ -502,6 +501,9 @@ def _cmd_detect_run(ns) -> int:
 
 
 def _cmd_report(ns) -> int:
+    if ns.families and not ns.group:
+        sys.stderr.write("error: report --families needs --group\n")
+        return EXIT_USAGE
     out: dict = {"kind": "report"}
     status = EXIT_OK
     if ns.group:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .charforms import MultiForm, winding_number, SIGN_CONVENTIONS
-from .families import Cover, Family, holonomy_loop, induce_family, pullback_family
+from .charforms import MultiForm, SIGN_CONVENTIONS
+from .families import Cover, Family, axis_windings, induce_family, pullback_family
 from .presentation import Word, parse_word
 
 SCOPE_NOTE = (
@@ -384,35 +384,28 @@ def numeric_detection_report(
         raise DetectionError(
             "the numeric pairing path supports degree <= 1 classes only"
         )
-    columns = []
-    for ci in range(f.space.n_components):
-        columns.append((ci, None))  # rank column
+    components = range(f.space.n_components)
+    col_labels = []
+    for ci in components:
+        col_labels.append(f"c{ci}.rank")
         for axis in range(f.space.component_x_dim(ci)):
-            columns.append((ci, axis))
-    col_labels = tuple(
-        f"c{ci}.rank" if axis is None else f"c{ci}.loop_x{axis + 1}"
-        for ci, axis in columns
-    )
+            col_labels.append(f"c{ci}.loop_x{axis + 1}")
+    classes = basis.all_classes()
     matrix = []
-    row_labels = []
-    for cls in basis.all_classes():
+    for cls in classes:
         row = []
         if cls.degree == 0:
-            for ci, axis in columns:
-                row.append(Fraction(f.fiber_dims[ci]) if axis is None else Fraction(0))
+            for ci in components:
+                row.append(Fraction(f.fiber_dims[ci]))
+                row.extend([Fraction(0)] * f.space.component_x_dim(ci))
         else:
             w = parse_word(cls.label, f.group)
-            for ci, axis in columns:
-                if axis is None:
-                    row.append(Fraction(0))
-                else:
-                    loop = holonomy_loop(f, w, ci, axis, samples)
-                    row.append(Fraction(winding_number(loop)))
+            for ci in components:
+                row.append(Fraction(0))
+                row.extend(Fraction(k) for k in axis_windings(f, w, ci, samples))
         matrix.append(row)
-        row_labels.append(cls.label)
-    return _assemble_report(
-        d, [f], tuple(row_labels), col_labels, matrix, "numeric"
-    )
+    row_labels = tuple(c.label for c in classes)
+    return _assemble_report(d, [f], row_labels, tuple(col_labels), matrix, "numeric")
 
 
 # ---------------------------------------------------------------------------

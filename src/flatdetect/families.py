@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,21 +61,17 @@ class TorusGrid:
     def component_x_dim(self, ci: int) -> int:
         return self.dim
 
-    def component_base(self, ci: int):
-        return (Fraction(0),) * self.dim
-
     def component_points(self, ci: int) -> Iterator:
         for idx in itertools.product(range(self.resolution), repeat=self.dim):
             yield tuple(Fraction(i, self.resolution) for i in idx)
 
-    def axis_loop(self, ci: int, axis: int, samples: int | None = None, base=None):
+    def axis_loop(self, ci: int, axis: int, samples: int | None = None):
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range")
         samples = samples or self.resolution
-        base = base if base is not None else self.component_base(ci)
         pts = []
         for j in range(samples + 1):
-            coords = list(base)
+            coords = [Fraction(0)] * self.dim
             coords[axis] = Fraction(j, samples)
             pts.append(tuple(coords))
         return pts
@@ -99,13 +95,10 @@ class FinitePointSet:
     def component_x_dim(self, ci: int) -> int:
         return 0
 
-    def component_base(self, ci: int):
-        return ci
-
     def component_points(self, ci: int) -> Iterator:
         yield ci
 
-    def axis_loop(self, ci, axis, samples=None, base=None):
+    def axis_loop(self, ci, axis, samples=None):
         raise ValueError("a finite point set has no parameter axes")
 
     def describe(self) -> str:
@@ -128,23 +121,21 @@ class ProductSpace:
         cl, cr = self._split(ci)
         return self.left.component_x_dim(cl) + self.right.component_x_dim(cr)
 
-    def component_base(self, ci: int):
-        cl, cr = self._split(ci)
-        return (self.left.component_base(cl), self.right.component_base(cr))
-
     def component_points(self, ci: int) -> Iterator:
         cl, cr = self._split(ci)
         for pl in self.left.component_points(cl):
             for pr in self.right.component_points(cr):
                 yield (pl, pr)
 
-    def axis_loop(self, ci: int, axis: int, samples=None, base=None):
+    def axis_loop(self, ci: int, axis: int, samples=None):
+        # the other factor stays at its first point
         cl, cr = self._split(ci)
-        bl, br = base if base is not None else self.component_base(ci)
         dl = self.left.component_x_dim(cl)
         if axis < dl:
-            return [(p, br) for p in self.left.axis_loop(cl, axis, samples, bl)]
-        return [(bl, p) for p in self.right.axis_loop(cr, axis - dl, samples, br)]
+            br = next(self.right.component_points(cr))
+            return [(p, br) for p in self.left.axis_loop(cl, axis, samples)]
+        bl = next(self.left.component_points(cl))
+        return [(bl, p) for p in self.right.axis_loop(cr, axis - dl, samples)]
 
     def describe(self) -> str:
         return f"({self.left.describe()} x {self.right.describe()})"
@@ -167,31 +158,20 @@ class DisjointUnionSpace:
         _, space, cj = self._delegate(ci)
         return space.component_x_dim(cj)
 
-    def component_base(self, ci: int):
-        side, space, cj = self._delegate(ci)
-        return (side, space.component_base(cj))
-
     def component_points(self, ci: int) -> Iterator:
         side, space, cj = self._delegate(ci)
         for p in space.component_points(cj):
             yield (side, p)
 
-    def axis_loop(self, ci: int, axis: int, samples=None, base=None):
+    def axis_loop(self, ci: int, axis: int, samples=None):
         side, space, cj = self._delegate(ci)
-        inner = base[1] if base is not None else None
-        return [(side, p) for p in space.axis_loop(cj, axis, samples, inner)]
+        return [(side, p) for p in space.axis_loop(cj, axis, samples)]
 
     def describe(self) -> str:
         return f"({self.left.describe()} | {self.right.describe()})"
 
 
 ParameterSpace = TorusGrid | FinitePointSet | ProductSpace | DisjointUnionSpace
-
-
-def all_points(space: ParameterSpace) -> Iterator[tuple[int, object]]:
-    for ci in range(space.n_components):
-        for p in space.component_points(ci):
-            yield ci, p
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +185,6 @@ class Family:
 
     ``chern``, when present, holds one exact character form per connected
     component of the space; its degree-0 part equals the fiber dimension.
-    ``base_dim`` is the number of base (z) labels of the group's torus/wedge
-    model, needed to disjointify labels under tensor products.
     """
 
     group: GroupPresentation
@@ -215,7 +193,6 @@ class Family:
     evaluate_fn: Callable = field(repr=False)
     structure: str = "family"
     chern: tuple[MultiForm, ...] | None = None
-    base_dim: int | None = None
 
     def __post_init__(self):
         if len(self.fiber_dims) != self.space.n_components:
@@ -223,11 +200,14 @@ class Family:
         if self.chern is not None and len(self.chern) != self.space.n_components:
             raise ValueError("one character form per connected component required")
 
+    @property
+    def base_dim(self) -> int | None:
+        """The number of base (z) labels of the group's torus/wedge model,
+        one per generator; None for a family without character forms."""
+        return len(self.group.generators) if self.chern is not None else None
+
     def evaluate(self, point) -> RepPoint:
         return self.evaluate_fn(point)
-
-    def holonomy(self, w: Word, point) -> np.ndarray:
-        return evaluate_word(w, self.evaluate(point))
 
 
 def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
@@ -284,7 +264,6 @@ def character_family_Zn(
         evaluate_fn=ev,
         structure=f"char_zn({n}, {resolution})",
         chern=(ch,),
-        base_dim=n,
     )
 
 
@@ -304,7 +283,6 @@ def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
         evaluate_fn=ev,
         structure=f"trivial(dim={dim})",
         chern=(MultiForm.constant(dim),),
-        base_dim=len(group.generators),
     )
 
 
@@ -334,8 +312,7 @@ def tensor_families(f: Family, g: Family) -> Family:
 
     fibers = []
     chern: list[MultiForm] | None = (
-        [] if (f.chern is not None and g.chern is not None
-               and f.base_dim is not None and g.base_dim is not None) else None
+        [] if f.chern is not None and g.chern is not None else None
     )
     for cl in range(f.space.n_components):
         for cr in range(g.space.n_components):
@@ -345,11 +322,6 @@ def tensor_families(f: Family, g: Family) -> Family:
                     z_offset=f.base_dim, x_offset=f.space.component_x_dim(cl)
                 )
                 chern.append(f.chern[cl] * shifted)
-    base = (
-        f.base_dim + g.base_dim
-        if (f.base_dim is not None and g.base_dim is not None)
-        else None
-    )
     return Family(
         group=group,
         space=space,
@@ -357,7 +329,6 @@ def tensor_families(f: Family, g: Family) -> Family:
         evaluate_fn=ev,
         structure=f"tensor({f.structure}, {g.structure})",
         chern=tuple(chern) if chern is not None else None,
-        base_dim=base,
     )
 
 
@@ -385,13 +356,9 @@ def extend_free_product(f: Family, G: GroupPresentation) -> Family:
         return RepPoint(tuple(mats))
 
     chern = None
-    base = None
-    if f.chern is not None and f.base_dim is not None:
+    if f.chern is not None:
         images = [zgen(pos + 1) for pos in positions]
-        # base labels beyond the embedded factor never occur in f's forms
-        images += [zgen(1)] * max(0, f.base_dim - len(images))
-        chern = tuple(ch.subst_z(images[: f.base_dim]) for ch in f.chern)
-        base = len(G.generators)
+        chern = tuple(ch.subst_z(images) for ch in f.chern)
     return Family(
         group=G,
         space=f.space,
@@ -399,7 +366,6 @@ def extend_free_product(f: Family, G: GroupPresentation) -> Family:
         evaluate_fn=ev,
         structure=f"extend({f.structure} -> {'*'.join(G.generators)})",
         chern=chern,
-        base_dim=base,
     )
 
 
@@ -416,7 +382,6 @@ def disjoint_union(f: Family, g: Family) -> Family:
     chern = (
         f.chern + g.chern if (f.chern is not None and g.chern is not None) else None
     )
-    base = f.base_dim if f.base_dim == g.base_dim else None
     return Family(
         group=f.group,
         space=space,
@@ -424,7 +389,6 @@ def disjoint_union(f: Family, g: Family) -> Family:
         evaluate_fn=ev,
         structure=f"union({f.structure}, {g.structure})",
         chern=chern,
-        base_dim=base,
     )
 
 
@@ -445,7 +409,6 @@ def direct_sum(f: Family, g: Family) -> Family:
     chern = None
     if f.chern is not None and g.chern is not None:
         chern = tuple(a + b for a, b in zip(f.chern, g.chern))
-    base = f.base_dim if f.base_dim == g.base_dim else None
     return Family(
         group=f.group,
         space=f.space,
@@ -453,7 +416,6 @@ def direct_sum(f: Family, g: Family) -> Family:
         evaluate_fn=ev,
         structure=f"sum({f.structure}, {g.structure})",
         chern=chern,
-        base_dim=base,
     )
 
 
@@ -507,6 +469,7 @@ class SublatticeCover:
     ``basis`` lists the subgroup generators as integer exponent columns:
     the j-th subgroup generator is prod_i a_i^{basis[i][j]}.  Coset
     representatives are given as words in the ambient generators.
+    ``inverse`` is the exact rational inverse of the basis matrix.
     """
 
     def __init__(
@@ -523,7 +486,7 @@ class SublatticeCover:
         for rel in ambient.relators:
             if any(_abelianize(rel, n)):
                 raise ValueError("ambient group is not free abelian")
-        det, self._inverse = _det_and_inverse(mat)
+        det, self.inverse = _det_and_inverse(mat)
         if det == 0:
             raise ValueError("sublattice basis is singular")
         self.ambient = ambient
@@ -552,7 +515,7 @@ class SublatticeCover:
         v = _abelianize(w, n)
         coeffs = []
         for j in range(n):
-            c = sum(self._inverse[j][i] * v[i] for i in range(n))
+            c = sum(self.inverse[j][i] * v[i] for i in range(n))
             if c.denominator != 1:
                 return None
             coeffs.append(int(c))
@@ -588,6 +551,7 @@ class KleinBottleCover:
         self.index = 2
         self.cosets = (Word(()), Word(((1, 1),)))
         self.pullback_matrix = None
+        self.inverse = None
 
     @property
     def sub_generator_words(self) -> tuple[Word, ...]:
@@ -613,6 +577,11 @@ class KleinBottleCover:
 Cover = SublatticeCover | KleinBottleCover
 
 
+def _linear_forms(m: Sequence[Sequence]) -> list[MultiForm]:
+    """Row i of a rational matrix as the base form sum_j m[i][j] z_{j+1}."""
+    return [sum((v * zgen(j + 1) for j, v in enumerate(row)), MultiForm()) for row in m]
+
+
 def pullback_family(f: Family, cover: Cover) -> Family:
     """Restrict a family along a structured cover: subgroup generators act by
     their ambient words."""
@@ -625,15 +594,9 @@ def pullback_family(f: Family, cover: Cover) -> Family:
         return RepPoint(tuple(evaluate_word(w, rep) for w in words))
 
     chern = None
-    base = None
-    if cover.pullback_matrix is not None and f.chern is not None and f.base_dim is not None:
-        mat = cover.pullback_matrix
-        images = [
-            sum((mat[i][j] * zgen(j + 1) for j in range(len(mat))), MultiForm())
-            for i in range(len(mat))
-        ]
+    if cover.pullback_matrix is not None and f.chern is not None:
+        images = _linear_forms(cover.pullback_matrix)
         chern = tuple(ch.subst_z(images) for ch in f.chern)
-        base = len(cover.sub.generators)
     return Family(
         group=cover.sub,
         space=f.space,
@@ -641,7 +604,6 @@ def pullback_family(f: Family, cover: Cover) -> Family:
         evaluate_fn=ev,
         structure=f"pullback({f.structure}, {cover.describe()})",
         chern=chern,
-        base_dim=base,
     )
 
 
@@ -707,20 +669,10 @@ def induce_family(
         return RepPoint(tuple(mats))
 
     chern = None
-    base = None
-    if (
-        cover.pullback_matrix is not None
-        and f.chern is not None
-        and f.base_dim is not None
-    ):
+    if cover.inverse is not None and f.chern is not None:
         # transfer on the rational exterior algebra: index * (pullback)^{-1}
-        _, inv = _det_and_inverse(cover.pullback_matrix)
-        images = [
-            sum((inv[j][i] * zgen(i + 1) for i in range(len(inv))), MultiForm())
-            for j in range(len(inv))
-        ]
+        images = _linear_forms(cover.inverse)
         chern = tuple(cover.index * ch.subst_z(images) for ch in f.chern)
-        base = len(G.generators)
     return Family(
         group=G,
         space=f.space,
@@ -728,7 +680,6 @@ def induce_family(
         evaluate_fn=ev,
         structure=f"induce({f.structure}, {cover.describe()})",
         chern=chern,
-        base_dim=base,
     )
 
 
@@ -743,25 +694,26 @@ def holonomy_loop(
     component: int = 0,
     axis: int = 0,
     samples: int | None = None,
-    base=None,
 ) -> list[np.ndarray]:
     """Holonomy matrices of a word along a closed parameter-axis loop."""
-    pts = f.space.axis_loop(component, axis, samples, base)
-    return [f.holonomy(w, p) for p in pts]
+    pts = f.space.axis_loop(component, axis, samples)
+    return [evaluate_word(w, f.evaluate(p)) for p in pts]
+
+
+def axis_windings(f: Family, w: Word, ci: int, samples: int | None) -> list[int]:
+    """Winding of det(holonomy of ``w``) along each parameter axis of
+    component ``ci``."""
+    return [
+        winding_number(holonomy_loop(f, w, ci, axis, samples))
+        for axis in range(f.space.component_x_dim(ci))
+    ]
 
 
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
     per component: the numeric counterpart of the exact z^x coefficients."""
-    out = []
-    for ci in range(f.space.n_components):
-        d = f.space.component_x_dim(ci)
-        rows = []
-        for gi in range(len(f.group.generators)):
-            w = Word(((gi, 1),))
-            row = []
-            for axis in range(d):
-                row.append(winding_number(holonomy_loop(f, w, ci, axis, samples)))
-            rows.append(row)
-        out.append(rows)
-    return out
+    gens = range(len(f.group.generators))
+    return [
+        [axis_windings(f, Word(((gi, 1),)), ci, samples) for gi in gens]
+        for ci in range(f.space.n_components)
+    ]

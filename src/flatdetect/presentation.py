@@ -33,6 +33,8 @@ class PresentationError(ValueError):
 # One letter of a word: (generator index, exponent sign in {+1, -1}).
 Letter = tuple[int, int]
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 
 @dataclass(frozen=True)
 class Word:
@@ -84,8 +86,9 @@ class GroupPresentation:
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("duplicate generator identifiers")
-        if any(not g for g in self.generators):
-            raise PresentationError("empty generator identifier")
+        for g in self.generators:
+            if not _IDENT_RE.fullmatch(g):
+                raise PresentationError(f"invalid generator identifier {g!r}")
         object.__setattr__(
             self, "relators", tuple(free_reduce(r) for r in self.relators)
         )
@@ -147,7 +150,7 @@ def parse_presentation(text: str) -> GroupPresentation:
             break
         if tok is None:
             raise PresentationError("unterminated generator list", ln, col)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+        if not _IDENT_RE.fullmatch(tok):
             raise PresentationError(f"invalid generator identifier {tok!r}", ln, col)
         gen_names.append(tok)
         pos += 1

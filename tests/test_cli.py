@@ -252,6 +252,13 @@ def test_report_numeric_detection_matches_detect_run(workdir):
     assert rec["verdict"] == "FD-certified"
 
 
+def test_report_families_without_group_exit2(workdir, capsys):
+    out = workdir / "nogroup.json"
+    assert run(["report", "--families", str(workdir / "z2.fam"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: report --families needs --group\n"
+    assert not out.exists()
+
+
 def test_report_with_detection(workdir):
     out = workdir / "full.json"
     code = run(["report", "--group", "free_abelian(2)",
@@ -302,6 +309,7 @@ def test_detect_run_deterministic_bytes(workdir):
             "induce(char_zn(2, 4), cover=klein_even, group=z2.grp)",
             "group file does not present the Klein-bottle group",
         ),
+        ("char_zn(2, 4, gens=[a b, c])", "invalid generator identifier 'a b'"),
     ],
 )
 def test_family_signature_errors_exit3(workdir, capsys, expr, message):
@@ -328,6 +336,10 @@ def test_descriptor_signature_error_exit3(workdir, capsys):
         (
             "finite_index_super(free_abelian(2), 2, klein, homology=3)",
             "finite_index_super keyword homology must be a list of label lists, got 3",
+        ),
+        (
+            "finite_index_super(free(2), 2, klein)",
+            "finite_index_super needs keyword argument(s) homology",
         ),
     ],
 )
@@ -448,7 +460,7 @@ def _grammar(ints, slot, extra, strict: bool):
         call(
             "finite_index_super",
             [dpart, ints, st.sampled_from(["klein", "k2"])],
-            optional={"homology": _HOMOLOGY},
+            {"homology": _HOMOLOGY},
         ),
     )
     return family, descriptor

@@ -316,7 +316,6 @@ def _random_form_family(draw, n):
         evaluate_fn=None,
         structure="random",
         chern=(MultiForm(terms),),
-        base_dim=n,
     )
 
 
@@ -443,7 +442,6 @@ def trivial_grid_family(model: Family, dim: int = 1) -> Family:
         evaluate_fn=lambda p: RepPoint(mats),
         structure=f"trivial_grid(dim={dim})",
         chern=(MultiForm.constant(dim),) * model.space.n_components,
-        base_dim=len(model.group.generators),
     )
 
 

@@ -53,6 +53,30 @@ def test_torus_grid_points_and_loop():
         TorusGrid(2, 1)
 
 
+def test_product_loop_holds_other_factor_at_its_first_point():
+    left = ProductSpace(FinitePointSet(2), TorusGrid(1, 4))
+    assert left.axis_loop(1, 0) == [(1, (Fraction(j, 4),)) for j in range(5)]
+    right = ProductSpace(TorusGrid(1, 2), TorusGrid(2, 2))
+    loop = right.axis_loop(0, 2)
+    assert [p[0] for p in loop] == [(Fraction(0),)] * 3
+    assert [p[1] for p in loop] == [(Fraction(0), Fraction(j, 2)) for j in range(3)]
+
+
+def test_union_loop_keeps_side_tag():
+    u = DisjointUnionSpace(FinitePointSet(1), ProductSpace(FinitePointSet(2), TorusGrid(1, 2)))
+    # component 2 is the right side's second component: point 1 of pts[2]
+    assert u.axis_loop(2, 0) == [(1, (1, (Fraction(j, 2),))) for j in range(3)]
+    with pytest.raises(ValueError):
+        u.axis_loop(0, 0)
+
+
+def test_base_dim_is_derived_from_group_and_forms():
+    assert character_family_Zn(3, 2).base_dim == 3
+    t = tensor_families(character_family_Zn(1, 2), trivial_family(free_group(2)))
+    assert t.base_dim == 3
+    assert induce_family(character_family_Zn(2, 2), KleinBottleCover()).base_dim is None
+
+
 def test_component_bookkeeping():
     u = DisjointUnionSpace(TorusGrid(1, 4), FinitePointSet(3))
     assert u.n_components == 4
