@@ -43,7 +43,8 @@ class IntegralityError(ValueError):
 
 
 class UnderSampledLoopError(ValueError):
-    """Adjacent determinant arguments jumped by >= pi; refine the sampling."""
+    """Too few samples to read a winding: fewer than three on the loop, or
+    adjacent determinant arguments jumped by >= pi; refine the sampling."""
 
 
 def _label_key(lab: Label):
@@ -474,14 +475,21 @@ def winding_number(loop) -> int:
 
     Convention: t -> e^{2*pi*i*t} sampled in increasing t has winding +1.
     The loop must close (first = last within 1e-9) and be sampled finely
-    enough that consecutive determinant arguments differ by less than pi.
+    enough that consecutive determinant arguments differ by less than pi;
+    ``loop`` is a sequence of scalars or of k x k matrices, or a stack
+    ``(samples, k, k)``.
     """
-    mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in loop]
-    if len(mats) < 2:
-        raise ValueError("need at least two samples")
+    mats = np.asarray(loop, dtype=complex)
+    if mats.ndim < 3:
+        mats = mats.reshape(len(mats), 1, 1)
+    if len(mats) < 3:
+        # a closed loop of two samples is one step of 2*pi, which reads as 0
+        raise UnderSampledLoopError(
+            f"need at least three samples on a closed loop, got {len(mats)}"
+        )
     if np.linalg.norm(mats[0] - mats[-1]) > 1e-9:
         raise ValueError("loop is not closed (first and last samples differ)")
-    dets = np.array([np.linalg.det(m) for m in mats])
+    dets = np.linalg.det(mats)
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("loop contains a (numerically) singular matrix")
     ratios = dets[1:] / dets[:-1]

@@ -583,7 +583,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     formssub = forms.add_subparsers(dest="subcommand", required=True)
     fc = formssub.add_parser("chern", help="numeric winding Chern data of a family")
     fc.add_argument("--family", required=True)
-    fc.add_argument("--resolution", type=_NONNEGATIVE, default=64)
+    fc.add_argument(
+        "--resolution", type=_checked(int, lambda v: v >= 2, "must be >= 2"), default=64
+    )
     fc.add_argument("--out")
     fc.set_defaults(fn=_cmd_forms_chern)
     fe = formssub.add_parser("eval", help="combine serialized forms")

@@ -1,15 +1,19 @@
 """Parameterized families of unitary representations and their combinators.
 
 A Family bundles a structured parameter space, an evaluation rule sending a
-parameter point to a representation point, and (when the build tree supports
-it) the exact character form of the associated bundle.  Character data is
-propagated structurally by the combinators, never inferred numerically; the
-numeric pipeline validates it independently.
+batch of parameter points to a stack of representation points, and (when
+the build tree supports it) the exact character form of the associated
+bundle.  Character data is propagated structurally by the combinators, never
+inferred numerically; the numeric pipeline validates it independently.
 
 Parameter points are plain data: tuples of Fractions for torus grids,
 integers for finite point sets, pairs for products, (side, point) tags for
 disjoint unions.  Evaluation rules are closed-form, so families may be
-sampled at any rational parameter, not only on the declared grid.
+sampled at any rational parameter, not only on the declared grid.  Every
+rule works on whole stacks: it takes the points of one connected component
+and returns an array ``(points, generators, k, k)``, and each combinator
+composes its arguments' stacks with array operations.  Verification and
+windings consume those stacks with stacked matmul and det.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -31,9 +36,12 @@ from .presentation import (
     free_reduce,
     klein_bottle,
 )
-from .repvar import RepPoint, verify_homomorphism
+from .repvar import RepPoint, relator_defect, unitarity_defect
 
 HOMOMORPHISM_TOL = 1e-8
+# points per stacked check in verify_family: large enough to amortise the
+# per-call cost, small enough that peak memory stays flat on large grids
+VERIFY_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +76,10 @@ class TorusGrid:
     def axis_loop(self, ci: int, axis: int, samples: int | None = None):
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range")
-        samples = samples or self.resolution
+        if samples is None:
+            samples = self.resolution
+        if samples < 1:
+            raise ValueError(f"a loop needs at least one step, got {samples}")
         pts = []
         for j in range(samples + 1):
             coords = [Fraction(0)] * self.dim
@@ -183,6 +194,13 @@ ParameterSpace = TorusGrid | FinitePointSet | ProductSpace | DisjointUnionSpace
 class Family:
     """A family of representations of ``group`` over ``space``.
 
+    ``evaluate_fn`` is the batch evaluation rule.  It takes a non-empty list
+    of points of one connected component ``ci`` and returns an array of
+    shape ``(len(points), len(group.generators), k, k)`` whose entry p is the
+    representation at ``points[p]``, with ``k = fiber_dims[ci]``.  A
+    hand-built family supplies such a rule; it must not write into the
+    stacks its arguments return, which may be read-only broadcast views.
+
     ``chern``, when present, holds one exact character form per connected
     component of the space; its degree-0 part equals the fiber dimension.
     """
@@ -206,16 +224,23 @@ class Family:
         one per generator; None for a family without character forms."""
         return len(self.group.generators) if self.chern is not None else None
 
+    def evaluate_batch(self, points: Sequence) -> np.ndarray:
+        """The stack ``(points, generators, k, k)`` at points of one component."""
+        return self.evaluate_fn(points)
+
     def evaluate(self, point) -> RepPoint:
-        return self.evaluate_fn(point)
+        """The representation at one point: the batch rule on one point."""
+        return RepPoint(tuple(self.evaluate_fn([point])[0]))
 
 
 def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
     """Check the family invariants at every sampled grid point.
 
-    Raises ValueError on the first violation; returns True when all points
-    pass verify_homomorphism at ``tol``, fiber dimensions are constant per
-    component, and character degree-0 parts match the fiber dimensions.
+    Raises ValueError on the first violation in the order of
+    ``component_points``; returns True when every point passes the relator
+    and unitarity checks at ``tol`` (NaN fails), fiber dimensions match the
+    declared ones, and character degree-0 parts match the fiber dimensions.
+    Each component is checked in stacks of at most VERIFY_CHUNK points.
     """
     for ci in range(f.space.n_components):
         if f.chern is not None:
@@ -225,20 +250,21 @@ def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
                     f"component {ci}: character rank {rank} != fiber "
                     f"dimension {f.fiber_dims[ci]}"
                 )
-        for p in f.space.component_points(ci):
-            rep = f.evaluate(p)
-            if rep.dimension != f.fiber_dims[ci]:
+        points = f.space.component_points(ci)
+        while chunk := list(itertools.islice(points, VERIFY_CHUNK)):
+            stack = f.evaluate_batch(chunk)
+            k = stack.shape[-1]
+            if k != f.fiber_dims[ci]:
                 raise ValueError(
-                    f"component {ci}: fiber dimension {rep.dimension} at {p!r} "
+                    f"component {ci}: fiber dimension {k} at {chunk[0]!r} "
                     f"differs from declared {f.fiber_dims[ci]}"
                 )
-            if not verify_homomorphism(rep, f.group, tol):
+            ok = relator_defect(stack, f.group) <= tol
+            ok &= unitarity_defect(stack) <= tol
+            if not ok.all():
+                p = chunk[int(np.argmin(ok))]  # the first failure
                 raise ValueError(f"point {p!r} fails the homomorphism check at {tol}")
     return True
-
-
-def _phase(x: Fraction | float) -> complex:
-    return complex(np.exp(2j * np.pi * float(x)))
 
 
 def character_family_Zn(
@@ -251,8 +277,10 @@ def character_family_Zn(
     group = free_abelian(n, generators)
     space = TorusGrid(n, resolution)
 
-    def ev(point):
-        return RepPoint(tuple(np.array([[_phase(x)]]) for x in point))
+    def ev(points):
+        # n / d rounds as float(x) does, without Fraction.__float__'s overhead
+        x = np.array([[truediv(*v.as_integer_ratio()) for v in p] for p in points])
+        return np.exp(2j * np.pi * x.reshape(len(points), n))[:, :, None, None]
 
     ch = MultiForm.constant(1)
     for j in range(1, n + 1):
@@ -271,10 +299,10 @@ def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
     """The constant trivial representation of ``group`` on a single point."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    mats = tuple(np.eye(dim, dtype=complex) for _ in group.generators)
+    eye = np.eye(dim, dtype=complex)
 
-    def ev(point):
-        return RepPoint(mats)
+    def ev(points):
+        return np.broadcast_to(eye, (len(points), len(group.generators), dim, dim))
 
     return Family(
         group=group,
@@ -286,29 +314,21 @@ def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
     )
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=complex)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
-
-
 def tensor_families(f: Family, g: Family) -> Family:
     """Pointwise Kronecker product, (left argument) x (right argument);
     a family of the direct-product group over the product space."""
     group = direct_product(f.group, g.group)
     space = ProductSpace(f.space, g.space)
 
-    def ev(point):
-        pl, pr = point
-        A = f.evaluate(pl)
-        B = g.evaluate(pr)
-        eye_b = np.eye(B.dimension, dtype=complex)
-        eye_a = np.eye(A.dimension, dtype=complex)
-        mats = [np.kron(m, eye_b) for m in A.matrices]
-        mats += [np.kron(eye_a, m) for m in B.matrices]
-        return RepPoint(tuple(mats))
+    def ev(points):
+        A = f.evaluate_batch([pl for pl, _ in points])
+        B = g.evaluate_batch([pr for _, pr in points])
+        (P, na, a, _), (_, nb, b, _) = A.shape, B.shape
+        eye_a, eye_b = np.eye(a, dtype=complex), np.eye(b, dtype=complex)
+        # kron(m, I_b) and kron(I_a, m), stacked
+        left = np.einsum("pgij,kl->pgikjl", A, eye_b).reshape(P, na, a * b, a * b)
+        right = np.einsum("ij,pgkl->pgikjl", eye_a, B).reshape(P, nb, a * b, a * b)
+        return np.concatenate([left, right], axis=1)
 
     fibers = []
     chern: list[MultiForm] | None = (
@@ -347,13 +367,13 @@ def extend_free_product(f: Family, G: GroupPresentation) -> Family:
             )
     positions = [G.generator_index(name) for name in f.group.generators]
 
-    def ev(point):
-        A = f.evaluate(point)
-        eye = np.eye(A.dimension, dtype=complex)
-        mats = [eye] * len(G.generators)
-        for i, pos in enumerate(positions):
-            mats[pos] = A.matrices[i]
-        return RepPoint(tuple(mats))
+    def ev(points):
+        A = f.evaluate_batch(points)
+        k = A.shape[-1]
+        shape = (len(points), len(G.generators), k, k)
+        out = np.broadcast_to(np.eye(k, dtype=complex), shape).copy()
+        out[:, positions] = A
+        return out
 
     chern = None
     if f.chern is not None:
@@ -375,9 +395,11 @@ def disjoint_union(f: Family, g: Family) -> Family:
         raise ValueError("disjoint_union requires the same group on both sides")
     space = DisjointUnionSpace(f.space, g.space)
 
-    def ev(point):
-        side, p = point
-        return (f if side == 0 else g).evaluate(p)
+    def ev(points):
+        side = points[0][0]
+        if any(s != side for s, _ in points):
+            raise ValueError("a batch of points must lie on one side of the union")
+        return (f if side == 0 else g).evaluate_batch([p for _, p in points])
 
     chern = (
         f.chern + g.chern if (f.chern is not None and g.chern is not None) else None
@@ -399,12 +421,14 @@ def direct_sum(f: Family, g: Family) -> Family:
     if f.space != g.space:
         raise ValueError("direct_sum requires the same parameter space")
 
-    def ev(point):
-        A = f.evaluate(point)
-        B = g.evaluate(point)
-        return RepPoint(
-            tuple(_block_diag(a, b) for a, b in zip(A.matrices, B.matrices))
-        )
+    def ev(points):
+        A = f.evaluate_batch(points)
+        B = g.evaluate_batch(points)
+        a = A.shape[-1]
+        out = np.zeros(A.shape[:2] + (a + B.shape[-1],) * 2, dtype=complex)
+        out[..., :a, :a] = A
+        out[..., a:, a:] = B
+        return out
 
     chern = None
     if f.chern is not None and g.chern is not None:
@@ -589,9 +613,9 @@ def pullback_family(f: Family, cover: Cover) -> Family:
         raise ValueError("family group does not match the cover's ambient group")
     words = cover.sub_generator_words
 
-    def ev(point):
-        rep = f.evaluate(point)
-        return RepPoint(tuple(evaluate_word(w, rep) for w in words))
+    def ev(points):
+        rep = f.evaluate_batch(points)
+        return np.stack([evaluate_word(w, rep) for w in words], axis=1)
 
     chern = None
     if cover.pullback_matrix is not None and f.chern is not None:
@@ -654,19 +678,16 @@ def induce_family(
         perms.append(perm)
         blocks.append(words)
 
-    def ev(point):
-        rep = f.evaluate(point)
-        k = rep.dimension
-        mats = []
-        for gi in range(len(G.generators)):
-            m = np.zeros((k * c, k * c), dtype=complex)
-            for j in range(c):
-                i = perms[gi][j]
-                m[i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(
+    def ev(points):
+        rep = f.evaluate_batch(points)
+        k = rep.shape[-1]
+        out = np.zeros((len(points), len(G.generators), k * c, k * c), dtype=complex)
+        for gi, perm in enumerate(perms):
+            for j, i in enumerate(perm):
+                out[:, gi, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(
                     blocks[gi][j], rep
                 )
-            mats.append(m)
-        return RepPoint(tuple(mats))
+        return out
 
     chern = None
     if cover.inverse is not None and f.chern is not None:
@@ -694,10 +715,11 @@ def holonomy_loop(
     component: int = 0,
     axis: int = 0,
     samples: int | None = None,
-) -> list[np.ndarray]:
-    """Holonomy matrices of a word along a closed parameter-axis loop."""
+) -> np.ndarray:
+    """Holonomy matrices of a word along a closed parameter-axis loop, as a
+    stack ``(samples + 1, k, k)``."""
     pts = f.space.axis_loop(component, axis, samples)
-    return [evaluate_word(w, f.evaluate(p)) for p in pts]
+    return evaluate_word(w, f.evaluate_batch(pts))
 
 
 def axis_windings(f: Family, w: Word, ci: int, samples: int | None) -> list[int]:

@@ -213,20 +213,33 @@ def evaluate_word(w: Word, point) -> np.ndarray:
     """Product of the assigned matrices along ``w``; identity for the empty word.
 
     ``point`` is a RepPoint or any sequence of square matrices indexed like the
-    presentation's generators; exponent -1 uses the conjugate transpose.
+    presentation's generators, or an array ``(..., gens, k, k)`` stacking such
+    assignments, which gives the stack ``(..., k, k)`` of products.  Exponent
+    -1 uses the conjugate transpose.
     """
     mats = getattr(point, "matrices", point)
     if len(mats) == 0:
         raise ValueError("no matrices assigned")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError(f"dimension mismatch: {m.shape} vs ({n}, {n})")
-    out = np.eye(n, dtype=complex)
+    if not isinstance(mats, np.ndarray):
+        n = mats[0].shape[0]
+        for m in mats:
+            if m.shape != (n, n):
+                raise ValueError(f"dimension mismatch: {m.shape} vs ({n}, {n})")
+        mats = np.stack(mats)
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1]
+    if mats.ndim < 3 or mats.shape[-2] != n:
+        raise ValueError(f"dimension mismatch: {mats.shape[-2:]} vs ({n}, {n})")
+    out = None
     for g, s in w.letters:
-        if g >= len(mats):
+        if g >= mats.shape[-3]:
             raise ValueError(f"no matrix assigned to generator index {g}")
-        out = out @ (mats[g] if s == 1 else mats[g].conj().T)
+        m = mats[..., g, :, :]
+        m = m if s == 1 else m.conj().swapaxes(-1, -2)
+        out = m.copy() if out is None else out @ m
+    if out is None:
+        out = np.zeros(mats.shape[:-3] + (n, n), dtype=complex)
+        out[..., range(n), range(n)] = 1
     return out
 
 

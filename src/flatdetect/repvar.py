@@ -11,7 +11,6 @@ retraction, so every iterate stays unitary to machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -21,10 +20,16 @@ from .presentation import GroupPresentation, Word, evaluate_word
 UNITARITY_TOL = 1e-9
 
 
-def unitarity_defect(mats: Sequence[np.ndarray]) -> float:
-    """Largest ||M^H M - I||_F over square matrices of one size."""
-    eye = np.eye(mats[0].shape[0])
-    return max(float(np.linalg.norm(m.conj().T @ m - eye)) for m in mats)
+def unitarity_defect(mats) -> float | np.ndarray:
+    """Largest ||M^H M - I||_F over one assignment's square matrices.
+
+    ``mats`` is a sequence of k x k matrices, giving a float, or a stack
+    ``(..., gens, k, k)`` of assignments, giving one value per assignment.
+    """
+    m = np.asarray(mats)
+    gram = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    d = np.linalg.norm(gram, axis=(-2, -1)).max(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -84,18 +89,23 @@ class SolveResult:
     max_unitarity_defect: float = 0.0
 
 
-def relator_defect(p: RepPoint, G: GroupPresentation) -> float:
-    """Sum over relators r of ||r(p) - I||_F^2; zero iff p satisfies all relators."""
-    if len(p.matrices) < len(G.generators):
+def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
+    """Sum over relators r of ||r(p) - I||_F^2; zero iff p satisfies all relators.
+
+    ``p`` is a RepPoint, giving a float, or a stack ``(..., gens, k, k)`` of
+    assignments, giving one value per assignment.
+    """
+    mats = np.asarray(getattr(p, "matrices", p))
+    if mats.shape[-3] < len(G.generators):
         raise ValueError(
-            f"point assigns {len(p.matrices)} matrices, group has "
+            f"point assigns {mats.shape[-3]} matrices, group has "
             f"{len(G.generators)} generators"
         )
-    eye = np.eye(p.dimension)
-    total = 0.0
+    eye = np.eye(mats.shape[-1])
+    total = np.zeros(mats.shape[:-3])
     for r in G.relators:
-        total += float(np.linalg.norm(evaluate_word(r, p) - eye) ** 2)
-    return total
+        total = total + np.linalg.norm(evaluate_word(r, mats) - eye, axis=(-2, -1)) ** 2
+    return float(total) if total.ndim == 0 else total
 
 
 def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:

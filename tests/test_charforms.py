@@ -245,6 +245,13 @@ def test_winding_undersampled_error():
         winding_number(loop)
 
 
+def test_winding_two_sample_closed_loop_is_undersampled():
+    # one step of 2*pi wraps to angle 0: refused, not read as winding 0
+    loop = _scalar_loop(lambda t: np.exp(2j * np.pi * t), samples=2)
+    with pytest.raises(UnderSampledLoopError):
+        winding_number(loop)
+
+
 def test_winding_open_loop_error():
     ts = np.linspace(0.0, 0.9, 100)
     loop = [np.array([[np.exp(2j * np.pi * t)]]) for t in ts]

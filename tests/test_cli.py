@@ -383,6 +383,8 @@ def test_forms_eval_malformed_payload_exit3(workdir, capsys, payload):
         ["forms", "chern", "--family", "z2.fam", "--resolution", "-4"],
         ["report", "--bm", "1", "2"],
         ["report", "--bm", "2", "1"],
+        ["forms", "chern", "--family", "z2.fam", "--resolution", "0"],
+        ["forms", "chern", "--family", "z2.fam", "--resolution", "1"],
     ],
 )
 def test_out_of_range_flags_exit2(workdir, capsys, argv):

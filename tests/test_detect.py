@@ -42,7 +42,6 @@ from flatdetect.families import (
     trivial_family,
 )
 from flatdetect.presentation import Word, free_abelian, free_group, surface_group
-from flatdetect.repvar import RepPoint
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +433,12 @@ def test_detection_span_closure_under_union():
 
 
 def trivial_grid_family(model: Family, dim: int = 1) -> Family:
-    mats = tuple(np.eye(dim, dtype=complex) for _ in model.group.generators)
+    mats = np.array([np.eye(dim, dtype=complex) for _ in model.group.generators])
     return Family(
         group=model.group,
         space=model.space,
         fiber_dims=(dim,) * model.space.n_components,
-        evaluate_fn=lambda p: RepPoint(mats),
+        evaluate_fn=lambda points: np.array([mats] * len(points)),
         structure=f"trivial_grid(dim={dim})",
         chern=(MultiForm.constant(dim),) * model.space.n_components,
     )

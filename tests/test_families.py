@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatdetect.charforms import MultiForm, xgen, zgen
 from flatdetect.families import (
+    HOMOMORPHISM_TOL,
+    VERIFY_CHUNK,
     DisjointUnionSpace,
     Family,
     FinitePointSet,
@@ -27,6 +30,7 @@ from flatdetect.families import (
     verify_family,
 )
 from flatdetect.presentation import (
+    GroupPresentation,
     Word,
     evaluate_word,
     free_abelian,
@@ -34,7 +38,6 @@ from flatdetect.presentation import (
     free_reduce,
     klein_bottle,
 )
-from flatdetect.repvar import RepPoint
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +427,231 @@ def test_family_invariant_failure_detected():
         group=G,
         space=FinitePointSet(1),
         fiber_dims=(2,),
-        evaluate_fn=lambda p: RepPoint(
-            (
-                np.array([[0, 1], [1, 0]], dtype=complex),
-                np.array([[1, 0], [0, -1]], dtype=complex),
-            )
+        evaluate_fn=lambda points: np.array(
+            [
+                [
+                    np.array([[0, 1], [1, 0]], dtype=complex),
+                    np.array([[1, 0], [0, -1]], dtype=complex),
+                ]
+            ]
+            * len(points)
         ),
         structure="bad",
     )
     with pytest.raises(ValueError, match="homomorphism"):
         verify_family(bad)
+
+
+def test_verify_reports_the_first_failure_past_the_first_chunk():
+    r = 2 * VERIFY_CHUNK + 3
+    late = [VERIFY_CHUNK + 5, VERIFY_CHUNK + 9, 2 * VERIFY_CHUNK + 1]
+    for value in (2.0, np.nan):
+        with pytest.raises(ValueError) as exc:
+            verify_family(_broken_circle_family(r, late, value))
+        assert str(exc.value) == (
+            f"point {(Fraction(late[0], r),)!r} fails the homomorphism check "
+            f"at {HOMOMORPHISM_TOL}"
+        )
+    assert verify_family(_broken_circle_family(r, [], 2.0))
+
+
+def test_verify_fiber_dimension_mismatch_message():
+    f = character_family_Zn(1, 4)
+    wrong = Family(
+        group=f.group,
+        space=f.space,
+        fiber_dims=(2,),
+        evaluate_fn=f.evaluate_fn,
+        structure="wrong",
+    )
+    with pytest.raises(ValueError) as exc:
+        verify_family(wrong)
+    assert str(exc.value) == (
+        f"component 0: fiber dimension 1 at {(Fraction(0),)!r} differs from declared 2"
+    )
+
+
+def _broken_circle_family(resolution: int, broken, value) -> Family:
+    """U(1) characters of Z over a circle grid, with ``value`` in place of
+    the character at the grid indices in ``broken``."""
+
+    def ev(points):
+        m = np.exp(2j * np.pi * np.array([float(p[0]) for p in points]))
+        m[[i for i, p in enumerate(points) if p[0] * resolution in broken]] = value
+        return m.reshape(len(points), 1, 1, 1)
+
+    return Family(
+        group=free_abelian(1),
+        space=TorusGrid(1, resolution),
+        fiber_dims=(1,),
+        evaluate_fn=ev,
+        structure="broken",
+    )
+
+
+def test_union_batch_rejects_points_of_both_sides():
+    u = disjoint_union(character_family_Zn(1, 2), character_family_Zn(1, 2))
+    assert np.isclose(u.evaluate_batch([(1, (Fraction(1, 2),))])[0, 0, 0, 0], -1)
+    with pytest.raises(ValueError, match="one side"):
+        u.evaluate_batch([(0, (Fraction(0),)), (1, (Fraction(0),))])
+
+
+def test_axis_loop_zero_samples_is_not_the_default():
+    with pytest.raises(ValueError, match="at least one step"):
+        TorusGrid(1, 4).axis_loop(0, 0, samples=0)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation against per-point references
+# ---------------------------------------------------------------------------
+#
+# Each strategy draws a family together with a reference rule ref(ci, point)
+# that builds the list of generator matrices at one point from the
+# definitions: np.kron for tensor, block diagonals for sum, coset blocks for
+# induce, word products for pullback.
+
+
+def _word_product(w: Word, mats) -> np.ndarray:
+    out = np.eye(mats[0].shape[0], dtype=complex)
+    for g, s in w.letters:
+        out = out @ (mats[g] if s == 1 else mats[g].conj().T)
+    return out
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    out = np.zeros((n + b.shape[0],) * 2, dtype=complex)
+    out[:n, :n] = a
+    out[n:, n:] = b
+    return out
+
+
+def _diagonal_cover(ks) -> SublatticeCover:
+    """The sublattice diag(ks) of Z^n, cosets a_1^i_1 ... a_n^i_n."""
+    n = len(ks)
+    basis = [[ks[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    cosets = [
+        Word(tuple((i, 1) for i, e in enumerate(exps) for _ in range(e)))
+        for exps in itertools.product(*(range(k) for k in ks))
+    ]
+    return SublatticeCover(free_abelian(n), basis, cosets)
+
+
+def _induce_ref(ref, cover, n_ambient: int):
+    reps = cover.cosets
+
+    def r(ci, x):
+        rho = ref(ci, x)
+        k, c = rho[0].shape[0], len(reps)
+        mats = []
+        for gi in range(n_ambient):
+            m = np.zeros((k * c, k * c), dtype=complex)
+            for (i, ti), (j, tj) in itertools.product(enumerate(reps), repeat=2):
+                h = cover.rewrite(free_reduce(ti.inverse() * Word(((gi, 1),)) * tj))
+                if h is not None:
+                    m[i * k : (i + 1) * k, j * k : (j + 1) * k] = _word_product(h, rho)
+            mats.append(m)
+        return mats
+
+    return r
+
+
+@st.composite
+def _zn_tree(draw, n: int, depth: int):
+    """A family of free_abelian(n) and its reference rule."""
+    kinds = ["char", "trivial"] + (["sum", "union", "pullback", "induce"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "char":
+        f = character_family_Zn(n, draw(st.integers(2, 3)))
+        return f, lambda ci, x: [np.array([[np.exp(2j * np.pi * float(v))]]) for v in x]
+    if kind == "trivial":
+        dim = draw(st.integers(1, 2))
+        return trivial_family(free_abelian(n), dim), lambda ci, x: [np.eye(dim)] * n
+    f, rf = draw(_zn_tree(n, depth - 1))
+    cover = _diagonal_cover(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+
+    def pulled(ci, x):
+        return [_word_product(w, rf(ci, x)) for w in cover.sub_generator_words]
+
+    if kind == "pullback":
+        return pullback_family(f, cover), pulled
+    if kind == "induce":
+        return induce_family(f, cover), _induce_ref(rf, cover, n)
+    if kind == "sum":  # a second summand over the same space
+        g, rg = draw(st.sampled_from([
+            (f, rf),
+            (pullback_family(f, cover), pulled),
+            (induce_family(f, cover), _induce_ref(rf, cover, n)),
+        ]))
+        return direct_sum(f, g), lambda ci, x: [
+            _block_diag(a, b) for a, b in zip(rf(ci, x), rg(ci, x))
+        ]
+    g, rg = draw(_zn_tree(n, depth - 1))
+    nl = f.space.n_components
+
+    def union_ref(ci, x):
+        side, p = x
+        assert side == (0 if ci < nl else 1)
+        return rf(ci, p) if side == 0 else rg(ci - nl, p)
+
+    return disjoint_union(f, g), union_ref
+
+
+@st.composite
+def _family_tree(draw):
+    top = draw(st.sampled_from(["zn", "tensor", "extend", "klein"]))
+    if top == "zn":
+        return draw(_zn_tree(draw(st.integers(1, 2)), 2))
+    if top == "klein":
+        f, rf = draw(_zn_tree(2, 1))
+        cover = KleinBottleCover()
+        return induce_family(f, cover), _induce_ref(rf, cover, 2)
+    if top == "extend":
+        n = draw(st.integers(1, 2))
+        f, rf = draw(_zn_tree(n, 1))
+        # the extra free generator comes first, so f's generators move
+        G = GroupPresentation(
+            ("e",) + f.group.generators,
+            tuple(Word(tuple((g + 1, s) for g, s in r.letters)) for r in f.group.relators),
+        )
+
+        def extended(ci, x):
+            mats = rf(ci, x)
+            return [np.eye(mats[0].shape[0])] + list(mats)
+
+        return extend_free_product(f, G), extended
+    f, rf = draw(_zn_tree(1, 1))
+    g, rg = draw(_zn_tree(draw(st.integers(1, 2)), 1))
+    nr = g.space.n_components
+
+    def tensored(ci, x):
+        (cl, cr), (pl, pr) = divmod(ci, nr), x
+        A, B = rf(cl, pl), rg(cr, pr)
+        a, b = A[0].shape[0], B[0].shape[0]
+        return [np.kron(m, np.eye(b)) for m in A] + [np.kron(np.eye(a), m) for m in B]
+
+    return tensor_families(f, g), tensored
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree())
+def test_batch_evaluation_matches_per_point_references(tree):
+    fam, ref = tree
+    space = fam.space
+    for ci in range(space.n_components):
+        pts = list(space.component_points(ci))
+        if isinstance(space, ProductSpace):  # left-major order
+            cl, cr = divmod(ci, space.right.n_components)
+            assert pts == [
+                (pl, pr)
+                for pl in space.left.component_points(cl)
+                for pr in space.right.component_points(cr)
+            ]
+        pts = pts[:8]
+        k = fam.fiber_dims[ci]
+        stack = fam.evaluate_batch(pts)
+        assert stack.shape == (len(pts), len(fam.group.generators), k, k)
+        for mats, point in zip(stack, pts):
+            assert np.allclose(mats, np.array(ref(ci, point)), rtol=0, atol=1e-12)
+        single = np.array(fam.evaluate(pts[-1]).matrices)
+        assert np.allclose(single, stack[-1], rtol=0, atol=1e-12)

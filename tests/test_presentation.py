@@ -162,6 +162,22 @@ def test_evaluate_concatenation_is_product(u, v):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+@given(words(n_gens=2, max_len=6))
+def test_evaluate_word_on_a_stack_matches_each_point(w):
+    rng = np.random.default_rng(12)
+    from flatdetect.repvar import haar_unitary
+
+    stack = np.array([[haar_unitary(rng, 3) for _ in range(2)] for _ in range(4)])
+    out = evaluate_word(w, stack)
+    assert out.shape == (4, 3, 3)
+    for p in range(4):
+        expected = np.eye(3)
+        for g, s in w.letters:
+            expected = expected @ (stack[p, g] if s == 1 else stack[p, g].conj().T)
+        assert np.allclose(out[p], expected, atol=1e-12)
+        assert np.allclose(out[p], evaluate_word(w, RepPoint(tuple(stack[p]))), atol=1e-12)
+
+
 def test_evaluate_dimension_mismatch():
     mats = (np.eye(2, dtype=complex), np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -15,6 +15,7 @@ from flatdetect.repvar import (
     haar_unitary,
     relator_defect,
     solve_representation,
+    unitarity_defect,
     verify_homomorphism,
     _defect_and_gradients,
     _riemannian_gradients,
@@ -133,6 +134,25 @@ def test_solve_nonconvergence_flag_with_zero_iterations():
     res = solve_representation(Z2, 2, SolveConfig(seed=5, max_iter=0))
     assert not res.converged
     assert res.defect > 1e-8  # a random Haar pair virtually never commutes
+
+
+def test_defects_of_a_stack_are_per_point():
+    rng = np.random.default_rng(4)
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.array([[1, 0], [0, -1]], dtype=complex)
+    points = [
+        RepPoint((np.eye(2, dtype=complex), np.eye(2, dtype=complex))),
+        RepPoint((X, Z)),
+        RepPoint((haar_unitary(rng, 2), 2 * haar_unitary(rng, 2))),
+    ]
+    stack = np.array([p.matrices for p in points])
+    assert np.allclose(
+        relator_defect(stack, Z2), [relator_defect(p, Z2) for p in points], atol=1e-12
+    )
+    assert np.allclose(
+        unitarity_defect(stack), [p.unitarity_defect() for p in points], atol=1e-12
+    )
+    assert unitarity_defect(stack)[2] > 1
 
 
 def test_verify_homomorphism_examples():
