@@ -175,9 +175,6 @@ class MultiForm:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def max_degree(self) -> int:
-        return max((len(m) for m in self._terms), default=0)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

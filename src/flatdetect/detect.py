@@ -252,8 +252,6 @@ def slant_contract(ch: MultiForm, cls: BasisClass) -> MultiForm:
             f"class {cls.label!r} has no exact model; use the numeric pairing "
             "path (numeric_detection_report)"
         )
-    if ch.max_degree() < cls.degree:
-        return MultiForm()
     return ch.contract_z(cls.monomial)
 
 
@@ -391,6 +389,9 @@ def numeric_detection_report(
         for axis in range(f.space.component_x_dim(ci)):
             col_labels.append(f"c{ci}.loop_x{axis + 1}")
     classes = basis.all_classes()
+    words = [parse_word(c.label, f.group) for c in classes if c.degree == 1]
+    # per degree-1 class, in order: its windings per component and axis
+    windings = iter(zip(*(axis_windings(f, words, ci, samples) for ci in components)))
     matrix = []
     for cls in classes:
         row = []
@@ -399,10 +400,9 @@ def numeric_detection_report(
                 row.append(Fraction(f.fiber_dims[ci]))
                 row.extend([Fraction(0)] * f.space.component_x_dim(ci))
         else:
-            w = parse_word(cls.label, f.group)
-            for ci in components:
+            for per_axis in next(windings):
                 row.append(Fraction(0))
-                row.extend(Fraction(k) for k in axis_windings(f, w, ci, samples))
+                row.extend(Fraction(k) for k in per_axis)
         matrix.append(row)
     row_labels = tuple(c.label for c in classes)
     return _assemble_report(d, [f], row_labels, tuple(col_labels), matrix, "numeric")

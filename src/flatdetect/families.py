@@ -477,14 +477,9 @@ def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
 
 def _abelianize(w: Word, n: int) -> list[int]:
     v = [0] * n
-    for g, s in w.letters:
-        v[g] += s
+    for g, e in w.letters:
+        v[g] += e
     return v
-
-
-def _power_word(gen_index: int, exponent: int) -> Word:
-    sign = 1 if exponent >= 0 else -1
-    return Word(tuple((gen_index, sign) for _ in range(abs(exponent))))
 
 
 class SublatticeCover:
@@ -525,13 +520,10 @@ class SublatticeCover:
 
     @property
     def sub_generator_words(self) -> tuple[Word, ...]:
-        out = []
-        for j in range(len(self.basis)):
-            w = Word(())
-            for i, row in enumerate(self.basis):
-                w = w * _power_word(i, row[j])
-            out.append(free_reduce(w))
-        return tuple(out)
+        return tuple(
+            free_reduce(Word(tuple((i, row[j]) for i, row in enumerate(self.basis))))
+            for j in range(len(self.basis))
+        )
 
     def rewrite(self, w: Word) -> Word | None:
         """Membership test plus rewrite into subgroup generators, or None."""
@@ -543,10 +535,7 @@ class SublatticeCover:
             if c.denominator != 1:
                 return None
             coeffs.append(int(c))
-        out = Word(())
-        for j, c in enumerate(coeffs):
-            out = out * _power_word(j, c)
-        return free_reduce(out)
+        return free_reduce(Word(tuple(enumerate(coeffs))))
 
     @property
     def pullback_matrix(self) -> list[list[Fraction]]:
@@ -561,7 +550,7 @@ def circle_cover(k: int, ambient: GroupPresentation | None = None) -> Sublattice
     if k < 1:
         raise ValueError("index must be >= 1")
     ambient = ambient or free_abelian(1)
-    cosets = [_power_word(0, j) for j in range(k)]
+    cosets = [Word(((0, j),)) for j in range(k)]
     return SublatticeCover(ambient, [[k]], cosets)
 
 
@@ -579,20 +568,19 @@ class KleinBottleCover:
 
     @property
     def sub_generator_words(self) -> tuple[Word, ...]:
-        return (Word(((0, 1),)), Word(((1, 1), (1, 1))))
+        return (Word(((0, 1),)), Word(((1, 2),)))
 
     def rewrite(self, w: Word) -> Word | None:
-        # normal form a^m b^n: moving a past b or b^-1 inverts it
-        m = n_seen = n = 0
-        for g, s in w.letters:
+        # normal form a^m b^n: moving a past an odd power of b inverts it
+        m = n = 0
+        for g, e in w.letters:
             if g == 1:
-                n_seen += 1
-                n += s
+                n += e
             else:
-                m += s * (1 if n_seen % 2 == 0 else -1)
+                m += e if n % 2 == 0 else -e
         if n % 2:
             return None
-        return free_reduce(_power_word(0, m) * _power_word(1, n // 2))
+        return free_reduce(Word(((0, m), (1, n // 2))))
 
     def describe(self) -> str:
         return "klein_even(index=2)"
@@ -722,20 +710,20 @@ def holonomy_loop(
     return evaluate_word(w, f.evaluate_batch(pts))
 
 
-def axis_windings(f: Family, w: Word, ci: int, samples: int | None) -> list[int]:
-    """Winding of det(holonomy of ``w``) along each parameter axis of
-    component ``ci``."""
-    return [
-        winding_number(holonomy_loop(f, w, ci, axis, samples))
+def axis_windings(
+    f: Family, words: Sequence[Word], ci: int, samples: int | None
+) -> list[list[int]]:
+    """Winding of det(holonomy of each word) along each parameter axis of
+    component ``ci``; each axis loop is evaluated once, for every word."""
+    loops = [
+        f.evaluate_batch(f.space.axis_loop(ci, axis, samples))
         for axis in range(f.space.component_x_dim(ci))
     ]
+    return [[winding_number(evaluate_word(w, s)) for s in loops] for w in words]
 
 
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
     per component: the numeric counterpart of the exact z^x coefficients."""
-    gens = range(len(f.group.generators))
-    return [
-        [axis_windings(f, Word(((gi, 1),)), ci, samples) for gi in gens]
-        for ci in range(f.space.n_components)
-    ]
+    gens = [Word(((gi, 1),)) for gi in range(len(f.group.generators))]
+    return [axis_windings(f, gens, ci, samples) for ci in range(f.space.n_components)]

@@ -7,7 +7,8 @@ The presentation source format is
 i.e. a generator list and a comma-separated relator list, both
 semicolon-terminated.  A word is a whitespace-separated sequence of letters,
 each ``<id>`` or ``<id>^-1``.  ``#`` starts a comment running to end of line.
-An empty relator list (``rels: ;``) denotes a free group.
+An empty relator list (``rels: ;``) denotes a free group.  In memory a word
+holds runs (generator, exponent), so a^n is one run whatever |n|.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class PresentationError(ValueError):
         self.column = column
 
 
-# One letter of a word: (generator index, exponent sign in {+1, -1}).
+# One run of a word: (generator index, integer exponent); a letter has +1 or -1.
 Letter = tuple[int, int]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -38,14 +39,14 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 @dataclass(frozen=True)
 class Word:
-    """A word in the generators, one letter per entry (no run-length packing)."""
+    """A word in the generators, one run (generator, exponent) per entry."""
 
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        for g, s in self.letters:
-            if s not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {s}")
+        for g, e in self.letters:
+            if not isinstance(e, (int, np.integer)):
+                raise ValueError(f"run exponent must be an integer, got {e!r}")
             if g < 0:
                 raise ValueError(f"negative generator index {g}")
 
@@ -56,7 +57,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def is_reduced(self) -> bool:
         return all(
@@ -66,13 +67,13 @@ class Word:
 
 
 def free_reduce(w: Word) -> Word:
-    """The freely reduced word equal to ``w`` in the free group."""
+    """The free-group normal form: adjacent runs of a generator merged, zeros dropped."""
     stack: list[Letter] = []
-    for g, s in w.letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((g, s))
+    for g, e in w.letters:
+        if stack and stack[-1][0] == g:
+            e += stack.pop()[1]
+        if e:
+            stack.append((g, e))
     return Word(tuple(stack))
 
 
@@ -105,9 +106,6 @@ class GroupPresentation:
             return self.generators.index(name)
         except ValueError:
             raise PresentationError(f"undeclared generator {name!r}") from None
-
-    def word(self, text: str) -> Word:
-        return parse_word(text, self)
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?:\^-1)?|[;:,]|\S")
@@ -199,13 +197,18 @@ def parse_word(text: str, G: GroupPresentation) -> Word:
     return free_reduce(Word(tuple(letters)))
 
 
+def spell(w: Word) -> Word:
+    """``w`` with each run written out as |exponent| letters of exponent +-1."""
+    return Word(tuple((g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e))))
+
+
 def format_presentation(G: GroupPresentation) -> str:
-    """Render a presentation in the source format; re-parses to an equal value."""
+    """Render in the source format (a run as |exponent| letters); re-parses equal."""
     def fmt_letter(l: Letter) -> str:
         name = G.generators[l[0]]
         return name if l[1] == 1 else f"{name}^-1"
 
-    rels = " , ".join(" ".join(fmt_letter(l) for l in r.letters) for r in G.relators)
+    rels = " , ".join(" ".join(fmt_letter(l) for l in spell(r).letters) for r in G.relators)
     return f"gens: {' '.join(G.generators)} ; rels: {rels} ;"
 
 
@@ -214,8 +217,8 @@ def evaluate_word(w: Word, point) -> np.ndarray:
 
     ``point`` is a RepPoint or any sequence of square matrices indexed like the
     presentation's generators, or an array ``(..., gens, k, k)`` stacking such
-    assignments, which gives the stack ``(..., k, k)`` of products.  Exponent
-    -1 uses the conjugate transpose.
+    assignments, which gives the stack ``(..., k, k)`` of products.  A negative
+    run uses the conjugate transpose; a run takes O(log |exponent|) products.
     """
     mats = getattr(point, "matrices", point)
     if len(mats) == 0:
@@ -231,11 +234,12 @@ def evaluate_word(w: Word, point) -> np.ndarray:
     if mats.ndim < 3 or mats.shape[-2] != n:
         raise ValueError(f"dimension mismatch: {mats.shape[-2:]} vs ({n}, {n})")
     out = None
-    for g, s in w.letters:
+    for g, e in w.letters:
         if g >= mats.shape[-3]:
             raise ValueError(f"no matrix assigned to generator index {g}")
         m = mats[..., g, :, :]
-        m = m if s == 1 else m.conj().swapaxes(-1, -2)
+        m = m if e > 0 else m.conj().swapaxes(-1, -2)
+        m = m if abs(e) == 1 else np.linalg.matrix_power(m, abs(e))
         out = m.copy() if out is None else out @ m
     if out is None:
         out = np.zeros(mats.shape[:-3] + (n, n), dtype=complex)
@@ -297,7 +301,7 @@ def direct_product(G1: GroupPresentation, G2: GroupPresentation) -> GroupPresent
     off = len(G1.generators)
 
     def shift(w: Word) -> Word:
-        return Word(tuple((g + off, s) for g, s in w.letters))
+        return Word(tuple((g + off, e) for g, e in w.letters))
 
     rels = list(G1.relators) + [shift(r) for r in G2.relators]
     for i in range(len(G1.generators)):

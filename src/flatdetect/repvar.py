@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .presentation import GroupPresentation, Word, evaluate_word
+from .presentation import GroupPresentation, Word, evaluate_word, spell
 
 # Retractions keep iterates unitary to ~1e-15; anything above this is a bug.
 UNITARITY_TOL = 1e-9
+
+ARMIJO = 0.1  # sufficient-decrease constant; large enough to reject
+              # edge-of-stability oscillation
+INITIAL_STEP = 1.0
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 40
+MAX_PERTURBATIONS = 20  # stall escapes before giving up
 
 
 def unitarity_defect(mats) -> float | np.ndarray:
@@ -65,12 +72,6 @@ class SolveConfig:
     tolerance: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
-    armijo: float = 0.1           # sufficient-decrease constant; large enough
-                                  # to reject edge-of-stability oscillation
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    max_backtracks: int = 40
-    max_perturbations: int = 20   # stall escapes before giving up
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -128,11 +129,14 @@ def _polar(y: np.ndarray) -> np.ndarray:
 def _defect_and_gradients(mats: list[np.ndarray], relators: tuple[Word, ...]):
     """Defect plus per-generator Euclidean gradients (real trace inner product).
 
+    Each relator must be spelled letter by letter (see ``presentation.spell``).
     For a relator W = M_1 ... M_L and the j-th factor a power of U_g, the
     differential of ||W - I||^2 contributes 2 P^H (W - I) S^H when the factor
     is U_g and 2 S (W - I)^H P when it is U_g^H, where P, S are the prefix and
     suffix products around position j.
     """
+    if any(abs(s) != 1 for r in relators for _, s in r.letters):
+        raise ValueError("relators must be spelled as letters of exponent +1 or -1")
     n = mats[0].shape[0]
     eye = np.eye(n, dtype=complex)
     grads = [np.zeros((n, n), dtype=complex) for _ in mats]
@@ -179,14 +183,15 @@ def solve_representation(
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     mats = [haar_unitary(rng, n) for _ in G.generators]
+    relators = tuple(spell(r) for r in G.relators)  # once per solve, not per step
 
-    defect, egrads = _defect_and_gradients(mats, G.relators)
+    defect, egrads = _defect_and_gradients(mats, relators)
     history = [defect]
     max_udef = unitarity_defect(mats)
     best = ([m.copy() for m in mats], defect)
     perturbations = 0
     iters = 0
-    step = cfg.initial_step
+    step = INITIAL_STEP
 
     while defect > cfg.tolerance and iters < cfg.max_iter:
         iters += 1
@@ -197,18 +202,18 @@ def solve_representation(
             # warm-start from twice the last accepted step so the search can
             # grow along flat valleys, then backtrack as usual
             step = min(2.0 * step, 1e6)
-            for _ in range(cfg.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial = [_polar(u - step * g) for u, g in zip(mats, rgrads)]
-                tdefect, tgrads = _defect_and_gradients(trial, G.relators)
-                if tdefect <= defect - cfg.armijo * step * gnorm2:
+                tdefect, tgrads = _defect_and_gradients(trial, relators)
+                if tdefect <= defect - ARMIJO * step * gnorm2:
                     mats, defect, egrads = trial, tdefect, tgrads
                     accepted = True
                     break
-                step *= cfg.step_shrink
+                step *= STEP_SHRINK
         if not accepted:
             # Stalled at a critical point above tolerance: kick along a
             # seeded random tangent direction and keep going.
-            if perturbations >= cfg.max_perturbations:
+            if perturbations >= MAX_PERTURBATIONS:
                 break
             perturbations += 1
             kicked = []
@@ -217,8 +222,8 @@ def solve_representation(
                 skew = (a - a.conj().T) / 2.0
                 kicked.append(_polar(u + 1e-2 * u @ skew))
             mats = kicked
-            defect, egrads = _defect_and_gradients(mats, G.relators)
-            step = cfg.initial_step
+            defect, egrads = _defect_and_gradients(mats, relators)
+            step = INITIAL_STEP
         history.append(defect)
         max_udef = max(max_udef, unitarity_defect(mats))
         if defect < best[1]:

@@ -200,6 +200,27 @@ def test_family_build_and_verify(workdir):
     assert rec["chern"] is None
 
 
+def test_family_build_of_a_cover_with_entries_near_2_pow_40(workdir, capsys):
+    big = 2**40
+    cover = f"sublattice([[{big + 1}, {big}], [{big}, {big - 1}]])"
+    for resolution in (4, 64):
+        (workdir / "big.fam").write_text(
+            f"pullback(char_zn(2, {resolution}), cover={cover}, cosets=[e], group=z2.grp)\n"
+        )
+        out = workdir / "big.json"
+        code = run(["family", "build", "--expr", str(workdir / "big.fam"),
+                    "--out", str(out)])
+        if resolution == 4:
+            assert code == 0
+            chern = json.loads(out.read_text())["chern"][0]
+            assert [["z1", "x1"], big + 1, 1] in chern
+            assert [["z1", "x2"], big, 1] in chern
+        else:
+            # float powers of 2^40 drift past the homomorphism tolerance
+            assert code == 5
+            assert "fails the homomorphism check" in capsys.readouterr().err
+
+
 def test_forms_chern_windings(workdir):
     out = workdir / "w.json"
     code = run(["forms", "chern", "--family", str(workdir / "z2.fam"),
@@ -398,8 +419,8 @@ def test_out_of_range_flags_exit2(workdir, capsys, argv):
 # The loose one may put junk in any slot (an unknown or wrong-kind
 # constructor, a value of another type), drop a required keyword, and add an
 # extra argument or an unknown keyword.  Nesting is bounded and integers stay
-# small: tensor products add ranks, and circle and sublattice covers spell
-# powers letter by letter.
+# small: tensor products add ranks, and a circle cover of index k makes k
+# coset blocks.
 _WORDS = st.sampled_from(["[]", "[e]", "[e, a]", "[e, b]", "[a, b]", "[e, a, a a]", "[c]"])
 _FILE = st.sampled_from(["z1.grp", "z2.grp", "klein.grp", "f2.grp", "missing.grp"])
 _MATRIX = st.sampled_from(["[[2]]", "[[3]]", "[[2, 0], [0, 1]]", "[[1, 1], [0, 2]]", "[[0]]"])

@@ -362,6 +362,27 @@ def test_sublattice_index_is_exact_for_large_unimodular_basis():
         SublatticeCover(free_abelian(2), [[big, big], [big, big]], [Word(())])
 
 
+def test_cover_words_hold_each_entry_as_one_run():
+    big = 2**40
+    cov = SublatticeCover(free_abelian(2), [[big + 1, big], [big, big - 1]], [Word(())])
+    assert cov.sub_generator_words == (
+        Word(((0, big + 1), (1, big))),
+        Word(((0, big), (1, big - 1))),
+    )
+    # the inverse basis is [[1 - big, big], [big, -1 - big]]
+    assert cov.rewrite(Word(((0, 1),))) == Word(((0, 1 - big), (1, big)))
+    assert KleinBottleCover().sub_generator_words == (Word(((0, 1),)), Word(((1, 2),)))
+    assert [c.letters for c in circle_cover(3).cosets] == [(), ((0, 1),), ((0, 2),)]
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-6, 6)), max_size=8))
+def test_klein_rewrite_of_runs_matches_the_spelled_word(runs):
+    # oracle: the same word written letter by letter
+    spelled = [(g, 1 if e > 0 else -1) for g, e in runs for _ in range(abs(e))]
+    cov = KleinBottleCover()
+    assert cov.rewrite(Word(tuple(runs))) == cov.rewrite(Word(tuple(spelled)))
+
+
 def test_sublattice_rejects_nonabelian_ambient():
     with pytest.raises(ValueError, match="not free abelian"):
         SublatticeCover(klein_bottle(), [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))])
@@ -513,8 +534,9 @@ def test_axis_loop_zero_samples_is_not_the_default():
 
 def _word_product(w: Word, mats) -> np.ndarray:
     out = np.eye(mats[0].shape[0], dtype=complex)
-    for g, s in w.letters:
-        out = out @ (mats[g] if s == 1 else mats[g].conj().T)
+    for g, e in w.letters:
+        for _ in range(abs(e)):
+            out = out @ (mats[g] if e > 0 else mats[g].conj().T)
     return out
 
 

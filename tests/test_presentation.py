@@ -12,8 +12,10 @@ from flatdetect.presentation import (
     klein_bottle,
     parse_presentation,
     parse_word,
+    spell,
 )
-from flatdetect.repvar import RepPoint
+from flatdetect.families import _abelianize
+from flatdetect.repvar import RepPoint, haar_unitary
 
 
 def test_parse_free_group_empty_relators():
@@ -55,7 +57,7 @@ def test_parse_comments_and_multiword():
         """
     )
     assert len(G.relators) == 2
-    assert G.relators[1].letters == ((1, 1), (1, 1))
+    assert G.relators[1].letters == ((1, 2),)
 
 
 def test_parse_relators_are_reduced():
@@ -84,11 +86,18 @@ def test_roundtrip_format_parse():
     assert parse_presentation(format_presentation(G)) == G
 
 
+def test_format_spells_a_run_as_letters():
+    src = "gens: x y ; rels: y y ;"
+    G = parse_presentation(src)
+    assert G.relators == (Word(((1, 2),)),)
+    assert format_presentation(G) == src
+
+
 def test_free_reduce_examples():
     w = Word(((0, 1), (0, -1)))
     assert free_reduce(w) == Word(())
     w = Word(((0, 1), (1, 1), (1, -1), (0, 1)))
-    assert free_reduce(w) == Word(((0, 1), (0, 1)))
+    assert free_reduce(w) == Word(((0, 2),))
     w = Word(((0, 1), (0, 1), (0, -1), (0, -1)))
     assert free_reduce(w) == Word(())
 
@@ -104,6 +113,38 @@ def words(draw, n_gens=3, max_len=12):
         )
     )
     return Word(tuple(letters))
+
+
+@st.composite
+def run_words(draw, n_gens=2, max_len=6):
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_gens - 1), st.integers(-6, 6)),
+            max_size=max_len,
+        )
+    )
+    return Word(tuple(runs))
+
+
+def _spelled(w: Word) -> Word:
+    """``w`` with every run written as |exponent| letters."""
+    return Word(tuple((g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e))))
+
+
+def test_spell_writes_each_run_as_letters():
+    w = Word(((0, 3), (1, -2), (0, 1)))
+    assert spell(w) == Word(((0, 1), (0, 1), (0, 1), (1, -1), (1, -1), (0, 1)))
+    assert spell(Word(())) == Word(())
+
+
+@given(run_words(n_gens=3, max_len=12))
+def test_free_reduce_is_the_run_normal_form(w):
+    once = free_reduce(w)
+    assert free_reduce(once) == once
+    assert all(e != 0 for _, e in once.letters)
+    assert all(a[0] != b[0] for a, b in zip(once.letters, once.letters[1:]))
+    assert _abelianize(once, 3) == _abelianize(w, 3)
+    assert once == free_reduce(_spelled(w))
 
 
 @given(words())
@@ -178,6 +219,18 @@ def test_evaluate_word_on_a_stack_matches_each_point(w):
         assert np.allclose(out[p], evaluate_word(w, RepPoint(tuple(stack[p]))), atol=1e-12)
 
 
+@given(run_words(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_evaluate_runs_match_the_letter_by_letter_product(w, points, k, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([[haar_unitary(rng, k) for _ in range(2)] for _ in range(points)])
+    out = evaluate_word(w, stack)
+    for p in range(points):
+        expected = np.eye(k)
+        for g, e in _spelled(w).letters:
+            expected = expected @ (stack[p, g] if e == 1 else stack[p, g].conj().T)
+        assert np.allclose(out[p], expected, rtol=0, atol=1e-12)
+
+
 def test_evaluate_dimension_mismatch():
     mats = (np.eye(2, dtype=complex), np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -187,6 +240,6 @@ def test_evaluate_dimension_mismatch():
 def test_parse_word_reduces():
     G = parse_presentation("gens: a b; rels: ;")
     w = parse_word("a b b^-1 a", G)
-    assert w.letters == ((0, 1), (0, 1))
+    assert w.letters == ((0, 2),)
     with pytest.raises(PresentationError):
         parse_word("c", G)

@@ -7,6 +7,7 @@ from flatdetect.presentation import (
     free_group,
     klein_bottle,
     parse_presentation,
+    spell,
     surface_group,
 )
 from flatdetect.repvar import (
@@ -85,6 +86,35 @@ def test_gradient_matches_finite_differences():
                     fm, _ = _defect_and_gradients(minus, G.relators)
                     deriv = (fp - fm) / (2 * eps)
                     num[r, c] += deriv * delta  # real + i * imag parts
+        assert np.allclose(num, grads[gi], atol=1e-5)
+
+
+def test_gradient_of_a_relator_with_runs_matches_finite_differences():
+    # a a b is stored as the runs ((0, 2), (1, 1)); the gradient takes it spelled
+    rng = np.random.default_rng(11)
+    mats = [haar_unitary(rng, 2), haar_unitary(rng, 2)]
+    G = parse_presentation("gens: a b ; rels: a a b ;")
+    assert G.relators[0].letters == ((0, 2), (1, 1))
+    with pytest.raises(ValueError, match="spelled"):
+        _defect_and_gradients(mats, G.relators)
+    relators = tuple(spell(r) for r in G.relators)
+    _, grads = _defect_and_gradients(mats, relators)
+
+    def defect(ms):
+        # oracle: ||A A B - I||^2 written out directly
+        return float(np.linalg.norm(ms[0] @ ms[0] @ ms[1] - np.eye(2)) ** 2)
+
+    eps = 1e-6
+    for gi in range(2):
+        num = np.zeros((2, 2), dtype=complex)
+        for r in range(2):
+            for c in range(2):
+                for delta in (1.0, 1j):
+                    plus = [m.copy() for m in mats]
+                    minus = [m.copy() for m in mats]
+                    plus[gi][r, c] += eps * delta
+                    minus[gi][r, c] -= eps * delta
+                    num[r, c] += (defect(plus) - defect(minus)) / (2 * eps) * delta
         assert np.allclose(num, grads[gi], atol=1e-5)
 
 
