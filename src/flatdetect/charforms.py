@@ -484,8 +484,12 @@ def winding_number(loop) -> int:
         raise UnderSampledLoopError(
             f"need at least three samples on a closed loop, got {len(mats)}"
         )
-    if np.linalg.norm(mats[0] - mats[-1]) > 1e-9:
-        raise ValueError("loop is not closed (first and last samples differ)")
+    gap = np.linalg.norm(mats[0] - mats[-1])
+    if gap > 1e-9:
+        raise ValueError(
+            f"loop is not closed: first and last samples differ by {gap:.3g} "
+            "(bound 1e-9)"
+        )
     dets = np.linalg.det(mats)
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("loop contains a (numerically) singular matrix")

@@ -6,23 +6,26 @@ the build tree supports it) the exact character form of the associated
 bundle.  Character data is propagated structurally by the combinators, never
 inferred numerically; the numeric pipeline validates it independently.
 
-Parameter points are plain data: tuples of Fractions for torus grids,
-integers for finite point sets, pairs for products, (side, point) tags for
-disjoint unions.  Evaluation rules are closed-form, so families may be
-sampled at any rational parameter, not only on the declared grid.  Every
-rule works on whole stacks: it takes the points of one connected component
-and returns an array ``(points, generators, k, k)``, and each combinator
-composes its arguments' stacks with array operations.  Verification and
-windings consume those stacks with stacked matmul and det.
+A parameter space is defined by its ``components``: one tuple of per-axis
+grid resolutions per connected component, () for a point.  A point of a
+component is a row of coordinates in [0, 1), one per axis; a product space
+concatenates the left factor's coordinates with the right factor's, and a
+disjoint union tells its sides apart by component index alone.  Evaluation
+rules are closed-form, so families may be sampled at any real coordinates,
+not only on the declared grid.  Every rule works on whole stacks: it takes
+an array ``(points, d)`` of one component's rows and returns an array
+``(points, generators, k, k)``, and each combinator composes its arguments'
+stacks with array operations.  Verification and windings consume those
+stacks with stacked matmul and det.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import truediv
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,8 +52,35 @@ VERIFY_CHUNK = 512
 # ---------------------------------------------------------------------------
 
 
+class _Space:
+    """What every parameter space derives from its ``components``: one tuple
+    of per-axis grid resolutions per connected component, () for a point."""
+
+    @property
+    def n_components(self) -> int:
+        return len(self.components)
+
+    def component_x_dim(self, ci: int) -> int:
+        return len(self.components[ci])
+
+    def axis_loop(self, ci: int, axis: int, samples: int | None = None) -> np.ndarray:
+        """The closed loop along one axis of component ``ci`` as rows of
+        coordinates: every other coordinate stays at 0, and the axis runs
+        through j / samples for j = 0..samples (default: its grid)."""
+        res = self.components[ci]
+        if not 0 <= axis < len(res):
+            raise ValueError(f"axis {axis} out of range")
+        if samples is None:
+            samples = res[axis]
+        if samples < 1:
+            raise ValueError(f"a loop needs at least one step, got {samples}")
+        x = np.zeros((samples + 1, len(res)))
+        x[:, axis] = np.arange(samples + 1) / samples
+        return x
+
+
 @dataclass(frozen=True)
-class TorusGrid:
+class TorusGrid(_Space):
     """The d-torus sampled on a uniform grid, coordinates in [0, 1)."""
 
     dim: int
@@ -63,36 +93,15 @@ class TorusGrid:
             raise ValueError("resolution must be >= 2 per axis")
 
     @property
-    def n_components(self) -> int:
-        return 1
-
-    def component_x_dim(self, ci: int) -> int:
-        return self.dim
-
-    def component_points(self, ci: int) -> Iterator:
-        for idx in itertools.product(range(self.resolution), repeat=self.dim):
-            yield tuple(Fraction(i, self.resolution) for i in idx)
-
-    def axis_loop(self, ci: int, axis: int, samples: int | None = None):
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range")
-        if samples is None:
-            samples = self.resolution
-        if samples < 1:
-            raise ValueError(f"a loop needs at least one step, got {samples}")
-        pts = []
-        for j in range(samples + 1):
-            coords = [Fraction(0)] * self.dim
-            coords[axis] = Fraction(j, samples)
-            pts.append(tuple(coords))
-        return pts
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return ((self.resolution,) * self.dim,)
 
     def describe(self) -> str:
         return f"T^{self.dim}[{self.resolution}]"
 
 
 @dataclass(frozen=True)
-class FinitePointSet:
+class FinitePointSet(_Space):
     count: int
 
     def __post_init__(self):
@@ -100,83 +109,37 @@ class FinitePointSet:
             raise ValueError("point count must be >= 1")
 
     @property
-    def n_components(self) -> int:
-        return self.count
-
-    def component_x_dim(self, ci: int) -> int:
-        return 0
-
-    def component_points(self, ci: int) -> Iterator:
-        yield ci
-
-    def axis_loop(self, ci, axis, samples=None):
-        raise ValueError("a finite point set has no parameter axes")
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return ((),) * self.count
 
     def describe(self) -> str:
         return f"pts[{self.count}]"
 
 
 @dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(_Space):
+    """Components in left-major order; a point's coordinates are the left
+    factor's followed by the right factor's."""
+
     left: "ParameterSpace"
     right: "ParameterSpace"
 
-    @property
-    def n_components(self) -> int:
-        return self.left.n_components * self.right.n_components
-
-    def _split(self, ci: int):
-        return divmod(ci, self.right.n_components)
-
-    def component_x_dim(self, ci: int) -> int:
-        cl, cr = self._split(ci)
-        return self.left.component_x_dim(cl) + self.right.component_x_dim(cr)
-
-    def component_points(self, ci: int) -> Iterator:
-        cl, cr = self._split(ci)
-        for pl in self.left.component_points(cl):
-            for pr in self.right.component_points(cr):
-                yield (pl, pr)
-
-    def axis_loop(self, ci: int, axis: int, samples=None):
-        # the other factor stays at its first point
-        cl, cr = self._split(ci)
-        dl = self.left.component_x_dim(cl)
-        if axis < dl:
-            br = next(self.right.component_points(cr))
-            return [(p, br) for p in self.left.axis_loop(cl, axis, samples)]
-        bl = next(self.left.component_points(cl))
-        return [(bl, p) for p in self.right.axis_loop(cr, axis - dl, samples)]
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(a + b for a in self.left.components for b in self.right.components)
 
     def describe(self) -> str:
         return f"({self.left.describe()} x {self.right.describe()})"
 
 
 @dataclass(frozen=True)
-class DisjointUnionSpace:
+class DisjointUnionSpace(_Space):
     left: "ParameterSpace"
     right: "ParameterSpace"
 
-    @property
-    def n_components(self) -> int:
-        return self.left.n_components + self.right.n_components
-
-    def _delegate(self, ci: int):
-        nl = self.left.n_components
-        return (0, self.left, ci) if ci < nl else (1, self.right, ci - nl)
-
-    def component_x_dim(self, ci: int) -> int:
-        _, space, cj = self._delegate(ci)
-        return space.component_x_dim(cj)
-
-    def component_points(self, ci: int) -> Iterator:
-        side, space, cj = self._delegate(ci)
-        for p in space.component_points(cj):
-            yield (side, p)
-
-    def axis_loop(self, ci: int, axis: int, samples=None):
-        side, space, cj = self._delegate(ci)
-        return [(side, p) for p in space.axis_loop(cj, axis, samples)]
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return self.left.components + self.right.components
 
     def describe(self) -> str:
         return f"({self.left.describe()} | {self.right.describe()})"
@@ -194,12 +157,13 @@ ParameterSpace = TorusGrid | FinitePointSet | ProductSpace | DisjointUnionSpace
 class Family:
     """A family of representations of ``group`` over ``space``.
 
-    ``evaluate_fn`` is the batch evaluation rule.  It takes a non-empty list
-    of points of one connected component ``ci`` and returns an array of
-    shape ``(len(points), len(group.generators), k, k)`` whose entry p is the
-    representation at ``points[p]``, with ``k = fiber_dims[ci]``.  A
-    hand-built family supplies such a rule; it must not write into the
-    stacks its arguments return, which may be read-only broadcast views.
+    ``evaluate_fn(x, ci)`` is the batch evaluation rule.  ``x`` is a float
+    array ``(P, d)`` whose rows are the coordinates of P points of connected
+    component ``ci``, with ``d = space.component_x_dim(ci)`` (0 on a point).
+    It returns an array ``(P, len(group.generators), k, k)`` whose entry p is
+    the representation at row p, with ``k = fiber_dims[ci]``.  A hand-built
+    family supplies such a rule; it must not write into the stacks its
+    arguments return, which may be read-only broadcast views.
 
     ``chern``, when present, holds one exact character form per connected
     component of the space; its degree-0 part equals the fiber dimension.
@@ -224,25 +188,33 @@ class Family:
         one per generator; None for a family without character forms."""
         return len(self.group.generators) if self.chern is not None else None
 
-    def evaluate_batch(self, points: Sequence) -> np.ndarray:
-        """The stack ``(points, generators, k, k)`` at points of one component."""
-        return self.evaluate_fn(points)
+    def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
+        """The stack ``(P, generators, k, k)`` at the rows of coordinates
+        ``x`` (shape ``(P, d)``) of points of one component."""
+        x = np.asarray(x, dtype=float)
+        space = self.space
+        if not (0 <= component < space.n_components and x.ndim == 2
+                and x.shape[1] == space.component_x_dim(component)):
+            raise ValueError(f"not a stack of rows of component {component}: {x.shape}")
+        return self.evaluate_fn(x, component)
 
-    def evaluate(self, point) -> RepPoint:
-        """The representation at one point: the batch rule on one point."""
-        return RepPoint(tuple(self.evaluate_fn([point])[0]))
+    def evaluate(self, x, component: int = 0) -> RepPoint:
+        """The representation at one point, given by its coordinates: the
+        batch rule on one row."""
+        return RepPoint(tuple(self.evaluate_batch([x], component)[0]))
 
 
 def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
     """Check the family invariants at every sampled grid point.
 
-    Raises ValueError on the first violation in the order of
-    ``component_points``; returns True when every point passes the relator
-    and unitarity checks at ``tol`` (NaN fails), fiber dimensions match the
-    declared ones, and character degree-0 parts match the fiber dimensions.
-    Each component is checked in stacks of at most VERIFY_CHUNK points.
+    Raises ValueError on the first violation, components in order and each
+    grid in left-major order; returns True when every point passes the
+    relator and unitarity checks at ``tol`` (NaN fails), fiber dimensions
+    match the declared ones, and character degree-0 parts match the fiber
+    dimensions.  Each component is checked in stacks of at most VERIFY_CHUNK
+    points, built from a range of flat indices, so the grid is never held.
     """
-    for ci in range(f.space.n_components):
+    for ci, res in enumerate(f.space.components):
         if f.chern is not None:
             rank = f.chern[ci].coefficient(())
             if rank != f.fiber_dims[ci]:
@@ -250,21 +222,39 @@ def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
                     f"component {ci}: character rank {rank} != fiber "
                     f"dimension {f.fiber_dims[ci]}"
                 )
-        points = f.space.component_points(ci)
-        while chunk := list(itertools.islice(points, VERIFY_CHUNK)):
-            stack = f.evaluate_batch(chunk)
+        total = math.prod(res)
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"component {ci}: the {' x '.join(map(str, res))} grid has "
+                f"{total} points, too many to index"
+            )
+        for start in range(0, total, VERIFY_CHUNK):
+            # integer index rows, left-major: the last axis varies fastest
+            flat = np.arange(start, min(start + VERIFY_CHUNK, total))
+            idx = np.empty((len(flat), len(res)), dtype=np.int64)
+            for axis in reversed(range(len(res))):
+                flat, idx[:, axis] = np.divmod(flat, res[axis])
+            stack = f.evaluate_batch(idx / np.array(res), ci)
             k = stack.shape[-1]
             if k != f.fiber_dims[ci]:
                 raise ValueError(
-                    f"component {ci}: fiber dimension {k} at {chunk[0]!r} "
-                    f"differs from declared {f.fiber_dims[ci]}"
+                    f"component {ci}: fiber dimension {k} at "
+                    f"{_grid_point(idx[0], res)!r} differs from declared "
+                    f"{f.fiber_dims[ci]}"
                 )
             ok = relator_defect(stack, f.group) <= tol
             ok &= unitarity_defect(stack) <= tol
             if not ok.all():
-                p = chunk[int(np.argmin(ok))]  # the first failure
-                raise ValueError(f"point {p!r} fails the homomorphism check at {tol}")
+                p = _grid_point(idx[np.argmin(ok)], res)  # the first failure
+                raise ValueError(
+                    f"component {ci}: point {p!r} fails the homomorphism check at {tol}"
+                )
     return True
+
+
+def _grid_point(idx, res) -> tuple[Fraction, ...]:
+    """The exact coordinates of a grid point, for messages."""
+    return tuple(Fraction(int(j), r) for j, r in zip(idx, res))
 
 
 def character_family_Zn(
@@ -277,10 +267,8 @@ def character_family_Zn(
     group = free_abelian(n, generators)
     space = TorusGrid(n, resolution)
 
-    def ev(points):
-        # n / d rounds as float(x) does, without Fraction.__float__'s overhead
-        x = np.array([[truediv(*v.as_integer_ratio()) for v in p] for p in points])
-        return np.exp(2j * np.pi * x.reshape(len(points), n))[:, :, None, None]
+    def ev(x, ci):
+        return np.exp(2j * np.pi * x)[:, :, None, None]
 
     ch = MultiForm.constant(1)
     for j in range(1, n + 1):
@@ -301,8 +289,8 @@ def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
         raise ValueError("dimension must be >= 1")
     eye = np.eye(dim, dtype=complex)
 
-    def ev(points):
-        return np.broadcast_to(eye, (len(points), len(group.generators), dim, dim))
+    def ev(x, ci):
+        return np.broadcast_to(eye, (len(x), len(group.generators), dim, dim))
 
     return Family(
         group=group,
@@ -320,9 +308,13 @@ def tensor_families(f: Family, g: Family) -> Family:
     group = direct_product(f.group, g.group)
     space = ProductSpace(f.space, g.space)
 
-    def ev(points):
-        A = f.evaluate_batch([pl for pl, _ in points])
-        B = g.evaluate_batch([pr for _, pr in points])
+    nr = g.space.n_components
+
+    def ev(x, ci):
+        cl, cr = divmod(ci, nr)
+        dl = f.space.component_x_dim(cl)
+        A = f.evaluate_batch(x[:, :dl], cl)
+        B = g.evaluate_batch(x[:, dl:], cr)
         (P, na, a, _), (_, nb, b, _) = A.shape, B.shape
         eye_a, eye_b = np.eye(a, dtype=complex), np.eye(b, dtype=complex)
         # kron(m, I_b) and kron(I_a, m), stacked
@@ -367,10 +359,10 @@ def extend_free_product(f: Family, G: GroupPresentation) -> Family:
             )
     positions = [G.generator_index(name) for name in f.group.generators]
 
-    def ev(points):
-        A = f.evaluate_batch(points)
+    def ev(x, ci):
+        A = f.evaluate_batch(x, ci)
         k = A.shape[-1]
-        shape = (len(points), len(G.generators), k, k)
+        shape = (len(x), len(G.generators), k, k)
         out = np.broadcast_to(np.eye(k, dtype=complex), shape).copy()
         out[:, positions] = A
         return out
@@ -395,11 +387,10 @@ def disjoint_union(f: Family, g: Family) -> Family:
         raise ValueError("disjoint_union requires the same group on both sides")
     space = DisjointUnionSpace(f.space, g.space)
 
-    def ev(points):
-        side = points[0][0]
-        if any(s != side for s, _ in points):
-            raise ValueError("a batch of points must lie on one side of the union")
-        return (f if side == 0 else g).evaluate_batch([p for _, p in points])
+    nl = f.space.n_components
+
+    def ev(x, ci):
+        return f.evaluate_batch(x, ci) if ci < nl else g.evaluate_batch(x, ci - nl)
 
     chern = (
         f.chern + g.chern if (f.chern is not None and g.chern is not None) else None
@@ -421,9 +412,9 @@ def direct_sum(f: Family, g: Family) -> Family:
     if f.space != g.space:
         raise ValueError("direct_sum requires the same parameter space")
 
-    def ev(points):
-        A = f.evaluate_batch(points)
-        B = g.evaluate_batch(points)
+    def ev(x, ci):
+        A = f.evaluate_batch(x, ci)
+        B = g.evaluate_batch(x, ci)
         a = A.shape[-1]
         out = np.zeros(A.shape[:2] + (a + B.shape[-1],) * 2, dtype=complex)
         out[..., :a, :a] = A
@@ -601,8 +592,8 @@ def pullback_family(f: Family, cover: Cover) -> Family:
         raise ValueError("family group does not match the cover's ambient group")
     words = cover.sub_generator_words
 
-    def ev(points):
-        rep = f.evaluate_batch(points)
+    def ev(x, ci):
+        rep = f.evaluate_batch(x, ci)
         return np.stack([evaluate_word(w, rep) for w in words], axis=1)
 
     chern = None
@@ -666,10 +657,10 @@ def induce_family(
         perms.append(perm)
         blocks.append(words)
 
-    def ev(points):
-        rep = f.evaluate_batch(points)
+    def ev(x, ci):
+        rep = f.evaluate_batch(x, ci)
         k = rep.shape[-1]
-        out = np.zeros((len(points), len(G.generators), k * c, k * c), dtype=complex)
+        out = np.zeros((len(x), len(G.generators), k * c, k * c), dtype=complex)
         for gi, perm in enumerate(perms):
             for j, i in enumerate(perm):
                 out[:, gi, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(
@@ -706,8 +697,8 @@ def holonomy_loop(
 ) -> np.ndarray:
     """Holonomy matrices of a word along a closed parameter-axis loop, as a
     stack ``(samples + 1, k, k)``."""
-    pts = f.space.axis_loop(component, axis, samples)
-    return evaluate_word(w, f.evaluate_batch(pts))
+    x = f.space.axis_loop(component, axis, samples)
+    return evaluate_word(w, f.evaluate_batch(x, component))
 
 
 def axis_windings(
@@ -716,7 +707,7 @@ def axis_windings(
     """Winding of det(holonomy of each word) along each parameter axis of
     component ``ci``; each axis loop is evaluated once, for every word."""
     loops = [
-        f.evaluate_batch(f.space.axis_loop(ci, axis, samples))
+        f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci)
         for axis in range(f.space.component_x_dim(ci))
     ]
     return [[winding_number(evaluate_word(w, s)) for s in loops] for w in words]

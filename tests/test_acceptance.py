@@ -104,6 +104,12 @@ def _naive_product(a_records, b_records):
     return {m: c for m, c in out.items() if c}
 
 
+def _grid_rows(res):
+    """Every point of a grid with per-axis resolutions ``res`` as a row of
+    coordinates j / r, left-major."""
+    return list(itertools.product(*([j / r for j in range(r)] for r in res)))
+
+
 def _random_structured_family(rng):
     f = fd.character_family_Zn(rng.randint(1, 2), rng.choice([2, 4]))
     if rng.random() < 0.4:
@@ -130,11 +136,12 @@ def test_criterion_3_tensor_multiplicativity():
             assert got == expected
 
             # pointwise Kronecker trace identity, 20 samples per pair
-            pts = list(t.space.component_points(0))
+            pts = _grid_rows(t.space.components[0])
+            dl = f.space.component_x_dim(0)
             for i in range(20):
-                pl, pr = pts[(i * 7) % len(pts)]
-                A = f.evaluate(pl).matrices[0]
-                B = g.evaluate(pr).matrices[0]
+                row = pts[(i * 7) % len(pts)]
+                A = f.evaluate(row[:dl]).matrices[0]
+                B = g.evaluate(row[dl:]).matrices[0]
                 assert (
                     abs(np.trace(np.kron(A, B)) - np.trace(A) * np.trace(B))
                     <= 1e-10
@@ -168,7 +175,7 @@ def test_criterion_4_induction_character_identity():
         for fam, cover in cases:
             ind = fd.induce_family(fam, cover)
             words = _reduced_words_up_to(len(cover.ambient.generators), 4)
-            pts = list(fam.space.component_points(0))
+            pts = _grid_rows(fam.space.components[0])
             step = max(1, len(pts) // 32)
             sampled = pts[::step][:32]
             assert len(sampled) >= 32 or len(pts) < 32

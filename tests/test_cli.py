@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,39 @@ def test_family_build_of_a_cover_with_entries_near_2_pow_40(workdir, capsys):
             # float powers of 2^40 drift past the homomorphism tolerance
             assert code == 5
             assert "fails the homomorphism check" in capsys.readouterr().err
+
+
+def test_forms_chern_states_the_gap_of_a_loop_that_does_not_close(workdir, capsys):
+    # closed in exact arithmetic; the float 2^40-th powers drift apart
+    big = 2**40
+    cover = f"sublattice([[{big + 1}, {big}], [{big}, {big - 1}]])"
+    (workdir / "big.fam").write_text(
+        f"pullback(char_zn(2, 64), cover={cover}, cosets=[e], group=z2.grp)\n"
+    )
+    capsys.readouterr()
+    assert run(["forms", "chern", "--family", str(workdir / "big.fam")]) == 5
+    err = capsys.readouterr().err
+    m = re.fullmatch(
+        r"error: loop is not closed: first and last samples differ by (\S+) "
+        r"\(bound 1e-9\)\n",
+        err,
+    )
+    assert m and float(m.group(1)) > 1e-9, err
+
+
+def test_grid_too_large_to_index_fails_verification_exit5(workdir, capsys):
+    (workdir / "huge.fam").write_text("char_zn(1, 99999999999999999999999)\n")
+    fam = str(workdir / "huge.fam")
+    out = workdir / "huge.json"
+    assert run(["family", "build", "--expr", fam, "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        "family verification failed: component 0: the 99999999999999999999999 grid "
+        "has 99999999999999999999999 points, too many to index\n"
+    )
+    assert not out.exists()
+    # windings sample their own loops, so the grid size does not matter
+    assert run(["forms", "chern", "--family", fam, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["windings"] == [[[1]]]
 
 
 def test_forms_chern_windings(workdir):

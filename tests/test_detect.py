@@ -438,7 +438,7 @@ def trivial_grid_family(model: Family, dim: int = 1) -> Family:
         group=model.group,
         space=model.space,
         fiber_dims=(dim,) * model.space.n_components,
-        evaluate_fn=lambda points: np.array([mats] * len(points)),
+        evaluate_fn=lambda x, ci: np.array([mats] * len(x)),
         structure=f"trivial_grid(dim={dim})",
         chern=(MultiForm.constant(dim),) * model.space.n_components,
     )

@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from flatdetect import families
 from flatdetect.charforms import MultiForm, xgen, zgen
 from flatdetect.families import (
     HOMOMORPHISM_TOL,
@@ -47,30 +49,76 @@ from flatdetect.presentation import (
 
 def test_torus_grid_points_and_loop():
     g = TorusGrid(2, 4)
-    pts = list(g.component_points(0))
-    assert len(pts) == 16
+    assert g.components == ((4, 4),)
     loop = g.axis_loop(0, 1, samples=8)
-    assert len(loop) == 9
-    assert loop[0] == loop[-1] or loop[-1][1] == 1  # closes mod 1
+    assert loop.shape == (9, 2)
+    assert loop[-1].tolist() == [0.0, 1.0]  # closes mod 1
     with pytest.raises(ValueError):
         TorusGrid(2, 1)
 
 
 def test_product_loop_holds_other_factor_at_its_first_point():
+    # the first point of a factor is its origin: every other coordinate is 0
     left = ProductSpace(FinitePointSet(2), TorusGrid(1, 4))
-    assert left.axis_loop(1, 0) == [(1, (Fraction(j, 4),)) for j in range(5)]
+    assert left.axis_loop(1, 0).tolist() == [[j / 4] for j in range(5)]
     right = ProductSpace(TorusGrid(1, 2), TorusGrid(2, 2))
-    loop = right.axis_loop(0, 2)
-    assert [p[0] for p in loop] == [(Fraction(0),)] * 3
-    assert [p[1] for p in loop] == [(Fraction(0), Fraction(j, 2)) for j in range(3)]
+    assert right.axis_loop(0, 2).tolist() == [[0.0, 0.0, j / 2] for j in range(3)]
 
 
-def test_union_loop_keeps_side_tag():
+def test_union_loop_is_the_component_loop():
     u = DisjointUnionSpace(FinitePointSet(1), ProductSpace(FinitePointSet(2), TorusGrid(1, 2)))
-    # component 2 is the right side's second component: point 1 of pts[2]
-    assert u.axis_loop(2, 0) == [(1, (1, (Fraction(j, 2),))) for j in range(3)]
-    with pytest.raises(ValueError):
+    # component 2 is the right side's second component
+    assert u.axis_loop(2, 0).tolist() == [[j / 2] for j in range(3)]
+    with pytest.raises(ValueError, match="out of range"):
         u.axis_loop(0, 0)
+
+
+@st.composite
+def _space_tree(draw, depth: int = 2):
+    """A parameter space and, from the definitions, its per-component grid
+    resolutions: products pair components left-major, unions concatenate."""
+    kind = draw(st.sampled_from(["torus", "points"] + (["product", "union"] if depth else [])))
+    if kind == "torus":
+        # at r = 10, j * (1 / r) and j / r differ in the last bit for some j
+        r = draw(st.sampled_from([2, 3, 10]))
+        dim = 1 if r == 10 else draw(st.integers(1, 2))
+        return TorusGrid(dim, r), [(r,) * dim]
+    if kind == "points":
+        count = draw(st.integers(1, 3))
+        return FinitePointSet(count), [()] * count
+    (left, rl), (right, rr) = draw(_space_tree(depth - 1)), draw(_space_tree(depth - 1))
+    if kind == "union":
+        return DisjointUnionSpace(left, right), rl + rr
+    return ProductSpace(left, right), [a + b for a in rl for b in rr]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_space_tree(), st.sampled_from([1, 2, 5, 16, VERIFY_CHUNK]))
+def test_verify_batches_cover_each_grid_once_in_left_major_order(tree, chunk):
+    space, res = tree
+    assume(sum(np.prod(r) for r in res) <= 2000)
+    assert space.components == tuple(res)
+    assert space.n_components == len(res)
+    assert [space.component_x_dim(ci) for ci in range(len(res))] == [len(r) for r in res]
+    batches = []
+
+    def record(x, ci):
+        batches.append((ci, x.copy()))
+        return np.ones((len(x), 1, 1, 1), dtype=complex)
+
+    f = Family(free_group(1), space, (1,) * len(res), record, "recorder")
+    with mock.patch.object(families, "VERIFY_CHUNK", chunk):
+        assert verify_family(f)
+    assert all(len(x) <= chunk for _, x in batches)
+    assert [ci for ci, _ in batches] == sorted(ci for ci, _ in batches)
+    for ci, r in enumerate(res):
+        rows = [x for cj, x in batches if cj == ci]
+        want = np.array(
+            [[float(Fraction(j, n)) for j, n in zip(idx, r)]
+             for idx in itertools.product(*(range(n) for n in r))],
+            dtype=float,
+        )
+        assert np.concatenate(rows).tobytes() == want.tobytes()
 
 
 def test_base_dim_is_derived_from_group_and_forms():
@@ -88,6 +136,12 @@ def test_component_bookkeeping():
     p = ProductSpace(TorusGrid(1, 2), TorusGrid(2, 2))
     assert p.n_components == 1
     assert p.component_x_dim(0) == 3
+    assert u.components == ((4,), (), (), ())
+    p = ProductSpace(
+        DisjointUnionSpace(TorusGrid(1, 2), FinitePointSet(1)),
+        DisjointUnionSpace(TorusGrid(2, 3), FinitePointSet(1)),
+    )
+    assert p.components == ((2, 3, 3), (2,), (3, 3), ())  # left-major
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +151,18 @@ def test_component_bookkeeping():
 
 def test_character_family_values():
     f = character_family_Zn(1, 4)
-    assert np.allclose(f.evaluate((Fraction(0),)).matrices[0], [[1.0]])
-    assert np.allclose(f.evaluate((Fraction(1, 2),)).matrices[0], [[-1.0]])
+    assert np.allclose(f.evaluate([0.0]).matrices[0], [[1.0]])
+    assert np.allclose(f.evaluate([0.5]).matrices[0], [[-1.0]])
+
+
+def test_evaluate_rejects_nested_points_and_wrong_components():
+    t = tensor_families(character_family_Zn(1, 4), character_family_Zn(1, 4))
+    assert np.allclose(t.evaluate([0.25, 0.5]).matrices[1], [[-1.0]])
+    for bad in (((0.25,), (0.5,)), [0.25], 0):
+        with pytest.raises(ValueError, match="not a stack of rows"):
+            t.evaluate(bad)
+    with pytest.raises(ValueError, match="not a stack of rows of component 1"):
+        t.evaluate_batch(np.zeros((1, 2)), 1)
 
 
 def test_character_family_chern():
@@ -124,11 +188,11 @@ def test_tensor_scalar_characters_multiply():
     f = character_family_Zn(1, 4)
     g = character_family_Zn(1, 4)
     t = tensor_families(f, g)
-    x, y = Fraction(1, 4), Fraction(3, 4)
-    rep = t.evaluate(((x,), (y,)))
+    x, y = 0.25, 0.75
+    rep = t.evaluate([x, y])
     assert np.allclose(
         rep.matrices[0] @ rep.matrices[1],
-        [[np.exp(2j * np.pi * float(x + y))]],
+        [[np.exp(2j * np.pi * (x + y))]],
     )
 
 
@@ -151,10 +215,10 @@ def test_tensor_trace_identity_on_samples():
     f = character_family_Zn(1, 4)
     g = direct_sum(character_family_Zn(1, 4), character_family_Zn(1, 4))
     t = tensor_families(f, g)
-    for (pl, pr) in itertools.islice(t.space.component_points(0), 16):
-        A = f.evaluate(pl).matrices[0]
-        B = g.evaluate(pr).matrices[0]
-        K = t.evaluate((pl, pr)).matrices[0] @ t.evaluate((pl, pr)).matrices[1]
+    for pl, pr in itertools.product(np.arange(4) / 4, repeat=2):
+        A = f.evaluate([pl]).matrices[0]
+        B = g.evaluate([pr]).matrices[0]
+        K = t.evaluate([pl, pr]).matrices[0] @ t.evaluate([pl, pr]).matrices[1]
         # product of the two generator images equals A (x) B
         assert abs(np.trace(np.kron(A, B)) - np.trace(A) * np.trace(B)) < 1e-10
         assert np.allclose(K, np.kron(A, B), atol=1e-10)
@@ -173,7 +237,7 @@ def test_tensor_verifies_as_homomorphism():
 def test_extend_second_generator_acts_trivially():
     F2 = free_group(2, ("a", "b"))
     f = extend_free_product(character_family_Zn(1, 4, ("a",)), F2)
-    rep = f.evaluate((Fraction(1, 4),))
+    rep = f.evaluate([0.25])
     assert np.allclose(rep.matrices[0], [[1j]])
     assert np.allclose(rep.matrices[1], [[1.0]])
     assert verify_family(f)
@@ -190,7 +254,7 @@ def test_extend_trivial_family_stays_trivial():
     F2 = free_group(2, ("a", "b"))
     t = trivial_family(free_group(1, ("a",)), dim=2)
     e = extend_free_product(t, F2)
-    rep = e.evaluate(0)
+    rep = e.evaluate(())
     assert all(np.allclose(m, np.eye(2)) for m in rep.matrices)
 
 
@@ -263,7 +327,7 @@ def test_induce_trivial_from_double_cover_is_swap():
     triv = trivial_family(free_abelian(1))
     cov = circle_cover(2)
     ind = induce_family(triv, cov)
-    m = ind.evaluate(0).matrices[0]
+    m = ind.evaluate(()).matrices[0]
     assert np.allclose(m, [[0, 1], [1, 0]])
     assert abs(np.trace(m)) < 1e-14
 
@@ -273,9 +337,9 @@ def test_induce_character_from_double_cover():
     f = character_family_Zn(1, 8)
     cov = circle_cover(2)
     ind = induce_family(f, cov)
-    x = Fraction(3, 8)
-    a = ind.evaluate((x,)).matrices[0]
-    phase = np.exp(2j * np.pi * float(x))
+    x = 3 / 8
+    a = ind.evaluate([x]).matrices[0]
+    phase = np.exp(2j * np.pi * x)
     assert np.allclose(a, [[0, phase], [1, 0]])
     assert abs(np.trace(a)) < 1e-14
     assert abs(np.trace(a @ a) - 2 * phase) < 1e-12
@@ -289,10 +353,10 @@ def test_induce_klein_bottle_blocks():
     f = character_family_Zn(2, 8)
     cov = KleinBottleCover()
     ind = induce_family(f, cov)
-    x1, x2 = Fraction(1, 8), Fraction(3, 8)
-    rep = ind.evaluate((x1, x2))
-    p1 = np.exp(2j * np.pi * float(x1))
-    p2 = np.exp(2j * np.pi * float(x2))
+    x1, x2 = 1 / 8, 3 / 8
+    rep = ind.evaluate([x1, x2])
+    p1 = np.exp(2j * np.pi * x1)
+    p2 = np.exp(2j * np.pi * x2)
     assert np.allclose(rep.matrices[0], np.diag([p1, np.conj(p1)]))
     assert np.allclose(rep.matrices[1], [[0, p2], [1, 0]])
     assert ind.chern is None  # no rational base model for the Klein bottle
@@ -308,7 +372,7 @@ def test_induction_character_identity_circle():
     f = character_family_Zn(1, 8)
     cov = circle_cover(3)
     ind = induce_family(f, cov)
-    x = (Fraction(5, 8),)
+    x = [5 / 8]
     rho = f.evaluate(x)
     for exps in itertools.product([1, -1], repeat=4):
         for L in range(5):
@@ -334,10 +398,8 @@ def test_pullback_speeds_up_character():
     f = character_family_Zn(1, 8)
     cov = circle_cover(3)
     p = pullback_family(f, cov)
-    x = Fraction(1, 8)
-    assert np.allclose(
-        p.evaluate((x,)).matrices[0], [[np.exp(2j * np.pi * 3 * float(x))]]
-    )
+    x = 1 / 8
+    assert np.allclose(p.evaluate([x]).matrices[0], [[np.exp(2j * np.pi * 3 * x)]])
     assert p.chern[0] == 1 + 3 * zgen(1) * xgen(1)
 
 
@@ -448,14 +510,14 @@ def test_family_invariant_failure_detected():
         group=G,
         space=FinitePointSet(1),
         fiber_dims=(2,),
-        evaluate_fn=lambda points: np.array(
+        evaluate_fn=lambda x, ci: np.array(
             [
                 [
                     np.array([[0, 1], [1, 0]], dtype=complex),
                     np.array([[1, 0], [0, -1]], dtype=complex),
                 ]
             ]
-            * len(points)
+            * len(x)
         ),
         structure="bad",
     )
@@ -470,7 +532,7 @@ def test_verify_reports_the_first_failure_past_the_first_chunk():
         with pytest.raises(ValueError) as exc:
             verify_family(_broken_circle_family(r, late, value))
         assert str(exc.value) == (
-            f"point {(Fraction(late[0], r),)!r} fails the homomorphism check "
+            f"component 0: point {(Fraction(late[0], r),)!r} fails the homomorphism check "
             f"at {HOMOMORPHISM_TOL}"
         )
     assert verify_family(_broken_circle_family(r, [], 2.0))
@@ -496,10 +558,10 @@ def _broken_circle_family(resolution: int, broken, value) -> Family:
     """U(1) characters of Z over a circle grid, with ``value`` in place of
     the character at the grid indices in ``broken``."""
 
-    def ev(points):
-        m = np.exp(2j * np.pi * np.array([float(p[0]) for p in points]))
-        m[[i for i, p in enumerate(points) if p[0] * resolution in broken]] = value
-        return m.reshape(len(points), 1, 1, 1)
+    def ev(x, ci):
+        m = np.exp(2j * np.pi * x[:, 0])
+        m[np.isin(np.rint(x[:, 0] * resolution), broken)] = value
+        return m.reshape(len(x), 1, 1, 1)
 
     return Family(
         group=free_abelian(1),
@@ -510,11 +572,17 @@ def _broken_circle_family(resolution: int, broken, value) -> Family:
     )
 
 
-def test_union_batch_rejects_points_of_both_sides():
-    u = disjoint_union(character_family_Zn(1, 2), character_family_Zn(1, 2))
-    assert np.isclose(u.evaluate_batch([(1, (Fraction(1, 2),))])[0, 0, 0, 0], -1)
-    with pytest.raises(ValueError, match="one side"):
-        u.evaluate_batch([(0, (Fraction(0),)), (1, (Fraction(0),))])
+def test_union_routes_components_past_the_left_side_to_the_right():
+    pair = disjoint_union(character_family_Zn(1, 2), character_family_Zn(1, 2))
+    u = disjoint_union(
+        extend_free_product(trivial_family(free_group(1), 2), free_group(1)),
+        disjoint_union(trivial_family(free_group(1), 3), trivial_family(free_group(1), 1)),
+    )
+    assert np.isclose(pair.evaluate_batch([[0.5]], 1)[0, 0, 0, 0], -1)
+    assert u.space.components == ((), (), ())
+    assert [u.evaluate((), ci).matrices[0].shape for ci in range(3)] == [(2, 2), (3, 3), (1, 1)]
+    with pytest.raises(ValueError, match="component 3"):
+        u.evaluate((), 3)
 
 
 def test_axis_loop_zero_samples_is_not_the_default():
@@ -585,7 +653,7 @@ def _zn_tree(draw, n: int, depth: int):
     kind = draw(st.sampled_from(kinds))
     if kind == "char":
         f = character_family_Zn(n, draw(st.integers(2, 3)))
-        return f, lambda ci, x: [np.array([[np.exp(2j * np.pi * float(v))]]) for v in x]
+        return f, lambda ci, x: [np.array([[np.exp(2j * np.pi * v)]]) for v in x]
     if kind == "trivial":
         dim = draw(st.integers(1, 2))
         return trivial_family(free_abelian(n), dim), lambda ci, x: [np.eye(dim)] * n
@@ -612,9 +680,7 @@ def _zn_tree(draw, n: int, depth: int):
     nl = f.space.n_components
 
     def union_ref(ci, x):
-        side, p = x
-        assert side == (0 if ci < nl else 1)
-        return rf(ci, p) if side == 0 else rg(ci - nl, p)
+        return rf(ci, x) if ci < nl else rg(ci - nl, x)
 
     return disjoint_union(f, g), union_ref
 
@@ -642,13 +708,14 @@ def _family_tree(draw):
             return [np.eye(mats[0].shape[0])] + list(mats)
 
         return extend_free_product(f, G), extended
-    f, rf = draw(_zn_tree(1, 1))
+    f, rf = draw(_zn_tree(draw(st.integers(1, 2)), 1))
     g, rg = draw(_zn_tree(draw(st.integers(1, 2)), 1))
     nr = g.space.n_components
 
     def tensored(ci, x):
-        (cl, cr), (pl, pr) = divmod(ci, nr), x
-        A, B = rf(cl, pl), rg(cr, pr)
+        cl, cr = divmod(ci, nr)
+        dl = f.space.component_x_dim(cl)
+        A, B = rf(cl, x[:dl]), rg(cr, x[dl:])
         a, b = A[0].shape[0], B[0].shape[0]
         return [np.kron(m, np.eye(b)) for m in A] + [np.kron(np.eye(a), m) for m in B]
 
@@ -659,21 +726,13 @@ def _family_tree(draw):
 @given(_family_tree())
 def test_batch_evaluation_matches_per_point_references(tree):
     fam, ref = tree
-    space = fam.space
-    for ci in range(space.n_components):
-        pts = list(space.component_points(ci))
-        if isinstance(space, ProductSpace):  # left-major order
-            cl, cr = divmod(ci, space.right.n_components)
-            assert pts == [
-                (pl, pr)
-                for pl in space.left.component_points(cl)
-                for pr in space.right.component_points(cr)
-            ]
-        pts = pts[:8]
+    for ci, res in enumerate(fam.space.components):
+        grid = itertools.product(*(np.arange(r) / r for r in res))
+        pts = np.array(list(itertools.islice(grid, 8)), dtype=float)
         k = fam.fiber_dims[ci]
-        stack = fam.evaluate_batch(pts)
+        stack = fam.evaluate_batch(pts, ci)
         assert stack.shape == (len(pts), len(fam.group.generators), k, k)
         for mats, point in zip(stack, pts):
             assert np.allclose(mats, np.array(ref(ci, point)), rtol=0, atol=1e-12)
-        single = np.array(fam.evaluate(pts[-1]).matrices)
+        single = np.array(fam.evaluate(pts[-1], ci).matrices)
         assert np.allclose(single, stack[-1], rtol=0, atol=1e-12)
