@@ -6,8 +6,9 @@ produce byte-identical outputs; exact results are serialized as rational
 strings, floats appear only in numeric diagnostics.
 
 Exit codes: 0 success, 2 usage error (including flag values out of range),
-3 input error (an unreadable file, or a malformed expression or payload,
-including values a constructor rejects), 4 solver non-convergence,
+3 input error (an unreadable or unwritable file, input nested too deeply, or
+a malformed expression or payload, including values a constructor rejects),
+4 solver non-convergence,
 5 obstruction or verification failure.
 
 Family/descriptor expressions are a small call language, e.g.::
@@ -622,11 +623,13 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return ns.fn(ns)
-    except (PresentationError, ExprError, json.JSONDecodeError) as exc:
+    except (
+        PresentationError, ExprError, json.JSONDecodeError, UnicodeDecodeError, OSError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply\n")
         return EXIT_PARSE
     except (detect.DetectionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -96,7 +96,8 @@ class DirectProduct:
 @dataclass(frozen=True)
 class FiniteIndexSuper:
     """A finite-index supergroup of ``sub``; its rational homology cannot be
-    derived here and must be supplied as a table of labels per degree."""
+    derived here and must be supplied as a table of labels per degree, with
+    exactly one label (the point class) in degree 0."""
 
     sub: "GroupClassDescriptor"
     index: int
@@ -106,6 +107,8 @@ class FiniteIndexSuper:
     def __post_init__(self):
         if self.index < 2:
             raise ValueError("index must be >= 2")
+        if self.homology is not None and (not self.homology or len(self.homology[0]) != 1):
+            raise ValueError("a homology table needs exactly one degree-0 label")
 
     def describe(self) -> str:
         return f"finite_index_super({self.sub.describe()}, {self.index}, {self.label})"
@@ -138,104 +141,66 @@ class HomologyBasis:
         return [c for degree in self.classes for c in degree]
 
 
-def _shift_basis(b: HomologyBasis, z_offset: int, tag: str) -> HomologyBasis:
-    shifted = tuple(
-        tuple(
-            BasisClass(
-                label=f"{tag}{c.label}",
-                degree=c.degree,
-                monomial=tuple(i + z_offset for i in c.monomial)
-                if c.monomial is not None
-                else None,
-            )
-            for c in degree
-        )
-        for degree in b.classes
-    )
-    return HomologyBasis(shifted, b.z_dim)
+def _basis(classes: Sequence[BasisClass], top: int, z_dim: int) -> HomologyBasis:
+    """Group a flat class list by degree 0..top, keeping the order within
+    each degree."""
+    degrees = [[] for _ in range(top + 1)]
+    for c in classes:
+        degrees[c.degree].append(c)
+    return HomologyBasis(tuple(map(tuple, degrees)), z_dim)
 
 
 def rational_homology(d: GroupClassDescriptor) -> HomologyBasis:
     """Labeled basis of the rational homology of the classifying space."""
-    if isinstance(d, FreeAbelian):
-        n = d.rank
-        degrees = []
-        for q in range(n + 1):
-            classes = []
-            for subset in itertools.combinations(range(1, n + 1), q):
-                label = "pt" if q == 0 else "^".join(f"z{i}" for i in subset)
-                classes.append(BasisClass(label, q, subset))
-            degrees.append(tuple(classes))
-        return HomologyBasis(tuple(degrees), n)
-    if isinstance(d, Free):
-        point = (BasisClass("pt", 0, ()),)
-        if d.rank == 0:
-            return HomologyBasis((point,), 0)
-        ones = tuple(
-            BasisClass(f"z{i}", 1, (i,)) for i in range(1, d.rank + 1)
-        )
-        return HomologyBasis((point, ones), d.rank)
+    if isinstance(d, SurfaceClosed) and d.genus == 1:
+        d = FreeAbelian(2)
+    if isinstance(d, (Free, FreeAbelian)):
+        # the torus model; a wedge of circles stops at degree 1
+        top = min(d.rank, 1) if isinstance(d, Free) else d.rank
+        classes = [
+            BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, subset)
+            for q in range(top + 1)
+            for subset in itertools.combinations(range(1, d.rank + 1), q)
+        ]
+        return _basis(classes, top, d.rank)
     if isinstance(d, SurfaceClosed):
-        g = d.genus
-        if g == 1:
-            return rational_homology(FreeAbelian(2))
-        point = (BasisClass("pt", 0, ()),)
-        ones = tuple(
-            BasisClass(name, 1, None)
-            for i in range(1, g + 1)
-            for name in (f"a{i}", f"b{i}")
-        )
-        top = (BasisClass("fundamental", 2, None),)
-        return HomologyBasis((point, ones, top), 2 * g)
-    if isinstance(d, FreeProduct):
-        bl = rational_homology(d.left)
-        br = _shift_basis(rational_homology(d.right), bl.z_dim, "R.")
-        top = max(len(bl.classes), len(br.classes))
-        degrees = [(BasisClass("pt", 0, ()),)]
-        for q in range(1, top):
-            row = []
-            if q < len(bl.classes):
-                row.extend(bl.classes[q])
-            if q < len(br.classes):
-                row.extend(br.classes[q])
-            degrees.append(tuple(row))
-        return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
-    if isinstance(d, DirectProduct):
-        bl = rational_homology(d.left)
-        br = _shift_basis(rational_homology(d.right), bl.z_dim, "R.")
-        top = (len(bl.classes) - 1) + (len(br.classes) - 1)
-        degrees = []
-        for q in range(top + 1):
-            row = []
-            for ql in range(len(bl.classes)):
-                qr = q - ql
-                if not 0 <= qr < len(br.classes):
-                    continue
-                for cl in bl.classes[ql]:
-                    for cr in br.classes[qr]:
-                        mono = (
-                            cl.monomial + cr.monomial
-                            if cl.monomial is not None and cr.monomial is not None
-                            else None
-                        )
-                        label = (
-                            cl.label
-                            if cr.degree == 0
-                            else (cr.label if cl.degree == 0 else f"{cl.label}x{cr.label}")
-                        )
-                        row.append(BasisClass(label, q, mono))
-            degrees.append(tuple(row))
-        return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
+        ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, d.genus + 1) for ab in "ab"]
+        classes = [BasisClass("pt", 0, ()), *ones, BasisClass("fundamental", 2, None)]
+        return _basis(classes, 2, 2 * d.genus)
+    if isinstance(d, (FreeProduct, DirectProduct)):
+        bl, br = rational_homology(d.left), rational_homology(d.right)
+        left, z_dim = bl.all_classes(), bl.z_dim + br.z_dim
+        right = [
+            BasisClass(
+                f"R.{c.label}",
+                c.degree,
+                None if c.monomial is None else tuple(i + bl.z_dim for i in c.monomial),
+            )
+            for c in br.all_classes()
+        ]
+        tops = (len(bl.classes) - 1, len(br.classes) - 1)
+        if isinstance(d, FreeProduct):
+            positive = [c for c in left + right if c.degree > 0]
+            return _basis([BasisClass("pt", 0, ()), *positive], max(tops), z_dim)
+        classes = [
+            BasisClass(
+                "x".join(c.label for c in (cl, cr) if c.degree > 0) or cl.label,
+                cl.degree + cr.degree,
+                None if None in (cl.monomial, cr.monomial) else cl.monomial + cr.monomial,
+            )
+            for cl in left
+            for cr in right
+        ]
+        return _basis(classes, sum(tops), z_dim)
     if isinstance(d, FiniteIndexSuper):
         if d.homology is None:
             raise DetectionError(
                 f"finite-index supergroup {d.label!r} needs a supplied homology table"
             )
-        degrees = tuple(
-            tuple(BasisClass(label, q, None) for label in labels)
-            for q, labels in enumerate(d.homology)
-        )
-        return HomologyBasis(degrees, 0)
+        classes = [
+            BasisClass(label, q, None) for q, labels in enumerate(d.homology) for label in labels
+        ]
+        return _basis(classes, len(d.homology) - 1, 0)
     raise TypeError(f"unsupported descriptor {d!r}")
 
 
@@ -413,20 +378,11 @@ def numeric_detection_report(
 # ---------------------------------------------------------------------------
 
 
-def transfer_scaling_check(
-    f: Family,
-    index: int,
-    pulled: Family | None = None,
-    *,
-    cover: Cover,
-) -> bool:
-    """Check that pulling a family back along a structured cover and inducing
-    it up again multiplies every detection-matrix entry by exactly the index.
-
-    ``f`` is a family of the ambient group; ``pulled`` defaults to the
-    pullback of ``f`` along the cover.
-    """
-    if cover.pullback_matrix is None:
+def transfer_scaling_check(f: Family, index: int, *, cover: Cover) -> bool:
+    """Check that pulling a family ``f`` of the ambient group back along a
+    structured cover and inducing it up again multiplies every
+    detection-matrix entry by exactly the index."""
+    if cover.basis is None:
         raise DetectionError(
             f"unsupported cover description {cover.describe()!r}: no rational model"
         )
@@ -435,9 +391,7 @@ def transfer_scaling_check(
             f"cover has index {cover.index}, expected {index}"
         )
     ambient = FreeAbelian(len(cover.ambient.generators))
-    if pulled is None:
-        pulled = pullback_family(f, cover)
-    round_trip = induce_family(pulled, cover)
+    round_trip = induce_family(pullback_family(f, cover), cover)
     base = detection_matrix(ambient, [f])
     scaled = detection_matrix(ambient, [round_trip])
     if base.col_labels != scaled.col_labels or base.row_labels != scaled.row_labels:

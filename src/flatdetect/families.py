@@ -528,10 +528,6 @@ class SublatticeCover:
             coeffs.append(int(c))
         return free_reduce(Word(tuple(enumerate(coeffs))))
 
-    @property
-    def pullback_matrix(self) -> list[list[Fraction]]:
-        return [[Fraction(v) for v in row] for row in self.basis]
-
     def describe(self) -> str:
         return f"sublattice(index={self.index})"
 
@@ -554,7 +550,7 @@ class KleinBottleCover:
         self.sub = free_abelian(2)
         self.index = 2
         self.cosets = (Word(()), Word(((1, 1),)))
-        self.pullback_matrix = None
+        self.basis = None
         self.inverse = None
 
     @property
@@ -597,8 +593,8 @@ def pullback_family(f: Family, cover: Cover) -> Family:
         return np.stack([evaluate_word(w, rep) for w in words], axis=1)
 
     chern = None
-    if cover.pullback_matrix is not None and f.chern is not None:
-        images = _linear_forms(cover.pullback_matrix)
+    if cover.basis is not None and f.chern is not None:
+        images = _linear_forms(cover.basis)
         chern = tuple(ch.subst_z(images) for ch in f.chern)
     return Family(
         group=cover.sub,

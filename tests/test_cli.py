@@ -396,6 +396,18 @@ def test_descriptor_signature_error_exit3(workdir, capsys):
             "finite_index_super(free(2), 2, klein)",
             "finite_index_super needs keyword argument(s) homology",
         ),
+        (
+            "finite_index_super(free_abelian(2), 2, k, homology=[])",
+            "a homology table needs exactly one degree-0 label",
+        ),
+        (
+            "finite_index_super(free_abelian(2), 2, k, homology=[[], [b]])",
+            "a homology table needs exactly one degree-0 label",
+        ),
+        (
+            "finite_index_super(free_abelian(2), 2, k, homology=[[pt, q], [b]])",
+            "a homology table needs exactly one degree-0 label",
+        ),
     ],
 )
 def test_descriptor_value_and_type_errors_exit3(workdir, capsys, group, message):
@@ -425,6 +437,55 @@ def test_forms_eval_malformed_payload_exit3(workdir, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--presentation", "adir"],
+        ["parse", "--presentation", "bad.grp"],
+        ["parse", "--presentation", "z2.grp", "--out", "adir"],
+        ["rep", "solve", "--presentation", "adir", "--dim", "2"],
+        ["rep", "solve", "--presentation", "bad.grp", "--dim", "2"],
+        ["family", "build", "--expr", "adir"],
+        ["family", "build", "--expr", "bad.fam"],
+        ["family", "build", "--expr", "group_is_dir.fam"],
+        ["family", "build", "--expr", "z2.fam", "--out", "adir"],
+        ["forms", "chern", "--family", "bad.fam"],
+        ["forms", "eval", "--in", "adir"],
+        ["forms", "eval", "--in", "bad.json"],
+        ["detect", "run", "--group", "free(2)", "--families", "adir"],
+        ["detect", "run", "--group", "free(2)", "--families", "bad.fam"],
+        ["report", "--group", "free(2)", "--families", "bad.fam"],
+        ["report", "--bm", "2", "2", "--out", "adir"],
+    ],
+)
+def test_unreadable_or_unwritable_file_exit3(workdir, capsys, argv):
+    (workdir / "adir").mkdir()
+    for name in ("bad.grp", "bad.fam", "bad.json"):
+        (workdir / name).write_bytes(b"\xff\xfe not utf-8\n")
+    (workdir / "group_is_dir.fam").write_text("trivial(group=adir)\n")
+    files = ("adir", "bad.grp", "bad.fam", "bad.json", "group_is_dir.fam", "z2.grp", "z2.fam")
+    assert run([str(workdir / a) if a in files else a for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        (["family", "build", "--expr"], "deep.fam",
+         "union(" * 330 + "char_zn(1, 2)" + ", char_zn(1, 2))" * 330),
+        (["family", "build", "--expr"], "deep_gens.fam",
+         "char_zn(1, 4, gens=" + "[" * 1000 + "a" + "]" * 1000 + ")"),
+        (["forms", "eval", "--in"], "deep.json", "[" * 5000 + "]" * 5000),
+    ],
+    ids=["union", "gens", "json"],
+)
+def test_input_nested_too_deeply_exit3(workdir, capsys, command, name, text):
+    (workdir / name).write_text(text + "\n")
+    assert run([*command, str(workdir / name)]) == 3
+    assert capsys.readouterr().err == "error: input nested too deeply\n"
 
 
 @pytest.mark.parametrize(

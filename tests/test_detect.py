@@ -15,6 +15,7 @@ from flatdetect.detect import (
     Free,
     FreeAbelian,
     FreeProduct,
+    HomologyBasis,
     SurfaceClosed,
     betti_inequality_check,
     bm_obstruction,
@@ -149,6 +150,152 @@ def test_finite_index_super_requires_table():
         rational_homology(d)
     d2 = FiniteIndexSuper(FreeAbelian(2), 2, "klein", (("pt",), ("b",)))
     assert rational_homology(d2).betti() == (1, 1)
+
+
+def _reference_shift_basis(b, z_offset, tag):
+    shifted = tuple(
+        tuple(
+            BasisClass(
+                label=f"{tag}{c.label}",
+                degree=c.degree,
+                monomial=tuple(i + z_offset for i in c.monomial)
+                if c.monomial is not None
+                else None,
+            )
+            for c in degree
+        )
+        for degree in b.classes
+    )
+    return HomologyBasis(shifted, b.z_dim)
+
+
+def _reference_homology(d):
+    """The per-degree construction of rational_homology that the flat class
+    list replaced, kept as the reference it must agree with."""
+    if isinstance(d, FreeAbelian):
+        n = d.rank
+        degrees = []
+        for q in range(n + 1):
+            classes = []
+            for subset in itertools.combinations(range(1, n + 1), q):
+                label = "pt" if q == 0 else "^".join(f"z{i}" for i in subset)
+                classes.append(BasisClass(label, q, subset))
+            degrees.append(tuple(classes))
+        return HomologyBasis(tuple(degrees), n)
+    if isinstance(d, Free):
+        point = (BasisClass("pt", 0, ()),)
+        if d.rank == 0:
+            return HomologyBasis((point,), 0)
+        ones = tuple(BasisClass(f"z{i}", 1, (i,)) for i in range(1, d.rank + 1))
+        return HomologyBasis((point, ones), d.rank)
+    if isinstance(d, SurfaceClosed):
+        g = d.genus
+        if g == 1:
+            return _reference_homology(FreeAbelian(2))
+        point = (BasisClass("pt", 0, ()),)
+        ones = tuple(
+            BasisClass(name, 1, None) for i in range(1, g + 1) for name in (f"a{i}", f"b{i}")
+        )
+        top = (BasisClass("fundamental", 2, None),)
+        return HomologyBasis((point, ones, top), 2 * g)
+    if isinstance(d, FreeProduct):
+        bl = _reference_homology(d.left)
+        br = _reference_shift_basis(_reference_homology(d.right), bl.z_dim, "R.")
+        top = max(len(bl.classes), len(br.classes))
+        degrees = [(BasisClass("pt", 0, ()),)]
+        for q in range(1, top):
+            row = []
+            if q < len(bl.classes):
+                row.extend(bl.classes[q])
+            if q < len(br.classes):
+                row.extend(br.classes[q])
+            degrees.append(tuple(row))
+        return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
+    if isinstance(d, DirectProduct):
+        bl = _reference_homology(d.left)
+        br = _reference_shift_basis(_reference_homology(d.right), bl.z_dim, "R.")
+        top = (len(bl.classes) - 1) + (len(br.classes) - 1)
+        degrees = []
+        for q in range(top + 1):
+            row = []
+            for ql in range(len(bl.classes)):
+                qr = q - ql
+                if not 0 <= qr < len(br.classes):
+                    continue
+                for cl in bl.classes[ql]:
+                    for cr in br.classes[qr]:
+                        mono = (
+                            cl.monomial + cr.monomial
+                            if cl.monomial is not None and cr.monomial is not None
+                            else None
+                        )
+                        label = (
+                            cl.label
+                            if cr.degree == 0
+                            else (cr.label if cl.degree == 0 else f"{cl.label}x{cr.label}")
+                        )
+                        row.append(BasisClass(label, q, mono))
+            degrees.append(tuple(row))
+        return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
+    if d.homology is None:
+        raise DetectionError("needs a supplied homology table")
+    degrees = tuple(
+        tuple(BasisClass(label, q, None) for label in labels)
+        for q, labels in enumerate(d.homology)
+    )
+    return HomologyBasis(degrees, 0)
+
+
+def _table_super(sub, table):
+    """A finite-index supergroup with this homology table.  Tables whose
+    degree-0 row is not one label are rejected by the constructor; they are
+    built past that check, so that the basis construction is compared on
+    them too."""
+    if table is not None and len(table[0]) == 1:
+        return FiniteIndexSuper(sub, 2, "t", table)
+    d = object.__new__(FiniteIndexSuper)
+    for name, value in (("sub", sub), ("index", 2), ("label", "t"), ("homology", table)):
+        object.__setattr__(d, name, value)
+    return d
+
+
+_LABEL_ROWS = st.lists(st.sampled_from(["pt", "a", "b", "c"]), max_size=3).map(tuple)
+_HOMOLOGY_LEAF = st.builds(
+    _table_super,
+    st.just(Free(1)),
+    st.one_of(st.none(), st.lists(_LABEL_ROWS, min_size=1, max_size=4).map(tuple)),
+)
+_DESCRIPTORS = st.recursive(
+    st.one_of(
+        st.builds(Free, st.integers(0, 3)),
+        st.builds(FreeAbelian, st.integers(0, 3)),
+        st.builds(SurfaceClosed, st.integers(1, 3)),
+        _HOMOLOGY_LEAF,
+    ),
+    lambda inner: st.builds(
+        lambda cls, left, right: cls(left, right),
+        st.sampled_from([FreeProduct, DirectProduct]),
+        inner,
+        inner,
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DESCRIPTORS)
+def test_rational_homology_matches_per_degree_reference(d):
+    try:
+        expected = _reference_homology(d)
+    except DetectionError:
+        with pytest.raises(DetectionError, match="homology table"):
+            rational_homology(d)
+        return
+    got = rational_homology(d)
+    assert got.classes == expected.classes
+    assert got.all_classes() == expected.all_classes()
+    assert got.betti() == expected.betti()
+    assert got.z_dim == expected.z_dim
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ through ``flatdetect.cli.run`` and prints one line per op:
 
     workload index exit-code stdout-digest stderr-digest out-digest label
 
+After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
+of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
+one exact family and one Klein-bottle family (the numeric path).  They do
+not depend on the seed.
+
 The temporary directory's path is replaced by ``<run>`` before digesting, so
 file names in messages agree between runs.  A missing ``--out`` file digests
 as ``-``.  Two source trees behave byte-identically on the seed when their
@@ -32,6 +37,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+DESCRIPTORS = (
+    "surface(1)",
+    "surface(2)",
+    "free_product(free(2), free_abelian(2))",
+    "direct_product(free_product(free(1), free(1)), free_abelian(2))",
+    "free_product(surface(2), free(1))",
+    "direct_product(free_abelian(1), "
+    "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]]))",
+)
+DESCRIPTOR_FAMILIES = {
+    "exact": "char_zn(4, 2)",
+    "klein": "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)",
+}
+
+
+def _descriptor_ops(run_dir: Path):
+    """(argv, label) of every ``descriptors`` op; writes its input files."""
+    (run_dir / "klein.grp").write_text("gens: a b ; rels: a b a b^-1 ;\n")
+    paths = {}
+    for name, expr in DESCRIPTOR_FAMILIES.items():
+        paths[name] = run_dir / f"{name}.fam"
+        paths[name].write_text(expr + "\n")
+    for group in DESCRIPTORS:
+        for name, path in paths.items():
+            argv = ["detect", "run", "--group", group, "--families", str(path)]
+            yield argv, f"detect run {group} vs {name}"
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -54,19 +86,26 @@ def main(argv=None) -> int:
     def digest(data: bytes) -> str:
         return hashlib.sha256(data.replace(marker, b"<run>")).hexdigest()[:16]
 
+    def run_op(workload, i, argv, out_path, label):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(list(argv))
+        result = digest(out_path.read_bytes()) if out_path and out_path.exists() else "-"
+        print(
+            workload, i, code, digest(out.getvalue().encode()),
+            digest(err.getvalue().encode()), result, label,
+        )
+
     try:
         for workload in workloads.WORKLOADS:
             run_dir = tmp / f"{workload}-{args.seed}"
             run_dir.mkdir()
             for i, op in enumerate(workloads.generate(workload, args.seed, run_dir)):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.run(list(op.argv))
-                result = digest(op.out.read_bytes()) if op.out.exists() else "-"
-                print(
-                    workload, i, code, digest(out.getvalue().encode()),
-                    digest(err.getvalue().encode()), result, op.label,
-                )
+                run_op(workload, i, op.argv, op.out, op.label)
+        run_dir = tmp / "descriptors"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_descriptor_ops(run_dir)):
+            run_op("descriptors", i, argv, None, label)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
