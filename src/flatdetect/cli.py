@@ -6,8 +6,10 @@ produce byte-identical outputs; exact results are serialized as rational
 strings, floats appear only in numeric diagnostics.
 
 Exit codes: 0 success, 2 usage error (including flag values out of range),
-3 input error (an unreadable or unwritable file, input nested too deeply, or
-a malformed expression or payload, including values a constructor rejects),
+3 input error (an unreadable or unwritable file, input nested too deeply, a
+malformed expression or payload, including values a constructor rejects, a
+presentation with no generators to solve for, or an exact family paired with
+a group it is not a family of),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -412,6 +414,8 @@ def _cmd_parse(ns) -> int:
 
 def _cmd_rep_solve(ns) -> int:
     G = parse_presentation(Path(ns.presentation).read_text())
+    if not G.generators:
+        raise PresentationError("rep solve needs at least one generator")
     cfg = repvar.SolveConfig(tolerance=ns.tol, max_iter=ns.max_iter, seed=ns.seed)
     result = repvar.solve_representation(G, ns.dim, cfg)
     _emit(
@@ -489,7 +493,18 @@ def _detection(ns) -> detect.DetectionReport:
     descriptor = build_descriptor(parse_expression(ns.group))
     fams = [_load_family(p) for p in ns.families or []]
     if all(f.chern is not None for f in fams):
-        return detect.detection_matrix(descriptor, fams)
+        report = detect.detection_matrix(descriptor, fams)
+        # checked once the pairing has accepted the group's classes: it
+        # matches base labels by index, so a family of another group would
+        # pair as if it were a family of this one
+        z_dim = detect.rational_homology(descriptor).z_dim
+        for fi, f in enumerate(fams):
+            if f.base_dim != z_dim:
+                raise ExprError(
+                    f"family {fi} ({f.structure}) has {f.base_dim} base labels, "
+                    f"but {descriptor.describe()} has {z_dim}"
+                )
+        return report
     if len(fams) != 1:
         raise detect.DetectionError("the numeric pairing path takes a single family")
     return detect.numeric_detection_report(descriptor, fams[0])

@@ -6,6 +6,14 @@ identity.  The solver runs projected gradient descent on the product of
 unitary groups: the Euclidean gradient of the defect is projected to the
 skew-Hermitian tangent space and the iterate is pulled back by a polar
 retraction, so every iterate stays unitary to machine precision.
+
+The iterate, its gradients and every trial point are one stack
+``(gens, k, k)``.  A backtracking line search shrinks the step until the
+Armijo condition holds: each trial retracts the whole stack with one batched
+SVD and evaluates only the defect, and the gradient is computed once per
+accepted step, from the prefix products that trial's defect built.  The
+relators are compiled once per solve and grouped by length, so that all
+relators of one length multiply as one stack.
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ class SolveResult:
     converged: bool
     defect_history: tuple[float, ...] = field(repr=False, default=())
     max_unitarity_defect: float = 0.0
+    backtracks: int = 0  # rejected line-search trials
 
 
 def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
@@ -122,53 +131,114 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _polar(y: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of each matrix of a stack ``(..., k, k)``."""
     u, _, vh = np.linalg.svd(y)
     return u @ vh
 
 
-def _defect_and_gradients(mats: list[np.ndarray], relators: tuple[Word, ...]):
-    """Defect plus per-generator Euclidean gradients (real trace inner product).
+def _squared_norms(x: np.ndarray) -> list[float]:
+    """``float(np.linalg.norm(m) ** 2)`` for each matrix m of a stack
+    ``(N, k, k)``, bit for bit: the same strided dot products of the real
+    and imaginary parts, and the same scalar square of their root."""
+    flat = x.reshape(len(x), -1)
+    sq = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return [float(v ** 2) for v in np.sqrt(sq)]
 
-    Each relator must be spelled letter by letter (see ``presentation.spell``).
-    For a relator W = M_1 ... M_L and the j-th factor a power of U_g, the
-    differential of ||W - I||^2 contributes 2 P^H (W - I) S^H when the factor
-    is U_g and 2 S (W - I)^H P when it is U_g^H, where P, S are the prefix and
-    suffix products around position j.
+
+class _Relators:
+    """Spelled relators compiled once per solve for stacked evaluation.
+
+    Relators of one length L form a group: ``letters`` ``(L, R)`` indexes
+    the stack ``[U_1 .. U_g, U_1^H .. U_g^H]`` and ``inverse``
+    ``(L, R, 1, 1)`` marks the letters of exponent -1, so that each group is
+    evaluated by stacked matmuls over its R relators.  ``rel_order`` and
+    ``term_order`` put the groups' relators and (letter, relator) terms back
+    in relator-major, letter-minor order, and ``entries`` sends each entry
+    of the terms, in that order, to its generator's entry of the gradient:
+    sums accumulate in the order of a loop over relators and letters.  An
+    empty relator contributes nothing and is dropped.
     """
-    if any(abs(s) != 1 for r in relators for _, s in r.letters):
-        raise ValueError("relators must be spelled as letters of exponent +1 or -1")
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=complex)
-    grads = [np.zeros((n, n), dtype=complex) for _ in mats]
-    defect = 0.0
-    for rel in relators:
-        factors = [mats[g] if s == 1 else mats[g].conj().T for g, s in rel.letters]
-        L = len(factors)
-        prefixes = [eye]
-        for f in factors:
-            prefixes.append(prefixes[-1] @ f)
-        suffixes = [eye] * (L + 1)
-        for j in range(L - 1, -1, -1):
-            suffixes[j] = factors[j] @ suffixes[j + 1]
-        w = prefixes[L]
-        diff = w - eye
-        defect += float(np.linalg.norm(diff) ** 2)
-        for j, (g, s) in enumerate(rel.letters):
-            p, suf = prefixes[j], suffixes[j + 1]
-            if s == 1:
-                grads[g] += 2.0 * p.conj().T @ diff @ suf.conj().T
-            else:
-                grads[g] += 2.0 * suf @ diff.conj().T @ p
-    return defect, grads
+
+    def __init__(self, relators: tuple[Word, ...], gens: int, dim: int):
+        if any(abs(s) != 1 for r in relators for _, s in r.letters):
+            raise ValueError("relators must be spelled as letters of exponent +1 or -1")
+        self.shape = (gens, dim, dim)
+        self.eye = np.eye(dim, dtype=complex)
+        by_length: dict[int, list[int]] = {}
+        for i, r in enumerate(relators):
+            if r.letters:
+                by_length.setdefault(len(r), []).append(i)
+        self.groups = []
+        rel_pos, term_pos = {}, {}  # relator i / its letter (i, j) -> stacked position
+        for length, members in by_length.items():
+            letters = np.array(
+                [[g + gens * (s < 0) for g, s in relators[i].letters] for i in members]
+            ).T
+            self.groups.append((letters, (letters >= gens)[..., None, None]))
+            # the group's terms stack letter-major: (letter j, relator r) at j * R + r
+            base = len(term_pos)
+            for r, i in enumerate(members):
+                rel_pos[i] = len(rel_pos)
+                term_pos.update({(i, j): base + j * len(members) + r for j in range(length)})
+        self.rel_order = [rel_pos[i] for i in sorted(rel_pos)]
+        self.term_order = np.array([term_pos[t] for t in sorted(term_pos)], dtype=int)
+        # the entries of each term's generator in the flattened gradient stack
+        term_gens = np.array([relators[i].letters[j][0] for i, j in sorted(term_pos)], dtype=int)
+        self.entries = (term_gens[:, None] * dim * dim + np.arange(dim * dim)).ravel()
+
+    def defect(self, mats: np.ndarray):
+        """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
+        relators in order, and the products a gradient reuses: per group
+        the factors ``(L, R, k, k)``, the prefix products M_1 ... M_j for
+        j = 1 .. L, each ``(R, k, k)``, and W - I."""
+        stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
+        products, norms = [], []
+        for letters, _ in self.groups:
+            factors = stack[letters]
+            prefixes = [factors[0]]
+            for f in factors[1:]:
+                prefixes.append(prefixes[-1] @ f)
+            diff = prefixes[-1] - self.eye
+            products.append((factors, prefixes, diff))
+            norms += _squared_norms(diff)
+        defect = 0.0
+        for i in self.rel_order:  # left to right: sum() compensates on Python >= 3.12
+            defect += norms[i]
+        return defect, products
+
+    def gradients(self, products) -> np.ndarray:
+        """Per-generator Euclidean gradients ``(gens, k, k)`` of the defect
+        (real trace inner product) from the products of ``defect``.
+
+        For a relator W = M_1 ... M_L and its j-th letter U_g, the
+        differential of ||W - I||^2 contributes 2 P^H (W - I) S^H when the
+        letter is U_g and 2 S (W - I)^H P when it is U_g^H, where P, S are
+        the prefix and suffix products around position j.
+        """
+        k = self.shape[-1]
+        terms = []
+        for (_, inverse), (factors, prefixes, diff) in zip(self.groups, products):
+            eye = np.broadcast_to(self.eye, diff.shape)
+            suffixes = [eye]  # the products after letters L, L - 1, ..., 1
+            for f in factors[:0:-1]:
+                suffixes.append(f @ suffixes[-1])
+            s = np.stack(suffixes[::-1])
+            p = np.stack([eye, *prefixes[:-1]])
+            left = np.where(inverse, s, p.conj().swapaxes(-1, -2))
+            mid = np.where(inverse, diff.conj().swapaxes(-1, -2), diff)
+            right = np.where(inverse, p, s.conj().swapaxes(-1, -2))
+            terms.append(((2.0 * left) @ mid @ right).reshape(-1, k, k))
+        grads = np.zeros(self.shape, dtype=complex)
+        if terms:
+            ordered = np.concatenate(terms)[self.term_order]
+            np.add.at(grads.reshape(-1), self.entries, ordered.reshape(-1))
+        return grads
 
 
-def _riemannian_gradients(mats, egrads):
+def _riemannian_gradients(mats: np.ndarray, egrads: np.ndarray) -> np.ndarray:
     """Project Euclidean gradients to the tangent spaces U * skew(U^H G)."""
-    out = []
-    for u, g in zip(mats, egrads):
-        x = u.conj().T @ g
-        out.append(u @ ((x - x.conj().T) / 2.0))
-    return out
+    x = mats.conj().swapaxes(-1, -2) @ egrads
+    return mats @ ((x - x.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def solve_representation(
@@ -181,34 +251,40 @@ def solve_representation(
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if not G.generators:
+        raise ValueError("solving needs at least one generator")
     rng = np.random.default_rng(cfg.seed)
-    mats = [haar_unitary(rng, n) for _ in G.generators]
-    relators = tuple(spell(r) for r in G.relators)  # once per solve, not per step
+    mats = np.stack([haar_unitary(rng, n) for _ in G.generators])
+    relators = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
 
-    defect, egrads = _defect_and_gradients(mats, relators)
+    defect, products = relators.defect(mats)
+    egrads = relators.gradients(products)
     history = [defect]
     max_udef = unitarity_defect(mats)
-    best = ([m.copy() for m in mats], defect)
-    perturbations = 0
+    best = (mats, defect)
+    perturbations = backtracks = 0
     iters = 0
     step = INITIAL_STEP
 
     while defect > cfg.tolerance and iters < cfg.max_iter:
         iters += 1
         rgrads = _riemannian_gradients(mats, egrads)
-        gnorm2 = sum(float(np.linalg.norm(g) ** 2) for g in rgrads)
+        gnorm2 = sum(_squared_norms(rgrads))
         accepted = False
         if gnorm2 > 1e-28:
             # warm-start from twice the last accepted step so the search can
-            # grow along flat valleys, then backtrack as usual
+            # grow along flat valleys, then backtrack as usual; a trial costs
+            # one defect, and only the accepted one a gradient
             step = min(2.0 * step, 1e6)
             for _ in range(MAX_BACKTRACKS):
-                trial = [_polar(u - step * g) for u, g in zip(mats, rgrads)]
-                tdefect, tgrads = _defect_and_gradients(trial, relators)
+                trial = _polar(mats - step * rgrads)
+                tdefect, products = relators.defect(trial)
                 if tdefect <= defect - ARMIJO * step * gnorm2:
-                    mats, defect, egrads = trial, tdefect, tgrads
+                    mats, defect = trial, tdefect
+                    egrads = relators.gradients(products)
                     accepted = True
                     break
+                backtracks += 1
                 step *= STEP_SHRINK
         if not accepted:
             # Stalled at a critical point above tolerance: kick along a
@@ -216,27 +292,26 @@ def solve_representation(
             if perturbations >= MAX_PERTURBATIONS:
                 break
             perturbations += 1
-            kicked = []
-            for u in mats:
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                skew = (a - a.conj().T) / 2.0
-                kicked.append(_polar(u + 1e-2 * u @ skew))
-            mats = kicked
-            defect, egrads = _defect_and_gradients(mats, relators)
+            draws = rng.standard_normal((len(mats), 2, n, n))
+            a = draws[:, 0] + 1j * draws[:, 1]
+            skew = (a - a.conj().swapaxes(-1, -2)) / 2.0
+            mats = _polar(mats + 1e-2 * mats @ skew)
+            defect, products = relators.defect(mats)
+            egrads = relators.gradients(products)
             step = INITIAL_STEP
         history.append(defect)
         max_udef = max(max_udef, unitarity_defect(mats))
         if defect < best[1]:
-            best = ([m.copy() for m in mats], defect)
+            best = (mats, defect)
 
     if best[1] < defect:
-        mats, defect = best[0], best[1]
-    point = RepPoint(tuple(mats))
+        mats, defect = best
     return SolveResult(
-        point=point,
+        point=RepPoint(tuple(mats)),
         defect=defect,
         iterations=iters,
         converged=defect <= cfg.tolerance,
         defect_history=tuple(history),
         max_unitarity_defect=max_udef,
+        backtracks=backtracks,
     )

@@ -148,6 +148,42 @@ def test_rep_solve_nonconvergence_exit4(workdir):
     assert json.loads((workdir / "nc.json").read_text())["converged"] is False
 
 
+def test_rep_solve_without_generators_exit3(workdir, capsys):
+    (workdir / "none.grp").write_text("gens: ; rels: ;\n")
+    assert parse_presentation("gens: ; rels: ;").generators == ()
+    out = workdir / "none.json"
+    code = run(
+        ["rep", "solve", "--presentation", str(workdir / "none.grp"),
+         "--dim", "2", "--out", str(out)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: rep solve needs at least one generator\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "group, fam, counts",
+    [
+        ("free_abelian(2)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but free_abelian(2) has 2"),
+        ("surface(1)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but surface(1) has 2"),
+        ("free_abelian(3)", "z2.fam", "char_zn(2, 8)) has 2 base labels, but free_abelian(3) has 3"),
+    ],
+)
+def test_exact_family_of_another_group_exit3(workdir, capsys, group, fam, counts):
+    (workdir / "z4.fam").write_text("char_zn(4, 2)\n")
+    path = str(workdir / fam)
+    for argv in (
+        ["detect", "run", "--group", group, "--families", path],
+        ["report", "--group", group, "--families", path],
+        ["detect", "run", "--group", group, "--families", str(workdir / "z2.fam"), path],
+    ):
+        out = workdir / "mismatch.json"
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: family ") and err.endswith(counts + "\n")
+        assert err.count("\n") == 1 and not out.exists()
+
+
 def test_detect_run_z2_certified(workdir):
     out = workdir / "rep.json"
     code = run(
