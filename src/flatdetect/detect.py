@@ -382,7 +382,7 @@ def transfer_scaling_check(f: Family, index: int, *, cover: Cover) -> bool:
     """Check that pulling a family ``f`` of the ambient group back along a
     structured cover and inducing it up again multiplies every
     detection-matrix entry by exactly the index."""
-    if cover.basis is None:
+    if cover.inverse is None:
         raise DetectionError(
             f"unsupported cover description {cover.describe()!r}: no rational model"
         )

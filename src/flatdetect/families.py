@@ -17,6 +17,12 @@ an array ``(points, d)`` of one component's rows and returns an array
 ``(points, generators, k, k)``, and each combinator composes its arguments'
 stacks with array operations.  Verification and windings consume those
 stacks with stacked matmul and det.
+
+Restriction along a cover and extension across a free product G = E * F are
+one operation, the pullback along a homomorphism given by generator images:
+a cover pulls back along the inclusion of its subgroup, and ``extend`` along
+the retraction G -> E that kills F's generators.  Every pullback substitutes
+the abelianized images into the exact form.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +51,9 @@ HOMOMORPHISM_TOL = 1e-8
 # points per stacked check in verify_family: large enough to amortise the
 # per-call cost, small enough that peak memory stays flat on large grids
 VERIFY_CHUNK = 512
+# the most grid points verify_family checks in one component (char_zn(3, 256)
+# takes 10.5 s on a 2-core Xeon VM); a larger grid fails verification at once
+VERIFY_MAX_POINTS = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +221,8 @@ def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
     relator and unitarity checks at ``tol`` (NaN fails), fiber dimensions
     match the declared ones, and character degree-0 parts match the fiber
     dimensions.  Each component is checked in stacks of at most VERIFY_CHUNK
-    points, built from a range of flat indices, so the grid is never held.
+    points, built from a range of flat indices, so the grid is never held;
+    a component of more than VERIFY_MAX_POINTS points fails unchecked.
     """
     for ci, res in enumerate(f.space.components):
         if f.chern is not None:
@@ -223,10 +233,10 @@ def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
                     f"dimension {f.fiber_dims[ci]}"
                 )
         total = math.prod(res)
-        if total > np.iinfo(np.int64).max:
+        if total > VERIFY_MAX_POINTS:
             raise ValueError(
                 f"component {ci}: the {' x '.join(map(str, res))} grid has "
-                f"{total} points, too many to index"
+                f"{total} points, more than the {VERIFY_MAX_POINTS} verified at most"
             )
         for start in range(0, total, VERIFY_CHUNK):
             # integer index rows, left-major: the last axis varies fastest
@@ -345,8 +355,9 @@ def tensor_families(f: Family, g: Family) -> Family:
 
 
 def extend_free_product(f: Family, G: GroupPresentation) -> Family:
-    """Extend a family across a free product: generators of the other free
-    factor act as the identity of the same fiber dimension."""
+    """Extend a family across a free product G = E * F, where E is the
+    family's group: the pullback along the retraction G -> E that sends
+    generators of the other free factor F to the identity."""
     names = set(f.group.generators)
     missing = names - set(G.generators)
     if missing:
@@ -357,28 +368,11 @@ def extend_free_product(f: Family, G: GroupPresentation) -> Family:
             raise ValueError(
                 "ambient relator mixes both free factors; not a free product"
             )
-    positions = [G.generator_index(name) for name in f.group.generators]
-
-    def ev(x, ci):
-        A = f.evaluate_batch(x, ci)
-        k = A.shape[-1]
-        shape = (len(x), len(G.generators), k, k)
-        out = np.broadcast_to(np.eye(k, dtype=complex), shape).copy()
-        out[:, positions] = A
-        return out
-
-    chern = None
-    if f.chern is not None:
-        images = [zgen(pos + 1) for pos in positions]
-        chern = tuple(ch.subst_z(images) for ch in f.chern)
-    return Family(
-        group=G,
-        space=f.space,
-        fiber_dims=f.fiber_dims,
-        evaluate_fn=ev,
-        structure=f"extend({f.structure} -> {'*'.join(G.generators)})",
-        chern=chern,
+    images = tuple(
+        Word(((f.group.generator_index(name), 1),)) if name in names else Word(())
+        for name in G.generators
     )
+    return _pullback(f, G, images, f"extend({f.structure} -> {'*'.join(G.generators)})")
 
 
 def disjoint_union(f: Family, g: Family) -> Family:
@@ -487,7 +481,6 @@ class SublatticeCover:
         ambient: GroupPresentation,
         basis: Sequence[Sequence[int]],
         cosets: Sequence[Word],
-        sub_names: Sequence[str] | None = None,
     ):
         n = len(ambient.generators)
         mat = [[int(v) for v in row] for row in basis]
@@ -502,7 +495,7 @@ class SublatticeCover:
         self.ambient = ambient
         self.basis = mat
         self.index = abs(int(det))
-        self.sub = free_abelian(n, sub_names)
+        self.sub = free_abelian(n)
         self.cosets = tuple(free_reduce(c) for c in cosets)
         if len(self.cosets) != self.index:
             raise ValueError(
@@ -550,7 +543,6 @@ class KleinBottleCover:
         self.sub = free_abelian(2)
         self.index = 2
         self.cosets = (Word(()), Word(((1, 1),)))
-        self.basis = None
         self.inverse = None
 
     @property
@@ -576,34 +568,46 @@ class KleinBottleCover:
 Cover = SublatticeCover | KleinBottleCover
 
 
-def _linear_forms(m: Sequence[Sequence]) -> list[MultiForm]:
-    """Row i of a rational matrix as the base form sum_j m[i][j] z_{j+1}."""
-    return [sum((v * zgen(j + 1) for j, v in enumerate(row)), MultiForm()) for row in m]
+def _linear_forms(m: Iterable[Sequence]) -> list[MultiForm]:
+    """Row i of a rational matrix as the base form sum_j m[i][j] z_{j+1},
+    built from its nonzero entries only."""
+    return [MultiForm({(("z", j + 1),): v for j, v in enumerate(row) if v}) for row in m]
 
 
-def pullback_family(f: Family, cover: Cover) -> Family:
-    """Restrict a family along a structured cover: subgroup generators act by
-    their ambient words."""
-    if len(f.group.generators) != len(cover.ambient.generators):
-        raise ValueError("family group does not match the cover's ambient group")
-    words = cover.sub_generator_words
+def _pullback(
+    f: Family, group: GroupPresentation, images: Sequence[Word], structure: str
+) -> Family:
+    """The pullback of ``f`` along the homomorphism ``group`` -> ``f.group``
+    sending generator p to the word ``images[p]``: generator p acts by that
+    word, and the exact form substitutes the abelianized images, z_i by
+    sum_p (exponent sum of generator i in ``images[p]``) z_{p+1}."""
 
     def ev(x, ci):
         rep = f.evaluate_batch(x, ci)
-        return np.stack([evaluate_word(w, rep) for w in words], axis=1)
+        return np.stack([evaluate_word(w, rep) for w in images], axis=1)
 
     chern = None
-    if cover.basis is not None and f.chern is not None:
-        images = _linear_forms(cover.basis)
-        chern = tuple(ch.subst_z(images) for ch in f.chern)
+    if f.chern is not None:
+        abelian = (_abelianize(w, len(f.group.generators)) for w in images)
+        subst = _linear_forms(zip(*abelian))  # row i: generator i in each image
+        chern = tuple(ch.subst_z(subst) for ch in f.chern)
     return Family(
-        group=cover.sub,
+        group=group,
         space=f.space,
         fiber_dims=f.fiber_dims,
         evaluate_fn=ev,
-        structure=f"pullback({f.structure}, {cover.describe()})",
+        structure=structure,
         chern=chern,
     )
+
+
+def pullback_family(f: Family, cover: Cover) -> Family:
+    """Restrict a family along a structured cover: the pullback along the
+    inclusion of the subgroup, whose generators act by their ambient words."""
+    if len(f.group.generators) != len(cover.ambient.generators):
+        raise ValueError("family group does not match the cover's ambient group")
+    structure = f"pullback({f.structure}, {cover.describe()})"
+    return _pullback(f, cover.sub, cover.sub_generator_words, structure)
 
 
 def induce_family(
@@ -624,14 +628,14 @@ def induce_family(
     if len(f.group.generators) != len(cover.sub.generators):
         raise ValueError("family group does not match the cover's subgroup")
 
-    # Precompute, per ambient generator, the coset permutation and the
-    # rewritten subgroup words filling the nonzero blocks.
-    perms: list[list[int]] = []
-    blocks: list[list[Word]] = []
+    # Per ambient generator g and representative t_j: the one coset t_i with
+    # t_i^-1 g t_j in the subgroup, and that element as a subgroup word.  As
+    # every pair hits exactly one coset, the representatives lie in distinct
+    # cosets, and j -> i is a permutation.
+    blocks: list[list[tuple[int, Word]]] = []
     for gi in range(len(G.generators)):
         gen_word = Word(((gi, 1),))
-        perm = []
-        words = []
+        blocks.append([])
         for j in range(c):
             hits = []
             for i in range(c):
@@ -643,25 +647,15 @@ def induce_family(
                     f"invalid coset system: generator {G.generators[gi]!r} times "
                     f"representative {j} hits {len(hits)} cosets"
                 )
-            perm.append(hits[0][0])
-            words.append(hits[0][1])
-        if sorted(perm) != list(range(c)):
-            raise ValueError(
-                f"invalid coset system: generator {G.generators[gi]!r} does not "
-                "permute the cosets"
-            )
-        perms.append(perm)
-        blocks.append(words)
+            blocks[-1].append(hits[0])
 
     def ev(x, ci):
         rep = f.evaluate_batch(x, ci)
         k = rep.shape[-1]
         out = np.zeros((len(x), len(G.generators), k * c, k * c), dtype=complex)
-        for gi, perm in enumerate(perms):
-            for j, i in enumerate(perm):
-                out[:, gi, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(
-                    blocks[gi][j], rep
-                )
+        for gi, row in enumerate(blocks):
+            for j, (i, w) in enumerate(row):
+                out[:, gi, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(w, rep)
         return out
 
     chern = None

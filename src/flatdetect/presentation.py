@@ -60,10 +60,8 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def is_reduced(self) -> bool:
-        return all(
-            not (a[0] == b[0] and a[1] == -b[1])
-            for a, b in zip(self.letters, self.letters[1:])
-        )
+        """Whether the word is in free-group run normal form."""
+        return free_reduce(self) == self
 
 
 def free_reduce(w: Word) -> Word:

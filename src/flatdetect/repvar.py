@@ -24,9 +24,6 @@ import numpy as np
 
 from .presentation import GroupPresentation, Word, evaluate_word, spell
 
-# Retractions keep iterates unitary to ~1e-15; anything above this is a bug.
-UNITARITY_TOL = 1e-9
-
 ARMIJO = 0.1  # sufficient-decrease constant; large enough to reject
               # edge-of-stability oscillation
 INITIAL_STEP = 1.0

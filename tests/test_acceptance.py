@@ -160,9 +160,9 @@ def _reduced_words_up_to(n_gens, max_len):
     letters = [(g, s) for g in range(n_gens) for s in (1, -1)]
     for L in range(1, max_len + 1):
         for combo in itertools.product(letters, repeat=L):
-            w = fd.Word(tuple(combo))
-            if w.is_reduced():
-                words.append(w)
+            # no letter next to its inverse; a letter may repeat (a a = a^2)
+            if all(a != (b[0], -b[1]) for a, b in zip(combo, combo[1:])):
+                words.append(fd.Word(tuple(combo)))
     return words
 
 

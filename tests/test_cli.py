@@ -283,7 +283,16 @@ def test_grid_too_large_to_index_fails_verification_exit5(workdir, capsys):
     assert run(["family", "build", "--expr", fam, "--out", str(out)]) == 5
     assert capsys.readouterr().err == (
         "family verification failed: component 0: the 99999999999999999999999 grid "
-        "has 99999999999999999999999 points, too many to index\n"
+        "has 99999999999999999999999 points, more than the 16777216 verified at most\n"
+    )
+    assert not out.exists()
+    # 10^12 points fit an int64 index but would take days to check
+    (workdir / "big.fam").write_text("char_zn(3, 10000)\n")
+    assert run(["family", "build", "--expr", str(workdir / "big.fam"),
+                "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        "family verification failed: component 0: the 10000 x 10000 x 10000 grid "
+        "has 1000000000000 points, more than the 16777216 verified at most\n"
     )
     assert not out.exists()
     # windings sample their own loops, so the grid size does not matter

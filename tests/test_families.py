@@ -736,3 +736,142 @@ def test_batch_evaluation_matches_per_point_references(tree):
             assert np.allclose(mats, np.array(ref(ci, point)), rtol=0, atol=1e-12)
         single = np.array(fam.evaluate(pts[-1], ci).matrices)
         assert np.allclose(single, stack[-1], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one pullback path, against the two bodies it replaced
+# ---------------------------------------------------------------------------
+#
+# Each reference returns (evaluation rule, character forms) as the separate
+# extend_free_product and pullback_family built them.
+
+
+def _extend_reference(f: Family, G: GroupPresentation):
+    positions = [G.generator_index(name) for name in f.group.generators]
+
+    def ev(x, ci):
+        A = f.evaluate_batch(x, ci)
+        k = A.shape[-1]
+        shape = (len(x), len(G.generators), k, k)
+        out = np.broadcast_to(np.eye(k, dtype=complex), shape).copy()
+        out[:, positions] = A
+        return out
+
+    chern = None
+    if f.chern is not None:
+        images = [zgen(pos + 1) for pos in positions]
+        chern = tuple(ch.subst_z(images) for ch in f.chern)
+    return ev, chern
+
+
+def _pullback_reference(f: Family, cover):
+    words = cover.sub_generator_words
+
+    def ev(x, ci):
+        rep = f.evaluate_batch(x, ci)
+        return np.stack([evaluate_word(w, rep) for w in words], axis=1)
+
+    chern = None
+    # only a sublattice carried a basis matrix; the Klein cover had none
+    if isinstance(cover, SublatticeCover) and f.chern is not None:
+        images = [
+            sum((v * zgen(j + 1) for j, v in enumerate(row)), MultiForm())
+            for row in cover.basis
+        ]
+        chern = tuple(ch.subst_z(images) for ch in f.chern)
+    return ev, chern
+
+
+def _assert_same_family(fam: Family, ref):
+    ev, chern = ref
+    assert fam.chern == chern
+    for ci, res in enumerate(fam.space.components):
+        grid = itertools.product(*(np.arange(r) / r for r in res))
+        pts = np.array(list(itertools.islice(grid, 8)), dtype=float)
+        assert np.array_equal(fam.evaluate_batch(pts, ci), ev(pts, ci))
+
+
+@st.composite
+def _free_product_split(draw):
+    """A family f and a free product G = E * F of its group E with a group F
+    on new generators, all generators in a random order."""
+    f, _ = draw(_family_tree())
+    E = f.group
+    extra = [f"h{i + 1}" for i in range(draw(st.integers(0, 2)))]
+    names = draw(st.permutations(list(E.generators) + extra))
+    at = {name: names.index(name) for name in names}
+    rels = [Word(tuple((at[E.generators[g]], e) for g, e in r.letters)) for r in E.relators]
+    if extra:  # F may have relators of its own
+        runs = draw(st.lists(
+            st.tuples(st.sampled_from(extra), st.integers(-3, 3)), max_size=3,
+        ))
+        rels.append(Word(tuple((at[name], e) for name, e in runs)))
+    return f, GroupPresentation(tuple(names), tuple(rels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_free_product_split())
+def test_extend_is_the_pullback_along_the_retraction(split):
+    f, G = split
+    _assert_same_family(extend_free_product(f, G), _extend_reference(f, G))
+
+
+_SHEAR = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**40 - 2, 2**40 + 2),
+    st.integers(-(2**40) - 2, -(2**40) + 2),
+)
+
+
+@st.composite
+def _sublattice_pullback(draw):
+    """A family of Z^n and a sublattice cover: a unimodular shear with
+    entries up to about 2^40 times a small diagonal, with its cosets."""
+    n = draw(st.integers(1, 2))
+    f, _ = draw(_zn_tree(n, 1))
+    if n == 1:
+        shear = [[draw(st.sampled_from([1, -1]))]]
+    else:
+        t, s = draw(_SHEAR), draw(st.integers(-1, 1))
+        shear = [[1 + t * s, t], [s, 1]]  # det 1
+        if draw(st.booleans()):
+            shear = shear[::-1]
+    d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    basis = [[v * d[j] for j, v in enumerate(row)] for row in shear]
+    cosets = [
+        Word(tuple((i, sum(row[j] * e[j] for j in range(n))) for i, row in enumerate(shear)))
+        for e in itertools.product(*(range(dj) for dj in d))
+    ]
+    return f, SublatticeCover(f.group, basis, cosets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sublattice_pullback())
+def test_sublattice_pullback_matches_the_basis_substitution(case):
+    f, cover = case
+    _assert_same_family(pullback_family(f, cover), _pullback_reference(f, cover))
+
+
+def test_klein_pullback_keeps_the_exact_form_of_a_trivial_family():
+    # the pullback along <a, b^2> <= Klein of the rank-2 trivial family is
+    # the rank-2 trivial family of Z^2, form included; the basis-matrix
+    # substitution dropped the form because the Klein cover has no basis
+    triv = trivial_family(klein_bottle(), 2)
+    pulled = pullback_family(triv, KleinBottleCover())
+    assert pulled.chern == trivial_family(free_abelian(2), 2).chern == (MultiForm.constant(2),)
+    assert pulled.base_dim == 2
+    ref_ev, ref_chern = _pullback_reference(triv, KleinBottleCover())
+    assert ref_chern is None
+    _assert_same_family(pulled, (ref_ev, pulled.chern))
+    # a family without forms still has none after the pullback
+    ind = induce_family(character_family_Zn(2, 4), KleinBottleCover())
+    _assert_same_family(
+        pullback_family(ind, KleinBottleCover()), _pullback_reference(ind, KleinBottleCover())
+    )
+
+
+def test_verify_budget_bounds_each_component(monkeypatch):
+    monkeypatch.setattr(families, "VERIFY_MAX_POINTS", 16)
+    assert verify_family(character_family_Zn(2, 4))  # exactly the budget
+    with pytest.raises(ValueError, match="the 17 grid has 17 points, more than the 16"):
+        verify_family(character_family_Zn(1, 17))

@@ -154,6 +154,21 @@ def test_free_reduce_idempotent(w):
     assert once.is_reduced()
 
 
+@given(run_words(n_gens=3, max_len=8))
+def test_is_reduced_means_the_run_normal_form(w):
+    # normal form: no zero exponent, no two adjacent runs of one generator
+    normal = all(e != 0 for _, e in w.letters) and all(
+        a[0] != b[0] for a, b in zip(w.letters, w.letters[1:])
+    )
+    assert w.is_reduced() == normal == (free_reduce(w) == w)
+
+
+def test_is_reduced_rejects_mergeable_runs():
+    for w in (Word(((0, 1), (0, 1))), Word(((0, 2), (0, -1))), Word(((0, 0),))):
+        assert not w.is_reduced()
+    assert Word(((0, 2), (1, -1), (0, 3))).is_reduced()
+
+
 @given(words(), words())
 def test_reduce_of_concat_independent_of_inner_reduction(u, v):
     assert free_reduce(u * v) == free_reduce(free_reduce(u) * free_reduce(v))

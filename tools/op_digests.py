@@ -11,8 +11,10 @@ through ``flatdetect.cli.run`` and prints one line per op:
 
 After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
 of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
-one exact family and one Klein-bottle family (the numeric path).  They do
-not depend on the seed.
+one exact family and one Klein-bottle family (the numeric path).  Then come
+the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
+``extend`` and ``pullback`` expressions the benchmark never builds.  Neither
+block depends on the seed.
 
 The temporary directory's path is replaced by ``<run>`` before digesting, so
 file names in messages agree between runs.  A missing ``--out`` file digests
@@ -50,11 +52,25 @@ DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
     "klein": "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)",
 }
+FAMILIES = (
+    "extend(char_zn(1, 8, gens=[b]), group=f2.grp)",
+    "pullback(char_zn(1, 8), cover=circle(3))",
+    "pullback(char_zn(2, 4), cover=sublattice([[1, 1], [0, 2]]), cosets=[e, b], "
+    "group=z2.grp)",
+    "pullback(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
+    "cover=klein_even, group=klein.grp)",
+    "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, group=klein.grp)",
+)
+GROUP_FILES = {
+    "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
+    "f2.grp": "gens: a b ; rels: ;\n",
+    "z2.grp": "gens: a b ; rels: a b a^-1 b^-1 ;\n",
+}
 
 
 def _descriptor_ops(run_dir: Path):
     """(argv, label) of every ``descriptors`` op; writes its input files."""
-    (run_dir / "klein.grp").write_text("gens: a b ; rels: a b a b^-1 ;\n")
+    (run_dir / "klein.grp").write_text(GROUP_FILES["klein.grp"])
     paths = {}
     for name, expr in DESCRIPTOR_FAMILIES.items():
         paths[name] = run_dir / f"{name}.fam"
@@ -63,6 +79,16 @@ def _descriptor_ops(run_dir: Path):
         for name, path in paths.items():
             argv = ["detect", "run", "--group", group, "--families", str(path)]
             yield argv, f"detect run {group} vs {name}"
+
+
+def _family_ops(run_dir: Path):
+    """(argv, out path, label) of every ``families`` op; writes its input files."""
+    for name, text in GROUP_FILES.items():
+        (run_dir / name).write_text(text)
+    for i, expr in enumerate(FAMILIES):
+        fam, out = run_dir / f"f{i}.fam", run_dir / f"f{i}.json"
+        fam.write_text(expr + "\n")
+        yield ["family", "build", "--expr", str(fam), "--out", str(out)], out, expr
 
 
 def main(argv=None) -> int:
@@ -106,6 +132,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_descriptor_ops(run_dir)):
             run_op("descriptors", i, argv, None, label)
+        run_dir = tmp / "families"
+        run_dir.mkdir()
+        for i, (argv, out, label) in enumerate(_family_ops(run_dir)):
+            run_op("families", i, argv, out, label)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
