@@ -9,8 +9,9 @@ into that order is absorbed into the coefficient.
 Sign conventions (the global dictionary reported alongside results):
 the exact pipeline normalizes the rank-1 character bundle on the 2-torus to
 character 1 + z^x with coefficient +1; the numeric pipeline reports
-c1 = (i/2pi) tr F, which evaluates to -1 on the same bundle.  Cross checks
-compare absolute values.
+c1 = (i/2pi) tr F, which evaluates to -1 on the same bundle.  That -1 is
+chern_number's alone: holonomy determinant windings (numeric_c1_windings)
+equal the exact z^x coefficients, sign included.
 """
 
 from __future__ import annotations
@@ -219,20 +220,9 @@ class MultiForm:
         return not self.is_zero()
 
     def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, c in self.terms():
-            body = "^".join(f"{k}{i}" for k, i in mono)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_combination(
+            ("^".join(f"{k}{i}" for k, i in mono), c) for mono, c in self.terms()
+        )
 
     # -- structural operations ----------------------------------------------
 
@@ -324,6 +314,46 @@ def _is_record(rec) -> bool:
         and all(isinstance(v, int) for v in rec[1:])
         and rec[2] != 0
     )
+
+
+def format_combination(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """A rational combination of named terms as ``a - 2*b + 1/2*c``: a term
+    of coefficient 1 is its name, -1 its negated name, and an empty name
+    stands for the constant; "0" when there are no terms."""
+    parts = []
+    for name, c in terms:
+        if not name:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(name)
+        elif c == -1:
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{c}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def reduce_rows(rows: Iterable[dict]) -> list[dict]:
+    """Forward elimination over Q of sparse rows ``{column: nonzero
+    Fraction}``, in order: row i minus the multiples of the earlier nonzero
+    reduced rows that clear their pivots (least columns) from it.  Returns
+    the reduced rows in input order, each empty exactly when its row depends
+    on the rows before it; sorted by pivot, the nonzero ones are echelon."""
+    pivots: dict = {}  # pivot column -> its reduced row
+    out = []
+    for row in rows:
+        row = dict(row)
+        # a pivot row is zero left of its pivot, so clearing pivots in
+        # ascending order never refills a cleared one
+        while (hit := min((col for col in row if col in pivots), default=None)) is not None:
+            prow = pivots[hit]
+            factor = row[hit] / prow[hit]
+            for col, v in prow.items():
+                _accumulate(row, col, -factor * v)
+        if row:
+            pivots[min(row)] = row
+        out.append(row)
+    return out
 
 
 def _coerce(v) -> MultiForm:

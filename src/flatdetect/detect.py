@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .charforms import MultiForm, SIGN_CONVENTIONS
+from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
 from .families import Cover, Family, axis_windings, induce_family, pullback_family
 from .presentation import Word, parse_word
 
@@ -240,9 +240,10 @@ class DetectionReport:
     mode: str                         # "exact" | "numeric"
     sign_conventions: dict
     scope_note: str = SCOPE_NOTE
+    witness: str | None = None        # a vanishing class combination, when rows are dependent
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "kind": "detection_report",
             "group": self.group,
             "families": list(self.families),
@@ -258,14 +259,25 @@ class DetectionReport:
             "sign_conventions": dict(self.sign_conventions),
             "scope_note": self.scope_note,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 def _assemble_report(d, fams, row_labels, col_labels, matrix, mode):
-    detected = tuple(any(e != 0 for e in row) for row in matrix)
-    undetected = tuple(
-        label for label, hit in zip(row_labels, detected) if not hit
-    )
-    verdict = "FD-certified" if all(detected) else "undetected"
+    """The report of a pairing matrix, certified exactly when its rows are
+    independent over Q.  Each row gets a tag column of its own, so that the
+    first dependent row reduces to its combination of rows: the witness."""
+    width = len(col_labels)
+    rows = [{j: e for j, e in enumerate(row) if e} for row in matrix]
+    detected = tuple(map(bool, rows))
+    undetected = tuple(label for label, hit in zip(row_labels, detected) if not hit)
+    reduced = reduce_rows({**row, width + i: Fraction(1)} for i, row in enumerate(rows))
+    kernel = [row for row in reduced if min(row) >= width]
+    witness = None
+    if kernel and all(detected):
+        terms = sorted(kernel[0].items())
+        witness = format_combination((row_labels[j - width], c / terms[0][1]) for j, c in terms)
     return DetectionReport(
         group=d.describe(),
         families=tuple(f.structure for f in fams),
@@ -273,10 +285,11 @@ def _assemble_report(d, fams, row_labels, col_labels, matrix, mode):
         col_labels=col_labels,
         matrix=tuple(tuple(row) for row in matrix),
         detected=detected,
-        verdict=verdict,
+        verdict="undetected" if kernel else "FD-certified",
         undetected_classes=undetected,
         mode=mode,
         sign_conventions=SIGN_CONVENTIONS,
+        witness=witness,
     )
 
 

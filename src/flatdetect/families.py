@@ -6,17 +6,19 @@ the build tree supports it) the exact character form of the associated
 bundle.  Character data is propagated structurally by the combinators, never
 inferred numerically; the numeric pipeline validates it independently.
 
-A parameter space is defined by its ``components``: one tuple of per-axis
-grid resolutions per connected component, () for a point.  A point of a
-component is a row of coordinates in [0, 1), one per axis; a product space
-concatenates the left factor's coordinates with the right factor's, and a
-disjoint union tells its sides apart by component index alone.  Evaluation
-rules are closed-form, so families may be sampled at any real coordinates,
-not only on the declared grid.  Every rule works on whole stacks: it takes
-an array ``(points, d)`` of one component's rows and returns an array
-``(points, generators, k, k)``, and each combinator composes its arguments'
-stacks with array operations.  Verification and windings consume those
-stacks with stacked matmul and det.
+A parameter space is one ParameterSpace value: its ``components``, one tuple
+of per-axis grid resolutions per connected component, () for a point, and a
+label; tori, point sets, products and disjoint unions are functions building
+one.  A point of a component is a row of coordinates in [0, 1), one per axis;
+a product space concatenates the left factor's coordinates with the right
+factor's, and a disjoint union tells its sides apart by component index
+alone.  Evaluation rules are closed-form, so families may be sampled at any
+real coordinates, not only on the declared grid.  Every rule works on whole
+stacks: it takes an array ``(points, d)`` of one component's rows and returns
+an array ``(points, generators, k, k)``, and each combinator composes its
+arguments' stacks with array operations; one representation point is a
+RepPoint holding one such ``(generators, k, k)`` array.  Verification and
+windings consume the stacks with stacked matmul and det.
 
 Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
@@ -30,12 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charforms import MultiForm, winding_number, xgen, zgen
+from .charforms import MultiForm, reduce_rows, winding_number, xgen, zgen
 from .presentation import (
     GroupPresentation,
     Word,
@@ -61,9 +62,13 @@ VERIFY_MAX_POINTS = 2**24
 # ---------------------------------------------------------------------------
 
 
-class _Space:
-    """What every parameter space derives from its ``components``: one tuple
-    of per-axis grid resolutions per connected component, () for a point."""
+@dataclass(frozen=True)
+class ParameterSpace:
+    """A parameter space: per connected component a tuple of per-axis grid
+    resolutions, () for a point, and the ``label`` ``describe()`` prints."""
+
+    components: tuple[tuple[int, ...], ...]
+    label: str
 
     @property
     def n_components(self) -> int:
@@ -87,74 +92,34 @@ class _Space:
         x[:, axis] = np.arange(samples + 1) / samples
         return x
 
+    def describe(self) -> str:
+        return self.label
 
-@dataclass(frozen=True)
-class TorusGrid(_Space):
+
+def TorusGrid(dim: int, resolution: int) -> ParameterSpace:
     """The d-torus sampled on a uniform grid, coordinates in [0, 1)."""
-
-    dim: int
-    resolution: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("torus dimension must be >= 1")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2 per axis")
-
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return ((self.resolution,) * self.dim,)
-
-    def describe(self) -> str:
-        return f"T^{self.dim}[{self.resolution}]"
+    if dim < 1:
+        raise ValueError("torus dimension must be >= 1")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2 per axis")
+    return ParameterSpace(((resolution,) * dim,), f"T^{dim}[{resolution}]")
 
 
-@dataclass(frozen=True)
-class FinitePointSet(_Space):
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("point count must be >= 1")
-
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return ((),) * self.count
-
-    def describe(self) -> str:
-        return f"pts[{self.count}]"
+def FinitePointSet(count: int) -> ParameterSpace:
+    if count < 1:
+        raise ValueError("point count must be >= 1")
+    return ParameterSpace(((),) * count, f"pts[{count}]")
 
 
-@dataclass(frozen=True)
-class ProductSpace(_Space):
+def ProductSpace(left: ParameterSpace, right: ParameterSpace) -> ParameterSpace:
     """Components in left-major order; a point's coordinates are the left
     factor's followed by the right factor's."""
-
-    left: "ParameterSpace"
-    right: "ParameterSpace"
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(a + b for a in self.left.components for b in self.right.components)
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} x {self.right.describe()})"
+    components = tuple(a + b for a in left.components for b in right.components)
+    return ParameterSpace(components, f"({left.label} x {right.label})")
 
 
-@dataclass(frozen=True)
-class DisjointUnionSpace(_Space):
-    left: "ParameterSpace"
-    right: "ParameterSpace"
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return self.left.components + self.right.components
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} | {self.right.describe()})"
-
-
-ParameterSpace = TorusGrid | FinitePointSet | ProductSpace | DisjointUnionSpace
+def DisjointUnionSpace(left: ParameterSpace, right: ParameterSpace) -> ParameterSpace:
+    return ParameterSpace(left.components + right.components, f"({left.label} | {right.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +175,7 @@ class Family:
     def evaluate(self, x, component: int = 0) -> RepPoint:
         """The representation at one point, given by its coordinates: the
         batch rule on one row."""
-        return RepPoint(tuple(self.evaluate_batch([x], component)[0]))
+        return RepPoint(self.evaluate_batch([x], component)[0])
 
 
 def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
@@ -434,30 +399,23 @@ def direct_sum(f: Family, g: Family) -> Family:
 
 
 def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
-    """Exact determinant and inverse of a square rational matrix, by
-    Gauss-Jordan elimination over Q; the inverse is None when singular."""
+    """Exact determinant and inverse of a square rational matrix over Q; the
+    inverse is None when singular.  ``reduce_rows`` on [m | I] keeps the
+    determinant and leaves rows upper triangular on m once sorted by pivot;
+    reducing them again in descending pivot order leaves m's diagonal."""
     n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0), None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return det, [row[n:] for row in aug]
+    rows = reduce_rows(
+        {**{j: Fraction(v) for j, v in enumerate(row) if v}, n + i: Fraction(1)}
+        for i, row in enumerate(m)
+    )
+    pivots = [min(row) for row in rows]
+    if any(p >= n for p in pivots):  # a row of m depends on the rows before it
+        return Fraction(0), None
+    det = Fraction((-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]))
+    for p, row in zip(pivots, rows):
+        det *= row[p]
+    diagonal = {min(row): row for row in reduce_rows(sorted(rows, key=min, reverse=True))}
+    return det, [[diagonal[p].get(n + j, 0) / diagonal[p][p] for j in range(n)] for p in range(n)]
 
 
 def _abelianize(w: Word, n: int) -> list[int]:
@@ -584,7 +542,10 @@ def _pullback(
 
     def ev(x, ci):
         rep = f.evaluate_batch(x, ci)
-        return np.stack([evaluate_word(w, rep) for w in images], axis=1)
+        out = np.empty((len(x), len(images)) + rep.shape[-2:], dtype=complex)
+        for p, w in enumerate(images):
+            out[:, p] = evaluate_word(w, rep)
+        return out
 
     chern = None
     if f.chern is not None:

@@ -210,27 +210,29 @@ def format_presentation(G: GroupPresentation) -> str:
     return f"gens: {' '.join(G.generators)} ; rels: {rels} ;"
 
 
+def matrix_stack(point) -> np.ndarray:
+    """The complex array ``(..., gens, k, k)`` of a RepPoint's ``matrices``,
+    of an array, or of a sequence of square matrices of one size."""
+    try:
+        mats = np.asarray(getattr(point, "matrices", point), dtype=complex)
+    except ValueError:  # ragged: matrices of different sizes
+        raise ValueError("dimension mismatch: matrices of different sizes") from None
+    if mats.ndim < 3 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError(f"dimension mismatch: {mats.shape} is no stack of square matrices")
+    return mats
+
+
 def evaluate_word(w: Word, point) -> np.ndarray:
     """Product of the assigned matrices along ``w``; identity for the empty word.
 
-    ``point`` is a RepPoint or any sequence of square matrices indexed like the
-    presentation's generators, or an array ``(..., gens, k, k)`` stacking such
-    assignments, which gives the stack ``(..., k, k)`` of products.  A negative
-    run uses the conjugate transpose; a run takes O(log |exponent|) products.
+    ``point`` is a RepPoint or an array ``(gens, k, k)`` of matrices indexed
+    like the presentation's generators, or a stack ``(..., gens, k, k)`` of
+    such assignments, which gives the stack ``(..., k, k)`` of products.  A
+    negative run uses the conjugate transpose; a run takes O(log |exponent|)
+    products.
     """
-    mats = getattr(point, "matrices", point)
-    if len(mats) == 0:
-        raise ValueError("no matrices assigned")
-    if not isinstance(mats, np.ndarray):
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValueError(f"dimension mismatch: {m.shape} vs ({n}, {n})")
-        mats = np.stack(mats)
-    mats = np.asarray(mats, dtype=complex)
+    mats = matrix_stack(point)
     n = mats.shape[-1]
-    if mats.ndim < 3 or mats.shape[-2] != n:
-        raise ValueError(f"dimension mismatch: {mats.shape[-2:]} vs ({n}, {n})")
     out = None
     for g, e in w.letters:
         if g >= mats.shape[-3]:

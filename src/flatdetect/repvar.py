@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .presentation import GroupPresentation, Word, evaluate_word, spell
+from .presentation import GroupPresentation, Word, evaluate_word, matrix_stack, spell
 
 ARMIJO = 0.1  # sufficient-decrease constant; large enough to reject
               # edge-of-stability oscillation
@@ -32,41 +32,37 @@ MAX_BACKTRACKS = 40
 MAX_PERTURBATIONS = 20  # stall escapes before giving up
 
 
-def unitarity_defect(mats) -> float | np.ndarray:
-    """Largest ||M^H M - I||_F over one assignment's square matrices.
+def unitarity_defect(point) -> float | np.ndarray:
+    """Largest ||M^H M - I||_F over one assignment's square matrices, 0 for
+    none (NaN fails any bound).
 
-    ``mats`` is a sequence of k x k matrices, giving a float, or a stack
-    ``(..., gens, k, k)`` of assignments, giving one value per assignment.
+    ``point`` is a RepPoint or an array ``(gens, k, k)``, giving a float, or
+    a stack ``(..., gens, k, k)`` of assignments, giving one value per
+    assignment.
     """
-    m = np.asarray(mats)
+    m = matrix_stack(point)
     gram = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
-    d = np.linalg.norm(gram, axis=(-2, -1)).max(axis=-1)
+    d = np.linalg.norm(gram, axis=(-2, -1)).max(axis=-1, initial=0.0)
     return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
 class RepPoint:
-    """An assignment of one unitary matrix per generator (immutable)."""
+    """An assignment of one unitary matrix per generator: ``matrices`` is one
+    read-only complex stack ``(gens, k, k)``."""
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        if not self.matrices:
-            raise ValueError("RepPoint needs at least one matrix")
-        n = self.matrices[0].shape[0]
-        frozen = []
-        for m in self.matrices:
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (n, n):
-                raise ValueError(f"dimension mismatch: {m.shape} vs ({n}, {n})")
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "matrices", tuple(frozen))
+        m = matrix_stack(self.matrices).copy()
+        if m.ndim != 3:
+            raise ValueError(f"a point is one stack (gens, k, k), got shape {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrices", m)
 
     @property
     def dimension(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[-1]
 
     def unitarity_defect(self) -> float:
         return unitarity_defect(self.matrices)
@@ -102,7 +98,7 @@ def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
     ``p`` is a RepPoint, giving a float, or a stack ``(..., gens, k, k)`` of
     assignments, giving one value per assignment.
     """
-    mats = np.asarray(getattr(p, "matrices", p))
+    mats = matrix_stack(p)
     if mats.shape[-3] < len(G.generators):
         raise ValueError(
             f"point assigns {mats.shape[-3]} matrices, group has "
@@ -113,10 +109,6 @@ def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
     for r in G.relators:
         total = total + np.linalg.norm(evaluate_word(r, mats) - eye, axis=(-2, -1)) ** 2
     return float(total) if total.ndim == 0 else total
-
-
-def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:
-    return relator_defect(p, G) <= tol and p.unitarity_defect() <= tol
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -304,7 +296,7 @@ def solve_representation(
     if best[1] < defect:
         mats, defect = best
     return SolveResult(
-        point=RepPoint(tuple(mats)),
+        point=RepPoint(mats),
         defect=defect,
         iterations=iters,
         converged=defect <= cfg.tolerance,

@@ -227,6 +227,35 @@ def test_detect_run_undetected_exit5(workdir):
     assert json.loads((workdir / "u.json").read_text())["verdict"] == "undetected"
 
 
+def test_detect_run_dependent_rows_exit5_with_witness(workdir):
+    for name, m in (("swap", "[[0, 1], [1, 0]]"), ("conj", "[[-1, 0], [0, -1]]")):
+        (workdir / f"{name}.fam").write_text(
+            f"sum(char_zn(2, 4), pullback(char_zn(2, 4), cover=sublattice({m}), "
+            "cosets=[e], group=z2.grp))\n"
+        )
+    out = workdir / "w.json"
+    code = run(
+        ["detect", "run", "--group", "free_abelian(2)", "--families",
+         str(workdir / "swap.fam"), str(workdir / "conj.fam"), "--out", str(out)]
+    )
+    assert code == 5
+    rec = json.loads(out.read_text())
+    assert rec["verdict"] == "undetected" and rec["undetected_classes"] == []
+    assert rec["witness"] == "z1 - z2"
+
+
+@pytest.mark.parametrize(
+    "expr", ["trivial(group=e.grp)", "extend(trivial(group=e.grp), group=e.grp)"]
+)
+def test_family_build_of_the_group_without_generators(workdir, expr):
+    (workdir / "e.grp").write_text("gens: ; rels: ;\n")
+    (workdir / "e.fam").write_text(expr + "\n")
+    out = workdir / "e.json"
+    assert run(["family", "build", "--expr", str(workdir / "e.fam"), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["fiber_dims"] == [1] and rec["base_dim"] == 0
+
+
 def test_family_build_and_verify(workdir):
     out = workdir / "fam.json"
     code = run(["family", "build", "--expr", str(workdir / "klein.fam"),

@@ -38,11 +38,12 @@ from flatdetect.families import (
     disjoint_union,
     extend_free_product,
     induce_family,
+    numeric_c1_windings,
     pullback_family,
     tensor_families,
     trivial_family,
 )
-from flatdetect.presentation import Word, free_abelian, free_group, surface_group
+from flatdetect.presentation import Word, free_abelian, free_group, free_reduce, surface_group
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +527,104 @@ def _product_descriptors(draw):
 @given(_exact_families(), _product_descriptors())
 def test_detection_matrix_equals_cellwise_on_product_bases(f, d):
     assert detection_matrix(d, [f]).matrix == _reference_matrix(d, [f])
+
+
+# ---------------------------------------------------------------------------
+# certificates: full row rank, and the witness of dependent rows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _z2_cover(draw):
+    """The sublattice of Z^2 spanned by the columns of a random matrix m with
+    1 <= |det m| <= 3, with one representative per coset: v and u share a
+    coset when adj(m) (v - u) = 0 mod det m, and the box [0, |det m|)^2
+    meets every coset."""
+    a, b, c, d = draw(st.tuples(*[st.integers(-2, 2)] * 4).filter(
+        lambda m: 1 <= abs(m[0] * m[3] - m[1] * m[2]) <= 3
+    ))
+    det = a * d - b * c
+    reps = []
+    for x, y in itertools.product(range(abs(det)), repeat=2):
+        if not any((d * (x - u) - b * (y - v)) % det == 0
+                   and (a * (y - v) - c * (x - u)) % det == 0 for u, v in reps):
+            reps.append((x, y))
+    cosets = [free_reduce(Word(((0, x), (1, y)))) for x, y in reps]
+    return SublatticeCover(free_abelian(2), [[a, b], [c, d]], cosets)
+
+
+@st.composite
+def _z2_tree(draw, depth: int = 2):
+    """A family of Z^2: char_zn, pullback and induce along random sublattices,
+    sum (with a pullback or induction of itself, over the same space) and
+    union."""
+    kinds = ["char"] + (["pullback", "induce", "sum", "union"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "char":
+        return character_family_Zn(2, 2)
+    f = draw(_z2_tree(depth - 1))
+    if kind == "union":
+        return disjoint_union(f, draw(_z2_tree(depth - 1)))
+    cover = draw(_z2_cover())
+    g = draw(st.sampled_from([pullback_family, induce_family]))(f, cover)
+    if kind == "sum":
+        return direct_sum(f, g)
+    return pullback_family(f, cover) if kind == "pullback" else induce_family(f, cover)
+
+
+def _combination(text, labels):
+    """{row index: coefficient} of a witness such as "z1 - 3/2*z1^z2"."""
+    tokens = ["+"] + text.split(" ")
+    out = {}
+    for op, term in zip(tokens[::2], tokens[1::2]):
+        coefficient, _, label = term.rpartition("*")
+        out[labels.index(label)] = Fraction(coefficient or 1) * (-1 if op == "-" else 1)
+    return out
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_z2_tree(), min_size=1, max_size=3))
+def test_certified_exactly_at_full_row_rank_and_the_witness_pairs_to_zero(fams):
+    report = detection_matrix(FreeAbelian(2), fams)
+    rows = report.matrix
+    full = _rank_over_Q(rows) == len(rows)
+    assert (report.verdict == "FD-certified") == full
+    assert (report.witness is not None) == (not full and all(report.detected))
+    assert ("witness" in report.to_json_dict()) == (report.witness is not None)
+    if report.witness is not None:
+        coefficients = _combination(report.witness, report.row_labels)
+        assert coefficients[min(coefficients)] == 1
+        for col in range(len(report.col_labels)):
+            assert sum(c * rows[i][col] for i, c in coefficients.items()) == 0
+        # the first dependency in row order: the rows before its last are independent
+        last = max(coefficients)
+        assert _rank_over_Q(rows[:last]) == _rank_over_Q(rows[: last + 1]) == last
+
+
+def test_rows_equal_but_nonzero_are_not_certified():
+    char = character_family_Zn(2, 4)
+
+    def swapped(m):
+        return direct_sum(char, pullback_family(char, SublatticeCover(char.group, m, [Word(())])))
+
+    report = detection_matrix(
+        FreeAbelian(2), [swapped([[0, 1], [1, 0]]), swapped([[-1, 0], [0, -1]])]
+    )
+    assert all(report.detected) and report.undetected_classes == ()
+    assert report.row_labels[1:3] == ("z1", "z2") and report.matrix[1] == report.matrix[2]
+    assert report.verdict == "undetected"
+    assert report.to_json_dict()["witness"] == "z1 - z2"
+    assert "witness" not in detection_matrix(FreeAbelian(2), [char]).to_json_dict()
+
+
+@_SLOW_DATA
+@given(_z2_tree())
+def test_numeric_windings_equal_the_exact_coefficients_sign_included(f):
+    windings = numeric_c1_windings(f, 64)
+    for ci, per_generator in enumerate(windings):
+        for g, per_axis in enumerate(per_generator):
+            for axis, w in enumerate(per_axis):
+                assert w == f.chern[ci].coefficient((("z", g + 1), ("x", axis + 1)))
 
 
 def test_detection_trivial_family_detects_only_point():

@@ -15,6 +15,7 @@ from flatdetect.families import (
     Family,
     FinitePointSet,
     KleinBottleCover,
+    ParameterSpace,
     ProductSpace,
     SublatticeCover,
     TorusGrid,
@@ -126,6 +127,25 @@ def test_base_dim_is_derived_from_group_and_forms():
     t = tensor_families(character_family_Zn(1, 2), trivial_family(free_group(2)))
     assert t.base_dim == 3
     assert induce_family(character_family_Zn(2, 2), KleinBottleCover()).base_dim is None
+
+
+def test_every_space_is_one_parameter_space_value():
+    spaces = [
+        TorusGrid(2, 3),
+        FinitePointSet(2),
+        ProductSpace(TorusGrid(1, 2), FinitePointSet(2)),
+        DisjointUnionSpace(FinitePointSet(1), TorusGrid(1, 4)),
+    ]
+    assert all(type(s) is ParameterSpace for s in spaces)
+    assert [s.describe() for s in spaces] == [
+        "T^2[3]", "pts[2]", "(T^1[2] x pts[2])", "(pts[1] | T^1[4])",
+    ]
+    assert spaces[2] == ProductSpace(TorusGrid(1, 2), FinitePointSet(2))
+    assert spaces[2] != DisjointUnionSpace(TorusGrid(1, 2), FinitePointSet(2))
+    with pytest.raises(ValueError, match="point count"):
+        FinitePointSet(0)
+    with pytest.raises(ValueError, match="torus dimension"):
+        TorusGrid(0, 4)
 
 
 def test_component_bookkeeping():
@@ -445,6 +465,25 @@ def test_klein_rewrite_of_runs_matches_the_spelled_word(runs):
     assert cov.rewrite(Word(tuple(runs))) == cov.rewrite(Word(tuple(spelled)))
 
 
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_det_and_inverse_match_the_leibniz_formula(m):
+    n = len(m)
+    det, inverse = families._det_and_inverse(m)
+    leibniz = sum(
+        (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        * np.prod([m[i][perm[i]] for i in range(n)], dtype=object)
+        for perm in itertools.permutations(range(n))
+    )
+    assert det == leibniz
+    if det == 0:
+        assert inverse is None
+    else:
+        product = [[sum(m[i][k] * inverse[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_sublattice_rejects_nonabelian_ambient():
     with pytest.raises(ValueError, match="not free abelian"):
         SublatticeCover(klein_bottle(), [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))])
@@ -482,7 +521,7 @@ def test_holonomy_loop_closes():
 
 def test_numeric_c1_matches_exact_coefficients():
     # exact z_j^x_i coefficient of the rank-n character family is delta_ij;
-    # numeric winding reproduces it up to the recorded global sign
+    # numeric winding reproduces it exactly, sign included
     f = character_family_Zn(2, 8)
     wind = numeric_c1_windings(f, samples=32)[0]
     exact = [
@@ -492,15 +531,24 @@ def test_numeric_c1_matches_exact_coefficients():
         ]
         for j in range(2)
     ]
-    assert [[abs(v) for v in row] for row in wind] == [
-        [abs(int(v)) for v in row] for row in exact
-    ]
+    assert wind == exact == [[1, 0], [0, 1]]
 
 
 def test_numeric_c1_of_induced_circle_family():
     ind = induce_family(character_family_Zn(1, 8), circle_cover(2))
     wind = numeric_c1_windings(ind, samples=32)[0]
-    assert abs(wind[0][0]) == abs(int(ind.chern[0].coefficient((("z", 1), ("x", 1)))))
+    assert wind[0][0] == ind.chern[0].coefficient((("z", 1), ("x", 1))) == 1
+
+
+def test_families_of_the_group_without_generators_verify():
+    e = GroupPresentation(())
+    triv = trivial_family(e, 2)
+    for f in (triv, extend_free_product(triv, e)):
+        assert verify_family(f)
+        assert f.chern == (MultiForm.constant(2),)
+        p = f.evaluate(())
+        assert p.matrices.shape == (0, 2, 2) and p.dimension == 2
+        assert p.unitarity_defect() == 0.0
 
 
 def test_family_invariant_failure_detected():

@@ -24,12 +24,15 @@ from flatdetect.repvar import (
     relator_defect,
     solve_representation,
     unitarity_defect,
-    verify_homomorphism,
     _Relators,
     _riemannian_gradients,
 )
 
 Z2 = free_abelian(2)
+
+
+def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:
+    return relator_defect(p, G) <= tol and p.unitarity_defect() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +382,27 @@ def test_rep_point_immutable():
     p = RepPoint((np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         p.matrices[0][0, 0] = 5.0
+
+
+def test_rep_point_holds_one_read_only_stack():
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    p = RepPoint(mats)
+    assert p.matrices.shape == (2, 2, 2) and p.matrices.dtype == complex
+    assert p.dimension == 2
+    assert not p.matrices.flags.writeable
+    mats[0, 0, 0] = 5.0  # the point holds its own copy
+    assert p.matrices[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        RepPoint((np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="one stack"):
+        RepPoint(np.stack([mats, mats]))
+
+
+def test_unitarity_defect_of_no_matrices_is_zero_and_nan_fails():
+    assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
+    assert unitarity_defect(np.zeros((4, 0, 3, 3))).tolist() == [0.0] * 4
+    assert not unitarity_defect(np.full((1, 2, 2), np.nan)) <= 1.0
+    assert relator_defect(np.zeros((4, 0, 1, 1)), GroupPresentation(())).tolist() == [0.0] * 4
 
 
 def test_haar_unitary_is_unitary():

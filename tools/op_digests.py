@@ -13,8 +13,11 @@ After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
 of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
 one exact family and one Klein-bottle family (the numeric path).  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
-``extend`` and ``pullback`` expressions the benchmark never builds.  Neither
-block depends on the seed.
+``extend`` and ``pullback`` expressions the benchmark never builds, and
+families of the group with no generators.  Last come the ``certificates``
+ops: ``detect run`` on each of ``CERTIFICATES``, family sets whose pairing
+rows are nonzero but linearly dependent.  No block after the benchmark ops
+depends on the seed.
 
 The temporary directory's path is replaced by ``<run>`` before digesting, so
 file names in messages agree between runs.  A missing ``--out`` file digests
@@ -60,12 +63,24 @@ FAMILIES = (
     "pullback(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
     "cover=klein_even, group=klein.grp)",
     "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, group=klein.grp)",
+    "trivial(group=e.grp)",
+    "extend(trivial(group=e.grp), group=e.grp)",
 )
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
     "f2.grp": "gens: a b ; rels: ;\n",
     "z2.grp": "gens: a b ; rels: a b a^-1 b^-1 ;\n",
+    "e.grp": "gens: ; rels: ;\n",
 }
+# (group descriptor, family expressions) of each ``certificates`` op: families
+# whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
+CERTIFICATES = (
+    ("free_abelian(2)", tuple(
+        f"sum(char_zn(2, 4), pullback(char_zn(2, 4), cover=sublattice({m}), "
+        "cosets=[e], group=z2.grp))"
+        for m in ("[[0, 1], [1, 0]]", "[[-1, 0], [0, -1]]")
+    )),
+)
 
 
 def _descriptor_ops(run_dir: Path):
@@ -89,6 +104,18 @@ def _family_ops(run_dir: Path):
         fam, out = run_dir / f"f{i}.fam", run_dir / f"f{i}.json"
         fam.write_text(expr + "\n")
         yield ["family", "build", "--expr", str(fam), "--out", str(out)], out, expr
+
+
+def _certificate_ops(run_dir: Path):
+    """(argv, label) of every ``certificates`` op; writes its input files."""
+    (run_dir / "z2.grp").write_text(GROUP_FILES["z2.grp"])
+    for i, (group, exprs) in enumerate(CERTIFICATES):
+        paths = []
+        for j, expr in enumerate(exprs):
+            paths.append(run_dir / f"c{i}f{j}.fam")
+            paths[-1].write_text(expr + "\n")
+        argv = ["detect", "run", "--group", group, "--families", *map(str, paths)]
+        yield argv, f"detect run {group} vs {'; '.join(exprs)}"
 
 
 def main(argv=None) -> int:
@@ -136,6 +163,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_family_ops(run_dir)):
             run_op("families", i, argv, out, label)
+        run_dir = tmp / "certificates"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_certificate_ops(run_dir)):
+            run_op("certificates", i, argv, None, label)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
