@@ -265,7 +265,7 @@ def _induce(f, cover=None, cosets=None, group=None):
 
 
 def _finite_index_super(sub, index, label, homology):
-    homology = tuple(tuple(lv if isinstance(lv, list) else [lv]) for lv in homology)
+    homology = [lv if isinstance(lv, list) else [lv] for lv in homology]
     return detect.FiniteIndexSuper(sub, index, label, homology)
 
 
@@ -355,7 +355,7 @@ def build_family(ast, basedir: Path) -> families.Family:
     return _build(ast, "family", basedir)
 
 
-def build_descriptor(ast) -> detect.GroupClassDescriptor:
+def build_descriptor(ast) -> detect.GroupClass:
     return _build(ast, "descriptor", None)
 
 
@@ -497,7 +497,7 @@ def _detection(ns) -> detect.DetectionReport:
         # checked once the pairing has accepted the group's classes: it
         # matches base labels by index, so a family of another group would
         # pair as if it were a family of this one
-        z_dim = detect.rational_homology(descriptor).z_dim
+        z_dim = descriptor.basis.z_dim
         for fi, f in enumerate(fams):
             if f.base_dim != z_dim:
                 raise ExprError(
@@ -645,6 +645,9 @@ def run(argv: list[str]) -> int:
         return EXIT_PARSE
     except RecursionError:
         sys.stderr.write("error: input nested too deeply\n")
+        return EXIT_PARSE
+    except MemoryError:
+        sys.stderr.write("error: input too large to allocate\n")
         return EXIT_PARSE
     except (detect.DetectionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

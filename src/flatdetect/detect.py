@@ -1,11 +1,14 @@
 """Rational homology bases, detection pairings, and detectability certificates.
 
 Rational K-homology is represented throughout by rational homology via the
-character isomorphism.  For the supported group classes the classifying space
-has a torus/wedge model whose homology classes are dual to monomials in the
-base (z) labels; pairing a family against a class contracts the family's
-exact character form on that monomial.  Families without exact character
-data can pair degree <= 1 classes numerically through determinant windings.
+character isomorphism.  A group class is one value, ``GroupClass(label,
+basis)``, built with its basis by ``Free``, ``FreeAbelian``,
+``SurfaceClosed``, ``FreeProduct``, ``DirectProduct`` or ``FiniteIndexSuper``.
+Where the classifying space has a torus/wedge model, its homology classes are
+dual to monomials in the base (z) labels; pairing a family against a class
+contracts the family's exact character form on that monomial.  Families
+without exact character data can pair degree <= 1 classes numerically
+through determinant windings.
 
 Basis conventions: base generators are ordered z1 < z2 < ..., parameter
 generators x1 < x2 < ..., monomials sorted base-before-parameter; signs from
@@ -35,88 +38,8 @@ class DetectionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Group class descriptors
+# Group classes and their rational homology bases
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Free:
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-
-    def describe(self) -> str:
-        return f"free({self.rank})"
-
-
-@dataclass(frozen=True)
-class FreeAbelian:
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
-
-    def describe(self) -> str:
-        return f"free_abelian({self.rank})"
-
-
-@dataclass(frozen=True)
-class SurfaceClosed:
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError("genus must be >= 1")
-
-    def describe(self) -> str:
-        return f"surface({self.genus})"
-
-
-@dataclass(frozen=True)
-class FreeProduct:
-    left: "GroupClassDescriptor"
-    right: "GroupClassDescriptor"
-
-    def describe(self) -> str:
-        return f"free_product({self.left.describe()}, {self.right.describe()})"
-
-
-@dataclass(frozen=True)
-class DirectProduct:
-    left: "GroupClassDescriptor"
-    right: "GroupClassDescriptor"
-
-    def describe(self) -> str:
-        return f"direct_product({self.left.describe()}, {self.right.describe()})"
-
-
-@dataclass(frozen=True)
-class FiniteIndexSuper:
-    """A finite-index supergroup of ``sub``; its rational homology cannot be
-    derived here and must be supplied as a table of labels per degree, with
-    exactly one label (the point class) in degree 0."""
-
-    sub: "GroupClassDescriptor"
-    index: int
-    label: str
-    homology: tuple[tuple[str, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.index < 2:
-            raise ValueError("index must be >= 2")
-        if self.homology is not None and (not self.homology or len(self.homology[0]) != 1):
-            raise ValueError("a homology table needs exactly one degree-0 label")
-
-    def describe(self) -> str:
-        return f"finite_index_super({self.sub.describe()}, {self.index}, {self.label})"
-
-
-GroupClassDescriptor = (
-    Free | FreeAbelian | SurfaceClosed | FreeProduct | DirectProduct | FiniteIndexSuper
-)
 
 
 @dataclass(frozen=True)
@@ -141,67 +64,120 @@ class HomologyBasis:
         return [c for degree in self.classes for c in degree]
 
 
-def _basis(classes: Sequence[BasisClass], top: int, z_dim: int) -> HomologyBasis:
+@dataclass(frozen=True)
+class GroupClass:
+    """A group class: its expression ``label`` and the labeled basis of the
+    rational homology of its classifying space."""
+
+    label: str
+    basis: HomologyBasis
+
+    def describe(self) -> str:
+        return self.label
+
+
+def _group_class(label: str, classes: Sequence[BasisClass], top: int, z_dim: int) -> GroupClass:
     """Group a flat class list by degree 0..top, keeping the order within
     each degree."""
     degrees = [[] for _ in range(top + 1)]
     for c in classes:
         degrees[c.degree].append(c)
-    return HomologyBasis(tuple(map(tuple, degrees)), z_dim)
+    return GroupClass(label, HomologyBasis(tuple(map(tuple, degrees)), z_dim))
 
 
-def rational_homology(d: GroupClassDescriptor) -> HomologyBasis:
+def _torus(label: str, rank: int, top: int) -> GroupClass:
+    """The torus model of rank ``rank`` truncated above degree ``top``."""
+    classes = [
+        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, subset)
+        for q in range(top + 1)
+        for subset in itertools.combinations(range(1, rank + 1), q)
+    ]
+    return _group_class(label, classes, top, rank)
+
+
+def Free(rank: int) -> GroupClass:
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+    # a wedge of circles stops at degree 1
+    return _torus(f"free({rank})", rank, min(rank, 1))
+
+
+def FreeAbelian(rank: int) -> GroupClass:
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+    return _torus(f"free_abelian({rank})", rank, rank)
+
+
+def SurfaceClosed(genus: int) -> GroupClass:
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+    label = f"surface({genus})"
+    if genus == 1:
+        return _torus(label, 2, 2)
+    ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, genus + 1) for ab in "ab"]
+    classes = [BasisClass("pt", 0, ()), *ones, BasisClass("fundamental", 2, None)]
+    return _group_class(label, classes, 2, 2 * genus)
+
+
+def _factors(left: GroupClass, right: GroupClass):
+    """The classes of both factors, the right's labels prefixed ``R.`` and
+    its monomials shifted past the left's z-labels, and the joint z_dim."""
+    shift = left.basis.z_dim
+    right_classes = [
+        BasisClass(
+            f"R.{c.label}",
+            c.degree,
+            None if c.monomial is None else tuple(i + shift for i in c.monomial),
+        )
+        for c in right.basis.all_classes()
+    ]
+    return left.basis.all_classes(), right_classes, shift + right.basis.z_dim
+
+
+def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
+    lc, rc, z_dim = _factors(left, right)
+    positive = [c for c in lc + rc if c.degree > 0]
+    top = max(len(left.basis.classes), len(right.basis.classes)) - 1
+    label = f"free_product({left.describe()}, {right.describe()})"
+    return _group_class(label, [BasisClass("pt", 0, ()), *positive], top, z_dim)
+
+
+def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
+    lc, rc, z_dim = _factors(left, right)
+    classes = [
+        BasisClass(
+            "x".join(c.label for c in (cl, cr) if c.degree > 0) or cl.label,
+            cl.degree + cr.degree,
+            None if None in (cl.monomial, cr.monomial) else cl.monomial + cr.monomial,
+        )
+        for cl in lc
+        for cr in rc
+    ]
+    top = len(left.basis.classes) + len(right.basis.classes) - 2
+    label = f"direct_product({left.describe()}, {right.describe()})"
+    return _group_class(label, classes, top, z_dim)
+
+
+def FiniteIndexSuper(
+    sub: GroupClass, index: int, label: str, homology: Sequence[Sequence[str]]
+) -> GroupClass:
+    """A finite-index supergroup of ``sub``; its rational homology cannot be
+    derived here and is given as a table of labels per degree, with exactly
+    one label (the point class) in degree 0."""
+    if index < 2:
+        raise ValueError("index must be >= 2")
+    if not homology or len(homology[0]) != 1:
+        raise ValueError("a homology table needs exactly one degree-0 label")
+    classes = [BasisClass(name, q, None) for q, names in enumerate(homology) for name in names]
+    return _group_class(
+        f"finite_index_super({sub.describe()}, {index}, {label})",
+        classes, len(homology) - 1, 0,
+    )
+
+
+def rational_homology(d: GroupClass) -> HomologyBasis:
     """Labeled basis of the rational homology of the classifying space."""
-    if isinstance(d, SurfaceClosed) and d.genus == 1:
-        d = FreeAbelian(2)
-    if isinstance(d, (Free, FreeAbelian)):
-        # the torus model; a wedge of circles stops at degree 1
-        top = min(d.rank, 1) if isinstance(d, Free) else d.rank
-        classes = [
-            BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, subset)
-            for q in range(top + 1)
-            for subset in itertools.combinations(range(1, d.rank + 1), q)
-        ]
-        return _basis(classes, top, d.rank)
-    if isinstance(d, SurfaceClosed):
-        ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, d.genus + 1) for ab in "ab"]
-        classes = [BasisClass("pt", 0, ()), *ones, BasisClass("fundamental", 2, None)]
-        return _basis(classes, 2, 2 * d.genus)
-    if isinstance(d, (FreeProduct, DirectProduct)):
-        bl, br = rational_homology(d.left), rational_homology(d.right)
-        left, z_dim = bl.all_classes(), bl.z_dim + br.z_dim
-        right = [
-            BasisClass(
-                f"R.{c.label}",
-                c.degree,
-                None if c.monomial is None else tuple(i + bl.z_dim for i in c.monomial),
-            )
-            for c in br.all_classes()
-        ]
-        tops = (len(bl.classes) - 1, len(br.classes) - 1)
-        if isinstance(d, FreeProduct):
-            positive = [c for c in left + right if c.degree > 0]
-            return _basis([BasisClass("pt", 0, ()), *positive], max(tops), z_dim)
-        classes = [
-            BasisClass(
-                "x".join(c.label for c in (cl, cr) if c.degree > 0) or cl.label,
-                cl.degree + cr.degree,
-                None if None in (cl.monomial, cr.monomial) else cl.monomial + cr.monomial,
-            )
-            for cl in left
-            for cr in right
-        ]
-        return _basis(classes, sum(tops), z_dim)
-    if isinstance(d, FiniteIndexSuper):
-        if d.homology is None:
-            raise DetectionError(
-                f"finite-index supergroup {d.label!r} needs a supplied homology table"
-            )
-        classes = [
-            BasisClass(label, q, None) for q, labels in enumerate(d.homology) for label in labels
-        ]
-        return _basis(classes, len(d.homology) - 1, 0)
-    raise TypeError(f"unsupported descriptor {d!r}")
+    return d.basis
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +270,7 @@ def _assemble_report(d, fams, row_labels, col_labels, matrix, mode):
 
 
 def detection_matrix(
-    d: GroupClassDescriptor, fams: Sequence[Family]
+    d: GroupClass, fams: Sequence[Family]
 ) -> DetectionReport:
     """The exact detection matrix: one row per homology basis class, one
     column per parameter monomial of each family component, entries the
@@ -344,7 +320,7 @@ def detection_matrix(
 
 
 def numeric_detection_report(
-    d: GroupClassDescriptor,
+    d: GroupClass,
     f: Family,
     samples: int = 64,
 ) -> DetectionReport:

@@ -42,9 +42,11 @@ from .presentation import (
     Word,
     direct_product,
     evaluate_word,
+    format_word,
     free_abelian,
     free_reduce,
     klein_bottle,
+    spell,
 )
 from .repvar import RepPoint, relator_defect, unitarity_defect
 
@@ -322,20 +324,34 @@ def tensor_families(f: Family, g: Family) -> Family:
 def extend_free_product(f: Family, G: GroupPresentation) -> Family:
     """Extend a family across a free product G = E * F, where E is the
     family's group: the pullback along the retraction G -> E that sends
-    generators of the other free factor F to the identity."""
+    generators of the other free factor F to the identity.  Each relator of
+    G on E's generators must be, letter by letter, a cyclic rotation of one
+    of E's relators or of its inverse, so that the retraction is a
+    homomorphism."""
     names = set(f.group.generators)
     missing = names - set(G.generators)
     if missing:
         raise ValueError(f"generators {sorted(missing)} absent from the ambient group")
+    retract = {gi: f.group.generator_index(name)
+               for gi, name in enumerate(G.generators) if name in names}
+    own = set()
+    for r in f.group.relators:
+        for letters in (spell(r).letters, spell(r.inverse()).letters):
+            own.update(letters[i:] + letters[:i] for i in range(len(letters)))
     for rel in G.relators:
-        used = {G.generators[gi] for gi, _ in rel.letters}
-        if used & names and used - names:
+        used = {gi for gi, _ in rel.letters}
+        if used & retract.keys() and used - retract.keys():
             raise ValueError(
                 "ambient relator mixes both free factors; not a free product"
             )
+        image = spell(Word(tuple((retract[g], e) for g, e in rel.letters if g in retract)))
+        if image.letters and image.letters not in own:
+            raise ValueError(
+                f"ambient relator {format_word(rel, G)!r} is not a relator of the "
+                "family's group, up to rotation and inversion"
+            )
     images = tuple(
-        Word(((f.group.generator_index(name), 1),)) if name in names else Word(())
-        for name in G.generators
+        Word(((retract[gi], 1),)) if gi in retract else Word(()) for gi in range(len(G.generators))
     )
     return _pullback(f, G, images, f"extend({f.structure} -> {'*'.join(G.generators)})")
 

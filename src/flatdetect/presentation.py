@@ -200,13 +200,14 @@ def spell(w: Word) -> Word:
     return Word(tuple((g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e))))
 
 
-def format_presentation(G: GroupPresentation) -> str:
-    """Render in the source format (a run as |exponent| letters); re-parses equal."""
-    def fmt_letter(l: Letter) -> str:
-        name = G.generators[l[0]]
-        return name if l[1] == 1 else f"{name}^-1"
+def format_word(w: Word, G: GroupPresentation) -> str:
+    """Render a word of ``G`` as source letters (a run as |exponent| letters)."""
+    return " ".join(G.generators[g] + ("" if e == 1 else "^-1") for g, e in spell(w).letters)
 
-    rels = " , ".join(" ".join(fmt_letter(l) for l in spell(r).letters) for r in G.relators)
+
+def format_presentation(G: GroupPresentation) -> str:
+    """Render in the source format; re-parses equal."""
+    rels = " , ".join(format_word(r, G) for r in G.relators)
     return f"gens: {' '.join(G.generators)} ; rels: {rels} ;"
 
 

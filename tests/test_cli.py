@@ -17,6 +17,7 @@ from flatdetect.cli import (
     parse_expression,
     run,
 )
+from flatdetect.detect import FiniteIndexSuper, FreeAbelian
 from flatdetect.presentation import parse_presentation
 
 Z2_SRC = "gens: a b ; rels: a b a^-1 b^-1 ;\n"
@@ -80,7 +81,7 @@ def test_build_descriptor_variants():
             "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"
         )
     )
-    assert d2.homology == (("pt",), ("b",))
+    assert d2 == FiniteIndexSuper(FreeAbelian(2), 2, "klein", (("pt",), ("b",)))
 
 
 def test_build_family_induce_with_inferred_cover(workdir):
@@ -254,6 +255,41 @@ def test_family_build_of_the_group_without_generators(workdir, expr):
     assert run(["family", "build", "--expr", str(workdir / "e.fam"), "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert rec["fiber_dims"] == [1] and rec["base_dim"] == 0
+
+
+def test_extend_rejects_ambient_relators_foreign_to_the_family_group(workdir, capsys):
+    (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
+    (workdir / "k.fam").write_text("extend(char_zn(2, 8, gens=[a, b]), group=klein.grp)\n")
+    (workdir / "f.fam").write_text("extend(char_zn(2, 8, gens=[a, b]), group=f2.grp)\n")
+    k, f = str(workdir / "k.fam"), str(workdir / "f.fam")
+    capsys.readouterr()
+    for argv in (["family", "build", "--expr", k],
+                 ["detect", "run", "--group", "free_abelian(2)", "--families", k]):
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: ambient relator 'a b a b^-1' is not a relator of the "
+            "family's group, up to rotation and inversion\n"
+        )
+    assert run(["family", "build", "--expr", f, "--out", str(workdir / "f.json")]) == 0
+    assert run(["detect", "run", "--group", "free_abelian(2)", "--families", f]) == 0
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (flatdetect.repvar, "solve_representation",
+         ["rep", "solve", "--presentation", "z2.grp", "--dim", "1000000"]),
+        (flatdetect.families, "numeric_c1_windings",
+         ["forms", "chern", "--family", "z2.fam", "--resolution", "1000000000000"]),
+    ],
+)
+def test_input_too_large_to_allocate_exit3(workdir, capsys, monkeypatch, module, name, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(module, name, exhausted)
+    argv = [str(workdir / a) if a.endswith((".grp", ".fam")) else a for a in argv]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: input too large to allocate\n"
 
 
 def test_family_build_and_verify(workdir):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flatdetect.charforms import MultiForm, xgen, zgen
+from flatdetect.cli import build_descriptor, parse_expression
 from flatdetect.detect import (
     BasisClass,
     DetectionError,
@@ -146,11 +147,10 @@ def test_betti_direct_product_is_kunneth_convolution():
 
 
 def test_finite_index_super_requires_table():
-    d = FiniteIndexSuper(FreeAbelian(2), 2, "klein")
-    with pytest.raises(DetectionError, match="homology table"):
-        rational_homology(d)
-    d2 = FiniteIndexSuper(FreeAbelian(2), 2, "klein", (("pt",), ("b",)))
-    assert rational_homology(d2).betti() == (1, 1)
+    with pytest.raises(TypeError, match="homology"):
+        FiniteIndexSuper(FreeAbelian(2), 2, "klein")
+    d = FiniteIndexSuper(FreeAbelian(2), 2, "klein", (("pt",), ("b",)))
+    assert rational_homology(d).betti() == (1, 1)
 
 
 def _reference_shift_basis(b, z_offset, tag):
@@ -170,11 +170,14 @@ def _reference_shift_basis(b, z_offset, tag):
     return HomologyBasis(shifted, b.z_dim)
 
 
-def _reference_homology(d):
-    """The per-degree construction of rational_homology that the flat class
-    list replaced, kept as the reference it must agree with."""
-    if isinstance(d, FreeAbelian):
-        n = d.rank
+def _reference_homology(spec):
+    """The per-degree construction of the basis of a group class spec
+    ``(kind, args)`` that the flat class list replaced, kept as the
+    reference it must agree with.  Raises ValueError on a homology table
+    whose degree-0 row is not one label."""
+    kind, args = spec
+    if kind == "free_abelian":
+        (n,) = args
         degrees = []
         for q in range(n + 1):
             classes = []
@@ -183,25 +186,26 @@ def _reference_homology(d):
                 classes.append(BasisClass(label, q, subset))
             degrees.append(tuple(classes))
         return HomologyBasis(tuple(degrees), n)
-    if isinstance(d, Free):
+    if kind == "free":
+        (n,) = args
         point = (BasisClass("pt", 0, ()),)
-        if d.rank == 0:
+        if n == 0:
             return HomologyBasis((point,), 0)
-        ones = tuple(BasisClass(f"z{i}", 1, (i,)) for i in range(1, d.rank + 1))
-        return HomologyBasis((point, ones), d.rank)
-    if isinstance(d, SurfaceClosed):
-        g = d.genus
+        ones = tuple(BasisClass(f"z{i}", 1, (i,)) for i in range(1, n + 1))
+        return HomologyBasis((point, ones), n)
+    if kind == "surface":
+        (g,) = args
         if g == 1:
-            return _reference_homology(FreeAbelian(2))
+            return _reference_homology(("free_abelian", (2,)))
         point = (BasisClass("pt", 0, ()),)
         ones = tuple(
             BasisClass(name, 1, None) for i in range(1, g + 1) for name in (f"a{i}", f"b{i}")
         )
         top = (BasisClass("fundamental", 2, None),)
         return HomologyBasis((point, ones, top), 2 * g)
-    if isinstance(d, FreeProduct):
-        bl = _reference_homology(d.left)
-        br = _reference_shift_basis(_reference_homology(d.right), bl.z_dim, "R.")
+    if kind == "free_product":
+        bl = _reference_homology(args[0])
+        br = _reference_shift_basis(_reference_homology(args[1]), bl.z_dim, "R.")
         top = max(len(bl.classes), len(br.classes))
         degrees = [(BasisClass("pt", 0, ()),)]
         for q in range(1, top):
@@ -212,9 +216,9 @@ def _reference_homology(d):
                 row.extend(br.classes[q])
             degrees.append(tuple(row))
         return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
-    if isinstance(d, DirectProduct):
-        bl = _reference_homology(d.left)
-        br = _reference_shift_basis(_reference_homology(d.right), bl.z_dim, "R.")
+    if kind == "direct_product":
+        bl = _reference_homology(args[0])
+        br = _reference_shift_basis(_reference_homology(args[1]), bl.z_dim, "R.")
         top = (len(bl.classes) - 1) + (len(br.classes) - 1)
         degrees = []
         for q in range(top + 1):
@@ -238,65 +242,104 @@ def _reference_homology(d):
                         row.append(BasisClass(label, q, mono))
             degrees.append(tuple(row))
         return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
-    if d.homology is None:
-        raise DetectionError("needs a supplied homology table")
+    sub, _, _, table = args
+    _reference_homology(sub)
+    if len(table) == 0 or len(table[0]) != 1:
+        raise ValueError("a homology table needs exactly one degree-0 label")
     degrees = tuple(
         tuple(BasisClass(label, q, None) for label in labels)
-        for q, labels in enumerate(d.homology)
+        for q, labels in enumerate(table)
     )
     return HomologyBasis(degrees, 0)
 
 
-def _table_super(sub, table):
-    """A finite-index supergroup with this homology table.  Tables whose
-    degree-0 row is not one label are rejected by the constructor; they are
-    built past that check, so that the basis construction is compared on
-    them too."""
-    if table is not None and len(table[0]) == 1:
-        return FiniteIndexSuper(sub, 2, "t", table)
-    d = object.__new__(FiniteIndexSuper)
-    for name, value in (("sub", sub), ("index", 2), ("label", "t"), ("homology", table)):
-        object.__setattr__(d, name, value)
-    return d
+_CONSTRUCTORS = {
+    "free": Free,
+    "free_abelian": FreeAbelian,
+    "surface": SurfaceClosed,
+    "free_product": FreeProduct,
+    "direct_product": DirectProduct,
+    "finite_index_super": FiniteIndexSuper,
+}
+
+
+def _from_spec(spec):
+    """The group class of a spec, built through the library constructors."""
+    kind, args = spec
+    if kind in ("free_product", "direct_product"):
+        args = tuple(map(_from_spec, args))
+    elif kind == "finite_index_super":
+        args = (_from_spec(args[0]), *args[1:])
+    return _CONSTRUCTORS[kind](*args)
+
+
+def _spec_text(spec, tables=True):
+    """The expression of a spec; without ``tables`` it is the describe() text,
+    which leaves out the homology table."""
+    kind, args = spec
+    if kind in ("free", "free_abelian", "surface"):
+        return f"{kind}({args[0]})"
+    if kind != "finite_index_super":
+        return f"{kind}({_spec_text(args[0], tables)}, {_spec_text(args[1], tables)})"
+    sub, index, label, table = args
+    text = f"{kind}({_spec_text(sub, tables)}, {index}, {label}"
+    if tables:
+        text += ", homology=[" + ", ".join(f"[{', '.join(row)}]" for row in table) + "]"
+    return text + ")"
 
 
 _LABEL_ROWS = st.lists(st.sampled_from(["pt", "a", "b", "c"]), max_size=3).map(tuple)
-_HOMOLOGY_LEAF = st.builds(
-    _table_super,
-    st.just(Free(1)),
-    st.one_of(st.none(), st.lists(_LABEL_ROWS, min_size=1, max_size=4).map(tuple)),
-)
-_DESCRIPTORS = st.recursive(
-    st.one_of(
-        st.builds(Free, st.integers(0, 3)),
-        st.builds(FreeAbelian, st.integers(0, 3)),
-        st.builds(SurfaceClosed, st.integers(1, 3)),
-        _HOMOLOGY_LEAF,
-    ),
-    lambda inner: st.builds(
-        lambda cls, left, right: cls(left, right),
-        st.sampled_from([FreeProduct, DirectProduct]),
-        inner,
-        inner,
-    ),
-    max_leaves=4,
-)
+
+
+def _specs(tables):
+    """Group class specs (kind, args), nested up to four leaves; a
+    finite-index supergroup's table is drawn from ``tables``."""
+    return st.recursive(
+        st.one_of(
+            st.tuples(st.just("free"), st.tuples(st.integers(0, 3))),
+            st.tuples(st.just("free_abelian"), st.tuples(st.integers(0, 3))),
+            st.tuples(st.just("surface"), st.tuples(st.integers(1, 3))),
+        ),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(["free_product", "direct_product"]),
+                      st.tuples(inner, inner)),
+            st.tuples(st.just("finite_index_super"),
+                      st.tuples(inner, st.integers(2, 3), st.just("t"), tables)),
+        ),
+        max_leaves=4,
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_DESCRIPTORS)
-def test_rational_homology_matches_per_degree_reference(d):
+@given(_specs(st.lists(_LABEL_ROWS, max_size=4).map(tuple)))
+def test_rational_homology_matches_per_degree_reference(spec):
     try:
-        expected = _reference_homology(d)
-    except DetectionError:
-        with pytest.raises(DetectionError, match="homology table"):
-            rational_homology(d)
+        expected = _reference_homology(spec)
+    except ValueError:
+        with pytest.raises(ValueError, match="one degree-0 label"):
+            _from_spec(spec)
         return
-    got = rational_homology(d)
+    got = rational_homology(_from_spec(spec))
     assert got.classes == expected.classes
     assert got.all_classes() == expected.all_classes()
     assert got.betti() == expected.betti()
     assert got.z_dim == expected.z_dim
+
+
+_VALID_TABLES = st.builds(
+    lambda point, rows: ((point,), *rows),
+    st.sampled_from(["pt", "a"]),
+    st.lists(_LABEL_ROWS, max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs(_VALID_TABLES))
+def test_parsed_descriptor_equals_the_library_value(spec):
+    text = _spec_text(spec)
+    d = build_descriptor(parse_expression(text))
+    assert d == _from_spec(spec)
+    assert d.describe() == _spec_text(spec, tables=False)
 
 
 # ---------------------------------------------------------------------------

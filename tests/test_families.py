@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -40,6 +41,7 @@ from flatdetect.presentation import (
     free_group,
     free_reduce,
     klein_bottle,
+    parse_presentation,
 )
 
 
@@ -288,6 +290,24 @@ def test_extend_rejects_mixed_relators():
     G = free_abelian(2, ("a", "b"))  # commutator mixes the factors
     with pytest.raises(ValueError, match="mixes"):
         extend_free_product(character_family_Zn(1, 4, ("a",)), G)
+
+
+def test_extend_accepts_rotated_and_inverted_relators_of_the_family_group():
+    E = parse_presentation("gens: a b ; rels: a a b b ;")
+    for rels in ("a b b a", "b^-1 b^-1 a^-1 a^-1", "b^-1 a^-1 a^-1 b^-1 , c c", ""):
+        G = parse_presentation(f"gens: c a b ; rels: {rels} ;")
+        assert verify_family(extend_free_product(trivial_family(E), G))
+    z2 = character_family_Zn(2, 4, ("a", "b"))
+    G = parse_presentation("gens: a b c ; rels: b a^-1 b^-1 a ;")
+    assert verify_family(extend_free_product(z2, G))
+
+
+def test_extend_rejects_ambient_relators_foreign_to_the_family_group():
+    z2 = character_family_Zn(2, 4, ("a", "b"))
+    for rels in ("a b a b^-1", "a b"):
+        G = parse_presentation(f"gens: a b ; rels: {rels} ;")
+        with pytest.raises(ValueError, match=re.escape(f"relator '{rels}' is not")):
+            extend_free_product(z2, G)
 
 
 # ---------------------------------------------------------------------------

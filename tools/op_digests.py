@@ -50,6 +50,8 @@ DESCRIPTORS = (
     "free_product(surface(2), free(1))",
     "direct_product(free_abelian(1), "
     "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]]))",
+    "direct_product(surface(1), free_product(free(0), free_abelian(2)))",
+    "free_product(finite_index_super(free(1), 2, k, homology=[[pt], [a]]), free_abelian(1))",
 )
 DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
@@ -65,6 +67,8 @@ FAMILIES = (
     "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, group=klein.grp)",
     "trivial(group=e.grp)",
     "extend(trivial(group=e.grp), group=e.grp)",
+    "extend(char_zn(2, 8, gens=[a, b]), group=klein.grp)",
+    "extend(char_zn(2, 8, gens=[a, b]), group=f2.grp)",
 )
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
