@@ -21,6 +21,10 @@ Family/descriptor expressions are a small call language, e.g.::
     induce(char_zn(2, 32), cosets=[e, b], group=klein.grp)
 
 with ``e`` denoting the empty word in coset lists.
+
+The argument parser is built on the first ``run`` call and reused by every
+later one in the process; it holds no per-call state, since each parse
+returns a fresh namespace.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ class _ExprParser:
         kind, tok = self.peek()
         if kind == "num":
             self.next()
-            return int(tok)
+            return _int_literal(tok)
         if kind == "path":
             self.next()
             return tok
@@ -184,6 +188,18 @@ class _ExprParser:
                 return ""
             return " ".join(letters)
         return self.value()
+
+
+def _int_literal(tok: str) -> int:
+    """The integer of a literal, or an ExprError past int's digit limit."""
+    try:
+        return int(tok)
+    except ValueError as exc:
+        digits = len(tok.lstrip("-"))
+        raise ExprError(
+            f"integer literal too long to convert ({digits} digits, "
+            f"the limit is {sys.get_int_max_str_digits()})"
+        ) from exc
 
 
 def parse_expression(text: str):
@@ -467,7 +483,7 @@ _FORM_OPS = {"wedge": operator.mul, "sum": operator.add}
 
 
 def _cmd_forms_eval(ns) -> int:
-    payload = json.loads(Path(ns.infile).read_text())
+    payload = json.loads(Path(ns.infile).read_text(), parse_int=_int_literal)
     if not isinstance(payload, dict):
         raise ExprError("forms payload must be a JSON object")
     op = payload.get("op", "wedge")
@@ -566,6 +582,7 @@ _POSITIVE = _checked(int, lambda v: v >= 1, "must be >= 1")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be >= 0")
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flatdetect")
     sub = p.add_subparsers(dest="command", required=True)

@@ -225,8 +225,10 @@ class DetectionReport:
             "families": list(self.families),
             "rows": list(self.row_labels),
             "columns": list(self.col_labels),
+            # most cells are zero, and Fraction(0) formats as "0/1"
             "matrix": [
-                [f"{e.numerator}/{e.denominator}" for e in row] for row in self.matrix
+                [f"{e.numerator}/{e.denominator}" if e else "0/1" for e in row]
+                for row in self.matrix
             ],
             "detected": list(self.detected),
             "verdict": self.verdict,

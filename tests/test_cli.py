@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flatdetect
+from flatdetect import cli
 from flatdetect.cli import (
     Call,
     ExprError,
@@ -123,6 +124,72 @@ def test_parse_bad_file_exit3(workdir):
 def test_usage_error_exit2():
     assert run(["bogus"]) == 2
     assert run(["rep", "solve"]) == 2  # missing required flags
+
+
+def test_argument_parser_is_built_once_and_lazily():
+    assert cli._build_argparser() is cli._build_argparser()
+    env = {**os.environ, "PYTHONPATH": str(Path(flatdetect.__file__).parents[1])}
+    probe = "import flatdetect.cli as c; print(c._build_argparser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout == "0\n", proc.stderr
+
+
+# One process parses usage errors, flags given and flags left to their
+# defaults, in one order and then in the other; a default or namespace that
+# leaked from one call into the next would change a rerun's outcome.
+_PARSE_SEQUENCE = [
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "0"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "2",
+     "--tol", "1e-3", "--seed", "7", "--max-iter", "5", "--out", "solve.json"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "2"],
+    ["report", "--group", "free_abelian(2)", "--families", "z2.fam", "--out", "report.json"],
+    ["report", "--bm", "2", "2"],
+    ["report", "--families", "z2.fam"],
+]
+
+
+def test_reused_parser_keeps_no_state_between_calls(workdir, capsys):
+    def outcome(argv):
+        argv = [str(workdir / a) if a.endswith((".grp", ".fam", ".json")) else a for a in argv]
+        out = Path(argv[-1]) if "--out" in argv else None
+        if out:
+            out.unlink(missing_ok=True)
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out else None
+
+    first = [outcome(argv) for argv in _PARSE_SEQUENCE]
+    assert [o[0] for o in first] == [2, 4, 0, 0, 0, 2]
+    assert all(o[3] for o in first if o[3] is not None)
+    again = [outcome(argv) for argv in reversed(_PARSE_SEQUENCE)]
+    assert again[::-1] == first
+
+
+_LONG_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["family", "build", "--expr"], "long.fam", f"char_zn(2, {_LONG_INT})"),
+        (["detect", "run", "--families", "z2.fam", "--group"], None,
+         f"free_abelian({_LONG_INT})"),
+        (["forms", "eval", "--in"], "long.json", f'[[["z1"], {_LONG_INT}, 1]]'),
+    ],
+    ids=["fam", "group", "forms-eval"],
+)
+def test_integer_literal_past_the_digit_limit_exit3(workdir, capsys, argv, name, text):
+    if name:
+        (workdir / name).write_text(text + "\n")
+        text = str(workdir / name)
+    argv = [str(workdir / a) if a.endswith(".fam") else a for a in argv]
+    assert run([*argv, text]) == 3
+    assert capsys.readouterr().err == (
+        "error: integer literal too long to convert "
+        f"(5001 digits, the limit is {sys.get_int_max_str_digits()})\n"
+    )
 
 
 def test_rep_solve_success_and_determinism(workdir):

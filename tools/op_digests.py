@@ -14,10 +14,16 @@ of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
 one exact family and one Klein-bottle family (the numeric path).  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds, and
-families of the group with no generators.  Last come the ``certificates``
+families of the group with no generators.  Then come the ``certificates``
 ops: ``detect run`` on each of ``CERTIFICATES``, family sets whose pairing
-rows are nonzero but linearly dependent.  No block after the benchmark ops
-depends on the seed.
+rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
+argv sequence ``USAGE`` (usage errors, flags given and left to their
+defaults) run in order and then in reverse in the same process, so that
+state leaking from one parse into the next shows, and then ``DIGIT_LIMIT``,
+inputs holding an integer literal past Python's digit limit for int
+conversion; ``COLUMNS`` is fixed at 80 for them, so that usage text wraps
+alike on every terminal.  No block after the benchmark ops depends on the
+seed.
 
 The temporary directory's path is replaced by ``<run>`` before digesting, so
 file names in messages agree between runs.  A missing ``--out`` file digests
@@ -35,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import shutil
 import sys
 import tempfile
@@ -86,6 +93,30 @@ CERTIFICATES = (
     )),
 )
 
+# argv of each ``usage`` op, file names relative to the run directory
+USAGE = (
+    ("rep", "solve", "--presentation", "z2.grp", "--dim", "0"),
+    ("rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--tol", "1e-3",
+     "--seed", "7", "--max-iter", "5", "--out", "solve.json"),
+    ("rep", "solve", "--presentation", "z2.grp", "--dim", "2"),
+    ("report", "--group", "free_abelian(2)", "--families", "z2.fam",
+     "--out", "report.json"),
+    ("report", "--bm", "2", "2"),
+    ("report", "--families", "z2.fam"),
+)
+LONG_INT = "1" + "0" * 5000
+DIGIT_LIMIT = (
+    ("family", "build", "--expr", "long.fam"),
+    ("detect", "run", "--group", f"free_abelian({LONG_INT})", "--families", "z2.fam"),
+    ("forms", "eval", "--in", "long.json"),
+)
+USAGE_FILES = {
+    "z2.grp": GROUP_FILES["z2.grp"],
+    "z2.fam": "char_zn(2, 8)\n",
+    "long.fam": f"char_zn(2, {LONG_INT})\n",
+    "long.json": f'[[["z1"], {LONG_INT}, 1]]\n',
+}
+
 
 def _descriptor_ops(run_dir: Path):
     """(argv, label) of every ``descriptors`` op; writes its input files."""
@@ -120,6 +151,20 @@ def _certificate_ops(run_dir: Path):
             paths[-1].write_text(expr + "\n")
         argv = ["detect", "run", "--group", group, "--families", *map(str, paths)]
         yield argv, f"detect run {group} vs {'; '.join(exprs)}"
+
+
+def _usage_ops(run_dir: Path):
+    """(argv, out path, label) of every ``usage`` op; writes its input files
+    and removes an op's ``--out`` file just before yielding the op."""
+    for name, text in USAGE_FILES.items():
+        (run_dir / name).write_text(text)
+    for argv in (*USAGE, *reversed(USAGE), *DIGIT_LIMIT):
+        out = run_dir / argv[-1] if "--out" in argv else None
+        if out:
+            out.unlink(missing_ok=True)
+        label = " ".join(argv).replace(LONG_INT, "1<5000 zeros>")
+        yield [str(run_dir / a) if a.endswith((".grp", ".fam", ".json")) else a
+               for a in argv], out, label
 
 
 def main(argv=None) -> int:
@@ -171,6 +216,11 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_certificate_ops(run_dir)):
             run_op("certificates", i, argv, None, label)
+        run_dir = tmp / "usage"
+        run_dir.mkdir()
+        os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
+        for i, (argv, out, label) in enumerate(_usage_ops(run_dir)):
+            run_op("usage", i, argv, out, label)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
