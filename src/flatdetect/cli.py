@@ -8,8 +8,10 @@ strings, floats appear only in numeric diagnostics.
 Exit codes: 0 success, 2 usage error (including flag values out of range),
 3 input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
-presentation with no generators to solve for, or an exact family paired with
-a group it is not a family of),
+presentation with no generators to solve for, an exact family paired with
+a group it is not a family of, a pullback of a family of another group than
+the cover's, or a group descriptor of more than ``detect.MAX_CLASSES``
+homology classes),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -30,6 +32,7 @@ returns a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import operator
@@ -245,10 +248,17 @@ def _looks_like_klein(G: GroupPresentation) -> bool:
     return len(G.generators) == 2 and G.relators == klein_bottle().relators
 
 
+def _with_cosets(cover, ambient, cosets):
+    """``cover`` acting on ``ambient`` with the ``cosets`` words, each when given."""
+    ambient = ambient or cover.ambient
+    words = tuple(parse_word(s, ambient) for s in cosets) if cosets else cover.cosets
+    return dataclasses.replace(cover, ambient=ambient, cosets=words)
+
+
 def _klein_cover(ambient, cosets):
     if ambient is not None and not _looks_like_klein(ambient):
         raise ExprError("group file does not present the Klein-bottle group")
-    return families.KleinBottleCover()
+    return _with_cosets(families.KleinBottleCover(), ambient, cosets)
 
 
 def _sublattice_cover(basis):
@@ -262,22 +272,15 @@ def _sublattice_cover(basis):
 
 
 def _cover(cover, cosets, group):
-    """The cover given by ``cover=``, else the one inferred from ``group=``:
-    the Klein-bottle group, or one generator with ``cosets=``."""
+    """The cover given by ``cover=``, else inferred from ``group=`` (Klein, or
+    one generator with ``cosets=``), acting on ``group=`` with ``cosets=``."""
     if cover is not None:
         return cover(group, cosets)
     if group is not None and _looks_like_klein(group):
-        return families.KleinBottleCover()
+        return _klein_cover(group, cosets)
     if group is not None and len(group.generators) == 1 and cosets:
-        return families.circle_cover(len(cosets), group)
+        return _with_cosets(families.circle_cover(len(cosets), group), group, cosets)
     raise ExprError("unsupported cover description for induce")
-
-
-def _induce(f, cover=None, cosets=None, group=None):
-    cover = _cover(cover, cosets, group)
-    G = group or cover.ambient
-    words = None if cosets is None else [parse_word(s, G) for s in cosets]
-    return families.induce_family(f, cover, words, group)
 
 
 def _finite_index_super(sub, index, label, homology):
@@ -302,12 +305,14 @@ _CONSTRUCTORS = {
     "sum": ("family", ("family", "family"), {}, (), lambda f, g: families.direct_sum(f, g)),
     "extend": ("family", ("family",), {"group": "file"}, ("group",),
                lambda f, group: families.extend_free_product(f, group)),
-    "induce": ("family", ("family",), _COVER_KEYWORDS, (), _induce),
+    "induce": ("family", ("family",), _COVER_KEYWORDS, (),
+               lambda f, cover=None, cosets=None, group=None:
+               families.induce_family(f, _cover(cover, cosets, group))),
     "pullback": ("family", ("family",), _COVER_KEYWORDS, (),
                  lambda f, cover=None, cosets=None, group=None:
                  families.pullback_family(f, _cover(cover, cosets, group))),
-    "circle": ("cover", ("int",), {}, (),
-               lambda k: lambda ambient, cosets: families.circle_cover(k, ambient)),
+    "circle": ("cover", ("int",), {}, (), lambda k: lambda ambient, cosets:
+               _with_cosets(families.circle_cover(k, ambient), ambient, cosets)),
     "sublattice": ("cover", ("matrix",), {}, (), _sublattice_cover),
     "klein_even": ("cover", (), {}, (), lambda: _klein_cover),
     "free": ("descriptor", ("int",), {}, (), detect.Free),

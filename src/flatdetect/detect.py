@@ -33,6 +33,10 @@ SCOPE_NOTE = (
 )
 
 
+# the most homology classes a descriptor builds (free_abelian(16) has 2^16)
+MAX_CLASSES = 2**16
+
+
 class DetectionError(ValueError):
     pass
 
@@ -85,8 +89,23 @@ def _group_class(label: str, classes: Sequence[BasisClass], top: int, z_dim: int
     return GroupClass(label, HomologyBasis(tuple(map(tuple, degrees)), z_dim))
 
 
+def _check_count(label: str, count: int, text: str | None = None) -> None:
+    """Refuse a descriptor of more than MAX_CLASSES classes before building
+    them; ``text`` names a count too large to write out."""
+    if count > MAX_CLASSES:
+        raise ValueError(
+            f"{label} has {text or count} homology classes, more than the "
+            f"{MAX_CLASSES} built at most"
+        )
+
+
 def _torus(label: str, rank: int, top: int) -> GroupClass:
-    """The torus model of rank ``rank`` truncated above degree ``top``."""
+    """The torus model of rank ``rank`` truncated above degree ``top``, which
+    is ``rank`` (2^rank classes) or at most 1 (a wedge, 1 + rank classes)."""
+    if top == rank:  # 2^rank, capped just past the bound
+        _check_count(label, 2 ** min(rank, MAX_CLASSES.bit_length()), f"2^{rank}")
+    else:
+        _check_count(label, 1 + rank * top)
     classes = [
         BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, subset)
         for q in range(top + 1)
@@ -114,6 +133,7 @@ def SurfaceClosed(genus: int) -> GroupClass:
     label = f"surface({genus})"
     if genus == 1:
         return _torus(label, 2, 2)
+    _check_count(label, 2 * genus + 2)
     ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, genus + 1) for ab in "ab"]
     classes = [BasisClass("pt", 0, ()), *ones, BasisClass("fundamental", 2, None)]
     return _group_class(label, classes, 2, 2 * genus)
@@ -135,14 +155,17 @@ def _factors(left: GroupClass, right: GroupClass):
 
 
 def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
+    label = f"free_product({left.describe()}, {right.describe()})"
+    _check_count(label, 1 + sum(left.basis.betti()[1:]) + sum(right.basis.betti()[1:]))
     lc, rc, z_dim = _factors(left, right)
     positive = [c for c in lc + rc if c.degree > 0]
     top = max(len(left.basis.classes), len(right.basis.classes)) - 1
-    label = f"free_product({left.describe()}, {right.describe()})"
     return _group_class(label, [BasisClass("pt", 0, ()), *positive], top, z_dim)
 
 
 def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
+    label = f"direct_product({left.describe()}, {right.describe()})"
+    _check_count(label, sum(left.basis.betti()) * sum(right.basis.betti()))
     lc, rc, z_dim = _factors(left, right)
     classes = [
         BasisClass(
@@ -154,7 +177,6 @@ def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
         for cr in rc
     ]
     top = len(left.basis.classes) + len(right.basis.classes) - 2
-    label = f"direct_product({left.describe()}, {right.describe()})"
     return _group_class(label, classes, top, z_dim)
 
 
@@ -211,7 +233,7 @@ class DetectionReport:
     col_labels: tuple[str, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
     detected: tuple[bool, ...]
-    verdict: str                      # "FD-certified" | "undetected" | "obstructed"
+    verdict: str                      # "FD-certified" | "undetected"
     undetected_classes: tuple[str, ...]
     mode: str                         # "exact" | "numeric"
     sign_conventions: dict

@@ -20,17 +20,22 @@ arguments' stacks with array operations; one representation point is a
 RepPoint holding one such ``(generators, k, k)`` array.  Verification and
 windings consume the stacks with stacked matmul and det.
 
+A cover is one Cover value (coset words, an integer lattice and holonomy
+signs, all +1 but for the Klein group's b) with one integer ``rewrite``;
+``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one.
+
 Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
 a cover pulls back along the inclusion of its subgroup, and ``extend`` along
-the retraction G -> E that kills F's generators.  Every pullback substitutes
-the abelianized images into the exact form.
+the retraction G -> E that kills F's generators.  Both check that the images
+respect the source group's relators.  Every pullback substitutes the
+abelianized images into the exact form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -324,36 +329,42 @@ def tensor_families(f: Family, g: Family) -> Family:
 def extend_free_product(f: Family, G: GroupPresentation) -> Family:
     """Extend a family across a free product G = E * F, where E is the
     family's group: the pullback along the retraction G -> E that sends
-    generators of the other free factor F to the identity.  Each relator of
-    G on E's generators must be, letter by letter, a cyclic rotation of one
-    of E's relators or of its inverse, so that the retraction is a
-    homomorphism."""
+    generators of the other free factor F to the identity, once
+    ``_check_relators`` has found it a homomorphism."""
     names = set(f.group.generators)
     missing = names - set(G.generators)
     if missing:
         raise ValueError(f"generators {sorted(missing)} absent from the ambient group")
     retract = {gi: f.group.generator_index(name)
                for gi, name in enumerate(G.generators) if name in names}
+    _check_relators(G, f.group, retract)
+    images = tuple(
+        Word(((retract[gi], 1),)) if gi in retract else Word(()) for gi in range(len(G.generators))
+    )
+    return _pullback(f, G, images, f"extend({f.structure} -> {'*'.join(G.generators)})")
+
+
+def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int, int]) -> None:
+    """Check that G -> E, generator p to ``images[p]`` and the others to the
+    identity, is a homomorphism: each relator of G must avoid mixing mapped
+    and unmapped generators, and its image must be, letter by letter, a
+    cyclic rotation of one of E's relators or of its inverse."""
     own = set()
-    for r in f.group.relators:
+    for r in E.relators:
         for letters in (spell(r).letters, spell(r.inverse()).letters):
             own.update(letters[i:] + letters[:i] for i in range(len(letters)))
     for rel in G.relators:
         used = {gi for gi, _ in rel.letters}
-        if used & retract.keys() and used - retract.keys():
+        if used & images.keys() and used - images.keys():
             raise ValueError(
                 "ambient relator mixes both free factors; not a free product"
             )
-        image = spell(Word(tuple((retract[g], e) for g, e in rel.letters if g in retract)))
+        image = spell(Word(tuple((images[g], e) for g, e in rel.letters if g in images)))
         if image.letters and image.letters not in own:
             raise ValueError(
                 f"ambient relator {format_word(rel, G)!r} is not a relator of the "
                 "family's group, up to rotation and inversion"
             )
-    images = tuple(
-        Word(((retract[gi], 1),)) if gi in retract else Word(()) for gi in range(len(G.generators))
-    )
-    return _pullback(f, G, images, f"extend({f.structure} -> {'*'.join(G.generators)})")
 
 
 def disjoint_union(f: Family, g: Family) -> Family:
@@ -441,65 +452,85 @@ def _abelianize(w: Word, n: int) -> list[int]:
     return v
 
 
-class SublatticeCover:
+@dataclass(frozen=True)
+class Cover:
+    """A finite-index free abelian subgroup H of ``ambient``, as data.
+    Ambient generator g translates Z^n by e_g, then multiplies axis i by
+    ``holonomy[g][i]`` (+-1, and +1 for i = g).  H is the set of elements of
+    trivial holonomy whose translation lies in the lattice of the basis with
+    determinant ``det`` and integer ``adjugate``; ``sub_generator_words``
+    spell the basis columns, H's generators."""
+
+    ambient: GroupPresentation
+    cosets: tuple[Word, ...]
+    det: int
+    adjugate: tuple[tuple[int, ...], ...]
+    holonomy: tuple[tuple[int, ...], ...]
+    sub_generator_words: tuple[Word, ...]
+    index: int
+    label: str
+
+    @property
+    def inverse(self) -> list[list[Fraction]] | None:
+        """The rational basis inverse (the transfer's substitution), or None
+        when some generator has nontrivial holonomy."""
+        if any(-1 in signs for signs in self.holonomy):
+            return None
+        return [[Fraction(a, self.det) for a in row] for row in self.adjugate]
+
+    def rewrite(self, w: Word) -> Word | None:
+        """Membership test plus rewrite into subgroup generators, or None: the
+        runs move a translation v and signs; in H, all signs are +1 and det | adj v."""
+        v = [0] * len(self.holonomy)
+        signs = [1] * len(self.holonomy)
+        for g, e in w.letters:
+            v[g] += e * signs[g]
+            if e % 2:
+                signs = [s * h for s, h in zip(signs, self.holonomy[g])]
+        if -1 in signs:
+            return None
+        coeffs = []
+        for row in self.adjugate:
+            c, r = divmod(sum(a * x for a, x in zip(row, v)), self.det)
+            if r:
+                return None
+            coeffs.append(c)
+        return free_reduce(Word(tuple(enumerate(coeffs))))
+
+    def describe(self) -> str:
+        return self.label
+
+
+def SublatticeCover(
+    ambient: GroupPresentation, basis: Sequence[Sequence[int]], cosets: Sequence[Word]
+) -> Cover:
     """A finite-index sublattice of a free abelian group.
 
     ``basis`` lists the subgroup generators as integer exponent columns:
     the j-th subgroup generator is prod_i a_i^{basis[i][j]}.  Coset
     representatives are given as words in the ambient generators.
-    ``inverse`` is the exact rational inverse of the basis matrix.
     """
-
-    def __init__(
-        self,
-        ambient: GroupPresentation,
-        basis: Sequence[Sequence[int]],
-        cosets: Sequence[Word],
-    ):
-        n = len(ambient.generators)
-        mat = [[int(v) for v in row] for row in basis]
-        if len(mat) != n or any(len(row) != n for row in mat):
-            raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
-        for rel in ambient.relators:
-            if any(_abelianize(rel, n)):
-                raise ValueError("ambient group is not free abelian")
-        det, self.inverse = _det_and_inverse(mat)
-        if det == 0:
-            raise ValueError("sublattice basis is singular")
-        self.ambient = ambient
-        self.basis = mat
-        self.index = abs(int(det))
-        self.sub = free_abelian(n)
-        self.cosets = tuple(free_reduce(c) for c in cosets)
-        if len(self.cosets) != self.index:
-            raise ValueError(
-                f"need {self.index} coset representatives, got {len(self.cosets)}"
-            )
-
-    @property
-    def sub_generator_words(self) -> tuple[Word, ...]:
-        return tuple(
-            free_reduce(Word(tuple((i, row[j]) for i, row in enumerate(self.basis))))
-            for j in range(len(self.basis))
-        )
-
-    def rewrite(self, w: Word) -> Word | None:
-        """Membership test plus rewrite into subgroup generators, or None."""
-        n = len(self.ambient.generators)
-        v = _abelianize(w, n)
-        coeffs = []
-        for j in range(n):
-            c = sum(self.inverse[j][i] * v[i] for i in range(n))
-            if c.denominator != 1:
-                return None
-            coeffs.append(int(c))
-        return free_reduce(Word(tuple(enumerate(coeffs))))
-
-    def describe(self) -> str:
-        return f"sublattice(index={self.index})"
+    n = len(ambient.generators)
+    mat = [[int(v) for v in row] for row in basis]
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
+    for rel in ambient.relators:
+        if any(_abelianize(rel, n)):
+            raise ValueError("ambient group is not free abelian")
+    det, inverse = _det_and_inverse(mat)
+    if det == 0:
+        raise ValueError("sublattice basis is singular")
+    index = abs(int(det))
+    cosets = tuple(free_reduce(c) for c in cosets)
+    if len(cosets) != index:
+        raise ValueError(f"need {index} coset representatives, got {len(cosets)}")
+    words = (Word(tuple((i, row[j]) for i, row in enumerate(mat))) for j in range(n))
+    adjugate = tuple(tuple(int(det * v) for v in row) for row in inverse)
+    return Cover(ambient, cosets, int(det), adjugate, ((1,) * n,) * n,
+                 tuple(map(free_reduce, words)), index, f"sublattice(index={index})")
 
 
-def circle_cover(k: int, ambient: GroupPresentation | None = None) -> SublatticeCover:
+def circle_cover(k: int, ambient: GroupPresentation | None = None) -> Cover:
     """The k-fold cover kZ <= Z with coset representatives e, a, ..., a^{k-1}."""
     if k < 1:
         raise ValueError("index must be >= 1")
@@ -508,38 +539,13 @@ def circle_cover(k: int, ambient: GroupPresentation | None = None) -> Sublattice
     return SublatticeCover(ambient, [[k]], cosets)
 
 
-class KleinBottleCover:
+def KleinBottleCover() -> Cover:
     """The index-2 free abelian subgroup <a, b^2> of the Klein-bottle group
-    <a, b | a b a b^-1>, with coset representatives e and b."""
-
-    def __init__(self):
-        self.ambient = klein_bottle()
-        self.sub = free_abelian(2)
-        self.index = 2
-        self.cosets = (Word(()), Word(((1, 1),)))
-        self.inverse = None
-
-    @property
-    def sub_generator_words(self) -> tuple[Word, ...]:
-        return (Word(((0, 1),)), Word(((1, 2),)))
-
-    def rewrite(self, w: Word) -> Word | None:
-        # normal form a^m b^n: moving a past an odd power of b inverts it
-        m = n = 0
-        for g, e in w.letters:
-            if g == 1:
-                n += e
-            else:
-                m += e if n % 2 == 0 else -e
-        if n % 2:
-            return None
-        return free_reduce(Word(((0, m), (1, n // 2))))
-
-    def describe(self) -> str:
-        return "klein_even(index=2)"
-
-
-Cover = SublatticeCover | KleinBottleCover
+    <a, b | a b a b^-1>, with coset representatives e and b: the lattice
+    diag(1, 2) of Z^2, where b reverses a."""
+    lattice = SublatticeCover(free_abelian(2), [[1, 0], [0, 2]], [Word(()), Word(((1, 1),))])
+    return replace(lattice, ambient=klein_bottle(), holonomy=((1, 1), (-1, 1)),
+                   label="klein_even(index=2)")
 
 
 def _linear_forms(m: Iterable[Sequence]) -> list[MultiForm]:
@@ -580,29 +586,30 @@ def _pullback(
 
 def pullback_family(f: Family, cover: Cover) -> Family:
     """Restrict a family along a structured cover: the pullback along the
-    inclusion of the subgroup, whose generators act by their ambient words."""
-    if len(f.group.generators) != len(cover.ambient.generators):
+    inclusion of the subgroup, whose generators act by their ambient words.
+    ``f`` must be a family of the cover's ambient group, generators matched
+    by position."""
+    n = len(cover.ambient.generators)
+    if len(f.group.generators) != n:
         raise ValueError("family group does not match the cover's ambient group")
+    _check_relators(cover.ambient, f.group, {gi: gi for gi in range(n)})
     structure = f"pullback({f.structure}, {cover.describe()})"
-    return _pullback(f, cover.sub, cover.sub_generator_words, structure)
+    sub = free_abelian(len(cover.sub_generator_words))
+    return _pullback(f, sub, cover.sub_generator_words, structure)
 
 
-def induce_family(
-    f: Family,
-    cover: Cover,
-    cosets: Sequence[Word] | None = None,
-    group: GroupPresentation | None = None,
-) -> Family:
-    """Pointwise induction along a structured cover.
+def induce_family(f: Family, cover: Cover) -> Family:
+    """Pointwise induction along a structured cover, to its ambient group.
 
     For each parameter x and ambient generator g, block (i, j) of the induced
     matrix is rho_x(t_i^-1 g t_j) whenever that element lies in the subgroup
-    (rewritten through the cover), and zero otherwise.
+    (rewritten through the cover), and zero otherwise; the t_i are the
+    cover's coset words.
     """
-    G = group or cover.ambient
-    reps = tuple(free_reduce(c) for c in (cosets or cover.cosets))
+    G = cover.ambient
+    reps = cover.cosets
     c = len(reps)
-    if len(f.group.generators) != len(cover.sub.generators):
+    if len(f.group.generators) != len(cover.sub_generator_words):
         raise ValueError("family group does not match the cover's subgroup")
 
     # Per ambient generator g and representative t_j: the one coset t_i with

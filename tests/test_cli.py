@@ -341,6 +341,69 @@ def test_extend_rejects_ambient_relators_foreign_to_the_family_group(workdir, ca
     assert run(["detect", "run", "--group", "free_abelian(2)", "--families", f]) == 0
 
 
+def test_pullback_rejects_a_family_of_another_group(workdir, capsys):
+    (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
+    foreign = {
+        "pullback(char_zn(2, 8), cover=klein_even)": "a b a b^-1",
+        "pullback(extend(char_zn(1, 8, gens=[a]), group=f2.grp), "
+        "cover=sublattice([[1, 0], [0, 2]]), cosets=[e, b], group=z2.grp)": "a b a^-1 b^-1",
+    }
+    capsys.readouterr()
+    for expr, relator in foreign.items():
+        (workdir / "p.fam").write_text(expr + "\n")
+        assert run(["family", "build", "--expr", str(workdir / "p.fam")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: ambient relator {relator!r} is not a relator of the "
+            "family's group, up to rotation and inversion\n"
+        )
+    for expr in (
+        "pullback(char_zn(1, 8), cover=circle(3))",
+        "pullback(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
+        "pullback(char_zn(2, 4), cover=sublattice([[1, 1], [0, 2]]), cosets=[e, b], group=z2.grp)",
+        "pullback(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
+        "cover=klein_even, group=klein.grp)",
+        "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, group=klein.grp)",
+    ):
+        (workdir / "p.fam").write_text(expr + "\n")
+        out = workdir / "p.json"
+        assert run(["family", "build", "--expr", str(workdir / "p.fam"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["structure"].startswith("pullback(")
+
+
+def test_named_covers_take_the_group_and_coset_words(workdir, capsys):
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    fam = workdir / "c.fam"
+    cases = {
+        # a Klein cover with its own representatives, b^-1 in b's coset
+        "induce(char_zn(2, 8), cover=klein_even, cosets=[e, b^-1], group=klein.grp)":
+            ("gens: a b ; rels: a b a b^-1 ;", [2]),
+        "induce(char_zn(1, 8), cover=circle(2), cosets=[e, a], group=z1.grp)":
+            ("gens: a ; rels:  ;", [2]),
+    }
+    for expr, (group, fibers) in cases.items():
+        fam.write_text(expr + "\n")
+        out = workdir / "c.json"
+        assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert (rec["group"], rec["fiber_dims"]) == (group, fibers)
+    # coset words of the cover's own ambient group reach the coset-system check
+    fam.write_text("induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])\n")
+    capsys.readouterr()
+    assert run(["family", "build", "--expr", str(fam)]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid coset system: generator 't1' times representative 1 hits 0 cosets\n"
+    )
+
+
+def test_descriptor_over_the_class_budget_exit3(workdir, capsys):
+    code = run(["detect", "run", "--group", "free_abelian(17)",
+                "--families", str(workdir / "z2.fam")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: free_abelian(17) has 2^17 homology classes, more than the 65536 built at most\n"
+    )
+
+
 @pytest.mark.parametrize(
     "module, name, argv",
     [

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from flatdetect import detect
 from flatdetect.charforms import MultiForm, xgen, zgen
 from flatdetect.cli import build_descriptor, parse_expression
 from flatdetect.detect import (
@@ -151,6 +153,27 @@ def test_finite_index_super_requires_table():
         FiniteIndexSuper(FreeAbelian(2), 2, "klein")
     d = FiniteIndexSuper(FreeAbelian(2), 2, "klein", (("pt",), ("b",)))
     assert rational_homology(d).betti() == (1, 1)
+
+
+def test_class_budget_refuses_a_descriptor_before_building_it(monkeypatch):
+    with pytest.raises(ValueError, match=r"^free_abelian\(17\) has 2\^17 homology classes, "
+                       r"more than the 65536 built at most$"):
+        FreeAbelian(17)
+    assert FreeAbelian(16).basis.betti()[8] == 12870  # exactly the budget
+    monkeypatch.setattr(detect, "MAX_CLASSES", 8)
+    assert sum(FreeAbelian(3).basis.betti()) == 8
+    assert sum(DirectProduct(Free(1), FreeAbelian(2)).basis.betti()) == 8
+    for build, count in [
+        (lambda: FreeAbelian(4), "2^4"),
+        (lambda: FreeAbelian(10**100), f"2^{10**100}"),
+        (lambda: Free(8), 9),
+        (lambda: SurfaceClosed(4), 10),
+        (lambda: DirectProduct(Free(2), FreeAbelian(2)), 12),
+        (lambda: FreeProduct(FreeAbelian(3), FreeAbelian(2)), 11),
+    ]:
+        with pytest.raises(ValueError, match=rf" has {re.escape(str(count))} homology classes, "
+                           "more than the 8 built at most$"):
+            build()
 
 
 def _reference_shift_basis(b, z_offset, tag):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -428,10 +429,10 @@ def test_induction_character_identity_circle():
 
 def test_invalid_coset_system():
     f = character_family_Zn(1, 4)
-    cov = circle_cover(2)
+    cov = dataclasses.replace(circle_cover(2), cosets=(Word(()), Word(((0, 1), (0, 1)))))
     # both representatives in the same coset: a*t_j never lands anywhere
     with pytest.raises(ValueError, match="invalid coset system"):
-        induce_family(f, cov, cosets=[Word(()), Word(((0, 1), (0, 1)))])
+        induce_family(f, cov)
 
 
 def test_pullback_speeds_up_character():
@@ -483,6 +484,84 @@ def test_klein_rewrite_of_runs_matches_the_spelled_word(runs):
     spelled = [(g, 1 if e > 0 else -1) for g, e in runs for _ in range(abs(e))]
     cov = KleinBottleCover()
     assert cov.rewrite(Word(tuple(runs))) == cov.rewrite(Word(tuple(spelled)))
+
+
+def _exponent_sum(w: Word, g: int) -> int:
+    return sum(e for h, e in w.letters if h == g)
+
+
+def _sublattice_rewrite_ref(basis, w: Word):
+    """The rational rewrite: the basis inverse times the exponent sums,
+    None unless every coordinate is an integer."""
+    _, inverse = families._det_and_inverse(basis)
+    v = [_exponent_sum(w, g) for g in range(len(basis))]
+    coeffs = [sum(Fraction(a) * x for a, x in zip(row, v)) for row in inverse]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return free_reduce(Word(tuple((j, int(c)) for j, c in enumerate(coeffs))))
+
+
+def _klein_rewrite_ref(w: Word):
+    """The normal form a^m b^n: moving a past an odd power of b inverts it."""
+    m = n = 0
+    for g, e in w.letters:
+        if g == 1:
+            n += e
+        else:
+            m += e if n % 2 == 0 else -e
+    if n % 2:
+        return None
+    return free_reduce(Word(((0, m), (1, n // 2))))
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**40 - 2, 2**40 + 2),
+    st.integers(-(2**40) - 2, -(2**40) + 2),
+)
+
+
+@st.composite
+def _runs(draw, v):
+    """A word whose exponent sums are ``v``: each sum split into two runs,
+    the runs in random order, so that a generator's runs need not meet."""
+    runs = []
+    for g, total in enumerate(v):
+        part = draw(st.integers(-3, 3))
+        runs += [(g, part), (g, total - part)]
+    return Word(tuple(draw(st.permutations(runs))))
+
+
+@st.composite
+def _cover_and_word(draw):
+    """A random cover with its reference rewrite, and a word in the ambient
+    generators that lies in the subgroup about half of the time."""
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(st.integers(0, 1), _ENTRY), max_size=8))
+        return KleinBottleCover(), _klein_rewrite_ref, Word(tuple(runs))
+    n = draw(st.integers(1, 3))
+    small = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+                 .filter(lambda m: families._det_and_inverse(m)[0] != 0))
+    basis = [row[:] for row in small]
+    for _ in range(2 if n > 1 else 0):  # unimodular shears with entries near 2^40
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = draw(_ENTRY)
+        basis[i] = [a + t * b for a, b in zip(basis[i], basis[j])]
+    # rewrite reads no coset, so any |det| words make a cover of this lattice
+    index = abs(int(families._det_and_inverse(small)[0]))
+    cover = SublatticeCover(free_abelian(n), basis, [Word(())] * index)
+    coords = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    offset = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n) | st.just([0] * n))
+    v = [sum(basis[i][j] * coords[j] for j in range(n)) + offset[i] for i in range(n)]
+    return cover, lambda w: _sublattice_rewrite_ref(basis, w), draw(_runs(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_and_word())
+def test_cover_rewrite_matches_the_rational_and_klein_references(case):
+    cover, reference, w = case
+    assert cover.rewrite(w) == reference(w)
 
 
 @given(st.integers(0, 4).flatmap(
@@ -840,11 +919,13 @@ def _pullback_reference(f: Family, cover):
         return np.stack([evaluate_word(w, rep) for w in words], axis=1)
 
     chern = None
-    # only a sublattice carried a basis matrix; the Klein cover had none
-    if isinstance(cover, SublatticeCover) and f.chern is not None:
+    # only a sublattice has a rational basis inverse; the Klein cover has none
+    if cover.inverse is not None and f.chern is not None:
+        # the basis columns are the exponent sums of the subgroup generators
+        basis = zip(*([_exponent_sum(w, g) for g in range(len(words))] for w in words))
         images = [
             sum((v * zgen(j + 1) for j, v in enumerate(row)), MultiForm())
-            for row in cover.basis
+            for row in basis
         ]
         chern = tuple(ch.subst_z(images) for ch in f.chern)
     return ev, chern

@@ -14,9 +14,13 @@ of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
 one exact family and one Klein-bottle family (the numeric path).  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds, and
-families of the group with no generators.  Then come the ``certificates``
-ops: ``detect run`` on each of ``CERTIFICATES``, family sets whose pairing
-rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
+families of the group with no generators.  Then come the ``covers`` ops:
+``family build`` on each of ``COVERS``, inductions and pullbacks along
+explicit covers with and without their own coset words, including ones a
+cover or the family's group rejects, and then ``CLASS_BUDGET``, ``detect
+run`` against a descriptor of more homology classes than are built.  Then
+come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
+family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults) run in order and then in reverse in the same process, so that
 state leaking from one parse into the next shows, and then ``DIGIT_LIMIT``,
@@ -77,11 +81,28 @@ FAMILIES = (
     "extend(char_zn(2, 8, gens=[a, b]), group=klein.grp)",
     "extend(char_zn(2, 8, gens=[a, b]), group=f2.grp)",
 )
+COVERS = (
+    "induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
+    "pullback(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
+    "induce(char_zn(1, 8), cover=circle(2), cosets=[e, a], group=z1.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[e, b^-1], group=klein.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[e, a], group=klein.grp)",
+    "induce(char_zn(2, 8), cover=sublattice([[1, 1], [0, 2]]), cosets=[e, b], group=z2.grp)",
+    "induce(char_zn(2, 8), cover=sublattice([[0, 1], [2, 0]]), cosets=[e, b], group=z2.grp)",
+    "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e], group=z2.grp)",
+    "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=klein.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[e, b], group=z2.grp)",
+    "pullback(char_zn(2, 8), cover=klein_even)",
+    "pullback(extend(char_zn(1, 8, gens=[a]), group=f2.grp), "
+    "cover=sublattice([[1, 0], [0, 2]]), cosets=[e, b], group=z2.grp)",
+)
+CLASS_BUDGET = ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam")
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
     "f2.grp": "gens: a b ; rels: ;\n",
     "z2.grp": "gens: a b ; rels: a b a^-1 b^-1 ;\n",
     "e.grp": "gens: ; rels: ;\n",
+    "z1.grp": "gens: a ; rels: ;\n",
 }
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
@@ -131,14 +152,23 @@ def _descriptor_ops(run_dir: Path):
             yield argv, f"detect run {group} vs {name}"
 
 
-def _family_ops(run_dir: Path):
-    """(argv, out path, label) of every ``families`` op; writes its input files."""
+def _family_ops(run_dir: Path, exprs=FAMILIES):
+    """(argv, out path, label) of ``family build`` on each of ``exprs``, the
+    ``families`` ops by default; writes its input files."""
     for name, text in GROUP_FILES.items():
         (run_dir / name).write_text(text)
-    for i, expr in enumerate(FAMILIES):
+    for i, expr in enumerate(exprs):
         fam, out = run_dir / f"f{i}.fam", run_dir / f"f{i}.json"
         fam.write_text(expr + "\n")
         yield ["family", "build", "--expr", str(fam), "--out", str(out)], out, expr
+
+
+def _cover_ops(run_dir: Path):
+    """(argv, out path, label) of every ``covers`` op; writes its input files."""
+    yield from _family_ops(run_dir, COVERS)
+    (run_dir / "z2.fam").write_text(USAGE_FILES["z2.fam"])
+    argv = [str(run_dir / a) if a.endswith(".fam") else a for a in CLASS_BUDGET]
+    yield argv, None, " ".join(CLASS_BUDGET)
 
 
 def _certificate_ops(run_dir: Path):
@@ -212,6 +242,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_family_ops(run_dir)):
             run_op("families", i, argv, out, label)
+        run_dir = tmp / "covers"
+        run_dir.mkdir()
+        for i, (argv, out, label) in enumerate(_cover_ops(run_dir)):
+            run_op("covers", i, argv, out, label)
         run_dir = tmp / "certificates"
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_certificate_ops(run_dir)):
