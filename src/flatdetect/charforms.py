@@ -4,7 +4,10 @@ MultiForm is an element of the rational exterior algebra on degree-1
 generators of two kinds: z-labels (base/group directions) and x-labels
 (parameter directions).  Monomials are stored canonically with all z's
 before all x's, each kind sorted by index; the sign of bringing a product
-into that order is absorbed into the coefficient.
+into that order is absorbed into the coefficient.  Every store is canonical
+with no zero coefficient, so operations build canonical stores directly;
+only outside input (the constructor's terms, ``coefficient``,
+``from_records``) is sorted, by ``_merge_sign``, the one ordering rule.
 
 Sign conventions (the global dictionary reported alongside results):
 the exact pipeline normalizes the rank-1 character bundle on the 2-torus to
@@ -101,24 +104,21 @@ def _wedge_terms(a: dict, b: dict) -> dict:
 
 
 def _canonical(labels: Iterable[Label]):
-    """Sort arbitrary labels into canonical order; returns (monomial, sign) or
-    None when a label repeats."""
-    labels = list(labels)
-    seen = set()
+    """Bring arbitrary labels into canonical order by merging them into the
+    monomial one at a time; returns (monomial, sign) or None when a label
+    repeats.  Every label is checked first, so a bad one raises even next
+    to a repeat."""
+    labels = tuple(labels)
     for lab in labels:
         _check_label(lab)
-        if lab in seen:
+    mono, sign = (), 1
+    for lab in labels:
+        merged = _merge_sign(mono, (lab,))
+        if merged is None:
             return None
-        seen.add(lab)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(labels)):
-        j = i
-        while j > 0 and _label_key(labels[j - 1]) > _label_key(labels[j]):
-            labels[j - 1], labels[j] = labels[j], labels[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(labels), sign
+        mono, s = merged
+        sign *= s
+    return mono, sign
 
 
 class MultiForm:
@@ -147,7 +147,6 @@ class MultiForm:
 
     @classmethod
     def generator(cls, kind: str, index: int) -> "MultiForm":
-        _check_label((kind, index))
         return cls({((kind, index),): Fraction(1)})
 
     @classmethod
@@ -179,16 +178,15 @@ class MultiForm:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiForm(terms)
+        store = dict(self._terms)
+        for m, c in _coerce(other)._terms.items():
+            _accumulate(store, m, c)
+        return MultiForm._of_canonical(store)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiForm({m: -c for m, c in self._terms.items()})
+        return MultiForm._of_canonical({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -198,7 +196,10 @@ class MultiForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiForm({m: c * Fraction(other) for m, c in self._terms.items()})
+            other = Fraction(other)
+            return MultiForm._of_canonical(
+                {m: c * other for m, c in self._terms.items()} if other else {}
+            )
         return MultiForm._of_canonical(_wedge_terms(self._terms, _coerce(other)._terms))
 
     def __rmul__(self, other):
@@ -227,7 +228,8 @@ class MultiForm:
     # -- structural operations ----------------------------------------------
 
     def shift(self, z_offset: int = 0, x_offset: int = 0) -> "MultiForm":
-        """Translate label indices (disjointifying label sets before a product)."""
+        """Translate label indices (disjointifying label sets before a product);
+        the constructor rejects an index shifted below 1."""
         terms = {}
         for mono, c in self._terms.items():
             new = tuple(
@@ -239,12 +241,8 @@ class MultiForm:
     def restrict_x(self, keep: Iterable[int]) -> "MultiForm":
         """Restriction to a parameter sub-torus: drop terms using other x-labels."""
         keep = set(keep)
-        return MultiForm(
-            {
-                m: c
-                for m, c in self._terms.items()
-                if all(k != "x" or i in keep for k, i in m)
-            }
+        return MultiForm._of_canonical(
+            {m: c for m, c in self._terms.items() if all(k != "x" or i in keep for k, i in m)}
         )
 
     def split_z(self) -> dict[tuple[int, ...], dict[tuple[Label, ...], Fraction]]:

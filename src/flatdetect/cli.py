@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 usage error (including flag values out of range),
 3 input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
 presentation with no generators to solve for, an exact family paired with
-a group it is not a family of, a pullback of a family of another group than
-the cover's, or a group descriptor of more than ``detect.MAX_CLASSES``
-homology classes),
+a group it is not a family of, a pullback or induction of a family of
+another group than the cover's, a cover index above ``families.MAX_INDEX``,
+or a group descriptor of more than ``detect.MAX_CLASSES`` homology classes),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -514,10 +514,8 @@ def _detection(ns) -> detect.DetectionReport:
     descriptor = build_descriptor(parse_expression(ns.group))
     fams = [_load_family(p) for p in ns.families or []]
     if all(f.chern is not None for f in fams):
-        report = detect.detection_matrix(descriptor, fams)
-        # checked once the pairing has accepted the group's classes: it
-        # matches base labels by index, so a family of another group would
-        # pair as if it were a family of this one
+        # checked before the pairing, which matches base labels by index: a
+        # family of another group would pair as if it were a family of this one
         z_dim = descriptor.basis.z_dim
         for fi, f in enumerate(fams):
             if f.base_dim != z_dim:
@@ -525,7 +523,7 @@ def _detection(ns) -> detect.DetectionReport:
                     f"family {fi} ({f.structure}) has {f.base_dim} base labels, "
                     f"but {descriptor.describe()} has {z_dim}"
                 )
-        return report
+        return detect.detection_matrix(descriptor, fams)
     if len(fams) != 1:
         raise detect.DetectionError("the numeric pairing path takes a single family")
     return detect.numeric_detection_report(descriptor, fams[0])

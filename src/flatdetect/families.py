@@ -62,6 +62,10 @@ VERIFY_CHUNK = 512
 # the most grid points verify_family checks in one component (char_zn(3, 256)
 # takes 10.5 s on a 2-core Xeon VM); a larger grid fails verification at once
 VERIFY_MAX_POINTS = 2**24
+# the largest index of a circle cover, and of a cover induced along; an
+# induction's coset table takes index^2 rewrites per ambient generator
+# (inducing char_zn(1, 3) along circle(256) takes 0.7 s on a shared 2-core VM)
+MAX_INDEX = 2**8
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +538,15 @@ def circle_cover(k: int, ambient: GroupPresentation | None = None) -> Cover:
     """The k-fold cover kZ <= Z with coset representatives e, a, ..., a^{k-1}."""
     if k < 1:
         raise ValueError("index must be >= 1")
+    _check_index(k)
     ambient = ambient or free_abelian(1)
     cosets = [Word(((0, j),)) for j in range(k)]
     return SublatticeCover(ambient, [[k]], cosets)
+
+
+def _check_index(index: int) -> None:
+    if index > MAX_INDEX:
+        raise ValueError(f"cover index {index} is more than the {MAX_INDEX} supported at most")
 
 
 def KleinBottleCover() -> Cover:
@@ -604,13 +614,17 @@ def induce_family(f: Family, cover: Cover) -> Family:
     For each parameter x and ambient generator g, block (i, j) of the induced
     matrix is rho_x(t_i^-1 g t_j) whenever that element lies in the subgroup
     (rewritten through the cover), and zero otherwise; the t_i are the
-    cover's coset words.
+    cover's coset words.  ``f`` must be a family of the cover's free abelian
+    subgroup, generators matched by position, and the index at most MAX_INDEX.
     """
     G = cover.ambient
     reps = cover.cosets
     c = len(reps)
-    if len(f.group.generators) != len(cover.sub_generator_words):
+    n = len(cover.sub_generator_words)
+    if len(f.group.generators) != n:
         raise ValueError("family group does not match the cover's subgroup")
+    _check_relators(free_abelian(n), f.group, {i: i for i in range(n)})
+    _check_index(cover.index)
 
     # Per ambient generator g and representative t_j: the one coset t_i with
     # t_i^-1 g t_j in the subgroup, and that element as a subgroup word.  As

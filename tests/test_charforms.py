@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,10 @@ from flatdetect.charforms import (
     chern_number,
     numerical_curvature,
     poincare_connection,
+    _canonical,
+    _check_label,
+    _label_key,
+    wedge,
     winding_number,
     xgen,
     zgen,
@@ -87,6 +92,88 @@ def test_wedge_associative_and_distributive(a, b, c):
 @given(forms())
 def test_serialization_roundtrip(f):
     assert MultiForm.from_records(f.to_records()) == f
+
+
+def _assert_canonical_store(form):
+    """The store invariant: each key is its own canonical order (sign +1),
+    no coefficient is zero, and re-canonicalising the terms changes nothing."""
+    for mono, c in form._terms.items():
+        assert _canonical(mono) == (mono, 1)
+        assert isinstance(c, Fraction) and c != 0
+    assert form._terms == MultiForm(dict(form.terms()))._terms
+
+
+@settings(max_examples=150)
+@given(
+    forms(),
+    forms(),
+    st.integers(-3, 3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.lists(st.integers(1, 3), max_size=3),
+    st.lists(st.integers(1, 3), max_size=2, unique=True),
+)
+def test_operations_return_canonical_stores(a, b, scalar, dz, dx, keep, zs):
+    images = [zgen(2) - zgen(1), 2 * zgen(3), zgen(1) + xgen(1)]
+    for r in (
+        a + b, a - b, -a, a * scalar, scalar * a, a * Fraction(scalar, 2), a * b,
+        wedge(a, b), a.shift(z_offset=dz, x_offset=dx), a.restrict_x(keep),
+        a.contract_z(zs), a.subst_z(images),
+    ):
+        _assert_canonical_store(r)
+
+
+def _canonical_reference(labels):
+    """Insertion sort into canonical order, counting transpositions.  Every
+    label is checked before a repeat returns None, so [z1, z1, z0] raises
+    (an earlier sort returned None for it, having stopped at the repeat)."""
+    labels = list(labels)
+    for lab in labels:
+        _check_label(lab)
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            return None
+        seen.add(lab)
+    sign = 1
+    for i in range(1, len(labels)):
+        j = i
+        while j > 0 and _label_key(labels[j - 1]) > _label_key(labels[j]):
+            labels[j - 1], labels[j] = labels[j], labels[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(labels), sign
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from(["z", "x"]), st.integers(1, 4)), max_size=8),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.sampled_from([("y", 1), ("z", 0), ("x", -1)])),
+        max_size=2,
+    ),
+)
+def test_canonical_matches_insertion_sort_reference(labels, bad):
+    for at, lab in bad:
+        labels.insert(at, lab)
+    try:
+        expected = _canonical_reference(labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _canonical(labels)
+    else:
+        assert _canonical(labels) == expected
+
+
+def test_scalar_zero_and_constructor_input_errors():
+    f = 1 + zgen(1) * xgen(1)
+    assert (f * 0)._terms == {} and (0 * f)._terms == {}
+    with pytest.raises(ValueError, match=re.escape("bad label ('z', 0)")):
+        MultiForm({(("z", 1), ("z", 1), ("z", 0)): 1})
+    with pytest.raises(ValueError, match=re.escape("bad label ('x', 0)")):
+        f.shift(x_offset=-1)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        "z1" * f
 
 
 def test_shift_and_restrict():

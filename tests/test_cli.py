@@ -252,6 +252,18 @@ def test_exact_family_of_another_group_exit3(workdir, capsys, group, fam, counts
         assert err.count("\n") == 1 and not out.exists()
 
 
+def test_base_label_count_is_checked_before_pairing(workdir, capsys, monkeypatch):
+    def pairing(*args, **kwargs):
+        raise AssertionError("paired a family of another group")
+    monkeypatch.setattr(flatdetect.detect, "detection_matrix", pairing)
+    for command in (["detect", "run"], ["report"]):
+        argv = command + ["--group", "free_abelian(3)", "--families", str(workdir / "z2.fam")]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: family 0 (char_zn(2, 8)) has 2 base labels, but free_abelian(3) has 3\n"
+        )
+
+
 def test_detect_run_z2_certified(workdir):
     out = workdir / "rep.json"
     code = run(
@@ -368,6 +380,46 @@ def test_pullback_rejects_a_family_of_another_group(workdir, capsys):
         out = workdir / "p.json"
         assert run(["family", "build", "--expr", str(workdir / "p.fam"), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["structure"].startswith("pullback(")
+
+
+def test_induce_rejects_a_family_of_another_group(workdir, capsys):
+    (workdir / "p.fam").write_text(
+        "induce(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
+        "cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z2.grp)\n"
+    )
+    assert run(["family", "build", "--expr", str(workdir / "p.fam")]) == 3
+    assert capsys.readouterr().err == (
+        "error: ambient relator 't1 t2 t1^-1 t2^-1' is not a relator of the "
+        "family's group, up to rotation and inversion\n"
+    )
+    (workdir / "p.fam").write_text(
+        "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z2.grp)\n"
+    )
+    assert run(["family", "build", "--expr", str(workdir / "p.fam")]) == 0
+
+
+def test_cover_index_past_the_bound_exit3(workdir, capsys, monkeypatch):
+    fam, out = workdir / "c.fam", workdir / "c.json"
+    for expr in ("pullback(char_zn(1, 8), cover=circle(1000000))",
+                 "induce(char_zn(1, 3), cover=circle(1000000))"):
+        fam.write_text(expr + "\n")
+        assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: cover index 1000000 is more than the 256 supported at most\n"
+        )
+        assert not out.exists()
+    for expr in ("pullback(char_zn(1, 8), cover=circle(256))",
+                 "induce(char_zn(1, 3), cover=circle(256))"):
+        fam.write_text(expr + "\n")
+        assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 0
+    # induce checks the index of any cover; a sublattice's pullback is not bounded
+    monkeypatch.setattr(flatdetect.families, "MAX_INDEX", 1)
+    cover = "cover=sublattice([[1, 1], [0, 2]]), cosets=[e, b], group=z2.grp"
+    fam.write_text(f"induce(char_zn(2, 8), {cover})\n")
+    assert run(["family", "build", "--expr", str(fam)]) == 3
+    assert capsys.readouterr().err == "error: cover index 2 is more than the 1 supported at most\n"
+    fam.write_text(f"pullback(char_zn(2, 8), {cover})\n")
+    assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 0
 
 
 def test_named_covers_take_the_group_and_coset_words(workdir, capsys):

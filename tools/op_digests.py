@@ -11,13 +11,15 @@ through ``flatdetect.cli.run`` and prints one line per op:
 
 After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
 of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
-one exact family and one Klein-bottle family (the numeric path).  Then come
+one exact family and one Klein-bottle family (the numeric path), and then on
+each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds, and
 families of the group with no generators.  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit covers with and without their own coset words, including ones a
-cover or the family's group rejects, and then ``CLASS_BUDGET``, ``detect
+cover or the family's group rejects and ones of index past the bound
+``families.MAX_INDEX``, and then ``CLASS_BUDGET``, ``detect
 run`` against a descriptor of more homology classes than are built.  Then
 come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
@@ -64,6 +66,8 @@ DESCRIPTORS = (
     "direct_product(surface(1), free_product(free(0), free_abelian(2)))",
     "free_product(finite_index_super(free(1), 2, k, homology=[[pt], [a]]), free_abelian(1))",
 )
+# descriptors whose base-label count differs from the exact family's
+EXACT_DESCRIPTORS = ("free_abelian(16)",)
 DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
     "klein": "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)",
@@ -95,6 +99,10 @@ COVERS = (
     "pullback(char_zn(2, 8), cover=klein_even)",
     "pullback(extend(char_zn(1, 8, gens=[a]), group=f2.grp), "
     "cover=sublattice([[1, 0], [0, 2]]), cosets=[e, b], group=z2.grp)",
+    "induce(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
+    "cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z2.grp)",
+    "pullback(char_zn(1, 8), cover=circle(100000))",
+    "induce(char_zn(1, 3), cover=circle(512))",
 )
 CLASS_BUDGET = ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam")
 GROUP_FILES = {
@@ -150,6 +158,9 @@ def _descriptor_ops(run_dir: Path):
         for name, path in paths.items():
             argv = ["detect", "run", "--group", group, "--families", str(path)]
             yield argv, f"detect run {group} vs {name}"
+    for group in EXACT_DESCRIPTORS:
+        argv = ["detect", "run", "--group", group, "--families", str(paths["exact"])]
+        yield argv, f"detect run {group} vs exact"
 
 
 def _family_ops(run_dir: Path, exprs=FAMILIES):
