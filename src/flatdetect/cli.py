@@ -8,10 +8,12 @@ strings, floats appear only in numeric diagnostics.
 Exit codes: 0 success, 2 usage error (including flag values out of range),
 3 input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
-presentation with no generators to solve for, an exact family paired with
-a group it is not a family of, a pullback or induction of a family of
-another group than the cover's, a cover index above ``families.MAX_INDEX``,
-or a group descriptor of more than ``detect.MAX_CLASSES`` homology classes),
+presentation with no generators to solve for, a family paired with a group
+it is not a family of or a class label that is no word of its group, a
+pullback or induction of a family of another group than the cover's, a
+coset list of another length than the cover's index, a cover index above
+``families.MAX_INDEX``, or a group descriptor of more than
+``detect.MAX_CLASSES`` homology classes),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -32,7 +34,6 @@ returns a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import operator
@@ -47,6 +48,7 @@ from .presentation import (
     GroupPresentation,
     PresentationError,
     format_presentation,
+    free_abelian,
     klein_bottle,
     parse_presentation,
     parse_word,
@@ -216,11 +218,11 @@ def parse_expression(text: str):
 
 # A constructor's kind is "family", "cover" or "descriptor"; arguments of
 # those kinds are nested calls, and other arguments must fit their _TYPES
-# entry.  A cover builds a function of the ambient group (or None) and the
-# coset names, which its caller's keywords supply.
+# entry.  A cover builds (families constructor, keyword arguments, ambient
+# when group= is absent), which _cover completes with its caller's keywords.
 _KINDS = {  # kind -> (message for a non-call, message for an unknown name)
     "family": ("expected a family expression, got {!r}", "unknown family constructor {!r}"),
-    "cover": ("unsupported cover description for induce",) * 2,
+    "cover": ("unsupported cover description for {caller}",) * 2,
     "descriptor": ("expected a group descriptor, got {!r}", "unknown group descriptor {!r}"),
 }
 
@@ -248,39 +250,25 @@ def _looks_like_klein(G: GroupPresentation) -> bool:
     return len(G.generators) == 2 and G.relators == klein_bottle().relators
 
 
-def _with_cosets(cover, ambient, cosets):
-    """``cover`` acting on ``ambient`` with the ``cosets`` words, each when given."""
-    ambient = ambient or cover.ambient
-    words = tuple(parse_word(s, ambient) for s in cosets) if cosets else cover.cosets
-    return dataclasses.replace(cover, ambient=ambient, cosets=words)
-
-
-def _klein_cover(ambient, cosets):
-    if ambient is not None and not _looks_like_klein(ambient):
-        raise ExprError("group file does not present the Klein-bottle group")
-    return _with_cosets(families.KleinBottleCover(), ambient, cosets)
-
-
-def _sublattice_cover(basis):
-    def cover(ambient, cosets):
-        if ambient is None:
-            raise ExprError("sublattice cover needs group=FILE")
-        words = [parse_word(s, ambient) for s in cosets or []]
-        return families.SublatticeCover(ambient, basis, words)
-
-    return cover
-
-
-def _cover(cover, cosets, group):
+def _cover(caller: str, cover, cosets, group):
     """The cover given by ``cover=``, else inferred from ``group=`` (Klein, or
-    one generator with ``cosets=``), acting on ``group=`` with ``cosets=``."""
-    if cover is not None:
-        return cover(group, cosets)
-    if group is not None and _looks_like_klein(group):
-        return _klein_cover(group, cosets)
-    if group is not None and len(group.generators) == 1 and cosets:
-        return _with_cosets(families.circle_cover(len(cosets), group), group, cosets)
-    raise ExprError("unsupported cover description for induce")
+    one generator with ``cosets=``), built once on ``group=`` or the cover's
+    own ambient, with the ``cosets=`` words when given."""
+    if cover is None and group is not None and _looks_like_klein(group):
+        cover = _CONSTRUCTORS["klein_even"][-1]()
+    elif cover is None and group is not None and len(group.generators) == 1 and cosets:
+        cover = _CONSTRUCTORS["circle"][-1](len(cosets))
+    elif cover is None:
+        raise ExprError(f"unsupported cover description for {caller}")
+    make, args, ambient = cover
+    if make is families.KleinBottleCover and group is not None and not _looks_like_klein(group):
+        raise ExprError("group file does not present the Klein-bottle group")
+    ambient = group or ambient
+    if ambient is None:
+        raise ExprError("sublattice cover needs group=FILE")
+    if cosets is not None:
+        args = {**args, "cosets": [parse_word(s, ambient) for s in cosets]}
+    return make(ambient=ambient, **args)
 
 
 def _finite_index_super(sub, index, label, homology):
@@ -307,14 +295,15 @@ _CONSTRUCTORS = {
                lambda f, group: families.extend_free_product(f, group)),
     "induce": ("family", ("family",), _COVER_KEYWORDS, (),
                lambda f, cover=None, cosets=None, group=None:
-               families.induce_family(f, _cover(cover, cosets, group))),
+               families.induce_family(f, _cover("induce", cover, cosets, group))),
     "pullback": ("family", ("family",), _COVER_KEYWORDS, (),
                  lambda f, cover=None, cosets=None, group=None:
-                 families.pullback_family(f, _cover(cover, cosets, group))),
-    "circle": ("cover", ("int",), {}, (), lambda k: lambda ambient, cosets:
-               _with_cosets(families.circle_cover(k, ambient), ambient, cosets)),
-    "sublattice": ("cover", ("matrix",), {}, (), _sublattice_cover),
-    "klein_even": ("cover", (), {}, (), lambda: _klein_cover),
+                 families.pullback_family(f, _cover("pullback", cover, cosets, group))),
+    "circle": ("cover", ("int",), {}, (),
+               lambda k: (families.circle_cover, {"k": k}, free_abelian(1))),
+    "sublattice": ("cover", ("matrix",), {}, (),
+                   lambda basis: (families.SublatticeCover, {"basis": basis, "cosets": []}, None)),
+    "klein_even": ("cover", (), {}, (), lambda: (families.KleinBottleCover, {}, klein_bottle())),
     "free": ("descriptor", ("int",), {}, (), detect.Free),
     "free_abelian": ("descriptor", ("int",), {}, (), detect.FreeAbelian),
     "surface": ("descriptor", ("int",), {}, (), detect.SurfaceClosed),
@@ -325,27 +314,28 @@ _CONSTRUCTORS = {
 }
 
 
-def _argument(value, typ: str, where: str, basedir: Path | None):
+def _argument(value, typ: str, where: str, basedir: Path | None, caller: str):
     if typ in _KINDS:
-        return _build(value, typ, basedir)
+        return _build(value, typ, basedir, caller)
     what, shape = _TYPES[typ]
     if not _fits(value, shape):
         raise ExprError(f"{where} must be {what}, got {value!r}")
     return parse_presentation((basedir / value).read_text()) if typ == "file" else value
 
 
-def _build(ast, kind: str, basedir: Path | None):
-    """Check a call of ``kind`` against _CONSTRUCTORS, build its arguments in
-    order and then the call; a builder's ValueError becomes an ExprError."""
+def _build(ast, kind: str, basedir: Path | None, caller: str | None = None):
+    """Check a call of ``kind`` (an argument of ``caller``) against
+    _CONSTRUCTORS, build its arguments in order and then the call; a
+    builder's ValueError becomes an ExprError."""
     if kind == "cover" and isinstance(ast, str):
         ast = Call(ast, [], {})  # a bare cover name, as in cover=klein_even
     not_a_call, unknown = _KINDS[kind]
     if not isinstance(ast, Call):
-        raise ExprError(not_a_call.format(ast))
+        raise ExprError(not_a_call.format(ast, caller=caller))
     name = ast.name
     entry = _CONSTRUCTORS.get(name)
     if entry is None or entry[0] != kind:
-        raise ExprError(unknown.format(name))
+        raise ExprError(unknown.format(name, caller=caller))
     _, arg_types, kw_types, required, builder = entry
     if len(ast.args) != len(arg_types):
         raise ExprError(
@@ -358,11 +348,11 @@ def _build(ast, kind: str, basedir: Path | None):
     if extra:
         raise ExprError(f"{name} got unknown keyword argument(s) {', '.join(extra)}")
     args = [
-        _argument(v, t, f"{name} argument {i}", basedir)
+        _argument(v, t, f"{name} argument {i}", basedir, name)
         for i, (v, t) in enumerate(zip(ast.args, arg_types), 1)
     ]
     kwargs = {
-        k: _argument(ast.kwargs[k], t, f"{name} keyword {k}", basedir)
+        k: _argument(ast.kwargs[k], t, f"{name} keyword {k}", basedir, name)
         for k, t in kw_types.items()
         if k in ast.kwargs
     }
@@ -513,16 +503,18 @@ def _detection(ns) -> detect.DetectionReport:
     else the numeric report of the single family."""
     descriptor = build_descriptor(parse_expression(ns.group))
     fams = [_load_family(p) for p in ns.families or []]
+    # checked before either pairing, which matches base labels by index: a
+    # family of another group would pair as if it were a family of this one.
+    # A descriptor without base labels pairs a numeric family by its words.
+    z_dim = descriptor.basis.z_dim
+    for fi, f in enumerate(fams):
+        n = len(f.group.generators)
+        if n != z_dim and (f.chern is not None or z_dim):
+            raise ExprError(
+                f"family {fi} ({f.structure}) has {n} base labels, "
+                f"but {descriptor.describe()} has {z_dim}"
+            )
     if all(f.chern is not None for f in fams):
-        # checked before the pairing, which matches base labels by index: a
-        # family of another group would pair as if it were a family of this one
-        z_dim = descriptor.basis.z_dim
-        for fi, f in enumerate(fams):
-            if f.base_dim != z_dim:
-                raise ExprError(
-                    f"family {fi} ({f.structure}) has {f.base_dim} base labels, "
-                    f"but {descriptor.describe()} has {z_dim}"
-                )
         return detect.detection_matrix(descriptor, fams)
     if len(fams) != 1:
         raise detect.DetectionError("the numeric pairing path takes a single family")

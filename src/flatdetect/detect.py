@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
 from .families import Cover, Family, axis_windings, induce_family, pullback_family
-from .presentation import Word, parse_word
+from .presentation import PresentationError, Word, parse_word
 
 SCOPE_NOTE = (
     "Detectability is certified only over the structured parameter spaces "
@@ -367,7 +367,15 @@ def numeric_detection_report(
         for axis in range(f.space.component_x_dim(ci)):
             col_labels.append(f"c{ci}.loop_x{axis + 1}")
     classes = basis.all_classes()
-    words = [parse_word(c.label, f.group) for c in classes if c.degree == 1]
+    words = []
+    for c in (c for c in classes if c.degree == 1):
+        try:
+            words.append(parse_word(c.label, f.group))
+        except PresentationError:
+            raise PresentationError(
+                f"class {c.label!r} of {d.describe()} is not a word in the family's "
+                f"generators ({', '.join(f.group.generators)})"
+            ) from None
     # per degree-1 class, in order: its windings per component and axis
     windings = iter(zip(*(axis_windings(f, words, ci, samples) for ci in components)))
     matrix = []
@@ -395,7 +403,7 @@ def transfer_scaling_check(f: Family, index: int, *, cover: Cover) -> bool:
     """Check that pulling a family ``f`` of the ambient group back along a
     structured cover and inducing it up again multiplies every
     detection-matrix entry by exactly the index."""
-    if cover.inverse is None:
+    if any(-1 in signs for signs in cover.holonomy):
         raise DetectionError(
             f"unsupported cover description {cover.describe()!r}: no rational model"
         )

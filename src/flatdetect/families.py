@@ -22,7 +22,10 @@ windings consume the stacks with stacked matmul and det.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
 signs, all +1 but for the Klein group's b) with one integer ``rewrite``;
-``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one.
+``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one
+through one constructor, whose fraction-free (Bareiss) elimination gives the
+lattice's determinant and adjugate, and which checks the coset count of every
+cover.  The transfer alone reads the basis inverse, as adjugate / det.
 
 Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
@@ -35,13 +38,13 @@ abelianized images into the exact form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charforms import MultiForm, reduce_rows, winding_number, xgen, zgen
+from .charforms import MultiForm, winding_number, xgen, zgen
 from .presentation import (
     GroupPresentation,
     Word,
@@ -429,24 +432,27 @@ def direct_sum(f: Family, g: Family) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
-    """Exact determinant and inverse of a square rational matrix over Q; the
-    inverse is None when singular.  ``reduce_rows`` on [m | I] keeps the
-    determinant and leaves rows upper triangular on m once sorted by pivot;
-    reducing them again in descending pivot order leaves m's diagonal."""
+def _det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate (None when singular) of a square integer
+    matrix by fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]:
+    each step scales the other rows by the pivot and divides exactly by the
+    last one, leaving d I | d m^-1 with d = det(m) up to the swaps' sign."""
     n = len(m)
-    rows = reduce_rows(
-        {**{j: Fraction(v) for j, v in enumerate(row) if v}, n + i: Fraction(1)}
-        for i, row in enumerate(m)
-    )
-    pivots = [min(row) for row in rows]
-    if any(p >= n for p in pivots):  # a row of m depends on the rows before it
-        return Fraction(0), None
-    det = Fraction((-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]))
-    for p, row in zip(pivots, rows):
-        det *= row[p]
-    diagonal = {min(row): row for row in reduce_rows(sorted(rows, key=min, reverse=True))}
-    return det, [[diagonal[p].get(n + j, 0) / diagonal[p][p] for j in range(n)] for p in range(n)]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                rows[i] = [(pivot[k] * a - row[k] * b) // prev for a, b in zip(row, pivot)]
+        prev = pivot[k]
+    return sign * prev, [[sign * v for v in row[n:]] for row in rows]
 
 
 def _abelianize(w: Word, n: int) -> list[int]:
@@ -454,6 +460,18 @@ def _abelianize(w: Word, n: int) -> list[int]:
     for g, e in w.letters:
         v[g] += e
     return v
+
+
+def _walk(holonomy: Sequence[Sequence[int]], w: Word) -> tuple[list[int], list[int]]:
+    """The translation and axis signs a word moves Z^n by, run by run:
+    generator g translates by e_g, then multiplies axis i by holonomy[g][i]."""
+    v = [0] * len(holonomy)
+    signs = [1] * len(holonomy)
+    for g, e in w.letters:
+        v[g] += e * signs[g]
+        if e % 2:
+            signs = [s * h for s, h in zip(signs, holonomy[g])]
+    return v, signs
 
 
 @dataclass(frozen=True)
@@ -474,23 +492,10 @@ class Cover:
     index: int
     label: str
 
-    @property
-    def inverse(self) -> list[list[Fraction]] | None:
-        """The rational basis inverse (the transfer's substitution), or None
-        when some generator has nontrivial holonomy."""
-        if any(-1 in signs for signs in self.holonomy):
-            return None
-        return [[Fraction(a, self.det) for a in row] for row in self.adjugate]
-
     def rewrite(self, w: Word) -> Word | None:
-        """Membership test plus rewrite into subgroup generators, or None: the
-        runs move a translation v and signs; in H, all signs are +1 and det | adj v."""
-        v = [0] * len(self.holonomy)
-        signs = [1] * len(self.holonomy)
-        for g, e in w.letters:
-            v[g] += e * signs[g]
-            if e % 2:
-                signs = [s * h for s, h in zip(signs, self.holonomy[g])]
+        """Membership test plus rewrite into subgroup generators, or None: in
+        H, the walk ends with all signs +1 and det | adj v."""
+        v, signs = _walk(self.holonomy, w)
         if -1 in signs:
             return None
         coeffs = []
@@ -505,43 +510,50 @@ class Cover:
         return self.label
 
 
-def SublatticeCover(
-    ambient: GroupPresentation, basis: Sequence[Sequence[int]], cosets: Sequence[Word]
+def _lattice_cover(
+    ambient: GroupPresentation, basis: Sequence[Sequence[int]],
+    holonomy: tuple[tuple[int, ...], ...], cosets: Iterable[Word], label: str,
 ) -> Cover:
-    """A finite-index sublattice of a free abelian group.
-
-    ``basis`` lists the subgroup generators as integer exponent columns:
-    the j-th subgroup generator is prod_i a_i^{basis[i][j]}.  Coset
-    representatives are given as words in the ambient generators.
-    """
+    """The one constructor of a Cover, from integer data: ``basis`` columns
+    are the subgroup generators' exponents, the j-th prod_i a_i^{basis[i][j]}.
+    It checks, in order: the basis is n x n for n ambient generators; each
+    relator walks to translation 0, signs +1; det != 0; |det| coset words."""
     n = len(ambient.generators)
     mat = [[int(v) for v in row] for row in basis]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
     for rel in ambient.relators:
-        if any(_abelianize(rel, n)):
+        if _walk(holonomy, rel) != ([0] * n, [1] * n):
             raise ValueError("ambient group is not free abelian")
-    det, inverse = _det_and_inverse(mat)
+    det, adjugate = _det_adjugate(mat)
     if det == 0:
         raise ValueError("sublattice basis is singular")
-    index = abs(int(det))
-    cosets = tuple(free_reduce(c) for c in cosets)
+    index = abs(det)
+    cosets = tuple(map(free_reduce, cosets))
     if len(cosets) != index:
         raise ValueError(f"need {index} coset representatives, got {len(cosets)}")
     words = (Word(tuple((i, row[j]) for i, row in enumerate(mat))) for j in range(n))
-    adjugate = tuple(tuple(int(det * v) for v in row) for row in inverse)
-    return Cover(ambient, cosets, int(det), adjugate, ((1,) * n,) * n,
-                 tuple(map(free_reduce, words)), index, f"sublattice(index={index})")
+    return Cover(ambient, cosets, det, tuple(map(tuple, adjugate)), holonomy,
+                 tuple(map(free_reduce, words)), index, f"{label}(index={index})")
 
 
-def circle_cover(k: int, ambient: GroupPresentation | None = None) -> Cover:
-    """The k-fold cover kZ <= Z with coset representatives e, a, ..., a^{k-1}."""
+def SublatticeCover(
+    ambient: GroupPresentation, basis: Sequence[Sequence[int]], cosets: Sequence[Word]
+) -> Cover:
+    """A finite-index sublattice of a free abelian group, with coset
+    representatives given as words in the ambient generators."""
+    n = len(ambient.generators)
+    return _lattice_cover(ambient, basis, ((1,) * n,) * n, cosets, "sublattice")
+
+
+def circle_cover(k: int, ambient: GroupPresentation | None = None, cosets=None) -> Cover:
+    """The k-fold cover kZ <= Z with coset representatives e, a, ..., a^{k-1}
+    unless given."""
     if k < 1:
         raise ValueError("index must be >= 1")
     _check_index(k)
-    ambient = ambient or free_abelian(1)
-    cosets = [Word(((0, j),)) for j in range(k)]
-    return SublatticeCover(ambient, [[k]], cosets)
+    cosets = [Word(((0, j),)) for j in range(k)] if cosets is None else cosets
+    return SublatticeCover(ambient or free_abelian(1), [[k]], cosets)
 
 
 def _check_index(index: int) -> None:
@@ -549,13 +561,13 @@ def _check_index(index: int) -> None:
         raise ValueError(f"cover index {index} is more than the {MAX_INDEX} supported at most")
 
 
-def KleinBottleCover() -> Cover:
+def KleinBottleCover(ambient: GroupPresentation | None = None, cosets=None) -> Cover:
     """The index-2 free abelian subgroup <a, b^2> of the Klein-bottle group
-    <a, b | a b a b^-1>, with coset representatives e and b: the lattice
-    diag(1, 2) of Z^2, where b reverses a."""
-    lattice = SublatticeCover(free_abelian(2), [[1, 0], [0, 2]], [Word(()), Word(((1, 1),))])
-    return replace(lattice, ambient=klein_bottle(), holonomy=((1, 1), (-1, 1)),
-                   label="klein_even(index=2)")
+    <a, b | a b a b^-1>, with coset representatives e and b unless given: the
+    lattice diag(1, 2) of Z^2, where b reverses a."""
+    cosets = [Word(()), Word(((1, 1),))] if cosets is None else cosets
+    return _lattice_cover(ambient or klein_bottle(), [[1, 0], [0, 2]], ((1, 1), (-1, 1)),
+                          cosets, "klein_even")
 
 
 def _linear_forms(m: Iterable[Sequence]) -> list[MultiForm]:
@@ -657,9 +669,9 @@ def induce_family(f: Family, cover: Cover) -> Family:
         return out
 
     chern = None
-    if cover.inverse is not None and f.chern is not None:
-        # transfer on the rational exterior algebra: index * (pullback)^{-1}
-        images = _linear_forms(cover.inverse)
+    if f.chern is not None and not any(-1 in signs for signs in cover.holonomy):
+        # transfer on the rational exterior algebra: index * (pullback)^{-1} = index * adj / det
+        images = _linear_forms([Fraction(a, cover.det) for a in row] for row in cover.adjugate)
         chern = tuple(cover.index * ch.subst_z(images) for ch in f.chern)
     return Family(
         group=G,

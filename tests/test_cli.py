@@ -292,6 +292,31 @@ def test_detect_run_klein_numeric(workdir):
     assert rec["mode"] == "numeric"
 
 
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        # the numeric path checks the base-label count as the exact one does
+        ("free_abelian(1)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) has 2 base "
+         "labels, but free_abelian(1) has 1"),
+        ("free(5)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) has 2 base "
+         "labels, but free(5) has 5"),
+        # a label of a matching count that is no word of the family's group
+        ("free(2)", "class 'z1' of free(2) is not a word in the family's generators (a, b)"),
+        # a descriptor without base labels pairs by its labels alone
+        ("finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [c]])",
+         "class 'c' of finite_index_super(free_abelian(2), 2, klein) is not a word in the "
+         "family's generators (a, b)"),
+    ],
+)
+def test_numeric_pairing_of_another_group_exit3(workdir, capsys, group, message):
+    for command in (["detect", "run"], ["report"]):
+        out = workdir / "n.json"
+        argv = command + ["--group", group, "--families", str(workdir / "klein.fam")]
+        assert run(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_detect_run_undetected_exit5(workdir):
     (workdir / "z1.fam").write_text("char_zn(1, 4)\n")
     (workdir / "z1only.fam").write_text(
@@ -370,7 +395,6 @@ def test_pullback_rejects_a_family_of_another_group(workdir, capsys):
         )
     for expr in (
         "pullback(char_zn(1, 8), cover=circle(3))",
-        "pullback(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
         "pullback(char_zn(2, 4), cover=sublattice([[1, 1], [0, 2]]), cosets=[e, b], group=z2.grp)",
         "pullback(induce(char_zn(2, 8), cosets=[e, b], group=klein.grp), "
         "cover=klein_even, group=klein.grp)",
@@ -438,13 +462,41 @@ def test_named_covers_take_the_group_and_coset_words(workdir, capsys):
         assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 0
         rec = json.loads(out.read_text())
         assert (rec["group"], rec["fiber_dims"]) == (group, fibers)
-    # coset words of the cover's own ambient group reach the coset-system check
+    # coset words of the cover's own ambient group are parsed and counted
     fam.write_text("induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])\n")
     capsys.readouterr()
     assert run(["family", "build", "--expr", str(fam)]) == 3
+    assert capsys.readouterr().err == "error: need 3 coset representatives, got 2\n"
+
+
+@pytest.mark.parametrize("build", ["induce(char_zn({n}, 8), {cover})",
+                                   "pullback(trivial(group={group}, dim=2), {cover})"])
+@pytest.mark.parametrize(
+    "n, group, cover, cosets, index",
+    [
+        (1, "z1.grp", "cover=circle(3), cosets=[e, t1]", 2, 3),
+        (1, "z1.grp", "cover=circle(2), cosets=[e, a, a a], group=z1.grp", 3, 2),
+        (1, "z1.grp", "cover=circle(2), cosets=[]", 0, 2),
+        (2, "z2.grp", "cover=sublattice([[2, 0], [0, 1]]), cosets=[e], group=z2.grp", 1, 2),
+        (2, "z2.grp", "cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a, b], group=z2.grp", 3, 2),
+        (2, "klein.grp", "cover=klein_even, cosets=[e]", 1, 2),
+        (2, "klein.grp", "cover=klein_even, cosets=[e, b, a], group=klein.grp", 3, 2),
+        (2, "klein.grp", "cosets=[e], group=klein.grp", 1, 2),
+        (2, "klein.grp", "cosets=[e, b, b a], group=klein.grp", 3, 2),
+    ],
+)
+def test_every_cover_counts_its_coset_words(
+    workdir, capsys, build, n, group, cover, cosets, index
+):
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    fam = workdir / "c.fam"
+    fam.write_text(build.format(n=n, group=group, cover=cover) + "\n")
+    out = workdir / "c.json"
+    assert run(["family", "build", "--expr", str(fam), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "error: invalid coset system: generator 't1' times representative 1 hits 0 cosets\n"
+        f"error: need {index} coset representatives, got {cosets}\n"
     )
+    assert not out.exists()
 
 
 def test_descriptor_over_the_class_budget_exit3(workdir, capsys):
@@ -652,6 +704,10 @@ def test_detect_run_deterministic_bytes(workdir):
             "induce got unknown keyword argument(s) subgroup",
         ),
         ("induce(char_zn(1, 4), cover=bogus)", "unsupported cover description for induce"),
+        ("pullback(char_zn(1, 4), cover=bogus)", "unsupported cover description for pullback"),
+        ("pullback(char_zn(1, 4), cover=3)", "unsupported cover description for pullback"),
+        ("pullback(char_zn(1, 4))", "unsupported cover description for pullback"),
+        ("induce(char_zn(1, 4))", "unsupported cover description for induce"),
         (
             "induce(char_zn(2, 4), cover=klein_even, group=z2.grp)",
             "group file does not present the Klein-bottle group",

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 from fractions import Fraction
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatdetect import families
-from flatdetect.charforms import MultiForm, xgen, zgen
+from flatdetect.charforms import MultiForm, reduce_rows, xgen, zgen
 from flatdetect.families import (
     HOMOMORPHISM_TOL,
     VERIFY_CHUNK,
@@ -429,7 +430,7 @@ def test_induction_character_identity_circle():
 
 def test_invalid_coset_system():
     f = character_family_Zn(1, 4)
-    cov = dataclasses.replace(circle_cover(2), cosets=(Word(()), Word(((0, 1), (0, 1)))))
+    cov = circle_cover(2, cosets=[Word(()), Word(((0, 1), (0, 1)))])
     # both representatives in the same coset: a*t_j never lands anywhere
     with pytest.raises(ValueError, match="invalid coset system"):
         induce_family(f, cov)
@@ -478,6 +479,35 @@ def test_cover_words_hold_each_entry_as_one_run():
     assert [c.letters for c in circle_cover(3).cosets] == [(), ((0, 1),), ((0, 2),)]
 
 
+def test_klein_cover_fields():
+    # every field pinned: diag(1, 2) on Z^2, b reversing a
+    cov = KleinBottleCover()
+    assert cov.ambient == klein_bottle()
+    assert cov.cosets == (Word(()), Word(((1, 1),)))
+    assert (cov.det, cov.adjugate, cov.index) == (2, ((2, 0), (0, 1)), 2)
+    assert cov.holonomy == ((1, 1), (-1, 1))
+    assert cov.sub_generator_words == (Word(((0, 1),)), Word(((1, 2),)))
+    assert cov.label == cov.describe() == "klein_even(index=2)"
+    words = KleinBottleCover(klein_bottle(), [Word(()), Word(((1, -1),))])
+    assert words == dataclasses.replace(cov, cosets=(Word(()), Word(((1, -1),))))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: KleinBottleCover(cosets=[Word(())]), "need 2 coset representatives, got 1"),
+        (lambda: KleinBottleCover(cosets=[]), "need 2 coset representatives, got 0"),
+        (lambda: circle_cover(3, cosets=[Word(())] * 4), "need 3 coset representatives, got 4"),
+        (lambda: KleinBottleCover(free_abelian(2)), "not free abelian"),
+        (lambda: KleinBottleCover(free_abelian(3)), "basis must be 3 x 3"),
+        (lambda: circle_cover(2, free_abelian(2)), "basis must be 2 x 2"),
+    ],
+)
+def test_every_cover_runs_the_constructor_checks(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-6, 6)), max_size=8))
 def test_klein_rewrite_of_runs_matches_the_spelled_word(runs):
     # oracle: the same word written letter by letter
@@ -490,10 +520,30 @@ def _exponent_sum(w: Word, g: int) -> int:
     return sum(e for h, e in w.letters if h == g)
 
 
+def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
+    """Reference determinant and inverse of a square rational matrix over Q;
+    the inverse is None when singular.  ``reduce_rows`` on [m | I] keeps the
+    determinant and leaves rows upper triangular on m once sorted by pivot;
+    reducing them again in descending pivot order leaves m's diagonal."""
+    n = len(m)
+    rows = reduce_rows(
+        {**{j: Fraction(v) for j, v in enumerate(row) if v}, n + i: Fraction(1)}
+        for i, row in enumerate(m)
+    )
+    pivots = [min(row) for row in rows]
+    if any(p >= n for p in pivots):  # a row of m depends on the rows before it
+        return Fraction(0), None
+    det = Fraction((-1) ** sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]))
+    for p, row in zip(pivots, rows):
+        det *= row[p]
+    diagonal = {min(row): row for row in reduce_rows(sorted(rows, key=min, reverse=True))}
+    return det, [[diagonal[p].get(n + j, 0) / diagonal[p][p] for j in range(n)] for p in range(n)]
+
+
 def _sublattice_rewrite_ref(basis, w: Word):
     """The rational rewrite: the basis inverse times the exponent sums,
     None unless every coordinate is an integer."""
-    _, inverse = families._det_and_inverse(basis)
+    _, inverse = _det_and_inverse(basis)
     v = [_exponent_sum(w, g) for g in range(len(basis))]
     coeffs = [sum(Fraction(a) * x for a, x in zip(row, v)) for row in inverse]
     if any(c.denominator != 1 for c in coeffs):
@@ -542,14 +592,14 @@ def _cover_and_word(draw):
     n = draw(st.integers(1, 3))
     small = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                           min_size=n, max_size=n)
-                 .filter(lambda m: families._det_and_inverse(m)[0] != 0))
+                 .filter(lambda m: _det_and_inverse(m)[0] != 0))
     basis = [row[:] for row in small]
     for _ in range(2 if n > 1 else 0):  # unimodular shears with entries near 2^40
         i, j = draw(st.permutations(range(n)))[:2]
         t = draw(_ENTRY)
         basis[i] = [a + t * b for a, b in zip(basis[i], basis[j])]
     # rewrite reads no coset, so any |det| words make a cover of this lattice
-    index = abs(int(families._det_and_inverse(small)[0]))
+    index = abs(int(_det_and_inverse(small)[0]))
     cover = SublatticeCover(free_abelian(n), basis, [Word(())] * index)
     coords = draw(st.lists(_ENTRY, min_size=n, max_size=n))
     offset = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n) | st.just([0] * n))
@@ -567,9 +617,9 @@ def test_cover_rewrite_matches_the_rational_and_klein_references(case):
 @given(st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 ))
-def test_det_and_inverse_match_the_leibniz_formula(m):
+def test_det_adjugate_matches_the_leibniz_formula(m):
     n = len(m)
-    det, inverse = families._det_and_inverse(m)
+    det, adjugate = families._det_adjugate(m)
     leibniz = sum(
         (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
         * np.prod([m[i][perm[i]] for i in range(n)], dtype=object)
@@ -577,10 +627,40 @@ def test_det_and_inverse_match_the_leibniz_formula(m):
     )
     assert det == leibniz
     if det == 0:
-        assert inverse is None
+        assert adjugate is None
     else:
-        product = [[sum(m[i][k] * inverse[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        product = [[sum(m[i][k] * adjugate[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square integer matrices up to 4 x 4 with entries small or near +-2^40,
+    some made singular by a row that is a multiple of another, or zero."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3)) if i != j else 0
+        m[i] = [c * v for v in m[j]]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_det_adjugate_matches_the_fraction_reference(m):
+    n = len(m)
+    det, adjugate = families._det_adjugate(m)
+    ref_det, ref_inverse = _det_and_inverse(m)
+    assert type(det) is int and det == ref_det
+    if det == 0:
+        assert adjugate is None and ref_inverse is None
+        return
+    assert adjugate == [[det * v for v in row] for row in ref_inverse]
+    product = [[sum(m[i][k] * adjugate[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
 
 
 def test_sublattice_rejects_nonabelian_ambient():
@@ -920,7 +1000,7 @@ def _pullback_reference(f: Family, cover):
 
     chern = None
     # only a sublattice has a rational basis inverse; the Klein cover has none
-    if cover.inverse is not None and f.chern is not None:
+    if not any(-1 in signs for signs in cover.holonomy) and f.chern is not None:
         # the basis columns are the exponent sums of the subgroup generators
         basis = zip(*([_exponent_sum(w, g) for g in range(len(words))] for w in words))
         images = [

@@ -17,11 +17,12 @@ the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds, and
 families of the group with no generators.  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
-explicit covers with and without their own coset words, including ones a
-cover or the family's group rejects and ones of index past the bound
-``families.MAX_INDEX``, and then ``CLASS_BUDGET``, ``detect
-run`` against a descriptor of more homology classes than are built.  Then
-come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
+explicit and inferred covers with and without their own coset words,
+including ones a cover or the family's group rejects, ones with too few or
+too many coset words, ones of index past the bound ``families.MAX_INDEX``
+and an unknown cover, and then ``CLASS_BUDGET``, ``detect run`` against a
+descriptor of more homology classes than are built.  Then come the
+``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults) run in order and then in reverse in the same process, so that
@@ -65,6 +66,8 @@ DESCRIPTORS = (
     "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]]))",
     "direct_product(surface(1), free_product(free(0), free_abelian(2)))",
     "free_product(finite_index_super(free(1), 2, k, homology=[[pt], [a]]), free_abelian(1))",
+    "free_abelian(1)",
+    "free(2)",
 )
 # descriptors whose base-label count differs from the exact family's
 EXACT_DESCRIPTORS = ("free_abelian(16)",)
@@ -103,6 +106,12 @@ COVERS = (
     "cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z2.grp)",
     "pullback(char_zn(1, 8), cover=circle(100000))",
     "induce(char_zn(1, 3), cover=circle(512))",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[e], group=klein.grp)",
+    "induce(char_zn(2, 8), cosets=[e, b, a], group=klein.grp)",
+    "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, cosets=[e, b, a], "
+    "group=klein.grp)",
+    "pullback(trivial(group=klein.grp, dim=2), cosets=[e], group=klein.grp)",
+    "pullback(char_zn(2, 8), cover=bogus)",
 )
 CLASS_BUDGET = ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam")
 GROUP_FILES = {
