@@ -612,7 +612,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     fc = formssub.add_parser("chern", help="numeric winding Chern data of a family")
     fc.add_argument("--family", required=True)
     fc.add_argument(
-        "--resolution", type=_checked(int, lambda v: v >= 2, "must be >= 2"), default=64
+        "--resolution", default=64, type=_checked(
+            int, lambda v: 2 <= v <= families.MAX_LOOP_SAMPLES,
+            f"must be >= 2 and <= {families.MAX_LOOP_SAMPLES}",
+        ),
     )
     fc.add_argument("--out")
     fc.set_defaults(fn=_cmd_forms_chern)

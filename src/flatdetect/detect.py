@@ -4,11 +4,14 @@ Rational K-homology is represented throughout by rational homology via the
 character isomorphism.  A group class is one value, ``GroupClass(label,
 basis)``, built with its basis by ``Free``, ``FreeAbelian``,
 ``SurfaceClosed``, ``FreeProduct``, ``DirectProduct`` or ``FiniteIndexSuper``.
-Where the classifying space has a torus/wedge model, its homology classes are
-dual to monomials in the base (z) labels; pairing a family against a class
-contracts the family's exact character form on that monomial.  Families
-without exact character data can pair degree <= 1 classes numerically
-through determinant windings.
+Both pairings run one loop: a class is a cycle {z-part: coefficient}, a
+family component a table {z-part: {x-monomial: value}}, and a cell the
+cycle's combination of table entries.  Exactly, where the classifying space
+has a torus/wedge model, a class is the cycle of its dual monomial in the
+base (z) labels and a table is the component's character form split by
+z-part.  Numerically, for families without exact character data, a degree-1
+class is a word, the cycle of its exponent sums, and a table holds the
+fiber rank and the determinant windings of the generators the words read.
 
 Basis conventions: base generators are ordered z1 < z2 < ..., parameter
 generators x1 < x2 < ..., monomials sorted base-before-parameter; signs from
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import Cover, Family, axis_windings, induce_family, pullback_family
+from .families import Cover, Family, _abelianize, axis_windings, induce_family, pullback_family
 from .presentation import PresentationError, Word, parse_word
 
 SCOPE_NOTE = (
@@ -218,13 +221,6 @@ def slant_contract(ch: MultiForm, cls: BasisClass) -> MultiForm:
     return ch.contract_z(cls.monomial)
 
 
-def _x_monomials(x_dim: int):
-    out = []
-    for q in range(x_dim + 1):
-        out.extend(itertools.combinations(range(1, x_dim + 1), q))
-    return out
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     group: str
@@ -264,10 +260,50 @@ class DetectionReport:
         return out
 
 
-def _assemble_report(d, fams, row_labels, col_labels, matrix, mode):
-    """The report of a pairing matrix, certified exactly when its rows are
-    independent over Q.  Each row gets a tag column of its own, so that the
-    first dependent row reduces to its combination of rows: the witness."""
+# mode -> (the highest x-degree a column reaches, the column label's prefix
+# for family fi and component ci, its x-monomial part for () and for each x_i)
+_COLUMNS = {
+    "exact": (float("inf"), "f{fi}.c{ci}.", "1", "x{}"),
+    "numeric": (1, "c{ci}.", "rank", "loop_x{}"),
+}
+
+
+def _combine(table, cycle):
+    """A cycle's combination of one table's buckets, {x-monomial: value}: the
+    bucket itself for one term of coefficient 1, so exact cells stay lookups."""
+    if len(cycle) == 1 and 1 in cycle.values():
+        return table.get(next(iter(cycle)), {})
+    out = {}
+    for zpart, c in cycle.items():
+        for xkey, v in table.get(zpart, {}).items():
+            out[xkey] = out.get(xkey, 0) + c * v
+    return out
+
+
+def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
+    """The one pairing loop: class i of ``d`` is ``cycles[i]``, {z-part:
+    coefficient}, family fi's component ci is ``tables[fi][ci]``, {z-part:
+    {x-monomial: value}}, and each cell combines one column's entries.  The
+    rows certify when independent over Q; with a tag column per row, the first
+    dependent row reduces to its combination of rows: the witness."""
+    top, prefix, unit, xname = _COLUMNS[mode]
+    comps = []  # every component's table, in column order
+    col_labels, col_keys = [], []  # (index into comps, x-monomial key)
+    for fi, (f, per_family) in enumerate(zip(fams, tables)):
+        for ci, table in enumerate(per_family):
+            x_dim = f.space.component_x_dim(ci)
+            for q in range(min(x_dim, top) + 1):
+                for mono in itertools.combinations(range(1, x_dim + 1), q):
+                    xpart = "^".join(xname.format(i) for i in mono) or unit
+                    col_labels.append(prefix.format(fi=fi, ci=ci) + xpart)
+                    col_keys.append((len(comps), tuple(("x", i) for i in mono)))
+            comps.append(table)
+    zero = Fraction(0)
+    matrix = []
+    for cycle in cycles:
+        parts = [_combine(table, cycle) for table in comps]
+        matrix.append(tuple(parts[k].get(xkey, zero) for k, xkey in col_keys))
+    row_labels = tuple(c.label for c in rational_homology(d).all_classes())
     width = len(col_labels)
     rows = [{j: e for j, e in enumerate(row) if e} for row in matrix]
     detected = tuple(map(bool, rows))
@@ -282,8 +318,8 @@ def _assemble_report(d, fams, row_labels, col_labels, matrix, mode):
         group=d.describe(),
         families=tuple(f.structure for f in fams),
         row_labels=row_labels,
-        col_labels=col_labels,
-        matrix=tuple(tuple(row) for row in matrix),
+        col_labels=tuple(col_labels),
+        matrix=tuple(matrix),
         detected=detected,
         verdict="undetected" if kernel else "FD-certified",
         undetected_classes=undetected,
@@ -303,44 +339,27 @@ def detection_matrix(
     Disjoint unions contribute the concatenation of their components'
     columns.  Every family must carry exact character data.
 
-    One pass per component form: each is split once by z-part
-    (``MultiForm.split_z``) and every cell is then two dict lookups, so the
-    cost is linear in the number of terms plus the number of cells.  Entries
-    equal ``slant_contract(form, cls).coefficient(x-monomial)``.
+    Each component form is split once by z-part into its table and each
+    class is the cycle {its monomial: 1}, so every cell is two dict lookups
+    and the cost is linear in the number of terms plus the number of cells.
+    Entries equal ``slant_contract(form, cls).coefficient(x-monomial)``.
     """
-    basis = rational_homology(d)
-    classes = basis.all_classes()
+    classes = rational_homology(d).all_classes()
     for cls in classes:
         if cls.monomial is None:
             raise DetectionError(
                 f"class {cls.label!r} of {d.describe()} has no exact model; "
                 "use the numeric pairing path (numeric_detection_report)"
             )
-    columns = []  # (family index, component index, x-monomial)
-    splits = {}  # (family index, component index) -> ch.split_z()
     for fi, f in enumerate(fams):
         if f.chern is None:
             raise DetectionError(
                 f"family {fi} ({f.structure}) lacks exact character data; "
                 "use the numeric pairing path (numeric_detection_report)"
             )
-        for ci in range(f.space.n_components):
-            splits[fi, ci] = f.chern[ci].split_z()
-            for mono in _x_monomials(f.space.component_x_dim(ci)):
-                columns.append((fi, ci, mono))
-    col_labels = tuple(
-        f"f{fi}.c{ci}." + ("1" if not mono else "^".join(f"x{i}" for i in mono))
-        for fi, ci, mono in columns
-    )
-    col_keys = [((fi, ci), tuple(("x", i) for i in mono)) for fi, ci, mono in columns]
-    zero = Fraction(0)
-    matrix = []
-    for cls in classes:
-        zpart = tuple(sorted(cls.monomial))
-        parts = {comp: split.get(zpart, {}) for comp, split in splits.items()}
-        matrix.append([parts[comp].get(xkey, zero) for comp, xkey in col_keys])
-    row_labels = tuple(c.label for c in classes)
-    return _assemble_report(d, fams, row_labels, col_labels, matrix, "exact")
+    tables = [[ch.split_z() for ch in f.chern] for f in fams]
+    cycles = [{tuple(sorted(cls.monomial)): 1} for cls in classes]
+    return _pairing(d, fams, cycles, tables, "exact")
 
 
 def numeric_detection_report(
@@ -350,48 +369,32 @@ def numeric_detection_report(
 ) -> DetectionReport:
     """Numeric pairing for families without exact character data.
 
-    Degree-0 classes pair to the fiber rank per component; degree-1 classes,
-    whose labels must parse as words in the family's group, pair to the
-    winding of det(holonomy) along each parameter-axis loop.  Higher-degree
-    classes are outside the numeric path.
+    Degree-0 classes pair to the fiber rank per component.  A degree-1 class
+    is the cycle of the exponent sums of its label, a word in the family's
+    group, and pairs to that combination of its generators' windings of
+    det(holonomy) along each parameter-axis loop.  Higher degrees do not pair.
     """
     basis = rational_homology(d)
-    if len(basis.classes) > 2 and any(len(cs) for cs in basis.classes[2:]):
-        raise DetectionError(
-            "the numeric pairing path supports degree <= 1 classes only"
-        )
-    components = range(f.space.n_components)
-    col_labels = []
-    for ci in components:
-        col_labels.append(f"c{ci}.rank")
-        for axis in range(f.space.component_x_dim(ci)):
-            col_labels.append(f"c{ci}.loop_x{axis + 1}")
-    classes = basis.all_classes()
-    words = []
-    for c in (c for c in classes if c.degree == 1):
+    if any(basis.classes[2:]):
+        raise DetectionError("the numeric pairing path supports degree <= 1 classes only")
+    n = len(f.group.generators)
+    cycles = [{(): 1} for _ in basis.classes[0]]
+    for c in basis.all_classes()[len(cycles):]:  # the degree-1 classes
         try:
-            words.append(parse_word(c.label, f.group))
+            word = parse_word(c.label, f.group)
         except PresentationError:
             raise PresentationError(
                 f"class {c.label!r} of {d.describe()} is not a word in the family's "
                 f"generators ({', '.join(f.group.generators)})"
             ) from None
-    # per degree-1 class, in order: its windings per component and axis
-    windings = iter(zip(*(axis_windings(f, words, ci, samples) for ci in components)))
-    matrix = []
-    for cls in classes:
-        row = []
-        if cls.degree == 0:
-            for ci in components:
-                row.append(Fraction(f.fiber_dims[ci]))
-                row.extend([Fraction(0)] * f.space.component_x_dim(ci))
-        else:
-            for per_axis in next(windings):
-                row.append(Fraction(0))
-                row.extend(Fraction(k) for k in per_axis)
-        matrix.append(row)
-    row_labels = tuple(c.label for c in classes)
-    return _assemble_report(d, [f], row_labels, tuple(col_labels), matrix, "numeric")
+        cycles.append({(g + 1,): e for g, e in enumerate(_abelianize(word, n)) if e})
+    read = sorted({z for cycle in cycles for z in cycle if z})
+    gens = [Word(((z[0] - 1, 1),)) for z in read]
+    tables = [{(): {(): Fraction(k)}} for k in f.fiber_dims]
+    for ci, table in enumerate(tables):
+        for z, per_axis in zip(read, axis_windings(f, gens, ci, samples)):
+            table[z] = {(("x", a + 1),): Fraction(k) for a, k in enumerate(per_axis)}
+    return _pairing(d, [f], cycles, [tables], "numeric")
 
 
 # ---------------------------------------------------------------------------

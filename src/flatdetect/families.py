@@ -25,7 +25,9 @@ signs, all +1 but for the Klein group's b) with one integer ``rewrite``;
 ``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one
 through one constructor, whose fraction-free (Bareiss) elimination gives the
 lattice's determinant and adjugate, and which checks the coset count of every
-cover.  The transfer alone reads the basis inverse, as adjugate / det.
+cover and that the ambient group has the relators of the cover's model group
+(Z^n, or the Klein-bottle group).  The transfer alone reads the basis
+inverse, as adjugate / det.
 
 Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
@@ -37,6 +39,7 @@ abelianized images into the exact form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,6 +68,10 @@ VERIFY_CHUNK = 512
 # the most grid points verify_family checks in one component (char_zn(3, 256)
 # takes 10.5 s on a 2-core Xeon VM); a larger grid fails verification at once
 VERIFY_MAX_POINTS = 2**24
+# the most samples on one parameter-axis loop (forms chern --resolution);
+# time and memory grow linearly with it (char_zn(3, 4) at 10^6 samples takes
+# 1.8 s and peaks at 252 MB on a 2-core Xeon VM)
+MAX_LOOP_SAMPLES = 2**16
 # the largest index of a circle cover, and of a cover induced along; an
 # induction's coset table takes index^2 rewrites per ambient generator
 # (inducing char_zn(1, 3) along circle(256) takes 0.7 s on a shared 2-core VM)
@@ -356,10 +363,7 @@ def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int
     identity, is a homomorphism: each relator of G must avoid mixing mapped
     and unmapped generators, and its image must be, letter by letter, a
     cyclic rotation of one of E's relators or of its inverse."""
-    own = set()
-    for r in E.relators:
-        for letters in (spell(r).letters, spell(r.inverse()).letters):
-            own.update(letters[i:] + letters[:i] for i in range(len(letters)))
+    own = _relator_rotations(E)
     for rel in G.relators:
         used = {gi for gi, _ in rel.letters}
         if used & images.keys() and used - images.keys():
@@ -372,6 +376,17 @@ def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int
                 f"ambient relator {format_word(rel, G)!r} is not a relator of the "
                 "family's group, up to rotation and inversion"
             )
+
+
+def _relator_rotations(E: GroupPresentation) -> set[tuple[tuple[int, int], ...]]:
+    """The letters of every cyclic rotation of each relator of E and of its
+    inverse, each run spelled out as letters of exponent +-1."""
+    own = set()
+    for r in E.relators:
+        letters = spell(r).letters
+        for w in (letters, tuple((g, -e) for g, e in reversed(letters))):
+            own.update(w[i:] + w[:i] for i in range(len(w)))
+    return own
 
 
 def disjoint_union(f: Family, g: Family) -> Family:
@@ -517,7 +532,9 @@ def _lattice_cover(
     """The one constructor of a Cover, from integer data: ``basis`` columns
     are the subgroup generators' exponents, the j-th prod_i a_i^{basis[i][j]}.
     It checks, in order: the basis is n x n for n ambient generators; each
-    relator walks to translation 0, signs +1; det != 0; |det| coset words."""
+    relator walks to translation 0, signs +1; each relator of the model group
+    (Z^n, or the Klein-bottle group when some sign is -1) is an ambient
+    relator up to rotation and inversion; det != 0; |det| coset words."""
     n = len(ambient.generators)
     mat = [[int(v) for v in row] for row in basis]
     if len(mat) != n or any(len(row) != n for row in mat):
@@ -525,6 +542,14 @@ def _lattice_cover(
     for rel in ambient.relators:
         if _walk(holonomy, rel) != ([0] * n, [1] * n):
             raise ValueError("ambient group is not free abelian")
+    own = _relator_rotations(ambient)
+    for letters in _model_relators(n, any(-1 in signs for signs in holonomy)):
+        if letters not in own:
+            missing = format_word(Word(letters), ambient)
+            raise ValueError(
+                f"ambient group lacks the cover's relator {missing!r}, "
+                "up to rotation and inversion"
+            )
     det, adjugate = _det_adjugate(mat)
     if det == 0:
         raise ValueError("sublattice basis is singular")
@@ -535,6 +560,13 @@ def _lattice_cover(
     words = (Word(tuple((i, row[j]) for i, row in enumerate(mat))) for j in range(n))
     return Cover(ambient, cosets, det, tuple(map(tuple, adjugate)), holonomy,
                  tuple(map(free_reduce, words)), index, f"{label}(index={index})")
+
+
+@functools.lru_cache(maxsize=8)
+def _model_relators(n: int, klein: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The spelled relators of a cover's model group, the Klein-bottle group
+    or Z^n; the last few are kept, as building them costs more than the check."""
+    return tuple(spell(r).letters for r in (klein_bottle() if klein else free_abelian(n)).relators)
 
 
 def SublatticeCover(

@@ -378,6 +378,19 @@ def test_extend_rejects_ambient_relators_foreign_to_the_family_group(workdir, ca
     assert run(["detect", "run", "--group", "free_abelian(2)", "--families", f]) == 0
 
 
+def test_cover_over_an_ambient_without_the_model_relators_exit3(workdir, capsys):
+    (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
+    (workdir / "c.fam").write_text(
+        "induce(char_zn(2, 4), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], "
+        "group=f2.grp)\n"
+    )
+    assert run(["family", "build", "--expr", str(workdir / "c.fam")]) == 3
+    assert capsys.readouterr().err == (
+        "error: ambient group lacks the cover's relator 'a b a^-1 b^-1', "
+        "up to rotation and inversion\n"
+    )
+
+
 def test_pullback_rejects_a_family_of_another_group(workdir, capsys):
     (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
     foreign = {
@@ -514,7 +527,7 @@ def test_descriptor_over_the_class_budget_exit3(workdir, capsys):
         (flatdetect.repvar, "solve_representation",
          ["rep", "solve", "--presentation", "z2.grp", "--dim", "1000000"]),
         (flatdetect.families, "numeric_c1_windings",
-         ["forms", "chern", "--family", "z2.fam", "--resolution", "1000000000000"]),
+         ["forms", "chern", "--family", "z2.fam", "--resolution", "65536"]),
     ],
 )
 def test_input_too_large_to_allocate_exit3(workdir, capsys, monkeypatch, module, name, argv):
@@ -849,6 +862,7 @@ def test_input_nested_too_deeply_exit3(workdir, capsys, command, name, text):
         ["report", "--bm", "2", "1"],
         ["forms", "chern", "--family", "z2.fam", "--resolution", "0"],
         ["forms", "chern", "--family", "z2.fam", "--resolution", "1"],
+        ["forms", "chern", "--family", "z2.fam", "--resolution", "65537"],
     ],
 )
 def test_out_of_range_flags_exit2(workdir, capsys, argv):

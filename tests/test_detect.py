@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flatdetect import detect
-from flatdetect.charforms import MultiForm, xgen, zgen
+from flatdetect.charforms import MultiForm, winding_number, xgen, zgen
 from flatdetect.cli import build_descriptor, parse_expression
 from flatdetect.detect import (
     BasisClass,
@@ -46,7 +46,9 @@ from flatdetect.families import (
     tensor_families,
     trivial_family,
 )
-from flatdetect.presentation import Word, free_abelian, free_group, free_reduce, surface_group
+from flatdetect.presentation import (
+    Word, evaluate_word, format_word, free_abelian, free_group, free_reduce, surface_group,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +836,98 @@ def test_numeric_report_rejects_degree_two_tables():
     ind = induce_family(character_family_Zn(2, 4), KleinBottleCover())
     with pytest.raises(DetectionError, match="degree"):
         numeric_detection_report(d, ind)
+
+
+@st.composite
+def _numeric_families(draw):
+    """A Klein-induced family without exact data, alone, tensored with
+    char_zn(1) on either side, or summed with the one induced along the
+    cosets e, b^-1."""
+    resolution = draw(st.sampled_from([4, 8]))
+    k = induce_family(character_family_Zn(2, resolution), KleinBottleCover())
+    kind = draw(st.sampled_from(["klein", "tensor", "tensor_left", "sum"]))
+    if kind == "tensor":
+        return tensor_families(k, character_family_Zn(1, resolution))
+    if kind == "tensor_left":
+        return tensor_families(character_family_Zn(1, resolution), k)
+    if kind == "sum":
+        cover = KleinBottleCover(cosets=[Word(()), Word(((1, -1),))])
+        return direct_sum(k, induce_family(character_family_Zn(2, resolution), cover))
+    return k
+
+
+def _word_winding(f, w, ci, axis, samples):
+    """The winding of det of the word's holonomy along one axis loop."""
+    loop = f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci)
+    return winding_number(evaluate_word(w, loop))
+
+
+@_SLOW_DATA
+@given(st.data())
+def test_numeric_cell_equals_the_winding_of_the_word(data):
+    """A degree-1 label of 1 to 4 runs pairs as the cycle of its exponent
+    sums; each cell equals the winding of the whole word's determinant."""
+    f = data.draw(_numeric_families())
+    runs = st.tuples(
+        st.integers(0, len(f.group.generators) - 1), st.sampled_from([-2, -1, 1, 2])
+    )
+    words = [
+        Word(tuple(r))
+        for r in data.draw(st.lists(st.lists(runs, min_size=1, max_size=4), min_size=1, max_size=3))
+    ]
+    labels = tuple(format_word(w, f.group) for w in words)
+    rep = numeric_detection_report(
+        FiniteIndexSuper(FreeAbelian(2), 2, "words", (("pt",), labels)), f
+    )
+    for row, w in enumerate(words, start=1):
+        for ci in range(f.space.n_components):
+            for axis in range(f.space.component_x_dim(ci)):
+                cell = rep.matrix[row][rep.col_labels.index(f"c{ci}.loop_x{axis + 1}")]
+                assert type(cell) is Fraction
+                assert cell == _word_winding(f, w, ci, axis, 64), (labels[row - 1], ci, axis)
+
+
+@st.composite
+def _exact_leaf(draw, n):
+    f = character_family_Zn(n, 4)
+    if draw(st.booleans()):
+        return pullback_family(f, draw(_sublattice_cover(n)))
+    return f
+
+
+@st.composite
+def _exact_trees(draw):
+    """char_zn of rank 1 or 2 or its pullback along a sublattice, alone,
+    summed with another such family of its rank, or tensored with one."""
+    f = draw(_exact_leaf(draw(st.integers(1, 2))))
+    kind = draw(st.sampled_from(["leaf", "sum", "tensor"]))
+    if kind == "sum":
+        return direct_sum(f, draw(_exact_leaf(f.base_dim)))
+    if kind == "tensor":
+        return tensor_families(f, draw(_exact_leaf(draw(st.integers(1, 2)))))
+    return f
+
+
+@_SLOW_DATA
+@given(_exact_trees())
+def test_numeric_pairing_equals_the_exact_pairing_in_degree_le_1(f):
+    """Against a descriptor whose degree-1 labels are the generators, the
+    numeric pt and generator rows equal the exact pt and z_i rows on the
+    matching rank/1 and loop_x/x columns."""
+    gens = f.group.generators
+    exact = detection_matrix(FreeAbelian(len(gens)), [f])
+    numeric = numeric_detection_report(
+        FiniteIndexSuper(FreeAbelian(len(gens)), 2, "gens", (("pt",), gens)), f
+    )
+    assert numeric.row_labels == ("pt", *gens)
+    for row, zrow in enumerate(["pt", *(f"z{g + 1}" for g in range(len(gens)))]):
+        e_row = exact.matrix[exact.row_labels.index(zrow)]
+        for ci in range(f.space.n_components):
+            for i in range(f.space.component_x_dim(ci) + 1):
+                n_col = f"c{ci}." + (f"loop_x{i}" if i else "rank")
+                e_col = f"f0.c{ci}." + (f"x{i}" if i else "1")
+                assert (numeric.matrix[row][numeric.col_labels.index(n_col)]
+                        == e_row[exact.col_labels.index(e_col)]), (zrow, n_col)
 
 
 # ---------------------------------------------------------------------------

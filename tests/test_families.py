@@ -668,6 +668,28 @@ def test_sublattice_rejects_nonabelian_ambient():
         SublatticeCover(klein_bottle(), [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))])
 
 
+@pytest.mark.parametrize(
+    "make, relator",
+    [
+        (lambda: SublatticeCover(free_group(2, "ab"), [[2, 0], [0, 1]],
+                                 [Word(()), Word(((0, 1),))]), "a b a^-1 b^-1"),
+        (lambda: KleinBottleCover(free_group(2, "ab")), "a b a b^-1"),
+        (lambda: circle_cover(2, free_group(1, "a")), None),
+        (lambda: SublatticeCover(free_abelian(2), [[2, 0], [0, 1]],
+                                 [Word(()), Word(((0, 1),))]), None),
+    ],
+)
+def test_cover_ambient_needs_the_model_relators(make, relator):
+    """A relator walk passes vacuously over a group without relators, so a
+    cover also needs each relator of its model group (Z^n, or the Klein
+    group) among the ambient relators; Z^1 has none to need."""
+    if relator is None:
+        make()
+        return
+    with pytest.raises(ValueError, match=re.escape(f"relator {relator!r}")):
+        make()
+
+
 def test_skew_sublattice_pullback_exact_matches_numeric():
     # u1 = a, u2 = a b^2: a non-diagonal index-2 sublattice; the pulled-back
     # character coefficients must match the determinant windings exactly

@@ -68,6 +68,7 @@ DESCRIPTORS = (
     "free_product(finite_index_super(free(1), 2, k, homology=[[pt], [a]]), free_abelian(1))",
     "free_abelian(1)",
     "free(2)",
+    "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [a b, b a^-1, b b]])",
 )
 # descriptors whose base-label count differs from the exact family's
 EXACT_DESCRIPTORS = ("free_abelian(16)",)
@@ -112,6 +113,7 @@ COVERS = (
     "group=klein.grp)",
     "pullback(trivial(group=klein.grp, dim=2), cosets=[e], group=klein.grp)",
     "pullback(char_zn(2, 8), cover=bogus)",
+    "induce(char_zn(2, 4), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=f2.grp)",
 )
 CLASS_BUDGET = ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam")
 GROUP_FILES = {
@@ -141,6 +143,7 @@ USAGE = (
      "--out", "report.json"),
     ("report", "--bm", "2", "2"),
     ("report", "--families", "z2.fam"),
+    ("forms", "chern", "--family", "z2.fam", "--resolution", "65537"),
 )
 LONG_INT = "1" + "0" * 5000
 DIGIT_LIMIT = (
