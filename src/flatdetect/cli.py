@@ -503,17 +503,6 @@ def _detection(ns) -> detect.DetectionReport:
     else the numeric report of the single family."""
     descriptor = build_descriptor(parse_expression(ns.group))
     fams = [_load_family(p) for p in ns.families or []]
-    # checked before either pairing, which matches base labels by index: a
-    # family of another group would pair as if it were a family of this one.
-    # A descriptor without base labels pairs a numeric family by its words.
-    z_dim = descriptor.basis.z_dim
-    for fi, f in enumerate(fams):
-        n = len(f.group.generators)
-        if n != z_dim and (f.chern is not None or z_dim):
-            raise ExprError(
-                f"family {fi} ({f.structure}) has {n} base labels, "
-                f"but {descriptor.describe()} has {z_dim}"
-            )
     if all(f.chern is not None for f in fams):
         return detect.detection_matrix(descriptor, fams)
     if len(fams) != 1:

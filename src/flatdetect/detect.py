@@ -4,14 +4,17 @@ Rational K-homology is represented throughout by rational homology via the
 character isomorphism.  A group class is one value, ``GroupClass(label,
 basis)``, built with its basis by ``Free``, ``FreeAbelian``,
 ``SurfaceClosed``, ``FreeProduct``, ``DirectProduct`` or ``FiniteIndexSuper``.
-Both pairings run one loop: a class is a cycle {z-part: coefficient}, a
-family component a table {z-part: {x-monomial: value}}, and a cell the
-cycle's combination of table entries.  Exactly, where the classifying space
-has a torus/wedge model, a class is the cycle of its dual monomial in the
-base (z) labels and a table is the component's character form split by
-z-part.  Numerically, for families without exact character data, a degree-1
-class is a word, the cycle of its exponent sums, and a table holds the
-fiber rank and the determinant windings of the generators the words read.
+Every class with a torus/wedge model carries its rational cycle, (z-part,
+coefficient) pairs in the base (z) labels, built by the constructors.  Both
+pairings run one loop: a class is a cycle {z-part: coefficient}, a family
+component a table {z-part: {x-monomial: value}}, and a cell the cycle's
+combination of table entries.  Both read base label z_i as the family's
+generator i, so both check the family's generator count first.  Exactly, a
+table is the component's character form split by z-part.  Numerically, for
+families without exact character data, a table holds the fiber rank and
+the determinant windings of the generators the cycles read; a class
+without a cycle (a ``FiniteIndexSuper`` label) is read as a word, the cycle
+of its exponent sums.
 
 Basis conventions: base generators are ordered z1 < z2 < ..., parameter
 generators x1 < x2 < ..., monomials sorted base-before-parameter; signs from
@@ -51,12 +54,14 @@ class DetectionError(ValueError):
 
 @dataclass(frozen=True)
 class BasisClass:
-    """A labeled rational homology class; ``monomial`` is the dual z-monomial
-    in the group's torus/wedge model when one exists."""
+    """A labeled rational homology class; ``cycle`` is its rational cycle in
+    the group's torus/wedge model, (z-part, coefficient) pairs with distinct
+    sorted z-parts, or None without a model (a positive-degree class of
+    ``FiniteIndexSuper`` or of ``SurfaceClosed(g >= 2)``)."""
 
     label: str
     degree: int
-    monomial: tuple[int, ...] | None
+    cycle: tuple[tuple[tuple[int, ...], Fraction | int], ...] | None
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,9 @@ def _check_count(label: str, count: int, text: str | None = None) -> None:
         )
 
 
+_POINT = (((), 1),)  # the point class's cycle: the empty z-part, coefficient 1
+
+
 def _torus(label: str, rank: int, top: int) -> GroupClass:
     """The torus model of rank ``rank`` truncated above degree ``top``, which
     is ``rank`` (2^rank classes) or at most 1 (a wedge, 1 + rank classes)."""
@@ -110,7 +118,7 @@ def _torus(label: str, rank: int, top: int) -> GroupClass:
     else:
         _check_count(label, 1 + rank * top)
     classes = [
-        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, subset)
+        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, ((subset, 1),))
         for q in range(top + 1)
         for subset in itertools.combinations(range(1, rank + 1), q)
     ]
@@ -138,19 +146,20 @@ def SurfaceClosed(genus: int) -> GroupClass:
         return _torus(label, 2, 2)
     _check_count(label, 2 * genus + 2)
     ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, genus + 1) for ab in "ab"]
-    classes = [BasisClass("pt", 0, ()), *ones, BasisClass("fundamental", 2, None)]
+    classes = [BasisClass("pt", 0, _POINT), *ones, BasisClass("fundamental", 2, None)]
     return _group_class(label, classes, 2, 2 * genus)
 
 
 def _factors(left: GroupClass, right: GroupClass):
     """The classes of both factors, the right's labels prefixed ``R.`` and
-    its monomials shifted past the left's z-labels, and the joint z_dim."""
+    its cycles shifted past the left's z-labels, and the joint z_dim."""
     shift = left.basis.z_dim
     right_classes = [
         BasisClass(
             f"R.{c.label}",
             c.degree,
-            None if c.monomial is None else tuple(i + shift for i in c.monomial),
+            None if c.cycle is None
+            else tuple((tuple(i + shift for i in z), k) for z, k in c.cycle),
         )
         for c in right.basis.all_classes()
     ]
@@ -163,18 +172,21 @@ def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     lc, rc, z_dim = _factors(left, right)
     positive = [c for c in lc + rc if c.degree > 0]
     top = max(len(left.basis.classes), len(right.basis.classes)) - 1
-    return _group_class(label, [BasisClass("pt", 0, ()), *positive], top, z_dim)
+    return _group_class(label, [BasisClass("pt", 0, _POINT), *positive], top, z_dim)
 
 
 def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     label = f"direct_product({left.describe()}, {right.describe()})"
     _check_count(label, sum(left.basis.betti()) * sum(right.basis.betti()))
     lc, rc, z_dim = _factors(left, right)
+    # the product of the two cycles: every right index is past every left
+    # one, so z-parts concatenate in order, with no sign
     classes = [
         BasisClass(
             "x".join(c.label for c in (cl, cr) if c.degree > 0) or cl.label,
             cl.degree + cr.degree,
-            None if None in (cl.monomial, cr.monomial) else cl.monomial + cr.monomial,
+            None if None in (cl.cycle, cr.cycle)
+            else tuple((zl + zr, a * b) for zl, a in cl.cycle for zr, b in cr.cycle),
         )
         for cl in lc
         for cr in rc
@@ -188,12 +200,14 @@ def FiniteIndexSuper(
 ) -> GroupClass:
     """A finite-index supergroup of ``sub``; its rational homology cannot be
     derived here and is given as a table of labels per degree, with exactly
-    one label (the point class) in degree 0."""
+    one label (the point class) in degree 0.  The positive-degree labels have
+    no cycle: the numeric pairing reads them as words of the family's group."""
     if index < 2:
         raise ValueError("index must be >= 2")
     if not homology or len(homology[0]) != 1:
         raise ValueError("a homology table needs exactly one degree-0 label")
-    classes = [BasisClass(name, q, None) for q, names in enumerate(homology) for name in names]
+    classes = [BasisClass(name, q, None if q else _POINT)
+               for q, names in enumerate(homology) for name in names]
     return _group_class(
         f"finite_index_super({sub.describe()}, {index}, {label})",
         classes, len(homology) - 1, 0,
@@ -211,14 +225,15 @@ def rational_homology(d: GroupClass) -> HomologyBasis:
 
 
 def slant_contract(ch: MultiForm, cls: BasisClass) -> MultiForm:
-    """Contract a character form against a homology basis class: extract the
-    parameter forms paired with the base monomial dual to the class."""
-    if cls.monomial is None:
+    """Contract a character form against a homology basis class: the
+    combination, over the class's cycle, of the parameter forms paired with
+    each base monomial."""
+    if cls.cycle is None:
         raise DetectionError(
             f"class {cls.label!r} has no exact model; use the numeric pairing "
             "path (numeric_detection_report)"
         )
-    return ch.contract_z(cls.monomial)
+    return sum((c * ch.contract_z(z) for z, c in cls.cycle), MultiForm())
 
 
 @dataclass(frozen=True)
@@ -329,6 +344,19 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     )
 
 
+def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
+    """Refuse a family of another group before pairing, ahead of every other
+    check: a cycle's base label z_i pairs with the family's generator i by
+    position."""
+    for fi, f in enumerate(fams):
+        n = len(f.group.generators)
+        if n != d.basis.z_dim:
+            raise PresentationError(
+                f"family {fi} ({f.structure}) has {n} base labels, "
+                f"but {d.describe()} has {d.basis.z_dim}"
+            )
+
+
 def detection_matrix(
     d: GroupClass, fams: Sequence[Family]
 ) -> DetectionReport:
@@ -340,13 +368,14 @@ def detection_matrix(
     columns.  Every family must carry exact character data.
 
     Each component form is split once by z-part into its table and each
-    class is the cycle {its monomial: 1}, so every cell is two dict lookups
-    and the cost is linear in the number of terms plus the number of cells.
-    Entries equal ``slant_contract(form, cls).coefficient(x-monomial)``.
+    class is its cycle, so a one-term cell is two dict lookups and the cost
+    is linear in the number of terms plus the number of cells.  Entries
+    equal ``slant_contract(form, cls).coefficient(x-monomial)``.
     """
+    _check_base_labels(d, fams)
     classes = rational_homology(d).all_classes()
     for cls in classes:
-        if cls.monomial is None:
+        if cls.cycle is None:
             raise DetectionError(
                 f"class {cls.label!r} of {d.describe()} has no exact model; "
                 "use the numeric pairing path (numeric_detection_report)"
@@ -358,7 +387,7 @@ def detection_matrix(
                 "use the numeric pairing path (numeric_detection_report)"
             )
     tables = [[ch.split_z() for ch in f.chern] for f in fams]
-    cycles = [{tuple(sorted(cls.monomial)): 1} for cls in classes]
+    cycles = [dict(cls.cycle) for cls in classes]
     return _pairing(d, fams, cycles, tables, "exact")
 
 
@@ -369,17 +398,24 @@ def numeric_detection_report(
 ) -> DetectionReport:
     """Numeric pairing for families without exact character data.
 
-    Degree-0 classes pair to the fiber rank per component.  A degree-1 class
-    is the cycle of the exponent sums of its label, a word in the family's
-    group, and pairs to that combination of its generators' windings of
-    det(holonomy) along each parameter-axis loop.  Higher degrees do not pair.
+    A class pairs through its cycle, whose base labels are the family's
+    generators by position: the point z-part pairs to the fiber rank per
+    component, and z_i to generator i's winding of det(holonomy) along each
+    parameter-axis loop.  A class without a cycle (a ``FiniteIndexSuper``
+    label) is read as a word in the family's group, the cycle of its
+    exponent sums.  Higher degrees do not pair.
     """
+    if d.basis.z_dim:  # a descriptor without base labels pairs by words alone
+        _check_base_labels(d, [f])
     basis = rational_homology(d)
     if any(basis.classes[2:]):
         raise DetectionError("the numeric pairing path supports degree <= 1 classes only")
     n = len(f.group.generators)
-    cycles = [{(): 1} for _ in basis.classes[0]]
-    for c in basis.all_classes()[len(cycles):]:  # the degree-1 classes
+    cycles = []
+    for c in basis.all_classes():
+        if c.cycle is not None:
+            cycles.append(dict(c.cycle))
+            continue
         try:
             word = parse_word(c.label, f.group)
         except PresentationError:

@@ -255,13 +255,17 @@ def test_exact_family_of_another_group_exit3(workdir, capsys, group, fam, counts
 def test_base_label_count_is_checked_before_pairing(workdir, capsys, monkeypatch):
     def pairing(*args, **kwargs):
         raise AssertionError("paired a family of another group")
-    monkeypatch.setattr(flatdetect.detect, "detection_matrix", pairing)
+    monkeypatch.setattr(flatdetect.detect, "_pairing", pairing)
     for command in (["detect", "run"], ["report"]):
-        argv = command + ["--group", "free_abelian(3)", "--families", str(workdir / "z2.fam")]
-        assert run(argv) == 3
-        assert capsys.readouterr().err == (
-            "error: family 0 (char_zn(2, 8)) has 2 base labels, but free_abelian(3) has 3\n"
-        )
+        for group, fam, counts in (
+            ("free_abelian(3)", "z2.fam", "char_zn(2, 8)) has 2 base labels, but "
+             "free_abelian(3) has 3"),
+            ("free(3)", "klein.fam", "induce(char_zn(2, 8), klein_even(index=2))) has 2 "
+             "base labels, but free(3) has 3"),
+        ):
+            argv = command + ["--group", group, "--families", str(workdir / fam)]
+            assert run(argv) == 3
+            assert capsys.readouterr().err == f"error: family 0 ({counts}\n"
 
 
 def test_detect_run_z2_certified(workdir):
@@ -300,8 +304,6 @@ def test_detect_run_klein_numeric(workdir):
          "labels, but free_abelian(1) has 1"),
         ("free(5)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) has 2 base "
          "labels, but free(5) has 5"),
-        # a label of a matching count that is no word of the family's group
-        ("free(2)", "class 'z1' of free(2) is not a word in the family's generators (a, b)"),
         # a descriptor without base labels pairs by its labels alone
         ("finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [c]])",
          "class 'c' of finite_index_super(free_abelian(2), 2, klein) is not a word in the "
@@ -315,6 +317,23 @@ def test_numeric_pairing_of_another_group_exit3(workdir, capsys, group, message)
         assert run(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "group, rows",
+    [("free(2)", ["pt", "z1", "z2"]), ("free_product(free(1), free(1))", ["pt", "z1", "R.z1"])],
+)
+def test_model_classes_pair_a_numeric_family_by_position(workdir, group, rows):
+    """A model class pairs by position on the numeric path too: z1 is the
+    Klein family's generator a, whose determinant does not wind."""
+    for command in (["detect", "run"], ["report"]):
+        out = workdir / "n.json"
+        argv = command + ["--group", group, "--families", str(workdir / "klein.fam")]
+        assert run(argv + ["--out", str(out)]) == 5
+        rec = json.loads(out.read_text())
+        rec = rec.get("detection", rec)
+        assert rec["mode"] == "numeric" and rec["rows"] == rows
+        assert rec["verdict"] == "undetected" and rec["undetected_classes"] == [rows[1]]
 
 
 def test_detect_run_undetected_exit5(workdir):

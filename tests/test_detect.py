@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -47,7 +48,8 @@ from flatdetect.families import (
     trivial_family,
 )
 from flatdetect.presentation import (
-    Word, evaluate_word, format_word, free_abelian, free_group, free_reduce, surface_group,
+    PresentationError, Word, evaluate_word, format_word, free_abelian, free_group, free_reduce,
+    surface_group,
 )
 
 
@@ -178,14 +180,17 @@ def test_class_budget_refuses_a_descriptor_before_building_it(monkeypatch):
             build()
 
 
+_POINT = (((), 1),)
+
+
 def _reference_shift_basis(b, z_offset, tag):
     shifted = tuple(
         tuple(
             BasisClass(
                 label=f"{tag}{c.label}",
                 degree=c.degree,
-                monomial=tuple(i + z_offset for i in c.monomial)
-                if c.monomial is not None
+                cycle=tuple((tuple(i + z_offset for i in z), k) for z, k in c.cycle)
+                if c.cycle is not None
                 else None,
             )
             for c in degree
@@ -208,21 +213,21 @@ def _reference_homology(spec):
             classes = []
             for subset in itertools.combinations(range(1, n + 1), q):
                 label = "pt" if q == 0 else "^".join(f"z{i}" for i in subset)
-                classes.append(BasisClass(label, q, subset))
+                classes.append(BasisClass(label, q, ((subset, 1),)))
             degrees.append(tuple(classes))
         return HomologyBasis(tuple(degrees), n)
     if kind == "free":
         (n,) = args
-        point = (BasisClass("pt", 0, ()),)
+        point = (BasisClass("pt", 0, _POINT),)
         if n == 0:
             return HomologyBasis((point,), 0)
-        ones = tuple(BasisClass(f"z{i}", 1, (i,)) for i in range(1, n + 1))
+        ones = tuple(BasisClass(f"z{i}", 1, (((i,), 1),)) for i in range(1, n + 1))
         return HomologyBasis((point, ones), n)
     if kind == "surface":
         (g,) = args
         if g == 1:
             return _reference_homology(("free_abelian", (2,)))
-        point = (BasisClass("pt", 0, ()),)
+        point = (BasisClass("pt", 0, _POINT),)
         ones = tuple(
             BasisClass(name, 1, None) for i in range(1, g + 1) for name in (f"a{i}", f"b{i}")
         )
@@ -232,7 +237,7 @@ def _reference_homology(spec):
         bl = _reference_homology(args[0])
         br = _reference_shift_basis(_reference_homology(args[1]), bl.z_dim, "R.")
         top = max(len(bl.classes), len(br.classes))
-        degrees = [(BasisClass("pt", 0, ()),)]
+        degrees = [(BasisClass("pt", 0, _POINT),)]
         for q in range(1, top):
             row = []
             if q < len(bl.classes):
@@ -254,9 +259,9 @@ def _reference_homology(spec):
                     continue
                 for cl in bl.classes[ql]:
                     for cr in br.classes[qr]:
-                        mono = (
-                            cl.monomial + cr.monomial
-                            if cl.monomial is not None and cr.monomial is not None
+                        cycle = (
+                            tuple((zl + zr, a * b) for zl, a in cl.cycle for zr, b in cr.cycle)
+                            if cl.cycle is not None and cr.cycle is not None
                             else None
                         )
                         label = (
@@ -264,7 +269,7 @@ def _reference_homology(spec):
                             if cr.degree == 0
                             else (cr.label if cl.degree == 0 else f"{cl.label}x{cr.label}")
                         )
-                        row.append(BasisClass(label, q, mono))
+                        row.append(BasisClass(label, q, cycle))
             degrees.append(tuple(row))
         return HomologyBasis(tuple(degrees), bl.z_dim + br.z_dim)
     sub, _, _, table = args
@@ -272,7 +277,7 @@ def _reference_homology(spec):
     if len(table) == 0 or len(table[0]) != 1:
         raise ValueError("a homology table needs exactly one degree-0 label")
     degrees = tuple(
-        tuple(BasisClass(label, q, None) for label in labels)
+        tuple(BasisClass(label, q, None if q else _POINT) for label in labels)
         for q, labels in enumerate(table)
     )
     return HomologyBasis(degrees, 0)
@@ -351,6 +356,39 @@ def test_rational_homology_matches_per_degree_reference(spec):
     assert got.z_dim == expected.z_dim
 
 
+def _cycle_form(cycle):
+    """A cycle as the form sum of coefficient * z-monomial."""
+    return sum(
+        (k * MultiForm({tuple(("z", i) for i in z): 1}) for z, k in cycle), MultiForm()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs(st.lists(_LABEL_ROWS, min_size=1, max_size=3).map(
+    lambda rows: (("pt",), *rows[1:]))), _specs(st.just((("pt",), ("a",)))))
+def test_direct_product_cycles_are_products_of_the_factor_cycles(left, right):
+    """Each class of a direct product is the wedge of its factors' cycles,
+    the right one shifted past the left's base labels, or has no cycle when
+    a factor has none."""
+    lg, rg = _from_spec(left), _from_spec(right)
+    shift = lg.basis.z_dim
+    # the product's classes are the pairs, ordered by degree and then pair order
+    pairs = sorted(
+        ((cl, cr) for cl in lg.basis.all_classes() for cr in rg.basis.all_classes()),
+        key=lambda pair: pair[0].degree + pair[1].degree,
+    )
+    got = DirectProduct(lg, rg).basis.all_classes()
+    assert len(got) == len(pairs)
+    for c, (cl, cr) in zip(got, pairs):
+        assert c.degree == cl.degree + cr.degree
+        if cl.cycle is None or cr.cycle is None:
+            assert c.cycle is None
+            continue
+        right_form = _cycle_form(cr.cycle).shift(z_offset=shift)
+        assert _cycle_form(c.cycle) == _cycle_form(cl.cycle) * right_form
+        assert all(list(z) == sorted(set(z)) for z, _ in c.cycle)
+
+
 _VALID_TABLES = st.builds(
     lambda point, rows: ((point,), *rows),
     st.sampled_from(["pt", "a"]),
@@ -374,20 +412,20 @@ def test_parsed_descriptor_equals_the_library_value(spec):
 
 def test_contract_point_class():
     ch = 1 + zgen(1) * xgen(1)
-    cls = BasisClass("pt", 0, ())
+    cls = BasisClass("pt", 0, _POINT)
     assert slant_contract(ch, cls) == MultiForm.constant(1)
 
 
 def test_contract_circle_class():
     ch = 1 + zgen(1) * xgen(1)
-    cls = BasisClass("z1", 1, (1,))
+    cls = BasisClass("z1", 1, (((1,), 1),))
     assert slant_contract(ch, cls) == xgen(1)
 
 
 def test_contract_trivial_bundle_kills_reduced_classes():
     ch = MultiForm.constant(1)
-    assert slant_contract(ch, BasisClass("z1", 1, (1,))).is_zero()
-    assert slant_contract(ch, BasisClass("z1^z2", 2, (1, 2))).is_zero()
+    assert slant_contract(ch, BasisClass("z1", 1, (((1,), 1),))).is_zero()
+    assert slant_contract(ch, BasisClass("z1^z2", 2, (((1, 2), 1),))).is_zero()
 
 
 def test_contract_modelless_class_rejected():
@@ -457,7 +495,8 @@ def test_detection_zn_signed_permutation_vs_oracle():
             for (f_i, c_i, mono), entry in zip(
                 [(0, 0, m) for m in _x_monos(n)], row
             ):
-                labels = tuple(("z", i) for i in cls.monomial) + tuple(
+                ((zpart, _),) = cls.cycle
+                labels = tuple(("z", i) for i in zpart) + tuple(
                     ("x", i) for i in mono
                 )
                 assert entry == naive.get(labels, 0)
@@ -473,12 +512,11 @@ def _x_monos(n):
 def _reference_matrix(d, fams):
     """Cell-by-cell pairing: slant_contract each component form against each
     class, then read off each x-monomial's coefficient, in the column order
-    of detection_matrix.  Each cell is also checked against the form's own
-    coefficient of z-part ^ x-part: the z-part is a canonical prefix, so
-    contracting it strips it with no sign."""
+    of detection_matrix.  Each cell is also checked against the cycle's
+    combination of the form's own coefficients of z-part ^ x-part: a z-part
+    is a canonical prefix, so contracting it strips it with no sign."""
     rows = []
     for cls in rational_homology(d).all_classes():
-        zlabels = [("z", i) for i in cls.monomial]
         row = []
         for f in fams:
             for ci in range(f.space.n_components):
@@ -486,7 +524,10 @@ def _reference_matrix(d, fams):
                 for mono in _x_monos(f.space.component_x_dim(ci)):
                     xlabels = [("x", i) for i in mono]
                     cell = contracted.coefficient(xlabels)
-                    assert cell == f.chern[ci].coefficient(zlabels + xlabels)
+                    assert cell == sum(
+                        k * f.chern[ci].coefficient([("z", i) for i in z] + xlabels)
+                        for z, k in cls.cycle
+                    )
                     row.append(cell)
         rows.append(tuple(row))
     return tuple(rows)
@@ -570,16 +611,24 @@ _SLOW_DATA = settings(
 )
 
 
+def _padded(f, n):
+    """``f`` as a family of n >= f.base_dim generators: the trivial family
+    of the extra ones adds base labels and leaves the form unchanged."""
+    return tensor_families(f, trivial_family(free_abelian(n - f.base_dim)))
+
+
 @_SLOW_DATA
 @given(st.lists(_exact_families(), min_size=1, max_size=2))
 def test_detection_matrix_equals_cellwise_slant_contraction(fams):
-    d = FreeAbelian(max(f.base_dim for f in fams))
+    n = max(f.base_dim for f in fams)
+    fams = [_padded(f, n) for f in fams]
+    d = FreeAbelian(n)
     assert detection_matrix(d, fams).matrix == _reference_matrix(d, fams)
 
 
 @st.composite
 def _product_descriptors(draw):
-    """Direct and free products, nested once: the right factor's monomials
+    """Direct and free products, nested once: the right factor's cycles
     are shifted past the left factor's z-labels."""
     factor = st.builds(
         lambda cls, k: cls(k), st.sampled_from([Free, FreeAbelian]), st.integers(0, 3)
@@ -594,7 +643,52 @@ def _product_descriptors(draw):
 @_SLOW_DATA
 @given(_exact_families(), _product_descriptors())
 def test_detection_matrix_equals_cellwise_on_product_bases(f, d):
+    # the smaller side is padded: the family by trivial generators, the
+    # descriptor by a free factor
+    if d.basis.z_dim < f.base_dim:
+        d = FreeProduct(d, Free(f.base_dim - d.basis.z_dim))
+    f = _padded(f, d.basis.z_dim)
     assert detection_matrix(d, [f]).matrix == _reference_matrix(d, [f])
+
+
+@st.composite
+def _random_cycles(draw, n):
+    """Classes of random rational cycles in n base labels: per class a
+    degree q and up to three distinct q-subsets with nonzero coefficients."""
+    classes = []
+    for j in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(0, n))
+        subsets = draw(st.lists(
+            st.sets(st.integers(1, n), min_size=q, max_size=q).map(lambda z: tuple(sorted(z))),
+            min_size=1, max_size=3, unique=True,
+        ))
+        coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+        classes.append(BasisClass(f"c{j}", q, tuple((z, draw(coefficients)) for z in subsets)))
+    return classes
+
+
+@_SLOW_DATA
+@given(_exact_families(), st.data())
+def test_pairing_a_cycle_is_the_sum_of_its_terms_contractions(f, data):
+    """Slant contraction against a multi-term rational cycle is the sum of
+    its terms' contractions, and every detection-matrix cell is that form's
+    coefficient of the cell's x-monomial: the cycle's combination of the
+    character form's coefficients."""
+    n = f.base_dim
+    classes = data.draw(_random_cycles(n))
+    d = detect._group_class("cycles", classes, max(c.degree for c in classes), n)
+    rows = detection_matrix(d, [f]).matrix
+    for cls, row in zip(rational_homology(d).all_classes(), rows):
+        cells = iter(row)
+        for ci, ch in enumerate(f.chern):
+            form = slant_contract(ch, cls)
+            assert form == sum((k * ch.contract_z(z) for z, k in cls.cycle), MultiForm())
+            for mono in _x_monos(f.space.component_x_dim(ci)):
+                xlabels = [("x", i) for i in mono]
+                assert next(cells) == form.coefficient(xlabels) == sum(
+                    k * ch.coefficient([("z", i) for i in z] + xlabels) for z, k in cls.cycle
+                )
+        assert next(cells, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -911,23 +1005,36 @@ def _exact_trees(draw):
 @_SLOW_DATA
 @given(_exact_trees())
 def test_numeric_pairing_equals_the_exact_pairing_in_degree_le_1(f):
-    """Against a descriptor whose degree-1 labels are the generators, the
-    numeric pt and generator rows equal the exact pt and z_i rows on the
+    """For the same descriptor of degree <= 1, free(n) or the free product
+    of n copies of free(1), the numeric rows equal the exact rows on the
     matching rank/1 and loop_x/x columns."""
-    gens = f.group.generators
-    exact = detection_matrix(FreeAbelian(len(gens)), [f])
-    numeric = numeric_detection_report(
-        FiniteIndexSuper(FreeAbelian(len(gens)), 2, "gens", (("pt",), gens)), f
-    )
-    assert numeric.row_labels == ("pt", *gens)
-    for row, zrow in enumerate(["pt", *(f"z{g + 1}" for g in range(len(gens)))]):
-        e_row = exact.matrix[exact.row_labels.index(zrow)]
-        for ci in range(f.space.n_components):
-            for i in range(f.space.component_x_dim(ci) + 1):
-                n_col = f"c{ci}." + (f"loop_x{i}" if i else "rank")
-                e_col = f"f0.c{ci}." + (f"x{i}" if i else "1")
-                assert (numeric.matrix[row][numeric.col_labels.index(n_col)]
-                        == e_row[exact.col_labels.index(e_col)]), (zrow, n_col)
+    n = len(f.group.generators)
+    for d in (Free(n), functools.reduce(FreeProduct, [Free(1)] * n)):
+        exact = detection_matrix(d, [f])
+        numeric = numeric_detection_report(d, f)
+        assert numeric.row_labels == exact.row_labels
+        assert len(numeric.row_labels) == n + 1
+        for n_row, e_row in zip(numeric.matrix, exact.matrix):
+            for ci in range(f.space.n_components):
+                for i in range(f.space.component_x_dim(ci) + 1):
+                    n_col = f"c{ci}." + (f"loop_x{i}" if i else "rank")
+                    e_col = f"f0.c{ci}." + (f"x{i}" if i else "1")
+                    assert (n_row[numeric.col_labels.index(n_col)]
+                            == e_row[exact.col_labels.index(e_col)]), (d.describe(), n_col)
+
+
+def test_a_family_of_another_group_is_refused_before_pairing():
+    """Both pairings read base labels by position, so each checks the
+    family's generator count first, with the message of the CLI's exit 3."""
+    message = r"^family 0 \(char_zn\(4, 2\)\) has 4 base labels, but free_abelian\(2\) has 2$"
+    f = character_family_Zn(4, 2)
+    with pytest.raises(PresentationError, match=message):
+        detection_matrix(FreeAbelian(2), [f])
+    with pytest.raises(PresentationError, match=message):
+        numeric_detection_report(FreeAbelian(2), f)
+    # a descriptor without base labels reads its classes as words
+    rep = numeric_detection_report(FiniteIndexSuper(Free(1), 2, "t", (("pt",), ("t1 t2",))), f)
+    assert rep.row_labels == ("pt", "t1 t2")
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ DESCRIPTORS = (
     "free_abelian(1)",
     "free(2)",
     "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [a b, b a^-1, b b]])",
+    "free_product(free(1), free(1))",
 )
 # descriptors whose base-label count differs from the exact family's
 EXACT_DESCRIPTORS = ("free_abelian(16)",)
