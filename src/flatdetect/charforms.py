@@ -35,6 +35,10 @@ SIGN_CONVENTIONS = {
 }
 
 INTEGRALITY_TOL = 1e-6
+# the most term pairs one wedge product multiplies: char_zn(16, 2) and the
+# tensor of two char_zn(8, 2) reach it, each built in about 1 s on a shared
+# 2-core VM, and each further rank costs about 4x the time
+MAX_TERM_PRODUCTS = 2**16
 
 
 class IntegralityError(ValueError):
@@ -93,7 +97,13 @@ def _accumulate(store: dict, mono: tuple[Label, ...], c) -> None:
 
 
 def _wedge_terms(a: dict, b: dict) -> dict:
-    """Product of two term dicts keyed by canonical monomials."""
+    """Product of two term dicts keyed by canonical monomials; refused before
+    any work past MAX_TERM_PRODUCTS term pairs."""
+    if len(a) * len(b) > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"a wedge of forms of {len(a)} and {len(b)} terms takes {len(a) * len(b)} "
+            f"term products, more than the {MAX_TERM_PRODUCTS} computed at most"
+        )
     out: dict[tuple[Label, ...], Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

@@ -12,8 +12,10 @@ presentation with no generators to solve for, a family paired with a group
 it is not a family of or a class label that is no word of its group, a
 pullback or induction of a family of another group than the cover's, a
 coset list of another length than the cover's index, a cover index above
-``families.MAX_INDEX``, or a group descriptor of more than
-``detect.MAX_CLASSES`` homology classes),
+``families.MAX_INDEX``, a group descriptor of more than
+``detect.MAX_CLASSES`` homology classes, a wedge of forms past
+``charforms.MAX_TERM_PRODUCTS`` term products, or an exact detection matrix
+of more than ``detect.MAX_CELLS`` cells),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -45,7 +47,6 @@ import numpy as np
 
 from . import charforms, detect, families, repvar
 from .presentation import (
-    GroupPresentation,
     PresentationError,
     format_presentation,
     free_abelian,
@@ -246,23 +247,17 @@ def _fits(value, shape) -> bool:
     return isinstance(value, shape)
 
 
-def _looks_like_klein(G: GroupPresentation) -> bool:
-    return len(G.generators) == 2 and G.relators == klein_bottle().relators
-
-
 def _cover(caller: str, cover, cosets, group):
-    """The cover given by ``cover=``, else inferred from ``group=`` (Klein, or
-    one generator with ``cosets=``), built once on ``group=`` or the cover's
-    own ambient, with the ``cosets=`` words when given."""
-    if cover is None and group is not None and _looks_like_klein(group):
+    """The cover given by ``cover=``, else inferred from ``group=`` (two
+    generators, or one with ``cosets=``), built once on ``group=`` or the
+    cover's own ambient, with the ``cosets=`` words when given."""
+    if cover is None and group is not None and len(group.generators) == 2:
         cover = _CONSTRUCTORS["klein_even"][-1]()
     elif cover is None and group is not None and len(group.generators) == 1 and cosets:
         cover = _CONSTRUCTORS["circle"][-1](len(cosets))
     elif cover is None:
         raise ExprError(f"unsupported cover description for {caller}")
     make, args, ambient = cover
-    if make is families.KleinBottleCover and group is not None and not _looks_like_klein(group):
-        raise ExprError("group file does not present the Klein-bottle group")
     ambient = group or ambient
     if ambient is None:
         raise ExprError("sublattice cover needs group=FILE")
@@ -490,10 +485,11 @@ def _cmd_forms_eval(ns) -> int:
     if not operands:
         raise ExprError("no operands")
     try:
-        forms = [charforms.MultiForm.from_records(r) for r in operands]
-    except ValueError as exc:
+        acc = functools.reduce(
+            _FORM_OPS[op], [charforms.MultiForm.from_records(r) for r in operands]
+        )
+    except ValueError as exc:  # a malformed record, or a wedge past the term budget
         raise ExprError(str(exc)) from exc
-    acc = functools.reduce(_FORM_OPS[op], forms)
     _emit({"kind": "multiform", "op": op, "records": acc.to_records()}, ns.out)
     return EXIT_OK
 

@@ -41,6 +41,10 @@ SCOPE_NOTE = (
 
 # the most homology classes a descriptor builds (free_abelian(16) has 2^16)
 MAX_CLASSES = 2**16
+# the most cells (rows x columns) of an exact detection matrix: free_abelian(11)
+# against char_zn(11, 2) has 2^22 and takes 3.1 s and 440 MB in a shared
+# 2-core VM; each further rank costs about 4x
+MAX_CELLS = 2**22
 
 
 class DetectionError(ValueError):
@@ -370,7 +374,8 @@ def detection_matrix(
     Each component form is split once by z-part into its table and each
     class is its cycle, so a one-term cell is two dict lookups and the cost
     is linear in the number of terms plus the number of cells.  Entries
-    equal ``slant_contract(form, cls).coefficient(x-monomial)``.
+    equal ``slant_contract(form, cls).coefficient(x-monomial)``.  A matrix
+    of more than MAX_CELLS cells is refused before any table is built.
     """
     _check_base_labels(d, fams)
     classes = rational_homology(d).all_classes()
@@ -386,6 +391,13 @@ def detection_matrix(
                 f"family {fi} ({f.structure}) lacks exact character data; "
                 "use the numeric pairing path (numeric_detection_report)"
             )
+    # every x-monomial of a component is a column
+    columns = sum(2 ** len(res) for f in fams for res in f.space.components)
+    if len(classes) * columns > MAX_CELLS:
+        raise PresentationError(
+            f"the detection matrix of {d.describe()} has {len(classes)} rows and "
+            f"{columns} columns, more than the {MAX_CELLS} cells computed at most"
+        )
     tables = [[ch.split_z() for ch in f.chern] for f in fams]
     cycles = [dict(cls.cycle) for cls in classes]
     return _pairing(d, fams, cycles, tables, "exact")

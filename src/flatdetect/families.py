@@ -32,9 +32,9 @@ inverse, as adjugate / det.
 Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
 a cover pulls back along the inclusion of its subgroup, and ``extend`` along
-the retraction G -> E that kills F's generators.  Both check that the images
-respect the source group's relators.  Every pullback substitutes the
-abelianized images into the exact form.
+the retraction G -> E that kills F's generators.  Every group map, a
+cover's too, is checked by one relator rule, ``_check_relators``.  Every
+pullback substitutes the abelianized images into the exact form.
 """
 
 from __future__ import annotations
@@ -266,9 +266,7 @@ def character_family_Zn(
     def ev(x, ci):
         return np.exp(2j * np.pi * x)[:, :, None, None]
 
-    ch = MultiForm.constant(1)
-    for j in range(1, n + 1):
-        ch = ch * (MultiForm.constant(1) + zgen(j) * xgen(j))
+    ch = _wedge_all([MultiForm.constant(1) + zgen(j) * xgen(j) for j in range(1, n + 1)])
     return Family(
         group=group,
         space=space,
@@ -277,6 +275,16 @@ def character_family_Zn(
         structure=f"char_zn({n}, {resolution})",
         chern=(ch,),
     )
+
+
+def _wedge_all(forms: Sequence[MultiForm]) -> MultiForm:
+    """The wedge product of ``forms`` in order, each half first: the largest
+    product comes last, so a product past ``charforms.MAX_TERM_PRODUCTS`` is
+    refused once the halves are built, not after all but the last factor."""
+    if len(forms) == 1:
+        return forms[0]
+    mid = len(forms) // 2
+    return _wedge_all(forms[:mid]) * _wedge_all(forms[mid:])
 
 
 def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
@@ -343,50 +351,54 @@ def tensor_families(f: Family, g: Family) -> Family:
 def extend_free_product(f: Family, G: GroupPresentation) -> Family:
     """Extend a family across a free product G = E * F, where E is the
     family's group: the pullback along the retraction G -> E that sends
-    generators of the other free factor F to the identity, once
-    ``_check_relators`` has found it a homomorphism."""
+    generators of the other free factor F to the identity.  G must be E * F:
+    no relator mixes the factors, and both G -> E and E -> G pass the rule."""
     names = set(f.group.generators)
     missing = names - set(G.generators)
     if missing:
         raise ValueError(f"generators {sorted(missing)} absent from the ambient group")
     retract = {gi: f.group.generator_index(name)
                for gi, name in enumerate(G.generators) if name in names}
+    for rel in G.relators:
+        used = {gi for gi, _ in rel.letters}
+        if used & retract.keys() and used - retract.keys():
+            raise ValueError("ambient relator mixes both free factors; not a free product")
     _check_relators(G, f.group, retract)
+    _check_relators(f.group, G, {i: gi for gi, i in retract.items()},
+                    "relator {!r} of the family's group is not an ambient relator, "
+                    "up to rotation and inversion")
     images = tuple(
         Word(((retract[gi], 1),)) if gi in retract else Word(()) for gi in range(len(G.generators))
     )
     return _pullback(f, G, images, f"extend({f.structure} -> {'*'.join(G.generators)})")
 
 
-def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int, int]) -> None:
-    """Check that G -> E, generator p to ``images[p]`` and the others to the
-    identity, is a homomorphism: each relator of G must avoid mixing mapped
-    and unmapped generators, and its image must be, letter by letter, a
-    cyclic rotation of one of E's relators or of its inverse."""
+def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int, int],
+                    message: str = "ambient relator {!r} is not a relator of the family's "
+                                   "group, up to rotation and inversion") -> None:
+    """The one relator rule of every group map: G -> E, generator p to
+    ``images[p]`` and the others to the identity, is a homomorphism when each
+    relator of G maps to the identity or, letter by letter, to a cyclic
+    rotation of one of E's relators or of its inverse; else a ValueError
+    formats ``message`` with the first relator of G that does not."""
     own = _relator_rotations(E)
     for rel in G.relators:
-        used = {gi for gi, _ in rel.letters}
-        if used & images.keys() and used - images.keys():
-            raise ValueError(
-                "ambient relator mixes both free factors; not a free product"
-            )
-        image = spell(Word(tuple((images[g], e) for g, e in rel.letters if g in images)))
-        if image.letters and image.letters not in own:
-            raise ValueError(
-                f"ambient relator {format_word(rel, G)!r} is not a relator of the "
-                "family's group, up to rotation and inversion"
-            )
+        image = tuple((images[g], e) for g, e in spell(rel).letters if g in images)
+        if image and image not in own:
+            raise ValueError(message.format(format_word(rel, G)))
 
 
-def _relator_rotations(E: GroupPresentation) -> set[tuple[tuple[int, int], ...]]:
+@functools.lru_cache(maxsize=16)
+def _relator_rotations(E: GroupPresentation) -> frozenset[tuple[tuple[int, int], ...]]:
     """The letters of every cyclic rotation of each relator of E and of its
-    inverse, each run spelled out as letters of exponent +-1."""
+    inverse, each run spelled out as letters of exponent +-1; kept for the
+    last few groups, which recur from one group map to the next."""
     own = set()
     for r in E.relators:
         letters = spell(r).letters
         for w in (letters, tuple((g, -e) for g, e in reversed(letters))):
             own.update(w[i:] + w[:i] for i in range(len(w)))
-    return own
+    return frozenset(own)
 
 
 def disjoint_union(f: Family, g: Family) -> Family:
@@ -532,24 +544,20 @@ def _lattice_cover(
     """The one constructor of a Cover, from integer data: ``basis`` columns
     are the subgroup generators' exponents, the j-th prod_i a_i^{basis[i][j]}.
     It checks, in order: the basis is n x n for n ambient generators; each
-    relator walks to translation 0, signs +1; each relator of the model group
-    (Z^n, or the Klein-bottle group when some sign is -1) is an ambient
-    relator up to rotation and inversion; det != 0; |det| coset words."""
+    relator of the model group (Z^n, or the Klein-bottle group when some sign
+    is -1) is an ambient relator, by ``_check_relators``; each ambient relator
+    walks to translation 0, signs +1; det != 0; |det| coset words."""
     n = len(ambient.generators)
     mat = [[int(v) for v in row] for row in basis]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
+    model = _model_group(ambient.generators, any(-1 in signs for signs in holonomy))
+    _check_relators(model, ambient, {i: i for i in range(n)},
+                    "ambient group lacks the cover's relator {!r}, up to rotation and inversion")
     for rel in ambient.relators:
         if _walk(holonomy, rel) != ([0] * n, [1] * n):
-            raise ValueError("ambient group is not free abelian")
-    own = _relator_rotations(ambient)
-    for letters in _model_relators(n, any(-1 in signs for signs in holonomy)):
-        if letters not in own:
-            missing = format_word(Word(letters), ambient)
-            raise ValueError(
-                f"ambient group lacks the cover's relator {missing!r}, "
-                "up to rotation and inversion"
-            )
+            raise ValueError(f"ambient relator {format_word(rel, ambient)!r} does not "
+                             "hold in the cover's model group")
     det, adjugate = _det_adjugate(mat)
     if det == 0:
         raise ValueError("sublattice basis is singular")
@@ -563,10 +571,12 @@ def _lattice_cover(
 
 
 @functools.lru_cache(maxsize=8)
-def _model_relators(n: int, klein: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The spelled relators of a cover's model group, the Klein-bottle group
-    or Z^n; the last few are kept, as building them costs more than the check."""
-    return tuple(spell(r).letters for r in (klein_bottle() if klein else free_abelian(n)).relators)
+def _model_group(names: tuple[str, ...], klein: bool) -> GroupPresentation:
+    """A cover's model group on the ambient's generator names, the Klein-bottle
+    group or Z^n; the last few are kept, as building them costs about the check."""
+    if klein:
+        return GroupPresentation(names, klein_bottle().relators)
+    return free_abelian(len(names), names)
 
 
 def SublatticeCover(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatdetect import charforms
 from flatdetect.charforms import (
     GridConnection,
     IntegralityError,
@@ -381,3 +382,17 @@ def test_exact_numeric_cross_validation():
     assert abs(numeric) == abs(int(exact)) == 1
     assert numeric == -int(exact)
     assert "relation" in SIGN_CONVENTIONS
+
+
+def test_a_wedge_past_the_term_budget_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(charforms, "MAX_TERM_PRODUCTS", 6)
+    two, three = 1 + zgen(1), xgen(1) + xgen(2) + zgen(2)
+    assert two * three == three + zgen(1) * three  # 2 x 3 term pairs: exactly the budget
+    four = two * (1 + xgen(3))
+    with pytest.raises(ValueError, match=r"^a wedge of forms of 4 and 3 terms takes 12 "
+                       r"term products, more than the 6 computed at most$"):
+        four * three
+    # the products inside a substitution count too
+    with pytest.raises(ValueError, match="more than the 6 computed at most"):
+        (zgen(1) * zgen(2) * xgen(1)).subst_z([three, four])
+

@@ -102,6 +102,31 @@ def test_build_family_induce_named_klein_cover_keeps_group_names(workdir):
     assert f.group.generators == ("x", "y")
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "induce(char_zn(2, 8), cosets=[e, b], group={})",
+        "induce(char_zn(2, 8), cover=klein_even, cosets=[e, b], group={})",
+        "pullback(trivial(group={}, dim=2), group={})",
+        "pullback(trivial(group={}, dim=2), cover=klein_even, group={})",
+    ],
+)
+def test_a_rotated_klein_relator_builds_like_the_canonical_one(workdir, expr):
+    """The inferred and the explicit klein_even accept the Klein-bottle group
+    whatever rotation of its relator, or of the inverse, the file writes."""
+    (workdir / "rot.grp").write_text("gens: a b ; rels: b a b^-1 a ;\n")
+    (workdir / "inv.grp").write_text("gens: a b ; rels: b a^-1 b^-1 a^-1 ;\n")
+    records = {}
+    for grp in ("klein.grp", "rot.grp", "inv.grp"):
+        (workdir / "k.fam").write_text(expr.format(grp, grp) + "\n")
+        out = workdir / f"{grp}.json"
+        assert run(["family", "build", "--expr", str(workdir / "k.fam"), "--out", str(out)]) == 0
+        records[grp] = json.loads(out.read_text())
+        del records[grp]["group"]  # an induced family prints the file's relator
+    canonical = records.pop("klein.grp")
+    assert records == {"rot.grp": canonical, "inv.grp": canonical}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -393,8 +418,15 @@ def test_extend_rejects_ambient_relators_foreign_to_the_family_group(workdir, ca
             "error: ambient relator 'a b a b^-1' is not a relator of the "
             "family's group, up to rotation and inversion\n"
         )
-    assert run(["family", "build", "--expr", f, "--out", str(workdir / "f.json")]) == 0
-    assert run(["detect", "run", "--group", "free_abelian(2)", "--families", f]) == 0
+    # F2 is no free product Z^2 * F: the family's commutator is no ambient relator
+    for argv in (["family", "build", "--expr", f, "--out", str(workdir / "f.json")],
+                 ["detect", "run", "--group", "free_abelian(2)", "--families", f]):
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: relator 'a b a^-1 b^-1' of the family's group is not an "
+            "ambient relator, up to rotation and inversion\n"
+        )
+    assert not (workdir / "f.json").exists()
 
 
 def test_cover_over_an_ambient_without_the_model_relators_exit3(workdir, capsys):
@@ -656,6 +688,33 @@ def test_forms_eval_wedge(workdir):
     assert rec["records"] == [[["x1"], 1, 1], [["z1", "x1"], 1, 1]]
 
 
+def test_exact_work_past_its_budgets_exit3(workdir, capsys, monkeypatch):
+    (workdir / "zn17.fam").write_text("char_zn(17, 2)\n")
+    (workdir / "zn12.fam").write_text("char_zn(12, 2)\n")
+    out = workdir / "out.json"
+    cases = [
+        (["family", "build", "--expr", str(workdir / "zn17.fam")],
+         "a wedge of forms of 256 and 512 terms takes 131072 term products, "
+         "more than the 65536 computed at most"),
+        (["detect", "run", "--group", "free_abelian(12)", "--families", str(workdir / "zn12.fam")],
+         "the detection matrix of free_abelian(12) has 4096 rows and 4096 columns, "
+         "more than the 4194304 cells computed at most"),
+    ]
+    for argv, message in cases:
+        assert run(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    monkeypatch.setattr(flatdetect.charforms, "MAX_TERM_PRODUCTS", 3)
+    payload = {"op": "wedge", "operands": [[[["z1"], 1, 1], [[], 1, 1]]] * 2}
+    (workdir / "forms.json").write_text(json.dumps(payload))
+    assert run(["forms", "eval", "--in", str(workdir / "forms.json"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: a wedge of forms of 2 and 2 terms takes 4 term products, "
+        "more than the 3 computed at most\n"
+    )
+    assert not out.exists()
+
+
 def test_report_obstruction_exit5(workdir):
     out = workdir / "bm.json"
     assert run(["report", "--bm", "2", "10", "--out", str(out)]) == 5
@@ -742,7 +801,7 @@ def test_detect_run_deterministic_bytes(workdir):
         ("induce(char_zn(1, 4))", "unsupported cover description for induce"),
         (
             "induce(char_zn(2, 4), cover=klein_even, group=z2.grp)",
-            "group file does not present the Klein-bottle group",
+            "ambient group lacks the cover's relator 'a b a b^-1', up to rotation and inversion",
         ),
         ("char_zn(2, 4, gens=[a b, c])", "invalid generator identifier 'a b'"),
     ],

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flatdetect import detect
 from flatdetect.charforms import MultiForm, winding_number, xgen, zgen
@@ -178,6 +178,18 @@ def test_class_budget_refuses_a_descriptor_before_building_it(monkeypatch):
         with pytest.raises(ValueError, match=rf" has {re.escape(str(count))} homology classes, "
                            "more than the 8 built at most$"):
             build()
+
+
+def test_cell_budget_refuses_a_pairing_before_building_its_tables(monkeypatch):
+    fams = [character_family_Zn(2, 2), character_family_Zn(2, 2)]
+    monkeypatch.setattr(detect, "MAX_CELLS", 32)  # 4 classes x 8 columns
+    assert detection_matrix(FreeAbelian(2), fams).verdict == "FD-certified"
+    monkeypatch.setattr(detect, "MAX_CELLS", 31)
+    monkeypatch.setattr(MultiForm, "split_z", None)  # no table may be built
+    with pytest.raises(PresentationError, match=re.escape(
+            "the detection matrix of free_abelian(2) has 4 rows and 8 columns, "
+            "more than the 31 cells computed at most")):
+        detection_matrix(FreeAbelian(2), fams)
 
 
 _POINT = (((), 1),)
@@ -366,11 +378,21 @@ def _cycle_form(cycle):
 @settings(max_examples=200, deadline=None)
 @given(_specs(st.lists(_LABEL_ROWS, min_size=1, max_size=3).map(
     lambda rows: (("pt",), *rows[1:]))), _specs(st.just((("pt",), ("a",)))))
+@example(  # 72 x 1024 = 73728 classes, past the budget
+    left=("direct_product", (("free", (2,)),
+                             ("direct_product", (("free", (2,)), ("surface", (3,)))))),
+    right=("direct_product", (("direct_product", (("free", (1,)), ("free_abelian", (3,)))),
+                              ("direct_product", (("free_abelian", (3,)), ("surface", (3,)))))),
+)
 def test_direct_product_cycles_are_products_of_the_factor_cycles(left, right):
     """Each class of a direct product is the wedge of its factors' cycles,
     the right one shifted past the left's base labels, or has no cycle when
-    a factor has none."""
+    a factor has none; a product of more classes than the budget is refused."""
     lg, rg = _from_spec(left), _from_spec(right)
+    if sum(lg.basis.betti()) * sum(rg.basis.betti()) > detect.MAX_CLASSES:
+        with pytest.raises(ValueError, match=f"more than the {detect.MAX_CLASSES} built at most"):
+            DirectProduct(lg, rg)
+        return
     shift = lg.basis.z_dim
     # the product's classes are the pairs, ordered by degree and then pair order
     pairs = sorted(

@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 from unittest import mock
 
@@ -9,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatdetect import families
+from flatdetect import cli, families
 from flatdetect.charforms import MultiForm, reduce_rows, xgen, zgen
 from flatdetect.families import (
     HOMOMORPHISM_TOL,
@@ -39,6 +44,7 @@ from flatdetect.presentation import (
     GroupPresentation,
     Word,
     evaluate_word,
+    format_presentation,
     free_abelian,
     free_group,
     free_reduce,
@@ -296,7 +302,7 @@ def test_extend_rejects_mixed_relators():
 
 def test_extend_accepts_rotated_and_inverted_relators_of_the_family_group():
     E = parse_presentation("gens: a b ; rels: a a b b ;")
-    for rels in ("a b b a", "b^-1 b^-1 a^-1 a^-1", "b^-1 a^-1 a^-1 b^-1 , c c", ""):
+    for rels in ("a b b a", "b^-1 b^-1 a^-1 a^-1", "b^-1 a^-1 a^-1 b^-1 , c c"):
         G = parse_presentation(f"gens: c a b ; rels: {rels} ;")
         assert verify_family(extend_free_product(trivial_family(E), G))
     z2 = character_family_Zn(2, 4, ("a", "b"))
@@ -310,6 +316,11 @@ def test_extend_rejects_ambient_relators_foreign_to_the_family_group():
         G = parse_presentation(f"gens: a b ; rels: {rels} ;")
         with pytest.raises(ValueError, match=re.escape(f"relator '{rels}' is not")):
             extend_free_product(z2, G)
+    # the other direction: F3 is not <a, b | a a b b> * F
+    E = parse_presentation("gens: a b ; rels: a a b b ;")
+    with pytest.raises(ValueError, match=re.escape(
+            "relator 'a a b b' of the family's group is not an ambient relator")):
+        extend_free_product(trivial_family(E), parse_presentation("gens: c a b ; rels: ;"))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +509,14 @@ def test_klein_cover_fields():
         (lambda: KleinBottleCover(cosets=[Word(())]), "need 2 coset representatives, got 1"),
         (lambda: KleinBottleCover(cosets=[]), "need 2 coset representatives, got 0"),
         (lambda: circle_cover(3, cosets=[Word(())] * 4), "need 3 coset representatives, got 4"),
-        (lambda: KleinBottleCover(free_abelian(2)), "not free abelian"),
+        (lambda: KleinBottleCover(free_abelian(2)), "lacks the cover's relator 't1 t2 t1 t2^-1'"),
         (lambda: KleinBottleCover(free_abelian(3)), "basis must be 3 x 3"),
         (lambda: circle_cover(2, free_abelian(2)), "basis must be 2 x 2"),
+        # the model relators hold, but another ambient relator does not
+        (lambda: circle_cover(2, parse_presentation("gens: a ; rels: a a ;")),
+         "ambient relator 'a a' does not hold in the cover's model group"),
+        (lambda: KleinBottleCover(parse_presentation("gens: a b ; rels: b a b^-1 a , b b ;")),
+         "ambient relator 'b b' does not hold in the cover's model group"),
     ],
 )
 def test_every_cover_runs_the_constructor_checks(make, message):
@@ -664,7 +680,7 @@ def test_det_adjugate_matches_the_fraction_reference(m):
 
 
 def test_sublattice_rejects_nonabelian_ambient():
-    with pytest.raises(ValueError, match="not free abelian"):
+    with pytest.raises(ValueError, match=re.escape("lacks the cover's relator 'a b a^-1 b^-1'")):
         SublatticeCover(klein_bottle(), [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))])
 
 
@@ -688,6 +704,102 @@ def test_cover_ambient_needs_the_model_relators(make, relator):
         return
     with pytest.raises(ValueError, match=re.escape(f"relator {relator!r}")):
         make()
+
+
+def _cyclically_reduced(letters):
+    """The cyclic reduction of a word given as letters (generator, +-1)."""
+    out = list(free_reduce(Word(tuple(letters))).letters)
+    out = [(g, 1 if e > 0 else -1) for g, e in out for _ in range(abs(e))]
+    while len(out) > 1 and out[0] == (out[-1][0], -out[-1][1]):
+        out = out[1:-1]
+    return tuple(out)
+
+
+def _letters(text):
+    return _cyclically_reduced(parse_presentation(f"gens: a b ; rels: {text} ;").relators[0].letters)
+
+
+# cyclically reduced relators over a, b, so that every rotation stays freely
+# reduced and rewriting one as a rotation of it or of its inverse presents the
+# same group; the two model relators are drawn about a third of the time
+_RELATOR = st.one_of(
+    st.sampled_from(("a b a b^-1", "a b a^-1 b^-1")).map(_letters),
+    st.sampled_from(("a a", "a b", "a a b b", "b b b", "a b^-1 a b")).map(_letters),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), min_size=1,
+             max_size=6).map(_cyclically_reduced).filter(bool),
+)
+_REWRITE = st.tuples(st.integers(0, 7), st.booleans())  # a rotation, an inversion
+# a relator of E, of G or of both, and how each group's copy is rewritten
+_SHARED_RELATOR = st.tuples(
+    _RELATOR, st.sampled_from(((True, True), (True, False), (False, True))),
+    _REWRITE, _REWRITE,
+)
+
+
+def _rewrite(letters, shift, invert):
+    if invert:
+        letters = tuple((g, -e) for g, e in reversed(letters))
+    shift %= len(letters)
+    return letters[shift:] + letters[:shift]
+
+
+def _group_map_decisions(tmp, e_rels, g_rels):
+    """Every group-map decision over E = <a, b | e_rels> and G = <a, b |
+    g_rels>: None for a refusal, else what was built, without the groups."""
+    E = GroupPresentation(("a", "b"), tuple(map(Word, e_rels)))
+    G = GroupPresentation(("a", "b"), tuple(map(Word, g_rels)))
+    # G * <c | c c>, the ambient group of an extension of a family of E
+    GF = GroupPresentation(("a", "b", "c"), G.relators + (Word(((2, 2),)),))
+    basis, cosets = [[2, 0], [0, 1]], [Word(()), Word(((0, 1),))]
+    makers = [
+        lambda: extend_free_product(trivial_family(E), GF),
+        lambda: extend_free_product(character_family_Zn(2, 2, ("a", "b")), GF),
+        lambda: SublatticeCover(G, basis, cosets),
+        lambda: KleinBottleCover(G),
+        lambda: pullback_family(trivial_family(E, 2), SublatticeCover(G, basis, cosets)),
+        lambda: pullback_family(trivial_family(E, 2), KleinBottleCover(G)),
+        lambda: induce_family(trivial_family(E), SublatticeCover(G, basis, cosets)),
+        lambda: induce_family(trivial_family(E), KleinBottleCover(G)),
+    ]
+    out = []
+    for make in makers:
+        try:
+            built = make()
+        except ValueError:
+            out.append(None)
+            continue
+        if isinstance(built, Family):
+            out.append((built.structure, built.fiber_dims, built.chern))
+        else:
+            out.append(dataclasses.replace(built, ambient=None))
+    (tmp / "g.grp").write_text(format_presentation(G) + "\n")
+    for expr in ("pullback(trivial(group=g.grp, dim=2), group=g.grp)",
+                 "pullback(trivial(group=g.grp, dim=2), cover=klein_even, group=g.grp)",
+                 "induce(char_zn(2, 2), cosets=[e, b], group=g.grp)",
+                 "induce(char_zn(2, 2), cover=klein_even, group=g.grp)"):
+        (tmp / "f.fam").write_text(expr + "\n")
+        (tmp / "f.json").unlink(missing_ok=True)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(["family", "build", "--expr", str(tmp / "f.fam"),
+                            "--out", str(tmp / "f.json")])
+        record = json.loads((tmp / "f.json").read_text()) if code == 0 else None
+        out.append((code, record and {k: v for k, v in record.items() if k != "group"}))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_SHARED_RELATOR, max_size=3))
+def test_rotating_or_inverting_relators_changes_no_group_map_decision(relators):
+    """extend, pullback, induce, both cover models and the CLI's inferred and
+    explicit klein_even decide alike when each relator is written as any
+    rotation of itself or of its inverse."""
+    canonical = ([r for r, (in_e, _), _, _ in relators if in_e],
+                 [r for r, (_, in_g), _, _ in relators if in_g])
+    rewritten = ([_rewrite(r, *e) for r, (in_e, _), e, _ in relators if in_e],
+                 [_rewrite(r, *g) for r, (_, in_g), _, g in relators if in_g])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert _group_map_decisions(tmp, *rewritten) == _group_map_decisions(tmp, *canonical)
 
 
 def test_skew_sublattice_pullback_exact_matches_numeric():
@@ -1119,6 +1231,30 @@ def test_klein_pullback_keeps_the_exact_form_of_a_trivial_family():
     _assert_same_family(
         pullback_family(ind, KleinBottleCover()), _pullback_reference(ind, KleinBottleCover())
     )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_char_zn_form_is_the_product_of_its_factors_in_order(n):
+    reference = MultiForm.constant(1)
+    for j in range(1, n + 1):
+        reference = reference * (1 + zgen(j) * xgen(j))
+    assert character_family_Zn(n, 2).chern == (reference,)
+
+
+def test_char_zn_past_the_term_budget_is_refused_from_its_halves(monkeypatch):
+    products = []
+    wedge = families.MultiForm.__mul__
+
+    def counted(a, b):
+        products.append(len(a.terms()) * len(b.terms()) if isinstance(b, MultiForm) else 0)
+        return wedge(a, b)
+
+    monkeypatch.setattr(families.MultiForm, "__mul__", counted)
+    with pytest.raises(ValueError, match="256 and 512 terms takes 131072 term products"):
+        character_family_Zn(17, 2)
+    # the refused product of the halves, 2^8 and 2^9 terms, comes after
+    # products of at most 2^4 x 2^5 term pairs, not after building char_zn(16)
+    assert products[-1] == 2**17 and max(products[:-1]) == 2**9
 
 
 def test_verify_budget_bounds_each_component(monkeypatch):

@@ -14,14 +14,17 @@ of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
 one exact family and one Klein-bottle family (the numeric path), and then on
 each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
-``extend`` and ``pullback`` expressions the benchmark never builds, and
-families of the group with no generators.  Then come the ``covers`` ops:
+``extend`` and ``pullback`` expressions the benchmark never builds,
+families of the group with no generators, inductions and a pullback along
+``klein_even`` over a Klein-bottle group whose relator is rotated, and an
+extension into Z^2 * Z.  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
 too many coset words, ones of index past the bound ``families.MAX_INDEX``
-and an unknown cover, and then ``CLASS_BUDGET``, ``detect run`` against a
-descriptor of more homology classes than are built.  Then come the
+and an unknown cover, and then ``BUDGETS``, inputs past the bounds on
+homology classes, term products of a wedge and detection-matrix cells,
+each to be refused with exit 3 before the work starts.  Then come the
 ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
@@ -89,6 +92,11 @@ FAMILIES = (
     "extend(trivial(group=e.grp), group=e.grp)",
     "extend(char_zn(2, 8, gens=[a, b]), group=klein.grp)",
     "extend(char_zn(2, 8, gens=[a, b]), group=f2.grp)",
+    "induce(char_zn(2, 8), cosets=[e, b], group=klein_rotated.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[e, b], group=klein_rotated.grp)",
+    "pullback(trivial(group=klein_rotated.grp, dim=2), cover=klein_even, "
+    "group=klein_rotated.grp)",
+    "extend(char_zn(2, 8, gens=[a, b]), group=z2_free.grp)",
 )
 COVERS = (
     "induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
@@ -116,13 +124,29 @@ COVERS = (
     "pullback(char_zn(2, 8), cover=bogus)",
     "induce(char_zn(2, 4), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=f2.grp)",
 )
-CLASS_BUDGET = ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam")
+# argv of each budget op, the last ``covers`` ops, file names relative to the
+# run directory: a descriptor of more homology classes than are built, a
+# character form of more term products than are computed, and an exact
+# detection matrix of more cells than are computed
+BUDGETS = (
+    ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam"),
+    ("family", "build", "--expr", "zn17.fam"),
+    ("detect", "run", "--group", "free_abelian(12)", "--families", "zn12.fam"),
+)
+BUDGET_FILES = {
+    "z2.fam": "char_zn(2, 8)\n",
+    "zn17.fam": "char_zn(17, 2)\n",
+    "zn12.fam": "char_zn(12, 2)\n",
+}
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
     "f2.grp": "gens: a b ; rels: ;\n",
     "z2.grp": "gens: a b ; rels: a b a^-1 b^-1 ;\n",
     "e.grp": "gens: ; rels: ;\n",
     "z1.grp": "gens: a ; rels: ;\n",
+    # the Klein-bottle group with its relator rotated, and Z^2 * Z
+    "klein_rotated.grp": "gens: a b ; rels: b a b^-1 a ;\n",
+    "z2_free.grp": "gens: a b c ; rels: a b a^-1 b^-1 ;\n",
 }
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
@@ -190,9 +214,10 @@ def _family_ops(run_dir: Path, exprs=FAMILIES):
 def _cover_ops(run_dir: Path):
     """(argv, out path, label) of every ``covers`` op; writes its input files."""
     yield from _family_ops(run_dir, COVERS)
-    (run_dir / "z2.fam").write_text(USAGE_FILES["z2.fam"])
-    argv = [str(run_dir / a) if a.endswith(".fam") else a for a in CLASS_BUDGET]
-    yield argv, None, " ".join(CLASS_BUDGET)
+    for name, text in BUDGET_FILES.items():
+        (run_dir / name).write_text(text)
+    for argv in BUDGETS:
+        yield [str(run_dir / a) if a.endswith(".fam") else a for a in argv], None, " ".join(argv)
 
 
 def _certificate_ops(run_dir: Path):
