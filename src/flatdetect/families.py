@@ -33,13 +33,15 @@ Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
 a cover pulls back along the inclusion of its subgroup, and ``extend`` along
 the retraction G -> E that kills F's generators.  Every group map, a
-cover's too, is checked by one relator rule, ``_check_relators``.  Every
-pullback substitutes the abelianized images into the exact form.
+cover's too, is checked by one relator rule, ``_check_relators``, which
+compares cyclic words as text in time linear in their length and caches
+nothing; one block evaluator, ``_word_blocks``, serves pullbacks and
+inductions alike.  Every pullback substitutes the abelianized images into
+the exact form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,7 +59,6 @@ from .presentation import (
     free_abelian,
     free_reduce,
     klein_bottle,
-    spell,
 )
 from .repvar import RepPoint, relator_defect, unitarity_defect
 
@@ -76,6 +77,10 @@ MAX_LOOP_SAMPLES = 2**16
 # induction's coset table takes index^2 rewrites per ambient generator
 # (inducing char_zn(1, 3) along circle(256) takes 0.7 s on a shared 2-core VM)
 MAX_INDEX = 2**8
+# the most connected components of a parameter space; a product multiplies the
+# counts, so nested products pass any bound in a few hundred bytes (a family
+# build of 2^12 components takes 2.0 s on a 2-core VM, of 2^13 3.5 s)
+MAX_COMPONENTS = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +140,20 @@ def FinitePointSet(count: int) -> ParameterSpace:
 def ProductSpace(left: ParameterSpace, right: ParameterSpace) -> ParameterSpace:
     """Components in left-major order; a point's coordinates are the left
     factor's followed by the right factor's."""
+    _check_components(left.n_components * right.n_components)
     components = tuple(a + b for a in left.components for b in right.components)
     return ParameterSpace(components, f"({left.label} x {right.label})")
 
 
 def DisjointUnionSpace(left: ParameterSpace, right: ParameterSpace) -> ParameterSpace:
+    _check_components(left.n_components + right.n_components)
     return ParameterSpace(left.components + right.components, f"({left.label} | {right.label})")
+
+
+def _check_components(count: int) -> None:
+    if count > MAX_COMPONENTS:
+        raise ValueError(f"a parameter space of {count} components is more than the "
+                         f"{MAX_COMPONENTS} supported at most")
 
 
 # ---------------------------------------------------------------------------
@@ -380,25 +393,26 @@ def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int
     ``images[p]`` and the others to the identity, is a homomorphism when each
     relator of G maps to the identity or, letter by letter, to a cyclic
     rotation of one of E's relators or of its inverse; else a ValueError
-    formats ``message`` with the first relator of G that does not."""
-    own = _relator_rotations(E)
+    formats ``message`` with the first relator of G that does not.  As text,
+    an image is a rotation of t when, after a space, it occurs in " " + t + t
+    and has t's length and letter set, the key of E's words it is tried on."""
+    own: dict[tuple, list[str]] = {}
+    for r in E.relators:
+        for w in (r, r.inverse()):
+            key, t = _cyclic_text(w.letters)
+            own.setdefault(key, []).append(" " + t + t)
     for rel in G.relators:
-        image = tuple((images[g], e) for g, e in spell(rel).letters if g in images)
-        if image and image not in own:
+        image = tuple((images[g], e) for g, e in rel.letters if g in images)
+        key, text = _cyclic_text(image)
+        if image and not any(" " + text in tt for tt in own.get(key, ())):
             raise ValueError(message.format(format_word(rel, G)))
 
 
-@functools.lru_cache(maxsize=16)
-def _relator_rotations(E: GroupPresentation) -> frozenset[tuple[tuple[int, int], ...]]:
-    """The letters of every cyclic rotation of each relator of E and of its
-    inverse, each run spelled out as letters of exponent +-1; kept for the
-    last few groups, which recur from one group map to the next."""
-    own = set()
-    for r in E.relators:
-        letters = spell(r).letters
-        for w in (letters, tuple((g, -e) for g, e in reversed(letters))):
-            own.update(w[i:] + w[:i] for i in range(len(w)))
-    return frozenset(own)
+def _cyclic_text(runs: Sequence[tuple[int, int]]) -> tuple[tuple, str]:
+    """A word as text, one token ``g+ `` or ``g- `` per letter, and the key
+    its rotations share: the text's length and the set of letters."""
+    text = "".join(f"{g}{'+-'[e < 0]} " * abs(e) for g, e in runs)
+    return (len(text), frozenset((g, e > 0) for g, e in runs)), text
 
 
 def disjoint_union(f: Family, g: Family) -> Family:
@@ -551,7 +565,8 @@ def _lattice_cover(
     mat = [[int(v) for v in row] for row in basis]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"basis must be {n} x {n} (columns = subgroup generators)")
-    model = _model_group(ambient.generators, any(-1 in signs for signs in holonomy))
+    model = (GroupPresentation(ambient.generators, klein_bottle().relators)
+             if any(-1 in signs for signs in holonomy) else free_abelian(n, ambient.generators))
     _check_relators(model, ambient, {i: i for i in range(n)},
                     "ambient group lacks the cover's relator {!r}, up to rotation and inversion")
     for rel in ambient.relators:
@@ -568,15 +583,6 @@ def _lattice_cover(
     words = (Word(tuple((i, row[j]) for i, row in enumerate(mat))) for j in range(n))
     return Cover(ambient, cosets, det, tuple(map(tuple, adjugate)), holonomy,
                  tuple(map(free_reduce, words)), index, f"{label}(index={index})")
-
-
-@functools.lru_cache(maxsize=8)
-def _model_group(names: tuple[str, ...], klein: bool) -> GroupPresentation:
-    """A cover's model group on the ambient's generator names, the Klein-bottle
-    group or Z^n; the last few are kept, as building them costs about the check."""
-    if klein:
-        return GroupPresentation(names, klein_bottle().relators)
-    return free_abelian(len(names), names)
 
 
 def SublatticeCover(
@@ -618,34 +624,48 @@ def _linear_forms(m: Iterable[Sequence]) -> list[MultiForm]:
     return [MultiForm({(("z", j + 1),): v for j, v in enumerate(row) if v}) for row in m]
 
 
+def _word_blocks(
+    f: Family, group: GroupPresentation, blocks: Sequence[Sequence[tuple[int, Word]]],
+    structure: str, chern: tuple[MultiForm, ...] | None,
+) -> Family:
+    """The one evaluator of every group map: generator p of ``group`` acts by
+    c x c blocks, c = len(blocks[p]); for the j-th entry (i, w) of
+    ``blocks[p]``, block (i, j) is ``f`` at the word w, every other is zero."""
+    c = len(blocks[0]) if blocks else 1  # a group without generators has one coset
+
+    def ev(x, ci):
+        rep = f.evaluate_batch(x, ci)
+        k = rep.shape[-1]
+        out = np.zeros((len(x), len(blocks), k * c, k * c), dtype=complex)
+        for p, row in enumerate(blocks):
+            for j, (i, w) in enumerate(row):
+                out[:, p, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(w, rep)
+        return out
+
+    return Family(
+        group=group,
+        space=f.space,
+        fiber_dims=tuple(k * c for k in f.fiber_dims),
+        evaluate_fn=ev,
+        structure=structure,
+        chern=chern,
+    )
+
+
 def _pullback(
     f: Family, group: GroupPresentation, images: Sequence[Word], structure: str
 ) -> Family:
     """The pullback of ``f`` along the homomorphism ``group`` -> ``f.group``
     sending generator p to the word ``images[p]``: generator p acts by that
-    word, and the exact form substitutes the abelianized images, z_i by
-    sum_p (exponent sum of generator i in ``images[p]``) z_{p+1}."""
-
-    def ev(x, ci):
-        rep = f.evaluate_batch(x, ci)
-        out = np.empty((len(x), len(images)) + rep.shape[-2:], dtype=complex)
-        for p, w in enumerate(images):
-            out[:, p] = evaluate_word(w, rep)
-        return out
-
+    word, one block of ``_word_blocks``, and the exact form substitutes the
+    abelianized images, z_i by sum_p (exponent sum of generator i in
+    ``images[p]``) z_{p+1}."""
     chern = None
     if f.chern is not None:
         abelian = (_abelianize(w, len(f.group.generators)) for w in images)
         subst = _linear_forms(zip(*abelian))  # row i: generator i in each image
         chern = tuple(ch.subst_z(subst) for ch in f.chern)
-    return Family(
-        group=group,
-        space=f.space,
-        fiber_dims=f.fiber_dims,
-        evaluate_fn=ev,
-        structure=structure,
-        chern=chern,
-    )
+    return _word_blocks(f, group, [[(0, w)] for w in images], structure, chern)
 
 
 def pullback_family(f: Family, cover: Cover) -> Family:
@@ -701,28 +721,12 @@ def induce_family(f: Family, cover: Cover) -> Family:
                 )
             blocks[-1].append(hits[0])
 
-    def ev(x, ci):
-        rep = f.evaluate_batch(x, ci)
-        k = rep.shape[-1]
-        out = np.zeros((len(x), len(G.generators), k * c, k * c), dtype=complex)
-        for gi, row in enumerate(blocks):
-            for j, (i, w) in enumerate(row):
-                out[:, gi, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(w, rep)
-        return out
-
     chern = None
     if f.chern is not None and not any(-1 in signs for signs in cover.holonomy):
         # transfer on the rational exterior algebra: index * (pullback)^{-1} = index * adj / det
         images = _linear_forms([Fraction(a, cover.det) for a in row] for row in cover.adjugate)
         chern = tuple(cover.index * ch.subst_z(images) for ch in f.chern)
-    return Family(
-        group=G,
-        space=f.space,
-        fiber_dims=tuple(k * c for k in f.fiber_dims),
-        evaluate_fn=ev,
-        structure=f"induce({f.structure}, {cover.describe()})",
-        chern=chern,
-    )
+    return _word_blocks(f, G, blocks, f"induce({f.structure}, {cover.describe()})", chern)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import dataclasses
 import io
 import itertools
 import json
+import random
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -45,11 +47,13 @@ from flatdetect.presentation import (
     Word,
     evaluate_word,
     format_presentation,
+    format_word,
     free_abelian,
     free_group,
     free_reduce,
     klein_bottle,
     parse_presentation,
+    spell,
 )
 
 
@@ -82,6 +86,27 @@ def test_union_loop_is_the_component_loop():
     assert u.axis_loop(2, 0).tolist() == [[j / 2] for j in range(3)]
     with pytest.raises(ValueError, match="out of range"):
         u.axis_loop(0, 0)
+
+
+def test_component_bound_is_checked_before_the_components_are_built(tmp_path, monkeypatch):
+    # 2^24 components would take seconds to build; the count alone refuses them
+    big = FinitePointSet(families.MAX_COMPONENTS)
+    with pytest.raises(ValueError, match="of 16777216 components is more than the 4096"):
+        ProductSpace(big, big)
+    (tmp_path / "e.grp").write_text("gens: ; rels: ;\n")
+    point = expr = "trivial(group=e.grp)"
+    for _ in range(13):  # a point pair tensored in 13 times: 2^13 components
+        expr = f"tensor(union({point}, {point}), {expr})"
+    (tmp_path / "f.fam").write_text(expr + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.run(["family", "build", "--expr", str(tmp_path / "f.fam")]) == 3
+    assert "a parameter space of 8192 components is more than the 4096" in err.getvalue()
+    monkeypatch.setattr(families, "MAX_COMPONENTS", 6)
+    assert ProductSpace(FinitePointSet(2), FinitePointSet(3)).n_components == 6
+    assert DisjointUnionSpace(FinitePointSet(2), FinitePointSet(4)).n_components == 6
+    with pytest.raises(ValueError, match="of 7 components is more than the 6"):
+        DisjointUnionSpace(FinitePointSet(3), FinitePointSet(4))
 
 
 @st.composite
@@ -1262,3 +1287,191 @@ def test_verify_budget_bounds_each_component(monkeypatch):
     assert verify_family(character_family_Zn(2, 4))  # exactly the budget
     with pytest.raises(ValueError, match="the 17 grid has 17 points, more than the 16"):
         verify_family(character_family_Zn(1, 17))
+
+
+# ---------------------------------------------------------------------------
+# the relator rule as text, against the table of rotations it replaced
+# ---------------------------------------------------------------------------
+
+
+def _relator_rotations(E: GroupPresentation) -> frozenset:
+    """The letters of every cyclic rotation of each relator of E and of its
+    inverse, each run spelled out as letters of exponent +-1."""
+    own = set()
+    for r in E.relators:
+        letters = spell(r).letters
+        for w in (letters, tuple((g, -e) for g, e in reversed(letters))):
+            own.update(w[i:] + w[:i] for i in range(len(w)))
+    return frozenset(own)
+
+
+def _first_foreign_relator(G: GroupPresentation, E: GroupPresentation, images) -> str | None:
+    """The first relator of G whose image is neither trivial nor in the
+    rotation table of E, formatted; None when there is none."""
+    own = _relator_rotations(E)
+    for rel in G.relators:
+        image = tuple((images[g], e) for g, e in spell(rel).letters if g in images)
+        if image and image not in own:
+            return format_word(rel, G)
+    return None
+
+
+def _edit(letters, n, draw):
+    """``letters`` with one letter changed, dropped, added or swapped with
+    its neighbour, of generators below n."""
+    letters = list(letters)
+    at = draw(st.integers(0, len(letters)))
+    kind = draw(st.sampled_from(("change", "drop", "add", "swap")))
+    letter = (draw(st.integers(0, n - 1)), draw(st.sampled_from((1, -1))))
+    if kind == "add" or not letters:
+        letters.insert(at, letter)
+    elif kind == "swap" and at + 1 < len(letters):
+        letters[at], letters[at + 1] = letters[at + 1], letters[at]
+    else:
+        at = min(at, len(letters) - 1)
+        letters[at:at + 1] = [letter] if kind == "change" else []
+    return letters
+
+
+@st.composite
+def _relator_check(draw):
+    """(G, E, images): E on 1-12 generators with relators of 0-12 letters,
+    periodic ones among them; G on E's generators, permuted, plus up to two
+    killed ones, with relators that are rotations or inversions of E's, edits
+    of them, powers of E's periods or random words."""
+    n = draw(st.integers(1, 12))
+    letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    period = st.lists(letter, min_size=1, max_size=4)
+    e_rels = draw(st.lists(st.one_of(
+        st.lists(letter, max_size=12),
+        st.tuples(period, st.integers(1, 3)).map(lambda pk: pk[0] * pk[1]),
+    ), max_size=4))
+    E = GroupPresentation(tuple(f"e{i}" for i in range(n)), tuple(map(Word, map(tuple, e_rels))))
+    extra = draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n + extra)))
+    images = {perm[i]: i for i in range(n)}  # G's generator perm[i] maps to e_i
+    spelled = [spell(r).letters for r in E.relators if r.letters]
+    g_rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("rotation", "rotation", "edit", "power", "random")))
+        if kind in ("rotation", "edit", "power") and spelled:
+            w = draw(st.sampled_from(spelled))
+            if kind == "power":  # (a b)^3 against (a b)^2 b a and the like
+                w = w[:draw(st.integers(1, len(w)))] * draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                w = tuple((g, -e) for g, e in reversed(w))
+            shift = draw(st.integers(0, len(w) - 1))
+            w = w[shift:] + w[:shift]
+            if kind == "edit":
+                w = _edit(w, n, draw)
+        else:
+            w = draw(st.lists(letter, min_size=1, max_size=12))
+        w = [(perm[g], e) for g, e in w]
+        for _ in range(draw(st.integers(0, 2)) if extra else 0):  # killed letters
+            w.insert(draw(st.integers(0, len(w))), (draw(st.sampled_from(perm[n:])), 1))
+        g_rels.append(Word(tuple(w)))
+    G = GroupPresentation(tuple(f"g{i}" for i in range(n + extra)), tuple(g_rels))
+    return G, E, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relator_check())
+def test_relator_text_rule_decides_as_the_rotation_table(case):
+    G, E, images = case
+    expected = _first_foreign_relator(G, E, images)
+    if expected is None:
+        families._check_relators(G, E, images, "{}")
+    else:
+        with pytest.raises(ValueError) as err:
+            families._check_relators(G, E, images, "{}")
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("e_rel, g_rel, holds", [
+    ("e1 e11", "e11 e1", True),
+    ("e11 e1", "e1 e1", False),  # '1+ 1+ ' lies inside '11+ 1+ 11+ 1+ ' off a letter
+    ("e1 e2 e1 e2 e1 e2", "e1 e2 e1 e2 e2 e1", False),  # (a b)^3, (a b)^2 b a
+    ("e1 e2 e1 e2 e1 e2", "e2 e1 e2 e1 e2 e1", True),
+    ("e1 e2 e1 e2 e1 e2", "e2^-1 e1^-1 e2^-1 e1^-1 e2^-1 e1^-1", True),
+    ("e1 e1^-1", "e1", False),  # E's relator reduces to the empty word, matching none
+])
+def test_relator_text_rule_examples(e_rel, g_rel, holds):
+    names = " ".join(f"e{i}" for i in range(12))
+    E = parse_presentation(f"gens: {names} ; rels: {e_rel} ;")
+    G = parse_presentation(f"gens: {names} ; rels: {g_rel} ;")
+    images = dict(enumerate(range(12)))
+    assert (_first_foreign_relator(G, E, images) is None) == holds
+    if holds:
+        families._check_relators(G, E, images)
+    else:
+        with pytest.raises(ValueError, match="is not a relator"):
+            families._check_relators(G, E, images)
+
+
+def _reduced_word(names: str, length: int, rng) -> str:
+    letters: list[str] = []
+    while len(letters) < length:
+        letter = rng.choice(names) + rng.choice(("", "^-1"))
+        if not letters or letters[-1][0] != letter[0] or letters[-1] == letter:
+            letters.append(letter)
+    return " ".join(letters)
+
+
+def test_long_relators_are_checked_in_memory_linear_in_their_length(tmp_path):
+    """A relator of 8000 letters: the table of its rotations took about 1 GB."""
+    rng = random.Random(0)
+    free_word, z2_word = _reduced_word("cd", 8000, rng), _reduced_word("ab", 8000, rng)
+    (tmp_path / "f.grp").write_text(f"gens: a b c d ; rels: a b a^-1 b^-1 , {free_word} ;\n")
+    (tmp_path / "z.grp").write_text(f"gens: a b ; rels: a b a^-1 b^-1 , {z2_word} ;\n")
+    (tmp_path / "ext.fam").write_text("extend(char_zn(2, 8, gens=[a, b]), group=f.grp)\n")
+    (tmp_path / "ind.fam").write_text(
+        "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z.grp)\n"
+    )
+    codes, err = [], io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            for name in ("ext", "ind"):
+                codes.append(cli.run(["family", "build", "--expr", str(tmp_path / f"{name}.fam"),
+                                      "--out", str(tmp_path / f"{name}.json")]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == [0, 3]
+    assert err.getvalue() == (f"error: ambient relator {z2_word!r} does not hold in the "
+                              "cover's model group\n")
+    assert peak < 50 * 2**20
+
+
+def _per_image_stack(f: Family, images: Sequence[Word], x, ci):
+    """A pullback's stack as the per-image loop built it: generator p acts
+    by ``f`` at the word ``images[p]``."""
+    rep = f.evaluate_batch(x, ci)
+    out = np.empty((len(x), len(images)) + rep.shape[-2:], dtype=complex)
+    for p, w in enumerate(images):
+        out[:, p] = evaluate_word(w, rep)
+    return out
+
+
+def _extend_case(split):
+    f, G = split
+    images = [Word(((f.group.generator_index(name), 1),)) if name in f.group.generators
+              else Word(()) for name in G.generators]
+    return f, extend_free_product(f, G), images
+
+
+def _pullback_case(case):
+    f, cover = case
+    return f, pullback_family(f, cover), cover.sub_generator_words
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_free_product_split().map(_extend_case),
+                 _sublattice_pullback().map(_pullback_case)), st.data())
+def test_block_evaluator_matches_the_per_image_stacks(case, data):
+    f, pulled, images = case
+    for ci in range(f.space.n_components):
+        d = f.space.component_x_dim(ci)
+        coords = st.floats(0, 1, exclude_max=True, allow_subnormal=False)
+        x = np.array(data.draw(st.lists(coords, min_size=3 * d, max_size=3 * d))).reshape(3, d)
+        assert np.array_equal(pulled.evaluate_batch(x, ci), _per_image_stack(f, images, x, ci))

@@ -16,16 +16,20 @@ each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds,
 families of the group with no generators, inductions and a pullback along
-``klein_even`` over a Klein-bottle group whose relator is rotated, and an
-extension into Z^2 * Z.  Then come the ``covers`` ops:
+``klein_even`` over a Klein-bottle group whose relator is rotated, an
+extension into Z^2 * Z, and two group files with one relator of
+``LONG_RELATOR`` letters: an extension into Z^2 * <c, d | long word> that
+builds, and an induction over <a, b | [a, b], long word> that the cover
+refuses.  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
 too many coset words, ones of index past the bound ``families.MAX_INDEX``
 and an unknown cover, and then ``BUDGETS``, inputs past the bounds on
-homology classes, term products of a wedge and detection-matrix cells,
-each to be refused with exit 3 before the work starts.  Then come the
-``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
+homology classes, term products of a wedge, detection-matrix cells and
+parameter-space components, each to be refused with exit 3 before the work
+starts, and one family of exactly ``families.MAX_COMPONENTS`` components.
+Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults) run in order and then in reverse in the same process, so that
@@ -52,6 +56,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -97,6 +102,9 @@ FAMILIES = (
     "pullback(trivial(group=klein_rotated.grp, dim=2), cover=klein_even, "
     "group=klein_rotated.grp)",
     "extend(char_zn(2, 8, gens=[a, b]), group=z2_free.grp)",
+    "extend(char_zn(2, 8, gens=[a, b]), group=long_free.grp)",
+    "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], "
+    "group=long_z2.grp)",
 )
 COVERS = (
     "induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
@@ -127,17 +135,47 @@ COVERS = (
 # argv of each budget op, the last ``covers`` ops, file names relative to the
 # run directory: a descriptor of more homology classes than are built, a
 # character form of more term products than are computed, and an exact
-# detection matrix of more cells than are computed
+# detection matrix of more cells than are computed, and parameter spaces of
+# 2^12 components (the bound, built) and 2^13 components (refused)
 BUDGETS = (
     ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam"),
     ("family", "build", "--expr", "zn17.fam"),
     ("detect", "run", "--group", "free_abelian(12)", "--families", "zn12.fam"),
+    ("family", "build", "--expr", "comp12.fam"),
+    ("family", "build", "--expr", "comp13.fam"),
 )
+
+
+def _components(levels: int) -> str:
+    """A family of 2^levels components over the trivial group: a point pair
+    tensored with itself ``levels`` times."""
+    expr = "trivial(group=e.grp)"
+    for _ in range(levels):
+        expr = f"tensor(union(trivial(group=e.grp), trivial(group=e.grp)), {expr})"
+    return expr + "\n"
+
+
 BUDGET_FILES = {
     "z2.fam": "char_zn(2, 8)\n",
     "zn17.fam": "char_zn(17, 2)\n",
     "zn12.fam": "char_zn(12, 2)\n",
+    "comp12.fam": _components(12),
+    "comp13.fam": _components(13),
 }
+LONG_RELATOR = 8000
+
+
+def _reduced_word(names: str, length: int, rng: random.Random) -> str:
+    """A random freely reduced word of ``length`` letters in ``names``."""
+    letters: list[str] = []
+    while len(letters) < length:
+        letter = rng.choice(names) + rng.choice(("", "^-1"))
+        if not letters or letters[-1][0] != letter[0] or letters[-1] == letter:
+            letters.append(letter)
+    return " ".join(letters)
+
+
+_RNG = random.Random(0)
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
     "f2.grp": "gens: a b ; rels: ;\n",
@@ -147,6 +185,11 @@ GROUP_FILES = {
     # the Klein-bottle group with its relator rotated, and Z^2 * Z
     "klein_rotated.grp": "gens: a b ; rels: b a b^-1 a ;\n",
     "z2_free.grp": "gens: a b c ; rels: a b a^-1 b^-1 ;\n",
+    # Z^2 * <c, d | long word>, and Z^2 with a long word as a second relator
+    "long_free.grp": "gens: a b c d ; rels: a b a^-1 b^-1 , "
+                     f"{_reduced_word('cd', LONG_RELATOR, _RNG)} ;\n",
+    "long_z2.grp": "gens: a b ; rels: a b a^-1 b^-1 , "
+                   f"{_reduced_word('ab', LONG_RELATOR, _RNG)} ;\n",
 }
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
