@@ -5,17 +5,18 @@ Subcommands: ``parse``, ``rep solve``, ``family build``, ``forms chern``,
 produce byte-identical outputs; exact results are serialized as rational
 strings, floats appear only in numeric diagnostics.
 
-Exit codes: 0 success, 2 usage error (including flag values out of range),
-3 input error (an unreadable or unwritable file, input nested too deeply, a
+Exit codes: 0 success, 2 usage error (including flag values out of range), 3
+input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
-presentation with no generators to solve for, a family paired with a group
-it is not a family of or a class label that is no word of its group, a
-pullback or induction of a family of another group than the cover's, a
-coset list of another length than the cover's index, a cover index above
-``families.MAX_INDEX``, a group descriptor of more than
-``detect.MAX_CLASSES`` homology classes, a wedge of forms past
-``charforms.MAX_TERM_PRODUCTS`` term products, or an exact detection matrix
-of more than ``detect.MAX_CELLS`` cells),
+presentation with no generators to solve for, a family paired with a group it
+is not a family of or a class label that is no word of its group, a pullback or
+induction of a family of another group than the cover's, a coset list of
+another length than the cover's index, a cover index above
+``families.MAX_INDEX``, a group descriptor of more than ``detect.MAX_CLASSES``
+homology classes, ``detect.MAX_RELATION_CELLS`` exponent-sum cells or
+``detect.MAX_CYCLE_TERMS`` prefix sums read, a wedge of forms past
+``charforms.MAX_TERM_PRODUCTS`` term products, or an exact detection matrix of
+more than ``detect.MAX_CELLS`` cells),
 4 solver non-convergence,
 5 obstruction or verification failure.
 
@@ -302,6 +303,8 @@ _CONSTRUCTORS = {
     "free": ("descriptor", ("int",), {}, (), detect.Free),
     "free_abelian": ("descriptor", ("int",), {}, (), detect.FreeAbelian),
     "surface": ("descriptor", ("int",), {}, (), detect.SurfaceClosed),
+    "group": ("descriptor", ("name",), {}, (), lambda path: detect.PresentationComplex(
+        f"group({path})", parse_presentation(Path(path).read_text()))),
     "free_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.FreeProduct),
     "direct_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.DirectProduct),
     "finite_index_super": ("descriptor", ("descriptor", "int", "name"),

@@ -3,9 +3,9 @@
 Rational K-homology is represented throughout by rational homology via the
 character isomorphism.  A group class is one value, ``GroupClass(label,
 basis)``, built with its basis by ``Free``, ``FreeAbelian``,
-``SurfaceClosed``, ``FreeProduct``, ``DirectProduct`` or ``FiniteIndexSuper``.
-Every class with a torus/wedge model carries its rational cycle, (z-part,
-coefficient) pairs in the base (z) labels, built by the constructors.  Both
+``SurfaceClosed``, ``PresentationComplex``, ``FreeProduct``, ``DirectProduct``
+or ``FiniteIndexSuper``.  Every class but a ``FiniteIndexSuper`` label has
+its rational cycle, (z-part, coefficient) pairs in the base (z) labels.  Both
 pairings run one loop: a class is a cycle {z-part: coefficient}, a family
 component a table {z-part: {x-monomial: value}}, and a cell the cycle's
 combination of table entries.  Both read base label z_i as the family's
@@ -24,13 +24,15 @@ reordering are absorbed into coefficients, never dropped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
 from .families import Cover, Family, _abelianize, axis_windings, induce_family, pullback_family
-from .presentation import PresentationError, Word, parse_word
+from .presentation import (GroupPresentation, PresentationError, Word, free_group, free_reduce,
+                           parse_word, surface_group)
 
 SCOPE_NOTE = (
     "Detectability is certified only over the structured parameter spaces "
@@ -41,6 +43,10 @@ SCOPE_NOTE = (
 
 # the most homology classes a descriptor builds (free_abelian(16) has 2^16)
 MAX_CLASSES = 2**16
+# the most cells (nonzero rows x columns) of an exponent-sum matrix eliminated: 1 s at 64 x 64
+MAX_RELATION_CELLS = 2**12
+# the most prefix sums read building the degree-2 cycles: surface(32767) reads 131068
+MAX_CYCLE_TERMS = 2**17
 # the most cells (rows x columns) of an exact detection matrix: free_abelian(11)
 # against char_zn(11, 2) has 2^22 and takes 3.1 s and 440 MB in a shared
 # 2-core VM; each further rank costs about 4x
@@ -59,9 +65,9 @@ class DetectionError(ValueError):
 @dataclass(frozen=True)
 class BasisClass:
     """A labeled rational homology class; ``cycle`` is its rational cycle in
-    the group's torus/wedge model, (z-part, coefficient) pairs with distinct
-    sorted z-parts, or None without a model (a positive-degree class of
-    ``FiniteIndexSuper`` or of ``SurfaceClosed(g >= 2)``)."""
+    the torus of the group's torsion-free abelianization, (z-part,
+    coefficient) pairs with distinct sorted z-parts, or None without a model
+    (a positive-degree class of ``FiniteIndexSuper``)."""
 
     label: str
     degree: int
@@ -114,44 +120,98 @@ def _check_count(label: str, count: int, text: str | None = None) -> None:
 _POINT = (((), 1),)  # the point class's cycle: the empty z-part, coefficient 1
 
 
-def _torus(label: str, rank: int, top: int) -> GroupClass:
-    """The torus model of rank ``rank`` truncated above degree ``top``, which
-    is ``rank`` (2^rank classes) or at most 1 (a wedge, 1 + rank classes)."""
-    if top == rank:  # 2^rank, capped just past the bound
-        _check_count(label, 2 ** min(rank, MAX_CLASSES.bit_length()), f"2^{rank}")
-    else:
-        _check_count(label, 1 + rank * top)
-    classes = [
-        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, ((subset, 1),))
-        for q in range(top + 1)
-        for subset in itertools.combinations(range(1, rank + 1), q)
-    ]
-    return _group_class(label, classes, top, rank)
+def _prefix_sums(w: Word):
+    """Each run (g, e) of w with the nonzero exponent sums {h: p} of the prefix before it."""
+    prefix = {}
+    for g, e in w.letters:
+        yield g, e, prefix
+        if p := prefix.pop(g, 0) + e:
+            prefix[g] = p
+
+
+def _omega(w: Word) -> dict[tuple[int, int], int]:
+    """Twice w's cycle omega(w), {(i, j): int}: 1/2 sum over its letters of (the exponent
+    sum of the prefix before it) ^ (the letter), reading the prefix's nonzero sums only."""
+    twice = {}
+    for g, e, prefix in _prefix_sums(w):
+        for h, p in prefix.items():
+            if h != g:
+                key, v = ((h + 1, g + 1), p * e) if h < g else ((g + 1, h + 1), -p * e)
+                twice[key] = twice.get(key, 0) + v
+    return {z: v for z, v in twice.items() if v}
+
+
+def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
+    """Degrees 0..2 of the rational homology of G's presentation 2-complex: H_1, the cokernel
+    of the exponent-sum matrix, has a class z{g} per generator g that is no pivot of its
+    elimination; H_2, its kernel, a class per integer kernel vector n, of cycle sum_k n_k
+    omega(r_k), labeled by that cycle or, if 0 or a label already, by n.  Sound by Hopf's
+    formula for families of G, complete if aspherical.  Elimination is refused past
+    MAX_RELATION_CELLS, and every omega past MAX_CYCLE_TERMS prefix sums read in all."""
+    n = len(G.generators)
+    # exponent sums: sorted, a word's runs of one generator merge into one
+    rows = [dict(free_reduce(Word(tuple(sorted(r.letters)))).letters) for r in G.relators]
+    if (nonzero := sum(map(bool, rows))) * n > MAX_RELATION_CELLS:
+        raise ValueError(f"{label} has an exponent-sum matrix of {nonzero} nonzero rows and {n} "
+                         f"columns, more than the {MAX_RELATION_CELLS} cells eliminated at most")
+    # tag columns right to left, so that a kernel vector stops at its own tag
+    last = n + len(rows) - 1
+    reduced = reduce_rows({**{g: Fraction(e) for g, e in row.items()}, last - k: Fraction(1)}
+                          for k, row in enumerate(rows))
+    pivots = {min(row) for row in reduced if min(row) < n}
+    kernel = [{last - t: c for t, c in row.items()} for row in reduced if min(row) >= n]
+    _check_count(label, 1 + n - len(pivots) + len(kernel))
+    reads = {k: sum(len(p) for *_, p in _prefix_sums(G.relators[k]))
+             for k in {k for vec in kernel for k in vec}}
+    if (total := sum(reads[k] for vec in kernel for k in vec)) > MAX_CYCLE_TERMS:
+        raise ValueError(f"{label} reads {total} prefix sums building its degree-2 cycles, more "
+                         f"than the {MAX_CYCLE_TERMS} read at most")
+    omegas = {k: _omega(G.relators[k]) for k in reads}
+    classes = [BasisClass("pt", 0, _POINT)]
+    classes += [BasisClass(f"z{g + 1}", 1, (((g + 1,), 1),)) for g in range(n) if g not in pivots]
+    taken = set()  # no relator combination reads as a cycle
+    for vec in kernel:
+        scale = math.lcm(*(c.denominator for c in vec.values()))
+        vec = {k: int(c * scale) for k, c in vec.items()}  # primitive, as an entry was 1
+        twice: dict = {}
+        for k, c in vec.items():
+            for z, v in omegas[k].items():
+                twice[z] = twice.get(z, 0) + c * v
+        cycle = tuple((z, Fraction(v, 2)) for z, v in sorted(twice.items()) if v)
+        name = format_combination(("^".join(f"z{i}" for i in z), c) for z, c in cycle)
+        if not cycle or name in taken:
+            name = format_combination((f"r{k + 1}", c) for k, c in sorted(vec.items()))
+        taken.add(name)
+        classes.append(BasisClass(name, 2, cycle))
+    return _group_class(label, classes, classes[-1].degree, n)
 
 
 def Free(rank: int) -> GroupClass:
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    # a wedge of circles stops at degree 1
-    return _torus(f"free({rank})", rank, min(rank, 1))
+    label = f"free({rank})"
+    _check_count(label, 1 + rank)
+    return PresentationComplex(label, free_group(rank))
 
 
 def FreeAbelian(rank: int) -> GroupClass:
+    """The torus model: the presentation 2-complex would miss degree >= 3."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    return _torus(f"free_abelian({rank})", rank, rank)
+    label = f"free_abelian({rank})"
+    _check_count(label, 2 ** min(rank, MAX_CLASSES.bit_length()), f"2^{rank}")  # 2^rank, capped
+    classes = [
+        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, ((subset, 1),))
+        for q in range(rank + 1)
+        for subset in itertools.combinations(range(1, rank + 1), q)
+    ]
+    return _group_class(label, classes, rank, rank)
 
 
 def SurfaceClosed(genus: int) -> GroupClass:
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
     label = f"surface({genus})"
-    if genus == 1:
-        return _torus(label, 2, 2)
     _check_count(label, 2 * genus + 2)
-    ones = [BasisClass(f"{ab}{i}", 1, None) for i in range(1, genus + 1) for ab in "ab"]
-    classes = [BasisClass("pt", 0, _POINT), *ones, BasisClass("fundamental", 2, None)]
-    return _group_class(label, classes, 2, 2 * genus)
+    return PresentationComplex(label, surface_group(genus))
 
 
 def _factors(left: GroupClass, right: GroupClass):

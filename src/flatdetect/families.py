@@ -34,8 +34,8 @@ one operation, the pullback along a homomorphism given by generator images:
 a cover pulls back along the inclusion of its subgroup, and ``extend`` along
 the retraction G -> E that kills F's generators.  Every group map, a
 cover's too, is checked by one relator rule, ``_check_relators``, which
-compares cyclic words as text in time linear in their length and caches
-nothing; one block evaluator, ``_word_blocks``, serves pullbacks and
+keys cyclic words by their least rotation in time linear in their length and
+caches nothing; one block evaluator, ``_word_blocks``, serves pullbacks and
 inductions alike.  Every pullback substitutes the abelianized images into
 the exact form.
 """
@@ -393,26 +393,27 @@ def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int
     ``images[p]`` and the others to the identity, is a homomorphism when each
     relator of G maps to the identity or, letter by letter, to a cyclic
     rotation of one of E's relators or of its inverse; else a ValueError
-    formats ``message`` with the first relator of G that does not.  As text,
-    an image is a rotation of t when, after a space, it occurs in " " + t + t
-    and has t's length and letter set, the key of E's words it is tried on."""
-    own: dict[tuple, list[str]] = {}
-    for r in E.relators:
-        for w in (r, r.inverse()):
-            key, t = _cyclic_text(w.letters)
-            own.setdefault(key, []).append(" " + t + t)
+    formats ``message`` with the first relator of G that does not.  Words
+    are keyed by their least rotation, so each relator is one set lookup."""
+    own = {_least_rotation(w.letters) for r in E.relators for w in (r, r.inverse())}
     for rel in G.relators:
-        image = tuple((images[g], e) for g, e in rel.letters if g in images)
-        key, text = _cyclic_text(image)
-        if image and not any(" " + text in tt for tt in own.get(key, ())):
+        image = _least_rotation([(images[g], e) for g, e in rel.letters if g in images])
+        if image and image not in own:
             raise ValueError(message.format(format_word(rel, G)))
 
 
-def _cyclic_text(runs: Sequence[tuple[int, int]]) -> tuple[tuple, str]:
-    """A word as text, one token ``g+ `` or ``g- `` per letter, and the key
-    its rotations share: the text's length and the set of letters."""
-    text = "".join(f"{g}{'+-'[e < 0]} " * abs(e) for g, e in runs)
-    return (len(text), frozenset((g, e > 0) for g, e in runs)), text
+def _least_rotation(runs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The least cyclic rotation of a word's runs spelled letter by letter, g^+-1 coded
+    2g or 2g + 1, by the two-pointer search: a mismatch rules out k + 1 starts."""
+    s = [2 * g + (e < 0) for g, e in runs for _ in range(abs(e))]
+    n, i, j, k = len(s), 0, 1, 0
+    while j < n and k < n:  # the rotations at i and j agree on k letters
+        a, b = s[(i + k) % n], s[(j + k) % n]
+        if a == b:
+            k += 1
+        else:
+            i, j, k = (i, j + k + 1, 0) if a < b else (j, max(i + k + 1, j + 1), 0)
+    return tuple(s[i:] + s[:i])
 
 
 def disjoint_union(f: Family, g: Family) -> Family:

@@ -281,9 +281,8 @@ def surface_group(genus: int) -> GroupPresentation:
     if genus < 1:
         raise ValueError("genus must be >= 1")
     names = tuple(x for i in range(genus) for x in (f"a{i+1}", f"b{i+1}"))
-    rel = Word(())
-    for i in range(genus):
-        rel = rel * commutator(Word(((2 * i, 1),)), Word(((2 * i + 1, 1),)))
+    rel = Word(tuple(run for a in range(0, 2 * genus, 2)
+                     for run in ((a, 1), (a + 1, 1), (a, -1), (a + 1, -1))))
     return GroupPresentation(names, (rel,))
 
 

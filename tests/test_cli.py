@@ -361,6 +361,43 @@ def test_model_classes_pair_a_numeric_family_by_position(workdir, group, rows):
         assert rec["verdict"] == "undetected" and rec["undetected_classes"] == [rows[1]]
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_surface_groups_certify_exactly(workdir, genus):
+    """surface(g) against char_zn(2g, 4): the classes of the presentation
+    2-complex certify, and the fundamental row is -1 at each handle."""
+    fam = workdir / "torus.fam"
+    fam.write_text(f"char_zn({2 * genus}, 4)\n")
+    out = workdir / "surface.json"
+    argv = ["detect", "run", "--group", f"surface({genus})", "--families", str(fam)]
+    assert run(argv + ["--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["verdict"] == "FD-certified" and rec["mode"] == "exact"
+    fundamental = " + ".join(f"z{2 * i - 1}^z{2 * i}" for i in range(1, genus + 1))
+    assert rec["rows"] == ["pt", *(f"z{i}" for i in range(1, 2 * genus + 1)), fundamental]
+    handles = {f"f0.c0.x{2 * i - 1}^x{2 * i}" for i in range(1, genus + 1)}
+    assert rec["matrix"][-1] == ["-1/1" if c in handles else "0/1" for c in rec["columns"]]
+
+
+def test_group_file_descriptor_matches_the_built_in_groups(workdir, monkeypatch):
+    """group(FILE), read from the working directory, gives surface(2)'s exact
+    report and the Klein group's numeric matrix, rows pt and z2."""
+    monkeypatch.chdir(workdir)
+    (workdir / "s2.grp").write_text(
+        "gens: a1 b1 a2 b2 ; rels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 ;\n")
+    (workdir / "z4.fam").write_text("char_zn(4, 4)\n")
+    recs, names = [], []
+    for group, fam in [("surface(2)", "z4.fam"), ("group(s2.grp)", "z4.fam"),
+                       ("finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])",
+                        "klein.fam"),
+                       ("group(klein.grp)", "klein.fam")]:
+        assert run(["detect", "run", "--group", group, "--families", fam, "--out", "d.json"]) == 0
+        recs.append(json.loads(Path("d.json").read_text()))
+        names.append(recs[-1].pop("group"))
+    assert names[1::2] == ["group(s2.grp)", "group(klein.grp)"] and recs[1] == recs[0]
+    assert recs[3]["mode"] == "numeric" and recs[3]["rows"] == ["pt", "z2"]
+    assert recs[3]["matrix"] == recs[2]["matrix"] and recs[2]["rows"] == ["pt", "b"]
+
+
 def test_detect_run_undetected_exit5(workdir):
     (workdir / "z1.fam").write_text("char_zn(1, 4)\n")
     (workdir / "z1only.fam").write_text(
@@ -700,6 +737,23 @@ def test_exact_work_past_its_budgets_exit3(workdir, capsys, monkeypatch):
          "the detection matrix of free_abelian(12) has 4096 rows and 4096 columns, "
          "more than the 4194304 cells computed at most"),
     ]
+    names = " ".join(f"g{i}" for i in range(64))
+    dense = workdir / "dense.grp"  # 65 nonzero rows of 64 columns
+    dense.write_text(f"gens: {names} ; rels: {' , '.join([names] * 65)} ;\n")
+    cases.append((
+        ["detect", "run", "--group", f"group({dense})", "--families", str(workdir / "z2.fam")],
+        f"group({dense}) has an exponent-sum matrix of 65 nonzero rows and 64 columns, "
+        "more than the 4096 cells eliminated at most",
+    ))
+    names = [f"g{i}" for i in range(210)]  # [u, v], u = g0 ... g209, v its reverse
+    words = [names, names[::-1], [f"{g}^-1" for g in names[::-1]], [f"{g}^-1" for g in names]]
+    long = workdir / "commutator.grp"  # sums to zero and cycles to 0, but reads 3 n^2 - 2 n
+    long.write_text(f"gens: {' '.join(names)} ; rels: {' '.join(sum(words, []))} ;\n")
+    cases.append((
+        ["detect", "run", "--group", f"group({long})", "--families", str(workdir / "z2.fam")],
+        f"group({long}) reads 131880 prefix sums building its degree-2 cycles, "
+        "more than the 131072 read at most",
+    ))
     for argv, message in cases:
         assert run(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -826,6 +880,8 @@ def test_descriptor_signature_error_exit3(workdir, capsys):
     "group, message",
     [
         ("free(-1)", "rank must be >= 0"),
+        ("group(3)", "group argument 1 must be a name, got 3"),
+        ("group(missing.grp)", "[Errno 2] No such file or directory: 'missing.grp'"),
         ("char_zn(1, 4)", "unknown group descriptor 'char_zn'"),
         (
             "finite_index_super(free_abelian(2), 2, klein, homology=3)",

@@ -40,6 +40,7 @@ from flatdetect.families import (
     circle_cover,
     direct_sum,
     disjoint_union,
+    _abelianize,
     extend_free_product,
     induce_family,
     numeric_c1_windings,
@@ -48,7 +49,8 @@ from flatdetect.families import (
     trivial_family,
 )
 from flatdetect.presentation import (
-    PresentationError, Word, evaluate_word, format_word, free_abelian, free_group, free_reduce,
+    GroupPresentation, PresentationError, Word, commutator, evaluate_word, format_word,
+    free_abelian, free_group, free_reduce, klein_bottle, parse_presentation, spell,
     surface_group,
 )
 
@@ -140,6 +142,158 @@ def test_betti_surface_matches_cellular_oracle():
     assert _surface_betti_oracle(2) == (1, 4, 1)
     assert rational_homology(SurfaceClosed(2)).betti() == (1, 4, 1)
     assert rational_homology(SurfaceClosed(1)).betti() == _surface_betti_oracle(1)
+
+
+def _magnus_degree_two(w, n):
+    """The degree-2 Magnus coefficients c[i][j] (of X_i X_j) of w, each
+    generator g sent to 1 + X_g and g^-1 to 1 - X_g + X_g^2, truncated past
+    degree 2; independent of the library's omega."""
+    a = [0] * n
+    c = [[0] * n for _ in range(n)]
+    for g, e in spell(w).letters:
+        for i in range(n):
+            c[i][g] += a[i] * e
+        c[g][g] += e < 0
+        a[g] += e
+    return c
+
+
+def _antisymmetric(c):
+    """Twice the antisymmetrised part, {(i, j): c_ij - c_ji} over base labels i < j."""
+    return {(i + 1, j + 1): c[i][j] - c[j][i]
+            for i, j in itertools.combinations(range(len(c)), 2) if c[i][j] != c[j][i]}
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_surface_classes_match_the_cellular_oracle_and_the_magnus_sign(genus):
+    """Betti numbers from the cellular oracle; the fundamental cycle is +1 at
+    every handle z_{2i-1}^z_{2i}, the antisymmetrised degree-2 Magnus
+    coefficients of the relator, so the exact row reads -1 at x_{2i-1}^x_{2i}."""
+    basis = SurfaceClosed(genus).basis
+    assert basis.betti() == _surface_betti_oracle(genus)
+    assert [c.label for c in basis.classes[1]] == [f"z{i}" for i in range(1, 2 * genus + 1)]
+    (fundamental,) = basis.classes[2]
+    twice = _antisymmetric(_magnus_degree_two(surface_group(genus).relators[0], 2 * genus))
+    assert twice == {(2 * i - 1, 2 * i): 2 for i in range(1, genus + 1)}
+    assert dict(fundamental.cycle) == {z: Fraction(v, 2) for z, v in twice.items()}
+    rep = detection_matrix(SurfaceClosed(genus), [character_family_Zn(2 * genus, 4)])
+    assert rep.verdict == "FD-certified"
+    row = dict(zip(rep.col_labels, rep.matrix[-1]))
+    handles = {f"f0.c0.x{2 * i - 1}^x{2 * i}" for i in range(1, genus + 1)}
+    assert {col for col, e in row.items() if e} == handles
+    assert all(row[col] == -1 for col in handles)
+
+
+def test_presentation_complex_of_klein_and_of_a_repeated_relator():
+    """The Klein group has Betti numbers (1, 1); a relator given twice gives
+    two degree-2 rows of one cycle under distinct labels; a kernel vector of
+    cycle 0 stays a row, labeled by its relators, and is undetected."""
+    klein = detect.PresentationComplex("klein", klein_bottle()).basis
+    assert klein.betti() == (1, 1)
+    assert [c.label for c in klein.all_classes()] == ["pt", "z2"]
+    twice = detect.PresentationComplex(
+        "twice", parse_presentation("gens: a b ; rels: a b a^-1 b^-1 , a b a^-1 b^-1 ;")).basis
+    assert [(c.label, c.cycle) for c in twice.classes[2]] == [
+        ("z1^z2", (((1, 2), 1),)), ("r2", (((1, 2), 1),))]
+    torsion = detect.PresentationComplex(
+        "torsion", parse_presentation("gens: a b ; rels: a a , a a a , b a b^-1 a^-1 ;"))
+    assert [(c.label, c.cycle) for c in torsion.basis.classes[2]] == [
+        ("-3*r1 + 2*r2", ()), ("-z1^z2", (((1, 2), -1),))]
+    rep = detection_matrix(torsion, [character_family_Zn(2, 4)])
+    assert rep.verdict == "undetected" and rep.undetected_classes == ("-3*r1 + 2*r2",)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_presentation_complex_is_the_torus_model_through_degree_two(rank):
+    """free_abelian(n) keeps the torus model: its presentation 2-complex
+    agrees through degree 2 and misses degree >= 3."""
+    torus = FreeAbelian(rank)
+    complex_ = detect.PresentationComplex(torus.label, free_abelian(rank))
+    assert complex_.basis.classes == torus.basis.classes[:3]
+    assert (complex_ == torus) == (rank <= 2)
+
+
+def test_exponent_sum_budget_refuses_before_elimination(monkeypatch):
+    monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 4)
+    # zero rows are not counted: every relator of surface(3) sums to zero
+    assert SurfaceClosed(3).basis.betti() == (1, 6, 1)
+    G = parse_presentation("gens: a b c ; rels: a b , b c , a b a^-1 b^-1 ;")
+    monkeypatch.setattr(detect, "reduce_rows", None)  # no elimination may start
+    with pytest.raises(ValueError, match=re.escape(
+            "g has an exponent-sum matrix of 2 nonzero rows and 3 columns, more than "
+            "the 4 cells eliminated at most")):
+        detect.PresentationComplex("g", G)
+
+
+def _reversed_commutator(n: int) -> str:
+    """<g0, ..., g(n-1) | [u, v]>, u = g0 ... g(n-1) and v its reverse: the
+    relator sums to zero and its cycle is 0, yet omega reads 3 n^2 - 2 n
+    prefix sums (the two joins where a letter repeats are runs of 2)."""
+    names = [f"g{i}" for i in range(n)]
+    u, v = " ".join(names), " ".join(reversed(names))
+    inverse = " ".join(f"{g}^-1" for g in reversed(names))
+    return f"gens: {u} ; rels: {u} {v} {inverse} {' '.join(f'{g}^-1' for g in names)} ;\n"
+
+
+def test_cycle_term_budget_refuses_before_any_omega(monkeypatch):
+    built = detect.PresentationComplex("g", parse_presentation(_reversed_commutator(209)))
+    assert [(c.label, c.cycle) for c in built.basis.classes[2]] == [("r1", ())]  # 130625 read
+    G = parse_presentation(_reversed_commutator(210))
+    monkeypatch.setattr(detect, "_omega", None)  # no omega may start
+    with pytest.raises(ValueError, match=re.escape(
+            "g reads 131880 prefix sums building its degree-2 cycles, more than the 131072 "
+            "read at most")):
+        detect.PresentationComplex("g", G)
+    # the reads of every kernel vector add up: two of 4 each pass a bound of 7
+    monkeypatch.setattr(detect, "MAX_CYCLE_TERMS", 7)
+    twice = parse_presentation("gens: a b ; rels: a b a^-1 b^-1 , b a b^-1 a^-1 ;")
+    with pytest.raises(ValueError, match="g reads 8 prefix sums"):
+        detect.PresentationComplex("g", twice)
+
+
+def _twice_wedge(u, v, n):
+    """2 (ab(u) ^ ab(v)), {(i, j): coefficient} over base labels i < j."""
+    a, b = _abelianize(u, n), _abelianize(v, n)
+    return {(i + 1, j + 1): 2 * (a[i] * b[j] - a[j] * b[i])
+            for i, j in itertools.combinations(range(n), 2) if a[i] * b[j] != a[j] * b[i]}
+
+
+def _added(*terms):
+    out = {}
+    for term in terms:
+        for z, v in term.items():
+            out[z] = out.get(z, 0) + v
+    return {z: v for z, v in out.items() if v}
+
+
+_N_OMEGA = 4
+# words built from letters by products, commutators and conjugates
+_OMEGA_WORDS = st.recursive(
+    st.tuples(st.integers(0, _N_OMEGA - 1), st.sampled_from((1, -1))).map(lambda l: Word((l,))),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda uv: uv[0] * uv[1]),
+        st.tuples(inner, inner).map(lambda uv: commutator(*uv)),
+        st.tuples(inner, inner).map(lambda uv: uv[0] * uv[1] * uv[0].inverse()),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OMEGA_WORDS, _OMEGA_WORDS)
+def test_omega_satisfies_the_hand_formulas(u, v):
+    """omega(uv) = omega(u) + omega(v) + 1/2 ab(u)^ab(v), omega([u, v]) =
+    ab(u)^ab(v), omega is the antisymmetrised degree-2 Magnus coefficient and
+    is unchanged by free reduction; the library returns twice omega."""
+    def twice(w):
+        return detect._omega(w)
+
+    cross = _twice_wedge(u, v, _N_OMEGA)
+    assert twice(u * v) == _added(twice(u), twice(v), {z: c // 2 for z, c in cross.items()})
+    assert twice(commutator(u, v)) == cross
+    for w in (u, v, u * v):
+        assert twice(w) == _antisymmetric(_magnus_degree_two(w, _N_OMEGA))
+        assert twice(free_reduce(w)) == twice(w)
 
 
 def test_betti_free_product_adds_in_positive_degrees():
@@ -236,15 +390,14 @@ def _reference_homology(spec):
         ones = tuple(BasisClass(f"z{i}", 1, (((i,), 1),)) for i in range(1, n + 1))
         return HomologyBasis((point, ones), n)
     if kind == "surface":
+        # a_i and b_i are the cycles z_{2i-1} and z_{2i}; the fundamental
+        # class is the sum of the handles z_{2i-1}^z_{2i}
         (g,) = args
-        if g == 1:
-            return _reference_homology(("free_abelian", (2,)))
         point = (BasisClass("pt", 0, _POINT),)
-        ones = tuple(
-            BasisClass(name, 1, None) for i in range(1, g + 1) for name in (f"a{i}", f"b{i}")
-        )
-        top = (BasisClass("fundamental", 2, None),)
-        return HomologyBasis((point, ones, top), 2 * g)
+        ones = tuple(BasisClass(f"z{i}", 1, (((i,), 1),)) for i in range(1, 2 * g + 1))
+        handles = tuple(((2 * i - 1, 2 * i), 1) for i in range(1, g + 1))
+        label = " + ".join(f"z{a}^z{b}" for (a, b), _ in handles)
+        return HomologyBasis((point, ones, (BasisClass(label, 2, handles),)), 2 * g)
     if kind == "free_product":
         bl = _reference_homology(args[0])
         br = _reference_shift_basis(_reference_homology(args[1]), bl.z_dim, "R.")
@@ -942,8 +1095,9 @@ def test_detection_requires_exact_chern():
 
 
 def test_detection_modelless_class_routed_to_numeric():
-    with pytest.raises(DetectionError, match="numeric pairing path"):
-        detection_matrix(SurfaceClosed(2), [trivial_family(surface_group(2))])
+    d = FiniteIndexSuper(Free(1), 2, "t", (("pt",), ("t",)))  # no base labels, as the family
+    with pytest.raises(DetectionError, match="class 't' .* numeric pairing path"):
+        detection_matrix(d, [trivial_family(GroupPresentation((), ()))])
 
 
 # ---------------------------------------------------------------------------

@@ -1290,7 +1290,7 @@ def test_verify_budget_bounds_each_component(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the relator rule as text, against the table of rotations it replaced
+# the relator rule, keyed by least rotations, against the table of rotations it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -1336,16 +1336,22 @@ def _edit(letters, n, draw):
 @st.composite
 def _relator_check(draw):
     """(G, E, images): E on 1-12 generators with relators of 0-12 letters,
-    periodic ones among them; G on E's generators, permuted, plus up to two
-    killed ones, with relators that are rotations or inversions of E's, edits
-    of them, powers of E's periods or random words."""
+    periodic ones among them, or with 12-36 shuffles of one letter multiset,
+    which share length and letters; G on E's generators, permuted, plus up to
+    two killed ones, with relators that are rotations or inversions of E's,
+    edits of them, powers of E's periods, shuffles of that multiset or random
+    words."""
     n = draw(st.integers(1, 12))
     letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
     period = st.lists(letter, min_size=1, max_size=4)
-    e_rels = draw(st.lists(st.one_of(
-        st.lists(letter, max_size=12),
-        st.tuples(period, st.integers(1, 3)).map(lambda pk: pk[0] * pk[1]),
-    ), max_size=4))
+    shuffle = st.permutations(draw(st.lists(letter, min_size=2, max_size=8)))
+    if draw(st.booleans()):
+        e_rels = draw(st.lists(shuffle, min_size=12, max_size=36))
+    else:
+        e_rels = draw(st.lists(st.one_of(
+            st.lists(letter, max_size=12),
+            st.tuples(period, st.integers(1, 3)).map(lambda pk: pk[0] * pk[1]),
+        ), max_size=4))
     E = GroupPresentation(tuple(f"e{i}" for i in range(n)), tuple(map(Word, map(tuple, e_rels))))
     extra = draw(st.integers(0, 2))
     perm = draw(st.permutations(range(n + extra)))
@@ -1353,7 +1359,8 @@ def _relator_check(draw):
     spelled = [spell(r).letters for r in E.relators if r.letters]
     g_rels = []
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(("rotation", "rotation", "edit", "power", "random")))
+        kind = draw(st.sampled_from(("rotation", "rotation", "edit", "power", "shuffle",
+                                     "random")))
         if kind in ("rotation", "edit", "power") and spelled:
             w = draw(st.sampled_from(spelled))
             if kind == "power":  # (a b)^3 against (a b)^2 b a and the like
@@ -1364,6 +1371,8 @@ def _relator_check(draw):
             w = w[shift:] + w[:shift]
             if kind == "edit":
                 w = _edit(w, n, draw)
+        elif kind == "shuffle":
+            w = draw(shuffle)
         else:
             w = draw(st.lists(letter, min_size=1, max_size=12))
         w = [(perm[g], e) for g, e in w]

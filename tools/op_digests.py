@@ -10,8 +10,9 @@ through ``flatdetect.cli.run`` and prints one line per op:
     workload index exit-code stdout-digest stderr-digest out-digest label
 
 After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
-of ``DESCRIPTORS``, group descriptors the benchmark never builds, against
-one exact family and one Klein-bottle family (the numeric path), and then on
+of ``DESCRIPTORS``, group descriptors the benchmark never builds (``group``
+ones read the ``DESCRIPTOR_GROUPS`` files by absolute path), against one
+exact family and one Klein-bottle family (the numeric path), and then on
 each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
 the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
 ``extend`` and ``pullback`` expressions the benchmark never builds,
@@ -26,9 +27,12 @@ explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
 too many coset words, ones of index past the bound ``families.MAX_INDEX``
 and an unknown cover, and then ``BUDGETS``, inputs past the bounds on
-homology classes, term products of a wedge, detection-matrix cells and
-parameter-space components, each to be refused with exit 3 before the work
-starts, and one family of exactly ``families.MAX_COMPONENTS`` components.
+homology classes, term products of a wedge, detection-matrix cells,
+parameter-space components, the cells of a group file's exponent-sum matrix
+and the prefix sums read building its degree-2 cycles, each to be refused
+with exit 3 before the work starts, one family of exactly
+``families.MAX_COMPONENTS`` components, and ``surface(32767)``, the largest
+surface built, refused by the family's base labels.
 Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
@@ -78,9 +82,19 @@ DESCRIPTORS = (
     "free(2)",
     "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [a b, b a^-1, b b]])",
     "free_product(free(1), free(1))",
+    "group(<run>/klein.grp)",
+    "group(<run>/s2.grp)",
+    "group(<run>/torsion.grp)",
 )
 # descriptors whose base-label count differs from the exact family's
-EXACT_DESCRIPTORS = ("free_abelian(16)",)
+EXACT_DESCRIPTORS = ("free_abelian(16)", "surface(3)", "surface(4)")
+# the group files ``group(...)`` reads, ``<run>`` standing for the run directory:
+# surface(2), and a group whose degree-2 rows are one of cycle 0 (-3 r1 + 2 r2)
+# and two of the cycle z1^z2, the second labeled by its relator r4
+DESCRIPTOR_GROUPS = {
+    "s2.grp": "gens: a1 b1 a2 b2 ; rels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 ;\n",
+    "torsion.grp": "gens: a b c d ; rels: a a , a a a , a b a^-1 b^-1 , a b a^-1 b^-1 ;\n",
+}
 DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
     "klein": "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)",
@@ -136,13 +150,20 @@ COVERS = (
 # run directory: a descriptor of more homology classes than are built, a
 # character form of more term products than are computed, and an exact
 # detection matrix of more cells than are computed, and parameter spaces of
-# 2^12 components (the bound, built) and 2^13 components (refused)
+# 2^12 components (the bound, built) and 2^13 components (refused); then the
+# largest surface built, 65536 classes, refused by the family's base labels,
+# a group file whose exponent-sum matrix is past the bound on elimination, and
+# one whose single relator [u, v] sums to zero but reads 3 n^2 - 2 n = 131880
+# prefix sums building its cycle, past ``detect.MAX_CYCLE_TERMS``
 BUDGETS = (
     ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam"),
     ("family", "build", "--expr", "zn17.fam"),
     ("detect", "run", "--group", "free_abelian(12)", "--families", "zn12.fam"),
     ("family", "build", "--expr", "comp12.fam"),
     ("family", "build", "--expr", "comp13.fam"),
+    ("detect", "run", "--group", "surface(32767)", "--families", "z2.fam"),
+    ("detect", "run", "--group", "group(<run>/dense.grp)", "--families", "z2.fam"),
+    ("detect", "run", "--group", "group(<run>/commutator.grp)", "--families", "z2.fam"),
 )
 
 
@@ -155,8 +176,25 @@ def _components(levels: int) -> str:
     return expr + "\n"
 
 
+def _reversed_commutator(gens: int) -> str:
+    """A group file of one relator [u, v], u = g0 ... g(gens-1) and v its reverse."""
+    names = [f"g{i}" for i in range(gens)]
+    words = [names, names[::-1], [f"{g}^-1" for g in names[::-1]], [f"{g}^-1" for g in names]]
+    return f"gens: {' '.join(names)} ; rels: {' '.join(sum(words, []))} ;\n"
+
+
+def _dense_group(gens: int, rels: int, length: int) -> str:
+    """A group file of random relators whose exponent-sum matrix is dense."""
+    rng = random.Random(1)
+    names = [f"g{i}" for i in range(gens)]
+    words = (" ".join(rng.choice(names) for _ in range(length)) for _ in range(rels))
+    return f"gens: {' '.join(names)} ; rels: {' , '.join(words)} ;\n"
+
+
 BUDGET_FILES = {
     "z2.fam": "char_zn(2, 8)\n",
+    "dense.grp": _dense_group(64, 65, 128),
+    "commutator.grp": _reversed_commutator(210),
     "zn17.fam": "char_zn(17, 2)\n",
     "zn12.fam": "char_zn(12, 2)\n",
     "comp12.fam": _components(12),
@@ -230,13 +268,16 @@ USAGE_FILES = {
 def _descriptor_ops(run_dir: Path):
     """(argv, label) of every ``descriptors`` op; writes its input files."""
     (run_dir / "klein.grp").write_text(GROUP_FILES["klein.grp"])
+    for name, text in DESCRIPTOR_GROUPS.items():
+        (run_dir / name).write_text(text)
     paths = {}
     for name, expr in DESCRIPTOR_FAMILIES.items():
         paths[name] = run_dir / f"{name}.fam"
         paths[name].write_text(expr + "\n")
     for group in DESCRIPTORS:
         for name, path in paths.items():
-            argv = ["detect", "run", "--group", group, "--families", str(path)]
+            argv = ["detect", "run", "--group", group.replace("<run>", str(run_dir)),
+                    "--families", str(path)]
             yield argv, f"detect run {group} vs {name}"
     for group in EXACT_DESCRIPTORS:
         argv = ["detect", "run", "--group", group, "--families", str(paths["exact"])]
@@ -260,7 +301,8 @@ def _cover_ops(run_dir: Path):
     for name, text in BUDGET_FILES.items():
         (run_dir / name).write_text(text)
     for argv in BUDGETS:
-        yield [str(run_dir / a) if a.endswith(".fam") else a for a in argv], None, " ".join(argv)
+        yield ([str(run_dir / a) if a.endswith(".fam") else a.replace("<run>", str(run_dir))
+                for a in argv], None, " ".join(argv))
 
 
 def _certificate_ops(run_dir: Path):
