@@ -2,14 +2,16 @@
 
 Rational K-homology is represented throughout by rational homology via the
 character isomorphism.  A group class is one value, ``GroupClass(label,
-basis)``, built with its basis by ``Free``, ``FreeAbelian``,
-``SurfaceClosed``, ``PresentationComplex``, ``FreeProduct``, ``DirectProduct``
-or ``FiniteIndexSuper``.  Every class but a ``FiniteIndexSuper`` label has
-its rational cycle, (z-part, coefficient) pairs in the base (z) labels.  Both
-pairings run one loop: a class is a cycle {z-part: coefficient}, a family
-component a table {z-part: {x-monomial: value}}, and a cell the cycle's
-combination of table entries.  Both read base label z_i as the family's
-generator i, so both check the family's generator count first.  Exactly, a
+classes, z_dim, rows)``, its classes in degree order, built by ``Free``,
+``FreeAbelian``, ``SurfaceClosed``, ``PresentationComplex``, ``FreeProduct``,
+``DirectProduct`` or ``FiniteIndexSuper``.  Every class but a
+``FiniteIndexSuper`` label has its rational cycle, (z-part, coefficient)
+pairs in the base (z) labels.  Both pairings run one loop: a class is a
+cycle {z-part: coefficient}, a family component a table {z-part:
+{x-monomial: value}}, and a cell the cycle's combination of table entries.
+Both read base label z_i as the family's generator i, so both check first
+the family's generator count, then that each of the group's exponent-sum
+``rows`` is 0 in the rational abelianization of the family's group.  Exactly, a
 table is the component's character form split by z-part.  Numerically, for
 families without exact character data, a table holds the fiber rank and
 the determinant windings of the generators the cycles read; a class
@@ -58,7 +60,7 @@ class DetectionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Group classes and their rational homology bases
+# Group classes
 # ---------------------------------------------------------------------------
 
 
@@ -75,36 +77,28 @@ class BasisClass:
 
 
 @dataclass(frozen=True)
-class HomologyBasis:
-    classes: tuple[tuple[BasisClass, ...], ...]  # per degree
-    z_dim: int
-
-    def betti(self) -> tuple[int, ...]:
-        return tuple(len(cs) for cs in self.classes)
-
-    def all_classes(self):
-        return [c for degree in self.classes for c in degree]
-
-
-@dataclass(frozen=True)
 class GroupClass:
-    """A group class: its expression ``label`` and the labeled basis of the
-    rational homology of its classifying space."""
+    """A group class: its expression ``label``, the labeled basis of the
+    rational homology of its classifying space in degree order, the number
+    of base (z) labels its cycles read, and the nonzero exponent-sum rows of
+    its relators, ((z, sum), ...) each, that a family of it must satisfy."""
 
     label: str
-    basis: HomologyBasis
+    classes: tuple[BasisClass, ...]
+    z_dim: int
+    rows: tuple[tuple[tuple[int, int], ...], ...] = ()
 
     def describe(self) -> str:
         return self.label
 
+    def betti(self) -> tuple[int, ...]:
+        degrees = [c.degree for c in self.classes]
+        return tuple(map(degrees.count, range(degrees[-1] + 1)))
 
-def _group_class(label: str, classes: Sequence[BasisClass], top: int, z_dim: int) -> GroupClass:
-    """Group a flat class list by degree 0..top, keeping the order within
-    each degree."""
-    degrees = [[] for _ in range(top + 1)]
-    for c in classes:
-        degrees[c.degree].append(c)
-    return GroupClass(label, HomologyBasis(tuple(map(tuple, degrees)), z_dim))
+
+def _group_class(label: str, classes: Sequence[BasisClass], z_dim: int, rows=()) -> GroupClass:
+    """Order a class list by degree, keeping the order within each degree."""
+    return GroupClass(label, tuple(sorted(classes, key=lambda c: c.degree)), z_dim, tuple(rows))
 
 
 def _check_count(label: str, count: int, text: str | None = None) -> None:
@@ -141,6 +135,18 @@ def _omega(w: Word) -> dict[tuple[int, int], int]:
     return {z: v for z, v in twice.items() if v}
 
 
+def _exponent_sums(label: str, G: GroupPresentation) -> list[dict[int, int]]:
+    """G's exponent-sum matrix, a row {generator: sum} per relator, refused past
+    MAX_RELATION_CELLS nonzero rows x columns before anything eliminates it."""
+    # sorted, a word's runs of one generator merge into one
+    rows = [dict(free_reduce(Word(tuple(sorted(r.letters)))).letters) for r in G.relators]
+    if (nonzero := sum(map(bool, rows))) * (n := len(G.generators)) > MAX_RELATION_CELLS:
+        raise PresentationError(f"{label} has an exponent-sum matrix of {nonzero} nonzero rows "
+                                f"and {n} columns, more than the {MAX_RELATION_CELLS} cells "
+                                "eliminated at most")
+    return rows
+
+
 def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     """Degrees 0..2 of the rational homology of G's presentation 2-complex: H_1, the cokernel
     of the exponent-sum matrix, has a class z{g} per generator g that is no pivot of its
@@ -149,11 +155,7 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     formula for families of G, complete if aspherical.  Elimination is refused past
     MAX_RELATION_CELLS, and every omega past MAX_CYCLE_TERMS prefix sums read in all."""
     n = len(G.generators)
-    # exponent sums: sorted, a word's runs of one generator merge into one
-    rows = [dict(free_reduce(Word(tuple(sorted(r.letters)))).letters) for r in G.relators]
-    if (nonzero := sum(map(bool, rows))) * n > MAX_RELATION_CELLS:
-        raise ValueError(f"{label} has an exponent-sum matrix of {nonzero} nonzero rows and {n} "
-                         f"columns, more than the {MAX_RELATION_CELLS} cells eliminated at most")
+    rows = _exponent_sums(label, G)
     # tag columns right to left, so that a kernel vector stops at its own tag
     last = n + len(rows) - 1
     reduced = reduce_rows({**{g: Fraction(e) for g, e in row.items()}, last - k: Fraction(1)}
@@ -183,7 +185,8 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
             name = format_combination((f"r{k + 1}", c) for k, c in sorted(vec.items()))
         taken.add(name)
         classes.append(BasisClass(name, 2, cycle))
-    return _group_class(label, classes, classes[-1].degree, n)
+    ours = (tuple((g + 1, e) for g, e in row.items()) for row in rows if row)  # in z-labels
+    return _group_class(label, classes, n, ours)
 
 
 def Free(rank: int) -> GroupClass:
@@ -205,7 +208,7 @@ def FreeAbelian(rank: int) -> GroupClass:
         for q in range(rank + 1)
         for subset in itertools.combinations(range(1, rank + 1), q)
     ]
-    return _group_class(label, classes, rank, rank)
+    return _group_class(label, classes, rank)
 
 
 def SurfaceClosed(genus: int) -> GroupClass:
@@ -216,8 +219,8 @@ def SurfaceClosed(genus: int) -> GroupClass:
 
 def _factors(left: GroupClass, right: GroupClass):
     """The classes of both factors, the right's labels prefixed ``R.`` and
-    its cycles shifted past the left's z-labels, and the joint z_dim."""
-    shift = left.basis.z_dim
+    its cycles shifted past the left's z-labels, and the joint z_dim and rows."""
+    shift = left.z_dim
     right_classes = [
         BasisClass(
             f"R.{c.label}",
@@ -225,24 +228,24 @@ def _factors(left: GroupClass, right: GroupClass):
             None if c.cycle is None
             else tuple((tuple(i + shift for i in z), k) for z, k in c.cycle),
         )
-        for c in right.basis.all_classes()
+        for c in right.classes
     ]
-    return left.basis.all_classes(), right_classes, shift + right.basis.z_dim
+    rows = left.rows + tuple(tuple((z + shift, e) for z, e in row) for row in right.rows)
+    return list(left.classes), right_classes, shift + right.z_dim, rows
 
 
 def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     label = f"free_product({left.describe()}, {right.describe()})"
-    _check_count(label, 1 + sum(left.basis.betti()[1:]) + sum(right.basis.betti()[1:]))
-    lc, rc, z_dim = _factors(left, right)
+    _check_count(label, len(left.classes) + len(right.classes) - 1)
+    lc, rc, *joint = _factors(left, right)
     positive = [c for c in lc + rc if c.degree > 0]
-    top = max(len(left.basis.classes), len(right.basis.classes)) - 1
-    return _group_class(label, [BasisClass("pt", 0, _POINT), *positive], top, z_dim)
+    return _group_class(label, [BasisClass("pt", 0, _POINT), *positive], *joint)
 
 
 def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     label = f"direct_product({left.describe()}, {right.describe()})"
-    _check_count(label, sum(left.basis.betti()) * sum(right.basis.betti()))
-    lc, rc, z_dim = _factors(left, right)
+    _check_count(label, len(left.classes) * len(right.classes))
+    lc, rc, *joint = _factors(left, right)
     # the product of the two cycles: every right index is past every left
     # one, so z-parts concatenate in order, with no sign
     classes = [
@@ -255,8 +258,7 @@ def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
         for cl in lc
         for cr in rc
     ]
-    top = len(left.basis.classes) + len(right.basis.classes) - 2
-    return _group_class(label, classes, top, z_dim)
+    return _group_class(label, classes, *joint)
 
 
 def FiniteIndexSuper(
@@ -272,15 +274,12 @@ def FiniteIndexSuper(
         raise ValueError("a homology table needs exactly one degree-0 label")
     classes = [BasisClass(name, q, None if q else _POINT)
                for q, names in enumerate(homology) for name in names]
-    return _group_class(
-        f"finite_index_super({sub.describe()}, {index}, {label})",
-        classes, len(homology) - 1, 0,
-    )
+    return _group_class(f"finite_index_super({sub.describe()}, {index}, {label})", classes, 0)
 
 
-def rational_homology(d: GroupClass) -> HomologyBasis:
-    """Labeled basis of the rational homology of the classifying space."""
-    return d.basis
+def rational_homology(d: GroupClass) -> tuple[BasisClass, ...]:
+    """Labeled basis of the rational homology of the classifying space, in degree order."""
+    return d.classes
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,7 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     for cycle in cycles:
         parts = [_combine(table, cycle) for table in comps]
         matrix.append(tuple(parts[k].get(xkey, zero) for k, xkey in col_keys))
-    row_labels = tuple(c.label for c in rational_homology(d).all_classes())
+    row_labels = tuple(c.label for c in rational_homology(d))
     width = len(col_labels)
     rows = [{j: e for j, e in enumerate(row) if e} for row in matrix]
     detected = tuple(map(bool, rows))
@@ -411,14 +410,24 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
 def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
     """Refuse a family of another group before pairing, ahead of every other
     check: a cycle's base label z_i pairs with the family's generator i by
-    position."""
+    position, so the family needs d's count of base labels, and each of d's
+    exponent-sum rows must vanish in the rational abelianization of the
+    family's group.  Necessary, not sufficient: a commutator's row is 0."""
     for fi, f in enumerate(fams):
-        n = len(f.group.generators)
-        if n != d.basis.z_dim:
-            raise PresentationError(
-                f"family {fi} ({f.structure}) has {n} base labels, "
-                f"but {d.describe()} has {d.basis.z_dim}"
-            )
+        name, n = f"family {fi} ({f.structure})", len(f.group.generators)
+        if n != d.z_dim:
+            raise PresentationError(f"{name} has {n} base labels, but {d.describe()} has {d.z_dim}")
+        if not d.rows:
+            continue
+        # the family's rows, eliminated once: each row of d reduces against them alone
+        theirs = [r for r in reduce_rows({g + 1: Fraction(e) for g, e in row.items()}
+                                         for row in _exponent_sums(name, f.group) if row) if r]
+        for row in d.rows:
+            if reduce_rows([*theirs, {z: Fraction(e) for z, e in row}])[-1]:
+                raise PresentationError(
+                    f"{name} is no family of {d.describe()}: its relator sums "
+                    f"{format_combination((f'z{z}', e) for z, e in row)} are not 0 in the "
+                    "rational abelianization of the family's group")
 
 
 def detection_matrix(
@@ -438,7 +447,7 @@ def detection_matrix(
     of more than MAX_CELLS cells is refused before any table is built.
     """
     _check_base_labels(d, fams)
-    classes = rational_homology(d).all_classes()
+    classes = rational_homology(d)
     for cls in classes:
         if cls.cycle is None:
             raise DetectionError(
@@ -477,14 +486,14 @@ def numeric_detection_report(
     label) is read as a word in the family's group, the cycle of its
     exponent sums.  Higher degrees do not pair.
     """
-    if d.basis.z_dim:  # a descriptor without base labels pairs by words alone
+    if d.z_dim:  # a descriptor without base labels pairs by words alone
         _check_base_labels(d, [f])
-    basis = rational_homology(d)
-    if any(basis.classes[2:]):
+    classes = rational_homology(d)
+    if classes[-1].degree > 1:
         raise DetectionError("the numeric pairing path supports degree <= 1 classes only")
     n = len(f.group.generators)
     cycles = []
-    for c in basis.all_classes():
+    for c in classes:
         if c.cycle is not None:
             cycles.append(dict(c.cycle))
             continue

@@ -21,7 +21,8 @@ RepPoint holding one such ``(generators, k, k)`` array.  Verification and
 windings consume the stacks with stacked matmul and det.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
-signs, all +1 but for the Klein group's b) with one integer ``rewrite``;
+signs, all +1 but for the Klein group's b) with one integer ``rewrite``
+and one integer ``coset`` key, which builds an induction's coset table;
 ``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one
 through one constructor, whose fraction-free (Bareiss) elimination gives the
 lattice's determinant and adjugate, and which checks the coset count of every
@@ -74,8 +75,8 @@ VERIFY_MAX_POINTS = 2**24
 # 1.8 s and peaks at 252 MB on a 2-core Xeon VM)
 MAX_LOOP_SAMPLES = 2**16
 # the largest index of a circle cover, and of a cover induced along; an
-# induction's coset table takes index^2 rewrites per ambient generator
-# (inducing char_zn(1, 3) along circle(256) takes 0.7 s on a shared 2-core VM)
+# induction's blocks are (k * index)^2 matrices per point, and a verification
+# chunk holds VERIFY_CHUNK of them per generator
 MAX_INDEX = 2**8
 # the most connected components of a parameter space; a product multiplies the
 # counts, so nested products pass any bound in a few hundred bytes (a family
@@ -523,7 +524,10 @@ class Cover:
     ``holonomy[g][i]`` (+-1, and +1 for i = g).  H is the set of elements of
     trivial holonomy whose translation lies in the lattice of the basis with
     determinant ``det`` and integer ``adjugate``; ``sub_generator_words``
-    spell the basis columns, H's generators."""
+    spell the basis columns, H's generators.  Every holonomy maps the lattice
+    to itself (all signs are +1, or the lattice is Klein's diag(1, 2) under
+    diag(-1, 1)), so two words lie in one left coset of H exactly when their
+    walks end with equal signs and translations equal modulo the lattice."""
 
     ambient: GroupPresentation
     cosets: tuple[Word, ...]
@@ -547,6 +551,12 @@ class Cover:
                 return None
             coeffs.append(c)
         return free_reduce(Word(tuple(enumerate(coeffs))))
+
+    def coset(self, w: Word) -> tuple:
+        """The key of w's left coset wH: the walk's signs and adj v mod det."""
+        v, signs = _walk(self.holonomy, w)
+        return tuple(signs), tuple(sum(a * x for a, x in zip(row, v)) % self.det
+                                   for row in self.adjugate)
 
     def describe(self) -> str:
         return self.label
@@ -694,7 +704,6 @@ def induce_family(f: Family, cover: Cover) -> Family:
     """
     G = cover.ambient
     reps = cover.cosets
-    c = len(reps)
     n = len(cover.sub_generator_words)
     if len(f.group.generators) != n:
         raise ValueError("family group does not match the cover's subgroup")
@@ -702,25 +711,25 @@ def induce_family(f: Family, cover: Cover) -> Family:
     _check_index(cover.index)
 
     # Per ambient generator g and representative t_j: the one coset t_i with
-    # t_i^-1 g t_j in the subgroup, and that element as a subgroup word.  As
-    # every pair hits exactly one coset, the representatives lie in distinct
-    # cosets, and j -> i is a permutation.
+    # t_i^-1 g t_j in the subgroup, the representative keyed like g t_j, and
+    # that element as a subgroup word.  As every pair hits exactly one coset,
+    # the representatives lie in distinct cosets, and j -> i is a permutation.
+    keyed: dict[tuple, list[int]] = {}
+    for i, t in enumerate(reps):
+        keyed.setdefault(cover.coset(t), []).append(i)
     blocks: list[list[tuple[int, Word]]] = []
     for gi in range(len(G.generators)):
         gen_word = Word(((gi, 1),))
         blocks.append([])
-        for j in range(c):
-            hits = []
-            for i in range(c):
-                h = cover.rewrite(free_reduce(reps[i].inverse() * gen_word * reps[j]))
-                if h is not None:
-                    hits.append((i, h))
+        for j, t in enumerate(reps):
+            hits = keyed.get(cover.coset(gen_word * t), [])
             if len(hits) != 1:
                 raise ValueError(
                     f"invalid coset system: generator {G.generators[gi]!r} times "
                     f"representative {j} hits {len(hits)} cosets"
                 )
-            blocks[-1].append(hits[0])
+            i = hits[0]
+            blocks[-1].append((i, cover.rewrite(free_reduce(reps[i].inverse() * gen_word * t))))
 
     chern = None
     if f.chern is not None and not any(-1 in signs for signs in cover.holonomy):

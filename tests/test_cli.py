@@ -260,9 +260,17 @@ def test_rep_solve_without_generators_exit3(workdir, capsys):
         ("free_abelian(2)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but free_abelian(2) has 2"),
         ("surface(1)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but surface(1) has 2"),
         ("free_abelian(3)", "z2.fam", "char_zn(2, 8)) has 2 base labels, but free_abelian(3) has 3"),
+        # a relator's exponent sums must be 0 in the family group's H_1: Z/3 x Z,
+        # whose z1^z2 would certify though it is 0 in H_2, and the Klein group
+        ("group(t3.grp)", "z2.fam", "is no family of group(t3.grp): its relator sums 3*z1 "
+         "are not 0 in the rational abelianization of the family's group"),
+        ("group(klein.grp)", "z2.fam", "is no family of group(klein.grp): its relator sums "
+         "2*z1 are not 0 in the rational abelianization of the family's group"),
     ],
 )
-def test_exact_family_of_another_group_exit3(workdir, capsys, group, fam, counts):
+def test_exact_family_of_another_group_exit3(workdir, capsys, monkeypatch, group, fam, counts):
+    monkeypatch.chdir(workdir)
+    (workdir / "t3.grp").write_text("gens: a b ; rels: a a a , a b a^-1 b^-1 ;\n")
     (workdir / "z4.fam").write_text("char_zn(4, 2)\n")
     path = str(workdir / fam)
     for argv in (
@@ -329,13 +337,19 @@ def test_detect_run_klein_numeric(workdir):
          "labels, but free_abelian(1) has 1"),
         ("free(5)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) has 2 base "
          "labels, but free(5) has 5"),
+        # and the abelianization: b b does not hold on the Klein family
+        ("group(b2.grp)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) is no family "
+         "of group(b2.grp): its relator sums 2*z2 are not 0 in the rational abelianization "
+         "of the family's group"),
         # a descriptor without base labels pairs by its labels alone
         ("finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [c]])",
          "class 'c' of finite_index_super(free_abelian(2), 2, klein) is not a word in the "
          "family's generators (a, b)"),
     ],
 )
-def test_numeric_pairing_of_another_group_exit3(workdir, capsys, group, message):
+def test_numeric_pairing_of_another_group_exit3(workdir, capsys, monkeypatch, group, message):
+    monkeypatch.chdir(workdir)
+    (workdir / "b2.grp").write_text("gens: a b ; rels: b b ;\n")
     for command in (["detect", "run"], ["report"]):
         out = workdir / "n.json"
         argv = command + ["--group", group, "--families", str(workdir / "klein.fam")]

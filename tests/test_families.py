@@ -655,6 +655,74 @@ def test_cover_rewrite_matches_the_rational_and_klein_references(case):
     assert cover.rewrite(w) == reference(w)
 
 
+def _searched_blocks(cover):
+    """The index^2 search that the keyed coset table replaced, kept as its
+    reference: per generator g and representative t_j, every t_i with
+    t_i^-1 g t_j in the subgroup, which must be exactly one."""
+    blocks = []
+    for gi, name in enumerate(cover.ambient.generators):
+        g = Word(((gi, 1),))
+        blocks.append([])
+        for j, tj in enumerate(cover.cosets):
+            hits = [(i, h) for i, ti in enumerate(cover.cosets)
+                    if (h := cover.rewrite(free_reduce(ti.inverse() * g * tj))) is not None]
+            if len(hits) != 1:
+                raise ValueError(f"invalid coset system: generator {name!r} times "
+                                 f"representative {j} hits {len(hits)} cosets")
+            blocks[-1].append(hits[0])
+    return blocks
+
+
+@st.composite
+def _cover_with_cosets(draw):
+    """The Klein cover with two random coset words (valid when their b-sums
+    differ in parity), or a sublattice cover of Z^n, n <= 3, of index <= 12:
+    a lower-triangular basis T, whose box of 0 <= v_i < T[i][i] holds one
+    vector per coset, times unimodular shears.  Its coset words are the box
+    vectors in random order, each moved by a lattice vector and split into
+    runs; half of the time one word is then replaced by another's coset mate."""
+    if draw(st.booleans()):
+        runs = st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=6)
+        return KleinBottleCover(cosets=[Word(tuple(draw(runs))) for _ in range(2)])
+    n = draw(st.integers(1, 3))
+    diagonal = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)
+                    .filter(lambda d: np.prod(d) <= 12))
+    basis = [[diagonal[i] if i == j else draw(st.integers(-3, 3)) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    box = list(itertools.product(*map(range, diagonal)))
+    for _ in range(2 if n > 1 else 0):  # column j += t column k: the same lattice
+        j, k = draw(st.permutations(range(n)))[:2]
+        t = draw(st.integers(-3, 3))
+        for row in basis:
+            row[j] += t * row[k]
+    words = []
+    for v in draw(st.permutations(box)):
+        c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        words.append(draw(_runs([v[i] + sum(basis[i][j] * c[j] for j in range(n))
+                                 for i in range(n)])))
+    if len(words) > 1 and draw(st.booleans()):
+        k, m = draw(st.permutations(range(len(words))))[:2]
+        lattice = Word(tuple((i, sum(row)) for i, row in enumerate(basis)))
+        words[k] = words[m] * lattice
+    return SublatticeCover(free_abelian(n), basis, words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cover_with_cosets())
+def test_keyed_coset_table_equals_the_index_squared_search(cover):
+    """Induction's coset table, one coset key per word, gives the search's
+    blocks, and its message when a coset is hit other than once."""
+    f = character_family_Zn(len(cover.sub_generator_words), 2)
+    with mock.patch.object(families, "_word_blocks", lambda f, G, blocks, *rest: blocks):
+        try:
+            expected = _searched_blocks(cover)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                induce_family(f, cover)
+            return
+        assert induce_family(f, cover) == expected
+
+
 @given(st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 ))

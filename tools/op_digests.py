@@ -14,11 +14,13 @@ of ``DESCRIPTORS``, group descriptors the benchmark never builds (``group``
 ones read the ``DESCRIPTOR_GROUPS`` files by absolute path), against one
 exact family and one Klein-bottle family (the numeric path), and then on
 each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
-the ``families`` ops: ``family build`` on each of ``FAMILIES``, the
-``extend`` and ``pullback`` expressions the benchmark never builds,
-families of the group with no generators, inductions and a pullback along
-``klein_even`` over a Klein-bottle group whose relator is rotated, an
-extension into Z^2 * Z, and two group files with one relator of
+the ``abelianizations`` ops: ``detect run`` on each of ``ABELIANIZATIONS``,
+group files whose relator sums do not vanish in Z^2, against a family of
+Z^2.  Then come the ``families`` ops: ``family build`` on each of
+``FAMILIES``, the ``extend`` and ``pullback`` expressions the benchmark
+never builds, families of the group with no generators, inductions and a
+pullback along ``klein_even`` over a Klein-bottle group whose relator is
+rotated, an extension into Z^2 * Z, and two group files with one relator of
 ``LONG_RELATOR`` letters: an extension into Z^2 * <c, d | long word> that
 builds, and an induction over <a, b | [a, b], long word> that the cover
 refuses.  Then come the ``covers`` ops:
@@ -138,6 +140,7 @@ COVERS = (
     "cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=z2.grp)",
     "pullback(char_zn(1, 8), cover=circle(100000))",
     "induce(char_zn(1, 3), cover=circle(512))",
+    "induce(char_zn(1, 3), cover=circle(256))",
     "induce(char_zn(2, 8), cover=klein_even, cosets=[e], group=klein.grp)",
     "induce(char_zn(2, 8), cosets=[e, b, a], group=klein.grp)",
     "pullback(trivial(group=klein.grp, dim=2), cover=klein_even, cosets=[e, b, a], "
@@ -229,6 +232,12 @@ GROUP_FILES = {
     "long_z2.grp": "gens: a b ; rels: a b a^-1 b^-1 , "
                    f"{_reduced_word('ab', LONG_RELATOR, _RNG)} ;\n",
 }
+# group files against a family of Z^2, which is no family of either: Z/3 x Z,
+# whose z1^z2 is 0 in H_2, and the Klein-bottle group
+ABELIANIZATIONS = {
+    "t3.grp": "gens: a b ; rels: a a a , a b a^-1 b^-1 ;\n",
+    "klein.grp": GROUP_FILES["klein.grp"],
+}
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
 CERTIFICATES = (
@@ -282,6 +291,16 @@ def _descriptor_ops(run_dir: Path):
     for group in EXACT_DESCRIPTORS:
         argv = ["detect", "run", "--group", group, "--families", str(paths["exact"])]
         yield argv, f"detect run {group} vs exact"
+
+
+def _abelianization_ops(run_dir: Path):
+    """(argv, label) of every ``abelianizations`` op; writes its input files."""
+    (run_dir / "z2.fam").write_text("char_zn(2, 4)\n")
+    for name, text in ABELIANIZATIONS.items():
+        (run_dir / name).write_text(text)
+        argv = ["detect", "run", "--group", f"group({run_dir / name})",
+                "--families", str(run_dir / "z2.fam")]
+        yield argv, f"detect run group(<run>/{name}) vs char_zn(2, 4)"
 
 
 def _family_ops(run_dir: Path, exprs=FAMILIES):
@@ -372,6 +391,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_descriptor_ops(run_dir)):
             run_op("descriptors", i, argv, None, label)
+        run_dir = tmp / "abelianizations"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_abelianization_ops(run_dir)):
+            run_op("abelianizations", i, argv, None, label)
         run_dir = tmp / "families"
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_family_ops(run_dir)):
