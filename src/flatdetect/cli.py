@@ -10,7 +10,7 @@ input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
 presentation with no generators to solve for, a family paired with a group it
 is not a family of (by its generator count, or a relator of the group whose
-exponent sums are not 0 in the family group's rational abelianization) or a
+exponent sums are not 0 in the family group's abelianization) or a
 class label that is no word of its group, a pullback or induction of a family
 of another group than the cover's, a coset list of another length than the
 cover's index, a cover index above ``families.MAX_INDEX``, a group descriptor

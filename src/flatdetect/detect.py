@@ -11,7 +11,7 @@ cycle {z-part: coefficient}, a family component a table {z-part:
 {x-monomial: value}}, and a cell the cycle's combination of table entries.
 Both read base label z_i as the family's generator i, so both check first
 the family's generator count, then that each of the group's exponent-sum
-``rows`` is 0 in the rational abelianization of the family's group.  Exactly, a
+``rows`` is 0 in the integral abelianization of the family's group.  Exactly, a
 table is the component's character form split by z-part.  Numerically, for
 families without exact character data, a table holds the fiber rank and
 the determinant windings of the generators the cycles read; a class
@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import Cover, Family, _abelianize, axis_windings, induce_family, pullback_family
+from .families import (Cover, Family, _abelianize, _hermite_form, _in_lattice, axis_windings,
+                       induce_family, pullback_family)
 from .presentation import (GroupPresentation, PresentationError, Word, free_group, free_reduce,
                            parse_word, surface_group)
 
@@ -411,23 +412,27 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
     """Refuse a family of another group before pairing, ahead of every other
     check: a cycle's base label z_i pairs with the family's generator i by
     position, so the family needs d's count of base labels, and each of d's
-    exponent-sum rows must vanish in the rational abelianization of the
-    family's group.  Necessary, not sufficient: a commutator's row is 0."""
+    exponent-sum rows must vanish in the abelianization of the family's
+    group, i.e. lie in the integer span of its rows.  Necessary, not
+    sufficient: a commutator's row is 0."""
     for fi, f in enumerate(fams):
         name, n = f"family {fi} ({f.structure})", len(f.group.generators)
         if n != d.z_dim:
             raise PresentationError(f"{name} has {n} base labels, but {d.describe()} has {d.z_dim}")
         if not d.rows:
             continue
-        # the family's rows, eliminated once: each row of d reduces against them alone
-        theirs = [r for r in reduce_rows({g + 1: Fraction(e) for g, e in row.items()}
-                                         for row in _exponent_sums(name, f.group) if row) if r]
+        theirs = [row for row in _exponent_sums(name, f.group) if row]
+        if set(d.rows) <= {tuple((g + 1, e) for g, e in row.items()) for row in theirs}:
+            continue  # each row of d is one of theirs: no elimination needed
+        # the family's rows, brought to Hermite form once: each row of d is tested against it alone
+        form = _hermite_form([[row.get(g, 0) for g in range(n)] for row in theirs])
         for row in d.rows:
-            if reduce_rows([*theirs, {z: Fraction(e) for z, e in row}])[-1]:
+            sums = dict(row)
+            if not _in_lattice(form, [sums.get(z, 0) for z in range(1, n + 1)]):
                 raise PresentationError(
                     f"{name} is no family of {d.describe()}: its relator sums "
                     f"{format_combination((f'z{z}', e) for z, e in row)} are not 0 in the "
-                    "rational abelianization of the family's group")
+                    "abelianization of the family's group")
 
 
 def detection_matrix(

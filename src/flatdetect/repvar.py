@@ -1,19 +1,28 @@
 """Numerical search for unitary representations of a presented group.
 
 A point of the representation variety assigns a unitary matrix to each
-generator; the relator defect measures how far the relators are from the
-identity.  The solver runs projected gradient descent on the product of
-unitary groups: the Euclidean gradient of the defect is projected to the
-skew-Hermitian tangent space and the iterate is pulled back by a polar
-retraction, so every iterate stays unitary to machine precision.
+generator; the relator defect, the sum over relators of ||W - I||_F^2,
+measures how far the relators are from the identity.  The solver runs
+Riemannian Levenberg-Marquardt on the product of unitary groups
+(Yamashita-Fukushima, Computing 2001; Absil-Mahony-Sepulchre, Optimization
+Algorithms on Matrix Manifolds, ch. 8): a step Omega, one skew-Hermitian
+matrix per generator, solves the damped Gauss-Newton equations
+(J^T J + mu I) Omega = -J^T (W - I) with mu = lambda ||W - I||, and the trial
+point is the polar factor of U (I + Omega), so every iterate stays unitary to
+machine precision.  A trial is accepted when the defect falls; lambda shrinks
+on an accepted trial and grows on a rejected one.
 
-The iterate, its gradients and every trial point are one stack
-``(gens, k, k)``.  A backtracking line search shrinks the step until the
-Armijo condition holds: each trial retracts the whole stack with one batched
-SVD and evaluates only the defect, and the gradient is computed once per
-accepted step, from the prefix products that trial's defect built.  The
-relators are compiled once per solve and grouped by length, so that all
-relators of one length multiply as one stack.
+J is never formed.  The prefix and suffix products of the relators, built
+from the products the defect multiplies, give one factor pair (A, B) per
+(letter, relator) term: J(Omega) sums A Omega_g B per relator and J^T(Y) the
+skew-Hermitian part of A^H Y B^H per generator, each two batched matmuls and
+one sum over terms, so memory stays O(terms k^2).  The normal equations are
+solved by conjugate gradients on skew-Hermitian stacks.  The iterate, the
+step and every trial point are one stack ``(gens, k, k)``; the relators are
+compiled once per solve and grouped by length, so that all relators of one
+length multiply as one stack.  At a critical point above tolerance, where no
+trial is accepted or the step's predicted decrease drowns in the defect's
+rounding, the point gets a seeded random kick.
 """
 
 from __future__ import annotations
@@ -24,10 +33,12 @@ import numpy as np
 
 from .presentation import GroupPresentation, Word, evaluate_word, matrix_stack, spell
 
-ARMIJO = 0.1  # sufficient-decrease constant; large enough to reject
-              # edge-of-stability oscillation
-INITIAL_STEP = 1.0
-STEP_SHRINK = 0.5
+INITIAL_DAMPING = 1.0  # lambda of the damping mu = lambda * ||W - I||
+DAMPING_DOWN = 0.3  # lambda's factor on an accepted trial, down to MIN_DAMPING
+DAMPING_UP = 4.0  # and on a rejected one
+MIN_DAMPING = 1e-8
+CG_TOLERANCE = 0.1  # relative residual of the normal equations
+ROUNDING = 1e-15  # relative rounding of the defect
 MAX_BACKTRACKS = 40
 MAX_PERTURBATIONS = 20  # stall escapes before giving up
 
@@ -89,7 +100,7 @@ class SolveResult:
     converged: bool
     defect_history: tuple[float, ...] = field(repr=False, default=())
     max_unitarity_defect: float = 0.0
-    backtracks: int = 0  # rejected line-search trials
+    backtracks: int = 0  # rejected trial points
 
 
 def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
@@ -135,51 +146,55 @@ def _squared_norms(x: np.ndarray) -> list[float]:
 
 
 class _Relators:
-    """Spelled relators compiled once per solve for stacked evaluation.
+    """Spelled relators compiled once per solve for stacked evaluation and
+    their linearization.
 
     Relators of one length L form a group: ``letters`` ``(L, R)`` indexes
     the stack ``[U_1 .. U_g, U_1^H .. U_g^H]`` and ``inverse``
     ``(L, R, 1, 1)`` marks the letters of exponent -1, so that each group is
-    evaluated by stacked matmuls over its R relators.  ``rel_order`` and
-    ``term_order`` put the groups' relators and (letter, relator) terms back
-    in relator-major, letter-minor order, and ``entries`` sends each entry
-    of the terms, in that order, to its generator's entry of the gradient:
-    sums accumulate in the order of a loop over relators and letters.  An
-    empty relator contributes nothing and is dropped.
+    evaluated by stacked matmuls over its R relators; the groups' relators,
+    one after another, are the rows of the residual.  ``rel_order`` puts the
+    rows back in relator order, so that the defect sums as a loop over
+    relators would.  A (letter, relator) pair is a term; ``order`` sorts
+    the terms, stacked group by group and letter-major, by generator, and
+    ``term_gens``, ``term_rows``, ``gen_starts`` and ``row_order``,
+    ``row_starts`` index them for the two term sums of ``apply`` and
+    ``adjoint``.  An empty relator contributes nothing and is dropped.
     """
 
     def __init__(self, relators: tuple[Word, ...], gens: int, dim: int):
         if any(abs(s) != 1 for r in relators for _, s in r.letters):
             raise ValueError("relators must be spelled as letters of exponent +1 or -1")
-        self.shape = (gens, dim, dim)
+        self.gens = gens
         self.eye = np.eye(dim, dtype=complex)
         by_length: dict[int, list[int]] = {}
         for i, r in enumerate(relators):
             if r.letters:
                 by_length.setdefault(len(r), []).append(i)
         self.groups = []
-        rel_pos, term_pos = {}, {}  # relator i / its letter (i, j) -> stacked position
+        rows, term_gens, term_rows = {}, [], []  # relator i -> its row; per term
         for length, members in by_length.items():
             letters = np.array(
                 [[g + gens * (s < 0) for g, s in relators[i].letters] for i in members]
             ).T
             self.groups.append((letters, (letters >= gens)[..., None, None]))
-            # the group's terms stack letter-major: (letter j, relator r) at j * R + r
-            base = len(term_pos)
-            for r, i in enumerate(members):
-                rel_pos[i] = len(rel_pos)
-                term_pos.update({(i, j): base + j * len(members) + r for j in range(length)})
-        self.rel_order = [rel_pos[i] for i in sorted(rel_pos)]
-        self.term_order = np.array([term_pos[t] for t in sorted(term_pos)], dtype=int)
-        # the entries of each term's generator in the flattened gradient stack
-        term_gens = np.array([relators[i].letters[j][0] for i, j in sorted(term_pos)], dtype=int)
-        self.entries = (term_gens[:, None] * dim * dim + np.arange(dim * dim)).ravel()
+            base = len(rows)
+            rows.update((i, base + r) for r, i in enumerate(members))
+            term_gens += (letters % gens).ravel().tolist()
+            term_rows += [base + r for _ in range(length) for r in range(len(members))]
+        self.rel_order = [rows[i] for i in sorted(rows)]
+        self.order = np.argsort(term_gens, kind="stable")
+        self.term_gens = np.array(term_gens, dtype=int)[self.order]
+        self.term_rows = np.array(term_rows, dtype=int)[self.order]
+        self.present, self.gen_starts = np.unique(self.term_gens, return_index=True)
+        self.row_order = np.argsort(self.term_rows, kind="stable")
+        self.row_starts = np.searchsorted(self.term_rows[self.row_order], np.arange(len(rows)))
 
     def defect(self, mats: np.ndarray):
         """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
-        relators in order, and the products a gradient reuses: per group
-        the factors ``(L, R, k, k)``, the prefix products M_1 ... M_j for
-        j = 1 .. L, each ``(R, k, k)``, and W - I."""
+        relators in order, and the products a linearization reuses: per
+        group the factors ``(L, R, k, k)``, the prefix products M_1 ... M_j
+        for j = 1 .. L, each ``(R, k, k)``, and W - I."""
         stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
         products, norms = [], []
         for letters, _ in self.groups:
@@ -195,39 +210,75 @@ class _Relators:
             defect += norms[i]
         return defect, products
 
-    def gradients(self, products) -> np.ndarray:
-        """Per-generator Euclidean gradients ``(gens, k, k)`` of the defect
-        (real trace inner product) from the products of ``defect``.
+    def linearize(self, products):
+        """The residual rows W - I ``(R, k, k)`` and the term factors
+        (A, B), each ``(T, k, k)`` in ``order``, of the differential of the
+        relators at the point whose ``defect`` built ``products``.
 
-        For a relator W = M_1 ... M_L and its j-th letter U_g, the
-        differential of ||W - I||^2 contributes 2 P^H (W - I) S^H when the
-        letter is U_g and 2 S (W - I)^H P when it is U_g^H, where P, S are
-        the prefix and suffix products around position j.
+        Moving each U_g to U_g (I + Omega_g), Omega_g skew-Hermitian, moves a
+        relator W = M_1 ... M_L to first order by the sum over its letters
+        of A Omega_g B: A = P_j and B = S_j when M_j = U_g, A = -P_{j-1}
+        and B = S_{j-1} when M_j = U_g^H, where P_j = M_1 ... M_j and
+        S_j = M_{j+1} ... M_L.
         """
-        k = self.shape[-1]
-        terms = []
+        a, b, residual = [], [], []
         for (_, inverse), (factors, prefixes, diff) in zip(self.groups, products):
             eye = np.broadcast_to(self.eye, diff.shape)
-            suffixes = [eye]  # the products after letters L, L - 1, ..., 1
-            for f in factors[:0:-1]:
+            suffixes = [eye]  # S_L, S_{L-1}, ..., S_0
+            for f in factors[::-1]:
                 suffixes.append(f @ suffixes[-1])
             s = np.stack(suffixes[::-1])
-            p = np.stack([eye, *prefixes[:-1]])
-            left = np.where(inverse, s, p.conj().swapaxes(-1, -2))
-            mid = np.where(inverse, diff.conj().swapaxes(-1, -2), diff)
-            right = np.where(inverse, p, s.conj().swapaxes(-1, -2))
-            terms.append(((2.0 * left) @ mid @ right).reshape(-1, k, k))
-        grads = np.zeros(self.shape, dtype=complex)
-        if terms:
-            ordered = np.concatenate(terms)[self.term_order]
-            np.add.at(grads.reshape(-1), self.entries, ordered.reshape(-1))
-        return grads
+            p = np.stack([eye, *prefixes])
+            a.append(np.where(inverse, -p[:-1], p[1:]).reshape(-1, *diff.shape[1:]))
+            b.append(np.where(inverse, s[:-1], s[1:]).reshape(-1, *diff.shape[1:]))
+            residual.append(diff)
+        return (np.concatenate(residual), np.concatenate(a)[self.order],
+                np.concatenate(b)[self.order])
+
+    def apply(self, a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """J(Omega): per relator row, the sum of its terms A Omega_g B."""
+        terms = a @ omega[self.term_gens] @ b
+        return np.add.reduceat(terms[self.row_order], self.row_starts)
+
+    def adjoint(self, a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """J^T(Y) for the real trace inner product: per generator, the
+        skew-Hermitian part of the sum of its terms A^H Y_r B^H."""
+        terms = a.conj().swapaxes(-1, -2) @ y[self.term_rows] @ b.conj().swapaxes(-1, -2)
+        out = np.zeros((self.gens, *y.shape[1:]), dtype=complex)
+        if len(terms):
+            out[self.present] = np.add.reduceat(terms, self.gen_starts)
+        return _skew(out)
 
 
-def _riemannian_gradients(mats: np.ndarray, egrads: np.ndarray) -> np.ndarray:
-    """Project Euclidean gradients to the tangent spaces U * skew(U^H G)."""
-    x = mats.conj().swapaxes(-1, -2) @ egrads
-    return mats @ ((x - x.conj().swapaxes(-1, -2)) / 2.0)
+def _skew(x: np.ndarray) -> np.ndarray:
+    """The skew-Hermitian part of each matrix of a stack ``(..., k, k)``."""
+    return (x - x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """The real trace inner product Re tr(x^H y), summed over a stack."""
+    return float(np.vdot(x, y).real)
+
+
+def _lm_step(relators: _Relators, a, b, grad, mu: float) -> np.ndarray:
+    """Solve (J^T J + mu I) Omega = -grad for skew-Hermitian stacks Omega by
+    conjugate gradients, to CG_TOLERANCE relative to ||grad|| and at most
+    one iteration per real unknown."""
+    x = np.zeros_like(grad)
+    r = -grad
+    p = r
+    rr = _inner(r, r)
+    stop = CG_TOLERANCE**2 * rr
+    for _ in range(grad.size):
+        if rr <= stop:
+            break
+        hp = relators.adjoint(a, b, relators.apply(a, b, p)) + mu * p
+        alpha = rr / _inner(p, hp)
+        x = x + alpha * p
+        r = r - alpha * hp
+        rr, rr_old = _inner(r, r), rr
+        p = r + (rr / rr_old) * p
+    return x
 
 
 def solve_representation(
@@ -247,34 +298,32 @@ def solve_representation(
     relators = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
 
     defect, products = relators.defect(mats)
-    egrads = relators.gradients(products)
     history = [defect]
     max_udef = unitarity_defect(mats)
     best = (mats, defect)
     perturbations = backtracks = 0
     iters = 0
-    step = INITIAL_STEP
+    damping = INITIAL_DAMPING
 
     while defect > cfg.tolerance and iters < cfg.max_iter:
         iters += 1
-        rgrads = _riemannian_gradients(mats, egrads)
-        gnorm2 = sum(_squared_norms(rgrads))
+        residual, a, b = relators.linearize(products)
+        grad = relators.adjoint(a, b, residual)  # half the gradient of the defect
         accepted = False
-        if gnorm2 > 1e-28:
-            # warm-start from twice the last accepted step so the search can
-            # grow along flat valleys, then backtrack as usual; a trial costs
-            # one defect, and only the accepted one a gradient
-            step = min(2.0 * step, 1e6)
+        if _inner(grad, grad) > 1e-28:
             for _ in range(MAX_BACKTRACKS):
-                trial = _polar(mats - step * rgrads)
-                tdefect, products = relators.defect(trial)
-                if tdefect <= defect - ARMIJO * step * gnorm2:
-                    mats, defect = trial, tdefect
-                    egrads = relators.gradients(products)
+                omega = _lm_step(relators, a, b, grad, damping * np.sqrt(defect))
+                if -_inner(grad, omega) <= ROUNDING * defect:
+                    break  # the model's decrease would drown in the defect's rounding
+                trial = _polar(mats + mats @ omega)
+                tdefect, tproducts = relators.defect(trial)
+                if tdefect < defect:
+                    mats, defect, products = trial, tdefect, tproducts
+                    damping = max(damping * DAMPING_DOWN, MIN_DAMPING)
                     accepted = True
                     break
                 backtracks += 1
-                step *= STEP_SHRINK
+                damping *= DAMPING_UP
         if not accepted:
             # Stalled at a critical point above tolerance: kick along a
             # seeded random tangent direction and keep going.
@@ -282,12 +331,9 @@ def solve_representation(
                 break
             perturbations += 1
             draws = rng.standard_normal((len(mats), 2, n, n))
-            a = draws[:, 0] + 1j * draws[:, 1]
-            skew = (a - a.conj().swapaxes(-1, -2)) / 2.0
-            mats = _polar(mats + 1e-2 * mats @ skew)
+            mats = _polar(mats + 1e-2 * mats @ _skew(draws[:, 0] + 1j * draws[:, 1]))
             defect, products = relators.defect(mats)
-            egrads = relators.gradients(products)
-            step = INITIAL_STEP
+            damping = INITIAL_DAMPING
         history.append(defect)
         max_udef = max(max_udef, unitarity_defect(mats))
         if defect < best[1]:

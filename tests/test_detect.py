@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from flatdetect import detect
 from flatdetect.charforms import MultiForm, format_combination, winding_number, xgen, zgen
@@ -41,6 +44,8 @@ from flatdetect.families import (
     direct_sum,
     disjoint_union,
     _abelianize,
+    _hermite_form,
+    _in_lattice,
     _pullback,
     extend_free_product,
     induce_family,
@@ -238,6 +243,7 @@ def test_family_side_exponent_sums_are_budgeted_before_elimination(monkeypatch):
     E = parse_presentation("gens: a b ; rels: a a , a b , b b b ;")
     monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 5)
     monkeypatch.setattr(detect, "reduce_rows", None)  # no elimination may start
+    monkeypatch.setattr(detect, "_hermite_form", None)
     with pytest.raises(PresentationError, match=re.escape(
             "family 0 (trivial(dim=1)) has an exponent-sum matrix of 3 nonzero rows and 2 columns, "
             "more than the 5 cells eliminated at most")):
@@ -246,6 +252,22 @@ def test_family_side_exponent_sums_are_budgeted_before_elimination(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 5)
     assert detection_matrix(free, [trivial_family(E)]).verdict == "undetected"
+
+
+def test_rows_found_among_the_family_groups_skip_the_hermite_form(monkeypatch):
+    """Z/3 x Z against a family of its own presentation reads its row 3*z1
+    among the family group's rows and computes no Hermite form; against a
+    family of <a, b | a^6, a^9, [a, b]>, the same group, it needs one."""
+    forms = []
+    monkeypatch.setattr(detect, "_hermite_form", lambda rows: forms.append(rows) or
+                        _hermite_form(rows))
+    G = parse_presentation("gens: a b ; rels: a a a , a b a^-1 b^-1 ;")
+    d = detect.PresentationComplex("t3", G)
+    report = detection_matrix(d, [trivial_family(G)])
+    assert forms == []
+    E = parse_presentation("gens: a b ; rels: a a a a a a , a a a a a a a a a , a b a^-1 b^-1 ;")
+    assert detection_matrix(d, [trivial_family(E)]) == report
+    assert forms == [[[6, 0], [9, 0]]]
 
 
 _RELATOR_GENS = 4
@@ -269,26 +291,55 @@ def _relators_and_one_more(draw):
     return rels, free_reduce(r)
 
 
+def _in_integer_span(rows, v) -> bool:
+    """Oracle: v lies in the integer span of ``rows`` exactly when adding it
+    changes neither the rank nor the product of the nonzero invariant
+    factors (sympy's Smith form), i.e. the lattice's index."""
+    def rank_and_index(m):
+        factors = [f for f in invariant_factors(Matrix(m), domain=ZZ) if f] if m else []
+        return len(factors), math.prod(factors)
+    return rank_and_index(rows) == rank_and_index([*rows, v]) if rows else not any(v)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_relators_and_one_more())
+@example(([Word(((0, 2),))], Word(((0, 3),))))  # a a a: 3*z1, in the Q-span only
 def test_a_descriptor_row_pairs_only_inside_the_span_of_the_family_groups_rows(case):
     """G = <gens | E's relators, r> against a family of E: r's exponent sums
-    inside the rational span of E's rows pass, outside it they are refused
-    by name; rank of the integer rows is the oracle."""
+    inside the integer span of E's rows pass, outside it they are refused
+    by name."""
     rels, r = case
     gens = tuple(f"g{i}" for i in range(_RELATOR_GENS))
     d = detect.PresentationComplex("G", GroupPresentation(gens, (*rels, r)))
     f = trivial_family(GroupPresentation(gens, tuple(rels)))
     sums = [_abelianize(w, _RELATOR_GENS) for w in rels]
     ours = _abelianize(r, _RELATOR_GENS)
-    rank = np.linalg.matrix_rank
-    if rank(np.array(sums + [ours])) == rank(np.array(sums or [[0] * _RELATOR_GENS])):
+    if _in_integer_span(sums, ours):
         detection_matrix(d, [f])
         return
     row = format_combination((f"z{g + 1}", e) for g, e in enumerate(ours) if e)
     with pytest.raises(PresentationError, match=re.escape(
             f"family 0 (trivial(dim=1)) is no family of G: its relator sums {row} are not 0")):
         detection_matrix(d, [f])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4),
+)))
+@example(([[2, 0]], [[3, 0], [4, 0]]))  # 3*z1 is in the rational span of 2*z1 only
+def test_hermite_form_decides_integer_span_membership(case):
+    rows, vectors = case
+    form = _hermite_form(rows)
+    pivots = [next(c for c, a in enumerate(row) if a) for row in form]
+    assert pivots == sorted(set(pivots))  # echelon
+    for i, (row, col) in enumerate(zip(form, pivots)):
+        assert row[col] > 0 and all(0 <= above[col] < row[col] for above in form[:i])
+        assert _in_integer_span(rows, row)
+    assert all(_in_lattice(form, row) for row in rows)
+    for v in vectors:
+        assert _in_lattice(form, v) == _in_integer_span(rows, v)
 
 
 def _reversed_commutator(n: int) -> str:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flatdetect.presentation import (
     GroupPresentation,
     Word,
+    evaluate_word,
     free_abelian,
     free_group,
     klein_bottle,
@@ -13,11 +14,13 @@ from flatdetect.presentation import (
     surface_group,
 )
 from flatdetect.repvar import (
-    ARMIJO,
-    INITIAL_STEP,
+    INITIAL_DAMPING,
+    DAMPING_DOWN,
+    DAMPING_UP,
     MAX_BACKTRACKS,
     MAX_PERTURBATIONS,
-    STEP_SHRINK,
+    MIN_DAMPING,
+    ROUNDING,
     RepPoint,
     SolveConfig,
     haar_unitary,
@@ -25,7 +28,8 @@ from flatdetect.repvar import (
     solve_representation,
     unitarity_defect,
     _Relators,
-    _riemannian_gradients,
+    _lm_step,
+    _polar,
 )
 
 Z2 = free_abelian(2)
@@ -36,107 +40,61 @@ def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the list-based defect, gradients and solver loop, one matrix per
-# generator, that the stacked solver replaced.  The stacked code must agree
-# with it bit for bit.
+# Reference: a dense Jacobian built letter by letter by the product rule, and
+# the Levenberg-Marquardt loop written out over _Relators.  The matrix-free
+# linearization must agree with the first, the solver bit for bit with the
+# second.
 # ---------------------------------------------------------------------------
 
 
-def _reference_polar(y):
-    u, _, vh = np.linalg.svd(y)
-    return u @ vh
+def _real(x):
+    """The real coordinates of a complex stack, for the real trace inner product."""
+    x = np.asarray(x)
+    return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
 
-def _reference_defect_and_gradients(mats, relators):
-    """Defect plus per-generator Euclidean gradients, relator by relator and
-    letter by letter (relators spelled as letters of exponent +-1)."""
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=complex)
-    grads = [np.zeros((n, n), dtype=complex) for _ in mats]
-    defect = 0.0
-    for rel in relators:
-        factors = [mats[g] if s == 1 else mats[g].conj().T for g, s in rel.letters]
-        L = len(factors)
-        prefixes = [eye]
-        for f in factors:
-            prefixes.append(prefixes[-1] @ f)
-        suffixes = [eye] * (L + 1)
-        for j in range(L - 1, -1, -1):
-            suffixes[j] = factors[j] @ suffixes[j + 1]
-        w = prefixes[L]
-        diff = w - eye
-        defect += float(np.linalg.norm(diff) ** 2)
-        for j, (g, s) in enumerate(rel.letters):
-            p, suf = prefixes[j], suffixes[j + 1]
-            if s == 1:
-                grads[g] += 2.0 * p.conj().T @ diff @ suf.conj().T
-            else:
-                grads[g] += 2.0 * suf @ diff.conj().T @ p
-    return defect, grads
+def _dense_jacobian(mats, relators):
+    """The real matrix of Omega -> d/dt W(U (I + t Omega)) at t = 0 on the
+    ambient (gens, k, k) complex stacks: rows are the nonempty relators'
+    entries, columns each generator's entries, real then imaginary.  Built
+    letter by letter: the derivative of M_1 ... M_L is the sum over j of
+    M_1 ... M_{j-1} dM_j M_{j+1} ... M_L, with dM_j = U E when M_j = U and
+    -E U^H when M_j = U^H."""
+    gens, k = len(mats), mats.shape[-1]
+    rels = [r for r in relators if r.letters]
+    cols = []
+    for part in (1.0, 1j):
+        for g in range(gens):
+            for entry in range(k * k):
+                e = np.zeros(k * k, dtype=complex)
+                e[entry] = part
+                e = e.reshape(k, k)
+                col = np.zeros((len(rels), k, k), dtype=complex)
+                for row, rel in enumerate(rels):
+                    factors = [mats[h] if s == 1 else mats[h].conj().T for h, s in rel.letters]
+                    for j, (h, s) in enumerate(rel.letters):
+                        if h == g:
+                            d = mats[g] @ e if s == 1 else -e @ mats[g].conj().T
+                            col[row] += np.linalg.multi_dot(
+                                [np.eye(k), *factors[:j], d, *factors[j + 1:], np.eye(k)])
+                cols.append(col)
+    # columns in _real order: the real parts of all entries, then the imaginary
+    return np.stack([_real(c) for c in cols], axis=1), len(rels)
 
 
-def _reference_riemannian_gradients(mats, egrads):
-    out = []
-    for u, g in zip(mats, egrads):
-        x = u.conj().T @ g
-        out.append(u @ ((x - x.conj().T) / 2.0))
-    return out
+def _skew(x):
+    return (x - x.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _reference_solve(G, n, cfg):
-    """(matrices, defect, iterations, defect_history, max_unitarity_defect)."""
-    rng = np.random.default_rng(cfg.seed)
-    mats = [haar_unitary(rng, n) for _ in G.generators]
-    relators = tuple(spell(r) for r in G.relators)
-    defect, egrads = _reference_defect_and_gradients(mats, relators)
-    history = [defect]
-    max_udef = unitarity_defect(mats)
-    best = ([m.copy() for m in mats], defect)
-    perturbations = 0
-    iters = 0
-    step = INITIAL_STEP
-    while defect > cfg.tolerance and iters < cfg.max_iter:
-        iters += 1
-        rgrads = _reference_riemannian_gradients(mats, egrads)
-        gnorm2 = sum(float(np.linalg.norm(g) ** 2) for g in rgrads)
-        accepted = False
-        if gnorm2 > 1e-28:
-            step = min(2.0 * step, 1e6)
-            for _ in range(MAX_BACKTRACKS):
-                trial = [_reference_polar(u - step * g) for u, g in zip(mats, rgrads)]
-                tdefect, tgrads = _reference_defect_and_gradients(trial, relators)
-                if tdefect <= defect - ARMIJO * step * gnorm2:
-                    mats, defect, egrads = trial, tdefect, tgrads
-                    accepted = True
-                    break
-                step *= STEP_SHRINK
-        if not accepted:
-            if perturbations >= MAX_PERTURBATIONS:
-                break
-            perturbations += 1
-            kicked = []
-            for u in mats:
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                skew = (a - a.conj().T) / 2.0
-                kicked.append(_reference_polar(u + 1e-2 * u @ skew))
-            mats = kicked
-            defect, egrads = _reference_defect_and_gradients(mats, relators)
-            step = INITIAL_STEP
-        history.append(defect)
-        max_udef = max(max_udef, unitarity_defect(mats))
-        if defect < best[1]:
-            best = ([m.copy() for m in mats], defect)
-    if best[1] < defect:
-        mats, defect = best[0], best[1]
-    return tuple(mats), defect, iters, tuple(history), max_udef
+def _random_skew(rng, shape):
+    return _skew(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _defect_and_gradients(mats, relators):
-    """The stacked defect and gradients at the stack ``mats``."""
-    mats = np.asarray(mats)
+def _linearization(mats, relators):
+    """_Relators, residual rows and term factors at the stack ``mats``."""
     rels = _Relators(relators, len(mats), mats.shape[-1])
-    defect, products = rels.defect(mats)
-    return defect, rels.gradients(products)
+    _, products = rels.defect(mats)
+    return (rels, *rels.linearize(products)) if rels.groups else (rels, None, None, None)
 
 
 @st.composite
@@ -150,32 +108,104 @@ def _presentations(draw):
 
 
 FREE2 = GroupPresentation(("a", "b"))
+KLEIN_FOUR = parse_presentation("gens: a b ; rels: a a , b b , a b a b ;")
 
 
-@settings(max_examples=150, deadline=None)
-@given(_presentations(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@given(_presentations(), st.integers(1, 3), st.integers(0, 2**32 - 1))
 @example(FREE2, 2, 0)
-def test_stacked_defect_and_gradients_equal_the_reference_bit_for_bit(G, k, seed):
+@example(KLEIN_FOUR, 2, 0)
+def test_jacobian_and_adjoint_equal_a_dense_jacobian_built_letter_by_letter(G, k, seed):
     rng = np.random.default_rng(seed)
-    shape = (len(G.generators), k, k)
-    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mats = np.stack([haar_unitary(rng, k) for _ in G.generators])
     relators = tuple(spell(r) for r in G.relators)
-    defect, grads = _defect_and_gradients(mats, relators)
-    ref_defect, ref_grads = _reference_defect_and_gradients(list(mats), relators)
-    assert defect == ref_defect
-    assert np.array_equal(grads, ref_grads)
-    rgrads = _riemannian_gradients(mats, grads)
-    assert np.array_equal(rgrads, _reference_riemannian_gradients(list(mats), ref_grads))
+    rels, residual, a, b = _linearization(mats, relators)
+    dense, count = _dense_jacobian(mats, relators)
+    if not rels.groups:
+        assert count == 0
+        return
+    rows = rels.rel_order  # the residual row of each nonempty relator, in order
+    omega = _random_skew(rng, mats.shape)
+    y = rng.standard_normal(residual.shape) + 1j * rng.standard_normal(residual.shape)
+    applied = rels.apply(a, b, omega)
+    assert np.allclose(_real(applied[rows]), dense @ _real(omega), atol=1e-12)
+    back = np.split(dense.T @ _real(y[rows]), 2)
+    ambient = (back[0] + 1j * back[1]).reshape(mats.shape)
+    adjoint = rels.adjoint(a, b, y)
+    assert np.allclose(adjoint, _skew(ambient), atol=1e-12)
+    assert np.array_equal(adjoint, -adjoint.conj().swapaxes(-1, -2))  # skew-Hermitian
+
+
+@settings(max_examples=100, deadline=None)
+@given(_presentations(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_adjoint_identity(G, k, seed):
+    """<J Omega, Y> = <Omega, J^T Y> in the real trace inner product."""
+    rng = np.random.default_rng(seed)
+    mats = np.stack([haar_unitary(rng, k) for _ in G.generators])
+    rels, residual, a, b = _linearization(mats, tuple(spell(r) for r in G.relators))
+    assume(rels.groups)
+    omega = _random_skew(rng, mats.shape)
+    y = rng.standard_normal(residual.shape) + 1j * rng.standard_normal(residual.shape)
+    left = np.vdot(rels.apply(a, b, omega), y).real
+    right = np.vdot(omega, rels.adjoint(a, b, y)).real
+    assert abs(left - right) <= 1e-12 * (1 + abs(left))
+
+
+def _reference_solve(G, n, cfg):
+    """The solver's loop over _Relators and _lm_step: (matrices, defect,
+    iterations, defect_history, max_unitarity_defect, backtracks)."""
+    rng = np.random.default_rng(cfg.seed)
+    mats = np.stack([haar_unitary(rng, n) for _ in G.generators])
+    rels = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
+    defect, products = rels.defect(mats)
+    history, max_udef, best = [defect], unitarity_defect(mats), (mats, defect)
+    kicks = backtracks = iters = 0
+    damping = INITIAL_DAMPING
+    while defect > cfg.tolerance and iters < cfg.max_iter:
+        iters += 1
+        residual, a, b = rels.linearize(products)
+        grad = rels.adjoint(a, b, residual)
+        accepted = False
+        tries = MAX_BACKTRACKS if np.vdot(grad, grad).real > 1e-28 else 0
+        for _ in range(tries):
+            omega = _lm_step(rels, a, b, grad, damping * np.sqrt(defect))
+            if -np.vdot(grad, omega).real <= ROUNDING * defect:
+                break
+            trial = _polar(mats + mats @ omega)
+            tdefect, tproducts = rels.defect(trial)
+            if tdefect < defect:
+                mats, defect, products = trial, tdefect, tproducts
+                damping = max(damping * DAMPING_DOWN, MIN_DAMPING)
+                accepted = True
+                break
+            backtracks += 1
+            damping *= DAMPING_UP
+        if not accepted:
+            if kicks == MAX_PERTURBATIONS:
+                break
+            kicks += 1
+            draws = rng.standard_normal((len(mats), 2, n, n))
+            mats = _polar(mats + 1e-2 * mats @ _skew(draws[:, 0] + 1j * draws[:, 1]))
+            defect, products = rels.defect(mats)
+            damping = INITIAL_DAMPING
+        history.append(defect)
+        max_udef = max(max_udef, unitarity_defect(mats))
+        if defect < best[1]:
+            best = (mats, defect)
+    if best[1] < defect:
+        mats, defect = best
+    return mats, defect, iters, tuple(history), max_udef, backtracks
 
 
 def _assert_solves_equal(G, n, cfg):
     res = solve_representation(G, n, cfg)
-    mats, defect, iters, history, max_udef = _reference_solve(G, n, cfg)
+    mats, defect, iters, history, max_udef, backtracks = _reference_solve(G, n, cfg)
     assert np.array_equal(res.point.matrices, mats)
     assert res.defect == defect
     assert res.iterations == iters
     assert res.defect_history == history
     assert res.max_unitarity_defect == max_udef
+    assert res.backtracks == backtracks
     return res
 
 
@@ -184,11 +214,8 @@ def _assert_solves_equal(G, n, cfg):
     _presentations(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 30)
 )
 @example(FREE2, 3, 0, 30)
-def test_solve_equals_the_reference_solver_bit_for_bit(G, k, seed, max_iter):
+def test_solve_equals_the_reference_loop_bit_for_bit(G, k, seed, max_iter):
     _assert_solves_equal(G, k, SolveConfig(max_iter=max_iter, seed=seed))
-
-
-KLEIN_FOUR = parse_presentation("gens: a b ; rels: a a , b b , a b a b ;")
 
 
 @pytest.mark.parametrize(
@@ -197,12 +224,41 @@ KLEIN_FOUR = parse_presentation("gens: a b ; rels: a a , b b , a b a b ;")
         (klein_bottle(), 2, 0),
         (surface_group(2), 3, 1),
         (free_abelian(3), 4, 2),
-        # stalls: 20 seeded kicks, then the solver gives up unconverged
+        # stalls at a local minimum of defect 6: 20 seeded kicks, then the
+        # solver gives up unconverged
         (KLEIN_FOUR, 3, 0),
     ],
 )
-def test_full_solves_equal_the_reference_solver_bit_for_bit(G, n, seed):
-    _assert_solves_equal(G, n, SolveConfig(seed=seed))
+def test_full_solves_equal_the_reference_loop_bit_for_bit(G, n, seed):
+    res = _assert_solves_equal(G, n, SolveConfig(seed=seed))
+    assert res.converged != (G is KLEIN_FOUR)
+
+
+def test_a_stalled_solve_kicks_then_gives_up():
+    res = solve_representation(KLEIN_FOUR, 3, SolveConfig(seed=0))
+    assert not res.converged and abs(res.defect - 6.0) < 1e-9
+    assert res.iterations < SolveConfig().max_iter  # stopped by the kick budget
+    # a kick leaves the local minimum, so the defect rises 20 times
+    rises = sum(b > a for a, b in zip(res.defect_history, res.defect_history[1:]))
+    assert rises == MAX_PERTURBATIONS
+
+
+# ROADMAP item 6's probe cases: (group, dimension); gradient descent took up to
+# 208, 94, 727, 78 and 21 iterations on 40 seeds
+PROBES = [
+    (klein_bottle(), 4),
+    (free_abelian(3), 3),
+    (surface_group(2), 6),
+    (surface_group(2), 2),
+    (surface_group(3), 3),
+]
+
+
+@pytest.mark.parametrize("G, n", PROBES)
+def test_iterations_on_the_probe_groups_stay_bounded(G, n):
+    for seed in range(12):
+        res = solve_representation(G, n, SolveConfig(seed=seed))
+        assert res.converged and res.iterations <= 15, (seed, res.iterations)
 
 
 def test_defect_trivial_point_is_zero():
@@ -245,57 +301,48 @@ def test_defect_invariant_under_relator_free_reduction():
     assert abs(relator_defect(p, G1) - relator_defect(p, G2)) < 1e-12
 
 
-def test_gradient_matches_finite_differences():
-    # oracle: central finite differences of the ambient defect
+def _moved(mats, omega, t):
+    return mats @ (np.eye(mats.shape[-1]) + t * omega)
+
+
+def test_linearization_matches_central_finite_differences():
+    # oracle: central differences of the relator products and of the defect
+    # along U_g -> U_g (I + t Omega_g)
     rng = np.random.default_rng(7)
-    mats = np.stack([haar_unitary(rng, 2), haar_unitary(rng, 2)])
+    mats = np.stack([haar_unitary(rng, 3), haar_unitary(rng, 3)])
     G = klein_bottle()
-    _, grads = _defect_and_gradients(mats, G.relators)
-
+    rels, residual, a, b = _linearization(mats, G.relators)
     eps = 1e-6
-    for gi in range(2):
-        num = np.zeros((2, 2), dtype=complex)
-        for r in range(2):
-            for c in range(2):
-                for delta in (1.0, 1j):
-                    plus = mats.copy()
-                    minus = mats.copy()
-                    plus[gi, r, c] += eps * delta
-                    minus[gi, r, c] -= eps * delta
-                    fp, _ = _defect_and_gradients(plus, G.relators)
-                    fm, _ = _defect_and_gradients(minus, G.relators)
-                    deriv = (fp - fm) / (2 * eps)
-                    num[r, c] += deriv * delta  # real + i * imag parts
-        assert np.allclose(num, grads[gi], atol=1e-5)
+    for _ in range(3):
+        omega = _random_skew(rng, mats.shape)
+        plus, minus = _moved(mats, omega, eps), _moved(mats, omega, -eps)
+        words = [(evaluate_word(r, plus) - evaluate_word(r, minus)) / (2 * eps)
+                 for r in G.relators]
+        assert np.allclose(rels.apply(a, b, omega), words, atol=1e-8)
+        slope = (relator_defect(plus, G) - relator_defect(minus, G)) / (2 * eps)
+        grad = 2 * rels.adjoint(a, b, residual)
+        assert abs(slope - np.vdot(grad, omega).real) < 1e-7
 
 
-def test_gradient_of_a_relator_with_runs_matches_finite_differences():
-    # a a b is stored as the runs ((0, 2), (1, 1)); the gradient takes it spelled
+def test_linearization_of_a_relator_with_runs_matches_finite_differences():
+    # a a b is stored as the runs ((0, 2), (1, 1)); the linearization takes it spelled
     rng = np.random.default_rng(11)
     mats = np.stack([haar_unitary(rng, 2), haar_unitary(rng, 2)])
     G = parse_presentation("gens: a b ; rels: a a b ;")
     assert G.relators[0].letters == ((0, 2), (1, 1))
     with pytest.raises(ValueError, match="spelled"):
         _Relators(G.relators, 2, 2)
-    relators = tuple(spell(r) for r in G.relators)
-    _, grads = _defect_and_gradients(mats, relators)
+    rels, residual, a, b = _linearization(mats, tuple(spell(r) for r in G.relators))
 
-    def defect(ms):
-        # oracle: ||A A B - I||^2 written out directly
-        return float(np.linalg.norm(ms[0] @ ms[0] @ ms[1] - np.eye(2)) ** 2)
+    def word(ms):
+        # oracle: A A B written out directly
+        return ms[0] @ ms[0] @ ms[1]
 
     eps = 1e-6
-    for gi in range(2):
-        num = np.zeros((2, 2), dtype=complex)
-        for r in range(2):
-            for c in range(2):
-                for delta in (1.0, 1j):
-                    plus = mats.copy()
-                    minus = mats.copy()
-                    plus[gi, r, c] += eps * delta
-                    minus[gi, r, c] -= eps * delta
-                    num[r, c] += (defect(plus) - defect(minus)) / (2 * eps) * delta
-        assert np.allclose(num, grads[gi], atol=1e-5)
+    omega = _random_skew(rng, mats.shape)
+    derivative = (word(_moved(mats, omega, eps)) - word(_moved(mats, omega, -eps))) / (2 * eps)
+    assert np.allclose(rels.apply(a, b, omega)[0], derivative, atol=1e-8)
+    assert np.allclose(residual[0], word(mats) - np.eye(2), atol=1e-15)
 
 
 def test_solve_free_group_converges_instantly():
@@ -412,48 +459,39 @@ def test_haar_unitary_is_unitary():
         assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
 
 
-def test_riemannian_gradient_is_tangent():
-    rng = np.random.default_rng(8)
-    mats = np.stack([haar_unitary(rng, 3), haar_unitary(rng, 3)])
-    _, egrads = _defect_and_gradients(mats, Z2.relators)
-    for u, rg in zip(mats, _riemannian_gradients(mats, egrads)):
-        x = u.conj().T @ rg
-        assert np.allclose(x, -x.conj().T, atol=1e-12)  # skew-Hermitian
-
-
-def _counting(monkeypatch, name):
-    """Count the calls of the method ``_Relators.<name>``."""
+def _counting(monkeypatch, name, rejected=()):
+    """Count the calls of the method ``_Relators.<name>``; the calls numbered
+    in ``rejected`` report an infinite defect, so their trial is rejected."""
     calls = [0]
     method = getattr(_Relators, name)
 
     def counted(self, *args):
         calls[0] += 1
-        return method(self, *args)
+        out = method(self, *args)
+        return (np.inf, out[1]) if calls[0] in rejected else out
 
     monkeypatch.setattr(_Relators, name, counted)
     return calls
 
 
 @pytest.mark.parametrize(
-    "G, n, cfg, broke",
+    "G, n, cfg, rejected, broke",
     [
-        (klein_bottle(), 2, SolveConfig(seed=0), False),
-        (surface_group(2), 3, SolveConfig(seed=1), False),
-        (Z2, 2, SolveConfig(seed=5, max_iter=0), False),
-        (KLEIN_FOUR, 3, SolveConfig(seed=0), True),  # kicks, then gives up
+        (klein_bottle(), 2, SolveConfig(seed=0), (), False),
+        # the first two trials, then the first of the third iteration
+        (klein_bottle(), 2, SolveConfig(seed=0), (2, 3, 6), False),
+        (surface_group(2), 3, SolveConfig(seed=1), (2,), False),
+        (Z2, 2, SolveConfig(seed=5, max_iter=0), (), False),
+        (KLEIN_FOUR, 3, SolveConfig(seed=0), (), True),  # kicks, then gives up
     ],
 )
-def test_backtracks_count_the_rejected_trials(monkeypatch, G, n, cfg, broke):
-    defects = _counting(monkeypatch, "defect")
-    gradients = _counting(monkeypatch, "gradients")
+def test_backtracks_count_the_rejected_trials(monkeypatch, G, n, cfg, rejected, broke):
+    defects = _counting(monkeypatch, "defect", rejected)
+    linearizations = _counting(monkeypatch, "linearize")
     res = solve_representation(G, n, cfg)
-    # every defect after the first belongs to a line-search trial or a kick;
-    # every gradient after the first to an accepted trial or a kick
-    accepted_or_kicked = gradients[0] - 1
-    assert res.backtracks + accepted_or_kicked == defects[0] - 1
-    # each iteration accepts a step, kicks, or gives up
-    assert accepted_or_kicked == res.iterations - broke
-    if cfg.max_iter:
-        assert res.backtracks > 0
-    else:
-        assert res.backtracks == 0
+    # every iteration linearizes once; every defect after the first belongs
+    # to a trial (accepted or rejected) or a kick, and each iteration
+    # accepts a trial, kicks, or gives up
+    assert linearizations[0] == res.iterations
+    assert res.backtracks + res.iterations - broke == defects[0] - 1
+    assert res.backtracks == len(rejected)

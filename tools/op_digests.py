@@ -7,7 +7,14 @@ generator (``bench/workloads.py``) from this checkout, writes the inputs of
 every workload into a fresh temporary directory, runs every op in process
 through ``flatdetect.cli.run`` and prints one line per op:
 
-    workload index exit-code stdout-digest stderr-digest out-digest label
+    workload index exit-code stdout-digest stderr-digest out-digest verdict label
+
+where ``verdict`` is the benchmark oracle's on the op's exit code and
+``--out`` bytes: ``ok``, or its reason (``no output`` when the op wrote no
+file).  A changed out-digest with ``ok`` on both sides is an op whose bytes
+moved while it kept its exit code and its oracle, as a solver that reaches
+another point of the representation variety gives.  The ops after the
+benchmark's have no oracle and print no verdict.
 
 After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
 of ``DESCRIPTORS``, group descriptors the benchmark never builds (``group``
@@ -16,7 +23,8 @@ exact family and one Klein-bottle family (the numeric path), and then on
 each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
 the ``abelianizations`` ops: ``detect run`` on each of ``ABELIANIZATIONS``,
 group files whose relator sums do not vanish in Z^2, against a family of
-Z^2.  Then come the ``families`` ops: ``family build`` on each of
+Z^2 and then against a Klein-bottle family.  Then come the ``families``
+ops: ``family build`` on each of
 ``FAMILIES``, the ``extend`` and ``pullback`` expressions the benchmark
 never builds, families of the group with no generators, inductions and a
 pullback along ``klein_even`` over a Klein-bottle group whose relator is
@@ -233,10 +241,16 @@ GROUP_FILES = {
                    f"{_reduced_word('ab', LONG_RELATOR, _RNG)} ;\n",
 }
 # group files against a family of Z^2, which is no family of either: Z/3 x Z,
-# whose z1^z2 is 0 in H_2, and the Klein-bottle group
+# whose z1^z2 is 0 in H_2, and the Klein-bottle group; then against a family
+# of the Klein-bottle group, where the relator sums 3*z1 of Z/3 x Z lie in the
+# rational span of the Klein relator's 2*z1 but not in its integer span
 ABELIANIZATIONS = {
     "t3.grp": "gens: a b ; rels: a a a , a b a^-1 b^-1 ;\n",
     "klein.grp": GROUP_FILES["klein.grp"],
+}
+ABELIANIZATION_FAMILIES = {
+    "z2.fam": "char_zn(2, 4)",
+    "klein.fam": DESCRIPTOR_FAMILIES["klein"],
 }
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
@@ -252,7 +266,7 @@ CERTIFICATES = (
 USAGE = (
     ("rep", "solve", "--presentation", "z2.grp", "--dim", "0"),
     ("rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--tol", "1e-3",
-     "--seed", "7", "--max-iter", "5", "--out", "solve.json"),
+     "--seed", "7", "--max-iter", "1", "--out", "solve.json"),
     ("rep", "solve", "--presentation", "z2.grp", "--dim", "2"),
     ("report", "--group", "free_abelian(2)", "--families", "z2.fam",
      "--out", "report.json"),
@@ -295,12 +309,14 @@ def _descriptor_ops(run_dir: Path):
 
 def _abelianization_ops(run_dir: Path):
     """(argv, label) of every ``abelianizations`` op; writes its input files."""
-    (run_dir / "z2.fam").write_text("char_zn(2, 4)\n")
     for name, text in ABELIANIZATIONS.items():
         (run_dir / name).write_text(text)
-        argv = ["detect", "run", "--group", f"group({run_dir / name})",
-                "--families", str(run_dir / "z2.fam")]
-        yield argv, f"detect run group(<run>/{name}) vs char_zn(2, 4)"
+    for fam, expr in ABELIANIZATION_FAMILIES.items():
+        (run_dir / fam).write_text(expr + "\n")
+        for name in ABELIANIZATIONS:
+            argv = ["detect", "run", "--group", f"group({run_dir / name})",
+                    "--families", str(run_dir / fam)]
+            yield argv, f"detect run group(<run>/{name}) vs {expr}"
 
 
 def _family_ops(run_dir: Path, exprs=FAMILIES):
@@ -371,14 +387,18 @@ def main(argv=None) -> int:
     def digest(data: bytes) -> str:
         return hashlib.sha256(data.replace(marker, b"<run>")).hexdigest()[:16]
 
-    def run_op(workload, i, argv, out_path, label):
+    def run_op(workload, i, argv, out_path, label, check=None):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(list(argv))
-        result = digest(out_path.read_bytes()) if out_path and out_path.exists() else "-"
+        data = out_path.read_bytes() if out_path and out_path.exists() else None
+        verdict = []
+        if check:
+            verdict = ["no output" if data is None else check(code, data) or "ok"]
         print(
             workload, i, code, digest(out.getvalue().encode()),
-            digest(err.getvalue().encode()), result, label,
+            digest(err.getvalue().encode()), "-" if data is None else digest(data),
+            *verdict, label,
         )
 
     try:
@@ -386,7 +406,7 @@ def main(argv=None) -> int:
             run_dir = tmp / f"{workload}-{args.seed}"
             run_dir.mkdir()
             for i, op in enumerate(workloads.generate(workload, args.seed, run_dir)):
-                run_op(workload, i, op.argv, op.out, op.label)
+                run_op(workload, i, op.argv, op.out, op.label, op.check)
         run_dir = tmp / "descriptors"
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_descriptor_ops(run_dir)):
