@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import (Cover, Family, _abelianize, _hermite_form, _in_lattice, axis_windings,
+from .families import (Cover, Family, _abelianize, _echelon_basis, _in_lattice, axis_windings,
                        induce_family, pullback_family)
 from .presentation import (GroupPresentation, PresentationError, Word, free_group, free_reduce,
                            parse_word, surface_group)
@@ -421,14 +421,12 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
             raise PresentationError(f"{name} has {n} base labels, but {d.describe()} has {d.z_dim}")
         if not d.rows:
             continue
-        theirs = [row for row in _exponent_sums(name, f.group) if row]
-        if set(d.rows) <= {tuple((g + 1, e) for g, e in row.items()) for row in theirs}:
-            continue  # each row of d is one of theirs: no elimination needed
-        # the family's rows, brought to Hermite form once: each row of d is tested against it alone
-        form = _hermite_form([[row.get(g, 0) for g in range(n)] for row in theirs])
+        # the family's rows, brought to an echelon basis once: each row of d is tested against it alone
+        basis = _echelon_basis([[row.get(g, 0) for g in range(n)]
+                                for row in _exponent_sums(name, f.group) if row])
         for row in d.rows:
             sums = dict(row)
-            if not _in_lattice(form, [sums.get(z, 0) for z in range(1, n + 1)]):
+            if not _in_lattice(basis, [sums.get(z, 0) for z in range(1, n + 1)]):
                 raise PresentationError(
                     f"{name} is no family of {d.describe()}: its relator sums "
                     f"{format_combination((f'z{z}', e) for z, e in row)} are not 0 in the "

@@ -498,14 +498,13 @@ def _det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | No
     return sign * prev, [[sign * v for v in row[n:]] for row in rows]
 
 
-def _hermite_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The nonzero rows of the Hermite normal form of the lattice the integer
-    ``rows`` span, by unimodular row operations: echelon, each pivot
-    positive and the entries above it reduced into [0, pivot).  Per column,
-    Euclid's algorithm on the rows, each step subtracting the multiple of the
-    row of least nonzero entry that leaves the others their remainders."""
+def _echelon_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """An echelon basis of the lattice the integer ``rows`` span, by
+    unimodular row operations: per column, Euclid's algorithm on the rows,
+    each step subtracting the multiple of the row of least nonzero entry
+    that leaves the others their remainders."""
     rest = [list(r) for r in rows if any(r)]
-    form: list[list[int]] = []
+    basis: list[list[int]] = []
     for col in range(len(rest[0]) if rest else 0):
         live = [r for r in rest if r[col]]
         rest = [r for r in rest if not r[col]]
@@ -518,21 +517,16 @@ def _hermite_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                     r = [a - q * b for a, b in zip(r, pivot)]
                     (others if r[col] else rest).append(r)
             live = [pivot, *others]
-        if live:
-            pivot = live[0] if live[0][col] > 0 else [-a for a in live[0]]
-            for i, r in enumerate(form):
-                if q := r[col] // pivot[col]:
-                    form[i] = [a - q * b for a, b in zip(r, pivot)]
-            form.append(pivot)
+        basis += live
         rest = [r for r in rest if any(r)]
-    return form
+    return basis
 
 
-def _in_lattice(form: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    """Whether the integer vector v lies in the lattice of the Hermite
-    normal form ``form``: reduce it by each row in turn modulo the row's
-    pivot, which leaves 0 at every pivot exactly when v is in the lattice."""
-    for row in form:
+def _in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether the integer vector v lies in the lattice of the echelon
+    ``basis``: reduce it by each row in turn modulo the row's pivot, which
+    leaves 0 at every pivot exactly when v is in the lattice."""
+    for row in basis:
         col = next(c for c, a in enumerate(row) if a)
         q = v[col] // row[col]
         v = [a - q * b for a, b in zip(v, row)]

@@ -150,16 +150,16 @@ class _Relators:
     their linearization.
 
     Relators of one length L form a group: ``letters`` ``(L, R)`` indexes
-    the stack ``[U_1 .. U_g, U_1^H .. U_g^H]`` and ``inverse``
-    ``(L, R, 1, 1)`` marks the letters of exponent -1, so that each group is
-    evaluated by stacked matmuls over its R relators; the groups' relators,
-    one after another, are the rows of the residual.  ``rel_order`` puts the
-    rows back in relator order, so that the defect sums as a loop over
-    relators would.  A (letter, relator) pair is a term; ``order`` sorts
-    the terms, stacked group by group and letter-major, by generator, and
-    ``term_gens``, ``term_rows``, ``gen_starts`` and ``row_order``,
-    ``row_starts`` index them for the two term sums of ``apply`` and
-    ``adjoint``.  An empty relator contributes nothing and is dropped.
+    the stack ``[U_1 .. U_g, U_1^H .. U_g^H]``, ``inverse`` ``(L, R, 1, 1)``
+    marks the letters of exponent -1 and ``owners`` ``(L, R)`` names each
+    letter's generator, so that each group is evaluated by stacked matmuls
+    over its R relators; the groups' relators, one after another, are the
+    rows of the residual, and ``rows`` slices a group's.  ``rel_order``
+    puts the rows back in relator order, so that the defect sums as a loop
+    over relators would.  A (letter, relator) pair is a term; ``order``
+    sorts the terms, stacked group by group and letter-major, by generator,
+    and ``present`` and ``gen_starts`` index them for the per-generator sum
+    of ``adjoint``.  An empty relator contributes nothing and is dropped.
     """
 
     def __init__(self, relators: tuple[Word, ...], gens: int, dim: int):
@@ -172,23 +172,20 @@ class _Relators:
             if r.letters:
                 by_length.setdefault(len(r), []).append(i)
         self.groups = []
-        rows, term_gens, term_rows = {}, [], []  # relator i -> its row; per term
-        for length, members in by_length.items():
+        rows, term_gens = {}, []  # relator i -> its row; per term
+        for members in by_length.values():
             letters = np.array(
                 [[g + gens * (s < 0) for g, s in relators[i].letters] for i in members]
             ).T
-            self.groups.append((letters, (letters >= gens)[..., None, None]))
-            base = len(rows)
+            owners, base = letters % gens, len(rows)
             rows.update((i, base + r) for r, i in enumerate(members))
-            term_gens += (letters % gens).ravel().tolist()
-            term_rows += [base + r for _ in range(length) for r in range(len(members))]
+            self.groups.append((letters, (letters >= gens)[..., None, None], owners,
+                                slice(base, len(rows))))
+            term_gens += owners.ravel().tolist()
         self.rel_order = [rows[i] for i in sorted(rows)]
         self.order = np.argsort(term_gens, kind="stable")
-        self.term_gens = np.array(term_gens, dtype=int)[self.order]
-        self.term_rows = np.array(term_rows, dtype=int)[self.order]
-        self.present, self.gen_starts = np.unique(self.term_gens, return_index=True)
-        self.row_order = np.argsort(self.term_rows, kind="stable")
-        self.row_starts = np.searchsorted(self.term_rows[self.row_order], np.arange(len(rows)))
+        self.present, self.gen_starts = np.unique(
+            np.array(term_gens, dtype=int)[self.order], return_index=True)
 
     def defect(self, mats: np.ndarray):
         """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
@@ -197,7 +194,7 @@ class _Relators:
         for j = 1 .. L, each ``(R, k, k)``, and W - I."""
         stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
         products, norms = [], []
-        for letters, _ in self.groups:
+        for letters, *_ in self.groups:
             factors = stack[letters]
             prefixes = [factors[0]]
             for f in factors[1:]:
@@ -211,8 +208,8 @@ class _Relators:
         return defect, products
 
     def linearize(self, products):
-        """The residual rows W - I ``(R, k, k)`` and the term factors
-        (A, B), each ``(T, k, k)`` in ``order``, of the differential of the
+        """The residual rows W - I ``(R, k, k)`` and, per group, the term
+        factors (A, B), each ``(L, R, k, k)``, of the differential of the
         relators at the point whose ``defect`` built ``products``.
 
         Moving each U_g to U_g (I + Omega_g), Omega_g skew-Hermitian, moves a
@@ -222,32 +219,33 @@ class _Relators:
         S_j = M_{j+1} ... M_L.
         """
         a, b, residual = [], [], []
-        for (_, inverse), (factors, prefixes, diff) in zip(self.groups, products):
+        for (_, inverse, *_), (factors, prefixes, diff) in zip(self.groups, products):
             eye = np.broadcast_to(self.eye, diff.shape)
             suffixes = [eye]  # S_L, S_{L-1}, ..., S_0
             for f in factors[::-1]:
                 suffixes.append(f @ suffixes[-1])
             s = np.stack(suffixes[::-1])
             p = np.stack([eye, *prefixes])
-            a.append(np.where(inverse, -p[:-1], p[1:]).reshape(-1, *diff.shape[1:]))
-            b.append(np.where(inverse, s[:-1], s[1:]).reshape(-1, *diff.shape[1:]))
+            a.append(np.where(inverse, -p[:-1], p[1:]))
+            b.append(np.where(inverse, s[:-1], s[1:]))
             residual.append(diff)
-        return (np.concatenate(residual), np.concatenate(a)[self.order],
-                np.concatenate(b)[self.order])
+        return np.concatenate(residual), a, b
 
-    def apply(self, a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """J(Omega): per relator row, the sum of its terms A Omega_g B."""
-        terms = a @ omega[self.term_gens] @ b
-        return np.add.reduceat(terms[self.row_order], self.row_starts)
+    def apply(self, a, b, omega: np.ndarray) -> np.ndarray:
+        """J(Omega): per relator row, the sum over its letters of A Omega_g B."""
+        return np.concatenate([(ag @ omega[owners] @ bg).sum(0)
+                               for (_, _, owners, _), ag, bg in zip(self.groups, a, b)])
 
-    def adjoint(self, a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, a, b, y: np.ndarray) -> np.ndarray:
         """J^T(Y) for the real trace inner product: per generator, the
-        skew-Hermitian part of the sum of its terms A^H Y_r B^H."""
-        terms = a.conj().swapaxes(-1, -2) @ y[self.term_rows] @ b.conj().swapaxes(-1, -2)
+        skew-Hermitian part of the sum of its terms A^H Y_r B^H, which is
+        minus that of the sum of their adjoints B Y_r^H A."""
+        yh = y.conj().swapaxes(-1, -2)
+        terms = np.concatenate([(bg @ yh[rows] @ ag).reshape(-1, *y.shape[1:])
+                                for (_, _, _, rows), ag, bg in zip(self.groups, a, b)])
         out = np.zeros((self.gens, *y.shape[1:]), dtype=complex)
-        if len(terms):
-            out[self.present] = np.add.reduceat(terms, self.gen_starts)
-        return _skew(out)
+        out[self.present] = np.add.reduceat(terms[self.order], self.gen_starts)
+        return -_skew(out)
 
 
 def _skew(x: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from flatdetect.families import (
     direct_sum,
     disjoint_union,
     _abelianize,
-    _hermite_form,
+    _echelon_basis,
     _in_lattice,
     _pullback,
     extend_free_product,
@@ -243,7 +243,7 @@ def test_family_side_exponent_sums_are_budgeted_before_elimination(monkeypatch):
     E = parse_presentation("gens: a b ; rels: a a , a b , b b b ;")
     monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 5)
     monkeypatch.setattr(detect, "reduce_rows", None)  # no elimination may start
-    monkeypatch.setattr(detect, "_hermite_form", None)
+    monkeypatch.setattr(detect, "_echelon_basis", None)
     with pytest.raises(PresentationError, match=re.escape(
             "family 0 (trivial(dim=1)) has an exponent-sum matrix of 3 nonzero rows and 2 columns, "
             "more than the 5 cells eliminated at most")):
@@ -252,22 +252,6 @@ def test_family_side_exponent_sums_are_budgeted_before_elimination(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 5)
     assert detection_matrix(free, [trivial_family(E)]).verdict == "undetected"
-
-
-def test_rows_found_among_the_family_groups_skip_the_hermite_form(monkeypatch):
-    """Z/3 x Z against a family of its own presentation reads its row 3*z1
-    among the family group's rows and computes no Hermite form; against a
-    family of <a, b | a^6, a^9, [a, b]>, the same group, it needs one."""
-    forms = []
-    monkeypatch.setattr(detect, "_hermite_form", lambda rows: forms.append(rows) or
-                        _hermite_form(rows))
-    G = parse_presentation("gens: a b ; rels: a a a , a b a^-1 b^-1 ;")
-    d = detect.PresentationComplex("t3", G)
-    report = detection_matrix(d, [trivial_family(G)])
-    assert forms == []
-    E = parse_presentation("gens: a b ; rels: a a a a a a , a a a a a a a a a , a b a^-1 b^-1 ;")
-    assert detection_matrix(d, [trivial_family(E)]) == report
-    assert forms == [[[6, 0], [9, 0]]]
 
 
 _RELATOR_GENS = 4
@@ -329,17 +313,15 @@ def test_a_descriptor_row_pairs_only_inside_the_span_of_the_family_groups_rows(c
     st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4),
 )))
 @example(([[2, 0]], [[3, 0], [4, 0]]))  # 3*z1 is in the rational span of 2*z1 only
-def test_hermite_form_decides_integer_span_membership(case):
+def test_echelon_basis_decides_integer_span_membership(case):
     rows, vectors = case
-    form = _hermite_form(rows)
-    pivots = [next(c for c, a in enumerate(row) if a) for row in form]
+    basis = _echelon_basis(rows)
+    pivots = [next(c for c, a in enumerate(row) if a) for row in basis]
     assert pivots == sorted(set(pivots))  # echelon
-    for i, (row, col) in enumerate(zip(form, pivots)):
-        assert row[col] > 0 and all(0 <= above[col] < row[col] for above in form[:i])
-        assert _in_integer_span(rows, row)
-    assert all(_in_lattice(form, row) for row in rows)
+    assert all(_in_integer_span(rows, row) for row in basis)
+    assert all(_in_lattice(basis, row) for row in rows)
     for v in vectors:
-        assert _in_lattice(form, v) == _in_integer_span(rows, v)
+        assert _in_lattice(basis, v) == _in_integer_span(rows, v)
 
 
 def _reversed_commutator(n: int) -> str:

@@ -40,11 +40,25 @@ def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference: a dense Jacobian built letter by letter by the product rule, and
-# the Levenberg-Marquardt loop written out over _Relators.  The matrix-free
-# linearization must agree with the first, the solver bit for bit with the
-# second.
+# Reference: the defect and a dense Jacobian built relator by relator and
+# letter by letter, and the Levenberg-Marquardt loop written out over
+# _Relators.  The stacked defect must agree with the first bit for bit, the
+# matrix-free linearization with the second, the solver bit for bit with the
+# third.
 # ---------------------------------------------------------------------------
+
+
+def _reference_defect(mats, relators):
+    """The defect relator by relator and letter by letter (relators spelled
+    as letters of exponent +-1)."""
+    eye = np.eye(mats.shape[-1], dtype=complex)
+    defect = 0.0
+    for rel in relators:
+        w = eye
+        for g, s in rel.letters:
+            w = w @ (mats[g] if s == 1 else mats[g].conj().T)
+        defect += float(np.linalg.norm(w - eye) ** 2)
+    return defect
 
 
 def _real(x):
@@ -111,15 +125,20 @@ FREE2 = GroupPresentation(("a", "b"))
 KLEIN_FOUR = parse_presentation("gens: a b ; rels: a a , b b , a b a b ;")
 
 
-@settings(max_examples=100, deadline=None)
-@given(_presentations(), st.integers(1, 3), st.integers(0, 2**32 - 1))
-@example(FREE2, 2, 0)
-@example(KLEIN_FOUR, 2, 0)
-def test_jacobian_and_adjoint_equal_a_dense_jacobian_built_letter_by_letter(G, k, seed):
+@settings(max_examples=150, deadline=None)
+@given(_presentations(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+@example(FREE2, 2, 0, True)
+@example(KLEIN_FOUR, 2, 0, True)
+def test_defect_and_jacobian_equal_the_references_built_letter_by_letter(G, k, seed, unitary):
+    """On Haar unitary and on random (non-unitary) stacks: the defect bit for
+    bit, J and J^T against the dense Jacobian."""
     rng = np.random.default_rng(seed)
-    mats = np.stack([haar_unitary(rng, k) for _ in G.generators])
+    shape = (len(G.generators), k, k)
+    mats = (np.stack([haar_unitary(rng, k) for _ in G.generators]) if unitary
+            else rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     relators = tuple(spell(r) for r in G.relators)
     rels, residual, a, b = _linearization(mats, relators)
+    assert rels.defect(mats)[0] == _reference_defect(mats, relators)
     dense, count = _dense_jacobian(mats, relators)
     if not rels.groups:
         assert count == 0
