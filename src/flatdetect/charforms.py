@@ -2,12 +2,14 @@
 
 MultiForm is an element of the rational exterior algebra on degree-1
 generators of two kinds: z-labels (base/group directions) and x-labels
-(parameter directions).  Monomials are stored canonically with all z's
-before all x's, each kind sorted by index; the sign of bringing a product
-into that order is absorbed into the coefficient.  Every store is canonical
-with no zero coefficient, so operations build canonical stores directly;
-only outside input (the constructor's terms, ``coefficient``,
-``from_records``) is sorted, by ``_merge_sign``, the one ordering rule.
+(parameter directions).  A monomial is stored as a pair (z-indices,
+x-indices) of strictly increasing tuples, all z's before all x's; the sign
+of bringing a product into that order (``_merge``) is absorbed into the
+coefficient.  Every store is canonical with no zero coefficient, so
+operations build canonical stores directly.  Label kinds exist only at the
+boundary: outside input (the constructor, ``coefficient``, ``from_records``)
+is checked and sorted once (``_canonical``), and ``terms`` and
+``to_records`` turn pairs back into labels.
 
 Sign conventions (the global dictionary reported alongside results):
 the exact pipeline normalizes the rank-1 character bundle on the 2-torus to
@@ -19,6 +21,7 @@ equal the exact z^x coefficients, sign included.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -55,39 +58,33 @@ class UnderSampledLoopError(ValueError):
     adjacent determinant arguments jumped by >= pi; refine the sampling."""
 
 
-def _label_key(lab: Label):
-    return (0 if lab[0] == "z" else 1, lab[1])
-
-
 def _check_label(lab: Label):
     kind, idx = lab
     if kind not in ("z", "x") or idx < 1:
         raise ValueError(f"bad label {lab!r}")
 
 
-def _merge_sign(a: tuple[Label, ...], b: tuple[Label, ...]):
-    """Merge two canonical monomials; returns (merged, sign) or None if a
-    generator repeats (the product is zero)."""
-    out: list[Label] = []
-    i = j = 0
-    inversions = 0
-    while i < len(a) and j < len(b):
-        ka, kb = _label_key(a[i]), _label_key(b[j])
-        if ka == kb:
-            return None
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-            inversions += len(a) - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inversions % 2 else 1)
+def _labels(mono) -> tuple[Label, ...]:
+    """The labels of a stored monomial (z-indices, x-indices), in order."""
+    return tuple(("z", i) for i in mono[0]) + tuple(("x", j) for j in mono[1])
 
 
-def _accumulate(store: dict, mono: tuple[Label, ...], c) -> None:
+def _merge(a, b):
+    """Merge two stored monomials; returns (merged, sign) or None if a
+    generator repeats (the product is zero).  Ordering za^xa^zb^xb moves zb
+    past xa, then each kind's inversions are counted by bisection."""
+    (za, xa), (zb, xb) = a, b
+    n = len(xa) * len(zb)
+    for sa, sb in ((za, zb), (xa, xb)):
+        for j in sb:
+            k = bisect_left(sa, j)
+            if k < len(sa) and sa[k] == j:
+                return None
+            n += len(sa) - k
+    return (tuple(sorted(za + zb)), tuple(sorted(xa + xb))), -1 if n % 2 else 1
+
+
+def _accumulate(store: dict, mono, c) -> None:
     """Add ``c`` to the coefficient of ``mono``, dropping the term on cancellation."""
     c += store.get(mono, 0)
     if c:
@@ -97,38 +94,43 @@ def _accumulate(store: dict, mono: tuple[Label, ...], c) -> None:
 
 
 def _wedge_terms(a: dict, b: dict) -> dict:
-    """Product of two term dicts keyed by canonical monomials; refused before
+    """Product of two term dicts keyed by stored monomials; refused before
     any work past MAX_TERM_PRODUCTS term pairs."""
     if len(a) * len(b) > MAX_TERM_PRODUCTS:
         raise ValueError(
             f"a wedge of forms of {len(a)} and {len(b)} terms takes {len(a) * len(b)} "
             f"term products, more than the {MAX_TERM_PRODUCTS} computed at most"
         )
-    out: dict[tuple[Label, ...], Fraction] = {}
+    out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            merged = _merge_sign(ma, mb)
+            merged = _merge(ma, mb)
             if merged is not None:
                 _accumulate(out, merged[0], merged[1] * ca * cb)
     return out
 
 
 def _canonical(labels: Iterable[Label]):
-    """Bring arbitrary labels into canonical order by merging them into the
-    monomial one at a time; returns (monomial, sign) or None when a label
-    repeats.  Every label is checked first, so a bad one raises even next
-    to a repeat."""
+    """Bring arbitrary labels into canonical order with one sort; returns
+    (stored monomial, sign) or None when a label repeats.  The sign is the
+    parity of the sorting permutation, read off its cycles.  Every label is
+    checked first, so a bad one raises even next to a repeat."""
     labels = tuple(labels)
     for lab in labels:
         _check_label(lab)
-    mono, sign = (), 1
-    for lab in labels:
-        merged = _merge_sign(mono, (lab,))
-        if merged is None:
-            return None
-        mono, s = merged
-        sign *= s
-    return mono, sign
+    keys = [(kind == "x", idx) for kind, idx in labels]
+    if len(set(keys)) < len(keys):
+        return None
+    perm = sorted(range(len(keys)), key=keys.__getitem__)
+    mono = tuple(tuple(keys[i][1] for i in perm if keys[i][0] == is_x) for is_x in (False, True))
+    parity = len(perm)
+    for start in range(len(perm)):
+        if perm[start] >= 0:
+            parity -= 1  # a cycle of m labels is m - 1 transpositions
+            i = start
+            while perm[i] >= 0:
+                perm[i], i = -1, perm[i]
+    return mono, -1 if parity % 2 else 1
 
 
 class MultiForm:
@@ -137,16 +139,12 @@ class MultiForm:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        store: dict[tuple[Label, ...], Fraction] = {}
+        store: dict = {}
         for labels, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            canon = _canonical(labels)
-            if canon is None:
-                continue
-            mono, sign = canon
-            _accumulate(store, mono, sign * coeff)
+            canon = _canonical(labels) if coeff else None
+            if canon is not None:
+                _accumulate(store, canon[0], canon[1] * coeff)
         self._terms = store
 
     # -- constructors ------------------------------------------------------
@@ -161,8 +159,8 @@ class MultiForm:
 
     @classmethod
     def _of_canonical(cls, store: dict) -> "MultiForm":
-        """Wrap a store that is already canonical: monomials in canonical
-        order, coefficients nonzero Fractions.  Skips re-canonicalising."""
+        """Wrap a store that is already canonical: strictly increasing index
+        pairs, nonzero Fraction coefficients.  Skips re-canonicalising."""
         form = cls.__new__(cls)
         form._terms = store
         return form
@@ -170,17 +168,16 @@ class MultiForm:
     # -- queries -----------------------------------------------------------
 
     def terms(self):
-        """Sorted (monomial, coefficient) pairs; deterministic order."""
-        return sorted(
-            self._terms.items(), key=lambda kv: (len(kv[0]), [_label_key(l) for l in kv[0]])
+        """(labels, coefficient) pairs by degree, then by labels (z before x,
+        each by index): a z-part ranks after the longer z-parts it begins."""
+        order = sorted(
+            self._terms, key=lambda m: (len(m[0]) + len(m[1]), m[0] + (float("inf"),), m[1])
         )
+        return [(_labels(m), self._terms[m]) for m in order]
 
     def coefficient(self, labels: Iterable[Label]) -> Fraction:
         canon = _canonical(labels)
-        if canon is None:
-            return Fraction(0)
-        mono, sign = canon
-        return sign * self._terms.get(mono, Fraction(0))
+        return canon[1] * self._terms.get(canon[0], Fraction(0)) if canon else Fraction(0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -239,30 +236,29 @@ class MultiForm:
 
     def shift(self, z_offset: int = 0, x_offset: int = 0) -> "MultiForm":
         """Translate label indices (disjointifying label sets before a product);
-        the constructor rejects an index shifted below 1."""
-        terms = {}
-        for mono, c in self._terms.items():
-            new = tuple(
-                (k, i + (z_offset if k == "z" else x_offset)) for k, i in mono
-            )
-            terms[new] = c
-        return MultiForm(terms)
+        an index shifted below 1 raises as a bad label."""
+        store = {}
+        for (zs, xs), c in self._terms.items():
+            zs, xs = tuple(i + z_offset for i in zs), tuple(j + x_offset for j in xs)
+            for lab in _labels((zs[:1], xs[:1])):  # the least index of each kind
+                _check_label(lab)
+            store[zs, xs] = c
+        return MultiForm._of_canonical(store)
 
     def restrict_x(self, keep: Iterable[int]) -> "MultiForm":
         """Restriction to a parameter sub-torus: drop terms using other x-labels."""
         keep = set(keep)
         return MultiForm._of_canonical(
-            {m: c for m, c in self._terms.items() if all(k != "x" or i in keep for k, i in m)}
+            {m: c for m, c in self._terms.items() if keep.issuperset(m[1])}
         )
 
-    def split_z(self) -> dict[tuple[int, ...], dict[tuple[Label, ...], Fraction]]:
-        """Bucket the terms by z-part in one pass: {z-indices: {x-monomial:
-        coefficient}}.  The z-part of a canonical monomial is its prefix, so
-        splitting it off the x-part needs no sign."""
-        out: dict[tuple[int, ...], dict[tuple[Label, ...], Fraction]] = {}
-        for mono, c in self._terms.items():
-            zpart = tuple(i for k, i in mono if k == "z")
-            out.setdefault(zpart, {})[mono[len(zpart):]] = c
+    def split_z(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+        """Bucket the terms by z-part in one pass: {z-indices: {x-indices:
+        coefficient}}.  A stored monomial is its z-part before its x-part,
+        so splitting them needs no sign."""
+        out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        for (zs, xs), c in self._terms.items():
+            out.setdefault(zs, {})[xs] = c
         return out
 
     def contract_z(self, z_indices: Sequence[int]) -> "MultiForm":
@@ -271,20 +267,22 @@ class MultiForm:
         exactly that monomial (split_z), in one pass over the terms."""
         if len(set(z_indices)) != len(tuple(z_indices)):
             raise ValueError("repeated index in contraction monomial")
-        return MultiForm._of_canonical(self.split_z().get(tuple(sorted(z_indices)), {}))
+        xterms = self.split_z().get(tuple(sorted(z_indices)), {})
+        return MultiForm._of_canonical({((), xs): c for xs, c in xterms.items()})
 
     def subst_z(self, images: Sequence["MultiForm"]) -> "MultiForm":
         """Algebra substitution z_i -> images[i-1] (each of pure degree 1),
         leaving x-labels fixed.  Used for cover pullbacks and transfers.
         The product of images is expanded once per z-part (split_z) and
         wedged with that z-part's x-terms straight into one coefficient dict."""
-        out: dict[tuple[Label, ...], Fraction] = {}
+        out: dict = {}
         for zpart, xterms in self.split_z().items():
-            expanded = {(): Fraction(1)}
+            expanded = {((), ()): Fraction(1)}
             for i in zpart:
                 if i > len(images):
                     raise ValueError(f"no image for z{i}")
                 expanded = _wedge_terms(expanded, _coerce(images[i - 1])._terms)
+            xterms = {((), xs): c for xs, c in xterms.items()}
             for mono, c in _wedge_terms(expanded, xterms).items():
                 _accumulate(out, mono, c)
         return MultiForm._of_canonical(out)

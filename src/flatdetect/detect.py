@@ -7,8 +7,8 @@ classes, z_dim, rows)``, its classes in degree order, built by ``Free``,
 ``DirectProduct`` or ``FiniteIndexSuper``.  Every class but a
 ``FiniteIndexSuper`` label has its rational cycle, (z-part, coefficient)
 pairs in the base (z) labels.  Both pairings run one loop: a class is a
-cycle {z-part: coefficient}, a family component a table {z-part:
-{x-monomial: value}}, and a cell the cycle's combination of table entries.
+cycle {z-part: coefficient}, a family component a table {z-part: {x-part:
+value}} (index tuples), and a cell the cycle's combination of table entries.
 Both read base label z_i as the family's generator i, so both check first
 the family's generator count, then that each of the group's exponent-sum
 ``rows`` is 0 in the integral abelianization of the family's group.  Exactly, a
@@ -348,7 +348,7 @@ _COLUMNS = {
 
 
 def _combine(table, cycle):
-    """A cycle's combination of one table's buckets, {x-monomial: value}: the
+    """A cycle's combination of one table's buckets, {x-part: value}: the
     bucket itself for one term of coefficient 1, so exact cells stay lookups."""
     if len(cycle) == 1 and 1 in cycle.values():
         return table.get(next(iter(cycle)), {})
@@ -362,12 +362,12 @@ def _combine(table, cycle):
 def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     """The one pairing loop: class i of ``d`` is ``cycles[i]``, {z-part:
     coefficient}, family fi's component ci is ``tables[fi][ci]``, {z-part:
-    {x-monomial: value}}, and each cell combines one column's entries.  The
+    {x-part: value}}, and each cell combines one column's entries.  The
     rows certify when independent over Q; with a tag column per row, the first
     dependent row reduces to its combination of rows: the witness."""
     top, prefix, unit, xname = _COLUMNS[mode]
     comps = []  # every component's table, in column order
-    col_labels, col_keys = [], []  # (index into comps, x-monomial key)
+    col_labels, col_keys = [], []  # (index into comps, x-part)
     for fi, (f, per_family) in enumerate(zip(fams, tables)):
         for ci, table in enumerate(per_family):
             x_dim = f.space.component_x_dim(ci)
@@ -375,7 +375,7 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
                 for mono in itertools.combinations(range(1, x_dim + 1), q):
                     xpart = "^".join(xname.format(i) for i in mono) or unit
                     col_labels.append(prefix.format(fi=fi, ci=ci) + xpart)
-                    col_keys.append((len(comps), tuple(("x", i) for i in mono)))
+                    col_keys.append((len(comps), mono))
             comps.append(table)
     zero = Fraction(0)
     matrix = []
@@ -513,7 +513,7 @@ def numeric_detection_report(
     tables = [{(): {(): Fraction(k)}} for k in f.fiber_dims]
     for ci, table in enumerate(tables):
         for z, per_axis in zip(read, axis_windings(f, gens, ci, samples)):
-            table[z] = {(("x", a + 1),): Fraction(k) for a, k in enumerate(per_axis)}
+            table[z] = {(a + 1,): Fraction(k) for a, k in enumerate(per_axis)}
     return _pairing(d, [f], cycles, [tables], "numeric")
 
 

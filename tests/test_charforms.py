@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from flatdetect.charforms import (
     poincare_connection,
     _canonical,
     _check_label,
-    _label_key,
+    _labels,
     wedge,
     winding_number,
     xgen,
@@ -67,7 +69,8 @@ def test_canonical_ordering_sign():
 
 
 @st.composite
-def forms(draw):
+def term_dicts(draw):
+    """Constructor input: up to four terms of up to three labels each, in any order."""
     n_terms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n_terms):
@@ -80,7 +83,11 @@ def forms(draw):
         )
         coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
         terms[tuple(labels)] = terms.get(tuple(labels), Fraction(0)) + coeff
-    return MultiForm(terms)
+    return terms
+
+
+def forms():
+    return term_dicts().map(MultiForm)
 
 
 @settings(max_examples=150)
@@ -96,10 +103,13 @@ def test_serialization_roundtrip(f):
 
 
 def _assert_canonical_store(form):
-    """The store invariant: each key is its own canonical order (sign +1),
-    no coefficient is zero, and re-canonicalising the terms changes nothing."""
+    """The store invariant: each key is a pair (z-indices, x-indices) of
+    positive ints that is its own canonical order (sign +1), no coefficient
+    is zero, and re-canonicalising the terms changes nothing."""
     for mono, c in form._terms.items():
-        assert _canonical(mono) == (mono, 1)
+        zs, xs = mono
+        assert all(type(i) is int and i >= 1 for i in zs + xs)
+        assert _canonical(_labels(mono)) == (mono, 1)
         assert isinstance(c, Fraction) and c != 0
     assert form._terms == MultiForm(dict(form.terms()))._terms
 
@@ -124,6 +134,11 @@ def test_operations_return_canonical_stores(a, b, scalar, dz, dx, keep, zs):
         _assert_canonical_store(r)
 
 
+def _reference_key(lab):
+    """z-labels before x-labels, each kind by index."""
+    return (0 if lab[0] == "z" else 1, lab[1])
+
+
 def _canonical_reference(labels):
     """Insertion sort into canonical order, counting transpositions.  Every
     label is checked before a repeat returns None, so [z1, z1, z0] raises
@@ -139,7 +154,7 @@ def _canonical_reference(labels):
     sign = 1
     for i in range(1, len(labels)):
         j = i
-        while j > 0 and _label_key(labels[j - 1]) > _label_key(labels[j]):
+        while j > 0 and _reference_key(labels[j - 1]) > _reference_key(labels[j]):
             labels[j - 1], labels[j] = labels[j], labels[j - 1]
             sign = -sign
             j -= 1
@@ -163,7 +178,45 @@ def test_canonical_matches_insertion_sort_reference(labels, bad):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             _canonical(labels)
     else:
-        assert _canonical(labels) == expected
+        got = _canonical(labels)
+        assert (None if got is None else (_labels(got[0]), got[1])) == expected
+
+
+@settings(max_examples=150)
+@given(term_dicts())
+def test_terms_and_records_list_by_degree_then_labels(raw):
+    """terms() and to_records() list the reference's canonical monomials by
+    degree, then by labels, z before x and each kind by index."""
+    expected: dict = {}
+    for labels, c in raw.items():
+        canon = _canonical_reference(labels)
+        if canon is not None:
+            expected[canon[0]] = expected.get(canon[0], 0) + canon[1] * c
+    expected_terms = sorted(
+        ((m, c) for m, c in expected.items() if c),
+        key=lambda kv: (len(kv[0]), [_reference_key(lab) for lab in kv[0]]),
+    )
+    f = MultiForm(raw)
+    assert f.terms() == expected_terms
+    assert f.to_records() == [
+        [[f"{k}{i}" for k, i in m], c.numerator, c.denominator] for m, c in expected_terms
+    ]
+
+
+def test_constructor_sorts_a_long_term_in_bounded_time():
+    """One sort per outside monomial: 20000 shuffled labels build well
+    inside 5 s, which merging them in one label at a time, quadratic in the
+    label count, does not."""
+    labels = [(k, i) for k in ("z", "x") for i in range(1, 10001)]
+    random.Random(0).shuffle(labels)
+    start = time.perf_counter()
+    f = MultiForm({tuple(labels): 1})
+    assert time.perf_counter() - start < 5
+    [(mono, c)] = f.terms()
+    assert mono == tuple(sorted(labels, key=_reference_key)) and abs(c) == 1
+    # swapping two labels flips the sign
+    labels[0], labels[1] = labels[1], labels[0]
+    assert MultiForm({tuple(labels): 1}) == -f
 
 
 def test_scalar_zero_and_constructor_input_errors():

@@ -215,6 +215,16 @@ def test_presentation_complex_of_klein_and_of_a_repeated_relator():
     assert rep.verdict == "undetected" and rep.undetected_classes == ("-3*r1 + 2*r2", "-z1^z2")
 
 
+def test_presentation_complex_degree_two_basis_under_non_unit_pivots():
+    """<a | a^2, a^3, a^5>: the rows 2, 3, 5 eliminate over Q with non-unit
+    pivots, and the kernel's basis is pinned: each dependent row is reduced
+    by the rows before it, scaled to a primitive integer vector."""
+    d = detect.PresentationComplex(
+        "g", parse_presentation("gens: a ; rels: a a , a a a , a a a a a ;"))
+    assert [(c.label, c.degree, c.cycle) for c in d.classes] == [
+        ("pt", 0, (((), 1),)), ("-3*r1 + 2*r2", 2, ()), ("-5*r1 + 2*r3", 2, ())]
+
+
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_presentation_complex_is_the_torus_model_through_degree_two(rank):
     """free_abelian(n) keeps the torus model: its presentation 2-complex

@@ -19,8 +19,11 @@ benchmark's have no oracle and print no verdict.
 After the benchmark ops come the ``descriptors`` ops: ``detect run`` on each
 of ``DESCRIPTORS``, group descriptors the benchmark never builds (``group``
 ones read the ``DESCRIPTOR_GROUPS`` files by absolute path), against one
-exact family and one Klein-bottle family (the numeric path), and then on
-each of ``EXACT_DESCRIPTORS`` against the exact family alone.  Then come
+exact family and one Klein-bottle family (the numeric path), then on
+each of ``EXACT_DESCRIPTORS`` against the exact family alone, and then on
+``group`` of each of ``DESCRIPTOR_GROUPS`` against the one-dimensional
+trivial family of its own group, whose report rows list the group's
+homology basis.  Then come
 the ``abelianizations`` ops: ``detect run`` on each of ``ABELIANIZATIONS``,
 group files whose relator sums do not vanish in Z^2, against a family of
 Z^2 and then against a Klein-bottle family.  Then come the ``families``
@@ -44,7 +47,12 @@ with exit 3 before the work starts, one family of exactly
 ``families.MAX_COMPONENTS`` components, and ``surface(32767)``, the largest
 surface built, refused by the family's base labels.
 Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
-family sets whose pairing rows are nonzero but linearly dependent.  Last come the ``usage`` ops: the
+family sets whose pairing rows are nonzero but linearly dependent.  Then
+come the ``forms`` ops: ``forms eval`` on each payload of ``FORMS``, wedges
+and sums of serialized forms whose labels come unsorted and x before z,
+hold a repeated label or a term that cancels, are bad (``y1``, ``z0``) or
+large (``z1000000``), or reach past ``charforms.MAX_TERM_PRODUCTS``, and
+one record of ``LONG_RECORD`` shuffled labels.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults) run in order and then in reverse in the same process, so that
 state leaking from one parse into the next shows, and then ``DIGIT_LIMIT``,
@@ -69,6 +77,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import shutil
@@ -99,11 +108,14 @@ DESCRIPTORS = (
 # descriptors whose base-label count differs from the exact family's
 EXACT_DESCRIPTORS = ("free_abelian(16)", "surface(3)", "surface(4)")
 # the group files ``group(...)`` reads, ``<run>`` standing for the run directory:
-# surface(2), and a group whose degree-2 rows are one of cycle 0 (-3 r1 + 2 r2)
-# and two of the cycle z1^z2, the second labeled by its relator r4
+# surface(2), a group whose degree-2 rows are one of cycle 0 (-3 r1 + 2 r2)
+# and two of the cycle z1^z2, the second labeled by its relator r4, and
+# <a | a^2, a^3, a^5>, whose dependent rows have non-unit pivots: its degree-2
+# rows are -3 r1 + 2 r2 and -5 r1 + 2 r3
 DESCRIPTOR_GROUPS = {
     "s2.grp": "gens: a1 b1 a2 b2 ; rels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 ;\n",
     "torsion.grp": "gens: a b c d ; rels: a a , a a a , a b a^-1 b^-1 , a b a^-1 b^-1 ;\n",
+    "pivots.grp": "gens: a ; rels: a a , a a a , a a a a a ;\n",
 }
 DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
@@ -262,6 +274,40 @@ CERTIFICATES = (
     )),
 )
 
+LONG_RECORD = 8000
+
+
+def _long_record() -> list:
+    """One record of LONG_RECORD labels, z1... and x1... shuffled."""
+    labels = [f"{k}{i}" for k in "zx" for i in range(1, LONG_RECORD // 2 + 1)]
+    random.Random(2).shuffle(labels)
+    return [labels, 3, 2]
+
+
+# (label, payload) of each ``forms`` op
+_MIXED = [[["x2", "z3", "x1"], 1, 2], [["z1"], -3, 1], [["x1", "z2"], 2, 3]]
+FORMS = (
+    ("wedge of unsorted labels, x before z",
+     {"op": "wedge",
+      "operands": [_MIXED, [[["z2", "x3"], 5, 1], [[], 1, 1], [["x4", "z4"], 1, 1]]]}),
+    ("sum of unsorted labels, x before z",
+     {"op": "sum", "operands": [_MIXED, [[["z3", "x1", "x2"], 1, 2], [["z1"], 3, 1]]]}),
+    ("wedge with a repeated label and a zero product",
+     {"op": "wedge",
+      "operands": [[[["z1", "x1"], 1, 1], [["x2", "x2"], 1, 1], [["x2"], 1, 1]],
+                   [[["z1"], 1, 1]]]}),
+    ("sum whose terms cancel",
+     {"op": "sum", "operands": [[[["z1", "x1"], 1, 1], [["x2"], 1, 1]], [[["x1", "z1"], 1, 1]]]}),
+    ("bad label y1", {"op": "sum", "operands": [[[["z1", "y1"], 1, 1]]]}),
+    ("bad label z0", {"op": "wedge", "operands": [[[["x1"], 1, 1]], [[["z0"], 1, 1]]]}),
+    ("large index z1000000",
+     {"op": "wedge", "operands": [[[["z1000000", "x1"], 1, 1]], [[["z999999"], 2, 1]]]}),
+    ("wedge of 257 by 257 terms, past the term budget",
+     {"op": "wedge", "operands": [[[[f"z{i}"], 1, 1] for i in range(1, 258)]] * 2}),
+    (f"one record of {LONG_RECORD} shuffled labels",
+     {"op": "wedge", "operands": [[_long_record()], [[["z4001"], 1, 1], [["x1"], 1, 1]]]}),
+)
+
 # argv of each ``usage`` op, file names relative to the run directory
 USAGE = (
     ("rep", "solve", "--presentation", "z2.grp", "--dim", "0"),
@@ -293,6 +339,7 @@ def _descriptor_ops(run_dir: Path):
     (run_dir / "klein.grp").write_text(GROUP_FILES["klein.grp"])
     for name, text in DESCRIPTOR_GROUPS.items():
         (run_dir / name).write_text(text)
+        (run_dir / f"own_{name}.fam").write_text(f"trivial(group={name})\n")
     paths = {}
     for name, expr in DESCRIPTOR_FAMILIES.items():
         paths[name] = run_dir / f"{name}.fam"
@@ -305,6 +352,10 @@ def _descriptor_ops(run_dir: Path):
     for group in EXACT_DESCRIPTORS:
         argv = ["detect", "run", "--group", group, "--families", str(paths["exact"])]
         yield argv, f"detect run {group} vs exact"
+    for name in DESCRIPTOR_GROUPS:
+        argv = ["detect", "run", "--group", f"group({run_dir / name})",
+                "--families", str(run_dir / f"own_{name}.fam")]
+        yield argv, f"detect run group(<run>/{name}) vs trivial(group={name})"
 
 
 def _abelianization_ops(run_dir: Path):
@@ -350,6 +401,14 @@ def _certificate_ops(run_dir: Path):
             paths[-1].write_text(expr + "\n")
         argv = ["detect", "run", "--group", group, "--families", *map(str, paths)]
         yield argv, f"detect run {group} vs {'; '.join(exprs)}"
+
+
+def _form_ops(run_dir: Path):
+    """(argv, out path, label) of every ``forms`` op; writes its input files."""
+    for i, (label, payload) in enumerate(FORMS):
+        path, out = run_dir / f"form{i}.json", run_dir / f"form{i}.out.json"
+        path.write_text(json.dumps(payload) + "\n")
+        yield ["forms", "eval", "--in", str(path), "--out", str(out)], out, label
 
 
 def _usage_ops(run_dir: Path):
@@ -427,6 +486,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_certificate_ops(run_dir)):
             run_op("certificates", i, argv, None, label)
+        run_dir = tmp / "forms"
+        run_dir.mkdir()
+        for i, (argv, out, label) in enumerate(_form_ops(run_dir)):
+            run_op("forms", i, argv, out, label)
         run_dir = tmp / "usage"
         run_dir.mkdir()
         os.environ["COLUMNS"] = "80"  # argparse wraps usage text at the terminal width
