@@ -14,8 +14,9 @@ exponent sums are not 0 in the family group's abelianization) or a
 class label that is no word of its group, a pullback or induction of a family
 of another group than the cover's, a coset list of another length than the
 cover's index, a cover index above ``families.MAX_INDEX``, a group descriptor
-of more than ``detect.MAX_CLASSES`` homology classes, a group descriptor or a
-family's group of more than ``detect.MAX_RELATION_CELLS`` exponent-sum cells,
+of more than ``detect.MAX_CLASSES`` homology classes, a group descriptor (all
+its leaves together) or a family's group of more than
+``detect.MAX_RELATION_CELLS`` exponent-sum cells,
 a descriptor of more than ``detect.MAX_CYCLE_TERMS`` prefix sums read, a
 wedge of forms past ``charforms.MAX_TERM_PRODUCTS`` term products, or an exact
 detection matrix of more than ``detect.MAX_CELLS`` cells),
@@ -367,7 +368,8 @@ def build_family(ast, basedir: Path) -> families.Family:
 
 
 def build_descriptor(ast) -> detect.GroupClass:
-    return _build(ast, "descriptor", None)
+    with detect.expression_budget():  # one exponent-sum budget for all leaves
+        return _build(ast, "descriptor", None)
 
 
 def _load_family(path: str) -> families.Family:

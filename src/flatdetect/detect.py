@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,7 +48,9 @@ SCOPE_NOTE = (
 
 # the most homology classes a descriptor builds (free_abelian(16) has 2^16)
 MAX_CLASSES = 2**16
-# the most cells (nonzero rows x columns) of an exponent-sum matrix eliminated: 1 s at 64 x 64
+# the most cells (nonzero rows x columns) of exponent-sum matrices eliminated
+# for one group, or in all for the leaves of one descriptor expression (see
+# ``expression_budget``): 1 s at 64 x 64
 MAX_RELATION_CELLS = 2**12
 # the most prefix sums read building the degree-2 cycles: surface(32767) reads 131068
 MAX_CYCLE_TERMS = 2**17
@@ -136,15 +140,35 @@ def _omega(w: Word) -> dict[tuple[int, int], int]:
     return {z: v for z, v in twice.items() if v}
 
 
-def _exponent_sums(label: str, G: GroupPresentation) -> list[dict[int, int]]:
+# the exponent-sum cells the presentation complexes of the descriptor
+# expression being built have eliminated so far, or None outside one
+_CELLS_SPENT: ContextVar[list[int] | None] = ContextVar("cells_spent", default=None)
+
+
+@contextmanager
+def expression_budget():
+    """Bound the exponent-sum cells that all presentation complexes built
+    inside eliminate by one MAX_RELATION_CELLS, as the leaves of one
+    descriptor expression share it."""
+    token = _CELLS_SPENT.set([0])
+    try:
+        yield
+    finally:
+        _CELLS_SPENT.reset(token)
+
+
+def _exponent_sums(label: str, G: GroupPresentation, spent: int = 0) -> list[dict[int, int]]:
     """G's exponent-sum matrix, a row {generator: sum} per relator, refused past
-    MAX_RELATION_CELLS nonzero rows x columns before anything eliminates it."""
+    MAX_RELATION_CELLS nonzero rows x columns, less the ``spent`` ones, before
+    anything eliminates it."""
     # sorted, a word's runs of one generator merge into one
     rows = [dict(free_reduce(Word(tuple(sorted(r.letters)))).letters) for r in G.relators]
-    if (nonzero := sum(map(bool, rows))) * (n := len(G.generators)) > MAX_RELATION_CELLS:
+    if spent + (nonzero := sum(map(bool, rows))) * (n := len(G.generators)) > MAX_RELATION_CELLS:
+        left = (f"{MAX_RELATION_CELLS - spent} cells left of the {MAX_RELATION_CELLS} "
+                "eliminated at most in one expression" if spent else
+                f"{MAX_RELATION_CELLS} cells eliminated at most")
         raise PresentationError(f"{label} has an exponent-sum matrix of {nonzero} nonzero rows "
-                                f"and {n} columns, more than the {MAX_RELATION_CELLS} cells "
-                                "eliminated at most")
+                                f"and {n} columns, more than the {left}")
     return rows
 
 
@@ -154,9 +178,12 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     elimination; H_2, its kernel, a class per integer kernel vector n, of cycle sum_k n_k
     omega(r_k), labeled by that cycle or, if 0 or a label already, by n.  Sound by Hopf's
     formula for families of G, complete if aspherical.  Elimination is refused past
-    MAX_RELATION_CELLS, and every omega past MAX_CYCLE_TERMS prefix sums read in all."""
+    MAX_RELATION_CELLS, counted across an ``expression_budget``, and every omega past
+    MAX_CYCLE_TERMS prefix sums read in all."""
     n = len(G.generators)
-    rows = _exponent_sums(label, G)
+    spent = _CELLS_SPENT.get() or [0]  # a count of its own outside an expression
+    rows = _exponent_sums(label, G, spent[0])
+    spent[0] += sum(map(bool, rows)) * n
     # tag columns right to left, so that a kernel vector stops at its own tag
     last = n + len(rows) - 1
     reduced = reduce_rows({**{g: Fraction(e) for g, e in row.items()}, last - k: Fraction(1)}

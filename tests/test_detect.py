@@ -264,6 +264,29 @@ def test_family_side_exponent_sums_are_budgeted_before_elimination(monkeypatch):
     assert detection_matrix(free, [trivial_family(E)]).verdict == "undetected"
 
 
+def test_exponent_sum_budget_is_shared_by_the_leaves_of_one_expression(tmp_path, monkeypatch):
+    grp = tmp_path / "g.grp"
+    grp.write_text("gens: a b c ; rels: a b , b c , a b a^-1 b^-1 ;\n")  # 2 x 3 cells
+    leaf = f"group({grp})"
+    monkeypatch.setattr(detect, "MAX_RELATION_CELLS", 12)
+    eliminated = []
+    real = detect.reduce_rows
+    monkeypatch.setattr(detect, "reduce_rows", lambda rows: eliminated.append(1) or real(rows))
+    pair = build_descriptor(parse_expression(f"free_product({leaf}, {leaf})"))
+    assert pair.betti() == (1, 2, 2) and len(eliminated) == 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"{leaf} has an exponent-sum matrix of 2 nonzero rows and 3 columns, more than "
+            "the 0 cells left of the 12 eliminated at most in one expression")):
+        build_descriptor(parse_expression(f"direct_product({leaf}, free_product({leaf}, {leaf}))"))
+    assert len(eliminated) == 4  # the third leaf is refused before its elimination
+    # free and surface leaves have no nonzero rows; each expression has a budget
+    # of its own, and a group built outside one is bounded on its own
+    both = f"free_product(surface(2), free_product(free(3), free_product({leaf}, {leaf})))"
+    assert build_descriptor(parse_expression(both)).betti() == (1, 9, 3)
+    G = parse_presentation(grp.read_text())
+    assert all(detect.PresentationComplex("g", G).betti() == (1, 1, 1) for _ in range(3))
+
+
 _RELATOR_GENS = 4
 _RELATOR_WORDS = st.lists(
     st.tuples(st.integers(0, _RELATOR_GENS - 1), st.sampled_from((1, -1))), max_size=6,

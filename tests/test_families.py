@@ -992,6 +992,41 @@ def test_verify_reports_the_first_failure_past_the_first_chunk():
     assert verify_family(_broken_circle_family(r, [], 2.0))
 
 
+def _broken_torus_family(k: int, resolution: int, broken: dict) -> Family:
+    """Z^2 in U(k) over a circle grid: a = diag(e^{2 pi i j x}), j = 1..k,
+    and b = I, but b = ``broken[j]`` at grid index j.  A cyclic shift there
+    breaks the relator, and a non-unitary b breaks unitarity."""
+
+    def ev(x, ci):
+        a = np.exp(2j * np.pi * x[:, :1] * np.arange(1, k + 1))[:, :, None] * np.eye(k)
+        b = np.broadcast_to(np.eye(k, dtype=complex), a.shape).copy()
+        for j, m in broken.items():
+            b[np.rint(x[:, 0] * resolution) == j] = m
+        return np.stack([a, b], axis=1)
+
+    return Family(free_abelian(2), TorusGrid(1, resolution), (k,), ev, "broken")
+
+
+def test_verify_names_the_same_first_failure_whatever_the_fibre_size():
+    """A failure in the second chunk is reported alike for fibres on both
+    sides of the size up to which stacked products run as broadcast
+    multiply-adds: the first failing point, whichever check it fails."""
+    r = 2 * VERIFY_CHUNK + 3
+    messages = set()
+    for k in (2, 6):
+        shift, scaled = np.roll(np.eye(k), 1, axis=0), 2 * np.eye(k)
+        for broken in ({VERIFY_CHUNK + 7: shift, VERIFY_CHUNK + 9: scaled},
+                       {VERIFY_CHUNK + 7: scaled, 2 * VERIFY_CHUNK + 1: shift}):
+            with pytest.raises(ValueError) as exc:
+                verify_family(_broken_torus_family(k, r, broken))
+            messages.add(str(exc.value))
+        assert verify_family(_broken_torus_family(k, r, {}))
+    assert messages == {
+        f"component 0: point {(Fraction(VERIFY_CHUNK + 7, r),)!r} fails the homomorphism "
+        f"check at {HOMOMORPHISM_TOL}"
+    }
+
+
 def test_verify_fiber_dimension_mismatch_message():
     f = character_family_Zn(1, 4)
     wrong = Family(

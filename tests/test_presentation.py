@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flatdetect.presentation import (
     GroupPresentation,
@@ -218,32 +220,53 @@ def test_evaluate_concatenation_is_product(u, v):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-@given(words(n_gens=2, max_len=6))
-def test_evaluate_word_on_a_stack_matches_each_point(w):
+def _letter_by_letter(w: Word, mats: np.ndarray) -> np.ndarray:
+    """The product along ``w`` of one assignment ``(gens, k, k)``, a letter
+    at a time."""
+    expected = np.eye(mats.shape[-1], dtype=complex)
+    for g, e in _spelled(w).letters:
+        expected = expected @ (mats[g] if e == 1 else mats[g].conj().T)
+    return expected
+
+
+def _haar_stack(rng, lead: tuple[int, ...], gens: int, k: int) -> np.ndarray:
+    """Haar unitaries, one per generator of each assignment of a stack
+    ``(*lead, gens, k, k)``."""
+    mats = [haar_unitary(rng, k) for _ in range(gens * math.prod(lead))]
+    return np.array(mats).reshape(*lead, gens, k, k)
+
+
+# fibre sizes on both sides of the size up to which stacked products run as
+# broadcast multiply-adds, and the stack shapes in front of ``(gens, k, k)``
+FIBRES = st.integers(1, 6)
+LEADS = st.sampled_from([(), (3,), (2, 3)])
+
+
+@given(words(n_gens=2, max_len=6), FIBRES, LEADS)
+def test_evaluate_word_on_a_stack_matches_each_point(w, k, lead):
     rng = np.random.default_rng(12)
-    from flatdetect.repvar import haar_unitary
-
-    stack = np.array([[haar_unitary(rng, 3) for _ in range(2)] for _ in range(4)])
+    stack = _haar_stack(rng, lead, 2, k)
+    before = stack.copy()
     out = evaluate_word(w, stack)
-    assert out.shape == (4, 3, 3)
-    for p in range(4):
-        expected = np.eye(3)
-        for g, s in w.letters:
-            expected = expected @ (stack[p, g] if s == 1 else stack[p, g].conj().T)
-        assert np.allclose(out[p], expected, atol=1e-12)
-        assert np.allclose(out[p], evaluate_word(w, RepPoint(tuple(stack[p]))), atol=1e-12)
+    assert out.shape == (*lead, k, k)
+    for idx in np.ndindex(*lead):
+        assert np.allclose(out[idx], _letter_by_letter(w, stack[idx]), rtol=0, atol=1e-12)
+        assert np.allclose(out[idx], evaluate_word(w, RepPoint(stack[idx])), rtol=0, atol=1e-12)
+    out[...] = 0  # the product is an array of its own
+    assert np.array_equal(stack, before)
 
 
-@given(run_words(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_evaluate_runs_match_the_letter_by_letter_product(w, points, k, seed):
+@given(run_words(), FIBRES, LEADS, st.integers(0, 2**32 - 1))
+@example(Word(((0, 0),)), 2, (3,), 0)  # a lone zero run is the empty product
+@example(Word(((1, 0), (0, -3), (1, 0))), 3, (2, 3), 0)
+@example(Word(()), 6, (), 0)
+def test_evaluate_runs_match_the_letter_by_letter_product(w, k, lead, seed):
     rng = np.random.default_rng(seed)
-    stack = np.array([[haar_unitary(rng, k) for _ in range(2)] for _ in range(points)])
+    stack = _haar_stack(rng, lead, 2, k)
     out = evaluate_word(w, stack)
-    for p in range(points):
-        expected = np.eye(k)
-        for g, e in _spelled(w).letters:
-            expected = expected @ (stack[p, g] if e == 1 else stack[p, g].conj().T)
-        assert np.allclose(out[p], expected, rtol=0, atol=1e-12)
+    assert out.shape == (*lead, k, k)
+    for idx in np.ndindex(*lead):
+        assert np.allclose(out[idx], _letter_by_letter(w, stack[idx]), rtol=0, atol=1e-12)
 
 
 def test_evaluate_dimension_mismatch():

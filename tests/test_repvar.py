@@ -436,6 +436,51 @@ def test_defects_of_a_stack_are_per_point():
     assert unitarity_defect(stack)[2] > 1
 
 
+# a commutator, runs of exponent 3 and -2, a single letter and a relator that
+# reduces to the empty word
+RUNS_GROUP = GroupPresentation(("a", "b", "c"), (
+    Word(((0, 1), (1, 1), (0, -1), (1, -1))), Word(((0, 3), (2, -2))), Word(((2, 1),)),
+    Word(((1, 1), (1, -1))),
+))
+
+
+def _reference_defects(mats: np.ndarray) -> tuple[float, float]:
+    """The relator defect of RUNS_GROUP and the unitarity defect of one
+    assignment ``(gens, k, k)``, relator by relator and letter by letter."""
+    relators = _reference_defect(mats, tuple(spell(r) for r in RUNS_GROUP.relators))
+    eye = np.eye(mats.shape[-1])
+    return relators, max(np.linalg.norm(m.conj().T @ m - eye) for m in mats)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["haar", "gaussian", "nan"])
+def test_stacked_defects_match_the_per_point_reference(k, kind):
+    """Both defects of a stack ``(2, 3, gens, k, k)``, and of each of its
+    points ``(gens, k, k)`` (the form the solver passes), are the reference
+    values to 1e-12, on both sides of the fibre size up to which stacked
+    products run as broadcast multiply-adds; NaN fails every bound."""
+    rng = np.random.default_rng(k)
+    if kind == "haar":
+        stack = np.array([haar_unitary(rng, k) for _ in range(18)])
+    else:
+        stack = (rng.standard_normal((18, k, k)) + 1j * rng.standard_normal((18, k, k))) / k
+    stack = stack.reshape(2, 3, 3, k, k)
+    if kind == "nan":
+        stack[1, 2, 0, k - 1, 0] = np.nan
+    want = np.array([_reference_defects(stack[i]) for i in np.ndindex(2, 3)]).reshape(2, 3, 2)
+    got = np.stack([relator_defect(stack, RUNS_GROUP), unitarity_defect(stack)], axis=-1)
+    assert got.shape == (2, 3, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for i in np.ndindex(2, 3):
+        point = (relator_defect(RepPoint(stack[i]), RUNS_GROUP), unitarity_defect(stack[i]))
+        assert all(type(d) is float for d in point)
+        np.testing.assert_allclose(point, want[i], rtol=1e-12, atol=1e-12)
+    finite = np.isfinite(got).all(axis=-1)
+    assert finite.tolist() == [[True] * 3, [True, True, kind != "nan"]]
+    assert not (got[~finite] <= np.inf).any()
+    assert (got[..., 1] <= 1e-12).all() == (kind == "haar")
+
+
 def test_verify_homomorphism_examples():
     p = RepPoint((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     assert verify_homomorphism(p, Z2, 0.0)

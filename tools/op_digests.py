@@ -34,7 +34,10 @@ pullback along ``klein_even`` over a Klein-bottle group whose relator is
 rotated, an extension into Z^2 * Z, and two group files with one relator of
 ``LONG_RELATOR`` letters: an extension into Z^2 * <c, d | long word> that
 builds, and an induction over <a, b | [a, b], long word> that the cover
-refuses.  Then come the ``covers`` ops:
+refuses, and then inductions along ``circle(4)`` and ``circle(5)``, whose
+fibres of 4 and 5 dimensions lie on either side of the size up to which
+stacked products run as broadcast multiply-adds (``circle(256)`` of the
+``covers`` ops lies far above it).  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
@@ -44,8 +47,9 @@ homology classes, term products of a wedge, detection-matrix cells,
 parameter-space components, the cells of a group file's exponent-sum matrix
 and the prefix sums read building its degree-2 cycles, each to be refused
 with exit 3 before the work starts, one family of exactly
-``families.MAX_COMPONENTS`` components, and ``surface(32767)``, the largest
-surface built, refused by the family's base labels.
+``families.MAX_COMPONENTS`` components, ``surface(32767)``, the largest
+surface built, refused by the family's base labels, and a free product of
+two group files whose cells reach the bound on elimination together.
 Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Then
 come the ``forms`` ops: ``forms eval`` on each payload of ``FORMS``, wedges
@@ -141,6 +145,8 @@ FAMILIES = (
     "extend(char_zn(2, 8, gens=[a, b]), group=long_free.grp)",
     "induce(char_zn(2, 8), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], "
     "group=long_z2.grp)",
+    "induce(char_zn(1, 8), cover=circle(4))",
+    "induce(char_zn(1, 8), cover=circle(5))",
 )
 COVERS = (
     "induce(char_zn(1, 8), cover=circle(3), cosets=[e, t1])",
@@ -177,7 +183,9 @@ COVERS = (
 # largest surface built, 65536 classes, refused by the family's base labels,
 # a group file whose exponent-sum matrix is past the bound on elimination, and
 # one whose single relator [u, v] sums to zero but reads 3 n^2 - 2 n = 131880
-# prefix sums building its cycle, past ``detect.MAX_CYCLE_TERMS``
+# prefix sums building its cycle, past ``detect.MAX_CYCLE_TERMS``; last a free
+# product of two group files each at the bound on elimination, whose second
+# leaf passes the bound the expression's leaves share
 BUDGETS = (
     ("detect", "run", "--group", "free_abelian(17)", "--families", "z2.fam"),
     ("family", "build", "--expr", "zn17.fam"),
@@ -187,6 +195,8 @@ BUDGETS = (
     ("detect", "run", "--group", "surface(32767)", "--families", "z2.fam"),
     ("detect", "run", "--group", "group(<run>/dense.grp)", "--families", "z2.fam"),
     ("detect", "run", "--group", "group(<run>/commutator.grp)", "--families", "z2.fam"),
+    ("detect", "run", "--group", "free_product(group(<run>/bound.grp), group(<run>/bound.grp))",
+     "--families", "z2.fam"),
 )
 
 
@@ -217,6 +227,7 @@ def _dense_group(gens: int, rels: int, length: int) -> str:
 BUDGET_FILES = {
     "z2.fam": "char_zn(2, 8)\n",
     "dense.grp": _dense_group(64, 65, 128),
+    "bound.grp": _dense_group(64, 64, 128),
     "commutator.grp": _reversed_commutator(210),
     "zn17.fam": "char_zn(17, 2)\n",
     "zn12.fam": "char_zn(12, 2)\n",
