@@ -13,7 +13,8 @@ is not a family of (by its generator count, or a relator of the group whose
 exponent sums are not 0 in the family group's abelianization) or a
 class label that is no word of its group, a pullback or induction of a family
 of another group than the cover's, a coset list of another length than the
-cover's index, a cover index above ``families.MAX_INDEX``, a group descriptor
+cover's index, a cover index above ``families.MAX_INDEX``, a family whose
+phase exponents might compose past ``families.MAX_EXPONENT``, a group descriptor
 of more than ``detect.MAX_CLASSES`` homology classes, a group descriptor (all
 its leaves together) or a family's group of more than
 ``detect.MAX_RELATION_CELLS`` exponent-sum cells,

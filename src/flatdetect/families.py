@@ -1,10 +1,10 @@
 """Parameterized families of unitary representations and their combinators.
 
-A Family bundles a structured parameter space, an evaluation rule sending a
-batch of parameter points to a stack of representation points, and (when
-the build tree supports it) the exact character form of the associated
-bundle.  Character data is propagated structurally by the combinators, never
-inferred numerically; the numeric pipeline validates it independently.
+A Family bundles a structured parameter space, the monomial data of its
+representations and (when the build tree supports it) the exact character
+form of the associated bundle.  Character data is propagated structurally by
+the combinators, never inferred numerically; the numeric pipeline validates
+it independently.
 
 A parameter space is one ParameterSpace value: its ``components``, one tuple
 of per-axis grid resolutions per connected component, () for a point, and a
@@ -12,13 +12,20 @@ label; tori, point sets, products and disjoint unions are functions building
 one.  A point of a component is a row of coordinates in [0, 1), one per axis;
 a product space concatenates the left factor's coordinates with the right
 factor's, and a disjoint union tells its sides apart by component index
-alone.  Evaluation rules are closed-form, so families may be sampled at any
-real coordinates, not only on the declared grid.  Every rule works on whole
-stacks: it takes an array ``(points, d)`` of one component's rows and returns
-an array ``(points, generators, k, k)``, and each combinator composes its
-arguments' stacks with array operations; one representation point is a
-RepPoint holding one such ``(generators, k, k)`` array.  Verification and
-windings consume the stacks with stacked matmul and det.
+alone.
+
+Every family the combinators build is monomial (Mackey; Serre, Linear
+Representations of Finite Groups, section 7): generator g sends basis line j
+to line sigma_g(j) with the phase e^{2 pi i V_g[j] . x}, and neither the
+permutation sigma_g nor the integer matrix V_g depends on x.  A Family holds
+those integer arrays per component, and each combinator composes its
+arguments' arrays, on first use: words compose by (sigma_a, V_a)(sigma_b, V_b)
+= (sigma_a o sigma_b, V_b + V_a o sigma_b).  So verification is exact and holds
+for every x: each relator must compose to (id, 0), and every matrix is
+unitary by construction.  The numeric path keeps an independent float route:
+``evaluate_batch`` scatters e^{2 pi i V . x} into a dense stack ``(points,
+generators, k, k)`` at any real coordinates, and windings take stacked
+matmul and det of it.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
 signs, all +1 but for the Klein group's b) with one integer ``rewrite``
@@ -36,21 +43,21 @@ a cover pulls back along the inclusion of its subgroup, and ``extend`` along
 the retraction G -> E that kills F's generators.  Every group map, a
 cover's too, is checked by one relator rule, ``_check_relators``, which
 keys cyclic words by their least rotation in time linear in their length and
-caches nothing; one block evaluator, ``_word_blocks``, serves pullbacks and
+caches nothing; one block composer, ``_word_blocks``, serves pullbacks and
 inductions alike.  Every pullback substitutes the abelianized images into
 the exact form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charforms import MultiForm, winding_number, xgen, zgen
+from .charforms import MultiForm, UnderSampledLoopError, winding_number, xgen, zgen
 from .presentation import (
     GroupPresentation,
     Word,
@@ -61,30 +68,23 @@ from .presentation import (
     free_reduce,
     klein_bottle,
 )
-from .repvar import RepPoint, relator_defect, unitarity_defect
+from .repvar import RepPoint
 
-HOMOMORPHISM_TOL = 1e-8
-# points per stacked check in verify_family: large enough to amortise the
-# per-call cost, small enough that peak memory stays flat on large grids and
-# that a chunk of fibres up to presentation._SMALL_FIBRE = 4, which multiply as
-# k broadcast multiply-adds along the chunk, stays in cache (at 512 points the
-# k-loop is twice as fast as @ at k = 4, at 4096 no faster)
-VERIFY_CHUNK = 512
-# the most grid points verify_family checks in one component (char_zn(3, 256)
-# takes 10.5 s on a 2-core Xeon VM); a larger grid fails verification at once
-VERIFY_MAX_POINTS = 2**24
 # the most samples on one parameter-axis loop (forms chern --resolution);
 # time and memory grow linearly with it (char_zn(3, 4) at 10^6 samples takes
 # 1.8 s and peaks at 252 MB on a 2-core Xeon VM)
 MAX_LOOP_SAMPLES = 2**16
 # the largest index of a circle cover, and of a cover induced along; an
-# induction's blocks are (k * index)^2 matrices per point, and a verification
-# chunk holds VERIFY_CHUNK of them per generator
+# induction's dense stack holds a (k * index)^2 matrix per point and generator
 MAX_INDEX = 2**8
 # the most connected components of a parameter space; a product multiplies the
 # counts, so nested products pass any bound in a few hundred bytes (a family
-# build of 2^12 components takes 2.0 s on a 2-core VM, of 2^13 3.5 s)
+# build of 2^12 components takes 0.25 s on a 2-core Xeon VM)
 MAX_COMPONENTS = 2**12
+# the largest phase exponent a word may compose to: a word of L letters over
+# exponents of at most m composes to at most L m, and below 2^63 every partial
+# sum is exact in int64
+MAX_EXPONENT = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -165,34 +165,83 @@ def _check_components(count: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Family:
-    """A family of representations of ``group`` over ``space``.
+    """A family of representations of ``group`` over ``space``, as monomial
+    data per connected component ci.
 
-    ``evaluate_fn(x, ci)`` is the batch evaluation rule.  ``x`` is a float
-    array ``(P, d)`` whose rows are the coordinates of P points of connected
-    component ``ci``, with ``d = space.component_x_dim(ci)`` (0 on a point).
-    It returns an array ``(P, len(group.generators), k, k)`` whose entry p is
-    the representation at row p, with ``k = fiber_dims[ci]``.  A hand-built
-    family supplies such a rule; it must not write into the stacks its
-    arguments return, which may be read-only broadcast views.
+    ``perm[ci]`` is an integer array ``(generators, k)``, each row a
+    permutation of range(k), and ``phase[ci]`` an integer array
+    ``(generators, k, d)``, with ``k`` the fibre dimension and ``d =
+    space.component_x_dim(ci)``: at the point x of the component, generator g
+    sends basis line j to line ``perm[ci][g, j]`` with the phase
+    e^{2 pi i phase[ci][g, j] . x}.  Malformed data raises ValueError; the
+    arrays are kept as read-only int64 copies.  The combinators build a
+    family by ``Family._composed``, which composes the data on first use of
+    ``perm`` or ``phase``, so that exact pairing composes nothing.
 
-    ``chern``, when present, holds one exact character form per connected
-    component of the space; its degree-0 part equals the fiber dimension.
+    ``exponent_bound`` bounds every |phase entry| from the start: a family
+    whose relators might compose past MAX_EXPONENT raises ValueError when it
+    is built.  ``chern``, when present, holds one exact character form per
+    connected component of the space; its degree-0 part equals the fiber
+    dimension.
     """
 
-    group: GroupPresentation
-    space: ParameterSpace
-    fiber_dims: tuple[int, ...]
-    evaluate_fn: Callable = field(repr=False)
-    structure: str = "family"
-    chern: tuple[MultiForm, ...] | None = None
+    def __init__(self, group: GroupPresentation, space: ParameterSpace, perm, phase,
+                 structure: str = "family", chern: tuple[MultiForm, ...] | None = None):
+        n, gens = space.n_components, len(group.generators)
+        if len(perm) != n or len(phase) != n:
+            raise ValueError(f"one perm and one phase array per connected component required: "
+                             f"{n} components, {len(perm)} perm and {len(phase)} phase")
+        perms, phases = [], []
+        for ci, (p, v) in enumerate(zip(perm, phase)):
+            p, v = np.asarray(p), np.asarray(v)
+            if p.dtype.kind not in "iu" or p.ndim != 2 or len(p) != gens:
+                raise ValueError(f"component {ci}: perm must be an integer array "
+                                 f"({gens}, k), got {p.dtype} {p.shape}")
+            k = p.shape[1]
+            if not (np.sort(p, axis=1) == np.arange(k)).all():
+                raise ValueError(f"component {ci}: a perm row is not a permutation of range({k})")
+            shape = (gens, k, space.component_x_dim(ci))
+            if v.dtype.kind not in "iu" or v.shape != shape:
+                raise ValueError(f"component {ci}: phase must be an integer array {shape}, "
+                                 f"got {v.dtype} {v.shape}")
+            perms.append(p)
+            phases.append(v)
+        self._setup(group, space, tuple(p.shape[1] for p in perms),
+                    max([0, *map(_largest, phases)]), structure, chern)
+        self._data = tuple(map(_frozen, perms)), tuple(map(_frozen, phases))
 
-    def __post_init__(self):
-        if len(self.fiber_dims) != self.space.n_components:
-            raise ValueError("one fiber dimension per connected component required")
-        if self.chern is not None and len(self.chern) != self.space.n_components:
+    @classmethod
+    def _composed(cls, group, space, fiber_dims, exponent_bound, compose, structure, chern):
+        """A family whose data ``compose()`` returns, as lists of arrays per
+        component, on first use."""
+        f = cls.__new__(cls)
+        f._setup(group, space, fiber_dims, exponent_bound, structure, chern)
+        f._compose = compose
+        return f
+
+    def _setup(self, group, space, fiber_dims, exponent_bound, structure, chern):
+        if chern is not None and len(chern) != space.n_components:
             raise ValueError("one character form per connected component required")
+        _check_exponents(max([1, *map(_letters, group.relators)]), exponent_bound)
+        self.group, self.space, self.fiber_dims = group, space, fiber_dims
+        self.exponent_bound, self.structure, self.chern = exponent_bound, structure, chern
+
+    @cached_property
+    def _data(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        perm, phase = self._compose()
+        return tuple(map(_frozen, perm)), tuple(map(_frozen, phase))
+
+    @property
+    def perm(self) -> tuple[np.ndarray, ...]:
+        return self._data[0]
+
+    @property
+    def phase(self) -> tuple[np.ndarray, ...]:
+        return self._data[1]
+
+    def __repr__(self) -> str:
+        return f"Family({self.structure})"
 
     @property
     def base_dim(self) -> int | None:
@@ -202,13 +251,19 @@ class Family:
 
     def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
         """The stack ``(P, generators, k, k)`` at the rows of coordinates
-        ``x`` (shape ``(P, d)``) of points of one component."""
+        ``x`` (shape ``(P, d)``) of points of one component: one scatter of
+        the phases e^{2 pi i V . x} into the permuted positions."""
         x = np.asarray(x, dtype=float)
         space = self.space
         if not (0 <= component < space.n_components and x.ndim == 2
                 and x.shape[1] == space.component_x_dim(component)):
             raise ValueError(f"not a stack of rows of component {component}: {x.shape}")
-        return self.evaluate_fn(x, component)
+        perm, phase = self.perm[component], self.phase[component]
+        gens, k = perm.shape
+        out = np.zeros((len(x), gens, k, k), dtype=complex)
+        turns = np.moveaxis(phase @ x.T, -1, 0)  # (P, gens, k)
+        out[:, np.arange(gens)[:, None], perm, np.arange(k)] = np.exp(2j * np.pi * turns)
+        return out
 
     def evaluate(self, x, component: int = 0) -> RepPoint:
         """The representation at one point, given by its coordinates: the
@@ -216,18 +271,69 @@ class Family:
         return RepPoint(self.evaluate_batch([x], component)[0])
 
 
-def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
-    """Check the family invariants at every sampled grid point.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.int64)
+    a.setflags(write=False)
+    return a
 
-    Raises ValueError on the first violation, components in order and each
-    grid in left-major order; returns True when every point passes the
-    relator and unitarity checks at ``tol`` (NaN fails), fiber dimensions
-    match the declared ones, and character degree-0 parts match the fiber
-    dimensions.  Each component is checked in stacks of at most VERIFY_CHUNK
-    points, built from a range of flat indices, so the grid is never held;
-    a component of more than VERIFY_MAX_POINTS points fails unchecked.
+
+def _letters(w: Word) -> int:
+    return sum(abs(e) for _, e in w.letters)
+
+
+def _largest(phase: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int."""
+    return max(-int(phase.min()), int(phase.max())) if phase.size else 0
+
+
+def _check_exponents(letters: int, largest: int) -> None:
+    if letters * largest > MAX_EXPONENT:
+        raise ValueError(f"a word of {letters} letters over phase exponents up to {largest} "
+                         f"may compose to {letters * largest}, more than the "
+                         f"{MAX_EXPONENT} composed at most")
+
+
+def _mul(a, b):
+    """The product of monomial data (s, v), line j to s[j] with exponents
+    v[j]: first b, then a."""
+    return a[0][b[0]], b[1] + a[1][b[0]]
+
+
+def _word_data(w: Word, perm: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monomial data (s, v) of the word ``w`` under the generators' data
+    ``perm`` ``(gens, k)`` and ``phase`` ``(gens, k, d)``; (id, 0) for the
+    empty word.  A negative run takes the inverse (s^-1, -v o s^-1), and a
+    run O(log |exponent|) products by repeated squaring.  The caller bounds
+    the exponents by ``_check_exponents``, so that int64 sums stay exact."""
+    out = None
+    for g, e in w.letters:
+        m = perm[g], phase[g]
+        if e < 0:
+            inverse = np.argsort(m[0])
+            m = inverse, -m[1][inverse]
+        e = abs(e)
+        while e:
+            if e & 1:
+                out = m if out is None else _mul(out, m)
+            e >>= 1
+            if e:
+                m = _mul(m, m)
+    if out is None:
+        k, d = phase.shape[1:]
+        return np.arange(k), np.zeros((k, d), dtype=np.int64)
+    return out
+
+
+def verify_family(f: Family) -> bool:
+    """Check that ``f`` is a family of ``f.group`` at every parameter, not
+    only on the grid: on each component every relator composes to (id, 0).
+
+    Raises ValueError on the first violation, components in order, naming
+    the component and the relator; also when a character form's degree-0
+    part differs from the fibre dimension.  Unitarity and the fibre
+    dimensions hold by construction.
     """
-    for ci, res in enumerate(f.space.components):
+    for ci, (perm, phase) in enumerate(zip(f.perm, f.phase)):
         if f.chern is not None:
             rank = f.chern[ci].coefficient(())
             if rank != f.fiber_dims[ci]:
@@ -235,39 +341,12 @@ def verify_family(f: Family, tol: float = HOMOMORPHISM_TOL) -> bool:
                     f"component {ci}: character rank {rank} != fiber "
                     f"dimension {f.fiber_dims[ci]}"
                 )
-        total = math.prod(res)
-        if total > VERIFY_MAX_POINTS:
-            raise ValueError(
-                f"component {ci}: the {' x '.join(map(str, res))} grid has "
-                f"{total} points, more than the {VERIFY_MAX_POINTS} verified at most"
-            )
-        for start in range(0, total, VERIFY_CHUNK):
-            # integer index rows, left-major: the last axis varies fastest
-            flat = np.arange(start, min(start + VERIFY_CHUNK, total))
-            idx = np.empty((len(flat), len(res)), dtype=np.int64)
-            for axis in reversed(range(len(res))):
-                flat, idx[:, axis] = np.divmod(flat, res[axis])
-            stack = f.evaluate_batch(idx / np.array(res), ci)
-            k = stack.shape[-1]
-            if k != f.fiber_dims[ci]:
-                raise ValueError(
-                    f"component {ci}: fiber dimension {k} at "
-                    f"{_grid_point(idx[0], res)!r} differs from declared "
-                    f"{f.fiber_dims[ci]}"
-                )
-            ok = relator_defect(stack, f.group) <= tol
-            ok &= unitarity_defect(stack) <= tol
-            if not ok.all():
-                p = _grid_point(idx[np.argmin(ok)], res)  # the first failure
-                raise ValueError(
-                    f"component {ci}: point {p!r} fails the homomorphism check at {tol}"
-                )
+        for r in f.group.relators:
+            s, v = _word_data(r, perm, phase)
+            if (s != np.arange(len(s))).any() or v.any():
+                raise ValueError(f"component {ci}: relator {format_word(r, f.group)!r} "
+                                 "does not compose to the identity")
     return True
-
-
-def _grid_point(idx, res) -> tuple[Fraction, ...]:
-    """The exact coordinates of a grid point, for messages."""
-    return tuple(Fraction(int(j), r) for j, r in zip(idx, res))
 
 
 def character_family_Zn(
@@ -277,20 +356,11 @@ def character_family_Zn(
     the j-th generator maps to e^{2 pi i x_j} in U(1)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    group = free_abelian(n, generators)
-    space = TorusGrid(n, resolution)
-
-    def ev(x, ci):
-        return np.exp(2j * np.pi * x)[:, :, None, None]
-
     ch = _wedge_all([MultiForm.constant(1) + zgen(j) * xgen(j) for j in range(1, n + 1)])
-    return Family(
-        group=group,
-        space=space,
-        fiber_dims=(1,),
-        evaluate_fn=ev,
-        structure=f"char_zn({n}, {resolution})",
-        chern=(ch,),
+    return Family._composed(
+        free_abelian(n, generators), TorusGrid(n, resolution), (1,), 1,
+        lambda: ([np.zeros((n, 1), dtype=int)], [np.eye(n, dtype=int)[:, None, :]]),
+        f"char_zn({n}, {resolution})", (ch,),
     )
 
 
@@ -308,60 +378,48 @@ def trivial_family(group: GroupPresentation, dim: int = 1) -> Family:
     """The constant trivial representation of ``group`` on a single point."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    eye = np.eye(dim, dtype=complex)
-
-    def ev(x, ci):
-        return np.broadcast_to(eye, (len(x), len(group.generators), dim, dim))
-
-    return Family(
-        group=group,
-        space=FinitePointSet(1),
-        fiber_dims=(dim,),
-        evaluate_fn=ev,
-        structure=f"trivial(dim={dim})",
-        chern=(MultiForm.constant(dim),),
+    gens = len(group.generators)
+    return Family._composed(
+        group, FinitePointSet(1), (dim,), 0,
+        lambda: ([np.tile(np.arange(dim), (gens, 1))], [np.zeros((gens, dim, 0), dtype=int)]),
+        f"trivial(dim={dim})", (MultiForm.constant(dim),),
     )
 
 
 def tensor_families(f: Family, g: Family) -> Family:
     """Pointwise Kronecker product, (left argument) x (right argument);
-    a family of the direct-product group over the product space."""
-    group = direct_product(f.group, g.group)
+    a family of the direct-product group over the product space.  Line
+    (i, j) of a fibre is line i b + j, b the right fibre's dimension: a left
+    generator moves i by its permutation with its phases on the left
+    coordinates, a right generator moves j with its phases on the right."""
     space = ProductSpace(f.space, g.space)
 
-    nr = g.space.n_components
+    def compose():
+        perms, phases = [], []
+        for s, v in zip(f.perm, f.phase):
+            for t, u in zip(g.perm, g.phase):
+                (gl, a, dl), (gr, b, dr) = v.shape, u.shape
+                perms.append(np.concatenate([
+                    (s[:, :, None] * b + np.arange(b)).reshape(gl, a * b),
+                    (np.arange(a)[:, None] * b + t[:, None, :]).reshape(gr, a * b),
+                ]))
+                phases.append(np.concatenate([
+                    np.concatenate([np.repeat(v, b, axis=1), np.zeros((gl, a * b, dr), int)], 2),
+                    np.concatenate([np.zeros((gr, a * b, dl), int), np.tile(u, (1, a, 1))], 2),
+                ]))
+        return perms, phases
 
-    def ev(x, ci):
-        cl, cr = divmod(ci, nr)
-        dl = f.space.component_x_dim(cl)
-        A = f.evaluate_batch(x[:, :dl], cl)
-        B = g.evaluate_batch(x[:, dl:], cr)
-        (P, na, a, _), (_, nb, b, _) = A.shape, B.shape
-        eye_a, eye_b = np.eye(a, dtype=complex), np.eye(b, dtype=complex)
-        # kron(m, I_b) and kron(I_a, m), stacked
-        left = np.einsum("pgij,kl->pgikjl", A, eye_b).reshape(P, na, a * b, a * b)
-        right = np.einsum("ij,pgkl->pgikjl", eye_a, B).reshape(P, nb, a * b, a * b)
-        return np.concatenate([left, right], axis=1)
-
-    fibers = []
-    chern: list[MultiForm] | None = (
-        [] if f.chern is not None and g.chern is not None else None
-    )
-    for cl in range(f.space.n_components):
-        for cr in range(g.space.n_components):
-            fibers.append(f.fiber_dims[cl] * g.fiber_dims[cr])
-            if chern is not None:
-                shifted = g.chern[cr].shift(
-                    z_offset=f.base_dim, x_offset=f.space.component_x_dim(cl)
-                )
-                chern.append(f.chern[cl] * shifted)
-    return Family(
-        group=group,
-        space=space,
-        fiber_dims=tuple(fibers),
-        evaluate_fn=ev,
-        structure=f"tensor({f.structure}, {g.structure})",
-        chern=tuple(chern) if chern is not None else None,
+    chern = None
+    if f.chern is not None and g.chern is not None:
+        chern = tuple(
+            a * b.shift(z_offset=f.base_dim, x_offset=f.space.component_x_dim(cl))
+            for cl, a in enumerate(f.chern) for b in g.chern
+        )
+    return Family._composed(
+        direct_product(f.group, g.group), space,
+        tuple(a * b for a in f.fiber_dims for b in g.fiber_dims),
+        max(f.exponent_bound, g.exponent_bound), compose,
+        f"tensor({f.structure}, {g.structure})", chern,
     )
 
 
@@ -424,23 +482,14 @@ def disjoint_union(f: Family, g: Family) -> Family:
     """The same group over the disjoint union of the parameter spaces."""
     if f.group != g.group:
         raise ValueError("disjoint_union requires the same group on both sides")
-    space = DisjointUnionSpace(f.space, g.space)
-
-    nl = f.space.n_components
-
-    def ev(x, ci):
-        return f.evaluate_batch(x, ci) if ci < nl else g.evaluate_batch(x, ci - nl)
-
     chern = (
         f.chern + g.chern if (f.chern is not None and g.chern is not None) else None
     )
-    return Family(
-        group=f.group,
-        space=space,
-        fiber_dims=f.fiber_dims + g.fiber_dims,
-        evaluate_fn=ev,
-        structure=f"union({f.structure}, {g.structure})",
-        chern=chern,
+    return Family._composed(
+        f.group, DisjointUnionSpace(f.space, g.space), f.fiber_dims + g.fiber_dims,
+        max(f.exponent_bound, g.exponent_bound),
+        lambda: (f.perm + g.perm, f.phase + g.phase),
+        f"union({f.structure}, {g.structure})", chern,
     )
 
 
@@ -450,26 +499,15 @@ def direct_sum(f: Family, g: Family) -> Family:
         raise ValueError("direct_sum requires the same group")
     if f.space != g.space:
         raise ValueError("direct_sum requires the same parameter space")
-
-    def ev(x, ci):
-        A = f.evaluate_batch(x, ci)
-        B = g.evaluate_batch(x, ci)
-        a = A.shape[-1]
-        out = np.zeros(A.shape[:2] + (a + B.shape[-1],) * 2, dtype=complex)
-        out[..., :a, :a] = A
-        out[..., a:, a:] = B
-        return out
-
     chern = None
     if f.chern is not None and g.chern is not None:
         chern = tuple(a + b for a, b in zip(f.chern, g.chern))
-    return Family(
-        group=f.group,
-        space=f.space,
-        fiber_dims=tuple(a + b for a, b in zip(f.fiber_dims, g.fiber_dims)),
-        evaluate_fn=ev,
-        structure=f"sum({f.structure}, {g.structure})",
-        chern=chern,
+    return Family._composed(
+        f.group, f.space, tuple(a + b for a, b in zip(f.fiber_dims, g.fiber_dims)),
+        max(f.exponent_bound, g.exponent_bound),
+        lambda: ([np.concatenate([s, t + s.shape[1]], 1) for s, t in zip(f.perm, g.perm)],
+                 [np.concatenate([v, u], 1) for v, u in zip(f.phase, g.phase)]),
+        f"sum({f.structure}, {g.structure})", chern,
     )
 
 
@@ -677,28 +715,33 @@ def _word_blocks(
     f: Family, group: GroupPresentation, blocks: Sequence[Sequence[tuple[int, Word]]],
     structure: str, chern: tuple[MultiForm, ...] | None,
 ) -> Family:
-    """The one evaluator of every group map: generator p of ``group`` acts by
+    """The one composer of every group map: generator p of ``group`` acts by
     c x c blocks, c = len(blocks[p]); for the j-th entry (i, w) of
-    ``blocks[p]``, block (i, j) is ``f`` at the word w, every other is zero."""
+    ``blocks[p]``, block (i, j) is ``f`` at the word w, every other is zero.
+    So line l of block j goes to line s[l] of block i with exponents v[l],
+    (s, v) the word's data on each component of ``f``."""
     c = len(blocks[0]) if blocks else 1  # a group without generators has one coset
+    words: dict[Word, int] = {}  # each distinct word, composed once per component
+    slots = [[words.setdefault(w, len(words)) for _, w in row] for row in blocks]
+    longest = max([1, *map(_letters, words)])
+    _check_exponents(longest, f.exponent_bound)
 
-    def ev(x, ci):
-        rep = f.evaluate_batch(x, ci)
-        k = rep.shape[-1]
-        out = np.zeros((len(x), len(blocks), k * c, k * c), dtype=complex)
-        for p, row in enumerate(blocks):
-            for j, (i, w) in enumerate(row):
-                out[:, p, i * k : (i + 1) * k, j * k : (j + 1) * k] = evaluate_word(w, rep)
-        return out
+    def compose():
+        shape = (len(blocks), c)
+        index = np.array(slots, dtype=np.int64).reshape(shape)
+        targets = np.array([[i for i, _ in row] for row in blocks], dtype=np.int64).reshape(shape)
+        perms, phases = [], []
+        for perm, phase in zip(f.perm, f.phase):
+            _, k, d = phase.shape
+            data = [_word_data(w, perm, phase) for w in words]
+            s = np.array([p for p, _ in data], dtype=np.int64).reshape(len(words), k)
+            v = np.array([u for _, u in data], dtype=np.int64).reshape(len(words), k, d)
+            perms.append((targets[:, :, None] * k + s[index]).reshape(shape[0], c * k))
+            phases.append(v[index].reshape(shape[0], c * k, d))
+        return perms, phases
 
-    return Family(
-        group=group,
-        space=f.space,
-        fiber_dims=tuple(k * c for k in f.fiber_dims),
-        evaluate_fn=ev,
-        structure=structure,
-        chern=chern,
-    )
+    return Family._composed(group, f.space, tuple(k * c for k in f.fiber_dims),
+                            longest * f.exponent_bound, compose, structure, chern)
 
 
 def _pullback(
@@ -799,7 +842,24 @@ def axis_windings(
     f: Family, words: Sequence[Word], ci: int, samples: int | None
 ) -> list[list[int]]:
     """Winding of det(holonomy of each word) along each parameter axis of
-    component ``ci``; each axis loop is evaluated once, for every word."""
+    component ``ci``; each axis loop is evaluated once, for every word.
+
+    The determinant of a monomial word turns uniformly, c = sum_j V_w[j][a]
+    times along axis a, so a loop of ``samples`` steps (default: the axis's
+    grid) aliases it when 2 |c| >= samples: that raises
+    UnderSampledLoopError before any loop is evaluated."""
+    for w in words:
+        _check_exponents(_letters(w), f.exponent_bound)
+        _, v = _word_data(w, f.perm[ci], f.phase[ci])
+        for axis, column in enumerate(v.T.tolist()):
+            turns = sum(column)
+            steps = samples if samples is not None else f.space.components[ci][axis]
+            if 2 * abs(turns) >= steps:
+                raise UnderSampledLoopError(
+                    f"det of {format_word(w, f.group)!r} on component {ci} turns {turns} times "
+                    f"along axis {axis + 1}, which a loop of {steps} samples aliases; "
+                    "sample more finely"
+                )
     loops = [
         f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci)
         for axis in range(f.space.component_x_dim(ci))

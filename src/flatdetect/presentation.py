@@ -223,90 +223,6 @@ def matrix_stack(point) -> np.ndarray:
     return mats
 
 
-# The largest fibre size k whose stacked products run as k broadcast
-# multiply-adds over stacks held matrix axes first, ``(k, k, ...)``, so that
-# numpy's inner loops run along the stack; above it, and at k = 1, stacks stay
-# ``(..., k, k)`` and multiply with @, one BLAS call per matrix.  At 512
-# matrices per stack the k-loop takes 9% of @'s time at k = 2, half of it at
-# k = 4, three quarters at k = 5 and more than all of it from k = 6 on; at
-# 4096 it is no faster from k = 4 on (see CHANGES.md).
-_SMALL_FIBRE = 4
-
-
-def _roll_axes(m: np.ndarray, shift: int) -> np.ndarray:
-    """A view of ``m`` with its last ``shift`` axes moved first, in order
-    (its first ``-shift`` moved last if negative)."""
-    return m.transpose([(i - shift) % m.ndim for i in range(m.ndim)])
-
-
-class _Kernel:
-    """Stacked products of k x k matrices in the layout k picks: held matrix
-    axes first, ``(k, k, ...)``, when ``loop`` (1 < k <= _SMALL_FIBRE and
-    there are ``products`` to take), else as given, ``(..., k, k)``."""
-
-    def __init__(self, k: int, products: bool = True):
-        self.k = k
-        self.loop = products and 1 < k <= _SMALL_FIBRE
-        self.axes = (0, 1) if self.loop else (-2, -1)  # the matrix axes, held
-
-    def hold(self, m: np.ndarray) -> np.ndarray:
-        """A stack ``(..., k, k)`` in the held layout."""
-        return _roll_axes(m, 2).copy() if self.loop else m
-
-    def generators(self, mats: np.ndarray) -> np.ndarray:
-        """An assignment stack ``(..., gens, k, k)`` as the held stacks of
-        its generators, indexed by generator."""
-        if self.loop:
-            return _roll_axes(mats, 3).copy()
-        n = mats.ndim
-        return mats.transpose(n - 3, *range(n - 3), n - 2, n - 1)
-
-    def release(self, m: np.ndarray) -> np.ndarray:
-        """A held stack as ``(..., k, k)``."""
-        return _roll_axes(m, -2) if self.loop else m
-
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        return m.conj().swapaxes(*self.axes)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not self.loop:
-            return a @ b
-        out = a[:, 0, None] * b[None, 0]
-        for j in range(1, self.k):
-            out += a[:, j, None] * b[None, j]
-        return out
-
-    def power(self, m: np.ndarray, e: int) -> np.ndarray:
-        """m^e for e >= 1 by repeated squaring; m itself for e = 1."""
-        out = None
-        while True:
-            if e & 1:
-                out = m if out is None else self.mul(out, m)
-            e >>= 1
-            if not e:
-                return out
-            m = self.mul(m, m)
-
-    def word(self, w: Word, gens: np.ndarray) -> np.ndarray | None:
-        """The held product along ``w`` of the held generator stacks
-        ``gens``; None for a word of no letters but zero runs."""
-        out = None
-        for g, e in w.letters:
-            if e:
-                m = self.power(gens[g] if e > 0 else self.adjoint(gens[g]), abs(e))
-                out = m if out is None else self.mul(out, m)
-        return out
-
-    def minus_identity(self, m: np.ndarray) -> np.ndarray:
-        """m - I for each matrix of a held stack."""
-        eye = np.eye(self.k)
-        return m - (eye.reshape(eye.shape + (1,) * (m.ndim - 2)) if self.loop else eye)
-
-    def norm(self, m: np.ndarray) -> np.ndarray:
-        """The Frobenius norm of each matrix of a held stack."""
-        return np.linalg.norm(m, axis=self.axes)
-
-
 def evaluate_word(w: Word, point) -> np.ndarray:
     """Product of the assigned matrices along ``w``; identity for the empty word.
 
@@ -318,18 +234,18 @@ def evaluate_word(w: Word, point) -> np.ndarray:
     """
     mats = matrix_stack(point)
     n = mats.shape[-1]
-    for g, _ in w.letters:
+    out = None
+    for g, e in w.letters:
         if g >= mats.shape[-3]:
             raise ValueError(f"no matrix assigned to generator index {g}")
-    kernel = _Kernel(n, products=sum(abs(e) for _, e in w.letters) > 1)
-    out = kernel.word(w, kernel.generators(mats))
+        m = mats[..., g, :, :]
+        m = m if e > 0 else m.conj().swapaxes(-1, -2)
+        m = m if abs(e) == 1 else np.linalg.matrix_power(m, abs(e))
+        out = m.copy() if out is None else out @ m
     if out is None:
         out = np.zeros(mats.shape[:-3] + (n, n), dtype=complex)
         out[..., range(n), range(n)] = 1
-        return out
-    out = kernel.release(out)
-    # a held product is new; a lone letter of exponent +1 may be a view of ``point``
-    return out if out.flags.owndata or kernel.loop else out.copy()
+    return out
 
 
 def commutator(a: Word, b: Word) -> Word:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .presentation import GroupPresentation, Word, _Kernel, matrix_stack, spell
+from .presentation import GroupPresentation, Word, evaluate_word, matrix_stack, spell
 
 INITIAL_DAMPING = 1.0  # lambda of the damping mu = lambda * ||W - I||
 DAMPING_DOWN = 0.3  # lambda's factor on an accepted trial, down to MIN_DAMPING
@@ -52,10 +52,8 @@ def unitarity_defect(point) -> float | np.ndarray:
     assignment.
     """
     m = matrix_stack(point)
-    kernel = _Kernel(m.shape[-1])
-    held = kernel.hold(m)  # the assignment axis joins the stack axes
-    gram = kernel.minus_identity(kernel.mul(kernel.adjoint(held), held))
-    d = kernel.norm(gram).max(axis=-1, initial=0.0)
+    gram = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    d = np.linalg.norm(gram, axis=(-2, -1)).max(axis=-1, initial=0.0)
     return float(d) if d.ndim == 0 else d
 
 
@@ -117,12 +115,10 @@ def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
             f"point assigns {mats.shape[-3]} matrices, group has "
             f"{len(G.generators)} generators"
         )
-    kernel = _Kernel(mats.shape[-1])
-    gens = kernel.generators(mats)  # one layout move for all relators
+    eye = np.eye(mats.shape[-1])
     total = np.zeros(mats.shape[:-3])
     for r in G.relators:
-        if (w := kernel.word(r, gens)) is not None:
-            total = total + kernel.norm(kernel.minus_identity(w)) ** 2
+        total = total + np.linalg.norm(evaluate_word(r, mats) - eye, axis=(-2, -1)) ** 2
     return float(total) if total.ndim == 0 else total
 
 

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -657,6 +656,8 @@ def test_family_build_and_verify(workdir):
 
 
 def test_family_build_of_a_cover_with_entries_near_2_pow_40(workdir, capsys):
+    # exact composition passes at every resolution; float powers of 2^40
+    # drifted past a grid check's tolerance at resolution 64
     big = 2**40
     cover = f"sublattice([[{big + 1}, {big}], [{big}, {big - 1}]])"
     for resolution in (4, 64):
@@ -664,21 +665,32 @@ def test_family_build_of_a_cover_with_entries_near_2_pow_40(workdir, capsys):
             f"pullback(char_zn(2, {resolution}), cover={cover}, cosets=[e], group=z2.grp)\n"
         )
         out = workdir / "big.json"
-        code = run(["family", "build", "--expr", str(workdir / "big.fam"),
-                    "--out", str(out)])
-        if resolution == 4:
-            assert code == 0
-            chern = json.loads(out.read_text())["chern"][0]
-            assert [["z1", "x1"], big + 1, 1] in chern
-            assert [["z1", "x2"], big, 1] in chern
-        else:
-            # float powers of 2^40 drift past the homomorphism tolerance
-            assert code == 5
-            assert "fails the homomorphism check" in capsys.readouterr().err
+        assert run(["family", "build", "--expr", str(workdir / "big.fam"),
+                    "--out", str(out)]) == 0
+        chern = json.loads(out.read_text())["chern"][0]
+        assert [["z1", "x1"], big + 1, 1] in chern
+        assert [["z1", "x2"], big, 1] in chern
 
 
-def test_forms_chern_states_the_gap_of_a_loop_that_does_not_close(workdir, capsys):
-    # closed in exact arithmetic; the float 2^40-th powers drift apart
+def test_family_build_refuses_exponents_past_the_composition_bound(workdir, capsys):
+    # a unimodular pullback with entries near 2^70: int64 exponents would wrap
+    big = 2**70
+    cover = f"sublattice([[{big + 1}, {big}], [{big}, {big - 1}]])"
+    (workdir / "huge.fam").write_text(
+        f"pullback(char_zn(2, 4), cover={cover}, cosets=[e], group=z2.grp)\n"
+    )
+    out = workdir / "huge.json"
+    for argv in (["family", "build", "--expr"], ["forms", "chern", "--family"]):
+        assert run([*argv, str(workdir / "huge.fam"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: a word of {2 * big + 1} letters over phase exponents up to 1 may "
+            f"compose to {2 * big + 1}, more than the {2**62} composed at most\n"
+        )
+        assert not out.exists()
+
+
+def test_forms_chern_refuses_a_2_pow_40_winding_as_under_sampled(workdir, capsys):
+    # det(t1) turns 2^40 + 1 times along x1: 64 samples alias it
     big = 2**40
     cover = f"sublattice([[{big + 1}, {big}], [{big}, {big - 1}]])"
     (workdir / "big.fam").write_text(
@@ -686,34 +698,49 @@ def test_forms_chern_states_the_gap_of_a_loop_that_does_not_close(workdir, capsy
     )
     capsys.readouterr()
     assert run(["forms", "chern", "--family", str(workdir / "big.fam")]) == 5
-    err = capsys.readouterr().err
-    m = re.fullmatch(
-        r"error: loop is not closed: first and last samples differ by (\S+) "
-        r"\(bound 1e-9\)\n",
-        err,
+    assert capsys.readouterr().err == (
+        f"error: det of 't1' on component 0 turns {big + 1} times along axis 1, which a "
+        "loop of 64 samples aliases; sample more finely\n"
     )
-    assert m and float(m.group(1)) > 1e-9, err
 
 
-def test_grid_too_large_to_index_fails_verification_exit5(workdir, capsys):
+def test_windings_past_half_the_samples_are_refused_not_aliased(workdir, capsys):
+    # det(t1) turns 65 times along x1: 64 samples read it as 1, 256 as 65
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    pulled = "pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)"
+    (workdir / "alias.fam").write_text(pulled + "\n")
+    (workdir / "tensor.fam").write_text(
+        f"tensor({pulled}, induce(char_zn(2, 8), cosets=[e, b], group=klein.grp))\n"
+    )
+    fam, out = str(workdir / "alias.fam"), workdir / "out.json"
+    assert run(["family", "build", "--expr", fam, "--out", str(out)]) == 0
+    assert [["z1", "x1"], 65, 1] in json.loads(out.read_text())["chern"][0]
+    assert run(["forms", "chern", "--family", fam, "--resolution", "256",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["windings"] == [[[65]]]
+    out.unlink()
+    message = ("error: det of 't1' on component 0 turns {} times along axis 1, which a "
+               "loop of 64 samples aliases; sample more finely\n")
+    assert run(["forms", "chern", "--family", fam, "--resolution", "64",
+                "--out", str(out)]) == 5
+    assert capsys.readouterr().err == message.format(65)
+    # the numeric pairing of the tensor: det(t1 x I_2) turns 130 times
+    assert run(["detect", "run", "--group", "free(3)", "--families",
+                str(workdir / "tensor.fam"), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == message.format(130)
+    assert not out.exists()
+
+
+def test_family_build_walks_no_grid(workdir, capsys):
+    # verification composes relators, so grids of 10^23 and 10^12 points build
     (workdir / "huge.fam").write_text("char_zn(1, 99999999999999999999999)\n")
+    (workdir / "big.fam").write_text("char_zn(3, 10000)\n")
     fam = str(workdir / "huge.fam")
     out = workdir / "huge.json"
-    assert run(["family", "build", "--expr", fam, "--out", str(out)]) == 5
-    assert capsys.readouterr().err == (
-        "family verification failed: component 0: the 99999999999999999999999 grid "
-        "has 99999999999999999999999 points, more than the 16777216 verified at most\n"
-    )
-    assert not out.exists()
-    # 10^12 points fit an int64 index but would take days to check
-    (workdir / "big.fam").write_text("char_zn(3, 10000)\n")
-    assert run(["family", "build", "--expr", str(workdir / "big.fam"),
-                "--out", str(out)]) == 5
-    assert capsys.readouterr().err == (
-        "family verification failed: component 0: the 10000 x 10000 x 10000 grid "
-        "has 1000000000000 points, more than the 16777216 verified at most\n"
-    )
-    assert not out.exists()
+    for path, space in ((fam, "T^1[99999999999999999999999]"),
+                        (str(workdir / "big.fam"), "T^3[10000]")):
+        assert run(["family", "build", "--expr", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["space"] == space
     # windings sample their own loops, so the grid size does not matter
     assert run(["forms", "chern", "--family", fam, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["windings"] == [[[1]]]

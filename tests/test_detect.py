@@ -904,8 +904,8 @@ def _random_form_family(draw, n):
     return Family(
         group=free_abelian(n),
         space=TorusGrid(x_dim, 2),
-        fiber_dims=(1,),
-        evaluate_fn=None,
+        perm=(np.zeros((n, 1), dtype=int),),
+        phase=(np.zeros((n, 1, x_dim), dtype=int),),
         structure="random",
         chern=(MultiForm(terms),),
     )
@@ -1177,12 +1177,12 @@ def test_detection_span_closure_under_union():
 
 
 def trivial_grid_family(model: Family, dim: int = 1) -> Family:
-    mats = np.array([np.eye(dim, dtype=complex) for _ in model.group.generators])
+    gens, space = len(model.group.generators), model.space
     return Family(
         group=model.group,
-        space=model.space,
-        fiber_dims=(dim,) * model.space.n_components,
-        evaluate_fn=lambda x, ci: np.array([mats] * len(x)),
+        space=space,
+        perm=tuple(np.tile(np.arange(dim), (gens, 1)) for _ in space.components),
+        phase=tuple(np.zeros((gens, dim, len(res)), dtype=int) for res in space.components),
         structure=f"trivial_grid(dim={dim})",
         chern=(MultiForm.constant(dim),) * model.space.n_components,
     )

@@ -236,8 +236,7 @@ def _haar_stack(rng, lead: tuple[int, ...], gens: int, k: int) -> np.ndarray:
     return np.array(mats).reshape(*lead, gens, k, k)
 
 
-# fibre sizes on both sides of the size up to which stacked products run as
-# broadcast multiply-adds, and the stack shapes in front of ``(gens, k, k)``
+# fibre sizes, and the stack shapes in front of ``(gens, k, k)``
 FIBRES = st.integers(1, 6)
 LEADS = st.sampled_from([(), (3,), (2, 3)])
 

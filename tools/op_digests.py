@@ -35,9 +35,13 @@ rotated, an extension into Z^2 * Z, and two group files with one relator of
 ``LONG_RELATOR`` letters: an extension into Z^2 * <c, d | long word> that
 builds, and an induction over <a, b | [a, b], long word> that the cover
 refuses, and then inductions along ``circle(4)`` and ``circle(5)``, whose
-fibres of 4 and 5 dimensions lie on either side of the size up to which
-stacked products run as broadcast multiply-adds (``circle(256)`` of the
-``covers`` ops lies far above it).  Then come the ``covers`` ops:
+relators compose over fibres of 4 and 5 dimensions (``circle(256)`` of the
+``covers`` ops composes over 256).  Then come the ``windings`` ops: the
+``WINDINGS`` argv, ``forms chern`` on the pullback along ``circle(65)``,
+whose determinant turns 65 times along its axis, at 64 samples (refused as
+under-sampled, not read as 1) and at 256, and the numeric ``detect run`` of
+its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
+in 64 samples.  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
@@ -175,6 +179,17 @@ COVERS = (
     "pullback(char_zn(2, 8), cover=bogus)",
     "induce(char_zn(2, 4), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=f2.grp)",
 )
+# argv of each ``windings`` op, file names relative to the run directory
+WINDINGS = (
+    ("forms", "chern", "--family", "alias.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "alias.fam", "--resolution", "256"),
+    ("detect", "run", "--group", "free(3)", "--families", "alias_klein.fam"),
+)
+_ALIAS = "pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)"
+WINDING_FILES = {
+    "alias.fam": _ALIAS + "\n",
+    "alias_klein.fam": f"tensor({_ALIAS}, {DESCRIPTOR_FAMILIES['klein']})\n",
+}
 # argv of each budget op, the last ``covers`` ops, file names relative to the
 # run directory: a descriptor of more homology classes than are built, a
 # character form of more term products than are computed, and an exact
@@ -392,6 +407,14 @@ def _family_ops(run_dir: Path, exprs=FAMILIES):
         yield ["family", "build", "--expr", str(fam), "--out", str(out)], out, expr
 
 
+def _winding_ops(run_dir: Path):
+    """(argv, label) of every ``windings`` op; writes its input files."""
+    for name, text in {**GROUP_FILES, **WINDING_FILES}.items():
+        (run_dir / name).write_text(text)
+    for argv in WINDINGS:
+        yield [str(run_dir / a) if a.endswith(".fam") else a for a in argv], " ".join(argv)
+
+
 def _cover_ops(run_dir: Path):
     """(argv, out path, label) of every ``covers`` op; writes its input files."""
     yield from _family_ops(run_dir, COVERS)
@@ -489,6 +512,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_family_ops(run_dir)):
             run_op("families", i, argv, out, label)
+        run_dir = tmp / "windings"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_winding_ops(run_dir)):
+            run_op("windings", i, argv, None, label)
         run_dir = tmp / "covers"
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_cover_ops(run_dir)):
