@@ -51,7 +51,6 @@ the exact form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -209,7 +208,7 @@ class Family:
             phases.append(v)
         self._setup(group, space, tuple(p.shape[1] for p in perms),
                     max([0, *map(_largest, phases)]), structure, chern)
-        self._data = tuple(map(_frozen, perms)), tuple(map(_frozen, phases))
+        self._cache = tuple(map(_frozen, perms)), tuple(map(_frozen, phases))
 
     @classmethod
     def _composed(cls, group, space, fiber_dims, exponent_bound, compose, structure, chern):
@@ -217,7 +216,7 @@ class Family:
         component, on first use."""
         f = cls.__new__(cls)
         f._setup(group, space, fiber_dims, exponent_bound, structure, chern)
-        f._compose = compose
+        f._compose, f._cache = compose, None
         return f
 
     def _setup(self, group, space, fiber_dims, exponent_bound, structure, chern):
@@ -227,18 +226,22 @@ class Family:
         self.group, self.space, self.fiber_dims = group, space, fiber_dims
         self.exponent_bound, self.structure, self.chern = exponent_bound, structure, chern
 
-    @cached_property
     def _data(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        perm, phase = self._compose()
-        return tuple(map(_frozen, perm)), tuple(map(_frozen, phase))
+        """(perm, phase), composed on the first call; the combinators' own
+        compositions call it directly, one frame per nesting level fewer
+        than through the properties."""
+        if self._cache is None:
+            perm, phase = self._compose()
+            self._cache = tuple(map(_frozen, perm)), tuple(map(_frozen, phase))
+        return self._cache
 
     @property
     def perm(self) -> tuple[np.ndarray, ...]:
-        return self._data[0]
+        return self._data()[0]
 
     @property
     def phase(self) -> tuple[np.ndarray, ...]:
-        return self._data[1]
+        return self._data()[1]
 
     def __repr__(self) -> str:
         return f"Family({self.structure})"
@@ -396,8 +399,8 @@ def tensor_families(f: Family, g: Family) -> Family:
 
     def compose():
         perms, phases = [], []
-        for s, v in zip(f.perm, f.phase):
-            for t, u in zip(g.perm, g.phase):
+        for s, v in zip(*f._data()):
+            for t, u in zip(*g._data()):
                 (gl, a, dl), (gr, b, dr) = v.shape, u.shape
                 perms.append(np.concatenate([
                     (s[:, :, None] * b + np.arange(b)).reshape(gl, a * b),
@@ -488,7 +491,7 @@ def disjoint_union(f: Family, g: Family) -> Family:
     return Family._composed(
         f.group, DisjointUnionSpace(f.space, g.space), f.fiber_dims + g.fiber_dims,
         max(f.exponent_bound, g.exponent_bound),
-        lambda: (f.perm + g.perm, f.phase + g.phase),
+        lambda: tuple(a + b for a, b in zip(f._data(), g._data())),
         f"union({f.structure}, {g.structure})", chern,
     )
 
@@ -499,14 +502,18 @@ def direct_sum(f: Family, g: Family) -> Family:
         raise ValueError("direct_sum requires the same group")
     if f.space != g.space:
         raise ValueError("direct_sum requires the same parameter space")
+
+    def compose():
+        (fp, fv), (gp, gv) = f._data(), g._data()
+        return ([np.concatenate([s, t + s.shape[1]], 1) for s, t in zip(fp, gp)],
+                [np.concatenate([v, u], 1) for v, u in zip(fv, gv)])
+
     chern = None
     if f.chern is not None and g.chern is not None:
         chern = tuple(a + b for a, b in zip(f.chern, g.chern))
     return Family._composed(
         f.group, f.space, tuple(a + b for a, b in zip(f.fiber_dims, g.fiber_dims)),
-        max(f.exponent_bound, g.exponent_bound),
-        lambda: ([np.concatenate([s, t + s.shape[1]], 1) for s, t in zip(f.perm, g.perm)],
-                 [np.concatenate([v, u], 1) for v, u in zip(f.phase, g.phase)]),
+        max(f.exponent_bound, g.exponent_bound), compose,
         f"sum({f.structure}, {g.structure})", chern,
     )
 
@@ -731,7 +738,7 @@ def _word_blocks(
         index = np.array(slots, dtype=np.int64).reshape(shape)
         targets = np.array([[i for i, _ in row] for row in blocks], dtype=np.int64).reshape(shape)
         perms, phases = [], []
-        for perm, phase in zip(f.perm, f.phase):
+        for perm, phase in zip(*f._data()):
             _, k, d = phase.shape
             data = [_word_data(w, perm, phase) for w in words]
             s = np.array([p for p, _ in data], dtype=np.int64).reshape(len(words), k)
