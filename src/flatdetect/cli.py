@@ -9,15 +9,15 @@ Exit codes: 0 success, 2 usage error (including flag values out of range), 3
 input error (an unreadable or unwritable file, input nested too deeply, a
 malformed expression or payload, including values a constructor rejects, a
 presentation with no generators to solve for, a family paired with a group it
-is not a family of (by its generator count, or a relator of the group whose
-exponent sums are not 0 in the family group's abelianization) or a
-class label that is no word of its group, a pullback or induction of a family
-of another group than the cover's, a coset list of another length than the
-cover's index, a cover index above ``families.MAX_INDEX``, a family whose
-phase exponents might compose past ``families.MAX_EXPONENT``, a group descriptor
-of more than ``detect.MAX_CLASSES`` homology classes, a group descriptor (all
-its leaves together) or a family's group of more than
-``detect.MAX_RELATION_CELLS`` exponent-sum cells,
+is not a family of (by its generator count, or a relator of the group that
+does not hold on the family or might compose past ``families.MAX_EXPONENT``
+on it) or a class label that is no word of its group, a pullback or induction
+of a family of another group than the cover's, a coset list of another length
+than the cover's index, a cover index above ``families.MAX_INDEX``, a family
+whose phase exponents might compose past ``families.MAX_EXPONENT``, a group
+descriptor of more than ``detect.MAX_CLASSES`` homology classes, a group
+descriptor (all its leaves together) of more than ``detect.MAX_RELATION_CELLS``
+exponent-sum cells,
 a descriptor of more than ``detect.MAX_CYCLE_TERMS`` prefix sums read, a
 wedge of forms past ``charforms.MAX_TERM_PRODUCTS`` term products, or an exact
 detection matrix of more than ``detect.MAX_CELLS`` cells),

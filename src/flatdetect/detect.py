@@ -2,7 +2,7 @@
 
 Rational K-homology is represented throughout by rational homology via the
 character isomorphism.  A group class is one value, ``GroupClass(label,
-classes, z_dim, rows)``, its classes in degree order, built by ``Free``,
+classes, z_dim, relators)``, its classes in degree order, built by ``Free``,
 ``FreeAbelian``, ``SurfaceClosed``, ``PresentationComplex``, ``FreeProduct``,
 ``DirectProduct`` or ``FiniteIndexSuper``.  Every class but a
 ``FiniteIndexSuper`` label has its rational cycle, (z-part, coefficient)
@@ -10,8 +10,8 @@ pairs in the base (z) labels.  Both pairings run one loop: a class is a
 cycle {z-part: coefficient}, a family component a table {z-part: {x-part:
 value}} (index tuples), and a cell the cycle's combination of table entries.
 Both read base label z_i as the family's generator i, so both check first
-the family's generator count, then that each of the group's exponent-sum
-``rows`` is 0 in the integral abelianization of the family's group.  Exactly, a
+the family's generator count, then that each of the group's ``relators``
+holds on the family at every parameter.  Exactly, a
 table is the component's character form split by z-part.  Numerically, for
 families without exact character data, a table holds the fiber rank and
 the determinant windings of the generators the cycles read; a class
@@ -34,10 +34,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import (Cover, Family, _abelianize, _echelon_basis, _in_lattice, axis_windings,
-                       induce_family, pullback_family)
-from .presentation import (GroupPresentation, PresentationError, Word, free_group, free_reduce,
-                           parse_word, surface_group)
+from .families import (Cover, Family, _abelianize, _check_exponents, _holds, _letters,
+                       axis_windings, induce_family, pullback_family)
+from .presentation import (GroupPresentation, PresentationError, Word, commutator, format_word,
+                           free_abelian, free_group, free_reduce, parse_word, surface_group)
 
 SCOPE_NOTE = (
     "Detectability is certified only over the structured parameter spaces "
@@ -85,13 +85,13 @@ class BasisClass:
 class GroupClass:
     """A group class: its expression ``label``, the labeled basis of the
     rational homology of its classifying space in degree order, the number
-    of base (z) labels its cycles read, and the nonzero exponent-sum rows of
-    its relators, ((z, sum), ...) each, that a family of it must satisfy."""
+    of base (z) labels its cycles read, and the relators, words in the base
+    labels (z_i is generator i - 1), that a family of it must satisfy."""
 
     label: str
     classes: tuple[BasisClass, ...]
     z_dim: int
-    rows: tuple[tuple[tuple[int, int], ...], ...] = ()
+    relators: tuple[Word, ...] = ()
 
     def describe(self) -> str:
         return self.label
@@ -101,9 +101,10 @@ class GroupClass:
         return tuple(map(degrees.count, range(degrees[-1] + 1)))
 
 
-def _group_class(label: str, classes: Sequence[BasisClass], z_dim: int, rows=()) -> GroupClass:
+def _group_class(label: str, classes: Sequence[BasisClass], z_dim: int,
+                 relators: tuple[Word, ...] = ()) -> GroupClass:
     """Order a class list by degree, keeping the order within each degree."""
-    return GroupClass(label, tuple(sorted(classes, key=lambda c: c.degree)), z_dim, tuple(rows))
+    return GroupClass(label, tuple(sorted(classes, key=lambda c: c.degree)), z_dim, relators)
 
 
 def _check_count(label: str, count: int, text: str | None = None) -> None:
@@ -157,7 +158,7 @@ def expression_budget():
         _CELLS_SPENT.reset(token)
 
 
-def _exponent_sums(label: str, G: GroupPresentation, spent: int = 0) -> list[dict[int, int]]:
+def _exponent_sums(label: str, G: GroupPresentation, spent: int) -> list[dict[int, int]]:
     """G's exponent-sum matrix, a row {generator: sum} per relator, refused past
     MAX_RELATION_CELLS nonzero rows x columns, less the ``spent`` ones, before
     anything eliminates it."""
@@ -213,8 +214,7 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
             name = format_combination((f"r{k + 1}", c) for k, c in sorted(vec.items()))
         taken.add(name)
         classes.append(BasisClass(name, 2, cycle))
-    ours = (tuple((g + 1, e) for g, e in row.items()) for row in rows if row)  # in z-labels
-    return _group_class(label, classes, n, ours)
+    return _group_class(label, classes, n, G.relators)
 
 
 def Free(rank: int) -> GroupClass:
@@ -236,7 +236,7 @@ def FreeAbelian(rank: int) -> GroupClass:
         for q in range(rank + 1)
         for subset in itertools.combinations(range(1, rank + 1), q)
     ]
-    return _group_class(label, classes, rank)
+    return _group_class(label, classes, rank, free_abelian(rank).relators)
 
 
 def SurfaceClosed(genus: int) -> GroupClass:
@@ -247,7 +247,8 @@ def SurfaceClosed(genus: int) -> GroupClass:
 
 def _factors(left: GroupClass, right: GroupClass):
     """The classes of both factors, the right's labels prefixed ``R.`` and
-    its cycles shifted past the left's z-labels, and the joint z_dim and rows."""
+    its cycles and relators shifted past the left's z-labels, the joint
+    z_dim and both factors' relators."""
     shift = left.z_dim
     right_classes = [
         BasisClass(
@@ -258,8 +259,9 @@ def _factors(left: GroupClass, right: GroupClass):
         )
         for c in right.classes
     ]
-    rows = left.rows + tuple(tuple((z + shift, e) for z, e in row) for row in right.rows)
-    return list(left.classes), right_classes, shift + right.z_dim, rows
+    relators = left.relators + tuple(Word(tuple((g + shift, e) for g, e in r.letters))
+                                     for r in right.relators)
+    return list(left.classes), right_classes, shift + right.z_dim, relators
 
 
 def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
@@ -273,7 +275,10 @@ def FreeProduct(left: GroupClass, right: GroupClass) -> GroupClass:
 def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     label = f"direct_product({left.describe()}, {right.describe()})"
     _check_count(label, len(left.classes) * len(right.classes))
-    lc, rc, *joint = _factors(left, right)
+    lc, rc, z_dim, relators = _factors(left, right)
+    # every left generator commutes with every right one
+    relators += tuple(commutator(Word(((i, 1),)), Word(((j, 1),)))
+                      for i in range(left.z_dim) for j in range(left.z_dim, z_dim))
     # the product of the two cycles: every right index is past every left
     # one, so z-parts concatenate in order, with no sign
     classes = [
@@ -286,7 +291,7 @@ def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
         for cl in lc
         for cr in rc
     ]
-    return _group_class(label, classes, *joint)
+    return _group_class(label, classes, z_dim, relators)
 
 
 def FiniteIndexSuper(
@@ -439,25 +444,27 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
     """Refuse a family of another group before pairing, ahead of every other
     check: a cycle's base label z_i pairs with the family's generator i by
     position, so the family needs d's count of base labels, and each of d's
-    exponent-sum rows must vanish in the abelianization of the family's
-    group, i.e. lie in the integer span of its rows.  Necessary, not
-    sufficient: a commutator's row is 0."""
+    relators must hold on it at every parameter: it is one of the family
+    group's relators, or it composes to (id, 0) on every component, as in
+    ``verify_family``.  A relator that might compose past MAX_EXPONENT is
+    refused before composing."""
     for fi, f in enumerate(fams):
         name, n = f"family {fi} ({f.structure})", len(f.group.generators)
         if n != d.z_dim:
             raise PresentationError(f"{name} has {n} base labels, but {d.describe()} has {d.z_dim}")
-        if not d.rows:
-            continue
-        # the family's rows, brought to an echelon basis once: each row of d is tested against it alone
-        basis = _echelon_basis([[row.get(g, 0) for g in range(n)]
-                                for row in _exponent_sums(name, f.group) if row])
-        for row in d.rows:
-            sums = dict(row)
-            if not _in_lattice(basis, [sums.get(z, 0) for z in range(1, n + 1)]):
-                raise PresentationError(
-                    f"{name} is no family of {d.describe()}: its relator sums "
-                    f"{format_combination((f'z{z}', e) for z, e in row)} are not 0 in the "
-                    "abelianization of the family's group")
+        own = set(f.group.relators)
+        for r in d.relators:
+            if r in own:
+                continue
+            try:
+                _check_exponents(_letters(r), f.exponent_bound)
+            except ValueError as exc:
+                raise PresentationError(f"{name} against {d.describe()}: {exc}") from None
+            for ci, (perm, phase) in enumerate(zip(f.perm, f.phase)):
+                if not _holds(r, perm, phase):
+                    word = format_word(r, free_group(n, [f"z{i}" for i in range(1, n + 1)]))
+                    raise PresentationError(f"{name} is no family of {d.describe()}: its "
+                                            f"relator {word!r} does not hold on component {ci}")
 
 
 def detection_matrix(

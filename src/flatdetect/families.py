@@ -327,6 +327,13 @@ def _word_data(w: Word, perm: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray
     return out
 
 
+def _holds(w: Word, perm: np.ndarray, phase: np.ndarray) -> bool:
+    """Whether ``w`` composes to (id, 0) under the generators' data, i.e.
+    holds at every parameter."""
+    s, v = _word_data(w, perm, phase)
+    return (s == np.arange(len(s))).all() and not v.any()
+
+
 def verify_family(f: Family) -> bool:
     """Check that ``f`` is a family of ``f.group`` at every parameter, not
     only on the grid: on each component every relator composes to (id, 0).
@@ -345,8 +352,7 @@ def verify_family(f: Family) -> bool:
                     f"dimension {f.fiber_dims[ci]}"
                 )
         for r in f.group.relators:
-            s, v = _word_data(r, perm, phase)
-            if (s != np.arange(len(s))).any() or v.any():
+            if not _holds(r, perm, phase):
                 raise ValueError(f"component {ci}: relator {format_word(r, f.group)!r} "
                                  "does not compose to the identity")
     return True
@@ -544,41 +550,6 @@ def _det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | No
                 rows[i] = [(pivot[k] * a - row[k] * b) // prev for a, b in zip(row, pivot)]
         prev = pivot[k]
     return sign * prev, [[sign * v for v in row[n:]] for row in rows]
-
-
-def _echelon_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """An echelon basis of the lattice the integer ``rows`` span, by
-    unimodular row operations: per column, Euclid's algorithm on the rows,
-    each step subtracting the multiple of the row of least nonzero entry
-    that leaves the others their remainders."""
-    rest = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(len(rest[0]) if rest else 0):
-        live = [r for r in rest if r[col]]
-        rest = [r for r in rest if not r[col]]
-        while len(live) > 1:
-            pivot = min(live, key=lambda r: abs(r[col]))
-            others = []
-            for r in live:
-                if r is not pivot:
-                    q = r[col] // pivot[col]
-                    r = [a - q * b for a, b in zip(r, pivot)]
-                    (others if r[col] else rest).append(r)
-            live = [pivot, *others]
-        basis += live
-        rest = [r for r in rest if any(r)]
-    return basis
-
-
-def _in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    """Whether the integer vector v lies in the lattice of the echelon
-    ``basis``: reduce it by each row in turn modulo the row's pivot, which
-    leaves 0 at every pivot exactly when v is in the lattice."""
-    for row in basis:
-        col = next(c for c, a in enumerate(row) if a)
-        q = v[col] // row[col]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 def _abelianize(w: Word, n: int) -> list[int]:
@@ -846,25 +817,24 @@ def holonomy_loop(
 
 
 def axis_windings(
-    f: Family, words: Sequence[Word], ci: int, samples: int | None
+    f: Family, words: Sequence[Word], ci: int, samples: int
 ) -> list[list[int]]:
     """Winding of det(holonomy of each word) along each parameter axis of
     component ``ci``; each axis loop is evaluated once, for every word.
 
     The determinant of a monomial word turns uniformly, c = sum_j V_w[j][a]
-    times along axis a, so a loop of ``samples`` steps (default: the axis's
-    grid) aliases it when 2 |c| >= samples: that raises
-    UnderSampledLoopError before any loop is evaluated."""
+    times along axis a, so a loop of ``samples`` steps aliases it when
+    2 |c| >= samples: that raises UnderSampledLoopError before any loop is
+    evaluated."""
     for w in words:
         _check_exponents(_letters(w), f.exponent_bound)
         _, v = _word_data(w, f.perm[ci], f.phase[ci])
         for axis, column in enumerate(v.T.tolist()):
             turns = sum(column)
-            steps = samples if samples is not None else f.space.components[ci][axis]
-            if 2 * abs(turns) >= steps:
+            if 2 * abs(turns) >= samples:
                 raise UnderSampledLoopError(
                     f"det of {format_word(w, f.group)!r} on component {ci} turns {turns} times "
-                    f"along axis {axis + 1}, which a loop of {steps} samples aliases; "
+                    f"along axis {axis + 1}, which a loop of {samples} samples aliases; "
                     "sample more finely"
                 )
     loops = [

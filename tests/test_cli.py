@@ -259,12 +259,12 @@ def test_rep_solve_without_generators_exit3(workdir, capsys):
         ("free_abelian(2)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but free_abelian(2) has 2"),
         ("surface(1)", "z4.fam", "char_zn(4, 2)) has 4 base labels, but surface(1) has 2"),
         ("free_abelian(3)", "z2.fam", "char_zn(2, 8)) has 2 base labels, but free_abelian(3) has 3"),
-        # a relator's exponent sums must be 0 in the family group's H_1: Z/3 x Z,
-        # whose z1^z2 would certify though it is 0 in H_2, and the Klein group
-        ("group(t3.grp)", "z2.fam", "is no family of group(t3.grp): its relator sums 3*z1 "
-         "are not 0 in the abelianization of the family's group"),
-        ("group(klein.grp)", "z2.fam", "is no family of group(klein.grp): its relator sums "
-         "2*z1 are not 0 in the abelianization of the family's group"),
+        # every relator must hold on the family: Z/3 x Z, whose z1^z2 would
+        # certify though it is 0 in H_2, and the Klein group
+        ("group(t3.grp)", "z2.fam", "is no family of group(t3.grp): its relator 'z1 z1 z1' "
+         "does not hold on component 0"),
+        ("group(klein.grp)", "z2.fam", "is no family of group(klein.grp): its relator "
+         "'z1 z2 z1 z2^-1' does not hold on component 0"),
     ],
 )
 def test_exact_family_of_another_group_exit3(workdir, capsys, monkeypatch, group, fam, counts):
@@ -336,14 +336,17 @@ def test_detect_run_klein_numeric(workdir):
          "labels, but free_abelian(1) has 1"),
         ("free(5)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) has 2 base "
          "labels, but free(5) has 5"),
-        # and the abelianization: b b does not hold on the Klein family
+        # and the relators: [a, b] = a^2 in the Klein group, so the commutator,
+        # of exponent sums 0, does not hold on the Klein family
+        ("group(z2.grp)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) is no family "
+         "of group(z2.grp): its relator 'z1 z2 z1^-1 z2^-1' does not hold on component 0"),
+        ("free_abelian(2)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) is no family "
+         "of free_abelian(2): its relator 'z1 z2 z1^-1 z2^-1' does not hold on component 0"),
+        # nor do b b and a a a
         ("group(b2.grp)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) is no family "
-         "of group(b2.grp): its relator sums 2*z2 are not 0 in the abelianization "
-         "of the family's group"),
-        # over Z: a a a sums to 3*z1, in the Q-span of the Klein relator's 2*z1 only
+         "of group(b2.grp): its relator 'z2 z2' does not hold on component 0"),
         ("group(t3.grp)", "family 0 (induce(char_zn(2, 8), klein_even(index=2))) is no family "
-         "of group(t3.grp): its relator sums 3*z1 are not 0 in the abelianization "
-         "of the family's group"),
+         "of group(t3.grp): its relator 'z1 z1 z1' does not hold on component 0"),
         # a descriptor without base labels pairs by its labels alone
         ("finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [c]])",
          "class 'c' of finite_index_super(free_abelian(2), 2, klein) is not a word in the "
@@ -360,6 +363,36 @@ def test_numeric_pairing_of_another_group_exit3(workdir, capsys, monkeypatch, gr
         assert run(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_a_family_on_which_every_relator_holds_pairs(workdir, monkeypatch):
+    """Every relator of Z/3 x Z holds on a trivial family of the free group,
+    although a a a is none of its group's relators: it pairs, undetected."""
+    monkeypatch.chdir(workdir)
+    (workdir / "t3.grp").write_text("gens: a b ; rels: a a a , a b a^-1 b^-1 ;\n")
+    (workdir / "f2.grp").write_text("gens: a b ; rels: ;\n")
+    (workdir / "trivial.fam").write_text("trivial(group=f2.grp)\n")
+    assert run(["detect", "run", "--group", "group(t3.grp)", "--families", "trivial.fam",
+                "--out", "t.json"]) == 5
+    assert json.loads(Path("t.json").read_text())["verdict"] == "undetected"
+
+
+def test_a_relator_that_might_compose_past_the_bound_exit3(workdir, capsys, monkeypatch):
+    """The family builds under its own bound 2^59 + 1, but a relator of 8
+    letters might compose past 2^62 on it: refused before composing."""
+    monkeypatch.chdir(workdir)
+    (workdir / "c2.grp").write_text("gens: a b ; rels: a b a^-1 b^-1 a b a^-1 b^-1 ;\n")
+    (workdir / "big.fam").write_text(
+        "pullback(char_zn(2, 4), cover=sublattice([[288230376151711745, 288230376151711744], "
+        "[288230376151711744, 288230376151711743]]), cosets=[e], group=z2.grp)\n")
+    assert run(["family", "build", "--expr", str(workdir / "big.fam"),
+                "--out", str(workdir / "big.json")]) == 0
+    assert run(["detect", "run", "--group", "group(c2.grp)",
+                "--families", str(workdir / "big.fam")]) == 3
+    assert capsys.readouterr().err == (
+        "error: family 0 (pullback(char_zn(2, 4), sublattice(index=1))) against group(c2.grp): "
+        "a word of 8 letters over phase exponents up to 576460752303423489 may compose to "
+        "4611686018427387912, more than the 4611686018427387904 composed at most\n")
 
 
 @pytest.mark.parametrize(

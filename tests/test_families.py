@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatdetect import cli, families
+from flatdetect import cli, detect, families
 from flatdetect.charforms import MultiForm, reduce_rows, xgen, zgen
 from flatdetect.families import (
     DisjointUnionSpace,
@@ -43,6 +43,7 @@ from flatdetect.families import (
 from flatdetect.repvar import relator_defect, unitarity_defect
 from flatdetect.presentation import (
     GroupPresentation,
+    PresentationError,
     Word,
     evaluate_word,
     format_presentation,
@@ -1194,6 +1195,35 @@ def test_word_composition_equals_the_dense_product(tree, data):
         want = np.zeros((3, k, k), dtype=complex)
         want[:, s, np.arange(k)] = np.exp(2j * np.pi * (x @ v.T))
         assert np.allclose(evaluate_word(w, fam.evaluate_batch(x, ci)), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.data())
+def test_a_descriptor_relator_holds_exactly_where_its_float_defect_vanishes(tree, data):
+    """Every family passes the relator check against the presentation
+    complex of its own group; with a random word r added as a relator, it
+    passes exactly when r's float defect at random points of every
+    component is 0, and else names r and the first component it fails on."""
+    fam, _ = tree
+    G = fam.group
+    detect._check_base_labels(detect.PresentationComplex("G", G), [fam])
+    runs = st.tuples(st.integers(0, len(G.generators) - 1), st.integers(-3, 3))
+    r = free_reduce(Word(tuple(data.draw(st.lists(runs, max_size=6)))))
+    d = detect.PresentationComplex("G", GroupPresentation(G.generators, (*G.relators, r)))
+    rng = np.random.default_rng(0)
+    failing = [
+        ci for ci in range(fam.space.n_components)
+        if relator_defect(fam.evaluate_batch(rng.random((4, fam.space.component_x_dim(ci))), ci),
+                          GroupPresentation(G.generators, (r,))).max() > 1e-8
+    ]
+    if not failing:
+        detect._check_base_labels(d, [fam])
+        return
+    word = " ".join(f"z{g + 1}" + ("" if e > 0 else "^-1") for g, e in r.letters
+                    for _ in range(abs(e)))
+    with pytest.raises(PresentationError, match=re.escape(
+            f"is no family of G: its relator {word!r} does not hold on component {failing[0]}")):
+        detect._check_base_labels(d, [fam])
 
 
 # ---------------------------------------------------------------------------

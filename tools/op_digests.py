@@ -25,9 +25,12 @@ each of ``EXACT_DESCRIPTORS`` against the exact family alone, and then on
 trivial family of its own group, whose report rows list the group's
 homology basis.  Then come
 the ``abelianizations`` ops: ``detect run`` on each of ``ABELIANIZATIONS``,
-group files whose relator sums do not vanish in Z^2, against a family of
-Z^2 and then against a Klein-bottle family.  Then come the ``families``
-ops: ``family build`` on each of
+group files with a relator that does not hold in Z^2, against a family of
+Z^2 and then against a Klein-bottle family, and then on each pair of
+``RELATOR_PAIRS``, a descriptor whose relators the pairing composes on the
+family: a commutator, of exponent sums 0, that does not hold on the
+Klein-bottle family, and relators that all hold on a trivial family of the
+free group.  Then come the ``families`` ops: ``family build`` on each of
 ``FAMILIES``, the ``extend`` and ``pullback`` expressions the benchmark
 never builds, families of the group with no generators, inductions and a
 pullback along ``klein_even`` over a Klein-bottle group whose relator is
@@ -280,8 +283,7 @@ GROUP_FILES = {
 }
 # group files against a family of Z^2, which is no family of either: Z/3 x Z,
 # whose z1^z2 is 0 in H_2, and the Klein-bottle group; then against a family
-# of the Klein-bottle group, where the relator sums 3*z1 of Z/3 x Z lie in the
-# rational span of the Klein relator's 2*z1 but not in its integer span
+# of the Klein-bottle group, on which a a a of Z/3 x Z does not hold
 ABELIANIZATIONS = {
     "t3.grp": "gens: a b ; rels: a a a , a b a^-1 b^-1 ;\n",
     "klein.grp": GROUP_FILES["klein.grp"],
@@ -290,6 +292,15 @@ ABELIANIZATION_FAMILIES = {
     "z2.fam": "char_zn(2, 4)",
     "klein.fam": DESCRIPTOR_FAMILIES["klein"],
 }
+# (group descriptor, {run} standing for its files' directory; family file):
+# [a, b] = a^2 in the Klein-bottle group, so Z^2's commutator does not hold
+# on its family, while every relator of Z/3 x Z holds on a trivial family of
+# the free group, which then pairs
+RELATOR_PAIRS = (
+    ("group({run}/z2.grp)", "klein.fam"),
+    ("free_abelian(2)", "klein.fam"),
+    ("group({run}/t3.grp)", "f2_trivial.fam"),
+)
 # (group descriptor, family expressions) of each ``certificates`` op: families
 # whose rows are all nonzero but linearly dependent (z1 and z2 pair alike)
 CERTIFICATES = (
@@ -394,6 +405,14 @@ def _abelianization_ops(run_dir: Path):
             argv = ["detect", "run", "--group", f"group({run_dir / name})",
                     "--families", str(run_dir / fam)]
             yield argv, f"detect run group(<run>/{name}) vs {expr}"
+    for name in ("z2.grp", "f2.grp"):
+        (run_dir / name).write_text(GROUP_FILES[name])
+    (run_dir / "f2_trivial.fam").write_text("trivial(group=f2.grp)\n")
+    for group, fam in RELATOR_PAIRS:
+        expr = (run_dir / fam).read_text().strip()
+        argv = ["detect", "run", "--group", group.format(run=run_dir),
+                "--families", str(run_dir / fam)]
+        yield argv, f"detect run {group.format(run='<run>')} vs {expr}"
 
 
 def _family_ops(run_dir: Path, exprs=FAMILIES):
