@@ -2,7 +2,8 @@
 
 Subcommands: ``parse``, ``rep solve``, ``family build``, ``forms chern``,
 ``forms eval``, ``detect run``, ``report``.  Identical inputs and seed
-produce byte-identical outputs; exact results are serialized as rational
+produce byte-identical outputs, which one writer, ``_write``, emits as
+``json.dumps(sort_keys=True, indent=2)`` would; exact results are rational
 strings, floats appear only in numeric diagnostics.
 
 Exit codes: 0 success, 2 usage error (including flag values out of range), 3
@@ -46,6 +47,7 @@ import json
 import operator
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -383,8 +385,63 @@ def _load_family(path: str) -> families.Family:
 # ---------------------------------------------------------------------------
 
 
+def _float(v: float) -> str:
+    """A float as ``json`` writes it, a subclass (numpy.float64) as a float."""
+    text = float.__repr__(v)
+    return _NONFINITE.get(text, text)
+
+
+# exact type -> its writer (rep solve's matrices hold numpy.float64); _write tests subclasses
+_SCALARS = {str: _quote, int: int.__repr__, float: _float, np.float64: _float,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ -> json
+
+
+def _write(obj, indent: str, out: list[str]) -> None:
+    """Append to ``out`` what ``json.dumps(obj, sort_keys=True, indent=2)`` writes at
+    ``indent``, keys being strings, and a ``detect.SparseMatrix`` as its dense "p/q"
+    rows: the all-"0/1" row, cell j at a fixed offset, with the nonzero cells spliced in."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    inner = indent + "  "
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    head, sep, start = brackets[0] + inner, "," + inner, len(out)
+    if isinstance(obj, dict):
+        for k, v in sorted(obj.items()):
+            out.append(f"{head}{_quote(k)}: ")
+            head = sep
+            _write(v, inner, out)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            out.append(head)
+            head = sep
+            _write(v, inner, out)
+    elif isinstance(obj, detect.SparseMatrix):
+        cell = inner + "  "
+        zero = "[" + ",".join([f'{cell}"0/1"'] * obj.width) + f"{inner}]" if obj.width else "[]"
+        first, step = 1 + len(cell), 6 + len(cell)
+        for row in obj.rows:
+            out.append(head)
+            head, pos = sep, 0
+            for j, e in row.items():
+                at = first + j * step
+                out += (zero[pos:at], f'"{e.numerator}/{e.denominator}"')
+                pos = at + 5
+            out.append(zero[pos:])
+    else:
+        for t in (str, int, float):  # a subclass, tested in json's order
+            if isinstance(obj, t):
+                out.append(_SCALARS[t](obj))
+                return
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    out.append(indent + brackets[1] if len(out) > start else brackets)
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _write(obj, "\n", chunks := [])
+    text = "".join(chunks + ["\n"])
     if out:
         Path(out).write_text(text)
     else:

@@ -333,12 +333,25 @@ def slant_contract(ch: MultiForm, cls: BasisClass) -> MultiForm:
 
 
 @dataclass(frozen=True)
+class SparseMatrix:
+    """A matrix ``width`` columns wide as its rows {column: nonzero Fraction}, columns
+    ascending; the CLI's writer emits it as dense "p/q" rows, ``json.dumps`` refuses it."""
+
+    rows: tuple[dict[int, Fraction], ...]
+    width: int
+
+
+@dataclass(frozen=True)
 class DetectionReport:
+    """One pairing's report.  ``sparse`` holds its matrix, a row per class and
+    a column per ``col_labels`` entry; ``matrix`` is its dense view of Fraction
+    rows, built on each read.  ``to_json_dict`` is the payload the CLI writes."""
+
     group: str
     families: tuple[str, ...]
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    sparse: SparseMatrix
     detected: tuple[bool, ...]
     verdict: str                      # "FD-certified" | "undetected"
     undetected_classes: tuple[str, ...]
@@ -347,6 +360,11 @@ class DetectionReport:
     scope_note: str = SCOPE_NOTE
     witness: str | None = None        # a vanishing class combination, when rows are dependent
 
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        zero, width = Fraction(0), self.sparse.width
+        return tuple(tuple(row.get(j, zero) for j in range(width)) for row in self.sparse.rows)
+
     def to_json_dict(self) -> dict:
         out = {
             "kind": "detection_report",
@@ -354,11 +372,7 @@ class DetectionReport:
             "families": list(self.families),
             "rows": list(self.row_labels),
             "columns": list(self.col_labels),
-            # most cells are zero, and Fraction(0) formats as "0/1"
-            "matrix": [
-                [f"{e.numerator}/{e.denominator}" if e else "0/1" for e in row]
-                for row in self.matrix
-            ],
+            "matrix": self.sparse,
             "detected": list(self.detected),
             "verdict": self.verdict,
             "undetected_classes": list(self.undetected_classes),
@@ -398,25 +412,26 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     rows certify when independent over Q; with a tag column per row, the first
     dependent row reduces to its combination of rows: the witness."""
     top, prefix, unit, xname = _COLUMNS[mode]
-    comps = []  # every component's table, in column order
-    col_labels, col_keys = [], []  # (index into comps, x-part)
+    comps, col_labels = [], []  # every component's table and {x-part: column}, in column order
     for fi, (f, per_family) in enumerate(zip(fams, tables)):
         for ci, table in enumerate(per_family):
-            x_dim = f.space.component_x_dim(ci)
+            x_dim, columns = f.space.component_x_dim(ci), {}
             for q in range(min(x_dim, top) + 1):
                 for mono in itertools.combinations(range(1, x_dim + 1), q):
                     xpart = "^".join(xname.format(i) for i in mono) or unit
+                    columns[mono] = len(col_labels)
                     col_labels.append(prefix.format(fi=fi, ci=ci) + xpart)
-                    col_keys.append((len(comps), mono))
-            comps.append(table)
-    zero = Fraction(0)
-    matrix = []
+            comps.append((table, columns))
+    rows = []
     for cycle in cycles:
-        parts = [_combine(table, cycle) for table in comps]
-        matrix.append(tuple(parts[k].get(xkey, zero) for k, xkey in col_keys))
+        row = {}
+        for table, columns in comps:
+            for xkey, v in _combine(table, cycle).items():
+                if v and (j := columns.get(xkey)) is not None:
+                    row[j] = v
+        rows.append(dict(sorted(row.items())))
     row_labels = tuple(c.label for c in rational_homology(d))
     width = len(col_labels)
-    rows = [{j: e for j, e in enumerate(row) if e} for row in matrix]
     detected = tuple(map(bool, rows))
     undetected = tuple(label for label, hit in zip(row_labels, detected) if not hit)
     reduced = reduce_rows({**row, width + i: Fraction(1)} for i, row in enumerate(rows))
@@ -430,7 +445,7 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
         families=tuple(f.structure for f in fams),
         row_labels=row_labels,
         col_labels=tuple(col_labels),
-        matrix=tuple(matrix),
+        sparse=SparseMatrix(tuple(rows), width),
         detected=detected,
         verdict="undetected" if kernel else "FD-certified",
         undetected_classes=undetected,
@@ -478,8 +493,8 @@ def detection_matrix(
     columns.  Every family must carry exact character data.
 
     Each component form is split once by z-part into its table and each
-    class is its cycle, so a one-term cell is two dict lookups and the cost
-    is linear in the number of terms plus the number of cells.  Entries
+    class is its cycle, so a row reads only its cycle's buckets, and the cost
+    is linear in the terms read plus the columns: no zero cell is built.  Entries
     equal ``slant_contract(form, cls).coefficient(x-monomial)``.  A matrix
     of more than MAX_CELLS cells is refused before any table is built.
     """
@@ -574,11 +589,8 @@ def transfer_scaling_check(f: Family, index: int, *, cover: Cover) -> bool:
     scaled = detection_matrix(ambient, [round_trip])
     if base.col_labels != scaled.col_labels or base.row_labels != scaled.row_labels:
         return False
-    return all(
-        index * a == b
-        for ra, rb in zip(base.matrix, scaled.matrix)
-        for a, b in zip(ra, rb)
-    )
+    return all({j: index * e for j, e in ra.items()} == rb
+               for ra, rb in zip(base.sparse.rows, scaled.sparse.rows))
 
 
 def bm_obstruction(f: int, index: int) -> tuple[int, int, bool]:

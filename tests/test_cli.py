@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,11 +20,51 @@ from flatdetect.cli import (
     parse_expression,
     run,
 )
-from flatdetect.detect import FiniteIndexSuper, FreeAbelian
+from flatdetect.detect import FiniteIndexSuper, FreeAbelian, SparseMatrix
 from flatdetect.presentation import parse_presentation
 
 Z2_SRC = "gens: a b ; rels: a b a^-1 b^-1 ;\n"
 KLEIN_SRC = "gens: a b ; rels: a b a b^-1 ;\n"
+
+
+def _encode(obj) -> str:
+    """``obj`` as the CLI's writer writes a payload."""
+    cli._write(obj, "\n", chunks := [])
+    return "".join(chunks)
+
+
+def _dense(obj):
+    """``obj`` with every SparseMatrix in it replaced by its dense rows of "p/q" strings."""
+    if isinstance(obj, SparseMatrix):
+        return [[f"{row[j].numerator}/{row[j].denominator}" if j in row else "0/1"
+                 for j in range(obj.width)] for row in obj.rows]
+    if isinstance(obj, dict):
+        return {k: _dense(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_dense(v) for v in obj]
+    return obj
+
+
+@pytest.fixture(autouse=True, scope="module")
+def emitted_as_json_dumps_writes():
+    """Every text a subcommand emits here, to --out or to stdout, is the one
+    ``json.dumps(sort_keys=True, indent=2)`` writes for its payload with the
+    sparse matrix expanded."""
+    emit = cli._emit
+
+    def checked(obj, out):
+        real, sys.stdout = sys.stdout, io.StringIO()
+        try:
+            emit(obj, out)
+            text = Path(out).read_text() if out else sys.stdout.getvalue()
+        finally:
+            captured, sys.stdout = sys.stdout, real
+        real.write(captured.getvalue())
+        assert text == json.dumps(_dense(obj), sort_keys=True, indent=2) + "\n"
+
+    cli._emit = checked
+    yield
+    cli._emit = emit
 
 
 @pytest.fixture
@@ -1194,6 +1237,61 @@ def test_expression_fuzz_total_and_report_matches_detect_run(workdir, capsys, gr
     assert d.exists() == r.exists()
     if d.exists():
         assert json.loads(r.read_text())["detection"] == json.loads(d.read_text())
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'),
+                          st.characters()))
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Widths 0..40, rows of nonzero Fractions, negative and non-integral
+    ones too, at ascending columns, and all-zero rows."""
+    width = draw(st.integers(0, 40))
+    entries = st.fractions(min_value=-10, max_value=10, max_denominator=12).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, width - 1), entries)
+                         if width else st.just({}), max_size=4))
+    return SparseMatrix(tuple(dict(sorted(row.items())) for row in rows), width)
+
+
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _sparse_matrices()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_the_writer_writes_what_json_dumps_writes(obj):
+    assert _encode(obj) == json.dumps(_dense(obj), sort_keys=True, indent=2)
+
+
+def test_the_writer_writes_sparse_rows_at_their_columns():
+    m = SparseMatrix(({0: Fraction(-1, 2), 2: Fraction(3)}, {}, {1: Fraction(7, 5)}), 3)
+    assert json.loads(_encode({"m": [m]})) == {
+        "m": [[["-1/2", "0/1", "3/1"], ["0/1", "0/1", "0/1"], ["0/1", "7/5", "0/1"]]]
+    }
+    assert _encode(SparseMatrix((), 0)) == _encode(SparseMatrix((), 5)) == "[]"
+    assert _encode(SparseMatrix(({},), 0)) == "[\n  []\n]"
+
+
+def test_the_writer_refuses_what_json_dumps_refuses():
+    for obj in ({1, 2}, Fraction(1, 2), np.int64(3), {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _encode(obj)
 
 
 def test_python_dash_m_entry_point(workdir):
