@@ -5,11 +5,14 @@ generators of two kinds: z-labels (base/group directions) and x-labels
 (parameter directions).  A monomial is stored as a pair (z-indices,
 x-indices) of strictly increasing tuples, all z's before all x's; the sign
 of bringing a product into that order (``_merge``) is absorbed into the
-coefficient.  Every store is canonical with no zero coefficient, so
-operations build canonical stores directly.  Label kinds exist only at the
-boundary: outside input (the constructor, ``coefficient``, ``from_records``)
-is checked and sorted once (``_canonical``), and ``terms`` and
-``to_records`` turn pairs back into labels.
+coefficient.  Coefficients are int numerators over one common positive
+denominator, in lowest terms, so products and sums multiply and add ints
+and reduce once; Fractions appear only at the boundary.  Every store is
+canonical with no zero numerator, so operations build canonical stores
+directly.  Label kinds exist only at the boundary: outside input (the
+constructor, ``coefficient``, ``from_records``) is checked and sorted once
+(``_canonical``), and ``terms`` and ``to_records`` turn pairs back into
+labels and coefficients back into Fractions.
 
 Sign conventions (the global dictionary reported alongside results):
 the exact pipeline normalizes the rank-1 character bundle on the 2-torus to
@@ -24,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +43,8 @@ SIGN_CONVENTIONS = {
 
 INTEGRALITY_TOL = 1e-6
 # the most term pairs one wedge product multiplies: char_zn(16, 2) and the
-# tensor of two char_zn(8, 2) reach it, each built in about 1 s on a shared
-# 2-core VM, and each further rank costs about 4x the time
+# tensor of two char_zn(8, 2) reach it, each built in about 0.12 s on a
+# shared 2-core VM (CPython 3.11), and each further rank doubles the pairs
 MAX_TERM_PRODUCTS = 2**16
 
 
@@ -134,9 +138,13 @@ def _canonical(labels: Iterable[Label]):
 
 
 class MultiForm:
-    """Exterior-algebra element with exact Fraction coefficients."""
+    """Exterior-algebra element with exact rational coefficients, stored as
+    nonzero int numerators over one positive common denominator ``_den``, in
+    lowest terms: gcd(_den, *numerators) == 1, and _den == 1 for the zero
+    form.  The public queries (``terms``, ``coefficient``, ``split_z``)
+    return Fractions."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=None):
         store: dict = {}
@@ -145,7 +153,11 @@ class MultiForm:
             canon = _canonical(labels) if coeff else None
             if canon is not None:
                 _accumulate(store, canon[0], canon[1] * coeff)
-        self._terms = store
+        # each Fraction is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in store.values()))
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in store.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -158,11 +170,17 @@ class MultiForm:
         return cls({((kind, index),): Fraction(1)})
 
     @classmethod
-    def _of_canonical(cls, store: dict) -> "MultiForm":
-        """Wrap a store that is already canonical: strictly increasing index
-        pairs, nonzero Fraction coefficients.  Skips re-canonicalising."""
+    def _of_store(cls, store: dict, den: int = 1) -> "MultiForm":
+        """Wrap a canonical store (strictly increasing index pairs, nonzero
+        int numerators) over the denominator ``den`` >= 1, dividing out the
+        common factor; skips re-canonicalising."""
+        if den > 1:
+            g = gcd(den, *store.values())
+            if g > 1:
+                store = {m: c // g for m, c in store.items()}
+                den //= g
         form = cls.__new__(cls)
-        form._terms = store
+        form._terms, form._den = store, den
         return form
 
     # -- queries -----------------------------------------------------------
@@ -173,11 +191,13 @@ class MultiForm:
         order = sorted(
             self._terms, key=lambda m: (len(m[0]) + len(m[1]), m[0] + (float("inf"),), m[1])
         )
-        return [(_labels(m), self._terms[m]) for m in order]
+        return [(_labels(m), Fraction(self._terms[m], self._den)) for m in order]
 
     def coefficient(self, labels: Iterable[Label]) -> Fraction:
         canon = _canonical(labels)
-        return canon[1] * self._terms.get(canon[0], Fraction(0)) if canon else Fraction(0)
+        if canon is None:
+            return Fraction(0)
+        return Fraction(canon[1] * self._terms.get(canon[0], 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -185,15 +205,19 @@ class MultiForm:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        store = dict(self._terms)
-        for m, c in _coerce(other)._terms.items():
-            _accumulate(store, m, c)
-        return MultiForm._of_canonical(store)
+        other = _coerce(other)
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        store = {m: c * scale for m, c in self._terms.items()}
+        scale = den // other._den
+        for m, c in other._terms.items():
+            _accumulate(store, m, c * scale)
+        return MultiForm._of_store(store, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiForm._of_canonical({m: -c for m, c in self._terms.items()})
+        return MultiForm._of_store({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -203,11 +227,12 @@ class MultiForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return MultiForm._of_canonical(
-                {m: c * other for m, c in self._terms.items()} if other else {}
+            p, q = other.as_integer_ratio()
+            return MultiForm._of_store(
+                {m: c * p for m, c in self._terms.items()} if p else {}, self._den * q
             )
-        return MultiForm._of_canonical(_wedge_terms(self._terms, _coerce(other)._terms))
+        other = _coerce(other)
+        return MultiForm._of_store(_wedge_terms(self._terms, other._terms), self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -219,10 +244,10 @@ class MultiForm:
             other = MultiForm.constant(other)
         if not isinstance(other, MultiForm):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -243,49 +268,76 @@ class MultiForm:
             for lab in _labels((zs[:1], xs[:1])):  # the least index of each kind
                 _check_label(lab)
             store[zs, xs] = c
-        return MultiForm._of_canonical(store)
+        return MultiForm._of_store(store, self._den)
 
     def restrict_x(self, keep: Iterable[int]) -> "MultiForm":
         """Restriction to a parameter sub-torus: drop terms using other x-labels."""
         keep = set(keep)
-        return MultiForm._of_canonical(
-            {m: c for m, c in self._terms.items() if keep.issuperset(m[1])}
+        return MultiForm._of_store(
+            {m: c for m, c in self._terms.items() if keep.issuperset(m[1])}, self._den
         )
+
+    def _split_numerators(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+        """``split_z`` on the numerators, over ``_den``."""
+        out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for (zs, xs), c in self._terms.items():
+            out.setdefault(zs, {})[xs] = c
+        return out
 
     def split_z(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
         """Bucket the terms by z-part in one pass: {z-indices: {x-indices:
         coefficient}}.  A stored monomial is its z-part before its x-part,
         so splitting them needs no sign."""
-        out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for (zs, xs), c in self._terms.items():
-            out.setdefault(zs, {})[xs] = c
-        return out
+        den = self._den
+        return {
+            zs: {xs: Fraction(c, den) for xs, c in xterms.items()}
+            for zs, xterms in self._split_numerators().items()
+        }
 
     def contract_z(self, z_indices: Sequence[int]) -> "MultiForm":
         """Pair the base part against the class dual to the monomial
         z_{i1}^...^z_{ip}: the x-parts of the terms whose full z-part is
-        exactly that monomial (split_z), in one pass over the terms."""
+        exactly that monomial, in one pass over the terms."""
         if len(set(z_indices)) != len(tuple(z_indices)):
             raise ValueError("repeated index in contraction monomial")
-        xterms = self.split_z().get(tuple(sorted(z_indices)), {})
-        return MultiForm._of_canonical({((), xs): c for xs, c in xterms.items()})
+        zs = tuple(sorted(z_indices))
+        return MultiForm._of_store(
+            {((), m[1]): c for m, c in self._terms.items() if m[0] == zs}, self._den
+        )
 
     def subst_z(self, images: Sequence["MultiForm"]) -> "MultiForm":
         """Algebra substitution z_i -> images[i-1] (each of pure degree 1),
         leaving x-labels fixed.  Used for cover pullbacks and transfers.
-        The product of images is expanded once per z-part (split_z) and
-        wedged with that z-part's x-terms straight into one coefficient dict."""
-        out: dict = {}
-        for zpart, xterms in self.split_z().items():
-            expanded = {((), ()): Fraction(1)}
+        Each z-part's x-terms are brought over one common denominator, the
+        lcm of the z-parts' image-product denominators, and wedged with the
+        product of that z-part's images straight into one numerator dict.
+        The product of the images of every z-part prefix is expanded once."""
+        parts = self._split_numerators()
+        images = dict(enumerate(images, 1))
+        dens = {}
+        for zpart in parts:
+            den = 1
             for i in zpart:
-                if i > len(images):
+                if i not in images:
                     raise ValueError(f"no image for z{i}")
-                expanded = _wedge_terms(expanded, _coerce(images[i - 1])._terms)
-            xterms = {((), xs): c for xs, c in xterms.items()}
-            for mono, c in _wedge_terms(expanded, xterms).items():
+                images[i] = image = _coerce(images[i])
+                den *= image._den
+            dens[zpart] = den
+        common = lcm(*dens.values())
+        products = {(): {((), ()): 1}}  # z-part prefix -> product of its images
+        out: dict = {}
+        for zpart, xterms in parts.items():
+            known = len(zpart)
+            while zpart[:known] not in products:
+                known -= 1
+            for k in range(known, len(zpart)):
+                image = images[zpart[k]]._terms
+                products[zpart[:k + 1]] = _wedge_terms(products[zpart[:k]], image)
+            scale = common // dens[zpart]
+            xterms = {((), xs): c * scale for xs, c in xterms.items()}
+            for mono, c in _wedge_terms(products[zpart], xterms).items():
                 _accumulate(out, mono, c)
-        return MultiForm._of_canonical(out)
+        return MultiForm._of_store(out, common * self._den)
 
     # -- serialization -------------------------------------------------------
 

@@ -56,7 +56,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charforms import MultiForm, UnderSampledLoopError, winding_number, xgen, zgen
+from .charforms import MultiForm, UnderSampledLoopError, winding_number
 from .presentation import (
     GroupPresentation,
     Word,
@@ -365,7 +365,7 @@ def character_family_Zn(
     the j-th generator maps to e^{2 pi i x_j} in U(1)."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    ch = _wedge_all([MultiForm.constant(1) + zgen(j) * xgen(j) for j in range(1, n + 1)])
+    ch = _wedge_all([MultiForm._of_store({((), ()): 1, ((j,), (j,)): 1}) for j in range(1, n + 1)])
     return Family._composed(
         free_abelian(n, generators), TorusGrid(n, resolution), (1,), 1,
         lambda: ([np.zeros((n, 1), dtype=int)], [np.eye(n, dtype=int)[:, None, :]]),

@@ -104,14 +104,20 @@ def test_serialization_roundtrip(f):
 
 def _assert_canonical_store(form):
     """The store invariant: each key is a pair (z-indices, x-indices) of
-    positive ints that is its own canonical order (sign +1), no coefficient
-    is zero, and re-canonicalising the terms changes nothing."""
+    positive ints that is its own canonical order (sign +1), each numerator
+    is a nonzero int over one int denominator of at least 1 (1 for the zero
+    form), the pair is in lowest terms, and re-canonicalising the terms
+    changes nothing."""
     for mono, c in form._terms.items():
         zs, xs = mono
         assert all(type(i) is int and i >= 1 for i in zs + xs)
         assert _canonical(_labels(mono)) == (mono, 1)
-        assert isinstance(c, Fraction) and c != 0
-    assert form._terms == MultiForm(dict(form.terms()))._terms
+        assert type(c) is int and c != 0
+    assert type(form._den) is int and form._den >= 1
+    assert form._terms or form._den == 1
+    assert math.gcd(form._den, *form._terms.values()) == 1
+    again = MultiForm(dict(form.terms()))
+    assert (again._terms, again._den) == (form._terms, form._den)
 
 
 @settings(max_examples=150)
@@ -279,6 +285,54 @@ def test_subst_z_matches_product_expansion(f, rows):
     # z_i -> sum_j rows[i-1][j-1] z_j: a random integer linear image of z1..z3
     images = [sum((c * zgen(j + 1) for j, c in enumerate(row)), MultiForm()) for row in rows]
     assert f.subst_z(images) == _subst_reference(f, images)
+
+
+def fractions(lo=-3, hi=3):
+    """Rationals p/q with lo <= p <= hi and denominators 1..4."""
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+
+
+@settings(max_examples=150)
+@given(
+    forms(),
+    st.lists(st.lists(fractions(), min_size=4, max_size=4), min_size=3, max_size=3),
+)
+def test_subst_z_with_rational_images_matches_product_expansion(f, rows):
+    # z_i -> sum_j rows[i-1][j-1] z_j with denominators 1..4, so the
+    # z-parts' image products reach the common denominator over different ones
+    images = [sum((c * zgen(j + 1) for j, c in enumerate(row)), MultiForm()) for row in rows]
+    got = f.subst_z(images)
+    assert got == _subst_reference(f, images)
+    _assert_canonical_store(got)
+
+
+def _fraction_reference(pairs):
+    """Accumulate (labels, Fraction) pairs by canonical monomial (the
+    insertion-sort reference), dropping repeats and zero sums."""
+    out: dict = {}
+    for labels, c in pairs:
+        canon = _canonical_reference(labels)
+        if canon is not None:
+            out[canon[0]] = out.get(canon[0], Fraction(0)) + canon[1] * c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=150)
+@given(forms(), forms(), fractions(-4, 4))
+def test_ring_operations_match_fraction_reference(a, b, scalar):
+    """The int store's sums, wedges and rational multiples have the
+    coefficients of the same operations done in Fractions on ``terms()``."""
+    ta, tb = a.terms(), b.terms()
+    cases = (
+        (a + b, _fraction_reference(ta + tb)),
+        (a * b, _fraction_reference((ma + mb, ca * cb) for ma, ca in ta for mb, cb in tb)),
+        (scalar * a, _fraction_reference((m, scalar * c) for m, c in ta)),
+    )
+    for got, expected in cases:
+        assert dict(got.terms()) == expected
+        assert all(got.coefficient(m) == c for m, c in expected.items())
+        assert all(type(c) is Fraction for _, c in got.terms())
+        _assert_canonical_store(got)
 
 
 # ---------------------------------------------------------------------------

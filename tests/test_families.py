@@ -201,13 +201,14 @@ def test_evaluate_rejects_nested_points_and_wrong_components():
 
 
 def test_character_family_chern():
-    f = character_family_Zn(1, 4)
-    assert f.chern[0] == 1 + zgen(1) * xgen(1)
-    g = character_family_Zn(3, 2)
+    """char_zn builds its factors 1 + z_j^x_j as stores directly; its form
+    equals the product of the same factors built through the public API."""
     expected = MultiForm.constant(1)
-    for j in (1, 2, 3):
-        expected = expected * (1 + zgen(j) * xgen(j))
-    assert g.chern[0] == expected
+    for n in range(1, 9):
+        expected = expected * (1 + zgen(n) * xgen(n))
+        ch = character_family_Zn(n, 2 + n).chern[0]
+        assert ch == expected
+        assert ch.terms() == expected.terms() and len(ch.terms()) == 2**n
 
 
 def test_character_family_verifies():

@@ -59,11 +59,15 @@ surface built, refused by the family's base labels, and a free product of
 two group files whose cells reach the bound on elimination together.
 Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Then
+come the ``transfers`` ops: ``detect run`` on each of ``TRANSFERS``, families
+induced along a cover whose substituted forms keep a denominator other than
+1 until the index scales them.  Then
 come the ``forms`` ops: ``forms eval`` on each payload of ``FORMS``, wedges
 and sums of serialized forms whose labels come unsorted and x before z,
 hold a repeated label or a term that cancels, are bad (``y1``, ``z0``) or
-large (``z1000000``), or reach past ``charforms.MAX_TERM_PRODUCTS``, and
-one record of ``LONG_RECORD`` shuffled labels.  Last come the ``usage`` ops: the
+large (``z1000000``), or reach past ``charforms.MAX_TERM_PRODUCTS``,
+one record of ``LONG_RECORD`` shuffled labels, and a sum and a wedge of
+records over denominators 2, 3 and 6.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults) run in order and then in reverse in the same process, so that
 state leaking from one parse into the next shows, and then ``DIGIT_LIMIT``,
@@ -311,6 +315,15 @@ CERTIFICATES = (
     )),
 )
 
+# (group descriptor, family expression) of each ``transfers`` op: the
+# substituted images of an induction along the index-3 sublattice spanned by
+# a, a b^3 and c are z1 - 1/3 z2, 1/3 z2 and z3
+TRANSFERS = (
+    ("free_abelian(3)", "induce(char_zn(3, 4), cover=sublattice([[1, 1, 0], [0, 3, 0], "
+     "[0, 0, 1]]), cosets=[e, b, b b], group=z3.grp)"),
+)
+Z3_GROUP = "gens: a b c ; rels: a b a^-1 b^-1 , a c a^-1 c^-1 , b c b^-1 c^-1 ;\n"
+
 LONG_RECORD = 8000
 
 
@@ -322,6 +335,7 @@ def _long_record() -> list:
 
 
 # (label, payload) of each ``forms`` op
+_THIRDS = [[["z1", "x1"], 1, 2], [["x2"], 1, 3], [["z1"], -2, 3]]
 _MIXED = [[["x2", "z3", "x1"], 1, 2], [["z1"], -3, 1], [["x1", "z2"], 2, 3]]
 FORMS = (
     ("wedge of unsorted labels, x before z",
@@ -343,6 +357,10 @@ FORMS = (
      {"op": "wedge", "operands": [[[[f"z{i}"], 1, 1] for i in range(1, 258)]] * 2}),
     (f"one record of {LONG_RECORD} shuffled labels",
      {"op": "wedge", "operands": [[_long_record()], [[["z4001"], 1, 1], [["x1"], 1, 1]]]}),
+    ("sum of records over denominators 2, 3 and 6",
+     {"op": "sum", "operands": [_THIRDS, [[["x1", "z1"], 1, 6], [["x2"], -1, 6], [[], 5, 6]]]}),
+    ("wedge of records over denominators 2, 3 and 6",
+     {"op": "wedge", "operands": [_THIRDS, [[["z2"], 3, 2], [["x3"], 1, 6], [[], -1, 3]]]}),
 )
 
 # argv of each ``usage`` op, file names relative to the run directory
@@ -456,6 +474,16 @@ def _certificate_ops(run_dir: Path):
         yield argv, f"detect run {group} vs {'; '.join(exprs)}"
 
 
+def _transfer_ops(run_dir: Path):
+    """(argv, label) of every ``transfers`` op; writes its input files."""
+    (run_dir / "z3.grp").write_text(Z3_GROUP)
+    for i, (group, expr) in enumerate(TRANSFERS):
+        fam = run_dir / f"t{i}.fam"
+        fam.write_text(expr + "\n")
+        argv = ["detect", "run", "--group", group, "--families", str(fam)]
+        yield argv, f"detect run {group} vs {expr}"
+
+
 def _form_ops(run_dir: Path):
     """(argv, out path, label) of every ``forms`` op; writes its input files."""
     for i, (label, payload) in enumerate(FORMS):
@@ -543,6 +571,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_certificate_ops(run_dir)):
             run_op("certificates", i, argv, None, label)
+        run_dir = tmp / "transfers"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_transfer_ops(run_dir)):
+            run_op("transfers", i, argv, None, label)
         run_dir = tmp / "forms"
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_form_ops(run_dir)):
