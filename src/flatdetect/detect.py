@@ -33,11 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import (Cover, Family, _abelianize, _check_exponents, _holds, _letters,
+from .families import (Cover, Family, _abelianize, _check_exponents, _holding, _letters,
                        axis_windings, induce_family, pullback_family)
-from .presentation import (GroupPresentation, PresentationError, Word, commutator, format_word,
-                           free_abelian, free_group, free_reduce, parse_word, surface_group)
+from .presentation import (GroupPresentation, PresentationError, Word, format_word, free_abelian,
+                           free_group, free_reduce, parse_word, surface_group)
 
 SCOPE_NOTE = (
     "Detectability is certified only over the structured parameter spaces "
@@ -276,17 +278,21 @@ def DirectProduct(left: GroupClass, right: GroupClass) -> GroupClass:
     label = f"direct_product({left.describe()}, {right.describe()})"
     _check_count(label, len(left.classes) * len(right.classes))
     lc, rc, z_dim, relators = _factors(left, right)
-    # every left generator commutes with every right one
-    relators += tuple(commutator(Word(((i, 1),)), Word(((j, 1),)))
+    # every left generator commutes with every right one: [z_i, z_j], each
+    # built as one word of shared letters
+    up, down = [(g, 1) for g in range(z_dim)], [(g, -1) for g in range(z_dim)]
+    relators += tuple(Word((up[i], up[j], down[i], down[j]))
                       for i in range(left.z_dim) for j in range(left.z_dim, z_dim))
     # the product of the two cycles: every right index is past every left
-    # one, so z-parts concatenate in order, with no sign
+    # one, so z-parts concatenate in order, with no sign; a degree-0 factor
+    # leaves the label of the other (the left one's when both are)
     classes = [
         BasisClass(
-            "x".join(c.label for c in (cl, cr) if c.degree > 0) or cl.label,
+            f"{cl.label}x{cr.label}" if cl.degree and cr.degree
+            else cr.label if cr.degree else cl.label,
             cl.degree + cr.degree,
-            None if None in (cl.cycle, cr.cycle)
-            else tuple((zl + zr, a * b) for zl, a in cl.cycle for zr, b in cr.cycle),
+            None if cl.cycle is None or cr.cycle is None
+            else tuple([(zl + zr, a * b) for zl, a in cl.cycle for zr, b in cr.cycle]),
         )
         for cl in lc
         for cr in rc
@@ -468,18 +474,31 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
         if n != d.z_dim:
             raise PresentationError(f"{name} has {n} base labels, but {d.describe()} has {d.z_dim}")
         own = set(f.group.relators)
-        for r in d.relators:
-            if r in own:
-                continue
-            try:
-                _check_exponents(_letters(r), f.exponent_bound)
-            except ValueError as exc:
-                raise PresentationError(f"{name} against {d.describe()}: {exc}") from None
-            for ci, (perm, phase) in enumerate(zip(f.perm, f.phase)):
-                if not _holds(r, perm, phase):
-                    word = format_word(r, free_group(n, [f"z{i}" for i in range(1, n + 1)]))
-                    raise PresentationError(f"{name} is no family of {d.describe()}: its "
-                                            f"relator {word!r} does not hold on component {ci}")
+        pending = [r for r in d.relators if r not in own]
+        if not pending:
+            continue  # the family's data is composed only to check a relator
+        # the relators before the first that might compose past MAX_EXPONENT
+        # compose as stacks on every component; the first to fail, in order,
+        # is refused before that one
+        refusal, stop = None, len(pending)
+        try:  # the longest relator first: the bound grows with the letters
+            _check_exponents(max(map(_letters, pending)), f.exponent_bound)
+        except ValueError:
+            for stop, r in enumerate(pending):
+                try:
+                    _check_exponents(_letters(r), f.exponent_bound)
+                except ValueError as exc:
+                    refusal = PresentationError(f"{name} against {d.describe()}: {exc}")
+                    break
+        holding = _holding(pending[:stop], f.perm, f.phase)
+        failing = np.flatnonzero(~holding.all(axis=0))
+        if len(failing):
+            r, ci = pending[failing[0]], int(np.argmin(holding[:, failing[0]]))
+            word = format_word(r, free_group(n, [f"z{i}" for i in range(1, n + 1)]))
+            raise PresentationError(f"{name} is no family of {d.describe()}: its "
+                                    f"relator {word!r} does not hold on component {ci}")
+        if refusal:
+            raise refusal
 
 
 def detection_matrix(

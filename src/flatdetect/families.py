@@ -84,6 +84,8 @@ MAX_COMPONENTS = 2**12
 # exponents of at most m composes to at most L m, and below 2^63 every partial
 # sum is exact in int64
 MAX_EXPONENT = 2**62
+# integers of monomial data a relator check composes at a time
+HOLDING_CELLS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +304,14 @@ def _mul(a, b):
     return a[0][b[0]], b[1] + a[1][b[0]]
 
 
-def _word_data(w: Word, perm: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The monomial data (s, v) of the word ``w`` under the generators' data
-    ``perm`` ``(gens, k)`` and ``phase`` ``(gens, k, d)``; (id, 0) for the
-    empty word.  A negative run takes the inverse (s^-1, -v o s^-1), and a
-    run O(log |exponent|) products by repeated squaring.  The caller bounds
-    the exponents by ``_check_exponents``, so that int64 sums stay exact."""
+def _product(runs):
+    """The monomial data (s, v) of the product of ``runs``, pairs (data,
+    exponent) in order, or None for no runs.  A negative run takes the
+    inverse (s^-1, -v o s^-1), and a run O(log |exponent|) products by
+    repeated squaring.  The caller bounds the exponents by
+    ``_check_exponents``, so that int64 sums stay exact."""
     out = None
-    for g, e in w.letters:
-        m = perm[g], phase[g]
+    for m, e in runs:
         if e < 0:
             inverse = np.argsort(m[0])
             m = inverse, -m[1][inverse]
@@ -321,6 +322,14 @@ def _word_data(w: Word, perm: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray
             e >>= 1
             if e:
                 m = _mul(m, m)
+    return out
+
+
+def _word_data(w: Word, perm: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monomial data (s, v) of the word ``w`` under the generators' data
+    ``perm`` ``(gens, k)`` and ``phase`` ``(gens, k, d)``; (id, 0) for the
+    empty word."""
+    out = _product(((perm[g], phase[g]), e) for g, e in w.letters)
     if out is None:
         k, d = phase.shape[1:]
         return np.arange(k), np.zeros((k, d), dtype=np.int64)
@@ -332,6 +341,39 @@ def _holds(w: Word, perm: np.ndarray, phase: np.ndarray) -> bool:
     holds at every parameter."""
     s, v = _word_data(w, perm, phase)
     return (s == np.arange(len(s))).all() and not v.any()
+
+
+def _holding(words: Sequence[Word], perms: Sequence[np.ndarray],
+             phases: Sequence[np.ndarray]) -> np.ndarray:
+    """``_holds`` of each of ``words`` on each component's data ``perms[c]``,
+    ``phases[c]``, as an array ``(components, words)``.  Words whose runs
+    have the same exponents compose together, HOLDING_CELLS integers of data
+    at a time, as one permutation of all their lines (line j of the r-th
+    word is r k + j)."""
+    shapes: dict[tuple[int, ...], tuple[list[int], list[tuple[int, ...]]]] = {}
+    for i, w in enumerate(words):
+        gens, exponents = zip(*w.letters) if w.letters else ((), ())
+        rows, runs = shapes.setdefault(exponents, ([], []))
+        rows.append(i)
+        runs.append(gens)
+    out = np.ones((len(perms), len(words)), dtype=bool)
+    for exponents, (rows, runs) in shapes.items():
+        if not any(exponents):
+            continue  # words of no letters hold
+        rows, runs = np.array(rows), np.array(runs, dtype=np.int64)
+        for held, perm, phase in zip(out, perms, phases):
+            _, k, d = phase.shape
+            step = max(1, HOLDING_CELLS // (k * (d + 1) * len(exponents)))
+            for at in range(0, len(rows), step):
+                gens = runs[at:at + step].T
+                lines = gens.shape[1] * k
+                first = np.arange(0, lines, k)[:, None]
+                data = zip(perm[gens] + first, phase[gens])  # per run (R, k), (R, k, d)
+                s, v = _product(((p.reshape(lines), u.reshape(lines, d)), e)
+                                for (p, u), e in zip(data, exponents))
+                held[rows[at:at + step]] = ((s.reshape(-1, k) == first + np.arange(k)).all(axis=1)
+                                            & ~v.reshape(len(first), k * d).any(axis=1))
+    return out
 
 
 def verify_family(f: Family) -> bool:

@@ -2,7 +2,11 @@
 
 A point of the representation variety assigns a unitary matrix to each
 generator; the relator defect, the sum over relators of ||W - I||_F^2,
-measures how far the relators are from the identity.  The solver runs
+measures how far the relators are from the identity.  The solver starts from
+a Haar-random point, all generators drawn at once: one array of complex
+Gaussians ``(gens, n, n)`` and one batched QR with the phases of R's
+diagonal moved into Q (the same stream and matrices as one draw per
+generator, ``haar_unitary``).  It then runs
 Riemannian Levenberg-Marquardt on the product of unitary groups
 (Yamashita-Fukushima, Computing 2001; Absil-Mahony-Sepulchre, Optimization
 Algorithms on Matrix Manifolds, ch. 8): a step Omega, one skew-Hermitian
@@ -13,20 +17,26 @@ machine precision.  A trial is accepted when the defect falls; lambda shrinks
 on an accepted trial and grows on a rejected one.
 
 J is never formed.  The prefix and suffix products of the relators, built
-from the products the defect multiplies, give one factor pair (A, B) per
-(letter, relator) term: J(Omega) sums A Omega_g B per relator and J^T(Y) the
-skew-Hermitian part of A^H Y B^H per generator, each two batched matmuls and
-one sum over terms, so memory stays O(terms k^2).  The normal equations are
-solved by conjugate gradients on skew-Hermitian stacks.  The iterate, the
-step and every trial point are one stack ``(gens, k, k)``; the relators are
-compiled once per solve and grouped by length, so that all relators of one
-length multiply as one stack.  At a critical point above tolerance, where no
-trial is accepted or the step's predicted decrease drowns in the defect's
-rounding, the point gets a seeded random kick.
+from the products the defect multiplies and written step by step into one
+preallocated buffer, give one factor pair (A, B) per (letter, relator)
+term: J(Omega) sums A Omega_g B per relator and J^T(Y) the skew-Hermitian
+part of A^H Y B^H per generator, each two batched matmuls over all terms
+and one sum, so memory stays O(terms k^2).  The normal equations are solved
+by conjugate gradients on skew-Hermitian stacks, updated in place.  The
+iterate, the step and every trial point are one stack ``(gens, k, k)``; the
+relators are compiled once per solve and grouped by length, so that all
+relators of one length multiply as one stack.  At a critical point above
+tolerance, where no trial is accepted or the step's predicted decrease
+drowns in the defect's rounding, the point gets a seeded random kick.
+``max_unitarity_defect`` is the largest ``unitarity_defect`` of the held
+iterates, which are buffered and checked UNITARITY_CHUNK at a time, so the
+check's memory stays bounded however many iterations run.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +51,7 @@ CG_TOLERANCE = 0.1  # relative residual of the normal equations
 ROUNDING = 1e-15  # relative rounding of the defect
 MAX_BACKTRACKS = 40
 MAX_PERTURBATIONS = 20  # stall escapes before giving up
+UNITARITY_CHUNK = 64  # held iterates per unitarity_defect call
 
 
 def unitarity_defect(point) -> float | np.ndarray:
@@ -86,8 +97,10 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValueError("tolerance must be positive")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -122,12 +135,20 @@ def relator_defect(p, G: GroupPresentation) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def _haar_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-distributed unitaries ``(count, n, n)`` via QR of complex
+    Gaussians (Mezzadri recipe): one draw of ``(count, 2, n, n)`` normals,
+    matrix i from the pair (real, imaginary) ``[i]``, and one batched QR with
+    the phases of R's diagonal moved into Q."""
+    g = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian (Mezzadri recipe)."""
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-distributed unitary ``(n, n)``."""
+    return _haar_unitaries(rng, 1, n)[0]
 
 
 def _polar(y: np.ndarray) -> np.ndarray:
@@ -140,7 +161,7 @@ def _squared_norms(x: np.ndarray) -> list[float]:
     """``float(np.linalg.norm(m) ** 2)`` for each matrix m of a stack
     ``(N, k, k)``, bit for bit: the same strided dot products of the real
     and imaginary parts, and the same scalar square of their root."""
-    flat = x.reshape(len(x), -1)
+    flat = x.reshape(len(x), x.shape[1] * x.shape[2])
     sq = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
     return [float(v ** 2) for v in np.sqrt(sq)]
 
@@ -149,68 +170,112 @@ class _Relators:
     """Spelled relators compiled once per solve for stacked evaluation and
     their linearization.
 
-    Relators of one length L form a group: ``letters`` ``(L, R)`` indexes
-    the stack ``[U_1 .. U_g, U_1^H .. U_g^H]``, ``inverse`` ``(L, R, 1, 1)``
-    marks the letters of exponent -1 and ``owners`` ``(L, R)`` names each
-    letter's generator, so that each group is evaluated by stacked matmuls
-    over its R relators; the groups' relators, one after another, are the
-    rows of the residual, and ``rows`` slices a group's.  ``rel_order``
-    puts the rows back in relator order, so that the defect sums as a loop
-    over relators would.  A (letter, relator) pair is a term; ``order``
-    sorts the terms, stacked group by group and letter-major, by generator,
-    and ``present`` and ``gen_starts`` index them for the per-generator sum
-    of ``adjoint``.  An empty relator contributes nothing and is dropped.
+    Relators of one length L form a group, evaluated by stacked matmuls
+    over its R relators: ``letters`` ``(L, R)`` indexes the stack
+    ``[U_1 .. U_g, U_1^H .. U_g^H]``.  An evaluation keeps every product in
+    one buffer of k x k slots: I and 0, each group's factors M_j, its
+    prefix products P_j = M_1 ... M_j for j >= 2 (P_0 is I, P_1 is M_1),
+    its suffix products S_j = M_{j+1} ... M_L for j < L (S_L is I), and
+    last the negated copy of I, 0, the factors and the prefixes.  Every
+    block holds a group letter-major, ``(L, R)``, so each step of a product
+    chain is one stacked matmul written into its block: ``prefix_steps``
+    and ``suffix_steps`` hold the (left, right, out) slot slices in order.
+    The groups' relators, one after another, are the rows of the residual
+    W - I, read from the slots ``ends``; ``rel_order`` puts the rows back
+    in relator order, so that the defect sums as a loop over relators
+    would.  An empty relator contributes nothing and is dropped.
+
+    A (letter, relator) pair is a term, whose factors (A, B) sit at the
+    slots ``pick``.  ``apply`` takes the terms group by group and
+    letter-major and sums each group's ``(L, R)`` block over its letters;
+    ``adjoint`` takes them, under ``by_gen``, sorted stably by generator,
+    each generator that appears in no relator given one zero term, and sums
+    each generator's run starting at ``gen_starts``.
     """
 
     def __init__(self, relators: tuple[Word, ...], gens: int, dim: int):
         if any(abs(s) != 1 for r in relators for _, s in r.letters):
             raise ValueError("relators must be spelled as letters of exponent +1 or -1")
-        self.gens = gens
         self.eye = np.eye(dim, dtype=complex)
         by_length: dict[int, list[int]] = {}
         for i, r in enumerate(relators):
             if r.letters:
                 by_length.setdefault(len(r), []).append(i)
-        self.groups = []
-        rows, term_gens = {}, []  # relator i -> its row; per term
-        for members in by_length.values():
-            letters = np.array(
-                [[g + gens * (s < 0) for g, s in relators[i].letters] for i in members]
-            ).T
-            owners, base = letters % gens, len(rows)
-            rows.update((i, base + r) for r, i in enumerate(members))
-            self.groups.append((letters, (letters >= gens)[..., None, None], owners,
-                                slice(base, len(rows))))
-            term_gens += owners.ravel().tolist()
-        self.rel_order = [rows[i] for i in sorted(rows)]
-        self.order = np.argsort(term_gens, kind="stable")
-        self.present, self.gen_starts = np.unique(
-            np.array(term_gens, dtype=int)[self.order], return_index=True)
+        factors = sum(L * len(members) for L, members in by_length.items())
+        prefixes = factors - sum(map(len, by_length.values()))  # P_2 .. P_L of each relator
+        self.negated = 2 + factors + prefixes
+        negated_at = self.negated + factors  # the negated copy of slots 0 .. negated
+        self.slots = negated_at + self.negated
+        f_at, p_at, s_at = 2, 2 + factors, 2 + factors + prefixes
+        self.groups, self.prefix_steps, self.suffix_steps = [], [], []
+        letters, ends, rows = [], [], []
+        owners, term_rows, pick_a, pick_b = [], [], [], []  # per term, group by group
+        for L, members in by_length.items():
+            R, row = len(members), len(rows)
+            # the first slot of each R relators' block; first slot 0 stands
+            # for I, one slot read by every relator
+            factor = [f_at + j * R for j in range(L)]
+            prefix = [0, f_at] + [p_at + j * R for j in range(L - 1)]  # P_0 .. P_L
+            suffix = [s_at + j * R for j in range(L)] + [0]  # S_0 .. S_L
+
+            def span(first, R=R):
+                return slice(first, first + R) if first else slice(0, 1)
+
+            self.prefix_steps += [(span(prefix[j]), span(factor[j]), span(prefix[j + 1]))
+                                  for j in range(1, L)]
+            self.suffix_steps += [(span(factor[j]), span(suffix[j + 1]), span(suffix[j]))
+                                  for j in reversed(range(L))]
+            self.groups.append((L, R, slice(len(owners), len(owners) + L * R),
+                                slice(row, row + R)))
+            for j in range(L):
+                for r, i in enumerate(members):
+                    g, s = relators[i].letters[j]
+                    # A = P_{j+1}, B = S_{j+1} at a letter U_g; A = -P_j, B = S_j at U_g^H
+                    at = j + (s > 0)
+                    a = prefix[at] + r if prefix[at] else 0
+                    letters.append(g + gens * (s < 0))
+                    owners.append(g)
+                    term_rows.append(row + r)
+                    pick_a.append(a if s > 0 else negated_at + a)
+                    pick_b.append(suffix[at] + r if suffix[at] else 0)
+            ends += range(prefix[L], prefix[L] + R)
+            rows += members
+            f_at, p_at, s_at = f_at + L * R, p_at + (L - 1) * R, s_at + L * R
+        self.letters, self.ends = np.array(letters, dtype=int), np.array(ends, dtype=int)
+        self.rel_order = sorted(range(len(rows)), key=rows.__getitem__)
+        self.owners = np.array(owners, dtype=int)
+        self.pick = np.array(pick_a, dtype=int), np.array(pick_b, dtype=int)
+        # a generator in no relator gets one zero term: A = 0, B = I
+        absent = sorted(set(range(gens)).difference(owners))
+        owners += absent
+        order = sorted(range(len(owners)), key=owners.__getitem__)
+        self.by_gen = tuple(np.array([c[t] for t in order], dtype=int) for c in (
+            term_rows + [0] * len(absent), pick_a + [1] * len(absent), pick_b + [0] * len(absent)))
+        runs = [owners[t] for t in order]
+        self.gen_starts = np.array([bisect.bisect_left(runs, g) for g in range(gens)], dtype=int)
 
     def defect(self, mats: np.ndarray):
         """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
-        relators in order, and the products a linearization reuses: per
-        group the factors ``(L, R, k, k)``, the prefix products M_1 ... M_j
-        for j = 1 .. L, each ``(R, k, k)``, and W - I."""
+        relators in order, and the products a linearization reuses: the
+        slot buffer, with I, 0, the factors and the prefixes filled, and the
+        residual rows W - I."""
         stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
-        products, norms = [], []
-        for letters, *_ in self.groups:
-            factors = stack[letters]
-            prefixes = [factors[0]]
-            for f in factors[1:]:
-                prefixes.append(prefixes[-1] @ f)
-            diff = prefixes[-1] - self.eye
-            products.append((factors, prefixes, diff))
-            norms += _squared_norms(diff)
+        buf = np.empty((self.slots, *self.eye.shape), dtype=complex)
+        buf[0], buf[1] = self.eye, 0.0
+        np.take(stack, self.letters, axis=0, out=buf[2:2 + len(self.letters)], mode="clip")
+        for a, b, out in self.prefix_steps:
+            np.matmul(buf[a], buf[b], out=buf[out])
+        diff = buf[self.ends] - self.eye
+        norms = _squared_norms(diff)
         defect = 0.0
         for i in self.rel_order:  # left to right: sum() compensates on Python >= 3.12
             defect += norms[i]
-        return defect, products
+        return defect, (buf, diff)
 
     def linearize(self, products):
-        """The residual rows W - I ``(R, k, k)`` and, per group, the term
-        factors (A, B), each ``(L, R, k, k)``, of the differential of the
-        relators at the point whose ``defect`` built ``products``.
+        """The residual rows W - I ``(R, k, k)`` and the term factors (A, B)
+        of the differential of the relators, in both term orders, at the
+        point whose ``defect`` built ``products``.
 
         Moving each U_g to U_g (I + Omega_g), Omega_g skew-Hermitian, moves a
         relator W = M_1 ... M_L to first order by the sum over its letters
@@ -218,34 +283,30 @@ class _Relators:
         and B = S_{j-1} when M_j = U_g^H, where P_j = M_1 ... M_j and
         S_j = M_{j+1} ... M_L.
         """
-        a, b, residual = [], [], []
-        for (_, inverse, *_), (factors, prefixes, diff) in zip(self.groups, products):
-            eye = np.broadcast_to(self.eye, diff.shape)
-            suffixes = [eye]  # S_L, S_{L-1}, ..., S_0
-            for f in factors[::-1]:
-                suffixes.append(f @ suffixes[-1])
-            s = np.stack(suffixes[::-1])
-            p = np.stack([eye, *prefixes])
-            a.append(np.where(inverse, -p[:-1], p[1:]))
-            b.append(np.where(inverse, s[:-1], s[1:]))
-            residual.append(diff)
-        return np.concatenate(residual), a, b
+        buf, residual = products
+        for a, b, out in self.suffix_steps:
+            np.matmul(buf[a], buf[b], out=buf[out])
+        np.negative(buf[:self.negated], out=buf[-self.negated:])
+        _, pick_a, pick_b = self.by_gen
+        return residual, (buf[self.pick[0]], buf[self.pick[1]], buf[pick_a], buf[pick_b])
 
-    def apply(self, a, b, omega: np.ndarray) -> np.ndarray:
+    def apply(self, terms, omega: np.ndarray) -> np.ndarray:
         """J(Omega): per relator row, the sum over its letters of A Omega_g B."""
-        return np.concatenate([(ag @ omega[owners] @ bg).sum(0)
-                               for (_, _, owners, _), ag, bg in zip(self.groups, a, b)])
+        a, b, _, _ = terms
+        moved = a @ omega[self.owners] @ b
+        out = np.empty((len(self.ends), *omega.shape[1:]), dtype=complex)
+        for L, R, at, rows in self.groups:
+            np.add.reduce(moved[at].reshape(L, R, *omega.shape[1:]), axis=0, out=out[rows])
+        return out
 
-    def adjoint(self, a, b, y: np.ndarray) -> np.ndarray:
+    def adjoint(self, terms, y: np.ndarray) -> np.ndarray:
         """J^T(Y) for the real trace inner product: per generator, the
         skew-Hermitian part of the sum of its terms A^H Y_r B^H, which is
         minus that of the sum of their adjoints B Y_r^H A."""
-        yh = y.conj().swapaxes(-1, -2)
-        terms = np.concatenate([(bg @ yh[rows] @ ag).reshape(-1, *y.shape[1:])
-                                for (_, _, _, rows), ag, bg in zip(self.groups, a, b)])
-        out = np.zeros((self.gens, *y.shape[1:]), dtype=complex)
-        out[self.present] = np.add.reduceat(terms[self.order], self.gen_starts)
-        return -_skew(out)
+        _, _, a, b = terms
+        yh = y[self.by_gen[0]].conj().swapaxes(-1, -2)
+        out = np.add.reduceat(b @ yh @ a, self.gen_starts)
+        return (out.conj().swapaxes(-1, -2) - out) / 2.0
 
 
 def _skew(x: np.ndarray) -> np.ndarray:
@@ -258,24 +319,26 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.vdot(x, y).real)
 
 
-def _lm_step(relators: _Relators, a, b, grad, mu: float) -> np.ndarray:
+def _lm_step(relators: _Relators, terms, grad, mu: float) -> np.ndarray:
     """Solve (J^T J + mu I) Omega = -grad for skew-Hermitian stacks Omega by
     conjugate gradients, to CG_TOLERANCE relative to ||grad|| and at most
-    one iteration per real unknown."""
+    one iteration per real unknown; the CG vectors update in place."""
     x = np.zeros_like(grad)
     r = -grad
-    p = r
+    p = r.copy()
     rr = _inner(r, r)
     stop = CG_TOLERANCE**2 * rr
     for _ in range(grad.size):
         if rr <= stop:
             break
-        hp = relators.adjoint(a, b, relators.apply(a, b, p)) + mu * p
+        hp = relators.adjoint(terms, relators.apply(terms, p))
+        hp += mu * p
         alpha = rr / _inner(p, hp)
-        x = x + alpha * p
-        r = r - alpha * hp
+        x += alpha * p
+        r -= alpha * hp
         rr, rr_old = _inner(r, r), rr
-        p = r + (rr / rr_old) * p
+        p *= rr / rr_old
+        p += r
     return x
 
 
@@ -292,12 +355,14 @@ def solve_representation(
     if not G.generators:
         raise ValueError("solving needs at least one generator")
     rng = np.random.default_rng(cfg.seed)
-    mats = np.stack([haar_unitary(rng, n) for _ in G.generators])
+    mats = _haar_unitaries(rng, len(G.generators), n)
     relators = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
 
     defect, products = relators.defect(mats)
     history = [defect]
-    max_udef = unitarity_defect(mats)
+    # the held iterates, checked for unitarity UNITARITY_CHUNK at a time
+    held = np.empty((UNITARITY_CHUNK, *mats.shape), dtype=complex)
+    held[0], count, udefs = mats, 1, []
     best = (mats, defect)
     perturbations = backtracks = 0
     iters = 0
@@ -305,12 +370,12 @@ def solve_representation(
 
     while defect > cfg.tolerance and iters < cfg.max_iter:
         iters += 1
-        residual, a, b = relators.linearize(products)
-        grad = relators.adjoint(a, b, residual)  # half the gradient of the defect
+        residual, terms = relators.linearize(products)
+        grad = relators.adjoint(terms, residual)  # half the gradient of the defect
         accepted = False
         if _inner(grad, grad) > 1e-28:
             for _ in range(MAX_BACKTRACKS):
-                omega = _lm_step(relators, a, b, grad, damping * np.sqrt(defect))
+                omega = _lm_step(relators, terms, grad, damping * np.sqrt(defect))
                 if -_inner(grad, omega) <= ROUNDING * defect:
                     break  # the model's decrease would drown in the defect's rounding
                 trial = _polar(mats + mats @ omega)
@@ -333,10 +398,15 @@ def solve_representation(
             defect, products = relators.defect(mats)
             damping = INITIAL_DAMPING
         history.append(defect)
-        max_udef = max(max_udef, unitarity_defect(mats))
+        if count == UNITARITY_CHUNK:
+            udefs += unitarity_defect(held).tolist()
+            count = 0
+        held[count] = mats
+        count += 1
         if defect < best[1]:
             best = (mats, defect)
 
+    udefs += unitarity_defect(held[:count]).tolist()
     if best[1] < defect:
         mats, defect = best
     return SolveResult(
@@ -345,6 +415,6 @@ def solve_representation(
         iterations=iters,
         converged=defect <= cfg.tolerance,
         defect_history=tuple(history),
-        max_unitarity_defect=max_udef,
+        max_unitarity_defect=functools.reduce(max, udefs),  # in order: max keeps an earlier NaN
         backtracks=backtracks,
     )

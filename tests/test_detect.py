@@ -212,6 +212,38 @@ def test_presentation_complex_of_klein_and_of_a_repeated_relator():
     assert rep.verdict == "undetected" and rep.undetected_classes == ("-3*r1 + 2*r2", "-z1^z2")
 
 
+def test_a_failing_cross_commutator_is_refused_first_in_order_on_its_first_component():
+    """direct_product(free(2), free(2)) asks the cross commutators [z1, z3],
+    [z1, z4], [z2, z3], [z2, z4] of a family of F4, in that order.  On the
+    pullback of the Klein family along a -> 1, b -> x, c -> y, d -> x, only
+    the commutators with b or d fail ([x, y] does not hold); the first of
+    them is [z2, z3], named on component 1, the trivial family being
+    component 0.  Against free(2) x free(1), whose cross commutators are
+    only [z1, z3] and [z2, z3], that same relator fails first."""
+    F4 = free_group(4, "abcd")
+    klein = induce_family(character_family_Zn(2, 8), KleinBottleCover())
+    images = [Word(()), Word(((0, 1),)), Word(((1, 1),)), Word(((0, 1),))]
+    fam = disjoint_union(trivial_family(F4, 2), _pullback(klein, F4, images, "k"))
+    d = DirectProduct(Free(2), Free(2))
+    assert d.relators == tuple(commutator(Word(((i, 1),)), Word(((j, 1),)))
+                               for i in range(2) for j in range(2, 4))
+    with pytest.raises(PresentationError, match=re.escape(
+            "family 0 (union(trivial(dim=2), k)) is no family of direct_product(free(2), "
+            "free(2)): its relator 'z2 z3 z2^-1 z3^-1' does not hold on component 1")):
+        detection_matrix(d, [fam])
+    f3 = disjoint_union(trivial_family(free_group(3, "abc"), 2),
+                        _pullback(klein, free_group(3, "abc"), images[:3], "k"))
+    with pytest.raises(PresentationError, match=re.escape(
+            "its relator 'z2 z3 z2^-1 z3^-1' does not hold on component 1")):
+        detection_matrix(DirectProduct(Free(2), Free(1)), [f3])
+    # with b and d sent to 1 every cross commutator holds, and the next check
+    # speaks: the Klein family has no exact character
+    trivial_images = [Word(()), Word(()), Word(((1, 1),)), Word(())]
+    held = disjoint_union(trivial_family(F4, 2), _pullback(klein, F4, trivial_images, "k"))
+    with pytest.raises(DetectionError, match="lacks exact character data"):
+        detection_matrix(d, [held])
+
+
 def test_presentation_complex_degree_two_basis_under_non_unit_pivots():
     """<a | a^2, a^3, a^5>: the rows 2, 3, 5 eliminate over Q with non-unit
     pivots, and the kernel's basis is pinned: each dependent row is reduced

@@ -45,6 +45,7 @@ from flatdetect.presentation import (
     GroupPresentation,
     PresentationError,
     Word,
+    commutator,
     evaluate_word,
     format_presentation,
     format_word,
@@ -1196,6 +1197,27 @@ def test_word_composition_equals_the_dense_product(tree, data):
         want = np.zeros((3, k, k), dtype=complex)
         want[:, s, np.arange(k)] = np.exp(2j * np.pi * (x @ v.T))
         assert np.allclose(evaluate_word(w, fam.evaluate_batch(x, ci)), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.data(), st.sampled_from([1, 7, 2**20]))
+def test_stacked_relator_checks_equal_the_one_word_checks(tree, data, cells):
+    """_holding decides each word as _holds does, over words of mixed run
+    exponents (empty ones, runs of 0 and of -3..3, the group's relators,
+    words times their inverses, commutators), in chunks of any size."""
+    fam, _ = tree
+    gens = len(fam.group.generators)
+    runs = st.tuples(st.integers(0, gens - 1), st.integers(-3, 3))
+    words = [Word(tuple(r)) for r in data.draw(st.lists(st.lists(runs, max_size=5), max_size=12))]
+    words += [*fam.group.relators, *(w * w.inverse() for w in words[:2]),
+              *(commutator(a, b) for a, b in zip(words[:3], words[1:4]))]
+    saved, families.HOLDING_CELLS = families.HOLDING_CELLS, cells
+    try:
+        held = families._holding(words, fam.perm, fam.phase)
+        assert held.tolist() == [[families._holds(w, perm, phase) for w in words]
+                                 for perm, phase in zip(fam.perm, fam.phase)]
+    finally:
+        families.HOLDING_CELLS = saved
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,6 +14,7 @@ from flatdetect.presentation import (
     surface_group,
 )
 from flatdetect.repvar import (
+    CG_TOLERANCE,
     INITIAL_DAMPING,
     DAMPING_DOWN,
     DAMPING_UP,
@@ -21,15 +22,15 @@ from flatdetect.repvar import (
     MAX_PERTURBATIONS,
     MIN_DAMPING,
     ROUNDING,
+    UNITARITY_CHUNK,
     RepPoint,
     SolveConfig,
     haar_unitary,
     relator_defect,
     solve_representation,
     unitarity_defect,
+    _haar_unitaries,
     _Relators,
-    _lm_step,
-    _polar,
 )
 
 Z2 = free_abelian(2)
@@ -41,10 +42,12 @@ def verify_homomorphism(p: RepPoint, G: GroupPresentation, tol: float) -> bool:
 
 # ---------------------------------------------------------------------------
 # Reference: the defect and a dense Jacobian built relator by relator and
-# letter by letter, and the Levenberg-Marquardt loop written out over
-# _Relators.  The stacked defect must agree with the first bit for bit, the
-# matrix-free linearization with the second, the solver bit for bit with the
-# third.
+# letter by letter, and the Levenberg-Marquardt loop written out over an
+# earlier, independent implementation of the stacked relators (per-letter
+# product lists, np.where-selected term factors, one concatenation per
+# apply and adjoint) and of the conjugate-gradient step, kept verbatim below.
+# The stacked defect must agree with the first bit for bit, the matrix-free
+# linearization with the second, the solver bit for bit with the third.
 # ---------------------------------------------------------------------------
 
 
@@ -104,11 +107,164 @@ def _random_skew(rng, shape):
     return _skew(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _reference_haar(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian (Mezzadri recipe)."""
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _polar(y: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of each matrix of a stack ``(..., k, k)``."""
+    u, _, vh = np.linalg.svd(y)
+    return u @ vh
+
+
+def _squared_norms(x: np.ndarray) -> list[float]:
+    """``float(np.linalg.norm(m) ** 2)`` for each matrix m of a stack
+    ``(N, k, k)``, bit for bit: the same strided dot products of the real
+    and imaginary parts, and the same scalar square of their root."""
+    flat = x.reshape(len(x), -1)
+    sq = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    return [float(v ** 2) for v in np.sqrt(sq)]
+
+
+class _ReferenceRelators:
+    """Spelled relators compiled once per solve for stacked evaluation and
+    their linearization.
+
+    Relators of one length L form a group: ``letters`` ``(L, R)`` indexes
+    the stack ``[U_1 .. U_g, U_1^H .. U_g^H]``, ``inverse`` ``(L, R, 1, 1)``
+    marks the letters of exponent -1 and ``owners`` ``(L, R)`` names each
+    letter's generator, so that each group is evaluated by stacked matmuls
+    over its R relators; the groups' relators, one after another, are the
+    rows of the residual, and ``rows`` slices a group's.  ``rel_order``
+    puts the rows back in relator order, so that the defect sums as a loop
+    over relators would.  A (letter, relator) pair is a term; ``order``
+    sorts the terms, stacked group by group and letter-major, by generator,
+    and ``present`` and ``gen_starts`` index them for the per-generator sum
+    of ``adjoint``.  An empty relator contributes nothing and is dropped.
+    """
+
+    def __init__(self, relators: tuple[Word, ...], gens: int, dim: int):
+        if any(abs(s) != 1 for r in relators for _, s in r.letters):
+            raise ValueError("relators must be spelled as letters of exponent +1 or -1")
+        self.gens = gens
+        self.eye = np.eye(dim, dtype=complex)
+        by_length: dict[int, list[int]] = {}
+        for i, r in enumerate(relators):
+            if r.letters:
+                by_length.setdefault(len(r), []).append(i)
+        self.groups = []
+        rows, term_gens = {}, []  # relator i -> its row; per term
+        for members in by_length.values():
+            letters = np.array(
+                [[g + gens * (s < 0) for g, s in relators[i].letters] for i in members]
+            ).T
+            owners, base = letters % gens, len(rows)
+            rows.update((i, base + r) for r, i in enumerate(members))
+            self.groups.append((letters, (letters >= gens)[..., None, None], owners,
+                                slice(base, len(rows))))
+            term_gens += owners.ravel().tolist()
+        self.rel_order = [rows[i] for i in sorted(rows)]
+        self.order = np.argsort(term_gens, kind="stable")
+        self.present, self.gen_starts = np.unique(
+            np.array(term_gens, dtype=int)[self.order], return_index=True)
+
+    def defect(self, mats: np.ndarray):
+        """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
+        relators in order, and the products a linearization reuses: per
+        group the factors ``(L, R, k, k)``, the prefix products M_1 ... M_j
+        for j = 1 .. L, each ``(R, k, k)``, and W - I."""
+        stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
+        products, norms = [], []
+        for letters, *_ in self.groups:
+            factors = stack[letters]
+            prefixes = [factors[0]]
+            for f in factors[1:]:
+                prefixes.append(prefixes[-1] @ f)
+            diff = prefixes[-1] - self.eye
+            products.append((factors, prefixes, diff))
+            norms += _squared_norms(diff)
+        defect = 0.0
+        for i in self.rel_order:  # left to right: sum() compensates on Python >= 3.12
+            defect += norms[i]
+        return defect, products
+
+    def linearize(self, products):
+        """The residual rows W - I ``(R, k, k)`` and, per group, the term
+        factors (A, B), each ``(L, R, k, k)``, of the differential of the
+        relators at the point whose ``defect`` built ``products``.
+
+        Moving each U_g to U_g (I + Omega_g), Omega_g skew-Hermitian, moves a
+        relator W = M_1 ... M_L to first order by the sum over its letters
+        of A Omega_g B: A = P_j and B = S_j when M_j = U_g, A = -P_{j-1}
+        and B = S_{j-1} when M_j = U_g^H, where P_j = M_1 ... M_j and
+        S_j = M_{j+1} ... M_L.
+        """
+        a, b, residual = [], [], []
+        for (_, inverse, *_), (factors, prefixes, diff) in zip(self.groups, products):
+            eye = np.broadcast_to(self.eye, diff.shape)
+            suffixes = [eye]  # S_L, S_{L-1}, ..., S_0
+            for f in factors[::-1]:
+                suffixes.append(f @ suffixes[-1])
+            s = np.stack(suffixes[::-1])
+            p = np.stack([eye, *prefixes])
+            a.append(np.where(inverse, -p[:-1], p[1:]))
+            b.append(np.where(inverse, s[:-1], s[1:]))
+            residual.append(diff)
+        return np.concatenate(residual), a, b
+
+    def apply(self, a, b, omega: np.ndarray) -> np.ndarray:
+        """J(Omega): per relator row, the sum over its letters of A Omega_g B."""
+        return np.concatenate([(ag @ omega[owners] @ bg).sum(0)
+                               for (_, _, owners, _), ag, bg in zip(self.groups, a, b)])
+
+    def adjoint(self, a, b, y: np.ndarray) -> np.ndarray:
+        """J^T(Y) for the real trace inner product: per generator, the
+        skew-Hermitian part of the sum of its terms A^H Y_r B^H, which is
+        minus that of the sum of their adjoints B Y_r^H A."""
+        yh = y.conj().swapaxes(-1, -2)
+        terms = np.concatenate([(bg @ yh[rows] @ ag).reshape(-1, *y.shape[1:])
+                                for (_, _, _, rows), ag, bg in zip(self.groups, a, b)])
+        out = np.zeros((self.gens, *y.shape[1:]), dtype=complex)
+        out[self.present] = np.add.reduceat(terms[self.order], self.gen_starts)
+        return -_skew(out)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """The real trace inner product Re tr(x^H y), summed over a stack."""
+    return float(np.vdot(x, y).real)
+
+
+def _reference_lm_step(relators: _ReferenceRelators, a, b, grad, mu: float) -> np.ndarray:
+    """Solve (J^T J + mu I) Omega = -grad for skew-Hermitian stacks Omega by
+    conjugate gradients, to CG_TOLERANCE relative to ||grad|| and at most
+    one iteration per real unknown."""
+    x = np.zeros_like(grad)
+    r = -grad
+    p = r
+    rr = _inner(r, r)
+    stop = CG_TOLERANCE**2 * rr
+    for _ in range(grad.size):
+        if rr <= stop:
+            break
+        hp = relators.adjoint(a, b, relators.apply(a, b, p)) + mu * p
+        alpha = rr / _inner(p, hp)
+        x = x + alpha * p
+        r = r - alpha * hp
+        rr, rr_old = _inner(r, r), rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+
 def _linearization(mats, relators):
     """_Relators, residual rows and term factors at the stack ``mats``."""
     rels = _Relators(relators, len(mats), mats.shape[-1])
     _, products = rels.defect(mats)
-    return (rels, *rels.linearize(products)) if rels.groups else (rels, None, None, None)
+    return (rels, *rels.linearize(products)) if rels.groups else (rels, None, None)
 
 
 @st.composite
@@ -137,7 +293,7 @@ def test_defect_and_jacobian_equal_the_references_built_letter_by_letter(G, k, s
     mats = (np.stack([haar_unitary(rng, k) for _ in G.generators]) if unitary
             else rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     relators = tuple(spell(r) for r in G.relators)
-    rels, residual, a, b = _linearization(mats, relators)
+    rels, residual, terms = _linearization(mats, relators)
     assert rels.defect(mats)[0] == _reference_defect(mats, relators)
     dense, count = _dense_jacobian(mats, relators)
     if not rels.groups:
@@ -146,11 +302,11 @@ def test_defect_and_jacobian_equal_the_references_built_letter_by_letter(G, k, s
     rows = rels.rel_order  # the residual row of each nonempty relator, in order
     omega = _random_skew(rng, mats.shape)
     y = rng.standard_normal(residual.shape) + 1j * rng.standard_normal(residual.shape)
-    applied = rels.apply(a, b, omega)
+    applied = rels.apply(terms, omega)
     assert np.allclose(_real(applied[rows]), dense @ _real(omega), atol=1e-12)
     back = np.split(dense.T @ _real(y[rows]), 2)
     ambient = (back[0] + 1j * back[1]).reshape(mats.shape)
-    adjoint = rels.adjoint(a, b, y)
+    adjoint = rels.adjoint(terms, y)
     assert np.allclose(adjoint, _skew(ambient), atol=1e-12)
     assert np.array_equal(adjoint, -adjoint.conj().swapaxes(-1, -2))  # skew-Hermitian
 
@@ -161,21 +317,23 @@ def test_adjoint_identity(G, k, seed):
     """<J Omega, Y> = <Omega, J^T Y> in the real trace inner product."""
     rng = np.random.default_rng(seed)
     mats = np.stack([haar_unitary(rng, k) for _ in G.generators])
-    rels, residual, a, b = _linearization(mats, tuple(spell(r) for r in G.relators))
+    rels, residual, terms = _linearization(mats, tuple(spell(r) for r in G.relators))
     assume(rels.groups)
     omega = _random_skew(rng, mats.shape)
     y = rng.standard_normal(residual.shape) + 1j * rng.standard_normal(residual.shape)
-    left = np.vdot(rels.apply(a, b, omega), y).real
-    right = np.vdot(omega, rels.adjoint(a, b, y)).real
+    left = np.vdot(rels.apply(terms, omega), y).real
+    right = np.vdot(omega, rels.adjoint(terms, y)).real
     assert abs(left - right) <= 1e-12 * (1 + abs(left))
 
 
 def _reference_solve(G, n, cfg):
-    """The solver's loop over _Relators and _lm_step: (matrices, defect,
-    iterations, defect_history, max_unitarity_defect, backtracks)."""
+    """The solver's loop over _ReferenceRelators and _reference_lm_step, with
+    one Haar draw per generator and a unitarity check per held iterate:
+    (matrices, defect, iterations, defect_history, max_unitarity_defect,
+    backtracks)."""
     rng = np.random.default_rng(cfg.seed)
     mats = np.stack([haar_unitary(rng, n) for _ in G.generators])
-    rels = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
+    rels = _ReferenceRelators(tuple(spell(r) for r in G.relators), len(G.generators), n)
     defect, products = rels.defect(mats)
     history, max_udef, best = [defect], unitarity_defect(mats), (mats, defect)
     kicks = backtracks = iters = 0
@@ -187,7 +345,7 @@ def _reference_solve(G, n, cfg):
         accepted = False
         tries = MAX_BACKTRACKS if np.vdot(grad, grad).real > 1e-28 else 0
         for _ in range(tries):
-            omega = _lm_step(rels, a, b, grad, damping * np.sqrt(defect))
+            omega = _reference_lm_step(rels, a, b, grad, damping * np.sqrt(defect))
             if -np.vdot(grad, omega).real <= ROUNDING * defect:
                 break
             trial = _polar(mats + mats @ omega)
@@ -219,7 +377,7 @@ def _reference_solve(G, n, cfg):
 def _assert_solves_equal(G, n, cfg):
     res = solve_representation(G, n, cfg)
     mats, defect, iters, history, max_udef, backtracks = _reference_solve(G, n, cfg)
-    assert np.array_equal(res.point.matrices, mats)
+    assert res.point.matrices.tobytes() == mats.tobytes()
     assert res.defect == defect
     assert res.iterations == iters
     assert res.defect_history == history
@@ -251,6 +409,19 @@ def test_solve_equals_the_reference_loop_bit_for_bit(G, k, seed, max_iter):
 def test_full_solves_equal_the_reference_loop_bit_for_bit(G, n, seed):
     res = _assert_solves_equal(G, n, SolveConfig(seed=seed))
     assert res.converged != (G is KLEIN_FOUR)
+    if G is KLEIN_FOUR:  # its unitarity checks cross many chunk boundaries
+        assert res.iterations == 435 and 435 % UNITARITY_CHUNK
+        assert res.iterations > 5 * UNITARITY_CHUNK
+
+
+@pytest.mark.parametrize("gens, n", [(1, 1), (1, 3), (4, 2), (6, 6)])
+def test_the_batched_haar_draw_equals_per_generator_draws_bit_for_bit(gens, n):
+    batch, rng = np.random.default_rng(gens * n), np.random.default_rng(gens * n)
+    stack = _haar_unitaries(batch, gens, n)
+    draws = np.stack([_reference_haar(rng, n) for _ in range(gens)])
+    assert stack.shape == (gens, n, n) and stack.tobytes() == draws.tobytes()
+    assert batch.bit_generator.state == rng.bit_generator.state  # the same stream consumed
+    assert haar_unitary(batch, n).tobytes() == _reference_haar(rng, n).tobytes()
 
 
 def test_a_stalled_solve_kicks_then_gives_up():
@@ -330,16 +501,16 @@ def test_linearization_matches_central_finite_differences():
     rng = np.random.default_rng(7)
     mats = np.stack([haar_unitary(rng, 3), haar_unitary(rng, 3)])
     G = klein_bottle()
-    rels, residual, a, b = _linearization(mats, G.relators)
+    rels, residual, terms = _linearization(mats, G.relators)
     eps = 1e-6
     for _ in range(3):
         omega = _random_skew(rng, mats.shape)
         plus, minus = _moved(mats, omega, eps), _moved(mats, omega, -eps)
         words = [(evaluate_word(r, plus) - evaluate_word(r, minus)) / (2 * eps)
                  for r in G.relators]
-        assert np.allclose(rels.apply(a, b, omega), words, atol=1e-8)
+        assert np.allclose(rels.apply(terms, omega), words, atol=1e-8)
         slope = (relator_defect(plus, G) - relator_defect(minus, G)) / (2 * eps)
-        grad = 2 * rels.adjoint(a, b, residual)
+        grad = 2 * rels.adjoint(terms, residual)
         assert abs(slope - np.vdot(grad, omega).real) < 1e-7
 
 
@@ -351,7 +522,7 @@ def test_linearization_of_a_relator_with_runs_matches_finite_differences():
     assert G.relators[0].letters == ((0, 2), (1, 1))
     with pytest.raises(ValueError, match="spelled"):
         _Relators(G.relators, 2, 2)
-    rels, residual, a, b = _linearization(mats, tuple(spell(r) for r in G.relators))
+    rels, residual, terms = _linearization(mats, tuple(spell(r) for r in G.relators))
 
     def word(ms):
         # oracle: A A B written out directly
@@ -360,7 +531,7 @@ def test_linearization_of_a_relator_with_runs_matches_finite_differences():
     eps = 1e-6
     omega = _random_skew(rng, mats.shape)
     derivative = (word(_moved(mats, omega, eps)) - word(_moved(mats, omega, -eps))) / (2 * eps)
-    assert np.allclose(rels.apply(a, b, omega)[0], derivative, atol=1e-8)
+    assert np.allclose(rels.apply(terms, omega)[0], derivative, atol=1e-8)
     assert np.allclose(residual[0], word(mats) - np.eye(2), atol=1e-15)
 
 
@@ -369,6 +540,30 @@ def test_solve_free_group_converges_instantly():
     assert res.converged
     assert res.iterations == 0
     assert res.defect == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tolerance": float("nan")}, "tolerance must be positive"),
+        ({"tolerance": 0.0}, "tolerance must be positive"),
+        ({"tolerance": -1e-8}, "tolerance must be positive"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": 3.0}, "max_iter must be an integer, got 3.0"),
+        ({"max_iter": "3"}, "max_iter must be an integer"),
+        ({"max_iter": -1}, "max_iter must be nonnegative"),
+    ],
+)
+def test_solve_config_refuses_what_the_cli_flags_refuse(kwargs, message):
+    # a NaN tolerance would leave the solve unconverged after 0 iterations
+    with pytest.raises(ValueError, match=message):
+        SolveConfig(**kwargs)
+
+
+def test_solve_config_takes_numpy_integers_and_an_infinite_tolerance():
+    assert SolveConfig(max_iter=np.int64(3)).max_iter == 3
+    res = solve_representation(Z2, 2, SolveConfig(tolerance=float("inf"), seed=1))
+    assert res.converged and res.iterations == 0
 
 
 def test_solve_needs_a_generator():

@@ -61,7 +61,10 @@ Then come the ``certificates`` ops: ``detect run`` on each of ``CERTIFICATES``,
 family sets whose pairing rows are nonzero but linearly dependent.  Then
 come the ``transfers`` ops: ``detect run`` on each of ``TRANSFERS``, families
 induced along a cover whose substituted forms keep a denominator other than
-1 until the index scales them.  Then
+1 until the index scales them.  Then come the ``solver`` ops: ``rep solve``
+on each of ``SOLVER``, presentations the benchmark's ladder never solves
+(several relator lengths, generators in no relator, no relators at all, a
+solve that stalls and gives up, and ``--max-iter 1``).  Then
 come the ``forms`` ops: ``forms eval`` on each payload of ``FORMS``, wedges
 and sums of serialized forms whose labels come unsorted and x before z,
 hold a repeated label or a term that cancels, are bad (``y1``, ``z0``) or
@@ -324,6 +327,35 @@ TRANSFERS = (
 )
 Z3_GROUP = "gens: a b c ; rels: a b a^-1 b^-1 , a c a^-1 c^-1 , b c b^-1 c^-1 ;\n"
 
+# (group file name, text) of the ``solver`` ops' presentations: relators of
+# three spelled lengths (several length groups), generators in no relator
+# with one and with two length groups, a relator-less free group, the Klein
+# four-group, and a relator in which each generator has ten letters
+SOLVER_GROUPS = {
+    "mixed.grp": "gens: a b c ; rels: a a b^-1 , a b a^-1 b^-1 , c c c a b , b c b^-1 c^-1 ;\n",
+    "unused.grp": "gens: a b c ; rels: a b a^-1 b^-1 ;\n",
+    "unused_mixed.grp": "gens: a b c d ; rels: a b a^-1 b^-1 , d d d ;\n",
+    "free.grp": "gens: a b ; rels: ;\n",
+    "v4.grp": "gens: a b ; rels: a a , b b , a b a b ;\n",
+    "long.grp": "gens: a b ; rels: " + "a b " * 5 + "a^-1 b^-1 " * 5 + ";\n",
+}
+# (group file, dimension, seed, extra flags) of each ``solver`` op: the
+# Klein four-group's seed-0 solve in U(3) stalls at defect 6 and gives up
+# after 435 iterations (exit 4), and ``--max-iter 1`` stops unconverged
+SOLVER = (
+    ("mixed.grp", 2, 0, ()),
+    ("mixed.grp", 3, 1, ()),
+    ("mixed.grp", 4, 2, ()),
+    ("mixed.grp", 1, 3, ()),
+    ("unused.grp", 3, 0, ()),
+    ("unused_mixed.grp", 2, 0, ()),
+    ("free.grp", 3, 0, ()),
+    ("v4.grp", 3, 0, ()),
+    ("v4.grp", 1, 0, ()),
+    ("long.grp", 3, 4, ()),
+    ("mixed.grp", 3, 0, ("--max-iter", "1")),
+)
+
 LONG_RECORD = 8000
 
 
@@ -484,6 +516,17 @@ def _transfer_ops(run_dir: Path):
         yield argv, f"detect run {group} vs {expr}"
 
 
+def _solver_ops(run_dir: Path):
+    """(argv, out path, label) of every ``solver`` op; writes its input files."""
+    for name, text in SOLVER_GROUPS.items():
+        (run_dir / name).write_text(text)
+    for i, (name, dim, seed, extra) in enumerate(SOLVER):
+        out = run_dir / f"s{i}.json"
+        argv = ["rep", "solve", "--presentation", str(run_dir / name), "--dim", str(dim),
+                "--seed", str(seed), *extra, "--out", str(out)]
+        yield argv, out, " ".join(["rep solve", name, f"U({dim})", f"seed {seed}", *extra])
+
+
 def _form_ops(run_dir: Path):
     """(argv, out path, label) of every ``forms`` op; writes its input files."""
     for i, (label, payload) in enumerate(FORMS):
@@ -575,6 +618,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_transfer_ops(run_dir)):
             run_op("transfers", i, argv, None, label)
+        run_dir = tmp / "solver"
+        run_dir.mkdir()
+        for i, (argv, out, label) in enumerate(_solver_ops(run_dir)):
+            run_op("solver", i, argv, out, label)
         run_dir = tmp / "forms"
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_form_ops(run_dir)):
