@@ -14,7 +14,8 @@ the family's generator count, then that each of the group's ``relators``
 holds on the family at every parameter.  Exactly, a
 table is the component's character form split by z-part.  Numerically, for
 families without exact character data, a table holds the fiber rank and
-the determinant windings of the generators the cycles read; a class
+the determinant windings of the generators the cycles read, integers of the
+family's monomial data; a class
 without a cycle (a ``FiniteIndexSuper`` label) is read as a word, the cycle
 of its exponent sums.
 
@@ -553,9 +554,12 @@ def numeric_detection_report(
     A class pairs through its cycle, whose base labels are the family's
     generators by position: the point z-part pairs to the fiber rank per
     component, and z_i to generator i's winding of det(holonomy) along each
-    parameter-axis loop.  A class without a cycle (a ``FiniteIndexSuper``
-    label) is read as a word in the family's group, the cycle of its
-    exponent sums.  Higher degrees do not pair.
+    parameter axis a, the integer sum_j V_i[j][a] of its monomial data
+    (``axis_windings``); no float is evaluated.  A winding that a loop of
+    ``samples`` samples would alias is refused as under-sampled, as ``forms
+    chern``, which winds floats, refuses it.  A class without a cycle (a
+    ``FiniteIndexSuper`` label) is read as a word in the family's group, the
+    cycle of its exponent sums.  Higher degrees do not pair.
     """
     if d.z_dim:  # a descriptor without base labels pairs by words alone
         _check_base_labels(d, [f])

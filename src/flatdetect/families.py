@@ -22,10 +22,12 @@ those integer arrays per component, and each combinator composes its
 arguments' arrays, on first use: words compose by (sigma_a, V_a)(sigma_b, V_b)
 = (sigma_a o sigma_b, V_b + V_a o sigma_b).  So verification is exact and holds
 for every x: each relator must compose to (id, 0), and every matrix is
-unitary by construction.  The numeric path keeps an independent float route:
-``evaluate_batch`` scatters e^{2 pi i V . x} into a dense stack ``(points,
-generators, k, k)`` at any real coordinates, and windings take stacked
-matmul and det of it.
+unitary by construction.  The determinant windings are integers of that
+data too, ``axis_windings``, which the numeric pairing reads.  ``forms
+chern`` keeps an independent float route: ``evaluate_batch`` scatters
+e^{2 pi i V . x} into a dense stack ``(points, generators, k, k)`` at any
+real coordinates, and ``numeric_c1_windings`` takes stacked matmul and det
+of it.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
 signs, all +1 but for the Klein group's b) with one integer ``rewrite``
@@ -862,32 +864,40 @@ def axis_windings(
     f: Family, words: Sequence[Word], ci: int, samples: int
 ) -> list[list[int]]:
     """Winding of det(holonomy of each word) along each parameter axis of
-    component ``ci``; each axis loop is evaluated once, for every word.
+    component ``ci``, read from the monomial data: the determinant of a
+    word turns uniformly, c = sum_j V_w[j][a] times along axis a.
 
-    The determinant of a monomial word turns uniformly, c = sum_j V_w[j][a]
-    times along axis a, so a loop of ``samples`` steps aliases it when
-    2 |c| >= samples: that raises UnderSampledLoopError before any loop is
-    evaluated."""
+    A loop of ``samples`` steps aliases such a turn when 2 |c| >= samples,
+    so that raises UnderSampledLoopError: no cell is read that a loop of
+    ``samples`` samples could not read."""
+    out = []
     for w in words:
         _check_exponents(_letters(w), f.exponent_bound)
         _, v = _word_data(w, f.perm[ci], f.phase[ci])
-        for axis, column in enumerate(v.T.tolist()):
-            turns = sum(column)
+        out.append([sum(column) for column in v.T.tolist()])
+        for axis, turns in enumerate(out[-1]):
             if 2 * abs(turns) >= samples:
                 raise UnderSampledLoopError(
                     f"det of {format_word(w, f.group)!r} on component {ci} turns {turns} times "
                     f"along axis {axis + 1}, which a loop of {samples} samples aliases; "
                     "sample more finely"
                 )
-    loops = [
-        f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci)
-        for axis in range(f.space.component_x_dim(ci))
-    ]
-    return [[winding_number(evaluate_word(w, s)) for s in loops] for w in words]
+    return out
 
 
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
-    per component: the numeric counterpart of the exact z^x coefficients."""
+    per component, wound numerically: each axis loop of ``samples`` steps is
+    evaluated once, for every generator, after ``axis_windings`` has refused
+    the turns it would alias.  The numeric counterpart of the exact z^x
+    coefficients."""
     gens = [Word(((gi, 1),)) for gi in range(len(f.group.generators))]
-    return [axis_windings(f, gens, ci, samples) for ci in range(f.space.n_components)]
+    out = []
+    for ci in range(f.space.n_components):
+        axis_windings(f, gens, ci, samples)
+        loops = [
+            f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci)
+            for axis in range(f.space.component_x_dim(ci))
+        ]
+        out.append([[winding_number(evaluate_word(w, s)) for s in loops] for w in gens])
+    return out

@@ -17,7 +17,7 @@ machine precision.  A trial is accepted when the defect falls; lambda shrinks
 on an accepted trial and grows on a rejected one.
 
 J is never formed.  The prefix and suffix products of the relators, built
-from the products the defect multiplies and written step by step into one
+from the products the defect multiplies and written step by step into a
 preallocated buffer, give one factor pair (A, B) per (letter, relator)
 term: J(Omega) sums A Omega_g B per relator and J^T(Y) the skew-Hermitian
 part of A^H Y B^H per generator, each two batched matmuls over all terms
@@ -25,7 +25,9 @@ and one sum, so memory stays O(terms k^2).  The normal equations are solved
 by conjugate gradients on skew-Hermitian stacks, updated in place.  The
 iterate, the step and every trial point are one stack ``(gens, k, k)``; the
 relators are compiled once per solve and grouped by length, so that all
-relators of one length multiply as one stack.  At a critical point above
+relators of one length multiply as one stack.  A solve makes two buffers,
+one holding the products of the held point and one for the trials, which
+trade places when a trial is accepted.  At a critical point above
 tolerance, where no trial is accepted or the step's predicted decrease
 drowns in the defect's rounding, the point gets a seeded random kick.
 ``max_unitarity_defect`` is the largest ``unitarity_defect`` of the held
@@ -179,7 +181,8 @@ class _Relators:
     last the negated copy of I, 0, the factors and the prefixes.  Every
     block holds a group letter-major, ``(L, R)``, so each step of a product
     chain is one stacked matmul written into its block: ``prefix_steps``
-    and ``suffix_steps`` hold the (left, right, out) slot slices in order.
+    and ``suffix_steps`` hold the (left, right, out) slot slices in order,
+    and ``buffer`` makes a buffer with their views built once.
     The groups' relators, one after another, are the rows of the residual
     W - I, read from the slots ``ends``; ``rel_order`` puts the rows back
     in relator order, so that the defect sums as a loop over relators
@@ -254,23 +257,32 @@ class _Relators:
         runs = [owners[t] for t in order]
         self.gen_starts = np.array([bisect.bisect_left(runs, g) for g in range(gens)], dtype=int)
 
-    def defect(self, mats: np.ndarray):
-        """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
-        relators in order, and the products a linearization reuses: the
-        slot buffer, with I, 0, the factors and the prefixes filled, and the
-        residual rows W - I."""
-        stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
+    def buffer(self):
+        """A slot buffer with I and 0 filled, and the views of each (left,
+        right, out) step of its prefix and its suffix chains, built once."""
         buf = np.empty((self.slots, *self.eye.shape), dtype=complex)
         buf[0], buf[1] = self.eye, 0.0
+        return buf, *([(buf[a], buf[b], buf[out]) for a, b, out in steps]
+                      for steps in (self.prefix_steps, self.suffix_steps))
+
+    def defect(self, mats: np.ndarray, buffer=None):
+        """The defect at the stack ``mats`` ``(gens, k, k)``, summed over
+        relators in order, and the products a linearization reuses: the
+        slot ``buffer`` (a new one by default), with the factors and the
+        prefixes filled, and the residual rows W - I."""
+        stack = np.concatenate([mats, mats.conj().swapaxes(-1, -2)])
+        if buffer is None:
+            buffer = self.buffer()
+        buf, prefix_steps, _ = buffer
         np.take(stack, self.letters, axis=0, out=buf[2:2 + len(self.letters)], mode="clip")
-        for a, b, out in self.prefix_steps:
-            np.matmul(buf[a], buf[b], out=buf[out])
+        for a, b, out in prefix_steps:
+            np.matmul(a, b, out=out)
         diff = buf[self.ends] - self.eye
         norms = _squared_norms(diff)
         defect = 0.0
         for i in self.rel_order:  # left to right: sum() compensates on Python >= 3.12
             defect += norms[i]
-        return defect, (buf, diff)
+        return defect, (buffer, diff)
 
     def linearize(self, products):
         """The residual rows W - I ``(R, k, k)`` and the term factors (A, B)
@@ -283,9 +295,9 @@ class _Relators:
         and B = S_{j-1} when M_j = U_g^H, where P_j = M_1 ... M_j and
         S_j = M_{j+1} ... M_L.
         """
-        buf, residual = products
-        for a, b, out in self.suffix_steps:
-            np.matmul(buf[a], buf[b], out=buf[out])
+        (buf, _, suffix_steps), residual = products
+        for a, b, out in suffix_steps:
+            np.matmul(a, b, out=out)
         np.negative(buf[:self.negated], out=buf[-self.negated:])
         _, pick_a, pick_b = self.by_gen
         return residual, (buf[self.pick[0]], buf[self.pick[1]], buf[pick_a], buf[pick_b])
@@ -358,7 +370,9 @@ def solve_representation(
     mats = _haar_unitaries(rng, len(G.generators), n)
     relators = _Relators(tuple(spell(r) for r in G.relators), len(G.generators), n)
 
-    defect, products = relators.defect(mats)
+    # the products of the held point, and a buffer for the trials
+    spare = relators.buffer()
+    defect, products = relators.defect(mats, relators.buffer())
     history = [defect]
     # the held iterates, checked for unitarity UNITARITY_CHUNK at a time
     held = np.empty((UNITARITY_CHUNK, *mats.shape), dtype=complex)
@@ -379,8 +393,9 @@ def solve_representation(
                 if -_inner(grad, omega) <= ROUNDING * defect:
                     break  # the model's decrease would drown in the defect's rounding
                 trial = _polar(mats + mats @ omega)
-                tdefect, tproducts = relators.defect(trial)
+                tdefect, tproducts = relators.defect(trial, spare)
                 if tdefect < defect:
+                    spare = products[0]
                     mats, defect, products = trial, tdefect, tproducts
                     damping = max(damping * DAMPING_DOWN, MIN_DAMPING)
                     accepted = True
@@ -395,7 +410,7 @@ def solve_representation(
             perturbations += 1
             draws = rng.standard_normal((len(mats), 2, n, n))
             mats = _polar(mats + 1e-2 * mats @ _skew(draws[:, 0] + 1j * draws[:, 1]))
-            defect, products = relators.defect(mats)
+            defect, products = relators.defect(mats, products[0])
             damping = INITIAL_DAMPING
         history.append(defect)
         if count == UNITARITY_CHUNK:

@@ -807,6 +807,47 @@ def test_windings_past_half_the_samples_are_refused_not_aliased(workdir, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "expr, matrix",
+    [
+        ("{klein}", [["2/1", "0/1", "0/1"], ["0/1", "0/1", "1/1"]]),
+        ("tensor(char_zn(1, 8), {klein})",
+         [["2/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "1/1"]]),
+        ("tensor(sum(char_zn(1, 8), char_zn(1, 8)), {klein})",
+         [["4/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "2/1"]]),
+    ],
+)
+def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, expr, matrix):
+    # the cells are integers of the monomial data: with every float route
+    # raising, the report keeps the matrix the float windings gave, and the
+    # 130 turns of the tensor below are still refused at 64 samples
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a float was evaluated")
+
+    monkeypatch.setattr(flatdetect.families.Family, "evaluate_batch", evaluated)
+    monkeypatch.setattr(flatdetect.charforms, "winding_number", evaluated)
+    monkeypatch.setattr(flatdetect.families, "winding_number", evaluated)
+    klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
+    (workdir / "f.fam").write_text(expr.format(klein=klein) + "\n")
+    group = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"
+    out = workdir / "out.json"
+    assert run(["detect", "run", "--group", group, "--families", str(workdir / "f.fam"),
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["matrix"], report["verdict"]) == (matrix, "FD-certified")
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    (workdir / "alias.fam").write_text(
+        f"tensor(pullback(char_zn(1, 8), cover=circle(65), group=z1.grp), {klein})\n"
+    )
+    capsys.readouterr()
+    assert run(["detect", "run", "--group", "free(3)", "--families",
+                str(workdir / "alias.fam")]) == 5
+    assert capsys.readouterr().err == (
+        "error: det of 't1' on component 0 turns 130 times along axis 1, which a "
+        "loop of 64 samples aliases; sample more finely\n"
+    )
+
+
 def test_family_build_walks_no_grid(workdir, capsys):
     # verification composes relators, so grids of 10^23 and 10^12 points build
     (workdir / "huge.fam").write_text("char_zn(1, 99999999999999999999999)\n")

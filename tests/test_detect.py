@@ -1307,8 +1307,10 @@ def _exact_trees(draw):
 def test_numeric_pairing_equals_the_exact_pairing_in_degree_le_1(f):
     """For the same descriptor of degree <= 1, free(n) or the free product
     of n copies of free(1), the numeric rows equal the exact rows on the
-    matching rank/1 and loop_x/x columns."""
+    matching rank/1 and loop_x/x columns, and the generator rows' loop_x
+    cells, read from the data, equal the floats ``forms chern`` winds."""
     n = len(f.group.generators)
+    wound = numeric_c1_windings(f)
     for d in (Free(n), functools.reduce(FreeProduct, [Free(1)] * n)):
         exact = detection_matrix(d, [f])
         numeric = _canonical(numeric_detection_report(d, f))
@@ -1321,6 +1323,10 @@ def test_numeric_pairing_equals_the_exact_pairing_in_degree_le_1(f):
                     e_col = f"f0.c{ci}." + (f"x{i}" if i else "1")
                     assert (n_row[numeric.col_labels.index(n_col)]
                             == e_row[exact.col_labels.index(e_col)]), (d.describe(), n_col)
+        for g, n_row in enumerate(numeric.matrix[1:]):
+            for ci, per_gen in enumerate(wound):
+                assert [n_row[numeric.col_labels.index(f"c{ci}.loop_x{a + 1}")]
+                        for a in range(len(per_gen[g]))] == per_gen[g], (d.describe(), g, ci)
 
 
 def test_a_family_of_another_group_is_refused_before_pairing():

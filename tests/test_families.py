@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdetect import cli, detect, families
-from flatdetect.charforms import MultiForm, reduce_rows, xgen, zgen
+from flatdetect.charforms import MultiForm, UnderSampledLoopError, reduce_rows, xgen, zgen
 from flatdetect.families import (
     DisjointUnionSpace,
     Family,
@@ -1247,6 +1247,26 @@ def test_a_descriptor_relator_holds_exactly_where_its_float_defect_vanishes(tree
     with pytest.raises(PresentationError, match=re.escape(
             f"is no family of G: its relator {word!r} does not hold on component {failing[0]}")):
         detect._check_base_labels(d, [fam])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.integers(0, 8))
+def test_float_windings_equal_the_data_sums(tree, extra):
+    """The numeric pairing reads each determinant winding from the data,
+    and ``forms chern`` winds floats: on every component, at any number of
+    samples above the aliasing bound, the float winding of each generator
+    along each axis equals sum_j V_g[j][a], and at the bound both refuse."""
+    fam, _ = tree
+    sums = [phase.sum(axis=1).tolist() for phase in fam.phase]  # (gens, d) per component
+    turns = max([abs(c) for comp in sums for per_axis in comp for c in per_axis], default=0)
+    samples = max(3, 2 * turns + 1) + extra
+    gens = [Word(((g, 1),)) for g in range(len(fam.group.generators))]
+    assert [families.axis_windings(fam, gens, ci, samples)
+            for ci in range(fam.space.n_components)] == sums
+    assert numeric_c1_windings(fam, samples) == sums
+    if turns:
+        with pytest.raises(UnderSampledLoopError, match="aliases"):
+            numeric_c1_windings(fam, 2 * turns)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,11 @@ relators compose over fibres of 4 and 5 dimensions (``circle(256)`` of the
 whose determinant turns 65 times along its axis, at 64 samples (refused as
 under-sampled, not read as 1) and at 256, and the numeric ``detect run`` of
 its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
-in 64 samples.  Then come the ``covers`` ops:
+in 64 samples.  Then come the ``numeric`` ops: ``detect run`` on each of
+``NUMERIC``, numeric pairings the benchmark never runs (labels read as
+words, a sum, an induction of a point family, an extension into a free
+product and a union of Klein-bottle families, and two Klein-bottle families,
+refused).  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
@@ -200,6 +204,26 @@ WINDING_FILES = {
     "alias.fam": _ALIAS + "\n",
     "alias_klein.fam": f"tensor({_ALIAS}, {DESCRIPTOR_FAMILIES['klein']})\n",
 }
+# (group descriptor, family expressions) of each ``numeric`` op, a numeric
+# ``detect run`` the benchmark never runs: degree-1 labels read as words (``b
+# b`` pairs to twice b's windings, the commutator to zero), a sum of two
+# Klein-bottle families, a Klein-bottle induction of a family over a point,
+# an extension of a Klein-bottle family into <a, b | a b a b^-1> * <c>, a
+# union of two Klein-bottle families (one family of two components), and two
+# Klein-bottle families, which the numeric path refuses
+_KLEIN = DESCRIPTOR_FAMILIES["klein"]
+_KLEIN_B = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [{}]])"
+NUMERIC = (
+    (_KLEIN_B.format("b b"), (_KLEIN,)),
+    (_KLEIN_B.format("a b a^-1 b^-1"), (_KLEIN,)),
+    (_KLEIN_B.format("b"), (f"sum({_KLEIN}, {_KLEIN})",)),
+    (_KLEIN_B.format("b"), ("induce(trivial(group=z2.grp), cosets=[e, b], group=klein.grp)",)),
+    (_KLEIN_B.format("b"), (f"extend({_KLEIN}, group=klein_free.grp)",)),
+    ("free(3)", (f"extend({_KLEIN}, group=klein_free.grp)",)),
+    (_KLEIN_B.format("b"), (f"union({_KLEIN}, {_KLEIN})",)),
+    (_KLEIN_B.format("b"), (_KLEIN, _KLEIN)),
+)
+NUMERIC_FILES = {"klein_free.grp": "gens: a b c ; rels: a b a b^-1 ;\n"}
 # argv of each budget op, the last ``covers`` ops, file names relative to the
 # run directory: a descriptor of more homology classes than are built, a
 # character form of more term products than are computed, and an exact
@@ -484,6 +508,19 @@ def _winding_ops(run_dir: Path):
         yield [str(run_dir / a) if a.endswith(".fam") else a for a in argv], " ".join(argv)
 
 
+def _numeric_ops(run_dir: Path):
+    """(argv, label) of every ``numeric`` op; writes its input files."""
+    for name, text in {**GROUP_FILES, **NUMERIC_FILES}.items():
+        (run_dir / name).write_text(text)
+    for i, (group, exprs) in enumerate(NUMERIC):
+        paths = []
+        for j, expr in enumerate(exprs):
+            paths.append(run_dir / f"n{i}f{j}.fam")
+            paths[-1].write_text(expr + "\n")
+        argv = ["detect", "run", "--group", group, "--families", *map(str, paths)]
+        yield argv, f"detect run {group} vs {'; '.join(exprs)}"
+
+
 def _cover_ops(run_dir: Path):
     """(argv, out path, label) of every ``covers`` op; writes its input files."""
     yield from _family_ops(run_dir, COVERS)
@@ -606,6 +643,10 @@ def main(argv=None) -> int:
         run_dir.mkdir()
         for i, (argv, label) in enumerate(_winding_ops(run_dir)):
             run_op("windings", i, argv, None, label)
+        run_dir = tmp / "numeric"
+        run_dir.mkdir()
+        for i, (argv, label) in enumerate(_numeric_ops(run_dir)):
+            run_op("numeric", i, argv, None, label)
         run_dir = tmp / "covers"
         run_dir.mkdir()
         for i, (argv, out, label) in enumerate(_cover_ops(run_dir)):
