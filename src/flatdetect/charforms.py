@@ -116,9 +116,9 @@ def _wedge_terms(a: dict, b: dict) -> dict:
 
 def _canonical(labels: Iterable[Label]):
     """Bring arbitrary labels into canonical order with one sort; returns
-    (stored monomial, sign) or None when a label repeats.  The sign is the
-    parity of the sorting permutation, read off its cycles.  Every label is
-    checked first, so a bad one raises even next to a repeat."""
+    (stored monomial, sign) or None when a label repeats.  The sign is that
+    of the sorting permutation.  Every label is checked first, so a bad one
+    raises even next to a repeat."""
     labels = tuple(labels)
     for lab in labels:
         _check_label(lab)
@@ -127,14 +127,20 @@ def _canonical(labels: Iterable[Label]):
         return None
     perm = sorted(range(len(keys)), key=keys.__getitem__)
     mono = tuple(tuple(keys[i][1] for i in perm if keys[i][0] == is_x) for is_x in (False, True))
+    return mono, _permutation_sign(perm)
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """The sign of a permutation of range(len(perm)), read off its cycles;
+    consumes ``perm``."""
     parity = len(perm)
     for start in range(len(perm)):
         if perm[start] >= 0:
-            parity -= 1  # a cycle of m labels is m - 1 transpositions
+            parity -= 1  # a cycle of m elements is m - 1 transpositions
             i = start
             while perm[i] >= 0:
                 perm[i], i = -1, perm[i]
-    return mono, -1 if parity % 2 else 1
+    return -1 if parity % 2 else 1
 
 
 class MultiForm:
@@ -555,36 +561,58 @@ def chern_number(c: GridConnection, cycle: tuple[int, int] = (0, 1)):
     return nearest, residual
 
 
+def _loop_windings(dets: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
+    """Windings of closed loops of invertible matrices, read off their
+    determinants ``dets``, a stack ``(samples, loops)``, and the first and
+    last matrices of each loop, stacks ``(loops, k, k)``: per loop its
+    winding, or the exception refusing it (the first check it fails, in
+    the order ``winding_number`` documents).  The loops share one sample
+    count, so fewer than three refuses them all."""
+    if len(dets) < 3:
+        # a closed loop of two samples is one step of 2*pi, which reads as 0
+        refusal = UnderSampledLoopError(
+            f"need at least three samples on a closed loop, got {len(dets)}"
+        )
+        return [refusal] * dets.shape[1]
+    singular = np.abs(dets).min(axis=0) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):  # a singular loop's ratios
+        steps = np.angle(dets[1:] / dets[:-1])
+    jumps = np.abs(steps).max(axis=0) >= np.pi * (1 - 1e-9)
+    turns = np.round(steps.sum(axis=0) / (2 * np.pi))
+    out = []
+    for i in range(dets.shape[1]):
+        gap = np.linalg.norm(first[i] - last[i])
+        if gap > 1e-9:
+            out.append(ValueError(
+                f"loop is not closed: first and last samples differ by {gap:.3g} "
+                "(bound 1e-9)"
+            ))
+        elif singular[i]:
+            out.append(ValueError("loop contains a (numerically) singular matrix"))
+        elif jumps[i]:
+            out.append(UnderSampledLoopError(
+                "adjacent determinant arguments jump by >= pi; sample more finely"
+            ))
+        else:
+            out.append(int(turns[i]))
+    return out
+
+
 def winding_number(loop) -> int:
     """Total winding of det along a closed loop of invertible matrices.
 
     Convention: t -> e^{2*pi*i*t} sampled in increasing t has winding +1.
-    The loop must close (first = last within 1e-9) and be sampled finely
-    enough that consecutive determinant arguments differ by less than pi;
-    ``loop`` is a sequence of scalars or of k x k matrices, or a stack
-    ``(samples, k, k)``.
+    The loop needs at least three samples, must close (first = last within
+    1e-9), must hold no (numerically) singular matrix, and must be sampled
+    finely enough that consecutive determinant arguments differ by less
+    than pi; ``loop`` is a sequence of scalars or of k x k matrices, or a
+    stack ``(samples, k, k)``.  The one-loop case of ``_loop_windings``,
+    with determinants by LAPACK.
     """
     mats = np.asarray(loop, dtype=complex)
     if mats.ndim < 3:
         mats = mats.reshape(len(mats), 1, 1)
-    if len(mats) < 3:
-        # a closed loop of two samples is one step of 2*pi, which reads as 0
-        raise UnderSampledLoopError(
-            f"need at least three samples on a closed loop, got {len(mats)}"
-        )
-    gap = np.linalg.norm(mats[0] - mats[-1])
-    if gap > 1e-9:
-        raise ValueError(
-            f"loop is not closed: first and last samples differ by {gap:.3g} "
-            "(bound 1e-9)"
-        )
-    dets = np.linalg.det(mats)
-    if np.min(np.abs(dets)) < 1e-12:
-        raise ValueError("loop contains a (numerically) singular matrix")
-    ratios = dets[1:] / dets[:-1]
-    steps = np.angle(ratios)
-    if np.max(np.abs(steps)) >= np.pi * (1 - 1e-9):
-        raise UnderSampledLoopError(
-            "adjacent determinant arguments jump by >= pi; sample more finely"
-        )
-    return int(np.round(steps.sum() / (2 * np.pi)))
+    (turns,) = _loop_windings(np.linalg.det(mats)[:, None], mats[:1], mats[-1:])
+    if isinstance(turns, Exception):
+        raise turns
+    return turns

@@ -476,6 +476,45 @@ def test_winding_homotopy_stability():
     assert winding_number(bumped) == winding_number(base) == 2
 
 
+def _refused_loops():
+    """One loop failing each check of a winding, in the order they run:
+    two samples, not closed, a zero matrix, a jump of pi."""
+    ts = np.linspace(0.0, 1.0, 9)
+    turn = [np.array([[np.exp(2j * np.pi * t)]]) for t in ts]
+    zero = [m.copy() for m in turn]
+    zero[4] = np.zeros((1, 1))
+    return {
+        "two samples": _scalar_loop(lambda t: np.exp(2j * np.pi * t), samples=2),
+        "not closed": turn[:-1],
+        "singular": zero,
+        "pi jump": [np.array([[np.exp(2j * np.pi * 4 * t)]]) for t in ts],
+    }
+
+
+@pytest.mark.parametrize("case", ["two samples", "not closed", "singular", "pi jump"])
+def test_the_winding_core_refuses_as_winding_number(case):
+    loop = np.asarray(_refused_loops()[case], dtype=complex)
+    with pytest.raises(ValueError) as raised:
+        winding_number(loop)
+    dets = np.linalg.det(loop)[:, None]
+    (refusal,) = charforms._loop_windings(dets, loop[:1], loop[-1:])
+    assert type(refusal) is type(raised.value)
+    assert str(refusal) == str(raised.value)
+
+
+def test_the_winding_core_keeps_each_loop_apart():
+    # loops wound at once each keep their own winding or refusal
+    loops = _refused_loops()
+    ts = np.linspace(0.0, 1.0, 9)
+    dets = np.concatenate([
+        np.exp(2j * np.pi * np.outer(ts, [1, -2, 0])),
+        np.stack([np.asarray(loops[c])[:, 0, 0] for c in ("singular", "pi jump")], axis=1),
+    ], axis=1)
+    out = charforms._loop_windings(dets, dets[0, :, None, None], dets[-1, :, None, None])
+    assert out[:3] == [1, -2, 0]
+    assert [type(e) for e in out[3:]] == [ValueError, UnderSampledLoopError]
+
+
 def test_exact_numeric_cross_validation():
     # the z^x coefficient of the rank-1 character family and the integrated
     # first Chern number of its standard connection agree in absolute value;

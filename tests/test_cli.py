@@ -826,7 +826,7 @@ def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, ex
 
     monkeypatch.setattr(flatdetect.families.Family, "evaluate_batch", evaluated)
     monkeypatch.setattr(flatdetect.charforms, "winding_number", evaluated)
-    monkeypatch.setattr(flatdetect.families, "winding_number", evaluated)
+    monkeypatch.setattr(flatdetect.families, "_loop_windings", evaluated)
     klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
     (workdir / "f.fam").write_text(expr.format(klein=klein) + "\n")
     group = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdetect import cli, detect, families
-from flatdetect.charforms import MultiForm, UnderSampledLoopError, reduce_rows, xgen, zgen
+from flatdetect.charforms import (
+    MultiForm,
+    UnderSampledLoopError,
+    _permutation_sign,
+    reduce_rows,
+    xgen,
+    zgen,
+)
 from flatdetect.families import (
     DisjointUnionSpace,
     Family,
@@ -1267,6 +1274,44 @@ def test_float_windings_equal_the_data_sums(tree, extra):
     if turns:
         with pytest.raises(UnderSampledLoopError, match="aliases"):
             numeric_c1_windings(fam, 2 * turns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.lists(st.integers(1, 64), min_size=1, max_size=3))
+def test_monomial_determinants_equal_lapack(tree, sample_counts):
+    """``forms chern`` reads each determinant off the monomial stack as
+    sign(sigma_g) prod_j M[sigma_g(j), j]; LAPACK's det of the same
+    evaluated stack stays the oracle."""
+    fam, _ = tree
+    for ci in range(fam.space.n_components):
+        perm = fam.perm[ci]
+        signs = np.array([_permutation_sign(row) for row in perm.tolist()])
+        for axis in range(fam.space.component_x_dim(ci)):
+            for samples in sample_counts:
+                stack = fam.evaluate_batch(fam.space.axis_loop(ci, axis, samples), ci)
+                read = families._monomial_dets(stack, perm, signs)
+                assert np.abs(read - np.linalg.det(stack)).max() <= 1e-12
+
+
+def test_numeric_windings_raise_the_first_refusal_generator_major(monkeypatch):
+    # generator 2 is singular along axis 1 and generator 1's loop along
+    # axis 2 does not close: wound axis by axis, the refusal raised is
+    # still generator 1's, the first in generator-major, axis-minor order
+    fam = character_family_Zn(2, 4)
+    evaluate = Family.evaluate_batch
+
+    def broken(self, x, component=0):
+        stack = evaluate(self, x, component)
+        if x[:, 0].any():
+            stack[3, 1] = 0
+        else:
+            stack[-1, 0] *= 1j
+        return stack
+
+    monkeypatch.setattr(Family, "evaluate_batch", broken)
+    with pytest.raises(ValueError, match="^loop is not closed: first and last samples "
+                       r"differ by 1\.41 \(bound 1e-9\)$"):
+        numeric_c1_windings(fam, 8)
 
 
 # ---------------------------------------------------------------------------

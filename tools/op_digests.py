@@ -44,8 +44,11 @@ relators compose over fibres of 4 and 5 dimensions (``circle(256)`` of the
 whose determinant turns 65 times along its axis, at 64 samples (refused as
 under-sampled, not read as 1) and at 256, and the numeric ``detect run`` of
 its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
-in 64 samples.  Then come the ``numeric`` ops: ``detect run`` on each of
-``NUMERIC``, numeric pairings the benchmark never runs (labels read as
+in 64 samples, and then ``forms chern`` on a family of a group with no
+generators, on a union with a point component, on sums of Klein-bottle
+tensors of fibre dimensions 4 and 8, and on ``char_zn(1, 8)`` at 3
+samples, the fewest that wind.  Then come the ``numeric`` ops: ``detect
+run`` on each of ``NUMERIC``, numeric pairings the benchmark never runs (labels read as
 words, a sum, an induction of a point family, an extension into a free
 product and a union of Klein-bottle families, and two Klein-bottle families,
 refused).  Then come the ``covers`` ops:
@@ -198,11 +201,23 @@ WINDINGS = (
     ("forms", "chern", "--family", "alias.fam", "--resolution", "64"),
     ("forms", "chern", "--family", "alias.fam", "--resolution", "256"),
     ("detect", "run", "--group", "free(3)", "--families", "alias_klein.fam"),
+    ("forms", "chern", "--family", "no_gens.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "point.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "fibre4.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "fibre8.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "char.fam", "--resolution", "3"),
 )
 _ALIAS = "pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)"
+_TK = f"tensor(char_zn(1, 4), {DESCRIPTOR_FAMILIES['klein']})"
+_T4 = f"tensor(sum(char_zn(1, 4), char_zn(1, 4)), {DESCRIPTOR_FAMILIES['klein']})"
 WINDING_FILES = {
     "alias.fam": _ALIAS + "\n",
     "alias_klein.fam": f"tensor({_ALIAS}, {DESCRIPTOR_FAMILIES['klein']})\n",
+    "no_gens.fam": "trivial(group=e.grp)\n",
+    "point.fam": "union(char_zn(1, 8, gens=[a]), trivial(group=z1.grp))\n",
+    "fibre4.fam": f"sum({_TK}, {_TK})\n",
+    "fibre8.fam": f"sum({_T4}, {_T4})\n",
+    "char.fam": "char_zn(1, 8)\n",
 }
 # (group descriptor, family expressions) of each ``numeric`` op, a numeric
 # ``detect run`` the benchmark never runs: degree-1 labels read as words (``b
