@@ -564,10 +564,12 @@ def chern_number(c: GridConnection, cycle: tuple[int, int] = (0, 1)):
 def _loop_windings(dets: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
     """Windings of closed loops of invertible matrices, read off their
     determinants ``dets``, a stack ``(samples, loops)``, and the first and
-    last matrices of each loop, stacks ``(loops, k, k)``: per loop its
-    winding, or the exception refusing it (the first check it fails, in
-    the order ``winding_number`` documents).  The loops share one sample
-    count, so fewer than three refuses them all."""
+    last samples of each loop, arrays ``(loops, ...)`` of any trailing shape
+    whose difference has the norm of the matrices' (the k x k matrices
+    themselves, or the k entries of monomial ones): per loop its winding,
+    or the exception refusing it (the first check it fails, in the order
+    ``winding_number`` documents).  The loops share one sample count, so
+    fewer than three refuses them all."""
     if len(dets) < 3:
         # a closed loop of two samples is one step of 2*pi, which reads as 0
         refusal = UnderSampledLoopError(

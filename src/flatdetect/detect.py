@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
-from .families import (Cover, Family, _abelianize, _check_exponents, _holding, _letters,
-                       axis_windings, induce_family, pullback_family)
+from .families import (MAX_EXPONENT, Cover, Family, _abelianize, _check_exponents, _holding,
+                       _letters, axis_windings, induce_family, pullback_family)
 from .presentation import (GroupPresentation, PresentationError, Word, format_word, free_abelian,
                            free_group, free_reduce, parse_word, surface_group)
 
@@ -481,16 +481,8 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
         # the relators before the first that might compose past MAX_EXPONENT
         # compose as stacks on every component; the first to fail, in order,
         # is refused before that one
-        refusal, stop = None, len(pending)
-        try:  # the longest relator first: the bound grows with the letters
-            _check_exponents(max(map(_letters, pending)), f.exponent_bound)
-        except ValueError:
-            for stop, r in enumerate(pending):
-                try:
-                    _check_exponents(_letters(r), f.exponent_bound)
-                except ValueError as exc:
-                    refusal = PresentationError(f"{name} against {d.describe()}: {exc}")
-                    break
+        stop = next((i for i, r in enumerate(pending)
+                     if _letters(r) * f.exponent_bound > MAX_EXPONENT), len(pending))
         holding = _holding(pending[:stop], f.perm, f.phase)
         failing = np.flatnonzero(~holding.all(axis=0))
         if len(failing):
@@ -498,8 +490,11 @@ def _check_base_labels(d: GroupClass, fams: Sequence[Family]) -> None:
             word = format_word(r, free_group(n, [f"z{i}" for i in range(1, n + 1)]))
             raise PresentationError(f"{name} is no family of {d.describe()}: its "
                                     f"relator {word!r} does not hold on component {ci}")
-        if refusal:
-            raise refusal
+        if stop < len(pending):
+            try:
+                _check_exponents(_letters(pending[stop]), f.exponent_bound)
+            except ValueError as exc:
+                raise PresentationError(f"{name} against {d.describe()}: {exc}") from None
 
 
 def detection_matrix(
@@ -581,10 +576,9 @@ def numeric_detection_report(
             ) from None
         cycles.append({(g + 1,): e for g, e in enumerate(_abelianize(word, n)) if e})
     read = sorted({z for cycle in cycles for z in cycle if z})
-    gens = [Word(((z[0] - 1, 1),)) for z in read]
     tables = [{(): {(): Fraction(k)}} for k in f.fiber_dims]
     for ci, table in enumerate(tables):
-        for z, per_axis in zip(read, axis_windings(f, gens, ci, samples)):
+        for z, per_axis in zip(read, axis_windings(f, [z[0] - 1 for z in read], ci, samples)):
             table[z] = {(a + 1,): Fraction(k) for a, k in enumerate(per_axis)}
     return _pairing(d, [f], cycles, [tables], "numeric")
 

@@ -24,11 +24,11 @@ arguments' arrays, on first use: words compose by (sigma_a, V_a)(sigma_b, V_b)
 for every x: each relator must compose to (id, 0), and every matrix is
 unitary by construction.  The determinant windings are integers of that
 data too, ``axis_windings``, which the numeric pairing reads.  ``forms
-chern`` keeps an independent float route: ``evaluate_batch`` scatters
-e^{2 pi i V . x} into a dense stack ``(points, generators, k, k)`` at any
-real coordinates, and ``numeric_c1_windings`` reads each matrix's
-determinant off that stack, sign(sigma_g) prod_j M[sigma_g(j), j], and winds
-every generator of one axis loop at once.
+chern`` keeps an independent float route: ``numeric_c1_windings`` computes
+the phase factors e^{2 pi i V . x} of one axis loop, reads each determinant
+from them as sign(sigma_g) prod_j e^{2 pi i V_g[j] . x}, and winds every
+generator of the loop at once; ``evaluate_batch`` scatters the same factors
+into a dense stack ``(points, generators, k, k)`` at any real coordinates.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
 signs, all +1 but for the Klein group's b) with one integer ``rewrite``
@@ -74,9 +74,9 @@ from .repvar import RepPoint
 
 # the most samples on one parameter-axis loop (forms chern --resolution);
 # time and memory grow linearly with it: at the bound, in process on a 2-core
-# Xeon VM, char_zn(3, 4) takes 0.07 s and peaks at 44 MB, and
-# tensor(sum(char_zn(1, 4), same), induce(char_zn(2, 8), klein)) 0.24-0.50 s
-# and 111 MB
+# Xeon VM, char_zn(3, 4) takes 0.04-0.07 s and peaks at 43 MB, and
+# tensor(sum(char_zn(1, 4), same), induce(char_zn(2, 8), klein)) 0.07-0.24 s
+# and 75 MB
 MAX_LOOP_SAMPLES = 2**16
 # the largest index of a circle cover, and of a cover induced along; an
 # induction's dense stack holds a (k * index)^2 matrix per point and generator
@@ -259,20 +259,26 @@ class Family:
         one per generator; None for a family without character forms."""
         return len(self.group.generators) if self.chern is not None else None
 
-    def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
-        """The stack ``(P, generators, k, k)`` at the rows of coordinates
-        ``x`` (shape ``(P, d)``) of points of one component: one scatter of
-        the phases e^{2 pi i V . x} into the permuted positions."""
+    def _phase_factors(self, x, component: int) -> np.ndarray:
+        """The phase factors e^{2 pi i V_g[j] . x} ``(P, generators, k)`` at
+        the rows of coordinates ``x`` (shape ``(P, d)``) of points of one
+        component: generator g's matrix holds factor j at (sigma_g(j), j)."""
         x = np.asarray(x, dtype=float)
         space = self.space
         if not (0 <= component < space.n_components and x.ndim == 2
                 and x.shape[1] == space.component_x_dim(component)):
             raise ValueError(f"not a stack of rows of component {component}: {x.shape}")
-        perm, phase = self.perm[component], self.phase[component]
+        return np.exp(2j * np.pi * np.moveaxis(self.phase[component] @ x.T, -1, 0))
+
+    def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
+        """The stack ``(P, generators, k, k)`` at the rows of coordinates
+        ``x`` of points of one component: one scatter of the phase factors
+        into the permuted positions."""
+        factors = self._phase_factors(x, component)
+        perm = self.perm[component]
         gens, k = perm.shape
-        out = np.zeros((len(x), gens, k, k), dtype=complex)
-        turns = np.moveaxis(phase @ x.T, -1, 0)  # (P, gens, k)
-        out[:, np.arange(gens)[:, None], perm, np.arange(k)] = np.exp(2j * np.pi * turns)
+        out = np.zeros(factors.shape + (k,), dtype=complex)
+        out[:, np.arange(gens)[:, None], perm, np.arange(k)] = factors
         return out
 
     def evaluate(self, x, component: int = 0) -> RepPoint:
@@ -864,65 +870,50 @@ def holonomy_loop(
 
 
 def axis_windings(
-    f: Family, words: Sequence[Word], ci: int, samples: int
+    f: Family, gens: Sequence[int], ci: int, samples: int
 ) -> list[list[int]]:
-    """Winding of det(holonomy of each word) along each parameter axis of
-    component ``ci``, read from the monomial data: the determinant of a
-    word turns uniformly, c = sum_j V_w[j][a] times along axis a.
+    """Winding of det(rho(g)) of each generator index g of ``gens`` along
+    each parameter axis of component ``ci``, read from the monomial data:
+    the determinant turns uniformly, c = sum_j V_g[j][a] times along axis a,
+    summed as Python ints, which do not wrap as int64 sums would.
 
     A loop of ``samples`` steps aliases such a turn when 2 |c| >= samples,
     so that raises UnderSampledLoopError: no cell is read that a loop of
     ``samples`` samples could not read."""
+    phase = f.phase[ci]
     out = []
-    for w in words:
-        _check_exponents(_letters(w), f.exponent_bound)
-        _, v = _word_data(w, f.perm[ci], f.phase[ci])
-        out.append([sum(column) for column in v.T.tolist()])
+    for g in gens:
+        out.append([sum(column) for column in phase[g].T.tolist()])
         for axis, turns in enumerate(out[-1]):
             if 2 * abs(turns) >= samples:
                 raise UnderSampledLoopError(
-                    f"det of {format_word(w, f.group)!r} on component {ci} turns {turns} times "
+                    f"det of {f.group.generators[g]!r} on component {ci} turns {turns} times "
                     f"along axis {axis + 1}, which a loop of {samples} samples aliases; "
                     "sample more finely"
                 )
     return out
 
 
-def _monomial_dets(stack: np.ndarray, perm: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The determinants ``(P, generators)`` of a stack ``(P, generators, k,
-    k)`` of monomial matrices, generator g's with the permutation ``perm[g]``
-    of sign ``signs[g]``: sign(sigma_g) prod_j M[sigma_g(j), j]."""
-    gens, k = perm.shape
-    return signs * stack[:, np.arange(gens)[:, None], perm, np.arange(k)].prod(axis=-1)
-
-
-def _stack_windings(stack: np.ndarray, perm: np.ndarray, signs: np.ndarray) -> list:
-    """Per generator, the winding of its determinant along the closed loop
-    of one stack ``(P, generators, k, k)``, or the exception refusing it."""
-    return _loop_windings(_monomial_dets(stack, perm, signs), stack[0], stack[-1])
-
-
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
     per component, wound numerically: after ``axis_windings`` has refused
-    the turns a loop of ``samples`` steps would alias, each axis loop is
-    evaluated once, its determinants read off the monomial stack and every
-    generator wound at once, one axis stack alive at a time.  A refused
-    loop raises after the whole component is wound, the first in
+    the turns a loop of ``samples`` steps would alias, the phase factors of
+    each axis loop are computed once, each determinant read from them as
+    sign(sigma_g) prod_j e^{2 pi i V_g[j] . x} with no matrix built, and
+    every generator wound at once, one axis loop alive at a time.  A
+    refused loop raises after the whole component is wound, the first in
     generator-major, axis-minor order.  The numeric counterpart of the
     exact z^x coefficients."""
-    gens = [Word(((gi, 1),)) for gi in range(len(f.group.generators))]
+    gens = range(len(f.group.generators))
     out = []
     for ci in range(f.space.n_components):
         axis_windings(f, gens, ci, samples)
-        perm = f.perm[ci]
-        signs = np.array([_permutation_sign(row) for row in perm.tolist()], dtype=np.int64)
-        per_axis = [
-            _stack_windings(f.evaluate_batch(f.space.axis_loop(ci, axis, samples), ci),
-                            perm, signs)
-            for axis in range(f.space.component_x_dim(ci))
-        ]
-        rows = [[turns[g] for turns in per_axis] for g in range(len(gens))]
+        signs = np.array([_permutation_sign(row) for row in f.perm[ci].tolist()], dtype=np.int64)
+        per_axis = []
+        for axis in range(f.space.component_x_dim(ci)):
+            factors = f._phase_factors(f.space.axis_loop(ci, axis, samples), ci)
+            per_axis.append(_loop_windings(signs * factors.prod(axis=-1), factors[0], factors[-1]))
+        rows = [[turns[g] for turns in per_axis] for g in gens]
         for turns in (t for row in rows for t in row):
             if isinstance(turns, Exception):
                 raise turns

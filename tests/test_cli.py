@@ -872,6 +872,35 @@ def test_forms_chern_windings(workdir):
     assert rec["windings"] == [[[1, 0], [0, 1]]]
 
 
+@pytest.mark.parametrize(
+    "expr, resolution",
+    [
+        ("char_zn(2, 8)", "3"),
+        ("{klein}", "64"),
+        ("tensor(sum(char_zn(1, 4), char_zn(1, 4)), {klein})", "65536"),
+        ("pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)", "64"),
+    ],
+)
+def test_forms_chern_builds_no_dense_stack(workdir, capsys, monkeypatch, expr, resolution):
+    # forms chern winds the phase factors themselves: with the dense
+    # evaluation raising, every byte and exit code stays that of the run
+    # without it, a refusal included
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a dense stack was evaluated")
+
+    (workdir / "z1.grp").write_text("gens: a ; rels: ;\n")
+    klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
+    (workdir / "f.fam").write_text(expr.format(klein=klein) + "\n")
+    out = workdir / "out.json"
+    argv = ["forms", "chern", "--family", str(workdir / "f.fam"), "--resolution", resolution,
+            "--out", str(out)]
+    want = run(argv), capsys.readouterr(), out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    monkeypatch.setattr(flatdetect.families.Family, "evaluate_batch", evaluated)
+    assert (run(argv), capsys.readouterr(),
+            out.read_bytes() if out.exists() else None) == want
+
+
 def test_forms_eval_wedge(workdir):
     payload = {
         "op": "wedge",

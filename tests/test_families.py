@@ -1267,7 +1267,7 @@ def test_float_windings_equal_the_data_sums(tree, extra):
     sums = [phase.sum(axis=1).tolist() for phase in fam.phase]  # (gens, d) per component
     turns = max([abs(c) for comp in sums for per_axis in comp for c in per_axis], default=0)
     samples = max(3, 2 * turns + 1) + extra
-    gens = [Word(((g, 1),)) for g in range(len(fam.group.generators))]
+    gens = range(len(fam.group.generators))
     assert [families.axis_windings(fam, gens, ci, samples)
             for ci in range(fam.space.n_components)] == sums
     assert numeric_c1_windings(fam, samples) == sums
@@ -1276,21 +1276,31 @@ def test_float_windings_equal_the_data_sums(tree, extra):
             numeric_c1_windings(fam, 2 * turns)
 
 
+@pytest.mark.parametrize("k, turns", [(4, 2**63), (8, 2**64)])
+def test_axis_windings_sum_exactly_past_int64(k, turns):
+    # k phases of 2^61 sum to k 2^61: an int64 sum would wrap, to -2^63 for
+    # k = 4 and to 0, no turn at all, for k = 8
+    fam = Family(free_group(1), TorusGrid(1, 2), [[list(range(k))]],
+                 [np.full((1, k, 1), 2**61)])
+    with pytest.raises(UnderSampledLoopError, match=f"^det of 'g1' on component 0 turns {turns} "
+                       "times along axis 1, which a loop of 64 samples aliases"):
+        numeric_c1_windings(fam, 64)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_family_tree(), st.lists(st.integers(1, 64), min_size=1, max_size=3))
 def test_monomial_determinants_equal_lapack(tree, sample_counts):
-    """``forms chern`` reads each determinant off the monomial stack as
-    sign(sigma_g) prod_j M[sigma_g(j), j]; LAPACK's det of the same
+    """``forms chern`` reads each determinant from the phase factors as
+    sign(sigma_g) prod_j e^{2 pi i V_g[j] . x}; LAPACK's det of the
     evaluated stack stays the oracle."""
     fam, _ = tree
     for ci in range(fam.space.n_components):
-        perm = fam.perm[ci]
-        signs = np.array([_permutation_sign(row) for row in perm.tolist()])
+        signs = np.array([_permutation_sign(row) for row in fam.perm[ci].tolist()])
         for axis in range(fam.space.component_x_dim(ci)):
             for samples in sample_counts:
-                stack = fam.evaluate_batch(fam.space.axis_loop(ci, axis, samples), ci)
-                read = families._monomial_dets(stack, perm, signs)
-                assert np.abs(read - np.linalg.det(stack)).max() <= 1e-12
+                x = fam.space.axis_loop(ci, axis, samples)
+                read = signs * fam._phase_factors(x, ci).prod(axis=-1)
+                assert np.abs(read - np.linalg.det(fam.evaluate_batch(x, ci))).max() <= 1e-12
 
 
 def test_numeric_windings_raise_the_first_refusal_generator_major(monkeypatch):
@@ -1298,17 +1308,17 @@ def test_numeric_windings_raise_the_first_refusal_generator_major(monkeypatch):
     # axis 2 does not close: wound axis by axis, the refusal raised is
     # still generator 1's, the first in generator-major, axis-minor order
     fam = character_family_Zn(2, 4)
-    evaluate = Family.evaluate_batch
+    factors = Family._phase_factors
 
-    def broken(self, x, component=0):
-        stack = evaluate(self, x, component)
+    def broken(self, x, component):
+        out = factors(self, x, component)
         if x[:, 0].any():
-            stack[3, 1] = 0
+            out[3, 1] = 0
         else:
-            stack[-1, 0] *= 1j
-        return stack
+            out[-1, 0] *= 1j
+        return out
 
-    monkeypatch.setattr(Family, "evaluate_batch", broken)
+    monkeypatch.setattr(Family, "_phase_factors", broken)
     with pytest.raises(ValueError, match="^loop is not closed: first and last samples "
                        r"differ by 1\.41 \(bound 1e-9\)$"):
         numeric_c1_windings(fam, 8)

@@ -46,8 +46,9 @@ under-sampled, not read as 1) and at 256, and the numeric ``detect run`` of
 its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
 in 64 samples, and then ``forms chern`` on a family of a group with no
 generators, on a union with a point component, on sums of Klein-bottle
-tensors of fibre dimensions 4 and 8, and on ``char_zn(1, 8)`` at 3
-samples, the fewest that wind.  Then come the ``numeric`` ops: ``detect
+tensors of fibre dimensions 4 and 8, at 64 samples and at 65536
+(``families.MAX_LOOP_SAMPLES``, where float rounding is largest), and on
+``char_zn(1, 8)`` at 3 samples, the fewest that wind.  Then come the ``numeric`` ops: ``detect
 run`` on each of ``NUMERIC``, numeric pairings the benchmark never runs (labels read as
 words, a sum, an induction of a point family, an extension into a free
 product and a union of Klein-bottle families, and two Klein-bottle families,
@@ -205,6 +206,8 @@ WINDINGS = (
     ("forms", "chern", "--family", "point.fam", "--resolution", "64"),
     ("forms", "chern", "--family", "fibre4.fam", "--resolution", "64"),
     ("forms", "chern", "--family", "fibre8.fam", "--resolution", "64"),
+    ("forms", "chern", "--family", "fibre4.fam", "--resolution", "65536"),
+    ("forms", "chern", "--family", "fibre8.fam", "--resolution", "65536"),
     ("forms", "chern", "--family", "char.fam", "--resolution", "3"),
 )
 _ALIAS = "pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)"
