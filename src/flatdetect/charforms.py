@@ -76,9 +76,12 @@ def _labels(mono) -> tuple[Label, ...]:
 def _merge(a, b):
     """Merge two stored monomials; returns (merged, sign) or None if a
     generator repeats (the product is zero).  Ordering za^xa^zb^xb moves zb
-    past xa, then each kind's inversions are counted by bisection."""
+    past xa, then each kind's inversions are counted by bisection, unless
+    each kind of a lies below b's, when the kinds concatenate in order."""
     (za, xa), (zb, xb) = a, b
     n = len(xa) * len(zb)
+    if (not za or not zb or za[-1] < zb[0]) and (not xa or not xb or xa[-1] < xb[0]):
+        return (za + zb, xa + xb), -1 if n % 2 else 1
     for sa, sb in ((za, zb), (xa, xb)):
         for j in sb:
             k = bisect_left(sa, j)
@@ -97,14 +100,20 @@ def _accumulate(store: dict, mono, c) -> None:
         store.pop(mono, None)
 
 
+def _check_products(a: int, b: int) -> None:
+    """Refuse a wedge of forms of ``a`` and ``b`` terms past MAX_TERM_PRODUCTS
+    term pairs, before any work."""
+    if a * b > MAX_TERM_PRODUCTS:
+        raise ValueError(
+            f"a wedge of forms of {a} and {b} terms takes {a * b} "
+            f"term products, more than the {MAX_TERM_PRODUCTS} computed at most"
+        )
+
+
 def _wedge_terms(a: dict, b: dict) -> dict:
     """Product of two term dicts keyed by stored monomials; refused before
     any work past MAX_TERM_PRODUCTS term pairs."""
-    if len(a) * len(b) > MAX_TERM_PRODUCTS:
-        raise ValueError(
-            f"a wedge of forms of {len(a)} and {len(b)} terms takes {len(a) * len(b)} "
-            f"term products, more than the {MAX_TERM_PRODUCTS} computed at most"
-        )
+    _check_products(len(a), len(b))
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -314,20 +323,21 @@ class MultiForm:
     def subst_z(self, images: Sequence["MultiForm"]) -> "MultiForm":
         """Algebra substitution z_i -> images[i-1] (each of pure degree 1),
         leaving x-labels fixed.  Used for cover pullbacks and transfers.
-        Each z-part's x-terms are brought over one common denominator, the
-        lcm of the z-parts' image-product denominators, and wedged with the
-        product of that z-part's images straight into one numerator dict.
-        The product of the images of every z-part prefix is expanded once."""
+        Each image is coerced once.  Each z-part's x-terms are brought over
+        one common denominator, the lcm of the z-parts' image-product
+        denominators, and each term of the product of that z-part's images
+        is wedged with them straight into the output numerators, under the
+        one term-pair budget of every wedge.  The product of the images of
+        every z-part prefix is expanded once."""
         parts = self._split_numerators()
-        images = dict(enumerate(images, 1))
+        images = dict(enumerate(map(_coerce, images), 1))
         dens = {}
         for zpart in parts:
             den = 1
             for i in zpart:
                 if i not in images:
                     raise ValueError(f"no image for z{i}")
-                images[i] = image = _coerce(images[i])
-                den *= image._den
+                den *= images[i]._den
             dens[zpart] = den
         common = lcm(*dens.values())
         products = {(): {((), ()): 1}}  # z-part prefix -> product of its images
@@ -339,10 +349,14 @@ class MultiForm:
             for k in range(known, len(zpart)):
                 image = images[zpart[k]]._terms
                 products[zpart[:k + 1]] = _wedge_terms(products[zpart[:k]], image)
-            scale = common // dens[zpart]
-            xterms = {((), xs): c * scale for xs, c in xterms.items()}
-            for mono, c in _wedge_terms(products[zpart], xterms).items():
-                _accumulate(out, mono, c)
+            product, scale = products[zpart], common // dens[zpart]
+            _check_products(len(product), len(xterms))
+            for mono, c in product.items():
+                c *= scale
+                for xs, cx in xterms.items():
+                    merged = _merge(mono, ((), xs))
+                    if merged is not None:
+                        _accumulate(out, merged[0], merged[1] * c * cx)
         return MultiForm._of_store(out, common * self._den)
 
     # -- serialization -------------------------------------------------------

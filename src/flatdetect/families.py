@@ -31,8 +31,11 @@ generator of the loop at once; ``evaluate_batch`` scatters the same factors
 into a dense stack ``(points, generators, k, k)`` at any real coordinates.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
-signs, all +1 but for the Klein group's b) with one integer ``rewrite``
-and one integer ``coset`` key, which builds an induction's coset table;
+signs, all +1 but for the Klein group's b) with one integer ``rewrite``.
+A word acts on Z^n by its walk, a translation and axis signs, and walks
+compose in integers: an induction walks each coset word once and reads its
+whole coset table, keys and subgroup words, from those walks by the
+cover's adjugate, with no word built per table entry;
 ``SublatticeCover``, ``circle_cover`` and ``KleinBottleCover`` build one
 through one constructor, whose fraction-free (Bareiss) elimination gives the
 lattice's determinant and adjugate, and which checks the coset count of every
@@ -44,17 +47,20 @@ Restriction along a cover and extension across a free product G = E * F are
 one operation, the pullback along a homomorphism given by generator images:
 a cover pulls back along the inclusion of its subgroup, and ``extend`` along
 the retraction G -> E that kills F's generators.  Every group map, a
-cover's too, is checked by one relator rule, ``_check_relators``, which
-keys cyclic words by their least rotation in time linear in their length and
-caches nothing; one block composer, ``_word_blocks``, serves pullbacks and
-inductions alike.  Every pullback substitutes the abelianized images into
-the exact form.
+cover's too, is checked by one relator rule, ``_check_relators``: an image
+that is literally one of the target's relators passes by one set lookup,
+and any other is keyed by its least rotation, in time linear in its length;
+nothing is cached from one check to the next.  One block composer,
+``_word_blocks``, serves pullbacks and inductions alike.  Every pullback
+substitutes the abelianized images into the exact form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -517,11 +523,18 @@ def _check_relators(G: GroupPresentation, E: GroupPresentation, images: dict[int
     ``images[p]`` and the others to the identity, is a homomorphism when each
     relator of G maps to the identity or, letter by letter, to a cyclic
     rotation of one of E's relators or of its inverse; else a ValueError
-    formats ``message`` with the first relator of G that does not.  Words
-    are keyed by their least rotation, so each relator is one set lookup."""
-    own = {_least_rotation(w.letters) for r in E.relators for w in (r, r.inverse())}
+    formats ``message`` with the first relator of G that does not.  An
+    image whose runs are literally one of E's stored relators passes by one
+    set lookup; any other is keyed by its least rotation and looked up among
+    those of E's relators and their inverses, built on the first such image."""
+    literal, own = {r.letters for r in E.relators}, None
     for rel in G.relators:
-        image = _least_rotation([(images[g], e) for g, e in rel.letters if g in images])
+        runs = tuple((images[g], e) for g, e in rel.letters if g in images)
+        if runs in literal:
+            continue
+        if own is None:
+            own = {_least_rotation(w.letters) for r in E.relators for w in (r, r.inverse())}
+        image = _least_rotation(runs)
         if image and image not in own:
             raise ValueError(message.format(format_word(rel, G)))
 
@@ -646,24 +659,26 @@ class Cover:
     label: str
 
     def rewrite(self, w: Word) -> Word | None:
-        """Membership test plus rewrite into subgroup generators, or None: in
-        H, the walk ends with all signs +1 and det | adj v."""
-        v, signs = _walk(self.holonomy, w)
+        """Membership test plus rewrite into subgroup generators, or None."""
+        return self._rewrite(*_walk(self.holonomy, w))
+
+    def _rewrite(self, v: Sequence[int], signs: Sequence[int]) -> Word | None:
+        """``rewrite`` of a word that walks to translation ``v`` and axis
+        signs ``signs``: in H, the walk ends with all signs +1 and det | adj v."""
         if -1 in signs:
             return None
         coeffs = []
         for row in self.adjugate:
-            c, r = divmod(sum(a * x for a, x in zip(row, v)), self.det)
+            c, r = divmod(sum(map(mul, row, v)), self.det)
             if r:
                 return None
             coeffs.append(c)
-        return free_reduce(Word(tuple(enumerate(coeffs))))
+        return Word(tuple((i, c) for i, c in enumerate(coeffs) if c))
 
-    def coset(self, w: Word) -> tuple:
-        """The key of w's left coset wH: the walk's signs and adj v mod det."""
-        v, signs = _walk(self.holonomy, w)
-        return tuple(signs), tuple(sum(a * x for a, x in zip(row, v)) % self.det
-                                   for row in self.adjugate)
+    def _coset(self, v: Sequence[int], signs: Sequence[int]) -> tuple:
+        """The key of the left coset wH of a word w that walks to ``v`` and
+        ``signs``: the signs and adj v mod det."""
+        return tuple(signs), tuple(sum(map(mul, row, v)) % self.det for row in self.adjugate)
 
     def describe(self) -> str:
         return self.label
@@ -737,9 +752,16 @@ def KleinBottleCover(ambient: GroupPresentation | None = None, cosets=None) -> C
 
 
 def _linear_forms(m: Iterable[Sequence]) -> list[MultiForm]:
-    """Row i of a rational matrix as the base form sum_j m[i][j] z_{j+1},
-    built from its nonzero entries only."""
-    return [MultiForm({(("z", j + 1),): v for j, v in enumerate(row) if v}) for row in m]
+    """Row i of a rational matrix (ints or Fractions) as the base form
+    sum_j m[i][j] z_{j+1}: an int store of its nonzero entries over the lcm
+    of their denominators, with no labels to check or sort."""
+    forms = []
+    for row in m:
+        den = lcm(*(v.denominator for v in row if v))
+        forms.append(MultiForm._of_store(
+            {((j + 1,), ()): v.numerator * (den // v.denominator) for j, v in enumerate(row) if v},
+            den))
+    return forms
 
 
 def _word_blocks(
@@ -815,7 +837,6 @@ def induce_family(f: Family, cover: Cover) -> Family:
     subgroup, generators matched by position, and the index at most MAX_INDEX.
     """
     G = cover.ambient
-    reps = cover.cosets
     n = len(cover.sub_generator_words)
     if len(f.group.generators) != n:
         raise ValueError("family group does not match the cover's subgroup")
@@ -826,22 +847,30 @@ def induce_family(f: Family, cover: Cover) -> Family:
     # t_i^-1 g t_j in the subgroup, the representative keyed like g t_j, and
     # that element as a subgroup word.  As every pair hits exactly one coset,
     # the representatives lie in distinct cosets, and j -> i is a permutation.
+    # Each t_j is walked once, to (v_j, s_j); as walks compose, g t_j walks
+    # to (e_g + h_g v_j, h_g s_j), h_g the holonomy of g, and t_i^-1 g t_j
+    # from there by t_i^-1, to (s_i (gv - v_i), s_i gs), all in integers.
+    walks = [_walk(cover.holonomy, t) for t in cover.cosets]
     keyed: dict[tuple, list[int]] = {}
-    for i, t in enumerate(reps):
-        keyed.setdefault(cover.coset(t), []).append(i)
+    for i, walk in enumerate(walks):
+        keyed.setdefault(cover._coset(*walk), []).append(i)
     blocks: list[list[tuple[int, Word]]] = []
-    for gi in range(len(G.generators)):
-        gen_word = Word(((gi, 1),))
+    for gi, h in enumerate(cover.holonomy):
         blocks.append([])
-        for j, t in enumerate(reps):
-            hits = keyed.get(cover.coset(gen_word * t), [])
+        for j, (v, signs) in enumerate(walks):
+            gv = [a * x for a, x in zip(h, v)]
+            gv[gi] += 1
+            gs = [a * s for a, s in zip(h, signs)]
+            hits = keyed.get(cover._coset(gv, gs), [])
             if len(hits) != 1:
                 raise ValueError(
                     f"invalid coset system: generator {G.generators[gi]!r} times "
                     f"representative {j} hits {len(hits)} cosets"
                 )
             i = hits[0]
-            blocks[-1].append((i, cover.rewrite(free_reduce(reps[i].inverse() * gen_word * t))))
+            vi, si = walks[i]
+            blocks[-1].append((i, cover._rewrite([s * (a - b) for s, a, b in zip(si, gv, vi)],
+                                                 [s * t for s, t in zip(si, gs)])))
 
     chern = None
     if f.chern is not None and not any(-1 in signs for signs in cover.holonomy):

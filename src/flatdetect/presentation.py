@@ -65,14 +65,16 @@ class Word:
 
 
 def free_reduce(w: Word) -> Word:
-    """The free-group normal form: adjacent runs of a generator merged, zeros dropped."""
+    """The free-group normal form: adjacent runs of a generator merged, zeros
+    dropped; ``w`` itself when it is already reduced, i.e. when no run merged
+    or dropped and the stack is as long as the word."""
     stack: list[Letter] = []
     for g, e in w.letters:
         if stack and stack[-1][0] == g:
             e += stack.pop()[1]
         if e:
             stack.append((g, e))
-    return Word(tuple(stack))
+    return w if len(stack) == len(w.letters) else Word(tuple(stack))
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,34 @@ def test_canonical_matches_insertion_sort_reference(labels, bad):
         assert (None if got is None else (_labels(got[0]), got[1])) == expected
 
 
+_INDICES = st.lists(st.integers(1, 6), max_size=4, unique=True).map(lambda i: tuple(sorted(i)))
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two stored monomials a, b: in about half of the pairs b's indices are
+    shifted past a's in one kind or in both, so that its kinds follow a's;
+    unshifted ones often share an index, and any kind may be empty."""
+    (za, xa), (zb, xb) = draw(st.tuples(_INDICES, _INDICES)), draw(st.tuples(_INDICES, _INDICES))
+    shift = draw(st.sampled_from(("none", "none", "none", "z", "x", "both")))
+    if shift in ("z", "both"):
+        zb = tuple(i + max(za, default=0) for i in zb)
+    if shift in ("x", "both"):
+        xb = tuple(j + max(xa, default=0) for j in xb)
+    return (za, xa), (zb, xb)
+
+
+@settings(max_examples=500)
+@given(_monomial_pairs())
+def test_merge_matches_the_sorting_reference(pair):
+    """a's labels followed by b's, sorted by the insertion-sort reference:
+    the merged monomial and its sign, or None on a repeated label."""
+    a, b = pair
+    got = charforms._merge(a, b)
+    expected = _canonical_reference(_labels(a) + _labels(b))
+    assert (None if got is None else (_labels(got[0]), got[1])) == expected
+
+
 @settings(max_examples=150)
 @given(term_dicts())
 def test_terms_and_records_list_by_degree_then_labels(raw):

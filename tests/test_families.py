@@ -1647,6 +1647,8 @@ def test_relator_text_rule_decides_as_the_rotation_table(case):
     ("e1 e2 e1 e2 e1 e2", "e2 e1 e2 e1 e2 e1", True),
     ("e1 e2 e1 e2 e1 e2", "e2^-1 e1^-1 e2^-1 e1^-1 e2^-1 e1^-1", True),
     ("e1 e1^-1", "e1", False),  # E's relator reduces to the empty word, matching none
+    ("e1 e2 e1^-1 e2^-1", "e1 e2 e1^-1 e2^-1", True),  # literally E's relator
+    ("e1 e1^-1", "e3 e3^-1", True),  # both reduce to the empty word
 ])
 def test_relator_text_rule_examples(e_rel, g_rel, holds):
     names = " ".join(f"e{i}" for i in range(12))
@@ -1659,6 +1661,50 @@ def test_relator_text_rule_examples(e_rel, g_rel, holds):
     else:
         with pytest.raises(ValueError, match="is not a relator"):
             families._check_relators(G, E, images)
+
+
+@pytest.mark.parametrize("g_rel, holds", [
+    ("e1 k e1 e2", True),  # image e1 e1 e2: E's relator e1^2 e2 once reduced
+    ("e2 e1 k e1", True),
+    ("e1 k e1^-1 e2", False),  # image e1 e1^-1 e2
+    ("e1 k e1 e2^-1", False),
+])
+def test_relator_rule_keys_an_image_literal_only_after_reduction(g_rel, holds):
+    """The killed letter k splits a run of e1 in two: the image's runs are
+    not E's stored runs, so the rule keys the image by its least rotation
+    and decides as the rotation table does."""
+    E = parse_presentation("gens: e1 e2 ; rels: e1 e1 e2 ;")
+    G = parse_presentation(f"gens: e1 e2 k ; rels: {g_rel} ;")
+    images = {0: 0, 1: 1}
+    assert (_first_foreign_relator(G, E, images) is None) == holds
+    spy = mock.Mock(wraps=families._least_rotation)
+    with mock.patch.object(families, "_least_rotation", spy):
+        if holds:
+            families._check_relators(G, E, images)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"ambient relator {g_rel!r} is not")):
+                families._check_relators(G, E, images)
+    assert spy.call_count == 3  # E's relator, its inverse, then the image
+
+
+def test_literal_relators_pass_without_rotation_keys(monkeypatch):
+    """Against a Z^6 group file written as the benchmark writes one, every
+    relator is literal: the cover's model check and the induction key no
+    rotation.  A rotated commutator still reaches the rotation keys."""
+    def refuse(runs):
+        raise AssertionError("keyed by rotation")
+
+    monkeypatch.setattr(families, "_least_rotation", refuse)
+    gens = [f"g{i}" for i in range(1, 7)]
+    rels = " , ".join(f"{a} {b} {a}^-1 {b}^-1" for a, b in itertools.combinations(gens, 2))
+    G = parse_presentation(f"gens: {' '.join(gens)} ; rels: {rels} ;")
+    basis = [[2 if i == j and i in (1, 4) else int(i == j) for j in range(6)] for i in range(6)]
+    cosets = [Word(()), Word(((1, 1),)), Word(((4, 1),)), Word(((1, 1), (4, 1)))]
+    induced = induce_family(character_family_Zn(6, 4), SublatticeCover(G, basis, cosets))
+    assert verify_family(induced)
+    rotated = G.relators[:-1] + (Word(G.relators[-1].letters[1:] + G.relators[-1].letters[:1]),)
+    with pytest.raises(AssertionError, match="keyed by rotation"):
+        SublatticeCover(GroupPresentation(G.generators, rotated), basis, cosets)
 
 
 def _reduced_word(names: str, length: int, rng) -> str:

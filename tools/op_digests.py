@@ -56,9 +56,11 @@ refused).  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
-too many coset words, ones of index past the bound ``families.MAX_INDEX``
-and an unknown cover, and then ``BUDGETS``, inputs past the bounds on
-homology classes, term products of a wedge, detection-matrix cells,
+too many coset words, ones of index past the bound ``families.MAX_INDEX``,
+an unknown cover, and coset words with inverse runs and lattice offsets
+(two along non-diagonal sublattices of Z^3, two along the Klein cover, the
+last refused for a coset hit twice), and then ``BUDGETS``, inputs past the
+bounds on homology classes, term products of a wedge, detection-matrix cells,
 parameter-space components, the cells of a group file's exponent-sum matrix
 and the prefix sums read building its degree-2 cycles, each to be refused
 with exit 3 before the work starts, one family of exactly
@@ -196,6 +198,13 @@ COVERS = (
     "pullback(trivial(group=klein.grp, dim=2), cosets=[e], group=klein.grp)",
     "pullback(char_zn(2, 8), cover=bogus)",
     "induce(char_zn(2, 4), cover=sublattice([[2, 0], [0, 1]]), cosets=[e, a], group=f2.grp)",
+    # coset words with inverse runs and lattice offsets, two along non-diagonal bases
+    "induce(char_zn(3, 4), cover=sublattice([[2, 1, 0], [0, 2, 0], [0, 0, 1]]), "
+    "cosets=[c^-1 c, a, b, a b^-1 b b], group=z3.grp)",
+    "induce(char_zn(3, 4), cover=sublattice([[1, 0, 0], [1, 3, 0], [0, 0, 1]]), "
+    "cosets=[c a^-1 a c^-1, b^-1, b b b b a a a], group=z3.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[a a b, a^-1], group=klein.grp)",
+    "induce(char_zn(2, 8), cover=klein_even, cosets=[b^-1 a b b, b a a a], group=klein.grp)",
 )
 # argv of each ``windings`` op, file names relative to the run directory
 WINDINGS = (
@@ -315,10 +324,12 @@ def _reduced_word(names: str, length: int, rng: random.Random) -> str:
 
 
 _RNG = random.Random(0)
+Z3_GROUP = "gens: a b c ; rels: a b a^-1 b^-1 , a c a^-1 c^-1 , b c b^-1 c^-1 ;\n"
 GROUP_FILES = {
     "klein.grp": "gens: a b ; rels: a b a b^-1 ;\n",
     "f2.grp": "gens: a b ; rels: ;\n",
     "z2.grp": "gens: a b ; rels: a b a^-1 b^-1 ;\n",
+    "z3.grp": Z3_GROUP,
     "e.grp": "gens: ; rels: ;\n",
     "z1.grp": "gens: a ; rels: ;\n",
     # the Klein-bottle group with its relator rotated, and Z^2 * Z
@@ -367,7 +378,6 @@ TRANSFERS = (
     ("free_abelian(3)", "induce(char_zn(3, 4), cover=sublattice([[1, 1, 0], [0, 3, 0], "
      "[0, 0, 1]]), cosets=[e, b, b b], group=z3.grp)"),
 )
-Z3_GROUP = "gens: a b c ; rels: a b a^-1 b^-1 , a c a^-1 c^-1 , b c b^-1 c^-1 ;\n"
 
 # (group file name, text) of the ``solver`` ops' presentations: relators of
 # three spelled lengths (several length groups), generators in no relator
