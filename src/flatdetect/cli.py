@@ -37,6 +37,13 @@ with ``e`` denoting the empty word in coset lists.
 The argument parser is built on the first ``run`` call and reused by every
 later one in the process; it holds no per-call state, since each parse
 returns a fresh namespace.
+
+Importing this module runs ``presentation`` and no other submodule: the
+package loads ``charforms``, ``detect``, ``families`` and ``repvar`` on
+their first attribute read, and nothing here reads one at import or while
+the parser is built.  So ``parse`` runs ``presentation`` alone, ``rep
+solve`` adds ``repvar``, ``family build`` and ``forms`` add ``families``,
+``charforms`` and ``repvar``, and ``detect run`` and ``report`` run all.
 """
 
 from __future__ import annotations
@@ -281,8 +288,9 @@ def _finite_index_super(sub, index, label, homology):
 _COVER_KEYWORDS = {"cover": "cover", "cosets": "words", "group": "file"}
 
 # name -> (kind, positional types, keyword types, required keywords, builder).
-# The builders look up families.* when called, so that wrappers installed on
-# that module (a tracer's, say) see every family built.
+# The builders look up families.* and detect.* when called, so that building
+# the table loads neither module, and wrappers installed on them (a tracer's,
+# say) see every family and descriptor built.
 _CONSTRUCTORS = {
     "char_zn": ("family", ("int", "int"), {"gens": "words"}, (),
                 lambda n, res, gens=None: families.character_family_Zn(n, res, gens)),
@@ -306,13 +314,15 @@ _CONSTRUCTORS = {
     "sublattice": ("cover", ("matrix",), {}, (),
                    lambda basis: (families.SublatticeCover, {"basis": basis, "cosets": []}, None)),
     "klein_even": ("cover", (), {}, (), lambda: (families.KleinBottleCover, {}, klein_bottle())),
-    "free": ("descriptor", ("int",), {}, (), detect.Free),
-    "free_abelian": ("descriptor", ("int",), {}, (), detect.FreeAbelian),
-    "surface": ("descriptor", ("int",), {}, (), detect.SurfaceClosed),
+    "free": ("descriptor", ("int",), {}, (), lambda n: detect.Free(n)),
+    "free_abelian": ("descriptor", ("int",), {}, (), lambda n: detect.FreeAbelian(n)),
+    "surface": ("descriptor", ("int",), {}, (), lambda g: detect.SurfaceClosed(g)),
     "group": ("descriptor", ("name",), {}, (), lambda path: detect.PresentationComplex(
         f"group({path})", parse_presentation(Path(path).read_text()))),
-    "free_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.FreeProduct),
-    "direct_product": ("descriptor", ("descriptor",) * 2, {}, (), detect.DirectProduct),
+    "free_product": ("descriptor", ("descriptor",) * 2, {}, (),
+                     lambda a, b: detect.FreeProduct(a, b)),
+    "direct_product": ("descriptor", ("descriptor",) * 2, {}, (),
+                       lambda a, b: detect.DirectProduct(a, b)),
     "finite_index_super": ("descriptor", ("descriptor", "int", "name"),
                            {"homology": "homology"}, ("homology",), _finite_index_super),
 }
@@ -627,6 +637,16 @@ _POSITIVE = _checked(int, lambda v: v >= 1, "must be >= 1")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be >= 0")
 
 
+def _resolution(text: str) -> int:
+    """A ``forms chern --resolution`` value, checked against
+    ``families.MAX_LOOP_SAMPLES`` as it is parsed, not as the parser is built."""
+    high = families.MAX_LOOP_SAMPLES
+    return _checked(int, lambda v: 2 <= v <= high, f"must be >= 2 and <= {high}")(text)
+
+
+_resolution.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flatdetect")
@@ -661,12 +681,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     formssub = forms.add_subparsers(dest="subcommand", required=True)
     fc = formssub.add_parser("chern", help="numeric winding Chern data of a family")
     fc.add_argument("--family", required=True)
-    fc.add_argument(
-        "--resolution", default=64, type=_checked(
-            int, lambda v: 2 <= v <= families.MAX_LOOP_SAMPLES,
-            f"must be >= 2 and <= {families.MAX_LOOP_SAMPLES}",
-        ),
-    )
+    fc.add_argument("--resolution", default=64, type=_resolution)
     fc.add_argument("--out")
     fc.set_defaults(fn=_cmd_forms_chern)
     fe = formssub.add_parser("eval", help="combine serialized forms")
@@ -714,7 +729,7 @@ def run(argv: list[str]) -> int:
     except MemoryError:
         sys.stderr.write("error: input too large to allocate\n")
         return EXIT_PARSE
-    except (detect.DetectionError, ValueError) as exc:
+    except ValueError as exc:  # detect.DetectionError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_OBSTRUCTION
 

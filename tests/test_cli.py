@@ -203,6 +203,46 @@ def test_argument_parser_is_built_once_and_lazily():
     assert proc.stdout == "0\n", proc.stderr
 
 
+# Which flatdetect submodules have run, in a fresh interpreter, after an
+# import or one command.  A module the package has registered but nobody has
+# read yet is a LazyLoader placeholder, of a subclass of ModuleType; reading
+# any of its attributes would run it, so the probe reads none.
+_EXECUTED = (
+    "import sys, types\n"
+    "print(sorted(n.split('.', 1)[1] for n, m in list(sys.modules.items())\n"
+    "             if n.startswith('flatdetect.') and type(m) is types.ModuleType))\n"
+)
+_COMPUTE = {"charforms", "detect", "families", "presentation", "repvar"}
+
+
+@pytest.mark.parametrize(
+    "module, argv, executed",
+    [
+        ("flatdetect", None, set()),
+        ("flatdetect.cli", None, {"cli", "presentation"}),
+        ("flatdetect.cli", ["parse", "--presentation", "z2.grp"], {"cli", "presentation"}),
+        ("flatdetect.cli", ["rep", "solve", "--presentation", "z2.grp", "--dim", "2"],
+         {"cli", "presentation", "repvar"}),
+        ("flatdetect.cli", ["family", "build", "--expr", "z2.fam"],
+         {"cli"} | _COMPUTE - {"detect"}),
+        ("flatdetect.cli", ["detect", "run", "--group", "free_abelian(2)", "--families", "z2.fam"],
+         {"cli"} | _COMPUTE),
+    ],
+    ids=["import-package", "import-cli", "parse", "rep-solve", "family-build", "detect-run"],
+)
+def test_each_command_runs_only_the_modules_it_uses(workdir, module, argv, executed):
+    env = {**os.environ, "PYTHONPATH": str(Path(flatdetect.__file__).parents[1])}
+    probe = f"import {module}\n"
+    if argv is not None:
+        probe += f"assert flatdetect.cli.run({argv + ['--out', 'out.json']!r}) == 0\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe + _EXECUTED],
+        capture_output=True, text=True, env=env, cwd=workdir, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted(executed)}\n"
+
+
 # One process parses usage errors, flags given and flags left to their
 # defaults, in one order and then in the other; a default or namespace that
 # leaked from one call into the next would change a rerun's outcome.
@@ -1194,6 +1234,16 @@ def test_input_nested_too_deeply_exit3(workdir, capsys, command, name, text):
 def test_out_of_range_flags_exit2(workdir, capsys, argv):
     assert run([str(workdir / a) if a.endswith((".grp", ".fam")) else a for a in argv]) == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "65537"])
+def test_resolution_out_of_range_names_its_bounds(workdir, capsys, value):
+    argv = ["forms", "chern", "--family", str(workdir / "z2.fam"), "--resolution", value]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"error: argument --resolution: must be >= 2 and <= 65536, got {value}\n"
+    ), err
 
 
 # A grammar fuzz over the expression language.  Inputs come from two

@@ -97,6 +97,12 @@ listings are equal, e.g.
     python3 tools/op_digests.py --src ../parent/src --seed 3 > parent.txt
     python3 tools/op_digests.py --src src --seed 3 > change.txt
     diff parent.txt change.txt
+
+Every op runs in one process, so by the first command every submodule the
+listing needs has loaded, and the listing cannot show what a fresh process
+loads for one command.  That import boundary is checked by
+``test_each_command_runs_only_the_modules_it_uses`` in ``tests/test_cli.py``,
+one fresh interpreter per command.
 """
 
 from __future__ import annotations
