@@ -302,12 +302,13 @@ class MultiForm:
     def split_z(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
         """Bucket the terms by z-part in one pass: {z-indices: {x-indices:
         coefficient}}.  A stored monomial is its z-part before its x-part,
-        so splitting them needs no sign."""
+        so splitting them needs no sign.  Equal numerators share one Fraction."""
         den = self._den
-        return {
-            zs: {xs: Fraction(c, den) for xs, c in xterms.items()}
-            for zs, xterms in self._split_numerators().items()
-        }
+        fracs = {c: Fraction(c, den) for c in set(self._terms.values())}
+        out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        for (zs, xs), c in self._terms.items():
+            out.setdefault(zs, {})[xs] = fracs[c]
+        return out
 
     def contract_z(self, z_indices: Sequence[int]) -> "MultiForm":
         """Pair the base part against the class dual to the monomial

@@ -36,7 +36,12 @@ with ``e`` denoting the empty word in coset lists.
 
 The argument parser is built on the first ``run`` call and reused by every
 later one in the process; it holds no per-call state, since each parse
-returns a fresh namespace.
+returns a fresh namespace.  An argv that starts with a full command path
+(``detect run``, ``report``, ...) goes straight to that command's leaf
+parser, the tree's own, which parses it as the tree would; any other argv
+goes through the tree.  Within one ``run`` call a group file that
+expressions name (``group=f2.grp``) is read and parsed once, however often
+they name it; the next call reads it again.
 
 Importing this module runs ``presentation`` and no other submodule: the
 package loads ``charforms``, ``detect``, ``families`` and ``repvar`` on
@@ -54,6 +59,7 @@ import json
 import operator
 import re
 import sys
+from contextvars import ContextVar
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -61,6 +67,7 @@ import numpy as np
 
 from . import charforms, detect, families, repvar
 from .presentation import (
+    GroupPresentation,
     PresentationError,
     format_presentation,
     free_abelian,
@@ -328,13 +335,28 @@ _CONSTRUCTORS = {
 }
 
 
+# the group files read so far in the ``run`` call under way, {path:
+# presentation}, or None outside one
+_GROUPS: ContextVar[dict[Path, GroupPresentation] | None] = ContextVar("groups", default=None)
+
+
+def _group_file(path: Path) -> GroupPresentation:
+    """The presentation in ``path``, read and parsed once per ``run`` call."""
+    groups = _GROUPS.get()
+    if groups is None:
+        return parse_presentation(path.read_text())
+    if (G := groups.get(path)) is None:
+        G = groups[path] = parse_presentation(path.read_text())
+    return G
+
+
 def _argument(value, typ: str, where: str, basedir: Path | None, caller: str):
     if typ in _KINDS:
         return _build(value, typ, basedir, caller)
     what, shape = _TYPES[typ]
     if not _fits(value, shape):
         raise ExprError(f"{where} must be {what}, got {value!r}")
-    return parse_presentation((basedir / value).read_text()) if typ == "file" else value
+    return _group_file(basedir / value) if typ == "file" else value
 
 
 def _build(ast, kind: str, basedir: Path | None, caller: str | None = None):
@@ -647,19 +669,28 @@ def _resolution(text: str) -> int:
 _resolution.__name__ = "int"  # argparse names it in "invalid int value"
 
 
+# command path -> its leaf parser, the one that sets ``fn``: the very parser
+# objects of the tree, recorded as _build_argparser adds them
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flatdetect")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", help="normalize a presentation file")
+    def leaf(parent, path: tuple[str, ...], fn, help: str) -> argparse.ArgumentParser:
+        _LEAVES[path] = lp = parent.add_parser(path[-1], help=help)
+        lp.set_defaults(fn=fn)
+        return lp
+
+    sp = leaf(sub, ("parse",), _cmd_parse, "normalize a presentation file")
     sp.add_argument("--presentation", required=True)
     sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_parse)
 
     rep = sub.add_parser("rep", help="representation variety commands")
     repsub = rep.add_subparsers(dest="subcommand", required=True)
-    rs = repsub.add_parser("solve", help="solve for a representation point")
+    rs = leaf(repsub, ("rep", "solve"), _cmd_rep_solve, "solve for a representation point")
     rs.add_argument("--presentation", required=True)
     rs.add_argument("--dim", type=_POSITIVE, required=True)
     rs.add_argument(
@@ -668,36 +699,33 @@ def _build_argparser() -> argparse.ArgumentParser:
     rs.add_argument("--seed", type=_NONNEGATIVE, default=0)
     rs.add_argument("--max-iter", type=_NONNEGATIVE, default=2000)
     rs.add_argument("--out")
-    rs.set_defaults(fn=_cmd_rep_solve)
 
     fam = sub.add_parser("family", help="family construction commands")
     famsub = fam.add_subparsers(dest="subcommand", required=True)
-    fb = famsub.add_parser("build", help="build and verify a family expression")
+    fb = leaf(famsub, ("family", "build"), _cmd_family_build,
+              "build and verify a family expression")
     fb.add_argument("--expr", required=True)
     fb.add_argument("--out")
-    fb.set_defaults(fn=_cmd_family_build)
 
     forms = sub.add_parser("forms", help="characteristic form commands")
     formssub = forms.add_subparsers(dest="subcommand", required=True)
-    fc = formssub.add_parser("chern", help="numeric winding Chern data of a family")
+    fc = leaf(formssub, ("forms", "chern"), _cmd_forms_chern,
+              "numeric winding Chern data of a family")
     fc.add_argument("--family", required=True)
     fc.add_argument("--resolution", default=64, type=_resolution)
     fc.add_argument("--out")
-    fc.set_defaults(fn=_cmd_forms_chern)
-    fe = formssub.add_parser("eval", help="combine serialized forms")
+    fe = leaf(formssub, ("forms", "eval"), _cmd_forms_eval, "combine serialized forms")
     fe.add_argument("--in", dest="infile", required=True)
     fe.add_argument("--out")
-    fe.set_defaults(fn=_cmd_forms_eval)
 
     det = sub.add_parser("detect", help="detection pairing commands")
     detsub = det.add_subparsers(dest="subcommand", required=True)
-    dr = detsub.add_parser("run", help="compute a detection report")
+    dr = leaf(detsub, ("detect", "run"), _cmd_detect_run, "compute a detection report")
     dr.add_argument("--group", required=True)
     dr.add_argument("--families", nargs="+", required=True)
     dr.add_argument("--out")
-    dr.set_defaults(fn=_cmd_detect_run)
 
-    rp = sub.add_parser("report", help="combined detection / obstruction report")
+    rp = leaf(sub, ("report",), _cmd_report, "combined detection / obstruction report")
     rp.add_argument("--group")
     rp.add_argument("--families", nargs="*")
     rp.add_argument(
@@ -705,17 +733,32 @@ def _build_argparser() -> argparse.ArgumentParser:
         metavar=("FREE_RANK", "INDEX"),
     )
     rp.add_argument("--out")
-    rp.set_defaults(fn=_cmd_report)
 
     return p
 
 
-def run(argv: list[str]) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace, less ``command`` and ``subcommand``: parsed by its
+    leaf parser when argv starts with a full command path, as the tree
+    parses it there, else through the tree (an unknown or partial command,
+    a top-level flag, ``--``)."""
     parser = _build_argparser()
+    for depth in (2, 1):
+        leaf = _LEAVES.get(tuple(argv[:depth]))
+        if leaf is not None:
+            ns, extra = leaf.parse_known_args(argv[depth:])
+            if extra:  # the tree's message, under the top-level usage
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            return ns
+    return parser.parse_args(argv)
+
+
+def run(argv: list[str]) -> int:
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    token = _GROUPS.set({})
     try:
         return ns.fn(ns)
     except (
@@ -732,6 +775,8 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:  # detect.DetectionError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_OBSTRUCTION
+    finally:
+        _GROUPS.reset(token)
 
 
 def main() -> None:

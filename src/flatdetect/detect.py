@@ -234,10 +234,12 @@ def FreeAbelian(rank: int) -> GroupClass:
         raise ValueError("rank must be >= 0")
     label = f"free_abelian({rank})"
     _check_count(label, 2 ** min(rank, MAX_CLASSES.bit_length()), f"2^{rank}")  # 2^rank, capped
+    axes = range(1, rank + 1)
+    names = [f"z{i}" for i in axes]
     classes = [
-        BasisClass("^".join(f"z{i}" for i in subset) or "pt", q, ((subset, 1),))
+        BasisClass("^".join(part) or "pt", q, ((subset, 1),))
         for q in range(rank + 1)
-        for subset in itertools.combinations(range(1, rank + 1), q)
+        for subset, part in zip(itertools.combinations(axes, q), itertools.combinations(names, q))
     ]
     return _group_class(label, classes, rank, free_abelian(rank).relators)
 
@@ -422,13 +424,15 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     comps, col_labels = [], []  # every component's table and {x-part: column}, in column order
     for fi, (f, per_family) in enumerate(zip(fams, tables)):
         for ci, table in enumerate(per_family):
-            x_dim, columns = f.space.component_x_dim(ci), {}
-            for q in range(min(x_dim, top) + 1):
-                for mono in itertools.combinations(range(1, x_dim + 1), q):
-                    xpart = "^".join(xname.format(i) for i in mono) or unit
-                    columns[mono] = len(col_labels)
-                    col_labels.append(prefix.format(fi=fi, ci=ci) + xpart)
-            comps.append((table, columns))
+            x_dim, head = f.space.component_x_dim(ci), prefix.format(fi=fi, ci=ci)
+            axes = range(1, x_dim + 1)
+            names = [xname.format(i) for i in axes]
+            degrees = range(min(x_dim, top) + 1)
+            monos = [m for q in degrees for m in itertools.combinations(axes, q)]
+            start = len(col_labels)
+            comps.append((table, dict(zip(monos, range(start, start + len(monos))))))
+            col_labels += [head + ("^".join(part) or unit)
+                           for q in degrees for part in itertools.combinations(names, q)]
     rows = []
     for cycle in cycles:
         row = {}
@@ -441,7 +445,8 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     width = len(col_labels)
     detected = tuple(map(bool, rows))
     undetected = tuple(label for label, hit in zip(row_labels, detected) if not hit)
-    reduced = reduce_rows({**row, width + i: Fraction(1)} for i, row in enumerate(rows))
+    one = Fraction(1)  # every tag entry; a Fraction, so that elimination stays exact
+    reduced = reduce_rows({**row, width + i: one} for i, row in enumerate(rows))
     kernel = [row for row in reduced if min(row) >= width]
     witness = None
     if kernel and all(detected):

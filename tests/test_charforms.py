@@ -102,6 +102,20 @@ def test_serialization_roundtrip(f):
     assert MultiForm.from_records(f.to_records()) == f
 
 
+@given(forms())
+def test_split_z_buckets_each_term_under_its_z_part(f):
+    """split_z holds every term once, {z-indices: {x-indices: coefficient}},
+    and equal coefficients are one Fraction object."""
+    want: dict = {}
+    for labels, c in f.terms():
+        zs = tuple(i for k, i in labels if k == "z")
+        want.setdefault(zs, {})[tuple(i for k, i in labels if k == "x")] = c
+    split = f.split_z()
+    assert split == want
+    values = [c for bucket in split.values() for c in bucket.values()]
+    assert len(set(map(id, values))) == len(set(values))
+
+
 def _assert_canonical_store(form):
     """The store invariant: each key is a pair (z-indices, x-indices) of
     positive ints that is its own canonical order (sign +1), each numerator

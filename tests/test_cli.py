@@ -274,6 +274,98 @@ def test_reused_parser_keeps_no_state_between_calls(workdir, capsys):
     assert again[::-1] == first
 
 
+# every leaf command with valid flags, given and left to their defaults
+_LEAF_ARGVS = [
+    ["parse", "--presentation", "z2.grp", "--out", "p.json"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--tol", "1e-3",
+     "--seed", "7", "--max-iter", "5", "--out", "s.json"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "2"],
+    ["family", "build", "--expr", "z2.fam"],
+    ["forms", "chern", "--family", "z2.fam", "--resolution", "128"],
+    ["forms", "eval", "--in", "f.json"],
+    ["detect", "run", "--group", "free_abelian(2)", "--families", "z2.fam", "klein.fam"],
+    ["report", "--group", "free_abelian(2)", "--families", "z2.fam", "--bm", "2", "3"],
+    ["report", "--families"],
+    ["report"],
+]
+# argvs that parse, fail to parse or ask for help, at every level of the tree
+_DISPATCH_ARGVS = [
+    *_LEAF_ARGVS,
+    *([*argv, "--bogus"] for argv in _LEAF_ARGVS),  # unknown flag: the top-level usage
+    ["rep", "solve", "--presentation", "z2.grp"],  # a required flag missing
+    ["detect", "run", "--group", "free_abelian(2)", "--families"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "0"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "-1"],
+    ["rep", "solve", "--presentation", "z2.grp", "--dim", "2", "--seed"],
+    ["forms", "chern", "--family", "z2.fam", "--resolution", "65537"],
+    ["report", "--bm", "1", "2"],
+    ["-h"], ["detect", "-h"], ["detect", "run", "-h"], ["report", "-h"], ["rep", "solve", "--help"],
+    ["rep", "solve", "--pres", "z2.grp", "--dim", "2"],  # an abbreviated flag
+    ["rep", "solve", "--presentation=z2.grp", "--dim=2", "--max-iter=3"],
+    ["detect", "run", "--group", "free(2)", "--families", "z2.fam", "--", "klein.fam"],
+    ["parse", "run"], ["report", "run"],  # a stray positional after a leaf
+    ["bogus"], ["detect"], ["detect", "bogus"], ["rep", "--dim", "2"], [],
+    ["--", "parse", "--presentation", "z2.grp"],
+]
+
+
+@pytest.fixture
+def recorded_commands(monkeypatch):
+    """The namespaces the commands are called with: the parser tree is rebuilt
+    around stand-ins for every command that record their namespace and return 0."""
+    seen = []
+    for name in ("_cmd_parse", "_cmd_rep_solve", "_cmd_family_build", "_cmd_forms_chern",
+                 "_cmd_forms_eval", "_cmd_detect_run", "_cmd_report"):
+        monkeypatch.setattr(cli, name, lambda ns: seen.append(ns) or 0)
+    cli._build_argparser.cache_clear()
+    yield seen
+    cli._build_argparser.cache_clear()  # the next build takes the real commands
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_run_parses_every_argv_as_the_whole_tree_does(recorded_commands, capsys, argv):
+    """``run`` exits, prints and calls its command as a parse through the
+    whole parser tree does, with that parse's namespace less the ``command``
+    and ``subcommand`` names of the tree's inner parsers."""
+    got = (run(argv), *capsys.readouterr())
+    try:
+        ns = cli._build_argparser().parse_args(argv)
+    except SystemExit as exc:
+        assert got == (2 if exc.code else 0, *capsys.readouterr())
+        assert recorded_commands == []
+        return
+    assert got == (0, "", "")
+
+    def named(ns):
+        return {k: v for k, v in vars(ns).items() if k not in ("command", "subcommand")}
+
+    assert list(map(named, recorded_commands)) == [named(ns)]
+
+
+def test_a_group_file_is_read_once_per_call_and_again_on_the_next(workdir, capsys, monkeypatch):
+    """However often one ``run`` call's expressions name a group file, it is
+    parsed once; the next call reads it again."""
+    monkeypatch.chdir(workdir)
+    (workdir / "f2.grp").write_text(F2 := "gens: a b ; rels: ;\n")
+    halves = [f"extend(char_zn(1, 4, gens=[{g}]), group=f2.grp)" for g in "ab"]
+    (workdir / "union.fam").write_text(f"union({halves[0]}, {halves[1]})\n")
+    for g, half in zip("ab", halves):
+        (workdir / f"{g}.fam").write_text(half + "\n")
+    parsed = []
+    parse = cli.parse_presentation
+    monkeypatch.setattr(cli, "parse_presentation", lambda text: parsed.append(text) or parse(text))
+    for fams in (["union.fam"], ["a.fam", "b.fam"]):
+        parsed.clear()
+        assert run(["detect", "run", "--group", "free(2)", "--families", *fams]) == 0
+        assert parsed == [F2]
+    capsys.readouterr()
+    (workdir / "f2.grp").write_text(F3 := "gens: a b c ; rels: ;\n")
+    parsed.clear()
+    assert run(["detect", "run", "--group", "free(2)", "--families", "a.fam", "b.fam"]) == 3
+    assert parsed == [F3]
+    assert "has 3 base labels, but free(2) has 2" in capsys.readouterr().err
+
+
 _LONG_INT = "1" + "0" * 5000
 
 

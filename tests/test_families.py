@@ -21,9 +21,18 @@ from flatdetect.charforms import (
     MultiForm,
     UnderSampledLoopError,
     _permutation_sign,
+    format_combination,
     reduce_rows,
     xgen,
     zgen,
+)
+from flatdetect.detect import (
+    _COLUMNS,
+    SIGN_CONVENTIONS,
+    DetectionReport,
+    SparseMatrix,
+    _combine,
+    rational_homology,
 )
 from flatdetect.families import (
     DisjointUnionSpace,
@@ -1274,6 +1283,123 @@ def test_float_windings_equal_the_data_sums(tree, extra):
     if turns:
         with pytest.raises(UnderSampledLoopError, match="aliases"):
             numeric_c1_windings(fam, 2 * turns)
+
+
+# The pairing loop as it built its labels and tags before they were built in
+# bulk, kept verbatim as the reference the current one must equal.
+def _reference_pairing(d, fams, cycles, tables, mode) -> DetectionReport:
+    top, prefix, unit, xname = _COLUMNS[mode]
+    comps, col_labels = [], []  # every component's table and {x-part: column}, in column order
+    for fi, (f, per_family) in enumerate(zip(fams, tables)):
+        for ci, table in enumerate(per_family):
+            x_dim, columns = f.space.component_x_dim(ci), {}
+            for q in range(min(x_dim, top) + 1):
+                for mono in itertools.combinations(range(1, x_dim + 1), q):
+                    xpart = "^".join(xname.format(i) for i in mono) or unit
+                    columns[mono] = len(col_labels)
+                    col_labels.append(prefix.format(fi=fi, ci=ci) + xpart)
+            comps.append((table, columns))
+    rows = []
+    for cycle in cycles:
+        row = {}
+        for table, columns in comps:
+            for xkey, v in _combine(table, cycle).items():
+                if v and (j := columns.get(xkey)) is not None:
+                    row[j] = v
+        rows.append(dict(sorted(row.items())))
+    row_labels = tuple(c.label for c in rational_homology(d))
+    width = len(col_labels)
+    detected = tuple(map(bool, rows))
+    undetected = tuple(label for label, hit in zip(row_labels, detected) if not hit)
+    reduced = reduce_rows({**row, width + i: Fraction(1)} for i, row in enumerate(rows))
+    kernel = [row for row in reduced if min(row) >= width]
+    witness = None
+    if kernel and all(detected):
+        terms = sorted(kernel[0].items())
+        witness = format_combination((row_labels[j - width], c / terms[0][1]) for j, c in terms)
+    return DetectionReport(
+        group=d.describe(),
+        families=tuple(f.structure for f in fams),
+        row_labels=row_labels,
+        col_labels=tuple(col_labels),
+        sparse=SparseMatrix(tuple(rows), width),
+        detected=detected,
+        verdict="undetected" if kernel else "FD-certified",
+        undetected_classes=undetected,
+        mode=mode,
+        sign_conventions=SIGN_CONVENTIONS,
+        witness=witness,
+    )
+
+
+def _both_pairings(d, fams):
+    """Every report the exact and the numeric pairing of ``fams`` against
+    ``d`` build (the exact one when every family has character data, the
+    numeric one of the first family on d's classes of degree <= 1), each
+    with the reference's report on the same tables."""
+    reports = []
+    pairing = detect._pairing
+
+    def both(*args):
+        reports.append((pairing(*args), _reference_pairing(*args)))
+        return reports[-1][0]
+
+    low = detect._group_class(d.label, [c for c in d.classes if c.degree <= 1], d.z_dim,
+                              d.relators)
+    with mock.patch.object(detect, "_pairing", both):
+        if all(f.chern is not None for f in fams):
+            detect.detection_matrix(d, fams)
+        detect.numeric_detection_report(low, fams[0])
+    return reports
+
+
+def _with_combinations(d, combos):
+    """``d`` with a class ``w{k}`` per (a, b, m) in ``combos``, a and b
+    classes of one degree, of cycle a + m b unless that is 0: a row that
+    depends on the others."""
+    extra = []
+    for k, (a, b, m) in enumerate(combos):
+        cycle = dict(a.cycle)
+        for z, c in b.cycle:
+            cycle[z] = cycle.get(z, 0) + m * c
+        if cycle := tuple((z, c) for z, c in sorted(cycle.items()) if c):
+            extra.append(detect.BasisClass(f"w{k}", a.degree, cycle))
+    return detect._group_class(d.label, [*d.classes, *extra], d.z_dim, d.relators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.data())
+def test_the_pairing_builds_the_reference_labels_rows_and_witness(tree, data):
+    """Exactly and numerically, over one or two families of one group and
+    its presentation complex with dependent classes added, the pairing's
+    report, its column and row labels, sparse rows, detected flags and
+    witness among its fields, is the reference's."""
+    fam, _ = tree
+    d = detect.PresentationComplex("G", fam.group)
+    combos = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        a = data.draw(st.sampled_from(d.classes))
+        b = data.draw(st.sampled_from([c for c in d.classes if c.degree == a.degree]))
+        combos.append((a, b, data.draw(st.integers(-2, 2))))
+    d = _with_combinations(d, combos)
+    fams = [fam] * data.draw(st.integers(1, 2))
+    for new, old in _both_pairings(d, fams):
+        assert new == old
+
+
+def test_the_pairing_of_a_union_of_unequal_components_has_the_reference_witness():
+    """A union of a 2-torus and a point component, against Z^2 with the
+    class z1 + z2 added, in both modes: columns of unequal x-parts, the
+    numeric ``rank`` and ``loop_x{i}`` ones, and a witness."""
+    fam = disjoint_union(character_family_Zn(2, 3), trivial_family(free_abelian(2), 2))
+    d = detect.FreeAbelian(2)
+    z1, z2 = (c for c in d.classes if c.degree == 1)
+    reports = _both_pairings(_with_combinations(d, [(z1, z2, 1)]), [fam, fam])
+    assert [new == old for new, old in reports] == [True, True]
+    exact, numeric = (new for new, _ in reports)
+    assert exact.col_labels[:5] == ("f0.c0.1", "f0.c0.x1", "f0.c0.x2", "f0.c0.x1^x2", "f0.c1.1")
+    assert numeric.col_labels == ("c0.rank", "c0.loop_x1", "c0.loop_x2", "c1.rank")
+    assert exact.witness == numeric.witness == "z1 + z2 - w0"
 
 
 @pytest.mark.parametrize("k, turns", [(4, 2**63), (8, 2**64)])

@@ -82,8 +82,12 @@ large (``z1000000``), or reach past ``charforms.MAX_TERM_PRODUCTS``,
 one record of ``LONG_RECORD`` shuffled labels, and a sum and a wedge of
 records over denominators 2, 3 and 6.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
-defaults) run in order and then in reverse in the same process, so that
-state leaking from one parse into the next shows, and then ``DIGIT_LIMIT``,
+defaults, an unknown flag after a full command, which the top-level usage
+reports, a bare ``detect``, help at the top, a middle and a leaf command,
+and an abbreviated flag) run in order and then in reverse in the same
+process, so that state leaking from one parse into the next shows, and that
+an argv parsed straight by its leaf parser reads as one parsed through the
+whole tree, and then ``DIGIT_LIMIT``,
 inputs holding an integer literal past Python's digit limit for int
 conversion; ``COLUMNS`` is fixed at 80 for them, so that usage text wraps
 alike on every terminal.  No block after the benchmark ops depends on the
@@ -464,6 +468,12 @@ USAGE = (
     ("report", "--bm", "2", "2"),
     ("report", "--families", "z2.fam"),
     ("forms", "chern", "--family", "z2.fam", "--resolution", "65537"),
+    ("detect", "run", "--group", "free_abelian(2)", "--families", "z2.fam", "--bogus"),
+    ("detect",),
+    ("detect", "-h"),
+    ("rep", "solve", "-h"),
+    ("-h",),
+    ("rep", "solve", "--pres", "z2.grp", "--dim", "2"),
 )
 LONG_INT = "1" + "0" * 5000
 DIGIT_LIMIT = (
