@@ -18,8 +18,10 @@ Sign conventions (the global dictionary reported alongside results):
 the exact pipeline normalizes the rank-1 character bundle on the 2-torus to
 character 1 + z^x with coefficient +1; the numeric pipeline reports
 c1 = (i/2pi) tr F, which evaluates to -1 on the same bundle.  That -1 is
-chern_number's alone: holonomy determinant windings (numeric_c1_windings)
-equal the exact z^x coefficients, sign included.
+chern_number's alone: holonomy determinant windings equal the exact z^x
+coefficients, sign included, both those ``forms chern`` reads from a
+family's monomial data (numeric_c1_windings) and those ``winding_number``
+winds from any loop of matrices.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class IntegralityError(ValueError):
 
 
 class UnderSampledLoopError(ValueError):
-    """Too few samples to read a winding: fewer than three on the loop, or
-    adjacent determinant arguments jumped by >= pi; refine the sampling."""
+    """Too few samples to read a winding: fewer than three on the loop, a
+    determinant read from a family's data that turns c times along a loop
+    of at most 2 |c| steps, or adjacent determinant arguments that jump by
+    >= pi (``winding_number``); refine the sampling."""
 
 
 def _check_label(lab: Label):
@@ -383,14 +387,15 @@ class MultiForm:
 
 
 def _is_record(rec) -> bool:
-    """[labels, numerator, denominator]: labels such as "z1", integers, and a
-    nonzero denominator.  The label kind and index are checked by _check_label."""
+    """[labels, numerator, denominator]: labels such as "z1", integers that
+    are not bools (JSON's true and false), and a nonzero denominator.  The
+    label kind and index are checked by _check_label."""
     return (
         isinstance(rec, (list, tuple))
         and len(rec) == 3
         and isinstance(rec[0], (list, tuple))
         and all(isinstance(s, str) and s[1:].isdecimal() for s in rec[0])
-        and all(isinstance(v, int) for v in rec[1:])
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in rec[1:])
         and rec[2] != 0
     )
 
@@ -576,60 +581,36 @@ def chern_number(c: GridConnection, cycle: tuple[int, int] = (0, 1)):
     return nearest, residual
 
 
-def _loop_windings(dets: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
-    """Windings of closed loops of invertible matrices, read off their
-    determinants ``dets``, a stack ``(samples, loops)``, and the first and
-    last samples of each loop, arrays ``(loops, ...)`` of any trailing shape
-    whose difference has the norm of the matrices' (the k x k matrices
-    themselves, or the k entries of monomial ones): per loop its winding,
-    or the exception refusing it (the first check it fails, in the order
-    ``winding_number`` documents).  The loops share one sample count, so
-    fewer than three refuses them all."""
-    if len(dets) < 3:
-        # a closed loop of two samples is one step of 2*pi, which reads as 0
-        refusal = UnderSampledLoopError(
-            f"need at least three samples on a closed loop, got {len(dets)}"
-        )
-        return [refusal] * dets.shape[1]
-    singular = np.abs(dets).min(axis=0) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):  # a singular loop's ratios
-        steps = np.angle(dets[1:] / dets[:-1])
-    jumps = np.abs(steps).max(axis=0) >= np.pi * (1 - 1e-9)
-    turns = np.round(steps.sum(axis=0) / (2 * np.pi))
-    out = []
-    for i in range(dets.shape[1]):
-        gap = np.linalg.norm(first[i] - last[i])
-        if gap > 1e-9:
-            out.append(ValueError(
-                f"loop is not closed: first and last samples differ by {gap:.3g} "
-                "(bound 1e-9)"
-            ))
-        elif singular[i]:
-            out.append(ValueError("loop contains a (numerically) singular matrix"))
-        elif jumps[i]:
-            out.append(UnderSampledLoopError(
-                "adjacent determinant arguments jump by >= pi; sample more finely"
-            ))
-        else:
-            out.append(int(turns[i]))
-    return out
-
-
 def winding_number(loop) -> int:
     """Total winding of det along a closed loop of invertible matrices.
 
     Convention: t -> e^{2*pi*i*t} sampled in increasing t has winding +1.
-    The loop needs at least three samples, must close (first = last within
-    1e-9), must hold no (numerically) singular matrix, and must be sampled
-    finely enough that consecutive determinant arguments differ by less
-    than pi; ``loop`` is a sequence of scalars or of k x k matrices, or a
-    stack ``(samples, k, k)``.  The one-loop case of ``_loop_windings``,
-    with determinants by LAPACK.
+    ``loop`` is a sequence of scalars or of k x k matrices, or a stack
+    ``(samples, k, k)``, whose determinants LAPACK computes.  The checks
+    run in order, and the first failed refuses the loop: at least three
+    samples, closed (first = last within 1e-9), no (numerically) singular
+    matrix, and sampled finely enough that consecutive determinant
+    arguments differ by less than pi.
     """
     mats = np.asarray(loop, dtype=complex)
     if mats.ndim < 3:
         mats = mats.reshape(len(mats), 1, 1)
-    (turns,) = _loop_windings(np.linalg.det(mats)[:, None], mats[:1], mats[-1:])
-    if isinstance(turns, Exception):
-        raise turns
-    return turns
+    dets = np.linalg.det(mats)
+    if len(dets) < 3:
+        # a closed loop of two samples is one step of 2*pi, which reads as 0
+        raise UnderSampledLoopError(
+            f"need at least three samples on a closed loop, got {len(dets)}"
+        )
+    gap = np.linalg.norm(mats[0] - mats[-1])
+    if gap > 1e-9:
+        raise ValueError(
+            f"loop is not closed: first and last samples differ by {gap:.3g} (bound 1e-9)"
+        )
+    if np.abs(dets).min() < 1e-12:
+        raise ValueError("loop contains a (numerically) singular matrix")
+    steps = np.angle(dets[1:] / dets[:-1])
+    if np.abs(steps).max() >= np.pi * (1 - 1e-9):
+        raise UnderSampledLoopError(
+            "adjacent determinant arguments jump by >= pi; sample more finely"
+        )
+    return int(np.round(steps.sum() / (2 * np.pi)))

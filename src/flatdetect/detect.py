@@ -557,9 +557,9 @@ def numeric_detection_report(
     parameter axis a, the integer sum_j V_i[j][a] of its monomial data
     (``axis_windings``); no float is evaluated.  A winding that a loop of
     ``samples`` samples would alias is refused as under-sampled, as ``forms
-    chern``, which winds floats, refuses it.  A class without a cycle (a
-    ``FiniteIndexSuper`` label) is read as a word in the family's group, the
-    cycle of its exponent sums.  Higher degrees do not pair.
+    chern``, which reads the same integers, refuses it.  A class without a
+    cycle (a ``FiniteIndexSuper`` label) is read as a word in the family's
+    group, the cycle of its exponent sums.  Higher degrees do not pair.
     """
     if d.z_dim:  # a descriptor without base labels pairs by words alone
         _check_base_labels(d, [f])

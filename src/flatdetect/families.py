@@ -23,12 +23,11 @@ arguments' arrays, on first use: words compose by (sigma_a, V_a)(sigma_b, V_b)
 = (sigma_a o sigma_b, V_b + V_a o sigma_b).  So verification is exact and holds
 for every x: each relator must compose to (id, 0), and every matrix is
 unitary by construction.  The determinant windings are integers of that
-data too, ``axis_windings``, which the numeric pairing reads.  ``forms
-chern`` keeps an independent float route: ``numeric_c1_windings`` computes
-the phase factors e^{2 pi i V . x} of one axis loop, reads each determinant
-from them as sign(sigma_g) prod_j e^{2 pi i V_g[j] . x}, and winds every
-generator of the loop at once; ``evaluate_batch`` scatters the same factors
-into a dense stack ``(points, generators, k, k)`` at any real coordinates.
+data too: det(rho(g)) turns sum_j V_g[j][a] times along axis a.
+``axis_windings`` reads them, for ``forms chern`` (``numeric_c1_windings``)
+and the numeric pairing alike, with no float evaluated;
+``evaluate_batch`` scatters the phase factors e^{2 pi i V . x} into a dense
+stack ``(points, generators, k, k)`` at any real coordinates.
 
 A cover is one Cover value (coset words, an integer lattice and holonomy
 signs, all +1 but for the Klein group's b) with one integer ``rewrite``.
@@ -65,7 +64,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charforms import MultiForm, UnderSampledLoopError, _loop_windings, _permutation_sign
+from .charforms import MultiForm, UnderSampledLoopError
 from .presentation import (
     GroupPresentation,
     Word,
@@ -78,11 +77,9 @@ from .presentation import (
 )
 from .repvar import RepPoint
 
-# the most samples on one parameter-axis loop (forms chern --resolution);
-# time and memory grow linearly with it: at the bound, in process on a 2-core
-# Xeon VM, char_zn(3, 4) takes 0.04-0.07 s and peaks at 43 MB, and
-# tensor(sum(char_zn(1, 4), same), induce(char_zn(2, 8), klein)) 0.07-0.24 s
-# and 75 MB
+# the most samples on one parameter-axis loop (forms chern --resolution); a
+# loop of n samples reads a winding c when 2 |c| < n.  Windings are read from
+# the monomial data, so no loop is built and n costs no time or memory
 MAX_LOOP_SAMPLES = 2**16
 # the largest index of a circle cover, and of a cover induced along; an
 # induction's dense stack holds a (k * index)^2 matrix per point and generator
@@ -265,22 +262,17 @@ class Family:
         one per generator; None for a family without character forms."""
         return len(self.group.generators) if self.chern is not None else None
 
-    def _phase_factors(self, x, component: int) -> np.ndarray:
-        """The phase factors e^{2 pi i V_g[j] . x} ``(P, generators, k)`` at
-        the rows of coordinates ``x`` (shape ``(P, d)``) of points of one
-        component: generator g's matrix holds factor j at (sigma_g(j), j)."""
+    def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
+        """The stack ``(P, generators, k, k)`` at the rows of coordinates
+        ``x`` (shape ``(P, d)``) of points of one component: one scatter of
+        the phase factors e^{2 pi i V_g[j] . x} ``(P, generators, k)`` into
+        the permuted positions, factor j of generator g at (sigma_g(j), j)."""
         x = np.asarray(x, dtype=float)
         space = self.space
         if not (0 <= component < space.n_components and x.ndim == 2
                 and x.shape[1] == space.component_x_dim(component)):
             raise ValueError(f"not a stack of rows of component {component}: {x.shape}")
-        return np.exp(2j * np.pi * np.moveaxis(self.phase[component] @ x.T, -1, 0))
-
-    def evaluate_batch(self, x, component: int = 0) -> np.ndarray:
-        """The stack ``(P, generators, k, k)`` at the rows of coordinates
-        ``x`` of points of one component: one scatter of the phase factors
-        into the permuted positions."""
-        factors = self._phase_factors(x, component)
+        factors = np.exp(2j * np.pi * np.moveaxis(self.phase[component] @ x.T, -1, 0))
         perm = self.perm[component]
         gens, k = perm.shape
         out = np.zeros(factors.shape + (k,), dtype=complex)
@@ -925,26 +917,21 @@ def axis_windings(
 
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
-    per component, wound numerically: after ``axis_windings`` has refused
-    the turns a loop of ``samples`` steps would alias, the phase factors of
-    each axis loop are computed once, each determinant read from them as
-    sign(sigma_g) prod_j e^{2 pi i V_g[j] . x} with no matrix built, and
-    every generator wound at once, one axis loop alive at a time.  A
-    refused loop raises after the whole component is wound, the first in
-    generator-major, axis-minor order.  The numeric counterpart of the
-    exact z^x coefficients."""
+    per component: ``axis_windings`` of every generator, read from the
+    monomial data with no float evaluated.  A turn that a loop of
+    ``samples`` steps would alias is refused as under-sampled, the first in
+    generator-major, axis-minor order; on a component with an axis, so is a
+    loop of one step (two samples wind nothing), and a loop of no step
+    raises ValueError.  The counterpart of the exact z^x coefficients."""
     gens = range(len(f.group.generators))
     out = []
     for ci in range(f.space.n_components):
-        axis_windings(f, gens, ci, samples)
-        signs = np.array([_permutation_sign(row) for row in f.perm[ci].tolist()], dtype=np.int64)
-        per_axis = []
-        for axis in range(f.space.component_x_dim(ci)):
-            factors = f._phase_factors(f.space.axis_loop(ci, axis, samples), ci)
-            per_axis.append(_loop_windings(signs * factors.prod(axis=-1), factors[0], factors[-1]))
-        rows = [[turns[g] for turns in per_axis] for g in gens]
-        for turns in (t for row in rows for t in row):
-            if isinstance(turns, Exception):
-                raise turns
-        out.append(rows)
+        out.append(axis_windings(f, gens, ci, samples))
+        if samples < 2 and f.space.component_x_dim(ci):
+            if samples < 1:  # reached only with no generators to alias
+                raise ValueError(f"a loop needs at least one step, got {samples}")
+            if gens:  # a closed loop of two samples is one step of 2*pi, which reads as 0
+                raise UnderSampledLoopError(
+                    f"need at least three samples on a closed loop, got {samples + 1}"
+                )
     return out

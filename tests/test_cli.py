@@ -958,7 +958,6 @@ def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, ex
 
     monkeypatch.setattr(flatdetect.families.Family, "evaluate_batch", evaluated)
     monkeypatch.setattr(flatdetect.charforms, "winding_number", evaluated)
-    monkeypatch.setattr(flatdetect.families, "_loop_windings", evaluated)
     klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
     (workdir / "f.fam").write_text(expr.format(klein=klein) + "\n")
     group = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"
@@ -978,6 +977,65 @@ def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, ex
         "error: det of 't1' on component 0 turns 130 times along axis 1, which a "
         "loop of 64 samples aliases; sample more finely\n"
     )
+
+
+@pytest.mark.parametrize(
+    "expr, windings",
+    [
+        ("{klein}", [[[0, 0], [0, 1]]]),
+        ("tensor(char_zn(1, 8), {klein})", [[[2, 0, 0], [0, 0, 0], [0, 0, 1]]]),
+        ("tensor(sum(char_zn(1, 8), char_zn(1, 8)), {klein})",
+         [[[4, 0, 0], [0, 0, 0], [0, 0, 2]]]),
+    ],
+)
+def test_forms_chern_evaluates_no_float(workdir, monkeypatch, expr, windings):
+    # forms chern reads the windings from the monomial data, as the numeric
+    # pairing does: with every float route raising, the windings stand
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a float was evaluated")
+
+    monkeypatch.setattr(flatdetect.families.Family, "evaluate_batch", evaluated)
+    monkeypatch.setattr(flatdetect.charforms, "winding_number", evaluated)
+    klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
+    (workdir / "f.fam").write_text(expr.format(klein=klein) + "\n")
+    out = workdir / "out.json"
+    assert run(["forms", "chern", "--family", str(workdir / "f.fam"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["windings"] == windings
+
+
+def test_forms_chern_winds_cancelling_exponents_near_1e8(workdir, capsys):
+    # the line exponents are about +-1e8 but the determinants turn 0, 2 and
+    # 4 times: forms chern reads the windings the pairings read, which float
+    # phase factors of such exponents cannot, as they leave a loop open by 4e-8
+    pulled = ("pullback(char_zn(2, 8), cover=sublattice([[{}, {}], [1, 1]]), cosets=[e], "
+              "group=z2.grp)")
+    half = (f"sum({pulled.format(100000001, 100000000)}, "
+            f"{pulled.format(-99999999, -100000000)})")
+    klein = "induce(char_zn(2, 8), cosets=[e, b], group=klein.grp)"
+    (workdir / "sum.fam").write_text(half + "\n")
+    (workdir / "tensor.fam").write_text(f"tensor({half}, {klein})\n")
+    out = workdir / "out.json"
+    wound = {}
+    for name in ("sum", "tensor"):
+        assert run(["forms", "chern", "--family", str(workdir / f"{name}.fam"),
+                    "--out", str(out)]) == 0
+        (wound[name],) = json.loads(out.read_text())["windings"]
+    assert wound["tensor"] == [[4, 4, 0, 0], [0, 4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2]]
+    # the loop_x cells of the numeric pairing, one row per generator
+    group = "finite_index_super(free_abelian(4), 2, k, homology=[[pt], [{}]])"
+    assert run(["detect", "run", "--group", group.format("b"), "--families",
+                str(workdir / "tensor.fam"), "--out", str(out)]) == 0
+    assert run(["detect", "run", "--group", group.format("t1, t2, a, b"), "--families",
+                str(workdir / "tensor.fam"), "--out", str(out)]) == 5
+    report = json.loads(out.read_text())
+    assert report["rows"] == ["pt", "t1", "t2", "a", "b"]
+    assert [[Fraction(c) for c in row[1:]] for row in report["matrix"][1:]] == wound["tensor"]
+    # the exact z^x cells of the sum, rows z1 and z2, columns x1 and x2
+    assert run(["detect", "run", "--group", "free_abelian(2)", "--families",
+                str(workdir / "sum.fam"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["rows"][1:3] == ["z1", "z2"]
+    assert [[Fraction(c) for c in row[1:3]] for row in report["matrix"][1:3]] == wound["sum"]
 
 
 def test_family_build_walks_no_grid(workdir, capsys):
@@ -1242,6 +1300,8 @@ def test_descriptor_value_and_type_errors_exit3(workdir, capsys, group, message)
         {"op": "wedge", "operands": [[[["q1"], 1, 1]]]},
         {"op": "wedge", "operands": [[[["x1"], 1, 0]]]},
         {"op": "wedge", "operands": [[[["x1"], "1", 1]]]},
+        {"op": "wedge", "operands": [[[["z1"], True, 1]]]},
+        {"op": "wedge", "operands": [[[["z1"], 1, True]]]},
         {"op": "wedge", "operands": [5]},
         {"op": "wedge", "operands": 5},
         {"op": "wedge", "operands": []},

@@ -23,6 +23,7 @@ from flatdetect.charforms import (
     _permutation_sign,
     format_combination,
     reduce_rows,
+    winding_number,
     xgen,
     zgen,
 )
@@ -1268,10 +1269,10 @@ def test_a_descriptor_relator_holds_exactly_where_its_float_defect_vanishes(tree
 @settings(max_examples=100, deadline=None)
 @given(_family_tree(), st.integers(0, 8))
 def test_float_windings_equal_the_data_sums(tree, extra):
-    """The numeric pairing reads each determinant winding from the data,
-    and ``forms chern`` winds floats: on every component, at any number of
-    samples above the aliasing bound, the float winding of each generator
-    along each axis equals sum_j V_g[j][a], and at the bound both refuse."""
+    """The numeric pairing and ``forms chern`` read each determinant winding
+    from the data: on every component, at any number of samples above the
+    aliasing bound, the winding of each generator along each axis equals
+    sum_j V_g[j][a], and at the bound both refuse."""
     fam, _ = tree
     sums = [phase.sum(axis=1).tolist() for phase in fam.phase]  # (gens, d) per component
     turns = max([abs(c) for comp in sums for per_axis in comp for c in per_axis], default=0)
@@ -1283,6 +1284,24 @@ def test_float_windings_equal_the_data_sums(tree, extra):
     if turns:
         with pytest.raises(UnderSampledLoopError, match="aliases"):
             numeric_c1_windings(fam, 2 * turns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_tree(), st.integers(1, 8))
+def test_data_windings_equal_lapack_windings(tree, extra):
+    """An independent float check of the windings read from the data: at
+    any number of samples above twice the largest turn, each equals
+    ``winding_number`` of its generator's slice of the dense stack along
+    the axis loop, whose determinants LAPACK computes."""
+    fam, _ = tree
+    turns = max((abs(c) for phase in fam.phase for c in phase.sum(axis=1).ravel().tolist()),
+                default=0)
+    samples = max(2, 2 * turns) + extra
+    for ci, rows in enumerate(numeric_c1_windings(fam, samples)):
+        for axis in range(fam.space.component_x_dim(ci)):
+            stack = fam.evaluate_batch(fam.space.axis_loop(ci, axis, samples), ci)
+            assert [winding_number(stack[:, g]) for g in range(len(rows))] == [
+                row[axis] for row in rows]
 
 
 # The pairing loop as it built its labels and tags before they were built in
@@ -1413,41 +1432,42 @@ def test_axis_windings_sum_exactly_past_int64(k, turns):
         numeric_c1_windings(fam, 64)
 
 
+def test_numeric_windings_refuse_loops_of_fewer_than_two_steps():
+    # one step of two samples reads every turn as 0, and no step is no loop;
+    # a turn that one step aliases is refused as such first
+    still = Family(free_group(1), TorusGrid(1, 2), [[[0]]], [np.zeros((1, 1, 1), dtype=int)])
+    no_gens = Family(free_group(0), TorusGrid(1, 2), [np.zeros((0, 1), dtype=int)],
+                     [np.zeros((0, 1, 1), dtype=int)])
+    with pytest.raises(UnderSampledLoopError,
+                       match="^need at least three samples on a closed loop, got 2$"):
+        numeric_c1_windings(still, 1)
+    with pytest.raises(UnderSampledLoopError, match="^det of 'g1' on component 0 turns 0 "):
+        numeric_c1_windings(still, 0)
+    with pytest.raises(UnderSampledLoopError, match="^det of 't1' on component 0 turns 1 "):
+        numeric_c1_windings(character_family_Zn(1, 8), 1)
+    assert numeric_c1_windings(no_gens, 1) == [[]]
+    with pytest.raises(ValueError, match="^a loop needs at least one step, got 0$"):
+        numeric_c1_windings(no_gens, 0)
+    # a point component has no loop to refuse
+    assert numeric_c1_windings(trivial_family(free_group(1)), 0) == [[[]]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_family_tree(), st.lists(st.integers(1, 64), min_size=1, max_size=3))
 def test_monomial_determinants_equal_lapack(tree, sample_counts):
-    """``forms chern`` reads each determinant from the phase factors as
-    sign(sigma_g) prod_j e^{2 pi i V_g[j] . x}; LAPACK's det of the
-    evaluated stack stays the oracle."""
+    """The determinant of each generator is sign(sigma_g) e^{2 pi i c . x},
+    c = sum_j V_g[j], so it turns uniformly, c_a times along axis a, as the
+    windings read from the data say; LAPACK's det of the evaluated stack
+    stays the oracle."""
     fam, _ = tree
     for ci in range(fam.space.n_components):
         signs = np.array([_permutation_sign(row) for row in fam.perm[ci].tolist()])
+        rates = fam.phase[ci].sum(axis=1)  # (generators, axes)
         for axis in range(fam.space.component_x_dim(ci)):
             for samples in sample_counts:
                 x = fam.space.axis_loop(ci, axis, samples)
-                read = signs * fam._phase_factors(x, ci).prod(axis=-1)
+                read = signs * np.exp(2j * np.pi * (x @ rates.T))
                 assert np.abs(read - np.linalg.det(fam.evaluate_batch(x, ci))).max() <= 1e-12
-
-
-def test_numeric_windings_raise_the_first_refusal_generator_major(monkeypatch):
-    # generator 2 is singular along axis 1 and generator 1's loop along
-    # axis 2 does not close: wound axis by axis, the refusal raised is
-    # still generator 1's, the first in generator-major, axis-minor order
-    fam = character_family_Zn(2, 4)
-    factors = Family._phase_factors
-
-    def broken(self, x, component):
-        out = factors(self, x, component)
-        if x[:, 0].any():
-            out[3, 1] = 0
-        else:
-            out[-1, 0] *= 1j
-        return out
-
-    monkeypatch.setattr(Family, "_phase_factors", broken)
-    with pytest.raises(ValueError, match="^loop is not closed: first and last samples "
-                       r"differ by 1\.41 \(bound 1e-9\)$"):
-        numeric_c1_windings(fam, 8)
 
 
 # ---------------------------------------------------------------------------

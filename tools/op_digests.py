@@ -47,8 +47,10 @@ its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
 in 64 samples, and then ``forms chern`` on a family of a group with no
 generators, on a union with a point component, on sums of Klein-bottle
 tensors of fibre dimensions 4 and 8, at 64 samples and at 65536
-(``families.MAX_LOOP_SAMPLES``, where float rounding is largest), and on
-``char_zn(1, 8)`` at 3 samples, the fewest that wind.  Then come the ``numeric`` ops: ``detect
+(``families.MAX_LOOP_SAMPLES``), on ``char_zn(1, 8)`` at 3 samples, the
+fewest that wind, and on the tensor of a Klein-bottle family with a sum of
+pullbacks whose line exponents near +-1e8 cancel to windings of 0, 2 and 4,
+and the numeric ``detect run`` of that tensor.  Then come the ``numeric`` ops: ``detect
 run`` on each of ``NUMERIC``, numeric pairings the benchmark never runs (labels read as
 words, a sum, an induction of a point family, an extension into a free
 product and a union of Klein-bottle families, and two Klein-bottle families,
@@ -79,8 +81,9 @@ come the ``forms`` ops: ``forms eval`` on each payload of ``FORMS``, wedges
 and sums of serialized forms whose labels come unsorted and x before z,
 hold a repeated label or a term that cancels, are bad (``y1``, ``z0``) or
 large (``z1000000``), or reach past ``charforms.MAX_TERM_PRODUCTS``,
-one record of ``LONG_RECORD`` shuffled labels, and a sum and a wedge of
-records over denominators 2, 3 and 6.  Last come the ``usage`` ops: the
+one record of ``LONG_RECORD`` shuffled labels, a sum and a wedge of
+records over denominators 2, 3 and 6, and a record whose numerator is a JSON
+boolean.  Last come the ``usage`` ops: the
 argv sequence ``USAGE`` (usage errors, flags given and left to their
 defaults, an unknown flag after a full command, which the top-level usage
 reports, a bare ``detect``, help at the top, a middle and a leaf command,
@@ -228,10 +231,18 @@ WINDINGS = (
     ("forms", "chern", "--family", "fibre4.fam", "--resolution", "65536"),
     ("forms", "chern", "--family", "fibre8.fam", "--resolution", "65536"),
     ("forms", "chern", "--family", "char.fam", "--resolution", "3"),
+    ("forms", "chern", "--family", "cancel.fam", "--resolution", "64"),
+    ("detect", "run", "--group", "finite_index_super(free_abelian(4), 2, k, homology=[[pt], [b]])",
+     "--families", "cancel.fam"),
 )
 _ALIAS = "pullback(char_zn(1, 8), cover=circle(65), group=z1.grp)"
 _TK = f"tensor(char_zn(1, 4), {DESCRIPTOR_FAMILIES['klein']})"
 _T4 = f"tensor(sum(char_zn(1, 4), char_zn(1, 4)), {DESCRIPTOR_FAMILIES['klein']})"
+# line exponents near +-1e8 whose determinant windings cancel to 0, 2 and 4
+_NEAR_1E8 = ("pullback(char_zn(2, 8), cover=sublattice([[{}, {}], [1, 1]]), cosets=[e], "
+             "group=z2.grp)")
+_CANCEL = (f"sum({_NEAR_1E8.format(100000001, 100000000)}, "
+           f"{_NEAR_1E8.format(-99999999, -100000000)})")
 WINDING_FILES = {
     "alias.fam": _ALIAS + "\n",
     "alias_klein.fam": f"tensor({_ALIAS}, {DESCRIPTOR_FAMILIES['klein']})\n",
@@ -240,6 +251,7 @@ WINDING_FILES = {
     "fibre4.fam": f"sum({_TK}, {_TK})\n",
     "fibre8.fam": f"sum({_T4}, {_T4})\n",
     "char.fam": "char_zn(1, 8)\n",
+    "cancel.fam": f"tensor({_CANCEL}, {DESCRIPTOR_FAMILIES['klein']})\n",
 }
 # (group descriptor, family expressions) of each ``numeric`` op, a numeric
 # ``detect run`` the benchmark never runs: degree-1 labels read as words (``b
@@ -455,6 +467,7 @@ FORMS = (
      {"op": "sum", "operands": [_THIRDS, [[["x1", "z1"], 1, 6], [["x2"], -1, 6], [[], 5, 6]]]}),
     ("wedge of records over denominators 2, 3 and 6",
      {"op": "wedge", "operands": [_THIRDS, [[["z2"], 3, 2], [["x3"], 1, 6], [[], -1, 3]]]}),
+    ("record with a boolean numerator", {"op": "sum", "operands": [[[["z1"], True, 1]]]}),
 )
 
 # argv of each ``usage`` op, file names relative to the run directory
