@@ -1,18 +1,15 @@
 """Families of unitary representations of finitely presented groups,
 their characteristic classes, and flat-detectability certificates.
 
-Importing the package runs none of its submodules.  Each is registered with
-``importlib.util.LazyLoader``, so its body runs on the first read of one of
-its attributes, and once run it is a plain module.  The public names are
-resolved on first use by ``__getattr__``, which reads each from its
+Importing the package runs none of its submodules.  ``__getattr__`` imports
+a submodule on the first read of its name, through the import system, whose
+lock makes a concurrent first read wait for the import to finish; once
+imported, the submodule is a plain attribute of the package.  The public
+names are resolved by ``__getattr__`` too, which reads each from its
 submodule on every access, so a patch of the submodule is seen here too.
-Before Python 3.12.3 the lazy loader takes no lock, so a program that first
-reads a submodule from several threads at once imports it before starting
-them.
 """
 
-import importlib.util
-import sys
+import importlib
 
 _PUBLIC = {  # submodule -> the names re-exported from it
     "charforms": "GridConnection IntegralityError MultiForm SIGN_CONVENTIONS "
@@ -35,21 +32,17 @@ _PUBLIC = {  # submodule -> the names re-exported from it
 }
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 
-for _module in _PUBLIC:
-    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _lazy = sys.modules[_spec.name] = globals()[_module] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(_lazy)
-
 
 def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
     if name in _EXPORTS:
-        return getattr(globals()[_EXPORTS[name]], name)
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+    return sorted({*globals(), *__all__})
 
 
 __all__ = sorted([*_PUBLIC, *_EXPORTS])

@@ -43,12 +43,13 @@ goes through the tree.  Within one ``run`` call a group file that
 expressions name (``group=f2.grp``) is read and parsed once, however often
 they name it; the next call reads it again.
 
-Importing this module runs ``presentation`` and no other submodule: the
-package loads ``charforms``, ``detect``, ``families`` and ``repvar`` on
-their first attribute read, and nothing here reads one at import or while
-the parser is built.  So ``parse`` runs ``presentation`` alone, ``rep
-solve`` adds ``repvar``, ``family build`` and ``forms`` add ``families``,
-``charforms`` and ``repvar``, and ``detect run`` and ``report`` run all.
+Importing this module imports ``presentation`` and no other submodule:
+``charforms``, ``detect``, ``families`` and ``repvar`` are read as
+attributes of the package (``fd.detect``), which imports each on the first
+read, and nothing here reads one at import or while the parser is built.
+So ``parse`` runs ``presentation`` alone, ``rep solve`` adds ``repvar``,
+``family build`` and ``forms`` add ``families``, ``charforms`` and
+``repvar``, and ``detect run`` and ``report`` run all.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import charforms, detect, families, repvar
+import flatdetect as fd
 from .presentation import (
     GroupPresentation,
     PresentationError,
@@ -289,47 +290,47 @@ def _cover(caller: str, cover, cosets, group):
 
 def _finite_index_super(sub, index, label, homology):
     homology = [lv if isinstance(lv, list) else [lv] for lv in homology]
-    return detect.FiniteIndexSuper(sub, index, label, homology)
+    return fd.detect.FiniteIndexSuper(sub, index, label, homology)
 
 
 _COVER_KEYWORDS = {"cover": "cover", "cosets": "words", "group": "file"}
 
 # name -> (kind, positional types, keyword types, required keywords, builder).
-# The builders look up families.* and detect.* when called, so that building
-# the table loads neither module, and wrappers installed on them (a tracer's,
-# say) see every family and descriptor built.
+# The builders look up fd.families.* and fd.detect.* when called, so that
+# building the table imports neither module, and wrappers installed on them
+# (a tracer's, say) see every family and descriptor built.
 _CONSTRUCTORS = {
     "char_zn": ("family", ("int", "int"), {"gens": "words"}, (),
-                lambda n, res, gens=None: families.character_family_Zn(n, res, gens)),
+                lambda n, res, gens=None: fd.families.character_family_Zn(n, res, gens)),
     "trivial": ("family", (), {"group": "file", "dim": "int"}, ("group",),
-                lambda group, dim=1: families.trivial_family(group, dim)),
+                lambda group, dim=1: fd.families.trivial_family(group, dim)),
     "tensor": ("family", ("family", "family"), {}, (),
-               lambda f, g: families.tensor_families(f, g)),
+               lambda f, g: fd.families.tensor_families(f, g)),
     "union": ("family", ("family", "family"), {}, (),
-              lambda f, g: families.disjoint_union(f, g)),
-    "sum": ("family", ("family", "family"), {}, (), lambda f, g: families.direct_sum(f, g)),
+              lambda f, g: fd.families.disjoint_union(f, g)),
+    "sum": ("family", ("family", "family"), {}, (), lambda f, g: fd.families.direct_sum(f, g)),
     "extend": ("family", ("family",), {"group": "file"}, ("group",),
-               lambda f, group: families.extend_free_product(f, group)),
+               lambda f, group: fd.families.extend_free_product(f, group)),
     "induce": ("family", ("family",), _COVER_KEYWORDS, (),
                lambda f, cover=None, cosets=None, group=None:
-               families.induce_family(f, _cover("induce", cover, cosets, group))),
+               fd.families.induce_family(f, _cover("induce", cover, cosets, group))),
     "pullback": ("family", ("family",), _COVER_KEYWORDS, (),
                  lambda f, cover=None, cosets=None, group=None:
-                 families.pullback_family(f, _cover("pullback", cover, cosets, group))),
+                 fd.families.pullback_family(f, _cover("pullback", cover, cosets, group))),
     "circle": ("cover", ("int",), {}, (),
-               lambda k: (families.circle_cover, {"k": k}, free_abelian(1))),
-    "sublattice": ("cover", ("matrix",), {}, (),
-                   lambda basis: (families.SublatticeCover, {"basis": basis, "cosets": []}, None)),
-    "klein_even": ("cover", (), {}, (), lambda: (families.KleinBottleCover, {}, klein_bottle())),
-    "free": ("descriptor", ("int",), {}, (), lambda n: detect.Free(n)),
-    "free_abelian": ("descriptor", ("int",), {}, (), lambda n: detect.FreeAbelian(n)),
-    "surface": ("descriptor", ("int",), {}, (), lambda g: detect.SurfaceClosed(g)),
-    "group": ("descriptor", ("name",), {}, (), lambda path: detect.PresentationComplex(
+               lambda k: (fd.families.circle_cover, {"k": k}, free_abelian(1))),
+    "sublattice": ("cover", ("matrix",), {}, (), lambda basis: (
+        fd.families.SublatticeCover, {"basis": basis, "cosets": []}, None)),
+    "klein_even": ("cover", (), {}, (), lambda: (fd.families.KleinBottleCover, {}, klein_bottle())),
+    "free": ("descriptor", ("int",), {}, (), lambda n: fd.detect.Free(n)),
+    "free_abelian": ("descriptor", ("int",), {}, (), lambda n: fd.detect.FreeAbelian(n)),
+    "surface": ("descriptor", ("int",), {}, (), lambda g: fd.detect.SurfaceClosed(g)),
+    "group": ("descriptor", ("name",), {}, (), lambda path: fd.detect.PresentationComplex(
         f"group({path})", parse_presentation(Path(path).read_text()))),
     "free_product": ("descriptor", ("descriptor",) * 2, {}, (),
-                     lambda a, b: detect.FreeProduct(a, b)),
+                     lambda a, b: fd.detect.FreeProduct(a, b)),
     "direct_product": ("descriptor", ("descriptor",) * 2, {}, (),
-                       lambda a, b: detect.DirectProduct(a, b)),
+                       lambda a, b: fd.detect.DirectProduct(a, b)),
     "finite_index_super": ("descriptor", ("descriptor", "int", "name"),
                            {"homology": "homology"}, ("homology",), _finite_index_super),
 }
@@ -398,16 +399,16 @@ def _build(ast, kind: str, basedir: Path | None, caller: str | None = None):
         raise ExprError(str(exc)) from exc
 
 
-def build_family(ast, basedir: Path) -> families.Family:
+def build_family(ast, basedir: Path) -> fd.families.Family:
     return _build(ast, "family", basedir)
 
 
-def build_descriptor(ast) -> detect.GroupClass:
-    with detect.expression_budget():  # one exponent-sum budget for all leaves
+def build_descriptor(ast) -> fd.detect.GroupClass:
+    with fd.detect.expression_budget():  # one exponent-sum budget for all leaves
         return _build(ast, "descriptor", None)
 
 
-def _load_family(path: str) -> families.Family:
+def _load_family(path: str) -> fd.families.Family:
     path = Path(path)
     return build_family(parse_expression(path.read_text()), path.parent)
 
@@ -450,7 +451,7 @@ def _write(obj, indent: str, out: list[str]) -> None:
             out.append(head)
             head = sep
             _write(v, inner, out)
-    elif isinstance(obj, detect.SparseMatrix):
+    elif isinstance(obj, fd.detect.SparseMatrix):
         cell = inner + "  "
         zero = "[" + ",".join([f'{cell}"0/1"'] * obj.width) + f"{inner}]" if obj.width else "[]"
         first, step = 1 + len(cell), 6 + len(cell)
@@ -484,7 +485,7 @@ def _matrix_records(m: np.ndarray):
     return [[[v.real, v.imag] for v in row] for row in np.asarray(m)]
 
 
-def _family_record(f: families.Family) -> dict:
+def _family_record(f: fd.families.Family) -> dict:
     return {
         "kind": "family",
         "structure": f.structure,
@@ -519,8 +520,8 @@ def _cmd_rep_solve(ns) -> int:
     G = parse_presentation(Path(ns.presentation).read_text())
     if not G.generators:
         raise PresentationError("rep solve needs at least one generator")
-    cfg = repvar.SolveConfig(tolerance=ns.tol, max_iter=ns.max_iter, seed=ns.seed)
-    result = repvar.solve_representation(G, ns.dim, cfg)
+    cfg = fd.repvar.SolveConfig(tolerance=ns.tol, max_iter=ns.max_iter, seed=ns.seed)
+    result = fd.repvar.solve_representation(G, ns.dim, cfg)
     _emit(
         {
             "kind": "rep_point",
@@ -542,7 +543,7 @@ def _cmd_rep_solve(ns) -> int:
 def _cmd_family_build(ns) -> int:
     f = _load_family(ns.expr)
     try:
-        families.verify_family(f)
+        fd.families.verify_family(f)
     except ValueError as exc:
         sys.stderr.write(f"family verification failed: {exc}\n")
         return EXIT_OBSTRUCTION
@@ -552,14 +553,14 @@ def _cmd_family_build(ns) -> int:
 
 def _cmd_forms_chern(ns) -> int:
     f = _load_family(ns.family)
-    windings = families.numeric_c1_windings(f, ns.resolution)
+    windings = fd.families.numeric_c1_windings(f, ns.resolution)
     _emit(
         {
             "kind": "chern_windings",
             "family": f.structure,
             "generators": list(f.group.generators),
             "windings": windings,
-            "sign_conventions": charforms.SIGN_CONVENTIONS,
+            "sign_conventions": fd.charforms.SIGN_CONVENTIONS,
         },
         ns.out,
     )
@@ -583,7 +584,7 @@ def _cmd_forms_eval(ns) -> int:
         raise ExprError("no operands")
     try:
         acc = functools.reduce(
-            _FORM_OPS[op], [charforms.MultiForm.from_records(r) for r in operands]
+            _FORM_OPS[op], [fd.charforms.MultiForm.from_records(r) for r in operands]
         )
     except ValueError as exc:  # a malformed record, or a wedge past the term budget
         raise ExprError(str(exc)) from exc
@@ -591,16 +592,18 @@ def _cmd_forms_eval(ns) -> int:
     return EXIT_OK
 
 
-def _detection(ns) -> detect.DetectionReport:
-    """The exact detection matrix when every family has character data,
-    else the numeric report of the single family."""
+def _detection(ns) -> fd.detect.DetectionReport:
+    """The exact detection matrix when every family has character data and
+    every class of the descriptor a cycle, else the numeric report of the
+    single family."""
     descriptor = build_descriptor(parse_expression(ns.group))
     fams = [_load_family(p) for p in ns.families or []]
-    if all(f.chern is not None for f in fams):
-        return detect.detection_matrix(descriptor, fams)
+    if (all(f.chern is not None for f in fams)
+            and all(c.cycle is not None for c in descriptor.classes)):
+        return fd.detect.detection_matrix(descriptor, fams)
     if len(fams) != 1:
-        raise detect.DetectionError("the numeric pairing path takes a single family")
-    return detect.numeric_detection_report(descriptor, fams[0])
+        raise fd.detect.DetectionError("the numeric pairing path takes a single family")
+    return fd.detect.numeric_detection_report(descriptor, fams[0])
 
 
 def _cmd_detect_run(ns) -> int:
@@ -622,7 +625,7 @@ def _cmd_report(ns) -> int:
         status = EXIT_OK if report.verdict == "FD-certified" else EXIT_OBSTRUCTION
     if ns.bm:
         f, index = ns.bm
-        g, bound, excluded = detect.bm_obstruction(f, index)
+        g, bound, excluded = fd.detect.bm_obstruction(f, index)
         out["obstruction"] = {
             "free_rank": f,
             "index": index,
@@ -662,7 +665,7 @@ _NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be >= 0")
 def _resolution(text: str) -> int:
     """A ``forms chern --resolution`` value, checked against
     ``families.MAX_LOOP_SAMPLES`` as it is parsed, not as the parser is built."""
-    high = families.MAX_LOOP_SAMPLES
+    high = fd.families.MAX_LOOP_SAMPLES
     return _checked(int, lambda v: 2 <= v <= high, f"must be >= 2 and <= {high}")(text)
 
 

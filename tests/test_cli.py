@@ -204,9 +204,9 @@ def test_argument_parser_is_built_once_and_lazily():
 
 
 # Which flatdetect submodules have run, in a fresh interpreter, after an
-# import or one command.  A module the package has registered but nobody has
-# read yet is a LazyLoader placeholder, of a subclass of ModuleType; reading
-# any of its attributes would run it, so the probe reads none.
+# import or one command.  The package imports a submodule on the first read
+# of its name, so a module in sys.modules is one that has run; the probe
+# lists the plain modules there and reads none of their attributes.
 _EXECUTED = (
     "import sys, types\n"
     "print(sorted(n.split('.', 1)[1] for n, m in list(sys.modules.items())\n"
@@ -585,6 +585,32 @@ def test_model_classes_pair_a_numeric_family_by_position(workdir, group, rows):
         rec = rec.get("detection", rec)
         assert rec["mode"] == "numeric" and rec["rows"] == rows
         assert rec["verdict"] == "undetected" and rec["undetected_classes"] == [rows[1]]
+
+
+def test_a_label_without_a_cycle_pairs_an_exact_family_numerically(workdir, monkeypatch):
+    """A finite_index_super label has no cycle, so a family with character
+    data pairs numerically against it, as its union with the Klein family
+    does: the trivial family's rows are the union's c0.rank column, and b,
+    read as a word, is undetected."""
+    monkeypatch.chdir(workdir)
+    (workdir / "trivial.fam").write_text("trivial(group=klein.grp)\n")
+    klein = (workdir / "klein.fam").read_text().strip()
+    (workdir / "union.fam").write_text(f"union(trivial(group=klein.grp), {klein})\n")
+    group = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [b]])"
+    recs = {}
+    for fam, code in [("union.fam", 0), ("trivial.fam", 5)]:
+        for command in (["detect", "run"], ["report"]):
+            assert run(command + ["--group", group, "--families", fam, "--out", "d.json"]) == code
+            rec = json.loads(Path("d.json").read_text())
+            recs[fam, command[0]] = rec.get("detection", rec)
+        assert recs[fam, "report"] == recs[fam, "detect"]
+    union, trivial = recs["union.fam", "detect"], recs["trivial.fam", "detect"]
+    assert trivial["mode"] == union["mode"] == "numeric"
+    assert trivial["rows"] == union["rows"] == ["pt", "b"]
+    assert trivial["columns"] == ["c0.rank"]
+    rank = union["columns"].index("c0.rank")
+    assert trivial["matrix"] == [[row[rank]] for row in union["matrix"]] == [["1/1"], ["0/1"]]
+    assert trivial["undetected_classes"] == ["b"]
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

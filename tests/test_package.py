@@ -1,7 +1,12 @@
 """The package's public names: the same set, the same objects as in their
-submodules, and bound by ``from flatdetect import *``."""
+submodules, and bound by ``from flatdetect import *``; its submodules are
+imported on first read, by every thread that reads one first."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +88,44 @@ def test_an_unknown_attribute_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         flatdetect.no_such_name
     assert not hasattr(flatdetect, "no_such_name")
+
+
+def _fresh(probe: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports this flatdetect."""
+    env = {**os.environ, "PYTHONPATH": str(Path(flatdetect.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_registers_no_submodule():
+    probe = ("import sys, flatdetect\n"
+             "print(sorted(n for n in sys.modules if n.startswith('flatdetect.')))")
+    assert _fresh(probe) == "[]\n"
+
+
+# four threads read two submodules first, at once, right after the import;
+# prints the errors they raised and how many threads are still running
+_RACE = """
+import sys, threading
+import flatdetect
+sys.setswitchinterval(1e-6)
+barrier, failed = threading.Barrier(4, timeout=30), []
+def read():
+    barrier.wait()
+    try:
+        flatdetect.detect.detection_matrix, flatdetect.families.Family
+    except Exception as exc:
+        failed.append(repr(exc))
+threads = [threading.Thread(target=read) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+print(failed, sum(t.is_alive() for t in threads))
+"""
+
+
+def test_threads_reading_a_submodule_first_all_see_it_imported():
+    assert [_fresh(_RACE) for _ in range(5)] == ["[] 0\n"] * 5

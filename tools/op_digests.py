@@ -53,8 +53,9 @@ pullbacks whose line exponents near +-1e8 cancel to windings of 0, 2 and 4,
 and the numeric ``detect run`` of that tensor.  Then come the ``numeric`` ops: ``detect
 run`` on each of ``NUMERIC``, numeric pairings the benchmark never runs (labels read as
 words, a sum, an induction of a point family, an extension into a free
-product and a union of Klein-bottle families, and two Klein-bottle families,
-refused).  Then come the ``covers`` ops:
+product and a union of Klein-bottle families, two Klein-bottle families,
+refused, and a trivial family, with character data, alone and in a union
+with a Klein-bottle family).  Then come the ``covers`` ops:
 ``family build`` on each of ``COVERS``, inductions and pullbacks along
 explicit and inferred covers with and without their own coset words,
 including ones a cover or the family's group rejects, ones with too few or
@@ -258,8 +259,10 @@ WINDING_FILES = {
 # b`` pairs to twice b's windings, the commutator to zero), a sum of two
 # Klein-bottle families, a Klein-bottle induction of a family over a point,
 # an extension of a Klein-bottle family into <a, b | a b a b^-1> * <c>, a
-# union of two Klein-bottle families (one family of two components), and two
-# Klein-bottle families, which the numeric path refuses
+# union of two Klein-bottle families (one family of two components), two
+# Klein-bottle families, which the numeric path refuses, and a trivial family
+# of the Klein group, which has character data but pairs numerically, since
+# the label b has no cycle, alone and in a union with a Klein-bottle family
 _KLEIN = DESCRIPTOR_FAMILIES["klein"]
 _KLEIN_B = "finite_index_super(free_abelian(2), 2, klein, homology=[[pt], [{}]])"
 NUMERIC = (
@@ -271,6 +274,8 @@ NUMERIC = (
     ("free(3)", (f"extend({_KLEIN}, group=klein_free.grp)",)),
     (_KLEIN_B.format("b"), (f"union({_KLEIN}, {_KLEIN})",)),
     (_KLEIN_B.format("b"), (_KLEIN, _KLEIN)),
+    (_KLEIN_B.format("b"), ("trivial(group=klein.grp)",)),
+    (_KLEIN_B.format("b"), (f"union(trivial(group=klein.grp), {_KLEIN})",)),
 )
 NUMERIC_FILES = {"klein_free.grp": "gens: a b c ; rels: a b a b^-1 ;\n"}
 # argv of each budget op, the last ``covers`` ops, file names relative to the
