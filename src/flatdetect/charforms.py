@@ -417,29 +417,6 @@ def format_combination(terms: Iterable[tuple[str, Fraction]]) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def reduce_rows(rows: Iterable[dict]) -> list[dict]:
-    """Forward elimination over Q of sparse rows ``{column: nonzero
-    Fraction}``, in order: row i minus the multiples of the earlier nonzero
-    reduced rows that clear their pivots (least columns) from it.  Returns
-    the reduced rows in input order, each empty exactly when its row depends
-    on the rows before it; sorted by pivot, the nonzero ones are echelon."""
-    pivots: dict = {}  # pivot column -> its reduced row
-    out = []
-    for row in rows:
-        row = dict(row)
-        # a pivot row is zero left of its pivot, so clearing pivots in
-        # ascending order never refills a cleared one
-        while (hit := min((col for col in row if col in pivots), default=None)) is not None:
-            prow = pivots[hit]
-            factor = row[hit] / prow[hit]
-            for col, v in prow.items():
-                _accumulate(row, col, -factor * v)
-        if row:
-            pivots[min(row)] = row
-        out.append(row)
-    return out
-
-
 def _coerce(v) -> MultiForm:
     if isinstance(v, MultiForm):
         return v

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination, reduce_rows
+from .charforms import SIGN_CONVENTIONS, MultiForm, format_combination
 from .families import (MAX_EXPONENT, Cover, Family, _abelianize, _check_exponents, _holding,
                        _letters, axis_windings, induce_family, pullback_family)
 from .presentation import (GroupPresentation, PresentationError, Word, format_word, free_abelian,
@@ -53,7 +53,7 @@ SCOPE_NOTE = (
 MAX_CLASSES = 2**16
 # the most cells (nonzero rows x columns) of exponent-sum matrices eliminated
 # for one group, or in all for the leaves of one descriptor expression (see
-# ``expression_budget``): 1 s at 64 x 64
+# ``expression_budget``): 0.08-0.12 s at a dense 64 x 64 in a shared 2-core VM
 MAX_RELATION_CELLS = 2**12
 # the most prefix sums read building the degree-2 cycles: surface(32767) reads 131068
 MAX_CYCLE_TERMS = 2**17
@@ -176,10 +176,50 @@ def _exponent_sums(label: str, G: GroupPresentation, spent: int) -> list[dict[in
     return rows
 
 
+def _dependencies(rows, width: int) -> tuple[set[int], list[dict[int, int]]]:
+    """Forward elimination of sparse rows {column < width: nonzero int or
+    Fraction} in input order, in integers: row i is scaled by the lcm of its
+    denominators, carried in tag column width + i, and less the multiples of
+    the earlier independent rows that clear their pivots (least columns),
+    each step that scales it divided by its content.  Returns the pivots of
+    the independent rows and, for each dependent row in order, its primitive
+    integer dependency {row index: coefficient}, positive at that row."""
+    pivots: dict = {}  # pivot column -> its reduced row
+    kernel = []
+    for i, row in enumerate(rows):
+        if (scale := math.lcm(*(v.denominator for v in row.values()))) == 1:
+            row = {c: v.numerator for c, v in row.items()}
+        else:
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        row[width + i] = scale
+        # a pivot row is zero left of its pivot, so clearing pivots in
+        # ascending order never refills a cleared one
+        while hits := row.keys() & pivots.keys():
+            prow = pivots[hit := min(hits)]
+            a, b = prow[hit], row[hit]
+            g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)  # a > 0 keeps the tag positive
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                if x := row.get(c, 0) - b * v:
+                    row[c] = x
+                else:
+                    del row[c]
+            if a != 1 and (g := math.gcd(*row.values())) != 1:
+                row = {c: v // g for c, v in row.items()}
+        if (p := min(row)) < width:
+            pivots[p] = row
+        else:
+            g = math.gcd(*row.values())
+            kernel.append({c - width: v // g for c, v in sorted(row.items())})
+    return set(pivots), kernel
+
+
 def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     """Degrees 0..2 of the rational homology of G's presentation 2-complex: H_1, the cokernel
     of the exponent-sum matrix, has a class z{g} per generator g that is no pivot of its
-    elimination; H_2, its kernel, a class per integer kernel vector n, of cycle sum_k n_k
+    elimination; H_2, its kernel, a class per primitive integer kernel vector n, of cycle sum_k n_k
     omega(r_k), labeled by that cycle or, if 0 or a label already, by n.  Sound by Hopf's
     formula for families of G, complete if aspherical.  Elimination is refused past
     MAX_RELATION_CELLS, counted across an ``expression_budget``, and every omega past
@@ -188,12 +228,7 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     spent = _CELLS_SPENT.get() or [0]  # a count of its own outside an expression
     rows = _exponent_sums(label, G, spent[0])
     spent[0] += sum(map(bool, rows)) * n
-    # tag columns right to left, so that a kernel vector stops at its own tag
-    last = n + len(rows) - 1
-    reduced = reduce_rows({**{g: Fraction(e) for g, e in row.items()}, last - k: Fraction(1)}
-                          for k, row in enumerate(rows))
-    pivots = {min(row) for row in reduced if min(row) < n}
-    kernel = [{last - t: c for t, c in row.items()} for row in reduced if min(row) >= n]
+    pivots, kernel = _dependencies(rows, n)
     _check_count(label, 1 + n - len(pivots) + len(kernel))
     reads = {k: sum(len(p) for *_, p in _prefix_sums(G.relators[k]))
              for k in {k for vec in kernel for k in vec}}
@@ -205,8 +240,6 @@ def PresentationComplex(label: str, G: GroupPresentation) -> GroupClass:
     classes += [BasisClass(f"z{g + 1}", 1, (((g + 1,), 1),)) for g in range(n) if g not in pivots]
     taken = set()  # no relator combination reads as a cycle
     for vec in kernel:
-        scale = math.lcm(*(c.denominator for c in vec.values()))
-        vec = {k: int(c * scale) for k, c in vec.items()}  # primitive, as an entry was 1
         twice: dict = {}
         for k, c in vec.items():
             for z, v in omegas[k].items():
@@ -418,8 +451,8 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     """The one pairing loop: class i of ``d`` is ``cycles[i]``, {z-part:
     coefficient}, family fi's component ci is ``tables[fi][ci]``, {z-part:
     {x-part: value}}, and each cell combines one column's entries.  The
-    rows certify when independent over Q; with a tag column per row, the first
-    dependent row reduces to its combination of rows: the witness."""
+    rows certify when independent over Q; else the first dependency among
+    them, scaled to 1 at its first row, is the witness."""
     top, prefix, unit, xname = _COLUMNS[mode]
     comps, col_labels = [], []  # every component's table and {x-part: column}, in column order
     for fi, (f, per_family) in enumerate(zip(fams, tables)):
@@ -445,13 +478,12 @@ def _pairing(d, fams, cycles, tables, mode) -> DetectionReport:
     width = len(col_labels)
     detected = tuple(map(bool, rows))
     undetected = tuple(label for label, hit in zip(row_labels, detected) if not hit)
-    one = Fraction(1)  # every tag entry; a Fraction, so that elimination stays exact
-    reduced = reduce_rows({**row, width + i: one} for i, row in enumerate(rows))
-    kernel = [row for row in reduced if min(row) >= width]
+    kernel = _dependencies(rows, width)[1]
     witness = None
     if kernel and all(detected):
-        terms = sorted(kernel[0].items())
-        witness = format_combination((row_labels[j - width], c / terms[0][1]) for j, c in terms)
+        first = next(iter(kernel[0].values()))
+        witness = format_combination((row_labels[j], Fraction(c, first))
+                                     for j, c in kernel[0].items())
     return DetectionReport(
         group=d.describe(),
         families=tuple(f.structure for f in fams),
@@ -544,20 +576,14 @@ def detection_matrix(
     return _pairing(d, fams, cycles, tables, "exact")
 
 
-def numeric_detection_report(
-    d: GroupClass,
-    f: Family,
-    samples: int = 64,
-) -> DetectionReport:
+def numeric_detection_report(d: GroupClass, f: Family) -> DetectionReport:
     """Numeric pairing for families without exact character data.
 
     A class pairs through its cycle, whose base labels are the family's
     generators by position: the point z-part pairs to the fiber rank per
     component, and z_i to generator i's winding of det(holonomy) along each
     parameter axis a, the integer sum_j V_i[j][a] of its monomial data
-    (``axis_windings``); no float is evaluated.  A winding that a loop of
-    ``samples`` samples would alias is refused as under-sampled, as ``forms
-    chern``, which reads the same integers, refuses it.  A class without a
+    (``axis_windings``); no float is evaluated.  A class without a
     cycle (a ``FiniteIndexSuper`` label) is read as a word in the family's
     group, the cycle of its exponent sums.  Higher degrees do not pair.
     """
@@ -583,7 +609,7 @@ def numeric_detection_report(
     read = sorted({z for cycle in cycles for z in cycle if z})
     tables = [{(): {(): Fraction(k)}} for k in f.fiber_dims]
     for ci, table in enumerate(tables):
-        for z, per_axis in zip(read, axis_windings(f, [z[0] - 1 for z in read], ci, samples)):
+        for z, per_axis in zip(read, axis_windings(f, [z[0] - 1 for z in read], ci)):
             table[z] = {(a + 1,): Fraction(k) for a, k in enumerate(per_axis)}
     return _pairing(d, [f], cycles, [tables], "numeric")
 

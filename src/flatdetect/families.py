@@ -890,43 +890,36 @@ def holonomy_loop(
     return evaluate_word(w, f.evaluate_batch(x, component))
 
 
-def axis_windings(
-    f: Family, gens: Sequence[int], ci: int, samples: int
-) -> list[list[int]]:
+def axis_windings(f: Family, gens: Sequence[int], ci: int) -> list[list[int]]:
     """Winding of det(rho(g)) of each generator index g of ``gens`` along
     each parameter axis of component ``ci``, read from the monomial data:
     the determinant turns uniformly, c = sum_j V_g[j][a] times along axis a,
-    summed as Python ints, which do not wrap as int64 sums would.
-
-    A loop of ``samples`` steps aliases such a turn when 2 |c| >= samples,
-    so that raises UnderSampledLoopError: no cell is read that a loop of
-    ``samples`` samples could not read."""
+    summed as Python ints, which do not wrap as int64 sums would."""
     phase = f.phase[ci]
-    out = []
-    for g in gens:
-        out.append([sum(column) for column in phase[g].T.tolist()])
-        for axis, turns in enumerate(out[-1]):
-            if 2 * abs(turns) >= samples:
-                raise UnderSampledLoopError(
-                    f"det of {f.group.generators[g]!r} on component {ci} turns {turns} times "
-                    f"along axis {axis + 1}, which a loop of {samples} samples aliases; "
-                    "sample more finely"
-                )
-    return out
+    return [[sum(column) for column in phase[g].T.tolist()] for g in gens]
 
 
 def numeric_c1_windings(f: Family, samples: int = 64):
     """Winding of det(holonomy) of each generator along each parameter axis,
     per component: ``axis_windings`` of every generator, read from the
-    monomial data with no float evaluated.  A turn that a loop of
-    ``samples`` steps would alias is refused as under-sampled, the first in
-    generator-major, axis-minor order; on a component with an axis, so is a
-    loop of one step (two samples wind nothing), and a loop of no step
-    raises ValueError.  The counterpart of the exact z^x coefficients."""
+    monomial data with no float evaluated.  A turn c that a loop of
+    ``samples`` steps would alias, 2 |c| >= samples, is refused as
+    under-sampled, the first in generator-major, axis-minor order; on a
+    component with an axis, so is a loop of one step (two samples wind
+    nothing), and a loop of no step raises ValueError.  The counterpart of
+    the exact z^x coefficients."""
     gens = range(len(f.group.generators))
     out = []
     for ci in range(f.space.n_components):
-        out.append(axis_windings(f, gens, ci, samples))
+        out.append(axis_windings(f, gens, ci))
+        for g, per_axis in enumerate(out[-1]):
+            for axis, turns in enumerate(per_axis):
+                if 2 * abs(turns) >= samples:
+                    raise UnderSampledLoopError(
+                        f"det of {f.group.generators[g]!r} on component {ci} turns {turns} "
+                        f"times along axis {axis + 1}, which a loop of {samples} samples "
+                        "aliases; sample more finely"
+                    )
         if samples < 2 and f.space.component_x_dim(ci):
             if samples < 1:  # reached only with no generators to alias
                 raise ValueError(f"a loop needs at least one step, got {samples}")

@@ -249,7 +249,7 @@ def test_criterion_7_klein_bottle_detection():
         descriptor = fd.FiniteIndexSuper(
             fd.FreeAbelian(2), 2, "klein", (("pt",), ("b",))
         )
-        rep = fd.numeric_detection_report(descriptor, fam, samples=32)
+        rep = fd.numeric_detection_report(descriptor, fam)
         elapsed = time.perf_counter() - t0
         b_row = rep.matrix[rep.row_labels.index("b")]
         values = [int(e) for e in b_row if e != 0]

@@ -958,11 +958,14 @@ def test_windings_past_half_the_samples_are_refused_not_aliased(workdir, capsys)
     assert run(["forms", "chern", "--family", fam, "--resolution", "64",
                 "--out", str(out)]) == 5
     assert capsys.readouterr().err == message.format(65)
-    # the numeric pairing of the tensor: det(t1 x I_2) turns 130 times
+    # the numeric pairing of the tensor samples no loop: it reads det(t1 x I_2)
+    # turning 130 times, and z2 pairs to nothing
     assert run(["detect", "run", "--group", "free(3)", "--families",
                 str(workdir / "tensor.fam"), "--out", str(out)]) == 5
-    assert capsys.readouterr().err == message.format(130)
-    assert not out.exists()
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["matrix"][1] == ["0/1", "130/1", "0/1", "0/1"]
+    assert (report["verdict"], report["undetected_classes"]) == ("undetected", ["z2"])
 
 
 @pytest.mark.parametrize(
@@ -975,10 +978,10 @@ def test_windings_past_half_the_samples_are_refused_not_aliased(workdir, capsys)
          [["4/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "2/1"]]),
     ],
 )
-def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, expr, matrix):
+def test_the_numeric_pairing_evaluates_no_float(workdir, monkeypatch, expr, matrix):
     # the cells are integers of the monomial data: with every float route
     # raising, the report keeps the matrix the float windings gave, and the
-    # 130 turns of the tensor below are still refused at 64 samples
+    # 130 turns of the tensor below are read, as no loop is sampled
     def evaluated(*args, **kwargs):
         raise AssertionError("a float was evaluated")
 
@@ -996,13 +999,9 @@ def test_the_numeric_pairing_evaluates_no_float(workdir, capsys, monkeypatch, ex
     (workdir / "alias.fam").write_text(
         f"tensor(pullback(char_zn(1, 8), cover=circle(65), group=z1.grp), {klein})\n"
     )
-    capsys.readouterr()
     assert run(["detect", "run", "--group", "free(3)", "--families",
-                str(workdir / "alias.fam")]) == 5
-    assert capsys.readouterr().err == (
-        "error: det of 't1' on component 0 turns 130 times along axis 1, which a "
-        "loop of 64 samples aliases; sample more finely\n"
-    )
+                str(workdir / "alias.fam"), "--out", str(out)]) == 5
+    assert json.loads(out.read_text())["matrix"][1] == ["0/1", "130/1", "0/1", "0/1"]
 
 
 @pytest.mark.parametrize(

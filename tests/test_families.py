@@ -20,9 +20,9 @@ from flatdetect import cli, detect, families
 from flatdetect.charforms import (
     MultiForm,
     UnderSampledLoopError,
+    _accumulate,
     _permutation_sign,
     format_combination,
-    reduce_rows,
     winding_number,
     xgen,
     zgen,
@@ -562,6 +562,30 @@ def test_klein_rewrite_of_runs_matches_the_spelled_word(runs):
 
 def _exponent_sum(w: Word, g: int) -> int:
     return sum(e for h, e in w.letters if h == g)
+
+
+def reduce_rows(rows) -> list[dict]:
+    """Forward elimination over Q of sparse rows ``{column: nonzero
+    Fraction}``, in order: row i minus the multiples of the earlier nonzero
+    reduced rows that clear their pivots (least columns) from it.  Returns
+    the reduced rows in input order, each empty exactly when its row depends
+    on the rows before it; sorted by pivot, the nonzero ones are echelon.
+    The reference of ``detect._dependencies``, which eliminates in integers."""
+    pivots: dict = {}  # pivot column -> its reduced row
+    out = []
+    for row in rows:
+        row = dict(row)
+        # a pivot row is zero left of its pivot, so clearing pivots in
+        # ascending order never refills a cleared one
+        while (hit := min((col for col in row if col in pivots), default=None)) is not None:
+            prow = pivots[hit]
+            factor = row[hit] / prow[hit]
+            for col, v in prow.items():
+                _accumulate(row, col, -factor * v)
+        if row:
+            pivots[min(row)] = row
+        out.append(row)
+    return out
 
 
 def _det_and_inverse(m: Sequence[Sequence]) -> tuple[Fraction, list | None]:
@@ -1270,15 +1294,15 @@ def test_a_descriptor_relator_holds_exactly_where_its_float_defect_vanishes(tree
 @given(_family_tree(), st.integers(0, 8))
 def test_float_windings_equal_the_data_sums(tree, extra):
     """The numeric pairing and ``forms chern`` read each determinant winding
-    from the data: on every component, at any number of samples above the
-    aliasing bound, the winding of each generator along each axis equals
-    sum_j V_g[j][a], and at the bound both refuse."""
+    from the data: on every component, the winding of each generator along
+    each axis equals sum_j V_g[j][a], which ``forms chern`` reads at any
+    number of samples above the aliasing bound and refuses at the bound."""
     fam, _ = tree
     sums = [phase.sum(axis=1).tolist() for phase in fam.phase]  # (gens, d) per component
     turns = max([abs(c) for comp in sums for per_axis in comp for c in per_axis], default=0)
     samples = max(3, 2 * turns + 1) + extra
     gens = range(len(fam.group.generators))
-    assert [families.axis_windings(fam, gens, ci, samples)
+    assert [families.axis_windings(fam, gens, ci)
             for ci in range(fam.space.n_components)] == sums
     assert numeric_c1_windings(fam, samples) == sums
     if turns:

@@ -23,7 +23,8 @@ exact family and one Klein-bottle family (the numeric path), then on
 each of ``EXACT_DESCRIPTORS`` against the exact family alone, and then on
 ``group`` of each of ``DESCRIPTOR_GROUPS`` against the one-dimensional
 trivial family of its own group, whose report rows list the group's
-homology basis.  Then come
+homology basis, among them a degree-2 class read from a kernel vector that
+the integer elimination divides by its content.  Then come
 the ``abelianizations`` ops: ``detect run`` on each of ``ABELIANIZATIONS``,
 group files with a relator that does not hold in Z^2, against a family of
 Z^2 and then against a Klein-bottle family, and then on each pair of
@@ -43,10 +44,10 @@ relators compose over fibres of 4 and 5 dimensions (``circle(256)`` of the
 ``WINDINGS`` argv, ``forms chern`` on the pullback along ``circle(65)``,
 whose determinant turns 65 times along its axis, at 64 samples (refused as
 under-sampled, not read as 1) and at 256, and the numeric ``detect run`` of
-its tensor with a Klein-bottle family, whose t1 determinant turns 130 times
-in 64 samples, and then ``forms chern`` on a family of a group with no
-generators, on a union with a point component, on sums of Klein-bottle
-tensors of fibre dimensions 4 and 8, at 64 samples and at 65536
+its tensor with a Klein-bottle family, which samples no loop and reads the
+130 turns of its t1 determinant, and then ``forms chern`` on a family of a
+group with no generators, on a union with a point component, on sums of
+Klein-bottle tensors of fibre dimensions 4 and 8, at 64 samples and at 65536
 (``families.MAX_LOOP_SAMPLES``), on ``char_zn(1, 8)`` at 3 samples, the
 fewest that wind, and on the tensor of a Klein-bottle family with a sum of
 pullbacks whose line exponents near +-1e8 cancel to windings of 0, 2 and 4,
@@ -153,11 +154,15 @@ EXACT_DESCRIPTORS = ("free_abelian(16)", "surface(3)", "surface(4)")
 # surface(2), a group whose degree-2 rows are one of cycle 0 (-3 r1 + 2 r2)
 # and two of the cycle z1^z2, the second labeled by its relator r4, and
 # <a | a^2, a^3, a^5>, whose dependent rows have non-unit pivots: its degree-2
-# rows are -3 r1 + 2 r2 and -5 r1 + 2 r3
+# rows are -3 r1 + 2 r2 and -5 r1 + 2 r3, and a group whose second degree-2
+# class, -9/2*z1^z2 + 10*z2^z3, is the cycle of a kernel vector that the
+# elimination divides by its content
 DESCRIPTOR_GROUPS = {
     "s2.grp": "gens: a1 b1 a2 b2 ; rels: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1 ;\n",
     "torsion.grp": "gens: a b c d ; rels: a a , a a a , a b a^-1 b^-1 , a b a^-1 b^-1 ;\n",
     "pivots.grp": "gens: a ; rels: a a , a a a , a a a a a ;\n",
+    "content.grp": "gens: a b c ; rels: a a b b b , a a a b b , a b a^-1 b^-1 , c c a^-1 b , "
+    "a b c a b c ;\n",
 }
 DESCRIPTOR_FAMILIES = {
     "exact": "char_zn(4, 2)",
